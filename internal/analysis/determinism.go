@@ -44,10 +44,12 @@ var DeterminismAnalyzer = &Analyzer{
 
 // tracePkgBases are the trace-affecting packages, keyed by import-path
 // base name: the event engine, the network simulator, every protocol
-// implementation, topology/partitioning, the scenario engine, hosts,
-// the chassis, the timed experiments and the live serving loop.
+// implementation and the path table under them (its victim order decides
+// which flow re-floods), topology/partitioning, the scenario engine,
+// hosts, the chassis, the timed experiments and the live serving loop.
 var tracePkgBases = map[string]bool{
 	"sim": true, "netsim": true, "core": true, "flowpath": true,
+	"learning": true, "tables": true,
 	"topo": true, "scenario": true, "host": true, "bridge": true,
 	"experiments": true, "serve": true,
 }

@@ -182,10 +182,10 @@ func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, pr
 // locked paths (Figure 1) and to measure table sizes.
 func (b *Bridge) Table() *LockTable { return b.table }
 
-// ForwardingEntries reports the resident forwarding state — the
-// All-Path comparison's table-size axis (variants add their own pair or
-// connection tables on top).
-func (b *Bridge) ForwardingEntries() int { return b.table.Len() }
+// PathTables lists the bridge's path tables behind the key-independent
+// view the harnesses count and sweep; index 0 is the table the capacity
+// bound applies to (variants put their pair or connection table there).
+func (b *Bridge) PathTables() []tables.View { return []tables.View{b.table} }
 
 // repairWheel returns the bridge's repair-timeout wheel, created on first
 // use: the wheel ticks under the bridge's scheduling identity, which is

@@ -16,102 +16,29 @@ import (
 	"repro/internal/tables"
 )
 
-// EntryState is the state of a locking-table entry.
-type EntryState uint8
+// EntryState and Entry are the shared path-table definitions; the per-host
+// table is the family's coarsest key granularity, not its own layout.
+type (
+	EntryState = tables.State
+	Entry      = tables.Entry
+)
 
 // Entry states.
 const (
-	// StateLocked marks an address locked to the port where the first copy
-	// of a broadcast arrived; the race window. Frames from that address
-	// arriving on other ports are discarded while the lock is live.
-	StateLocked EntryState = iota
-	// StateLearned marks a confirmed path entry (the ARP/Path Reply passed
-	// through, or traffic refreshed it).
-	StateLearned
+	StateLocked  = tables.StateLocked
+	StateLearned = tables.StateLearned
 )
 
-// String names the state.
-func (s EntryState) String() string {
-	switch s {
-	case StateLocked:
-		return "locked"
-	case StateLearned:
-		return "learned"
-	default:
-		return "state(?)"
-	}
-}
-
-// Entry is one locking-table binding.
-type Entry struct {
-	Port    *netsim.Port
-	State   EntryState
-	Expires time.Duration
-	// LockedUntil is the end of the race window. While it lies in the
-	// future, the binding's port must not move: copies of the flood
-	// arriving on other ports are discarded even if the entry has already
-	// been confirmed (learned) by the returning reply. Without this guard
-	// a slow race copy arriving after confirmation would steal the lock
-	// and drag the path onto the slower branch.
-	LockedUntil time.Duration
-}
-
-// Guarded reports whether the race window is still open at time now.
-func (e Entry) Guarded(now time.Duration) bool { return now < e.LockedUntil }
-
-// tableEntry is the stored form: the public Entry plus the generation of
-// its port at bind time. A port's generation advances on FlushPort, which
-// kills every entry bound to it in O(1) without touching the map. The
-// portState pointer is cached in the entry so the hot-path liveness check
-// costs a pointer chase, not a second map lookup.
-type tableEntry struct {
-	Entry
-	gen uint32
-	ps  *portState
-	th  tables.Handle // recency-tracker handle; 0 when untracked
-}
-
-// portState is the per-port side table backing constant-time flushes.
-type portState struct {
-	gen  uint32 // current generation; entries with an older gen are dead
-	live int    // resident entries bound to this port at the current gen
-}
-
 // LockTable is the ARP-Path locking table: MAC → (port, locked|learned,
-// expiry). It is the bridge's only forwarding state — there is no routing
-// protocol and no tree (§1).
-//
-// The table is keyed by the uint64-packed MAC (layers.MAC.Uint64): the
-// simulator decodes the packed keys once per frame into the FrameView, and
-// an 8-byte integer key hashes faster than a [6]byte array. Expiry is
-// lazy (checked on access) and link failures are handled by per-port
-// generation counters, so no operation on the hot path scans the table.
-//
-// Production bounds (DESIGN.md §12): the table may be capacity-bounded
-// with an LRU or clock eviction policy (internal/tables). The bound counts
-// map entries — live bindings and flushed-generation corpses alike — so it
-// bounds actual memory, not just Len(). Corpses and expired entries are
-// additionally reclaimed by an amortized sweep (one full pass per learned
-// timeout, proxyCache-style) so even the unbounded configuration cannot
-// leak under churn.
+// expiry), the bridge's only forwarding state. It is tables.Table keyed by
+// the uint64-packed MAC (layers.MAC.Uint64): the simulator decodes the
+// packed keys once per frame into the FrameView, and an 8-byte integer key
+// hashes faster than a [6]byte array. The methods here only spell the two
+// key forms — *Key for the packed keys of the forwarding path, plain names
+// for layers.MAC callers; semantics, bounds and sweeps are the embedded
+// Table's.
 type LockTable struct {
-	lockTimeout    time.Duration
-	learnedTimeout time.Duration
-	capacity       int
-	tracker        *tables.Tracker[uint64] // nil for the timeout baseline
-	entries        map[uint64]tableEntry
-	ports          map[*netsim.Port]*portState
-	resident       int // entries in the map whose port generation is current
-
-	evictions uint64        // capacity evictions of live entries (not corpse reclaim)
-	peak      int           // high-water mark of len(entries)
-	nextSweep time.Duration // next amortized FlushExpired deadline
-
-	// One-slot cache for the port side table: a bridge stores runs of
-	// entries against the same handful of ports, so this turns the
-	// per-store ports-map lookup into a pointer compare.
-	lastPort *netsim.Port
-	lastPS   *portState
+	tables.Table[uint64]
 }
 
 // NewLockTable builds an empty unbounded table with the two ARP-Path
@@ -123,359 +50,66 @@ func NewLockTable(lockTimeout, learnedTimeout time.Duration) *LockTable {
 
 // NewBoundedLockTable builds an empty table with a capacity bound and
 // eviction policy on top of the timeouts. The zero Config is the unbounded
-// timeout baseline (exactly NewLockTable).
+// timeout baseline (exactly NewLockTable). Multicast and zero MACs are
+// never bound.
 func NewBoundedLockTable(lockTimeout, learnedTimeout time.Duration, bound tables.Config) *LockTable {
-	if lockTimeout <= 0 || learnedTimeout <= 0 {
-		panic("core: timeouts must be positive")
-	}
-	if err := bound.Validate(); err != nil {
-		panic("core: " + err.Error())
-	}
-	t := &LockTable{
-		lockTimeout:    lockTimeout,
-		learnedTimeout: learnedTimeout,
-		capacity:       bound.Capacity,
-		entries:        make(map[uint64]tableEntry),
-		ports:          make(map[*netsim.Port]*portState),
-	}
-	if bound.Tracked() {
-		t.tracker = tables.NewTracker[uint64](bound.Policy)
-	}
-	return t
+	return &LockTable{*tables.New(lockTimeout, learnedTimeout, bound, tables.JunkMAC)}
 }
 
-func (t *LockTable) port(p *netsim.Port) *portState {
-	if p == t.lastPort {
-		return t.lastPS
-	}
-	st, ok := t.ports[p]
-	if !ok {
-		st = &portState{}
-		t.ports[p] = st
-	}
-	t.lastPort, t.lastPS = p, st
-	return st
-}
-
-// dead reports whether a stored entry is no longer valid at now: past its
-// expiry, or bound to a port generation that has been flushed.
-func (t *LockTable) dead(e tableEntry, now time.Duration) bool {
-	return e.Expires <= now || e.gen != e.ps.gen
-}
-
-// evict removes a stored entry, maintaining the residency counters.
-func (t *LockTable) evict(key uint64, e tableEntry) {
-	if e.gen == e.ps.gen {
-		e.ps.live--
-		t.resident--
-	}
-	if t.tracker != nil {
-		t.tracker.Remove(e.th)
-	}
-	delete(t.entries, key)
-}
-
-// maybeSweep runs the amortized corpse sweep: at most one full
-// FlushExpired per learned timeout, charged to the write that crossed the
-// deadline (proxyCache's discipline). Callers must invoke it before
-// snapshotting the previous entry — the sweep may evict the very key about
-// to be overwritten.
-func (t *LockTable) maybeSweep(now time.Duration) {
-	if now >= t.nextSweep {
-		t.FlushExpired(now)
-		t.nextSweep = now + t.learnedTimeout
-	}
-}
-
-// makeRoom enforces the capacity bound before a new key is inserted.
-// Victims come from the recency tracker in deterministic order; dead
-// entries (corpses, expired) are reclaimed for free, live unguarded
-// entries are force-evicted (counted), and entries inside their §2.1.1
-// race window are never evicted — moving a binding mid-race would reopen
-// the loop/duplication hazards the lock exists to prevent. Guarded
-// rejections are budgeted (tables.RejectBudget): when the budget runs out
-// the table admits over capacity, keeping each insert O(1) even when open
-// race windows dominate the table; the overshoot is bounded by the number
-// of concurrently open windows.
-func (t *LockTable) makeRoom(now time.Duration) {
-	if t.tracker == nil || t.capacity <= 0 {
-		return
-	}
-	for rejects := tables.RejectBudget; len(t.entries) >= t.capacity; {
-		h, ok := t.tracker.Victim()
-		if !ok {
-			return
-		}
-		key := t.tracker.Key(h)
-		e := t.entries[key]
-		switch {
-		case t.dead(e, now):
-			t.evict(key, e)
-		case !e.Guarded(now):
-			t.evictions++
-			t.evict(key, e)
-		default:
-			t.tracker.Reject(h)
-			if rejects--; rejects <= 0 {
-				return
-			}
-		}
-	}
-}
-
-// store writes e under key given the previous entry (old, hadOld) from a
-// lookup the caller already paid for, maintaining the residency counters,
-// the recency tracker and the capacity bound.
-func (t *LockTable) store(key uint64, old tableEntry, hadOld bool, e Entry, now time.Duration) {
-	if hadOld && old.gen == old.ps.gen {
-		old.ps.live--
-		t.resident--
-	}
-	if !hadOld && t.capacity > 0 && len(t.entries) >= t.capacity {
-		t.makeRoom(now)
-	}
-	st := t.port(e.Port)
-	st.live++
-	t.resident++
-	ne := tableEntry{Entry: e, gen: st.gen, ps: st}
-	if t.tracker != nil {
-		if hadOld {
-			ne.th = old.th
-			t.tracker.Touch(ne.th)
-		} else {
-			ne.th = t.tracker.Insert(key)
-		}
-	}
-	t.entries[key] = ne
-	if len(t.entries) > t.peak {
-		t.peak = len(t.entries)
-	}
-}
-
-// GetKey returns the live entry for a packed key, evicting it lazily if
-// expired or flushed.
+// GetKey returns the live entry for a packed key.
 func (t *LockTable) GetKey(key uint64, now time.Duration) (Entry, bool) {
-	e, ok := t.entries[key]
-	if !ok {
-		return Entry{}, false
-	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return Entry{}, false
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	return e.Entry, true
+	return t.Table.Get(key, now)
 }
 
-// Get returns the live entry for mac, evicting it lazily if expired.
+// Get returns the live entry for mac.
 func (t *LockTable) Get(mac layers.MAC, now time.Duration) (Entry, bool) {
-	return t.GetKey(mac.Uint64(), now)
+	return t.Table.Get(mac.Uint64(), now)
 }
 
-// LockKey binds a packed key to port in the locked state, starting (or
-// restarting) the race window.
+// LockKey binds a packed key to port in the locked state.
 func (t *LockTable) LockKey(key uint64, port *netsim.Port, now time.Duration) {
-	if layers.KeyIsMulticast(key) || key == 0 {
-		return
-	}
-	t.maybeSweep(now)
-	old, hadOld := t.entries[key]
-	t.store(key, old, hadOld, Entry{
-		Port:        port,
-		State:       StateLocked,
-		Expires:     now + t.lockTimeout,
-		LockedUntil: now + t.lockTimeout,
-	}, now)
+	t.Table.Lock(key, port, now)
 }
 
-// Lock binds mac to port in the locked state, starting (or restarting)
-// the race window.
+// Lock binds mac to port in the locked state.
 func (t *LockTable) Lock(mac layers.MAC, port *netsim.Port, now time.Duration) {
-	t.LockKey(mac.Uint64(), port, now)
+	t.Table.Lock(mac.Uint64(), port, now)
 }
 
-// LearnKey binds a packed key to port in the learned state (path
-// confirmed). A confirmation on the entry's existing port preserves the
-// remaining race window so late flood copies stay filtered.
+// LearnKey binds a packed key to port in the learned state.
 func (t *LockTable) LearnKey(key uint64, port *netsim.Port, now time.Duration) {
-	if layers.KeyIsMulticast(key) || key == 0 {
-		return
-	}
-	t.maybeSweep(now)
-	old, hadOld := t.entries[key]
-	lockedUntil := time.Duration(0)
-	if hadOld && old.Port == port && !t.dead(old, now) {
-		lockedUntil = old.LockedUntil
-	}
-	t.store(key, old, hadOld, Entry{
-		Port:        port,
-		State:       StateLearned,
-		Expires:     now + t.learnedTimeout,
-		LockedUntil: lockedUntil,
-	}, now)
+	t.Table.Learn(key, port, now)
 }
 
 // Learn binds mac to port in the learned state (path confirmed).
 func (t *LockTable) Learn(mac layers.MAC, port *netsim.Port, now time.Duration) {
-	t.LearnKey(mac.Uint64(), port, now)
+	t.Table.Learn(mac.Uint64(), port, now)
 }
 
-// GuardKey re-arms the race window on the current binding without moving
-// the port, shortening the entry's remaining lifetime, or downgrading a
-// learned entry. Used when a bridge originates a PathRequest on a host's
-// behalf: copies of that flood returning over other ports must be
-// filtered exactly as for a host-sent request, but the bridge must not
-// forget its own attached host if the repair goes unanswered.
-func (t *LockTable) GuardKey(key uint64, now time.Duration) {
-	e, ok := t.entries[key]
-	if !ok {
-		return
-	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return
-	}
-	// The port does not move, so the residency counters are unchanged and
-	// the entry can be rewritten in place.
-	e.LockedUntil = now + t.lockTimeout
-	if e.Expires < e.LockedUntil {
-		e.Expires = e.LockedUntil
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	t.entries[key] = e
-}
+// GuardKey re-arms the race window on a packed key's current binding.
+func (t *LockTable) GuardKey(key uint64, now time.Duration) { t.Table.Guard(key, now) }
 
 // Guard re-arms the race window on mac's current binding.
-func (t *LockTable) Guard(mac layers.MAC, now time.Duration) {
-	t.GuardKey(mac.Uint64(), now)
-}
+func (t *LockTable) Guard(mac layers.MAC, now time.Duration) { t.Table.Guard(mac.Uint64(), now) }
 
-// RefreshKey extends the current entry's lifetime without changing its
-// state or port. Refreshing a missing or expired entry is a no-op.
-func (t *LockTable) RefreshKey(key uint64, now time.Duration) {
-	e, ok := t.entries[key]
-	if !ok {
-		return
-	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return
-	}
-	switch e.State {
-	case StateLocked:
-		e.Expires = now + t.lockTimeout
-	case StateLearned:
-		e.Expires = now + t.learnedTimeout
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	// Same port, same generation: rewrite in place, counters unchanged.
-	t.entries[key] = e
-}
+// RefreshKey extends the lifetime of a packed key's current entry.
+func (t *LockTable) RefreshKey(key uint64, now time.Duration) { t.Table.Refresh(key, now) }
 
-// Refresh extends the current entry's lifetime without changing its state
-// or port.
-func (t *LockTable) Refresh(mac layers.MAC, now time.Duration) {
-	t.RefreshKey(mac.Uint64(), now)
-}
+// Refresh extends the lifetime of mac's current entry.
+func (t *LockTable) Refresh(mac layers.MAC, now time.Duration) { t.Table.Refresh(mac.Uint64(), now) }
 
-// DeleteKey removes a packed key's entry (stale-path teardown during
-// repair).
-func (t *LockTable) DeleteKey(key uint64) {
-	if e, ok := t.entries[key]; ok {
-		t.evict(key, e)
-	}
-}
+// DeleteKey removes a packed key's entry.
+func (t *LockTable) DeleteKey(key uint64) { t.Table.Delete(key) }
 
 // Delete removes mac's entry.
-func (t *LockTable) Delete(mac layers.MAC) { t.DeleteKey(mac.Uint64()) }
+func (t *LockTable) Delete(mac layers.MAC) { t.Table.Delete(mac.Uint64()) }
 
-// FlushPort invalidates every entry bound to port (link failure) in O(1)
-// by advancing the port's generation; the map corpses are reclaimed
-// lazily on access or by FlushExpired. It returns the number of entries
-// invalidated.
-func (t *LockTable) FlushPort(port *netsim.Port) int {
-	st := t.port(port)
-	n := st.live
-	st.gen++
-	st.live = 0
-	t.resident -= n
-	return n
-}
-
-// Len returns the number of live-generation entries, including expired
-// ones that have not been touched since their deadline.
-func (t *LockTable) Len() int { return t.resident }
-
-// Entries returns the number of map entries including flushed-generation
-// corpses awaiting reclamation: the table's actual memory footprint, the
-// quantity the capacity bound and the leak regression tests are about.
-func (t *LockTable) Entries() int { return len(t.entries) }
-
-// PortStates returns the number of per-port side-table records, live and
-// idle. Idle records are reclaimed by FlushExpired.
-func (t *LockTable) PortStates() int { return len(t.ports) }
-
-// Evictions returns the cumulative count of live entries force-evicted by
-// the capacity bound (corpse reclamation is not an eviction).
-func (t *LockTable) Evictions() uint64 { return t.evictions }
-
-// PeakEntries returns the high-water mark of Entries() over the table's
-// lifetime: the occupancy figure the eviction-pressure experiment plots.
-func (t *LockTable) PeakEntries() int { return t.peak }
-
-// Reset drops every entry and every port generation: the table is as
-// empty as at construction. This is total state loss (a bridge restart),
-// not a link event — use FlushPort for those. Lifetime statistics
-// (evictions, peak occupancy) survive.
-func (t *LockTable) Reset() {
-	clear(t.entries)
-	clear(t.ports)
-	t.resident = 0
-	t.nextSweep = 0
-	t.lastPort = nil
-	t.lastPS = nil
-	if t.tracker != nil {
-		t.tracker.Reset()
-	}
-}
-
-// FlushExpired sweeps all expired and flushed entries eagerly, then
-// reclaims port-state records with no surviving entries (after the sweep,
-// a zero live count proves no entry references the record — everything
-// left is live-generation). The dataplane never calls this directly; the
-// amortized sweep does, bounding memory for long-lived tables, and
-// experiments call it for exact counts.
-func (t *LockTable) FlushExpired(now time.Duration) {
-	for key, e := range t.entries {
-		if t.dead(e, now) {
-			t.evict(key, e)
-		}
-	}
-	for p, st := range t.ports {
-		if st.live == 0 {
-			if t.lastPort == p {
-				t.lastPort = nil
-				t.lastPS = nil
-			}
-			delete(t.ports, p)
-		}
-	}
-}
-
-// Snapshot returns a copy of the live entries; used by experiments to
-// reconstruct the path a flow has locked (Figure 1's bubbles).
+// Snapshot returns a copy of the live entries keyed by address.
 func (t *LockTable) Snapshot(now time.Duration) map[layers.MAC]Entry {
-	out := make(map[layers.MAC]Entry, len(t.entries))
-	for key, e := range t.entries {
-		if !t.dead(e, now) {
-			out[layers.MACFromUint64(key)] = e.Entry
-		}
+	packed := t.Table.Snapshot(now)
+	out := make(map[layers.MAC]Entry, len(packed))
+	for key, e := range packed {
+		out[layers.MACFromUint64(key)] = e
 	}
 	return out
 }

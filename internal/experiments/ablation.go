@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/metrics"
-	"repro/internal/stp"
 	"repro/internal/topo"
 )
 
@@ -134,15 +133,9 @@ func t6Measure(proto topo.Protocol, seed int64, n int) (maxLen int, meanLen floa
 
 	total := 0
 	for _, br := range built.Bridges {
-		var live int
-		switch b := br.(type) {
-		case *core.Bridge:
-			b.Table().FlushExpired(built.Now())
-			live = b.Table().Len()
-		case *stp.Bridge:
-			b.FIB().FlushExpired(built.Now())
-			live = b.FIB().Len()
-		}
+		t := br.PathTables()[0]
+		t.FlushExpired(built.Now())
+		live := t.Len()
 		total += live
 		if live > maxLen {
 			maxLen = live

@@ -186,9 +186,6 @@ type MatrixRun struct {
 	Events         uint64
 }
 
-// tableSizer is any bridge reporting its resident forwarding state.
-type tableSizer interface{ ForwardingEntries() int }
-
 // DriveMatrix runs a compiled matrix as TCP-lite transfers over a built
 // fabric (each flow a connection src→dst on its own port, started per
 // the arrival schedule) and collects the deterministic outcome.
@@ -237,13 +234,12 @@ func DriveMatrix(built *topo.Built, flows []MatrixFlow) *MatrixRun {
 		}
 	}
 	for _, br := range built.Bridges {
-		if ts, ok := br.(tableSizer); ok {
-			n := ts.ForwardingEntries()
-			run.TableEntries += n
-			if n > run.TableMax {
-				run.TableMax = n
-			}
+		n := 0
+		for _, t := range br.PathTables() {
+			n += t.Len()
 		}
+		run.TableEntries += n
+		run.TableMax = max(run.TableMax, n)
 	}
 	bridges := make(map[string]bool, len(built.Bridges))
 	for _, br := range built.Bridges {

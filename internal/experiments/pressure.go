@@ -478,41 +478,25 @@ func driveTables(built *topo.Built, stations []*muxStation, schedule [][]tablesS
 }
 
 // collectTables folds one bridge's primary path table and storm counters
-// into the run. The "primary" table is the one the sweep bounds: the
-// per-host table for ARP-Path, the pair table for Flow-Path, the
-// connection table for TCP-Path.
+// into the run. The "primary" table is the one the sweep bounds
+// (PathTables index 0): the per-host table for ARP-Path, the pair table
+// for Flow-Path, the connection table for TCP-Path.
 func collectTables(run *TablesRun, br topo.Bridge) {
+	t := br.PathTables()[0]
+	run.EntriesTotal += t.Entries()
+	run.ResidentTotal += t.Len()
+	run.PeakMax = max(run.PeakMax, t.PeakEntries())
+	run.Evictions += t.Evictions()
 	switch b := br.(type) {
 	case *flowpath.TCPPath:
-		t := b.Conns()
-		run.EntriesTotal += t.Entries()
-		run.ResidentTotal += t.Len()
-		if t.PeakEntries() > run.PeakMax {
-			run.PeakMax = t.PeakEntries()
-		}
-		run.Evictions += t.Evictions()
 		ts, cs := b.TCPStats(), b.Stats()
 		run.Floods += cs.BroadcastRelayed + ts.SynFloods
 		run.Rediscoveries += ts.Fallbacks + cs.RepairsStarted + cs.PathRequestsSent
 	case *flowpath.Bridge:
-		t := b.Pairs()
-		run.EntriesTotal += t.Entries()
-		run.ResidentTotal += t.Len()
-		if t.PeakEntries() > run.PeakMax {
-			run.PeakMax = t.PeakEntries()
-		}
-		run.Evictions += t.Evictions()
 		s := b.Stats()
 		run.Floods += s.BroadcastRelayed
 		run.Rediscoveries += s.RepairsStarted + s.PathRequestsSent
 	case *core.Bridge:
-		t := b.Table()
-		run.EntriesTotal += t.Entries()
-		run.ResidentTotal += t.Len()
-		if t.PeakEntries() > run.PeakMax {
-			run.PeakMax = t.PeakEntries()
-		}
-		run.Evictions += t.Evictions()
 		s := b.Stats()
 		run.Floods += s.BroadcastRelayed
 		run.Rediscoveries += s.RepairsStarted + s.PathRequestsSent

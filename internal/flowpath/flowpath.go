@@ -157,10 +157,8 @@ func (b *Bridge) Pairs() *PairTable { return b.pairs }
 // Hosts exposes the host table (experiments, checker).
 func (b *Bridge) Hosts() *core.LockTable { return b.hosts }
 
-// ForwardingEntries reports the bridge's resident forwarding state: pair
-// entries plus host entries — the table-size axis of the All-Path
-// comparison.
-func (b *Bridge) ForwardingEntries() int { return b.pairs.Len() + b.hosts.Len() }
+// PathTables lists the bounded pair table, then the host table.
+func (b *Bridge) PathTables() []tables.View { return []tables.View{b.pairs, b.hosts} }
 
 // FlowNextHop returns the port frames src→dst leave on, if a live pair
 // entry exists (the scenario checker's walk primitive).

@@ -17,8 +17,6 @@ package flowpath
 import (
 	"time"
 
-	"repro/internal/layers"
-	"repro/internal/netsim"
 	"repro/internal/tables"
 )
 
@@ -31,76 +29,15 @@ type PairKey struct {
 	Hi, Lo uint64
 }
 
-// EntryState mirrors the ARP-Path locking states for pair entries.
-type EntryState uint8
+// PairTable is the Flow-Path and TCP-Path forwarding table: the shared
+// path table keyed per directed pair (or per connection) instead of per
+// host. Per-key state is where the All-Path scalability study says the
+// memory bill arrives, so this is the instantiation the capacity bound
+// (DESIGN.md §12) exists for.
+type PairTable = tables.Table[PairKey]
 
-// Pair entry states.
-const (
-	// StateLocked marks a pair bound to the port where the first copy of
-	// a discovery flood arrived; the race window filters later copies.
-	StateLocked EntryState = iota
-	// StateLearned marks a confirmed pair path (a reply traversed it, or
-	// traffic refreshed it).
-	StateLearned
-)
-
-// Entry is one pair binding.
-type Entry struct {
-	Port    *netsim.Port
-	State   EntryState
-	Expires time.Duration
-	// LockedUntil is the end of the race window; while it lies in the
-	// future the binding must not move (§2.1.1 applied per pair).
-	LockedUntil time.Duration
-}
-
-// Guarded reports whether the race window is still open at now.
-func (e Entry) Guarded(now time.Duration) bool { return now < e.LockedUntil }
-
-// pairEntry is the stored form: the public Entry plus the port generation
-// at bind time, so FlushPort invalidates per-port in O(1) exactly like
-// core.LockTable.
-type pairEntry struct {
-	Entry
-	gen uint32
-	ps  *pairPortState
-	th  tables.Handle // recency-tracker handle; 0 when untracked
-}
-
-type pairPortState struct {
-	gen  uint32
-	live int
-}
-
-// PairTable is the Flow-Path forwarding table: directed PairKey → (port,
-// locked|learned, expiry). It reimplements core.LockTable's semantics
-// over 128-bit keys — the whole point of the variant is that entries are
-// per pair (or per connection), so the 64-bit-packed-MAC table cannot
-// carry them.
-//
-// Like core.LockTable it supports a capacity bound with LRU/clock
-// eviction and runs the amortized corpse sweep (DESIGN.md §12). Per-key
-// state is where the All-Path scalability study says the memory bill
-// arrives, so this table is the one the bound exists for.
-type PairTable struct {
-	lockTimeout    time.Duration
-	learnedTimeout time.Duration
-	capacity       int
-	macKeys        bool // both key halves are packed MACs: reject junk halves
-	tracker        *tables.Tracker[PairKey]
-	entries        map[PairKey]pairEntry
-	ports          map[*netsim.Port]*pairPortState
-	resident       int
-
-	evictions uint64
-	peak      int
-	nextSweep time.Duration
-
-	// One-slot port cache, as in core.LockTable: stores land on a handful
-	// of ports in runs.
-	lastPort *netsim.Port
-	lastPS   *pairPortState
-}
+// Entry is the shared path-table binding.
+type Entry = tables.Entry
 
 // NewPairTable builds an empty unbounded table with the race window and
 // the confirmed-entry lifetime, keys unchecked (TCP-Path packs IP/port
@@ -110,289 +47,15 @@ func NewPairTable(lockTimeout, learnedTimeout time.Duration) *PairTable {
 }
 
 // NewBoundedPairTable builds an empty table with a capacity bound and
-// eviction policy. macKeys declares that both key halves are packed MACs,
-// enabling the junk-key guard core.LockTable applies (multicast or zero
-// halves never pin a slot).
+// eviction policy. macKeys declares that both key halves are packed MACs:
+// a pair with a multicast/broadcast or zero half is then never bound,
+// exactly as the per-host table refuses such an address.
 func NewBoundedPairTable(lockTimeout, learnedTimeout time.Duration, bound tables.Config, macKeys bool) *PairTable {
-	if lockTimeout <= 0 || learnedTimeout <= 0 {
-		panic("flowpath: timeouts must be positive")
+	var junk func(PairKey) bool
+	if macKeys {
+		junk = junkPair
 	}
-	if err := bound.Validate(); err != nil {
-		panic("flowpath: " + err.Error())
-	}
-	t := &PairTable{
-		lockTimeout:    lockTimeout,
-		learnedTimeout: learnedTimeout,
-		capacity:       bound.Capacity,
-		macKeys:        macKeys,
-		entries:        make(map[PairKey]pairEntry),
-		ports:          make(map[*netsim.Port]*pairPortState),
-	}
-	if bound.Tracked() {
-		t.tracker = tables.NewTracker[PairKey](bound.Policy)
-	}
-	return t
+	return tables.New(lockTimeout, learnedTimeout, bound, junk)
 }
 
-// junk reports whether a MAC-keyed pair contains a half no locking table
-// may bind: a multicast/broadcast address or the zero MAC (LockTable's
-// LockKey guard, applied to both halves).
-func (t *PairTable) junk(k PairKey) bool {
-	if !t.macKeys {
-		return false
-	}
-	return layers.KeyIsMulticast(k.Hi) || k.Hi == 0 ||
-		layers.KeyIsMulticast(k.Lo) || k.Lo == 0
-}
-
-func (t *PairTable) port(p *netsim.Port) *pairPortState {
-	if p == t.lastPort {
-		return t.lastPS
-	}
-	st, ok := t.ports[p]
-	if !ok {
-		st = &pairPortState{}
-		t.ports[p] = st
-	}
-	t.lastPort, t.lastPS = p, st
-	return st
-}
-
-func (t *PairTable) dead(e pairEntry, now time.Duration) bool {
-	return e.Expires <= now || e.gen != e.ps.gen
-}
-
-func (t *PairTable) evict(k PairKey, e pairEntry) {
-	if e.gen == e.ps.gen {
-		e.ps.live--
-		t.resident--
-	}
-	if t.tracker != nil {
-		t.tracker.Remove(e.th)
-	}
-	delete(t.entries, k)
-}
-
-// maybeSweep runs the amortized corpse sweep (one full FlushExpired per
-// learned timeout), called before the caller snapshots the previous entry.
-func (t *PairTable) maybeSweep(now time.Duration) {
-	if now >= t.nextSweep {
-		t.FlushExpired(now)
-		t.nextSweep = now + t.learnedTimeout
-	}
-}
-
-// makeRoom enforces the capacity bound before a new key insert: reclaim
-// dead victims for free, force-evict live unguarded ones, never touch an
-// entry inside its race window (admit over capacity instead, after at
-// most tables.RejectBudget guarded skips — see LockTable.makeRoom).
-func (t *PairTable) makeRoom(now time.Duration) {
-	if t.tracker == nil || t.capacity <= 0 {
-		return
-	}
-	for rejects := tables.RejectBudget; len(t.entries) >= t.capacity; {
-		h, ok := t.tracker.Victim()
-		if !ok {
-			return
-		}
-		k := t.tracker.Key(h)
-		e := t.entries[k]
-		switch {
-		case t.dead(e, now):
-			t.evict(k, e)
-		case !e.Guarded(now):
-			t.evictions++
-			t.evict(k, e)
-		default:
-			t.tracker.Reject(h)
-			if rejects--; rejects <= 0 {
-				return
-			}
-		}
-	}
-}
-
-func (t *PairTable) store(k PairKey, old pairEntry, hadOld bool, e Entry, now time.Duration) {
-	if hadOld && old.gen == old.ps.gen {
-		old.ps.live--
-		t.resident--
-	}
-	if !hadOld && t.capacity > 0 && len(t.entries) >= t.capacity {
-		t.makeRoom(now)
-	}
-	st := t.port(e.Port)
-	st.live++
-	t.resident++
-	ne := pairEntry{Entry: e, gen: st.gen, ps: st}
-	if t.tracker != nil {
-		if hadOld {
-			ne.th = old.th
-			t.tracker.Touch(ne.th)
-		} else {
-			ne.th = t.tracker.Insert(k)
-		}
-	}
-	t.entries[k] = ne
-	if len(t.entries) > t.peak {
-		t.peak = len(t.entries)
-	}
-}
-
-// Get returns the live entry for k, evicting lazily.
-func (t *PairTable) Get(k PairKey, now time.Duration) (Entry, bool) {
-	e, ok := t.entries[k]
-	if !ok {
-		return Entry{}, false
-	}
-	if t.dead(e, now) {
-		t.evict(k, e)
-		return Entry{}, false
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	return e.Entry, true
-}
-
-// Lock binds k to port in the locked state, (re)starting the race window.
-func (t *PairTable) Lock(k PairKey, port *netsim.Port, now time.Duration) {
-	if t.junk(k) {
-		return
-	}
-	t.maybeSweep(now)
-	old, hadOld := t.entries[k]
-	t.store(k, old, hadOld, Entry{
-		Port:        port,
-		State:       StateLocked,
-		Expires:     now + t.lockTimeout,
-		LockedUntil: now + t.lockTimeout,
-	}, now)
-}
-
-// Learn binds k to port in the learned state. A confirmation on the
-// entry's existing port preserves the remaining race window so late flood
-// copies stay filtered (core.LockTable.LearnKey's rule).
-func (t *PairTable) Learn(k PairKey, port *netsim.Port, now time.Duration) {
-	if t.junk(k) {
-		return
-	}
-	t.maybeSweep(now)
-	old, hadOld := t.entries[k]
-	lockedUntil := time.Duration(0)
-	if hadOld && old.Port == port && !t.dead(old, now) {
-		lockedUntil = old.LockedUntil
-	}
-	t.store(k, old, hadOld, Entry{
-		Port:        port,
-		State:       StateLearned,
-		Expires:     now + t.learnedTimeout,
-		LockedUntil: lockedUntil,
-	}, now)
-}
-
-// Refresh extends the current entry's lifetime without moving it.
-func (t *PairTable) Refresh(k PairKey, now time.Duration) {
-	e, ok := t.entries[k]
-	if !ok {
-		return
-	}
-	if t.dead(e, now) {
-		t.evict(k, e)
-		return
-	}
-	switch e.State {
-	case StateLocked:
-		e.Expires = now + t.lockTimeout
-	case StateLearned:
-		e.Expires = now + t.learnedTimeout
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	t.entries[k] = e
-}
-
-// Delete removes k's entry.
-func (t *PairTable) Delete(k PairKey) {
-	if e, ok := t.entries[k]; ok {
-		t.evict(k, e)
-	}
-}
-
-// FlushPort invalidates every entry bound to port in O(1) by advancing
-// the port's generation; returns the number invalidated.
-func (t *PairTable) FlushPort(port *netsim.Port) int {
-	st := t.port(port)
-	n := st.live
-	st.gen++
-	st.live = 0
-	t.resident -= n
-	return n
-}
-
-// Len returns the number of live-generation entries (expired-but-
-// untouched included, like core.LockTable.Len).
-func (t *PairTable) Len() int { return t.resident }
-
-// Entries returns the number of map entries including flushed-generation
-// corpses: actual memory, the leak-regression quantity.
-func (t *PairTable) Entries() int { return len(t.entries) }
-
-// PortStates returns the number of per-port side-table records.
-func (t *PairTable) PortStates() int { return len(t.ports) }
-
-// Evictions returns the cumulative count of live entries force-evicted by
-// the capacity bound.
-func (t *PairTable) Evictions() uint64 { return t.evictions }
-
-// PeakEntries returns the high-water mark of Entries().
-func (t *PairTable) PeakEntries() int { return t.peak }
-
-// Reset drops everything (bridge restart). Lifetime statistics survive.
-func (t *PairTable) Reset() {
-	clear(t.entries)
-	clear(t.ports)
-	t.resident = 0
-	t.nextSweep = 0
-	t.lastPort = nil
-	t.lastPS = nil
-	if t.tracker != nil {
-		t.tracker.Reset()
-	}
-}
-
-// FlushExpired sweeps all expired and flushed entries eagerly, then
-// reclaims port-state records with no surviving entries (post-sweep a zero
-// live count proves nothing references the record). This is the corpse
-// reclamation core.LockTable always had and PairTable lacked — without it
-// a long run of distinct TCP connections (keys that are never reused)
-// plus FlushPort churn grows len(entries) without bound while Len()
-// reports a small number.
-func (t *PairTable) FlushExpired(now time.Duration) {
-	for k, e := range t.entries {
-		if t.dead(e, now) {
-			t.evict(k, e)
-		}
-	}
-	for p, st := range t.ports {
-		if st.live == 0 {
-			if t.lastPort == p {
-				t.lastPort = nil
-				t.lastPS = nil
-			}
-			delete(t.ports, p)
-		}
-	}
-}
-
-// Snapshot returns the live entries; the scenario checker walks them per
-// directed pair, and the allpath experiment counts them.
-func (t *PairTable) Snapshot(now time.Duration) map[PairKey]Entry {
-	out := make(map[PairKey]Entry, len(t.entries))
-	for k, e := range t.entries {
-		if !t.dead(e, now) {
-			out[k] = e.Entry
-		}
-	}
-	return out
-}
+func junkPair(k PairKey) bool { return tables.JunkMAC(k.Hi) || tables.JunkMAC(k.Lo) }

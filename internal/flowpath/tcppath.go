@@ -123,9 +123,8 @@ func (t *TCPPath) TCPStats() TCPStats { return t.stats }
 // Conns exposes the connection table (experiments, tests).
 func (t *TCPPath) Conns() *PairTable { return t.conns }
 
-// ForwardingEntries reports resident forwarding state: the ARP-Path table
-// plus the connection table.
-func (t *TCPPath) ForwardingEntries() int { return t.Table().Len() + t.conns.Len() }
+// PathTables lists the bounded connection table, then the ARP-Path table.
+func (t *TCPPath) PathTables() []tables.View { return []tables.View{t.conns, t.Table()} }
 
 // OnStart implements bridge.Protocol.
 func (t *TCPPath) OnStart() { t.Bridge.OnStart() }

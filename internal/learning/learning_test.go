@@ -224,9 +224,9 @@ func TestTableFlushes(t *testing.T) {
 	if _, ok := tb.Lookup(layers.HostMAC(2), 0); !ok {
 		t.Fatal("FlushPort overreached")
 	}
-	tb.FlushAll()
+	tb.Reset()
 	if tb.Len() != 0 {
-		t.Fatal("FlushAll missed")
+		t.Fatal("Reset missed")
 	}
 }
 
@@ -244,7 +244,7 @@ func TestTableFlushExpired(t *testing.T) {
 }
 
 // TestTableGenerationFlush exercises the O(1) generation-based FlushPort:
-// corpses stay in the map but are invisible to Lookup, Len and Macs, and
+// corpses stay in the map but are invisible to Lookup, Len and Snapshot, and
 // re-learning on a flushed port starts a fresh generation.
 func TestTableGenerationFlush(t *testing.T) {
 	tb := NewTable(time.Second)
@@ -259,8 +259,8 @@ func TestTableGenerationFlush(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d after flush, want 1", tb.Len())
 	}
-	if got := tb.Macs(); len(got) != 1 || got[0] != layers.HostMAC(6) {
-		t.Fatalf("Macs = %v, want only host 6", got)
+	if got := tb.Snapshot(0); len(got) != 1 || got[layers.HostMAC(6).Uint64()].Port != l.B() {
+		t.Fatalf("Snapshot = %v, want only host 6", got)
 	}
 	// Re-learn two of the flushed MACs; one on each port.
 	tb.Learn(layers.HostMAC(1), l.A(), 0)
@@ -281,8 +281,8 @@ func TestTableGenerationFlush(t *testing.T) {
 	}
 	// FlushExpired clears every corpse from the map itself.
 	tb.FlushExpired(0)
-	if len(tb.entries) != 2 {
-		t.Fatalf("map holds %d entries after sweep, want 2", len(tb.entries))
+	if tb.Entries() != 2 {
+		t.Fatalf("map holds %d entries after sweep, want 2", tb.Entries())
 	}
 }
 

@@ -72,6 +72,9 @@ func NewWithConfig(net *netsim.Network, name string, numID int, cfg Config) *Swi
 // FIB exposes the forwarding table (tests and the STP baseline reuse it).
 func (s *Switch) FIB() *Table { return s.fib }
 
+// PathTables lists the filtering database behind the key-independent view.
+func (s *Switch) PathTables() []tables.View { return []tables.View{s.fib} }
+
 // Stats returns a snapshot of the forwarding counters.
 func (s *Switch) ForwardingStats() Stats { return s.stats }
 

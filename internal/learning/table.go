@@ -16,54 +16,13 @@ import (
 // DefaultAging matches 802.1D's default filtering-database aging time.
 const DefaultAging = 300 * time.Second
 
-// Entry is one forwarding-table binding.
-type Entry struct {
-	Port    *netsim.Port
-	Expires time.Duration
-}
-
-// tableEntry adds the bind-time port generation and a cached pointer to
-// the port's side-table record, mirroring core.LockTable: the liveness
-// check is a pointer chase, not a second map lookup.
-type tableEntry struct {
-	Entry
-	gen uint32
-	ps  *portState
-	th  tables.Handle // recency-tracker handle; 0 when untracked
-}
-
-// portState backs the O(1) generation-based FlushPort.
-type portState struct {
-	gen  uint32 // current generation; entries with an older gen are dead
-	live int    // resident entries bound to this port at the current gen
-}
-
-// Table is a MAC learning table keyed by the uint64-packed address
-// (layers.MAC.Uint64 — the same packed keys the FrameView pre-computes).
-// Aging is lazy: expired entries are dropped when touched. Port flushes
-// are O(1) via per-port generation counters, the same design as
-// core.LockTable.
-//
-// Like the ARP-Path tables it may be capacity-bounded with LRU or clock
-// eviction (DESIGN.md §12); a learning switch has no race windows, so
-// every victim is evictable. An amortized sweep (one pass per aging
-// period) reclaims corpses and idle port-state records.
+// Table is a MAC learning table: the shared path table keyed by the
+// uint64-packed address (the keys the FrameView pre-computes), used
+// without its lock state. Every entry is learned with no race window, so
+// under a capacity bound (DESIGN.md §12) every victim is evictable; aging
+// is the table's learned timeout.
 type Table struct {
-	aging    time.Duration
-	capacity int
-	tracker  *tables.Tracker[uint64]
-	entries  map[uint64]tableEntry
-	ports    map[*netsim.Port]*portState
-	resident int // entries in the map whose port generation is current
-
-	evictions uint64
-	peak      int
-	nextSweep time.Duration
-
-	// One-slot cache for the port side table (switches learn runs of
-	// entries against the same ingress port).
-	lastPort *netsim.Port
-	lastPS   *portState
+	tables.Table[uint64]
 }
 
 // NewTable returns an empty unbounded table with the given aging time.
@@ -78,227 +37,32 @@ func NewBoundedTable(aging time.Duration, bound tables.Config) *Table {
 	if aging <= 0 {
 		aging = DefaultAging
 	}
-	if err := bound.Validate(); err != nil {
-		panic("learning: " + err.Error())
-	}
-	t := &Table{
-		aging:    aging,
-		capacity: bound.Capacity,
-		entries:  make(map[uint64]tableEntry),
-		ports:    make(map[*netsim.Port]*portState),
-	}
-	if bound.Tracked() {
-		t.tracker = tables.NewTracker[uint64](bound.Policy)
-	}
-	return t
+	return &Table{*tables.New(aging, aging, bound, tables.JunkMAC)}
 }
-
-// Aging returns the current aging time.
-func (t *Table) Aging() time.Duration { return t.aging }
 
 // SetAging changes the aging time for future learns. 802.1D shortens it to
 // ForwardDelay during topology changes; existing entries keep their
 // deadlines until relearned or flushed.
-func (t *Table) SetAging(d time.Duration) {
-	if d <= 0 {
-		panic("learning: aging must be positive")
-	}
-	t.aging = d
-}
-
-func (t *Table) port(p *netsim.Port) *portState {
-	if p == t.lastPort {
-		return t.lastPS
-	}
-	st, ok := t.ports[p]
-	if !ok {
-		st = &portState{}
-		t.ports[p] = st
-	}
-	t.lastPort, t.lastPS = p, st
-	return st
-}
-
-// dead reports whether a stored entry is expired or was flushed with its
-// port.
-func (t *Table) dead(e tableEntry, now time.Duration) bool {
-	return e.Expires <= now || e.gen != e.ps.gen
-}
-
-// drop removes a stored entry, maintaining residency counts.
-func (t *Table) drop(key uint64, e tableEntry) {
-	if e.gen == e.ps.gen {
-		e.ps.live--
-		t.resident--
-	}
-	if t.tracker != nil {
-		t.tracker.Remove(e.th)
-	}
-	delete(t.entries, key)
-}
-
-// maybeSweep runs the amortized corpse sweep: at most one FlushExpired per
-// aging period, charged to the learn that crossed the deadline.
-func (t *Table) maybeSweep(now time.Duration) {
-	if now >= t.nextSweep {
-		t.FlushExpired(now)
-		t.nextSweep = now + t.aging
-	}
-}
-
-// makeRoom enforces the capacity bound before a new key insert. Dead
-// victims are reclaimed for free; live ones are evicted in tracker order
-// (a learning table has no race windows, so nothing is exempt).
-func (t *Table) makeRoom(now time.Duration) {
-	if t.tracker == nil || t.capacity <= 0 {
-		return
-	}
-	for len(t.entries) >= t.capacity {
-		h, ok := t.tracker.Victim()
-		if !ok {
-			return
-		}
-		key := t.tracker.Key(h)
-		e := t.entries[key]
-		if !t.dead(e, now) {
-			t.evictions++
-		}
-		t.drop(key, e)
-	}
-}
+func (t *Table) SetAging(d time.Duration) { t.SetLearnedTimeout(d) }
 
 // LearnKey binds a packed key to port, refreshing the expiry. Multicast
 // source addresses are invalid on the wire and ignored.
 func (t *Table) LearnKey(key uint64, port *netsim.Port, now time.Duration) {
-	if layers.KeyIsMulticast(key) || key == 0 {
-		return
-	}
-	t.maybeSweep(now)
-	old, hadOld := t.entries[key]
-	if hadOld && old.gen == old.ps.gen {
-		old.ps.live--
-		t.resident--
-	}
-	if !hadOld && t.capacity > 0 && len(t.entries) >= t.capacity {
-		t.makeRoom(now)
-	}
-	st := t.port(port)
-	st.live++
-	t.resident++
-	ne := tableEntry{
-		Entry: Entry{Port: port, Expires: now + t.aging},
-		gen:   st.gen,
-		ps:    st,
-	}
-	if t.tracker != nil {
-		if hadOld {
-			ne.th = old.th
-			t.tracker.Touch(ne.th)
-		} else {
-			ne.th = t.tracker.Insert(key)
-		}
-	}
-	t.entries[key] = ne
-	if len(t.entries) > t.peak {
-		t.peak = len(t.entries)
-	}
+	t.Table.Learn(key, port, now)
 }
 
 // Learn binds mac to port, refreshing the expiry.
 func (t *Table) Learn(mac layers.MAC, port *netsim.Port, now time.Duration) {
-	t.LearnKey(mac.Uint64(), port, now)
+	t.Table.Learn(mac.Uint64(), port, now)
 }
 
 // LookupKey returns the live binding for a packed key, if any.
 func (t *Table) LookupKey(key uint64, now time.Duration) (*netsim.Port, bool) {
-	e, ok := t.entries[key]
-	if !ok {
-		return nil, false
-	}
-	if t.dead(e, now) {
-		t.drop(key, e)
-		return nil, false
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	return e.Port, true
+	e, ok := t.Table.Get(key, now)
+	return e.Port, ok
 }
 
 // Lookup returns the live binding for mac, if any.
 func (t *Table) Lookup(mac layers.MAC, now time.Duration) (*netsim.Port, bool) {
 	return t.LookupKey(mac.Uint64(), now)
-}
-
-// Len returns the number of live-generation entries, including any whose
-// deadline passed but which have not been touched since.
-func (t *Table) Len() int { return t.resident }
-
-// Entries returns the number of map entries including flushed-generation
-// corpses: actual memory, the leak-regression quantity.
-func (t *Table) Entries() int { return len(t.entries) }
-
-// PortStates returns the number of per-port side-table records.
-func (t *Table) PortStates() int { return len(t.ports) }
-
-// Evictions returns the cumulative count of live entries force-evicted by
-// the capacity bound.
-func (t *Table) Evictions() uint64 { return t.evictions }
-
-// PeakEntries returns the high-water mark of Entries().
-func (t *Table) PeakEntries() int { return t.peak }
-
-// FlushPort drops every binding pointing at port (used on link failure)
-// in O(1) by advancing the port's generation.
-func (t *Table) FlushPort(port *netsim.Port) {
-	st := t.port(port)
-	t.resident -= st.live
-	st.gen++
-	st.live = 0
-}
-
-// FlushAll clears the table.
-func (t *Table) FlushAll() {
-	clear(t.entries)
-	for _, st := range t.ports {
-		st.gen++
-		st.live = 0
-	}
-	t.resident = 0
-	if t.tracker != nil {
-		t.tracker.Reset()
-	}
-}
-
-// FlushExpired removes every entry at or past its deadline, plus any
-// corpses left by FlushPort, then reclaims port-state records with no
-// surviving entries (post-sweep a zero live count proves nothing
-// references the record).
-func (t *Table) FlushExpired(now time.Duration) {
-	for key, e := range t.entries {
-		if t.dead(e, now) {
-			t.drop(key, e)
-		}
-	}
-	for p, st := range t.ports {
-		if st.live == 0 {
-			if t.lastPort == p {
-				t.lastPort = nil
-				t.lastPS = nil
-			}
-			delete(t.ports, p)
-		}
-	}
-}
-
-// Macs returns the currently stored live-generation addresses (including
-// expired-but-unswept ones); test helper.
-func (t *Table) Macs() []layers.MAC {
-	out := make([]layers.MAC, 0, len(t.entries))
-	for key, e := range t.entries {
-		if e.gen == e.ps.gen {
-			out = append(out, layers.MACFromUint64(key))
-		}
-	}
-	return out
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/learning"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/tables"
 )
 
 // Timers groups the 802.1D protocol timers.
@@ -227,6 +228,9 @@ func (b *Bridge) ID() layers.BridgeID { return b.id }
 
 // FIB exposes the forwarding table.
 func (b *Bridge) FIB() *learning.Table { return b.fib }
+
+// PathTables lists the filtering database behind the key-independent view.
+func (b *Bridge) PathTables() []tables.View { return []tables.View{b.fib} }
 
 // Stats returns a snapshot of the counters.
 func (b *Bridge) Stats() Stats { return b.stats }

@@ -64,7 +64,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, 1) })
 	net.RunFor(time.Second)
 
-	normal := bs[1].FIB().Aging()
+	normal := bs[1].FIB().LearnedTimeout()
 	// Cut a forwarding ring link → TC propagates → fast aging at the
 	// bridges that hear the root's TC flag.
 	var cut *netsim.Link
@@ -81,7 +81,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.RunFor(10 * time.Second)
 	fastSeen := false
 	for _, b := range bs {
-		if b.FIB().Aging() == timers.ForwardDelay {
+		if b.FIB().LearnedTimeout() == timers.ForwardDelay {
 			fastSeen = true
 		}
 	}
@@ -94,7 +94,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, 2) })
 	net.RunFor(5 * time.Second)
 	for _, b := range bs {
-		if got := b.FIB().Aging(); got != normal {
+		if got := b.FIB().LearnedTimeout(); got != normal {
 			t.Fatalf("%s aging = %v after TC period, want %v", b.Name(), got, normal)
 		}
 	}

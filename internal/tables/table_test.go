@@ -1,0 +1,313 @@
+package tables
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	hostpkg "repro/internal/host"
+	"repro/internal/layers"
+	"repro/internal/netsim"
+)
+
+// The table invariants, asserted once on the shared body for every key
+// shape the fabric instantiates — the packed MAC of core.LockTable and
+// learning.Table, and a 128-bit struct like flowpath.PairKey — under both
+// eviction policies.
+
+type key128 struct{ Hi, Lo uint64 }
+
+func macKey(i int) uint64  { return layers.HostMAC(i + 1).Uint64() }
+func wideKey(i int) key128 { return key128{Hi: uint64(i + 1), Lo: uint64(i) << 32} }
+
+// matrix runs one generic property over {uint64, 128-bit} × {lru, clock}.
+func matrix(t *testing.T,
+	narrow func(*testing.T, Policy, func(int) uint64),
+	wide func(*testing.T, Policy, func(int) key128),
+) {
+	for _, policy := range []Policy{PolicyLRU, PolicyClock} {
+		t.Run("uint64/"+policy.String(), func(t *testing.T) { narrow(t, policy, macKey) })
+		t.Run("pair/"+policy.String(), func(t *testing.T) { wide(t, policy, wideKey) })
+	}
+}
+
+// testPorts returns n distinct live ports (one hub host cabled to n
+// peers; the hub's end of each link is the port).
+func testPorts(n int) []*netsim.Port {
+	net := netsim.NewNetwork(1)
+	hub := hostpkg.New(net, "hub", 1)
+	ports := make([]*netsim.Port, n)
+	for i := range ports {
+		peer := hostpkg.New(net, fmt.Sprintf("p%d", i+1), i+2)
+		ports[i] = net.Connect(hub, peer, netsim.DefaultLinkConfig()).A()
+	}
+	return ports
+}
+
+// checkAccounting asserts the bookkeeping every operation must preserve:
+// resident ≤ map size, and one tracker node per map entry.
+func checkAccounting[K comparable](t *testing.T, tb *Table[K]) {
+	t.Helper()
+	if tb.Len() > tb.Entries() {
+		t.Fatalf("resident %d exceeds map size %d", tb.Len(), tb.Entries())
+	}
+	if tb.tracker != nil && tb.tracker.Len() != tb.Entries() {
+		t.Fatalf("tracker holds %d keys, map %d", tb.tracker.Len(), tb.Entries())
+	}
+}
+
+// TestGuardedNeverEvicted is the race-window property: under randomized
+// churn far above capacity, neither policy may ever evict an entry whose
+// §2.1.1 race window is still open — moving a binding mid-race would
+// reopen the loop and duplication hazards the lock exists to prevent. The
+// table admits over capacity instead.
+func TestGuardedNeverEvicted(t *testing.T) {
+	matrix(t, guardedNeverEvicted[uint64], guardedNeverEvicted[key128])
+}
+
+func guardedNeverEvicted[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const (
+		lockTimeout = 100 * time.Millisecond
+		capacity    = 32
+		ops         = 20_000
+	)
+	ports := testPorts(2)
+	tb := New[K](lockTimeout, time.Hour, Config{Capacity: capacity, Policy: policy}, nil)
+	rng := rand.New(rand.NewSource(int64(policy) + 42))
+
+	// Shadow of every key's latest window-opening operation.
+	lockedAt := map[K]time.Duration{}
+	now := time.Duration(0)
+	for i := 0; i < ops; i++ {
+		now += time.Duration(rng.Intn(2000)) * time.Microsecond
+		k := key(rng.Intn(4096))
+		p := ports[rng.Intn(2)]
+		switch rng.Intn(4) {
+		case 0, 1: // lock opens a race window
+			tb.Lock(k, p, now)
+			lockedAt[k] = now
+		case 2:
+			tb.Learn(k, p, now)
+			// A learn on another port closes the window (the old port's
+			// race is void), so the shadow must forget the deadline — it
+			// only ever asserts on keys whose window is provably still
+			// open, i.e. locked and untouched since.
+			delete(lockedAt, k)
+		case 3:
+			tb.Get(k, now)
+		}
+		if i%64 == 0 {
+			for k, at := range lockedAt {
+				if now-at >= lockTimeout {
+					delete(lockedAt, k) // window closed
+					continue
+				}
+				if _, ok := tb.entries[k]; !ok {
+					t.Fatalf("op %d: key %v evicted inside its race window (locked at %v, now %v)", i, k, at, now)
+				}
+			}
+			checkAccounting(t, tb)
+		}
+	}
+	if tb.Evictions() == 0 {
+		t.Fatalf("churn produced no evictions; the property was not exercised (resident %d, cap %d)",
+			tb.Len(), capacity)
+	}
+}
+
+// TestCorpseBoundedMap is the table-leak regression: a conversation mix of
+// never-reused keys plus FlushPort churn keeps Len() honest while every
+// generation-killed and expired entry stays in the map as a corpse. The
+// amortized sweep must keep the map itself (Entries(), not just Len())
+// and the tracker arena bounded by the working set.
+func TestCorpseBoundedMap(t *testing.T) {
+	matrix(t, corpseBoundedMap[uint64], corpseBoundedMap[key128])
+}
+
+func corpseBoundedMap[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	ports := testPorts(2)
+	// Short confirmed lifetime so expiry churns quickly; the sweep period
+	// equals it. Tracked but unbounded: only the sweep reclaims.
+	const lifetime = 10 * time.Millisecond
+	tb := New[K](time.Millisecond, lifetime, Config{Policy: policy}, nil)
+
+	now := time.Duration(0)
+	maxEntries := 0
+	for i := 0; i < 50_000; i++ {
+		tb.Learn(key(i), ports[i%2], now)
+		if i%100 == 99 {
+			// Link flap: generation-kill everything on one port. The
+			// corpses this creates are exactly what leaked.
+			tb.FlushPort(ports[0])
+		}
+		now += 100 * time.Microsecond
+		maxEntries = max(maxEntries, tb.Entries())
+	}
+	// The working set is at most lifetime/spacing = 100 live entries plus
+	// one sweep period of corpses — far below the 50k keys inserted. Give
+	// generous slack; the leaking behaviour was ~50k.
+	if maxEntries > 1000 {
+		t.Fatalf("map grew to %d entries under churn (want bounded ≈ working set); corpses are leaking", maxEntries)
+	}
+	checkAccounting(t, tb)
+}
+
+// TestPortStateReclaim is the side-table leak regression: the per-port
+// generation records and the one-slot port cache must not outlive the
+// entries referencing them, both for ports that vanish from the workload
+// and across repeated link flaps.
+func TestPortStateReclaim(t *testing.T) {
+	matrix(t, portStateReclaim[uint64], portStateReclaim[key128])
+}
+
+func portStateReclaim[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const n = 64
+	ports := testPorts(n)
+	tb := New[K](time.Millisecond, 10*time.Millisecond, Config{Policy: policy}, nil)
+
+	// One entry per port, then let everything expire: a full sweep must
+	// drop every port record along with the corpses.
+	for i, p := range ports {
+		tb.Learn(key(i), p, 0)
+	}
+	if got := len(tb.ports); got != n {
+		t.Fatalf("port records = %d, want %d", got, n)
+	}
+	tb.FlushExpired(time.Second)
+	if got := len(tb.ports); got != 0 {
+		t.Fatalf("port records = %d after all entries expired, want 0 (port records leak)", got)
+	}
+
+	// Repeated flaps on one port must not accumulate records either.
+	for flap := 0; flap < 100; flap++ {
+		tb.Learn(key(200+flap), ports[0], time.Second)
+		if got := tb.FlushPort(ports[0]); got != 1 {
+			t.Fatalf("flap %d: FlushPort invalidated %d entries, want 1", flap, got)
+		}
+	}
+	tb.FlushExpired(2 * time.Second)
+	if got := len(tb.ports); got != 0 {
+		t.Fatalf("port records = %d after 100 flaps and a sweep, want 0", got)
+	}
+	if tb.lastPS != nil || tb.lastPort != nil {
+		t.Fatal("one-slot port cache still points at a reclaimed record")
+	}
+	tb.Learn(key(999), ports[0], 3*time.Second)
+	if e, ok := tb.Get(key(999), 3*time.Second); !ok || e.Port != ports[0] {
+		t.Fatal("learn after port-state reclaim failed")
+	}
+	checkAccounting(t, tb)
+}
+
+// TestCapacityBound: the bound holds under distinct-key churn once race
+// windows close, the coldest entry goes first, and the eviction/peak
+// counters report what happened.
+func TestCapacityBound(t *testing.T) {
+	matrix(t, capacityBound[uint64], capacityBound[key128])
+}
+
+func capacityBound[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	ports := testPorts(1)
+	const capacity, inserts = 16, 200
+	tb := New[K](time.Millisecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil)
+
+	now := 10 * time.Millisecond
+	for i := 0; i < inserts; i++ {
+		tb.Learn(key(i), ports[0], now)
+		now += 2 * time.Millisecond // windows close between inserts
+		if got := tb.Entries(); got > capacity {
+			t.Fatalf("insert %d: Entries = %d, want ≤ %d", i, got, capacity)
+		}
+	}
+	if got := tb.Evictions(); got != inserts-capacity {
+		t.Fatalf("Evictions = %d, want %d", got, inserts-capacity)
+	}
+	if tb.PeakEntries() != capacity {
+		t.Fatalf("peak %d, want capacity %d (no guarded entries to admit over it)", tb.PeakEntries(), capacity)
+	}
+	// Untouched entries are evicted in insertion order under both
+	// policies: the survivors are exactly the most recent inserts.
+	for i := 0; i < inserts; i++ {
+		if _, ok := tb.Get(key(i), now); ok != (i >= inserts-capacity) {
+			t.Fatalf("entry %d resident=%v after %d evictions", i, ok, inserts-capacity)
+		}
+	}
+	checkAccounting(t, tb)
+}
+
+// TestJunkPredicate: keys the constructor's predicate names never pin a
+// slot through Lock or Learn; without a predicate every key is legal.
+func TestJunkPredicate(t *testing.T) {
+	matrix(t, junkPredicate[uint64], junkPredicate[key128])
+
+	for _, k := range []uint64{0, layers.BroadcastMAC.Uint64(), layers.MAC{0x01, 0x00, 0x5E, 0, 0, 1}.Uint64()} {
+		if !JunkMAC(k) {
+			t.Fatalf("JunkMAC(%#x) = false", k)
+		}
+	}
+	if JunkMAC(macKey(0)) {
+		t.Fatal("JunkMAC rejects a host address")
+	}
+}
+
+func junkPredicate[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	ports := testPorts(1)
+	bad := key(0)
+	guarded := New(time.Millisecond, time.Second, Config{Policy: policy}, func(k K) bool { return k == bad })
+	guarded.Lock(bad, ports[0], 0)
+	guarded.Learn(bad, ports[0], 0)
+	if _, ok := guarded.Get(bad, 0); ok || guarded.Len() != 0 || guarded.Entries() != 0 {
+		t.Fatalf("junk key admitted: %d entries, %d resident", guarded.Entries(), guarded.Len())
+	}
+	guarded.Learn(key(1), ports[0], 0)
+	if guarded.Len() != 1 {
+		t.Fatal("legitimate key rejected")
+	}
+
+	open := New[K](time.Millisecond, time.Second, Config{Policy: policy}, nil)
+	open.Lock(bad, ports[0], 0)
+	if _, ok := open.Get(bad, 0); !ok {
+		t.Fatal("table without a predicate rejected a key")
+	}
+}
+
+// TestResetKeepsLifetimeCounters: Reset is total state loss — entries,
+// port generations, sweep deadline, tracker — but the lifetime statistics
+// survive, and the table works as new afterwards.
+func TestResetKeepsLifetimeCounters(t *testing.T) {
+	matrix(t, resetKeepsLifetimeCounters[uint64], resetKeepsLifetimeCounters[key128])
+}
+
+func resetKeepsLifetimeCounters[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	ports := testPorts(2)
+	const capacity = 8
+	tb := New[K](time.Millisecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil)
+	now := 10 * time.Millisecond
+	for i := 0; i < 3*capacity; i++ {
+		tb.Learn(key(i), ports[i%2], now)
+		now += 2 * time.Millisecond
+	}
+	evictions, peak := tb.Evictions(), tb.PeakEntries()
+	if evictions == 0 || peak == 0 {
+		t.Fatalf("fixture produced evictions=%d peak=%d", evictions, peak)
+	}
+
+	tb.Reset()
+	if tb.Len() != 0 || tb.Entries() != 0 || len(tb.ports) != 0 {
+		t.Fatalf("after Reset: %d resident, %d entries, %d port records", tb.Len(), tb.Entries(), len(tb.ports))
+	}
+	if tb.Evictions() != evictions || tb.PeakEntries() != peak {
+		t.Fatalf("Reset lost lifetime counters: evictions %d→%d, peak %d→%d",
+			evictions, tb.Evictions(), peak, tb.PeakEntries())
+	}
+	checkAccounting(t, tb)
+
+	tb.Learn(key(0), ports[0], now)
+	if e, ok := tb.Get(key(0), now); !ok || e.Port != ports[0] {
+		t.Fatal("learn after Reset failed")
+	}
+	if got := tb.FlushPort(ports[0]); got != 1 {
+		t.Fatalf("FlushPort after Reset invalidated %d entries, want 1", got)
+	}
+}

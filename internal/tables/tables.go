@@ -1,8 +1,10 @@
-// Package tables provides the shared bounding machinery for the fabric's
-// forwarding tables (core.LockTable, flowpath.PairTable, learning.Table):
-// an eviction policy enum, a capacity/policy Config carried through the
-// protocol codecs, and a deterministic recency Tracker implementing LRU
-// and clock (second-chance) victim selection.
+// Package tables holds the fabric's one forwarding table and its bounding
+// machinery: Table[K], the locking/learning path table every protocol
+// instantiates per key type (core.LockTable and learning.Table over packed
+// MACs, flowpath.PairTable over pairs and connections); an eviction policy
+// enum and the capacity/policy Config carried through the protocol codecs;
+// and a deterministic recency Tracker implementing LRU and clock
+// (second-chance) victim selection.
 //
 // Determinism contract: victim order is a pure function of the sequence of
 // Insert/Touch/Remove/Reject calls — never of Go map iteration order, the

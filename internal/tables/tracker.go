@@ -84,6 +84,8 @@ func (t *Tracker[K]) Insert(k K) Handle {
 
 // Touch records a use of h: LRU relinks it hot, clock sets its reference
 // bit and leaves the ring order alone.
+//
+//fabric:hotpath
 func (t *Tracker[K]) Touch(h Handle) {
 	i := int32(h)
 	if t.policy == PolicyClock {

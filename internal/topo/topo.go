@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/stp"
+	"repro/internal/tables"
 )
 
 // Protocol selects the bridging protocol a topology is built with. The
@@ -117,6 +118,9 @@ type Bridge interface {
 	netsim.Node
 	Start()
 	Ports() []*netsim.Port
+	// PathTables lists the bridge's forwarding tables; index 0 is the one
+	// a configured capacity bound applies to.
+	PathTables() []tables.View
 }
 
 // Net is a built network: the simulation plus name-indexed hosts and

@@ -40,8 +40,6 @@ import (
 
 	"repro/pkg/fabric"
 
-	"repro/internal/core"
-	"repro/internal/flowpath"
 	"repro/internal/host"
 	"repro/internal/host/app"
 	"repro/internal/metrics"
@@ -734,50 +732,23 @@ func (s *Server) classStats() map[string]ClassStats {
 // resident.
 func (s *Server) sweepTables(now time.Duration) (entries int, evictions uint64) {
 	for _, br := range s.built.Bridges {
-		switch b := br.(type) {
-		case *flowpath.TCPPath:
-			b.Table().FlushExpired(now)
-			b.SweepProxy(now)
-			b.Conns().FlushExpired(now)
-			entries += b.ForwardingEntries()
-			evictions += b.Table().Evictions() + b.Conns().Evictions()
-		case *flowpath.Bridge:
-			b.Pairs().FlushExpired(now)
-			b.Hosts().FlushExpired(now)
-			entries += b.ForwardingEntries()
-			evictions += b.Pairs().Evictions() + b.Hosts().Evictions()
-		case *core.Bridge:
-			b.Table().FlushExpired(now)
-			b.SweepProxy(now)
-			entries += b.Table().Len()
-			evictions += b.Table().Evictions()
-		default:
-			if fe, ok := br.(interface{ ForwardingEntries() int }); ok {
-				entries += fe.ForwardingEntries()
-			}
+		for _, t := range br.PathTables() {
+			t.FlushExpired(now)
+		}
+		if p, ok := br.(interface{ SweepProxy(time.Duration) }); ok {
+			p.SweepProxy(now)
 		}
 	}
-	return entries, evictions
+	return s.tableStats()
 }
 
 // tableStats reads resident table state without sweeping (the live
 // stats/metrics view).
 func (s *Server) tableStats() (entries int, evictions uint64) {
 	for _, br := range s.built.Bridges {
-		switch b := br.(type) {
-		case *flowpath.TCPPath:
-			entries += b.ForwardingEntries()
-			evictions += b.Table().Evictions() + b.Conns().Evictions()
-		case *flowpath.Bridge:
-			entries += b.ForwardingEntries()
-			evictions += b.Pairs().Evictions() + b.Hosts().Evictions()
-		case *core.Bridge:
-			entries += b.Table().Len()
-			evictions += b.Table().Evictions()
-		default:
-			if fe, ok := br.(interface{ ForwardingEntries() int }); ok {
-				entries += fe.ForwardingEntries()
-			}
+		for _, t := range br.PathTables() {
+			entries += t.Len()
+			evictions += t.Evictions()
 		}
 	}
 	return entries, evictions

@@ -212,6 +212,60 @@ func TestServeWireStrict(t *testing.T) {
 	}
 }
 
+// TestServeCountsLearningTables: table occupancy is read through every
+// bridge's PathTables, so a learning (or STP) fabric's filtering databases
+// are counted by the stats op and swept and reported at session end —
+// not skipped because the daemon only knew the All-Path bridge types.
+func TestServeCountsLearningTables(t *testing.T) {
+	srv, err := New(Options{Spec: fabric.Spec{
+		Seed:     5,
+		Topology: fabric.TopologySpec{Family: "line", N: 3},
+		Protocol: fabric.ProtocolSpec{
+			Name: "learning",
+			// One slot per switch: learning the reply's source evicts
+			// the request's.
+			Config: json.RawMessage(`{"table_capacity":1,"table_policy":"lru"}`),
+		},
+	}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	c := dialTest(t, ln.Addr().String())
+
+	info := c.raw(`{"op":"info"}`)
+	if !info.OK || info.Info == nil || len(info.Info.Hosts) < 2 {
+		t.Fatalf("info failed: %+v", info)
+	}
+	hosts := info.Info.Hosts
+	if resp := c.raw(fmt.Sprintf(`{"op":"ping","src":%q,"dst":%q}`, hosts[0], hosts[len(hosts)-1])); !resp.OK {
+		t.Fatalf("ping rejected: %+v", resp)
+	}
+	if resp := c.raw(`{"op":"drain"}`); !resp.OK {
+		t.Fatalf("drain failed: %+v", resp)
+	}
+	stats := c.raw(`{"op":"stats"}`)
+	if !stats.OK || stats.Stats == nil {
+		t.Fatalf("stats failed: %+v", stats)
+	}
+	if stats.Stats.TableEntries == 0 || stats.Stats.TableEvictions == 0 {
+		t.Fatalf("stats on a bounded learning fabric: entries=%d evictions=%d, want both non-zero",
+			stats.Stats.TableEntries, stats.Stats.TableEvictions)
+	}
+	if !c.raw(`{"op":"shutdown"}`).OK {
+		t.Fatal("shutdown rejected")
+	}
+	rep := srv.Wait()
+	if rep.TableEntries == 0 || rep.TableEvictions != stats.Stats.TableEvictions {
+		t.Fatalf("session report: entries=%d evictions=%d, want live entries and %d evictions",
+			rep.TableEntries, rep.TableEvictions, stats.Stats.TableEvictions)
+	}
+}
+
 // TestReplayRejectsGarbage pins op-log strictness: empty logs, bad
 // versions, unknown fields and time regressions all fail loudly instead
 // of replaying something other than what ran.
