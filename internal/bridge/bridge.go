@@ -39,8 +39,7 @@ type Chassis struct {
 	proto Protocol
 
 	ports []*netsim.Port
-	trunk map[*netsim.Port]bool
-	nbr   map[*netsim.Port]uint64
+	peers []peer // what HELLOs taught about each port, indexed by Port.Index()
 
 	// HelloEnabled turns on neighbour discovery. ARP-Path bridges enable
 	// it; the STP and learning baselines do not need it.
@@ -49,6 +48,16 @@ type Chassis struct {
 	sched *sim.Proc
 	rng   *rand.Rand
 	stats ChassisStats
+}
+
+// peer is one port's neighbour-discovery state: whether a HELLO was seen
+// since the last down transition, and the bridge ID it carried. The port
+// predicates below read it by the port's cabling index — the chassis's own
+// ports only — so the hairpin rule on the forwarding path costs two slice
+// loads, not two pointer-keyed map probes.
+type peer struct {
+	id    uint64
+	trunk bool
 }
 
 // ChassisStats counts chassis-level events.
@@ -67,8 +76,6 @@ func NewChassis(net *netsim.Network, name string, numID int, proto Protocol) *Ch
 		numID: numID,
 		mac:   layers.BridgeMAC(numID),
 		proto: proto,
-		trunk: make(map[*netsim.Port]bool),
-		nbr:   make(map[*netsim.Port]uint64),
 	}
 }
 
@@ -122,7 +129,13 @@ func (c *Chassis) Now() time.Duration { return c.Sched().Now() }
 func (c *Chassis) Stats() ChassisStats { return c.stats }
 
 // AttachPort implements netsim.Node.
-func (c *Chassis) AttachPort(p *netsim.Port) { c.ports = append(c.ports, p) }
+func (c *Chassis) AttachPort(p *netsim.Port) {
+	if p.Index() != len(c.ports) {
+		panic("bridge: ports must attach in cabling-index order")
+	}
+	c.ports = append(c.ports, p)
+	c.peers = append(c.peers, peer{})
+}
 
 // Ports returns the bridge's ports in cabling order.
 func (c *Chassis) Ports() []*netsim.Port { return c.ports }
@@ -153,36 +166,36 @@ func (c *Chassis) Start() {
 // the protocol's job — see core.Bridge.Restart, which calls this before
 // bouncing its links.
 func (c *Chassis) Restart() {
-	clear(c.trunk)
-	clear(c.nbr)
+	clear(c.peers)
 }
 
 // IsTrunk reports whether p faces another bridge (a HELLO was seen since
 // the last down transition). Meaningless unless HelloEnabled.
-func (c *Chassis) IsTrunk(p *netsim.Port) bool { return c.trunk[p] }
+func (c *Chassis) IsTrunk(p *netsim.Port) bool { return c.peers[p.Index()].trunk }
 
 // IsEdge reports whether p faces a host.
-func (c *Chassis) IsEdge(p *netsim.Port) bool { return !c.trunk[p] }
+func (c *Chassis) IsEdge(p *netsim.Port) bool { return !c.peers[p.Index()].trunk }
 
 // Neighbor returns the bridge ID learned from HELLOs on trunk port p.
 // Two ports with the same neighbor are parallel links to one bridge —
 // forwarding a frame "back" over a parallel link is still a hairpin.
 func (c *Chassis) Neighbor(p *netsim.Port) (uint64, bool) {
-	id, ok := c.nbr[p]
-	return id, ok
+	pe := c.peers[p.Index()]
+	return pe.id, pe.trunk
 }
 
 // SameNeighbor reports whether two ports lead to the same neighbouring
 // bridge (the same port, or parallel trunks, which a port comparison
 // alone cannot see on multigraphs). Every protocol's hairpin rule goes
 // through this one definition.
+//
+//fabric:hotpath
 func (c *Chassis) SameNeighbor(p, q *netsim.Port) bool {
 	if p == q {
 		return true
 	}
-	pn, ok1 := c.Neighbor(p)
-	qn, ok2 := c.Neighbor(q)
-	return ok1 && ok2 && pn == qn
+	pp, qp := c.peers[p.Index()], c.peers[q.Index()]
+	return pp.trunk && qp.trunk && pp.id == qp.id
 }
 
 // HandleFrame implements netsim.Node: HELLOs are consumed here, everything
@@ -193,8 +206,7 @@ func (c *Chassis) SameNeighbor(p, q *netsim.Port) bool {
 func (c *Chassis) HandleFrame(p *netsim.Port, f *netsim.Frame) {
 	if v := f.View(); v.IsHello() {
 		c.stats.HellosReceived++
-		c.trunk[p] = true
-		c.nbr[p] = v.Ctl.BridgeID
+		c.peers[p.Index()] = peer{id: v.Ctl.BridgeID, trunk: true}
 		return
 	}
 	c.proto.OnFrame(p, f)
@@ -204,8 +216,7 @@ func (c *Chassis) HandleFrame(p *netsim.Port, f *netsim.Frame) {
 func (c *Chassis) PortStatusChanged(p *netsim.Port, up bool) {
 	if !up {
 		// The neighbour may be replaced while the link is down; rediscover.
-		delete(c.trunk, p)
-		delete(c.nbr, p)
+		c.peers[p.Index()] = peer{}
 	} else if c.HelloEnabled {
 		c.sendHello(p)
 	}

@@ -217,3 +217,85 @@ func TestPortsAccessors(t *testing.T) {
 		t.Fatal("port order broken")
 	}
 }
+
+// TestNeighborStateAcrossFlapAndRestart pins the port-indexed neighbour
+// table on a multigraph: b1 reaches b2 over two parallel trunks, b3 over a
+// third, and a host on an edge port. The hairpin predicate must see the
+// parallel pair as one neighbour, must not leak one port's state into
+// another's slot when a single link flaps, and must forget everything on
+// Restart until the links bounce.
+func TestNeighborStateAcrossFlapAndRestart(t *testing.T) {
+	net := netsim.NewNetwork(1)
+	b1 := newStubBridge(net, "b1", 1, true)
+	b2 := newStubBridge(net, "b2", 2, true)
+	b3 := newStubBridge(net, "b3", 3, true)
+	para := net.Connect(b1, b2, cfg()) // b1 port 0
+	net.Connect(b1, b2, cfg())         // b1 port 1, parallel to port 0
+	net.Connect(b1, b3, cfg())         // b1 port 2
+	net.Connect(b1, &sink{name: "h"}, cfg())
+	net.Connect(b1, &sink{name: "g"}, cfg())
+	for _, b := range []*stubBridge{b1, b2, b3} {
+		b.Start()
+	}
+	net.RunFor(time.Millisecond)
+	p0, p1, p2, edge, edge2 := b1.Port(0), b1.Port(1), b1.Port(2), b1.Port(3), b1.Port(4)
+
+	discovered := func(when string) {
+		t.Helper()
+		for i, want := range []uint64{2, 2, 3} {
+			if id, ok := b1.Neighbor(b1.Port(i)); !ok || id != want || b1.IsEdge(b1.Port(i)) {
+				t.Fatalf("%s: port %d neighbour = (%d, %v), want bridge %d", when, i, id, ok, want)
+			}
+		}
+		if _, ok := b1.Neighbor(edge); ok || !b1.IsEdge(edge) || b1.IsTrunk(edge) {
+			t.Fatalf("%s: host port classified as trunk", when)
+		}
+		if !b1.SameNeighbor(p0, p1) || !b1.SameNeighbor(p1, p0) {
+			t.Fatalf("%s: parallel trunks not recognised as one neighbour", when)
+		}
+		if b1.SameNeighbor(p0, p2) || b1.SameNeighbor(p1, edge) {
+			t.Fatalf("%s: distinct neighbours conflated", when)
+		}
+		if b1.SameNeighbor(edge, edge2) || !b1.SameNeighbor(edge, edge) {
+			t.Fatalf("%s: edge ports: only a port is its own neighbour", when)
+		}
+	}
+	discovered("after HELLO")
+
+	// One of the parallel links goes down: that port alone reverts to
+	// edge; its twin and the other trunk keep their neighbours.
+	net.Engine.At(net.Now(), func() { para.SetUp(false) })
+	net.RunFor(time.Millisecond)
+	if !b1.IsEdge(p0) || b1.SameNeighbor(p0, p1) {
+		t.Fatal("downed parallel trunk still counted as the same neighbour")
+	}
+	if id, ok := b1.Neighbor(p1); !ok || id != 2 {
+		t.Fatalf("flap of port 0 disturbed port 1: neighbour (%d, %v)", id, ok)
+	}
+	if id, ok := b1.Neighbor(p2); !ok || id != 3 {
+		t.Fatalf("flap of port 0 disturbed port 2: neighbour (%d, %v)", id, ok)
+	}
+	net.Engine.At(net.Now(), func() { para.SetUp(true) })
+	net.RunFor(time.Millisecond)
+	discovered("after link up")
+
+	// Restart forgets every port; the caller's link bounce rediscovers.
+	net.Engine.At(net.Now(), func() { b1.Restart() })
+	net.RunFor(time.Millisecond)
+	for i, p := range b1.Ports() {
+		if _, ok := b1.Neighbor(p); ok || !b1.IsEdge(p) {
+			t.Fatalf("port %d kept its neighbour across Restart", i)
+		}
+	}
+	if b1.SameNeighbor(p0, p1) {
+		t.Fatal("parallel trunks still one neighbour after Restart")
+	}
+	net.Engine.At(net.Now(), func() {
+		for _, p := range b1.Ports() {
+			p.Link().SetUp(false)
+			p.Link().SetUp(true)
+		}
+	})
+	net.RunFor(time.Millisecond)
+	discovered("after restart bounce")
+}

@@ -373,7 +373,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 	}
 
 	// Source side: maintain the reverse half of the symmetric path.
-	if e, ok := b.table.GetKey(src, now); ok {
+	if ref, e, ok := b.table.Find(src, now); ok {
 		switch {
 		case e.Port == in:
 			if establishing {
@@ -383,7 +383,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 				}
 				b.table.LearnKey(src, in, now)
 			} else {
-				b.table.RefreshKey(src, now)
+				b.table.RefreshAt(ref, now)
 			}
 		case e.Guarded(now):
 			// The sender's position is still race-locked elsewhere:
@@ -431,7 +431,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 	}
 
 	// Destination side.
-	e, ok := b.table.GetKey(dst, now)
+	ref, e, ok := b.table.Find(dst, now)
 	switch {
 	case !ok:
 		// Table miss: the entry expired or a link/bridge failed (§2.1.4).
@@ -449,7 +449,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 			}
 			b.table.LearnKey(dst, e.Port, now)
 		} else {
-			b.table.RefreshKey(dst, now)
+			b.table.RefreshAt(ref, now)
 		}
 		b.stats.Forwarded++
 		e.Port.SendFrame(f)

@@ -320,13 +320,13 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 
 	// Source side: maintain the transient reverse-route state the reply
 	// relies on, with the §2.1.1 filter intact.
-	if e, ok := b.hosts.GetKey(src, now); ok {
+	if ref, e, ok := b.hosts.Find(src, now); ok {
 		switch {
 		case e.Port == in:
 			if establishing && b.IsEdge(in) {
 				b.hosts.LearnKey(src, in, now)
 			} else {
-				b.hosts.RefreshKey(src, now)
+				b.hosts.RefreshAt(ref, now)
 			}
 		case e.Guarded(now):
 			b.stats.SrcPortDrop++
@@ -356,12 +356,12 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 
 	// Data: the pair table is the only forwarding state.
 	pk := pairOf(src, dst)
-	if e, ok := b.pairs.Get(pk, now); ok {
+	if ref, e, ok := b.pairs.Find(pk, now); ok {
 		if e.Port == in || b.SameNeighbor(e.Port, in) {
 			b.stats.HairpinDrop++
 			return
 		}
-		b.pairs.Refresh(pk, now)
+		b.pairs.RefreshAt(ref, now)
 		b.stats.Forwarded++
 		e.Port.SendFrame(f)
 		return

@@ -167,7 +167,7 @@ func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 		return
 	}
 
-	if e, ok := t.conns.Get(k, now); ok {
+	if ref, e, ok := t.conns.Find(k, now); ok {
 		if e.Port == in || t.SameNeighbor(e.Port, in) {
 			// Hairpin on the connection entry: let ARP-Path decide (it
 			// has its own hairpin/repair handling for the MAC pair).
@@ -183,7 +183,7 @@ func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 			t.conns.Learn(reverseKey(k), in, now)
 			t.stats.ConnConfirmed++
 		} else {
-			t.conns.Refresh(k, now)
+			t.conns.RefreshAt(ref, now)
 		}
 		t.stats.ConnForwarded++
 		e.Port.SendFrame(f)

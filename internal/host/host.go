@@ -7,6 +7,7 @@
 package host
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -201,7 +202,9 @@ func (h *Host) handleIPv4(eth *layers.Ethernet) {
 // serializes into the host's reusable scratch instead of allocating a
 // resolution closure, a layer slice and a fresh buffer per packet. The
 // miss path keeps the allocating closure: its captures must survive until
-// the ARP exchange completes.
+// the ARP exchange completes, so it detaches them first — a payload may
+// alias the borrowed frame being answered (an echo reply's data) or the
+// caller's buffer, both recycled long before the resolution lands.
 func (h *Host) sendIP(dst layers.Addr4, proto uint8, transport ...layers.SerializableLayer) {
 	if mac, ok := h.arp.lookup(dst); ok {
 		h.txEth = layers.Ethernet{Dst: mac, Src: h.mac, EtherType: layers.EtherTypeIPv4}
@@ -215,16 +218,23 @@ func (h *Host) sendIP(dst layers.Addr4, proto uint8, transport ...layers.Seriali
 		h.send(h.txBuf.Bytes())
 		return
 	}
+	queued := make([]layers.SerializableLayer, len(transport))
+	for i, l := range transport {
+		if p, ok := l.(layers.Payload); ok {
+			l = layers.Payload(bytes.Clone(p))
+		}
+		queued[i] = l
+	}
 	h.arp.resolve(dst, func(mac layers.MAC, err error) {
 		if err != nil {
 			return // resolution failed; transports retransmit on their own
 		}
-		ls := make([]layers.SerializableLayer, 0, 2+len(transport))
+		ls := make([]layers.SerializableLayer, 0, 2+len(queued))
 		ls = append(ls,
 			&layers.Ethernet{Dst: mac, Src: h.mac, EtherType: layers.EtherTypeIPv4},
 			&layers.IPv4{TTL: 64, Protocol: proto, Src: h.ip, Dst: dst},
 		)
-		ls = append(ls, transport...)
+		ls = append(ls, queued...)
 		frame, err := layers.Serialize(ls...)
 		if err != nil {
 			panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))

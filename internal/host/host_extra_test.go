@@ -36,6 +36,66 @@ func TestICMPPayloadEchoedIntact(t *testing.T) {
 	}
 }
 
+// TestEchoReplySurvivesARPMiss is the use-after-release regression: the
+// responder has no ARP entry for the requester, so the reply waits in the
+// resolution queue while the borrowed request frame is released and its
+// pooled buffer recycled by unrelated traffic. The queued reply must own
+// its payload — it used to alias the recycled buffer and echo some other
+// frame's bytes (and, sharded, race with the frame's next writer).
+func TestEchoReplySurvivesARPMiss(t *testing.T) {
+	net := netsim.NewNetwork(3)
+	h1, h2 := New(net, "h1", 1), New(net, "h2", 2)
+	net.Connect(h1, h2, netsim.DefaultLinkConfig())
+
+	pattern := make([]byte, 256)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + 1)
+	}
+	var reply []byte
+	net.Tap(func(ev netsim.TapEvent) {
+		var p layers.Parser
+		if ev.Kind == netsim.TapDeliver && p.Parse(ev.Frame) == nil &&
+			p.Has(layers.LayerICMPEcho) && p.ICMP.Type == layers.ICMPEchoReply {
+			reply = append([]byte(nil), p.ICMP.Payload()...)
+		}
+	})
+	raw := func(proto uint8, ls ...layers.SerializableLayer) []byte {
+		frame, err := layers.Serialize(append([]layers.SerializableLayer{
+			&layers.Ethernet{Dst: h2.MAC(), Src: h1.MAC(), EtherType: layers.EtherTypeIPv4},
+			&layers.IPv4{TTL: 64, Protocol: proto, Src: h1.IP(), Dst: h2.IP()},
+		}, ls...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	echo := raw(layers.IPProtoICMP,
+		&layers.ICMPEcho{Type: layers.ICMPEchoRequest, Ident: 7, Seq: 1}, layers.Payload(pattern))
+	junk := raw(253, layers.Payload(bytes.Repeat([]byte{0xEE}, 512)))
+
+	// Warm h1's side only: it must answer h2's ARP request, while h2
+	// (cache flushed) has to resolve h1 before it can reply.
+	h1.Ping(h2.IP(), 0, time.Second, func(PingResult) {})
+	net.Run()
+	h2.ARP().Flush()
+
+	start := net.Now()
+	net.Engine.At(start, func() { h1.Port().Send(echo) })
+	// The echo lands (and its frame is released) ~7µs in; h2's ARP exchange
+	// completes ~12µs after that. Junk frames created in between take the
+	// recycled buffers.
+	for i := 0; i < 8; i++ {
+		net.Engine.At(start+8*time.Microsecond+time.Duration(i)*100*time.Nanosecond, func() { h1.Port().Send(junk) })
+	}
+	net.Run()
+	if h2.Stats().ARPRequestsTx == 0 {
+		t.Fatal("fixture broken: the responder never missed its ARP cache")
+	}
+	if !bytes.Equal(reply, pattern) {
+		t.Fatalf("echo reply payload corrupted across the ARP miss: got %d bytes, first %x", len(reply), reply[:min(len(reply), 8)])
+	}
+}
+
 // TestPendingARPQueueBound: callbacks beyond the pending limit are
 // dropped and counted rather than queued without bound.
 func TestPendingARPQueueBound(t *testing.T) {

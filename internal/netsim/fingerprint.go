@@ -34,8 +34,8 @@ func (t *TapFingerprint) NormID(id uint64) uint32 {
 // Observe folds one tap event into the digest.
 func (t *TapFingerprint) Observe(ev TapEvent) {
 	t.fold(uint64(ev.At), uint64(ev.Kind), uint64(t.NormID(ev.FrameID)), uint64(len(ev.Frame)))
-	t.foldString(ev.From.String())
-	t.foldString(ev.To.String())
+	t.fold(ev.From.nameHash)
+	t.fold(ev.To.nameHash)
 	t.events++
 }
 
@@ -60,15 +60,15 @@ func (t *TapFingerprint) fold(vs ...uint64) {
 	t.fp = h
 }
 
-// foldString folds FNV-1a(s) into the digest. The hash is computed inline
-// straight off the string — same value hash/fnv produces, without the
-// hasher and []byte conversion allocations the stdlib route costs per
-// event on a tapped run.
-func (t *TapFingerprint) foldString(s string) {
+// fnvString is FNV-1a(s), the value hash/fnv produces. The fingerprint
+// folds a port as the hash of its name; names are fixed at cabling, so
+// Connect computes this once per port (Port.nameHash) and Observe never
+// walks a string.
+func fnvString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	t.fold(h)
+	return h
 }

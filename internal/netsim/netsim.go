@@ -253,8 +253,10 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) *Link {
 	n.nports[b]++
 	l.ports[0] = &Port{node: a, index: ia, link: l, side: 0}
 	l.ports[1] = &Port{node: b, index: ib, link: l, side: 1}
-	l.ports[0].str = fmt.Sprintf("%s[%d]", a.Name(), ia)
-	l.ports[1].str = fmt.Sprintf("%s[%d]", b.Name(), ib)
+	for _, p := range l.ports {
+		p.str = fmt.Sprintf("%s[%d]", p.node.Name(), p.index)
+		p.nameHash = fnvString(p.str)
+	}
 	// Each direction transmits under its own identity: flight events are
 	// keyed by (link direction, per-direction sequence), both functions of
 	// the sending side's deterministic history alone, so delivery order is
@@ -404,6 +406,8 @@ type Port struct {
 	side  int
 	str   string // cached String(): node name and index are fixed at cabling
 	stats PortStats
+	// nameHash is FNV-1a(str), what TapFingerprint folds for this port.
+	nameHash uint64
 }
 
 // Node returns the owning node.
@@ -475,6 +479,7 @@ type linkDir struct {
 	busyTotal   time.Duration // cumulative serialization time (utilization)
 	lossRate    float64       // probability a frame this direction is lost
 	rng         *rand.Rand    // per-direction loss draws, seeded from (net seed, link, side)
+	free        *flight       // recycled flights of this direction, threaded through next
 }
 
 // Link is a full-duplex point-to-point Ethernet link.
@@ -579,6 +584,13 @@ func (l *Link) SetUp(up bool) {
 // delivery at arrival). Flights implement sim.Runner so scheduling them
 // allocates nothing, which together with the pooled Frame makes the
 // steady-state forwarding path allocation-free.
+//
+// A flight belongs to the link direction that sent it for life: it is
+// taken from and returned to that direction's free list, both on the
+// sending side's shard (the txDone and local-arrival events run under the
+// direction's own Proc), so recycling needs no synchronization and no
+// sync.Pool pin per frame. A direction holds as many flights as it ever
+// had in transit at once.
 type flight struct {
 	eng   *sim.Engine // the shard engine executing this flight's events
 	link  *Link
@@ -586,6 +598,7 @@ type flight struct {
 	frame *Frame // nil when the arrival was shipped to another shard
 	epoch uint64
 	wire  int
+	next  *flight // free-list link while recycled
 }
 
 // flight RunEvent stages.
@@ -594,7 +607,31 @@ const (
 	flightArrival = 1 // frame reached the far port: deliver and clean up
 )
 
-var flightPool = sync.Pool{New: func() any { return new(flight) }}
+// takeFlight returns a flight for one transmission away from from: the
+// direction's most recently recycled one, or a new one.
+//
+//fabric:hotpath
+func (l *Link) takeFlight(from *Port, e *sim.Engine, f *Frame, wire int) *flight {
+	d := &l.dir[from.side]
+	fl := d.free
+	if fl == nil {
+		fl = &flight{link: l, from: from}
+	} else {
+		d.free = fl.next
+	}
+	fl.eng, fl.frame, fl.epoch, fl.wire = e, f, l.epoch, wire
+	return fl
+}
+
+// recycle returns a finished flight to its direction's free list.
+//
+//fabric:hotpath
+func (fl *flight) recycle() {
+	d := &fl.link.dir[fl.from.side]
+	fl.frame = nil
+	fl.next = d.free
+	d.free = fl
+}
 
 // RunEvent implements sim.Runner. The txDone event always fires before
 // the arrival event (it is scheduled first at an earlier-or-equal time),
@@ -609,18 +646,16 @@ func (fl *flight) RunEvent(arg int32) {
 			l.dir[fl.from.side].queuedBytes -= fl.wire
 		}
 		if fl.frame == nil {
-			*fl = flight{}
-			flightPool.Put(fl)
+			fl.recycle()
 		}
 		return
 	}
 	e := fl.eng
 	from, f, epoch := fl.from, fl.frame, fl.epoch
 	to := from.Peer()
-	// Recycle before delivering so a forwarding chain reuses this flight
-	// for the next hop's transmission within the same event.
-	*fl = flight{}
-	flightPool.Put(fl)
+	// Everything delivery needs is copied out, so the flight is free
+	// before the node runs (and possibly transmits) inside deliver.
+	fl.recycle()
 	deliver(e, l, from, to, f, epoch)
 }
 
@@ -753,27 +788,15 @@ func (l *Link) transmit(from *Port, f *Frame) {
 		// next window exchange. The key consumes this direction's sequence
 		// numbers in the same order as the local path below, so the
 		// destination's event order is identical at any shard count.
-		fl := flightPool.Get().(*flight)
-		fl.eng = e
-		fl.link = l
-		fl.from = from
-		fl.frame = nil
-		fl.epoch = l.epoch
-		fl.wire = wire
-		p.ScheduleRunner(txDone, fl, flightTxDone)
+		p.ScheduleRunner(txDone, l.takeFlight(from, e, nil, wire), flightTxDone)
 		co.ship(e.ID(), l.shard[to.side], remoteRec{
 			at: arrival, owner: p.ID(), oseq: p.NextSeq(),
 			link: l, side: int8(from.side), epoch: l.epoch, frame: f.clone(),
 		})
 		return
 	}
-	fl := flightPool.Get().(*flight)
-	fl.eng = e
-	fl.link = l
-	fl.from = from
-	fl.frame = f.Retain() // the flight's reference, released on delivery/drop
-	fl.epoch = l.epoch
-	fl.wire = wire
+	// The flight holds its own reference, released on delivery/drop.
+	fl := l.takeFlight(from, e, f.Retain(), wire)
 	p.ScheduleRunner(txDone, fl, flightTxDone)
 	p.ScheduleRunner(arrival, fl, flightArrival)
 }

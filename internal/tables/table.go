@@ -51,16 +51,37 @@ type Entry struct {
 // Guarded reports whether the race window is still open at time now.
 func (e Entry) Guarded(now time.Duration) bool { return now < e.LockedUntil }
 
-// stored is the map value: the public Entry plus the generation of its
-// port at bind time. A port's generation advances on FlushPort, which
-// kills every entry bound to it in O(1) without touching the map. The
-// portState pointer is cached in the entry so the hot-path liveness check
-// costs a pointer chase, not a second map lookup.
-type stored struct {
+// slot is one slab record: the public Entry plus its key, the generation
+// of its port at bind time and its recency handle. A port's generation
+// advances on FlushPort, which kills every entry bound to it in O(1)
+// without touching the slab; the portState pointer is cached in the slot
+// so the hot-path liveness check costs a pointer chase, not a map lookup.
+type slot[K comparable] struct {
 	Entry
-	gen uint32
+	key K
 	ps  *portState
+	gen uint32
 	th  Handle // recency-tracker handle; 0 when untracked
+	// seq is the slot's incarnation: the table-wide insert count at the
+	// time this entry was admitted, 0 while the slot is free. A Ref
+	// carries it, so a handle outliving its entry never matches the
+	// slot's next tenant.
+	seq uint64
+}
+
+// dead reports whether the slot's entry is no longer valid at now: past
+// its expiry, or bound to a port generation that has been flushed.
+func (s *slot[K]) dead(now time.Duration) bool {
+	return s.Expires <= now || s.gen != s.ps.gen
+}
+
+// Ref names the resident record a Find hit, so the caller can refresh it
+// without a second probe. It dies with its entry: after an eviction,
+// Delete, sweep or Reset — and across the slot's reuse by another key —
+// RefreshAt on it is a no-op. The zero Ref is never valid.
+type Ref struct {
+	slot int32
+	seq  uint64
 }
 
 // portState is the per-port side table backing constant-time flushes.
@@ -76,12 +97,21 @@ type portState struct {
 // TCP-Path — so they share this body and instantiate it per key type.
 // There is no routing protocol and no tree behind it (§1).
 //
+// Storage is a slab of records and a key index pointing into it (DESIGN.md
+// §5): a hit is one index probe, and every rewrite of a resident key —
+// refresh, guard, re-lock, re-learn, even onto another port — mutates its
+// record in place, the way the NetFPGA lookup stage rewrites state and
+// timestamp at the matched address. Only admitting a new key or removing
+// one writes the index. Freed slots are reused before the slab grows, and
+// the sweeps walk the slab, so nothing observable (or allocated) depends
+// on Go map iteration order.
+//
 // Expiry is lazy (checked on access) and link failures are handled by
 // per-port generation counters, so no operation on the hot path scans the
 // table.
 //
 // Production bounds (DESIGN.md §12): the table may be capacity-bounded
-// with an LRU or clock eviction policy. The bound counts map entries —
+// with an LRU or clock eviction policy. The bound counts stored entries —
 // live bindings and flushed-generation corpses alike — so it bounds actual
 // memory, not just Len(). Corpses and expired entries are additionally
 // reclaimed by an amortized sweep (one full pass per learned timeout,
@@ -91,14 +121,17 @@ type Table[K comparable] struct {
 	lockTimeout    time.Duration
 	learnedTimeout time.Duration
 	capacity       int
-	junk           func(K) bool // keys Lock/Learn must ignore; nil admits all
-	tracker        *Tracker[K]  // nil for the timeout baseline
-	entries        map[K]stored
+	junk           func(K) bool    // keys Lock/Learn must ignore; nil admits all
+	tracker        *Tracker[int32] // recency order over slab slots; nil for the timeout baseline
+	index          map[K]int32     // key → slab slot
+	slab           []slot[K]
+	free           []int32 // free slab slots, reused last-freed first
+	seq            uint64  // entries ever admitted; the newest slot incarnation
 	ports          map[*netsim.Port]*portState
-	resident       int // entries in the map whose port generation is current
+	resident       int // stored entries whose port generation is current
 
 	evictions uint64        // capacity evictions of live entries (not corpse reclaim)
-	peak      int           // high-water mark of len(entries)
+	peak      int           // high-water mark of Entries()
 	nextSweep time.Duration // next amortized FlushExpired deadline
 
 	// One-slot cache for the port side table: a bridge stores runs of
@@ -139,11 +172,11 @@ func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, 
 		learnedTimeout: learnedTimeout,
 		capacity:       bound.Capacity,
 		junk:           junk,
-		entries:        make(map[K]stored),
+		index:          make(map[K]int32),
 		ports:          make(map[*netsim.Port]*portState),
 	}
 	if bound.Tracked() {
-		t.tracker = NewTracker[K](bound.Policy)
+		t.tracker = NewTracker[int32](bound.Policy)
 	}
 	return t
 }
@@ -174,29 +207,28 @@ func (t *Table[K]) port(p *netsim.Port) *portState {
 	return st
 }
 
-// dead reports whether a stored entry is no longer valid at now: past its
-// expiry, or bound to a port generation that has been flushed.
-func (t *Table[K]) dead(e stored, now time.Duration) bool {
-	return e.Expires <= now || e.gen != e.ps.gen
-}
-
-// evict removes a stored entry, maintaining the residency counters.
-func (t *Table[K]) evict(key K, e stored) {
-	if e.gen == e.ps.gen {
-		e.ps.live--
+// evict removes the entry in slot i, maintaining the residency counters,
+// and frees the slot: its incarnation is zeroed, which is what kills every
+// Ref still naming it.
+func (t *Table[K]) evict(i int32) {
+	s := &t.slab[i]
+	if s.gen == s.ps.gen {
+		s.ps.live--
 		t.resident--
 	}
 	if t.tracker != nil {
-		t.tracker.Remove(e.th)
+		t.tracker.Remove(s.th)
 	}
-	delete(t.entries, key)
+	delete(t.index, s.key)
+	*s = slot[K]{}
+	t.free = append(t.free, i)
 }
 
 // maybeSweep runs the amortized corpse sweep: at most one full
 // FlushExpired per learned timeout, charged to the write that crossed the
 // deadline (proxyCache's discipline). Callers must invoke it before
-// snapshotting the previous entry — the sweep may evict the very key about
-// to be overwritten.
+// looking the key up — the sweep may evict the very key about to be
+// overwritten.
 func (t *Table[K]) maybeSweep(now time.Duration) {
 	if now >= t.nextSweep {
 		t.FlushExpired(now)
@@ -218,19 +250,19 @@ func (t *Table[K]) makeRoom(now time.Duration) {
 	if t.tracker == nil || t.capacity <= 0 {
 		return
 	}
-	for rejects := RejectBudget; len(t.entries) >= t.capacity; {
+	for rejects := RejectBudget; len(t.index) >= t.capacity; {
 		h, ok := t.tracker.Victim()
 		if !ok {
 			return
 		}
-		key := t.tracker.Key(h)
-		e := t.entries[key]
+		i := t.tracker.Key(h)
+		s := &t.slab[i]
 		switch {
-		case t.dead(e, now):
-			t.evict(key, e)
-		case !e.Guarded(now):
+		case s.dead(now):
+			t.evict(i)
+		case !s.Guarded(now):
 			t.evictions++
-			t.evict(key, e)
+			t.evict(i)
 		default:
 			t.tracker.Reject(h)
 			if rejects--; rejects <= 0 {
@@ -240,33 +272,67 @@ func (t *Table[K]) makeRoom(now time.Duration) {
 	}
 }
 
-// store writes e under key given the previous entry (old, hadOld) from a
-// lookup the caller already paid for, maintaining the residency counters,
-// the recency tracker and the capacity bound.
-func (t *Table[K]) store(key K, old stored, hadOld bool, e Entry, now time.Duration) {
-	if hadOld && old.gen == old.ps.gen {
-		old.ps.live--
-		t.resident--
-	}
-	if !hadOld && t.capacity > 0 && len(t.entries) >= t.capacity {
-		t.makeRoom(now)
+// store writes e under key, given the index probe (i, resident) the caller
+// already paid for. A resident key — live, expired or corpse — is
+// rewritten in its slot, keeping its recency handle; a new key takes a
+// slot (after makeRoom enforced the bound) and enters the index. Either
+// way the residency counters, the recency tracker and the peak follow.
+func (t *Table[K]) store(key K, i int32, resident bool, e Entry, now time.Duration) {
+	if resident {
+		if s := &t.slab[i]; s.gen == s.ps.gen {
+			s.ps.live--
+			t.resident--
+		}
+		if t.tracker != nil {
+			t.tracker.Touch(t.slab[i].th)
+		}
+	} else {
+		if t.capacity > 0 && len(t.index) >= t.capacity {
+			t.makeRoom(now)
+		}
+		if n := len(t.free); n > 0 {
+			i, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			t.slab = append(t.slab, slot[K]{})
+			i = int32(len(t.slab) - 1)
+		}
+		t.seq++
+		t.slab[i].key, t.slab[i].seq = key, t.seq
+		if t.tracker != nil {
+			t.slab[i].th = t.tracker.Insert(i)
+		}
+		t.index[key] = i
+		if len(t.index) > t.peak {
+			t.peak = len(t.index)
+		}
 	}
 	st := t.port(e.Port)
 	st.live++
 	t.resident++
-	ne := stored{Entry: e, gen: st.gen, ps: st}
+	s := &t.slab[i]
+	s.Entry, s.gen, s.ps = e, st.gen, st
+}
+
+// Find returns the live entry for key and a Ref to its record, evicting it
+// lazily if expired or flushed. It is the forwarding path's one probe per
+// address: the caller decides on the Entry and, when the frame passes,
+// extends the lifetime through RefreshAt without looking the key up again.
+//
+//fabric:hotpath
+func (t *Table[K]) Find(key K, now time.Duration) (Ref, Entry, bool) {
+	i, ok := t.index[key]
+	if !ok {
+		return Ref{}, Entry{}, false
+	}
+	s := &t.slab[i]
+	if s.dead(now) {
+		t.evict(i)
+		return Ref{}, Entry{}, false
+	}
 	if t.tracker != nil {
-		if hadOld {
-			ne.th = old.th
-			t.tracker.Touch(ne.th)
-		} else {
-			ne.th = t.tracker.Insert(key)
-		}
+		t.tracker.Touch(s.th)
 	}
-	t.entries[key] = ne
-	if len(t.entries) > t.peak {
-		t.peak = len(t.entries)
-	}
+	return Ref{slot: i, seq: s.seq}, s.Entry, true
 }
 
 // Get returns the live entry for key, evicting it lazily if expired or
@@ -274,18 +340,8 @@ func (t *Table[K]) store(key K, old stored, hadOld bool, e Entry, now time.Durat
 //
 //fabric:hotpath
 func (t *Table[K]) Get(key K, now time.Duration) (Entry, bool) {
-	e, ok := t.entries[key]
-	if !ok {
-		return Entry{}, false
-	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return Entry{}, false
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	return e.Entry, true
+	_, e, ok := t.Find(key, now)
+	return e, ok
 }
 
 // Lock binds key to port in the locked state, starting (or restarting)
@@ -295,8 +351,8 @@ func (t *Table[K]) Lock(key K, port *netsim.Port, now time.Duration) {
 		return
 	}
 	t.maybeSweep(now)
-	old, hadOld := t.entries[key]
-	t.store(key, old, hadOld, Entry{
+	i, resident := t.index[key]
+	t.store(key, i, resident, Entry{
 		Port:        port,
 		State:       StateLocked,
 		Expires:     now + t.lockTimeout,
@@ -306,23 +362,68 @@ func (t *Table[K]) Lock(key K, port *netsim.Port, now time.Duration) {
 
 // Learn binds key to port in the learned state (path confirmed). A
 // confirmation on the entry's existing port preserves the remaining race
-// window so late flood copies stay filtered.
+// window so late flood copies stay filtered — and, when that entry is
+// live, touches nothing but its record: no counter moves and no index
+// write, which is the steady state of a learning switch's source learn.
+//
+//fabric:hotpath
 func (t *Table[K]) Learn(key K, port *netsim.Port, now time.Duration) {
 	if t.junk != nil && t.junk(key) {
 		return
 	}
 	t.maybeSweep(now)
-	old, hadOld := t.entries[key]
-	lockedUntil := time.Duration(0)
-	if hadOld && old.Port == port && !t.dead(old, now) {
-		lockedUntil = old.LockedUntil
+	i, resident := t.index[key]
+	if resident {
+		if s := &t.slab[i]; s.Port == port && !s.dead(now) {
+			s.State, s.Expires = StateLearned, now+t.learnedTimeout
+			if t.tracker != nil {
+				t.tracker.Touch(s.th)
+			}
+			return
+		}
 	}
-	t.store(key, old, hadOld, Entry{
-		Port:        port,
-		State:       StateLearned,
-		Expires:     now + t.learnedTimeout,
-		LockedUntil: lockedUntil,
-	}, now)
+	t.store(key, i, resident, Entry{Port: port, State: StateLearned, Expires: now + t.learnedTimeout}, now)
+}
+
+// refresh is the shared tail of Refresh and RefreshAt on a resident slot.
+//
+//fabric:hotpath
+func (t *Table[K]) refresh(i int32, now time.Duration) {
+	s := &t.slab[i]
+	if s.dead(now) {
+		t.evict(i)
+		return
+	}
+	switch s.State {
+	case StateLocked:
+		s.Expires = now + t.lockTimeout
+	case StateLearned:
+		s.Expires = now + t.learnedTimeout
+	}
+	if t.tracker != nil {
+		t.tracker.Touch(s.th)
+	}
+}
+
+// Refresh extends the current entry's lifetime without changing its state
+// or port. Refreshing a missing or expired entry is a no-op.
+//
+//fabric:hotpath
+func (t *Table[K]) Refresh(key K, now time.Duration) {
+	if i, ok := t.index[key]; ok {
+		t.refresh(i, now)
+	}
+}
+
+// RefreshAt is Refresh on the record a Find returned, without the probe.
+// A Ref whose entry has since been removed (or whose slot now holds
+// another key) is ignored.
+//
+//fabric:hotpath
+func (t *Table[K]) RefreshAt(r Ref, now time.Duration) {
+	if r.seq != 0 && int(r.slot) < len(t.slab) && t.slab[r.slot].seq == r.seq {
+		t.refresh(r.slot, now)
+	}
 }
 
 // Guard re-arms the race window on the current binding without moving the
@@ -332,62 +433,27 @@ func (t *Table[K]) Learn(key K, port *netsim.Port, now time.Duration) {
 // filtered exactly as for a host-sent request, but the bridge must not
 // forget its own attached host if the repair goes unanswered.
 func (t *Table[K]) Guard(key K, now time.Duration) {
-	e, ok := t.entries[key]
+	r, _, ok := t.Find(key, now)
 	if !ok {
 		return
 	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return
+	s := &t.slab[r.slot]
+	s.LockedUntil = now + t.lockTimeout
+	if s.Expires < s.LockedUntil {
+		s.Expires = s.LockedUntil
 	}
-	// The port does not move, so the residency counters are unchanged and
-	// the entry can be rewritten in place.
-	e.LockedUntil = now + t.lockTimeout
-	if e.Expires < e.LockedUntil {
-		e.Expires = e.LockedUntil
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	t.entries[key] = e
-}
-
-// Refresh extends the current entry's lifetime without changing its state
-// or port. Refreshing a missing or expired entry is a no-op.
-//
-//fabric:hotpath
-func (t *Table[K]) Refresh(key K, now time.Duration) {
-	e, ok := t.entries[key]
-	if !ok {
-		return
-	}
-	if t.dead(e, now) {
-		t.evict(key, e)
-		return
-	}
-	switch e.State {
-	case StateLocked:
-		e.Expires = now + t.lockTimeout
-	case StateLearned:
-		e.Expires = now + t.learnedTimeout
-	}
-	if t.tracker != nil {
-		t.tracker.Touch(e.th)
-	}
-	// Same port, same generation: rewrite in place, counters unchanged.
-	t.entries[key] = e
 }
 
 // Delete removes key's entry (stale-path teardown during repair).
 func (t *Table[K]) Delete(key K) {
-	if e, ok := t.entries[key]; ok {
-		t.evict(key, e)
+	if i, ok := t.index[key]; ok {
+		t.evict(i)
 	}
 }
 
 // FlushPort invalidates every entry bound to port (link failure) in O(1)
-// by advancing the port's generation; the map corpses are reclaimed
-// lazily on access or by FlushExpired. It returns the number of entries
+// by advancing the port's generation; the corpses are reclaimed lazily on
+// access or by FlushExpired. It returns the number of entries
 // invalidated.
 func (t *Table[K]) FlushPort(port *netsim.Port) int {
 	st := t.port(port)
@@ -402,10 +468,11 @@ func (t *Table[K]) FlushPort(port *netsim.Port) int {
 // ones that have not been touched since their deadline.
 func (t *Table[K]) Len() int { return t.resident }
 
-// Entries returns the number of map entries including flushed-generation
-// corpses awaiting reclamation: the table's actual memory footprint, the
-// quantity the capacity bound and the leak regression tests are about.
-func (t *Table[K]) Entries() int { return len(t.entries) }
+// Entries returns the number of stored entries including
+// flushed-generation corpses awaiting reclamation: the table's actual
+// memory footprint, the quantity the capacity bound and the leak
+// regression tests are about.
+func (t *Table[K]) Entries() int { return len(t.index) }
 
 // Evictions returns the cumulative count of live entries force-evicted by
 // the capacity bound (corpse reclamation is not an eviction).
@@ -418,9 +485,13 @@ func (t *Table[K]) PeakEntries() int { return t.peak }
 // Reset drops every entry and every port generation: the table is as
 // empty as at construction. This is total state loss (a bridge restart),
 // not a link event — use FlushPort for those. Lifetime statistics
-// (evictions, peak occupancy) survive.
+// (evictions, peak occupancy) survive, and so does the incarnation
+// counter: a Ref taken before the Reset matches nothing after it.
 func (t *Table[K]) Reset() {
-	clear(t.entries)
+	clear(t.index)
+	clear(t.slab)
+	t.slab = t.slab[:0]
+	t.free = t.free[:0]
 	clear(t.ports)
 	t.resident = 0
 	t.nextSweep = 0
@@ -438,9 +509,9 @@ func (t *Table[K]) Reset() {
 // amortized sweep does, bounding memory for long-lived tables, and
 // experiments call it for exact counts.
 func (t *Table[K]) FlushExpired(now time.Duration) {
-	for key, e := range t.entries {
-		if t.dead(e, now) {
-			t.evict(key, e)
+	for i := range t.slab {
+		if s := &t.slab[i]; s.seq != 0 && s.dead(now) {
+			t.evict(int32(i))
 		}
 	}
 	for p, st := range t.ports {
@@ -458,10 +529,10 @@ func (t *Table[K]) FlushExpired(now time.Duration) {
 // path a flow has locked from it (Figure 1's bubbles) and the scenario
 // checker walks it per key.
 func (t *Table[K]) Snapshot(now time.Duration) map[K]Entry {
-	out := make(map[K]Entry, len(t.entries))
-	for key, e := range t.entries {
-		if !t.dead(e, now) {
-			out[key] = e.Entry
+	out := make(map[K]Entry, len(t.index))
+	for i := range t.slab {
+		if s := &t.slab[i]; s.seq != 0 && !s.dead(now) {
+			out[s.key] = s.Entry
 		}
 	}
 	return out

@@ -103,7 +103,7 @@ func guardedNeverEvicted[K comparable](t *testing.T, policy Policy, key func(int
 					delete(lockedAt, k) // window closed
 					continue
 				}
-				if _, ok := tb.entries[k]; !ok {
+				if _, ok := tb.index[k]; !ok {
 					t.Fatalf("op %d: key %v evicted inside its race window (locked at %v, now %v)", i, k, at, now)
 				}
 			}
@@ -309,5 +309,107 @@ func resetKeepsLifetimeCounters[K comparable](t *testing.T, policy Policy, key f
 	}
 	if got := tb.FlushPort(ports[0]); got != 1 {
 		t.Fatalf("FlushPort after Reset invalidated %d entries, want 1", got)
+	}
+}
+
+// TestStaleRefNeverRefreshesAnotherEntry: a Ref dies with its entry. Held
+// across an eviction, a Delete, a sweep, a Reset or a FlushPort — and
+// across the slot's reuse by another key — RefreshAt must leave whatever
+// lives in the slab now exactly as it was.
+func TestStaleRefNeverRefreshesAnotherEntry(t *testing.T) {
+	matrix(t, staleRef[uint64], staleRef[key128])
+}
+
+func staleRef[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const lifetime = time.Second
+	ports := testPorts(2)
+	// kill removes key(0)'s entry at time `at`, leaving the table empty.
+	for name, kill := range map[string]func(tb *Table[K], at time.Duration){
+		"evicted": func(tb *Table[K], at time.Duration) { // capacity 1: the next key takes its place
+			tb.Learn(key(9), ports[0], at)
+			tb.Delete(key(9))
+		},
+		"deleted": func(tb *Table[K], _ time.Duration) { tb.Delete(key(0)) },
+		"swept":   func(tb *Table[K], at time.Duration) { tb.FlushExpired(at + 2*lifetime) },
+		"reset":   func(tb *Table[K], _ time.Duration) { tb.Reset() },
+		"flushed": func(tb *Table[K], at time.Duration) {
+			tb.FlushPort(ports[0])
+			tb.FlushExpired(at)
+		},
+	} {
+		tb := New[K](time.Millisecond, lifetime, Config{Capacity: 1, Policy: policy}, nil)
+		now := 10 * time.Millisecond
+		tb.Learn(key(0), ports[0], now)
+		stale, _, ok := tb.Find(key(0), now)
+		if !ok {
+			t.Fatalf("%s: fixture: learned key not found", name)
+		}
+		kill(tb, now)
+		if tb.Entries() != 0 {
+			t.Fatalf("%s: fixture: %d entries survive the kill", name, tb.Entries())
+		}
+
+		// The slot's next tenant: another key, another port.
+		tb.Learn(key(1), ports[1], now)
+		fresh, before, _ := tb.Find(key(1), now)
+		if fresh.slot != stale.slot {
+			t.Fatalf("%s: fixture: the freed slot was not reused (slot %d, then %d)", name, stale.slot, fresh.slot)
+		}
+		later := now + lifetime/2
+		tb.RefreshAt(stale, later)
+		if after, ok := tb.Get(key(1), later); !ok || after != before {
+			t.Fatalf("%s: a stale Ref rewrote the slot's new tenant: %+v -> %+v (ok=%v)", name, before, after, ok)
+		}
+		// The live Ref still works, and the zero Ref never does.
+		tb.RefreshAt(Ref{}, later)
+		tb.RefreshAt(fresh, later)
+		if after, _ := tb.Get(key(1), later); after.Expires != later+lifetime {
+			t.Fatalf("%s: live Ref did not refresh: expires %v, want %v", name, after.Expires, later+lifetime)
+		}
+		checkAccounting(t, tb)
+	}
+
+	// A Ref to an entry whose port was flushed (the corpse still resident)
+	// must not resurrect it.
+	tb := New[K](time.Millisecond, lifetime, Config{Policy: policy}, nil)
+	tb.Learn(key(0), ports[0], 0)
+	r, _, _ := tb.Find(key(0), 0)
+	tb.FlushPort(ports[0])
+	tb.RefreshAt(r, time.Millisecond)
+	if _, ok := tb.Get(key(0), time.Millisecond); ok || tb.Len() != 0 {
+		t.Fatal("RefreshAt resurrected an entry behind a flushed port")
+	}
+}
+
+// TestHitPathDoesNotAllocate: the forwarding path's two table calls — one
+// probe plus a refresh by handle for the destination, a same-port learn
+// for the source — run allocation-free, tracked or not.
+func TestHitPathDoesNotAllocate(t *testing.T) {
+	ports := testPorts(1)
+	const n = 512
+	for _, bound := range []Config{{}, {Capacity: 2 * n, Policy: PolicyLRU}} {
+		tb := New[uint64](time.Millisecond, time.Hour, bound, JunkMAC)
+		for i := 0; i < n; i++ {
+			tb.Learn(macKey(i), ports[0], 0)
+		}
+		now, i := time.Duration(0), 0
+		if avg := testing.AllocsPerRun(1000, func() {
+			now += time.Microsecond
+			i++
+			r, _, ok := tb.Find(macKey(i%n), now)
+			if !ok {
+				t.Fatal("learned entry vanished")
+			}
+			tb.RefreshAt(r, now)
+		}); avg != 0 {
+			t.Fatalf("%+v: Find+RefreshAt allocates %.1f per hit", bound, avg)
+		}
+		if avg := testing.AllocsPerRun(1000, func() {
+			now += time.Microsecond
+			i++
+			tb.Learn(macKey(i%n), ports[0], now)
+		}); avg != 0 {
+			t.Fatalf("%+v: same-port Learn allocates %.1f per call", bound, avg)
+		}
 	}
 }

@@ -63,7 +63,7 @@ func ParsePolicy(s string) (Policy, error) {
 // Config bounds one table. The zero value is today's behaviour: unbounded,
 // timeout-only expiry.
 type Config struct {
-	// Capacity is the maximum number of map entries (live or corpse)
+	// Capacity is the maximum number of stored entries (live or corpse)
 	// before the table evicts. 0 means unbounded.
 	Capacity int
 	// Policy selects the victim order. Capacity > 0 requires LRU or

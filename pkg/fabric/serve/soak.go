@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -41,6 +42,14 @@ type SoakConfig struct {
 	// Out receives the soak summary.
 	Out io.Writer
 }
+
+// ErrSLOViolated is the soak verdict "the session was sound, the
+// priority-class p99 was over its ceiling". Soak wraps it only after every
+// other check passed and the daemon shut down cleanly, so a caller whose
+// subject is the session itself (live-vs-replay equality under wall-clock
+// op arrival, where one probe issued inside a fault window rides the
+// host's 1 s ARP retry) can tell it from a broken session with errors.Is.
+var ErrSLOViolated = errors.New("serve: priority SLO violated")
 
 // SoakResult is the outcome of a soak run.
 type SoakResult struct {
@@ -107,7 +116,8 @@ func (c *client) call(req Request) (Response, error) {
 // Soak connects to a live daemon, drives seeded churn for cfg.Duration of
 // virtual time, then drains the fabric, asserts the priority-class p99
 // SLO and shuts the daemon down. The returned error is non-nil on any
-// rejected op, a violated SLO, or a priority class with no samples.
+// rejected op, a priority class with no samples, leaked frames, or — last,
+// wrapping ErrSLOViolated, with the result still complete — a violated SLO.
 func Soak(cfg SoakConfig) (*SoakResult, error) {
 	out := cfg.Out
 	if out == nil {
@@ -247,11 +257,11 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if !ok || pri.Count == 0 {
 		return res, fmt.Errorf("serve: soak recorded no priority samples")
 	}
-	if pri.P99.D() > cfg.SLO {
-		return res, fmt.Errorf("serve: priority p99 %v violates SLO %v", pri.P99.D(), cfg.SLO)
-	}
 	if res.Stats.LiveFrames != 0 {
 		return res, fmt.Errorf("serve: %d frames still live after drain", res.Stats.LiveFrames)
+	}
+	if pri.P99.D() > cfg.SLO {
+		return res, fmt.Errorf("%w: p99 %v over %v", ErrSLOViolated, pri.P99.D(), cfg.SLO)
 	}
 	fmt.Fprintf(out, "soak: SLO met\n")
 	return res, nil
