@@ -1,9 +1,11 @@
 // Package bridge provides the chassis shared by every bridge protocol in
 // this repository (ARP-Path, 802.1D STP, plain learning). The chassis owns
 // the ports, gives the bridge a MAC identity, floods frames
-// deterministically, and — when enabled — runs the HELLO neighbour
-// discovery that lets ARP-Path bridges tell trunk (bridge-facing) ports
-// from edge (host-facing) ports without configuring hosts (DESIGN.md §2).
+// deterministically, builds the PathCtl frames a bridge originates, and —
+// when enabled — runs the HELLO neighbour discovery that lets ARP-Path
+// bridges tell trunk (bridge-facing) ports from edge (host-facing) ports
+// without configuring hosts (DESIGN.md §2). Repairs is the §2.1.4 repair
+// queue every All-Path bridge parks its table misses in (DESIGN.md §10).
 package bridge
 
 import (
@@ -163,10 +165,23 @@ func (c *Chassis) Start() {
 // link bounce re-sends HELLOs from both ends via PortStatusChanged, which
 // is the only way the *peer* learns anything happened (a one-sided burst
 // would be dropped by the bounce anyway). Protocol-level state loss is
-// the protocol's job — see core.Bridge.Restart, which calls this before
-// bouncing its links.
+// the protocol's job — see core.Bridge.Restart, which calls this and then
+// BounceLinks.
 func (c *Chassis) Restart() {
 	clear(c.peers)
+}
+
+// BounceLinks drops and restores carrier on every attached link that is
+// up: the second half of a power-cycle for the protocols that model one
+// (the All-Path bridges). It is not part of Restart because the learning
+// and STP baselines inherit Restart and must not start bouncing links.
+func (c *Chassis) BounceLinks() {
+	for _, p := range c.ports {
+		if l := p.Link(); l.Up() {
+			l.SetUp(false)
+			l.SetUp(true)
+		}
+	}
 }
 
 // IsTrunk reports whether p faces another bridge (a HELLO was seen since
@@ -223,17 +238,25 @@ func (c *Chassis) PortStatusChanged(p *netsim.Port, up bool) {
 	c.proto.OnPortStatus(p, up)
 }
 
-// sendHello emits one HELLO on p.
-func (c *Chassis) sendHello(p *netsim.Port) {
+// CtlFrame serializes one ARP-Path control frame from ethSrc to ethDst,
+// stamping this bridge's id into msg. Every PathCtl message a bridge
+// originates — HELLO, PathFail, PathRequest, PathReply — is built here.
+func (c *Chassis) CtlFrame(ethDst, ethSrc layers.MAC, msg layers.PathCtl) []byte {
+	msg.BridgeID = uint64(c.numID)
 	frame, err := layers.Serialize(
-		&layers.Ethernet{Dst: layers.PathCtlMulticast, Src: c.mac, EtherType: layers.EtherTypePathCtl},
-		&layers.PathCtl{Type: layers.PathCtlHello, BridgeID: uint64(c.numID)},
+		&layers.Ethernet{Dst: ethDst, Src: ethSrc, EtherType: layers.EtherTypePathCtl},
+		&msg,
 	)
 	if err != nil {
-		panic("bridge: cannot serialize HELLO: " + err.Error())
+		panic("bridge: serialize " + msg.Type.String() + ": " + err.Error())
 	}
+	return frame
+}
+
+// sendHello emits one HELLO on p.
+func (c *Chassis) sendHello(p *netsim.Port) {
 	c.stats.HellosSent++
-	p.Send(frame)
+	p.Send(c.CtlFrame(layers.PathCtlMulticast, c.mac, layers.PathCtl{Type: layers.PathCtlHello}))
 }
 
 // FloodExcept sends f on every up port except in (which may be nil to

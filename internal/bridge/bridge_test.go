@@ -279,7 +279,7 @@ func TestNeighborStateAcrossFlapAndRestart(t *testing.T) {
 	net.RunFor(time.Millisecond)
 	discovered("after link up")
 
-	// Restart forgets every port; the caller's link bounce rediscovers.
+	// Restart forgets every port; BounceLinks rediscovers.
 	net.Engine.At(net.Now(), func() { b1.Restart() })
 	net.RunFor(time.Millisecond)
 	for i, p := range b1.Ports() {
@@ -290,12 +290,7 @@ func TestNeighborStateAcrossFlapAndRestart(t *testing.T) {
 	if b1.SameNeighbor(p0, p1) {
 		t.Fatal("parallel trunks still one neighbour after Restart")
 	}
-	net.Engine.At(net.Now(), func() {
-		for _, p := range b1.Ports() {
-			p.Link().SetUp(false)
-			p.Link().SetUp(true)
-		}
-	})
+	net.Engine.At(net.Now(), func() { b1.BounceLinks() })
 	net.RunFor(time.Millisecond)
 	discovered("after restart bounce")
 }

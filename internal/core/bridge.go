@@ -6,15 +6,8 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/layers"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/tables"
 )
-
-// repairWheelTick is the granularity of the repair-timeout timer wheel.
-// Repair timers are armed per outstanding destination and almost always
-// canceled (the PathReply wins); the wheel makes arm/cancel allocation-
-// free at the cost of firing a timeout up to one tick late.
-const repairWheelTick = time.Millisecond
 
 // Config tunes an ARP-Path bridge. The zero value is not valid; use
 // DefaultConfig.
@@ -114,24 +107,13 @@ type Stats struct {
 	ProxyMisses    uint64 // requests that had to flood anyway
 }
 
-// repair tracks one outstanding PathRequest for a destination. Buffered
-// frames are retained (not copied) under the netsim ownership contract
-// and released when forwarded or dropped.
-type repair struct {
-	nonce    uint32
-	src      layers.MAC
-	buffered []*netsim.Frame
-	timer    sim.WheelTimer
-}
-
 // Bridge is an ARP-Path bridge. It is fully transparent: hosts run
 // unmodified ARP/IP stacks (§2.2 "zero configuration").
 type Bridge struct {
 	*bridge.Chassis
 	cfg     Config
 	table   *LockTable
-	repairs map[uint64]*repair // keyed by packed destination MAC
-	wheel   *sim.Wheel
+	repairs *bridge.Repairs[uint64] // keyed by packed destination MAC
 	proxy   *proxyCache
 	stats   Stats
 }
@@ -163,15 +145,15 @@ func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, pr
 		panic("core: " + err.Error())
 	}
 	b := &Bridge{
-		cfg:     cfg,
-		table:   NewBoundedLockTable(cfg.LockTimeout, cfg.LearnedTimeout, bound),
-		repairs: make(map[uint64]*repair),
+		cfg:   cfg,
+		table: NewBoundedLockTable(cfg.LockTimeout, cfg.LearnedTimeout, bound),
 	}
 	if proto == nil {
 		proto = b
 	}
 	b.Chassis = bridge.NewChassis(net, name, numID, proto)
 	b.HelloEnabled = true
+	b.repairs = bridge.NewRepairs[uint64](b.Chassis, cfg.RepairTimeout, cfg.RepairBuffer, &b.stats.RepairDropped)
 	if cfg.Proxy {
 		b.proxy = newProxyCache(cfg.ProxyTimeout)
 	}
@@ -186,17 +168,6 @@ func (b *Bridge) Table() *LockTable { return b.table }
 // view the harnesses count and sweep; index 0 is the table the capacity
 // bound applies to (variants put their pair or connection table there).
 func (b *Bridge) PathTables() []tables.View { return []tables.View{b.table} }
-
-// repairWheel returns the bridge's repair-timeout wheel, created on first
-// use: the wheel ticks under the bridge's scheduling identity, which is
-// only resolvable once the topology builder has registered the bridge
-// (and, in a sharded fabric, after partitioning bound it to its shard).
-func (b *Bridge) repairWheel() *sim.Wheel {
-	if b.wheel == nil {
-		b.wheel = sim.NewWheelOn(b.Sched(), repairWheelTick)
-	}
-	return b.wheel
-}
 
 // Stats returns a snapshot of the protocol counters.
 func (b *Bridge) Stats() Stats { return b.stats }
@@ -218,26 +189,13 @@ func (b *Bridge) OnStart() {}
 // alone. That recovery is exactly the property the scenario engine's
 // fault schedules probe. Must be called from the simulation goroutine.
 func (b *Bridge) Restart() {
-	for dst, r := range b.repairs {
-		b.repairWheel().Stop(r.timer)
-		b.stats.RepairDropped += uint64(len(r.buffered))
-		for _, f := range r.buffered {
-			f.Release()
-		}
-		r.buffered = nil
-		delete(b.repairs, dst)
-	}
+	b.repairs.Abandon()
 	b.table.Reset()
 	if b.proxy != nil {
 		b.proxy = newProxyCache(b.cfg.ProxyTimeout)
 	}
 	b.Chassis.Restart()
-	for _, p := range b.Ports() {
-		if l := p.Link(); l.Up() {
-			l.SetUp(false)
-			l.SetUp(true)
-		}
-	}
+	b.BounceLinks()
 }
 
 // OnPortStatus implements bridge.Protocol: a dead link invalidates every
@@ -263,24 +221,12 @@ func (b *Bridge) OnFrame(in *netsim.Port, f *netsim.Frame) {
 	b.handleUnicast(in, f, v)
 }
 
-// pathEstablishingBroadcast classifies broadcast frames that create or
-// refresh paths: ARP Requests and PathRequests (§2.1.3: "other multicast
-// and broadcast frames do not establish new paths").
-func pathEstablishingBroadcast(v *layers.FrameView) bool {
-	if v.HasARP {
-		return v.ARP.Operation == layers.ARPRequest
-	}
-	return v.HasCtl && v.Ctl.Type == layers.PathCtlRequest
-}
-
 // handleBroadcast implements §2.1.1's locking race and §2.1.3's loop-free
 // flooding.
 //
 //fabric:hotpath
 func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.FrameView) {
 	now := b.Now()
-	src := v.SrcKey
-	establishing := pathEstablishingBroadcast(v)
 
 	// A copy of our own PathRequest flood returning around a cycle is
 	// never new information: the originator stamps its BridgeID into the
@@ -294,39 +240,12 @@ func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.Fra
 		return
 	}
 
-	if e, ok := b.table.GetKey(src, now); ok {
-		switch {
-		case e.Port == in:
-			// Frames from the bound port pass. A fresh establishing frame
-			// restarts the race window on this port.
-			if establishing {
-				b.table.LockKey(src, in, now)
-			}
-		case e.Guarded(now):
-			// A slower copy of the flood (or a loop copy) inside the race
-			// window: discard (§2.1.1). This holds even after the reply
-			// confirmed the entry — the window outlives confirmation.
-			b.stats.BroadcastRaceDrop++
-			return
-		case establishing:
-			// Race window over, learned entry, new ARP/Path Request from
-			// another direction: start a new race. The first copy wins
-			// the lock (possibly moving the port — that is how paths can
-			// change between exchanges); its window filters duplicates.
-			b.table.LockKey(src, in, now)
-			b.stats.BroadcastLocked++
-		default:
-			// Non-establishing broadcast must still respect the
-			// first-port rule (§2.1.3).
-			b.stats.BroadcastRaceDrop++
-			return
-		}
-	} else {
-		// First copy from this source: lock it to the arrival port. The
-		// first-port rule applies to every broadcast (§2.1.3), but only
-		// path-establishing frames create new races afterwards.
-		b.table.LockKey(src, in, now)
+	switch b.table.Race(v.SrcKey, in, now, v.OpensPath()) {
+	case tables.RaceWon:
 		b.stats.BroadcastLocked++
+	case tables.RaceLost:
+		b.stats.BroadcastRaceDrop++
+		return
 	}
 
 	// ARP Proxy interception (before flooding).
@@ -348,15 +267,6 @@ func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.Fra
 	b.FloodExcept(in, f)
 }
 
-// pathEstablishingUnicast classifies unicasts that confirm a path: ARP
-// Replies and PathReplies (§2.1.2).
-func pathEstablishingUnicast(v *layers.FrameView) bool {
-	if v.HasARP {
-		return v.ARP.Operation == layers.ARPReply
-	}
-	return v.HasCtl && v.Ctl.Type == layers.PathCtlReply
-}
-
 // handleUnicast implements §2.1.2 (reply confirmation), §2.1.3 (path
 // forwarding) and the §2.1.4 repair trigger.
 //
@@ -364,7 +274,7 @@ func pathEstablishingUnicast(v *layers.FrameView) bool {
 func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.FrameView) {
 	now := b.Now()
 	src, dst := v.SrcKey, v.DstKey
-	establishing := pathEstablishingUnicast(v)
+	establishing := v.ConfirmsPath()
 
 	// PathFail is control traffic for the bridges themselves.
 	if v.EtherType == layers.EtherTypePathCtl && !establishing {
@@ -427,7 +337,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 
 	// A PathReply releases frames that were buffered awaiting this path.
 	if v.HasCtl && establishing {
-		b.completeRepair(src, in, now)
+		b.completeRepair(src, in)
 	}
 
 	// Destination side.
@@ -465,4 +375,4 @@ var _ bridge.Protocol = (*Bridge)(nil)
 var _ netsim.Node = (*Bridge)(nil)
 
 // PendingRepairs returns the number of outstanding repairs (tests).
-func (b *Bridge) PendingRepairs() int { return len(b.repairs) }
+func (b *Bridge) PendingRepairs() int { return b.repairs.Len() }

@@ -424,7 +424,7 @@ func TestRepairTimeoutDropsBufferedFrames(t *testing.T) {
 	if a.Stats().RepairDropped == 0 {
 		t.Fatal("buffered frame not dropped on repair timeout")
 	}
-	if len(a.repairs) != 0 {
+	if a.PendingRepairs() != 0 {
 		t.Fatal("repair state leaked")
 	}
 }

@@ -18,81 +18,41 @@ func (b *Bridge) startRepair(f *netsim.Frame, v *layers.FrameView, now time.Dura
 		b.stats.RepairDropped++
 		return false
 	}
-	src, dst := v.SrcKey, v.DstKey
-	r, pending := b.repairs[dst]
-	if !pending {
-		r = &repair{
-			nonce: b.Rand().Uint32(), // per-bridge stream: shard-independent
-			src:   v.Src,
-		}
-		b.repairs[dst] = r
-		b.stats.RepairsStarted++
-		r.timer = b.repairWheel().After(b.cfg.RepairTimeout, func() {
-			b.stats.RepairDropped += uint64(len(r.buffered))
-			for _, bf := range r.buffered {
-				bf.Release()
-			}
-			r.buffered = nil
-			delete(b.repairs, dst)
-		})
-		// Kick off the control exchange. On a transit bridge the frame
-		// arrived on the very port that leads back to src, so the
-		// PathFail goes out the ingress side; only src's edge bridge
-		// converts the failure into the PathRequest flood.
-		if e, ok := b.table.GetKey(src, now); ok {
-			if b.IsEdge(e.Port) {
-				// src hangs off this bridge: emulate its ARP Request.
-				b.originatePathRequest(v.Src, v.Dst, r.nonce)
-			} else {
-				// Report the failure toward src's edge bridge, tearing
-				// down stale dst entries en route.
-				b.sendPathFail(e.Port, v.Src, v.Dst, r.nonce)
-			}
-		} else {
-			// No route toward src at all: flood the request from here.
-			b.originatePathRequest(v.Src, v.Dst, r.nonce)
-		}
+	// Park first: the nonce is drawn and the timeout armed before any
+	// control frame leaves (bridge.Repairs has the ordering contract).
+	nonce, fresh := b.repairs.Park(v.DstKey, f)
+	if !fresh {
+		return false
 	}
-	if len(r.buffered) >= b.cfg.RepairBuffer {
-		b.stats.RepairDropped++
-		return !pending
+	b.stats.RepairsStarted++
+	// Kick off the control exchange. On a transit bridge the frame arrived
+	// on the very port that leads back to src, so the PathFail goes out
+	// the ingress side; only src's edge bridge converts the failure into
+	// the PathRequest flood.
+	if e, ok := b.table.GetKey(v.SrcKey, now); ok && !b.IsEdge(e.Port) {
+		// Report the failure toward src's edge bridge, tearing down stale
+		// dst entries en route.
+		b.sendPathFail(e.Port, v.Src, v.Dst, nonce)
+	} else {
+		// src hangs off this bridge, or there is no route toward src at
+		// all: emulate its ARP Request from here.
+		b.originatePathRequest(v.Src, v.Dst, nonce)
 	}
-	// Retain instead of copy: the buffered frame parks the pooled buffer
-	// until the repair resolves (the explicit-Retain half of the netsim
-	// ownership contract).
-	r.buffered = append(r.buffered, f.Retain())
-	return !pending
+	return true
 }
 
 // completeRepair releases frames buffered for the packed destination dst
 // now that a confirming reply has arrived via port out.
-func (b *Bridge) completeRepair(dst uint64, out *netsim.Port, _ time.Duration) {
-	r, ok := b.repairs[dst]
-	if !ok {
-		return
-	}
-	delete(b.repairs, dst)
-	b.repairWheel().Stop(r.timer)
-	for _, f := range r.buffered {
-		b.stats.RepairReleased++
-		b.stats.Forwarded++
-		out.SendFrame(f)
-		f.Release()
-	}
-	r.buffered = nil
+func (b *Bridge) completeRepair(dst uint64, out *netsim.Port) {
+	n := uint64(b.repairs.Release(dst, out))
+	b.stats.RepairReleased += n
+	b.stats.Forwarded += n
 }
 
 // sendPathFail emits a PathFail toward src out the given port.
 func (b *Bridge) sendPathFail(out *netsim.Port, src, dst layers.MAC, nonce uint32) {
-	frame, err := layers.Serialize(
-		&layers.Ethernet{Dst: src, Src: b.MAC(), EtherType: layers.EtherTypePathCtl},
-		&layers.PathCtl{Type: layers.PathCtlFail, BridgeID: uint64(b.NumID()), Src: src, Dst: dst, Nonce: nonce},
-	)
-	if err != nil {
-		panic("core: serialize PathFail: " + err.Error())
-	}
 	b.stats.PathFailsSent++
-	out.Send(frame)
+	out.Send(b.CtlFrame(src, b.MAC(), layers.PathCtl{Type: layers.PathCtlFail, Src: src, Dst: dst, Nonce: nonce}))
 }
 
 // handlePathFail processes a PathFail addressed toward Src: clear the
@@ -126,15 +86,9 @@ func (b *Bridge) handlePathFail(in *netsim.Port, f *netsim.Frame, v *layers.Fram
 // exactly like an ARP Request broadcast from src: every bridge re-locks
 // src's position, rebuilding the minimum-latency reverse path.
 func (b *Bridge) originatePathRequest(src, dst layers.MAC, nonce uint32) {
-	frame, err := layers.Serialize(
-		// The frame is sourced from src's own MAC so the locking race
-		// works unchanged; hosts never see it (bridges consume PathCtl).
-		&layers.Ethernet{Dst: layers.BroadcastMAC, Src: src, EtherType: layers.EtherTypePathCtl},
-		&layers.PathCtl{Type: layers.PathCtlRequest, BridgeID: uint64(b.NumID()), Src: src, Dst: dst, Nonce: nonce},
-	)
-	if err != nil {
-		panic("core: serialize PathRequest: " + err.Error())
-	}
+	// The frame is sourced from src's own MAC so the locking race works
+	// unchanged; hosts never see it (bridges consume PathCtl).
+	frame := b.CtlFrame(layers.BroadcastMAC, src, layers.PathCtl{Type: layers.PathCtlRequest, Src: src, Dst: dst, Nonce: nonce})
 	b.stats.PathRequestsSent++
 	now := b.Now()
 	// Re-arm the race window on src's current binding before flooding.
@@ -168,16 +122,9 @@ func (b *Bridge) answerPathRequest(in *netsim.Port, v *layers.FrameView, now tim
 	}
 	// The request just locked Src to the ingress port; reply along it in
 	// Dst's name, which confirms Dst's path at every bridge on the way.
-	reply, err := layers.Serialize(
-		&layers.Ethernet{Dst: ctl.Src, Src: ctl.Dst, EtherType: layers.EtherTypePathCtl},
-		&layers.PathCtl{Type: layers.PathCtlReply, BridgeID: uint64(b.NumID()), Src: ctl.Src, Dst: ctl.Dst, Nonce: ctl.Nonce},
-	)
-	if err != nil {
-		panic("core: serialize PathReply: " + err.Error())
-	}
 	b.stats.PathRepliesSent++
-	in.Send(reply)
+	in.Send(b.CtlFrame(ctl.Src, ctl.Dst, layers.PathCtl{Type: layers.PathCtlReply, Src: ctl.Src, Dst: ctl.Dst, Nonce: ctl.Nonce}))
 	// Also release any frames we were buffering for Dst ourselves.
-	b.completeRepair(ctl.Dst.Uint64(), e.Port, now)
+	b.completeRepair(ctl.Dst.Uint64(), e.Port)
 	return true
 }

@@ -101,7 +101,7 @@ func TestRestartReleasesBufferedRepairFrames(t *testing.T) {
 		sock.SendTo(h2.IP(), 5000, make([]byte, 100))
 	})
 	net.Engine.At(net.Now()+2*time.Millisecond, func() {
-		if len(b1.repairs) > 0 {
+		if b1.PendingRepairs() > 0 {
 			// A repair is pending with buffered frames; crash now.
 			b1.Restart()
 		}
@@ -110,7 +110,7 @@ func TestRestartReleasesBufferedRepairFrames(t *testing.T) {
 	if got := netsim.LiveFrames(); got != base {
 		t.Fatalf("live frames %d after drain, want baseline %d", got, base)
 	}
-	if n := len(b1.repairs); n != 0 {
+	if n := b1.PendingRepairs(); n != 0 {
 		t.Fatalf("%d repairs survived restart", n)
 	}
 }

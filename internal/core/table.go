@@ -6,6 +6,10 @@
 // broken paths with PathFail / PathRequest / PathReply control frames
 // (§2.1.4). The optional in-switch ARP Proxy (§2.2, EtherProxy [5])
 // suppresses redundant ARP floods.
+//
+// The mechanisms shared with the All-Path variants live below this
+// package — the first-port rule is tables.Table.Race, the repair buffer
+// bridge.Repairs; keying both by one MAC is what is ARP-Path's own.
 package core
 
 import (

@@ -7,12 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/layers"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/tables"
 )
-
-// repairWheelTick mirrors core's repair-timer granularity.
-const repairWheelTick = time.Millisecond
 
 // Config tunes a Flow-Path bridge. The zero value is not valid; use
 // DefaultConfig (the builder defaults field-wise via WithDefaults).
@@ -83,20 +79,13 @@ type Stats struct {
 	EdgeDelivered     uint64 // unicasts delivered off the durable edge host table
 	HairpinDrop       uint64
 	SrcPortDrop       uint64
-	MissDrop          uint64 // unicasts with no pair, no edge entry, buffered or dropped
+	MissDrop          uint64 // establishing replies dropped with nowhere to route them
 	RepairsStarted    uint64
 	RepairReleased    uint64
 	RepairDropped     uint64
 	PathRequestsSent  uint64
 	PathRepliesSent   uint64
 	EntriesPurged     uint64
-}
-
-// pairRepair tracks one outstanding pair PathRequest.
-type pairRepair struct {
-	nonce    uint32
-	buffered []*netsim.Frame
-	timer    sim.WheelTimer
 }
 
 // Bridge is a Flow-Path bridge: discovery floods race per source host
@@ -112,8 +101,7 @@ type Bridge struct {
 	cfg     Config
 	hosts   *core.LockTable // per-host: durable at edges, race-window elsewhere
 	pairs   *PairTable      // per directed pair: the forwarding state proper
-	repairs map[PairKey]*pairRepair
-	wheel   *sim.Wheel
+	repairs *bridge.Repairs[PairKey]
 	stats   Stats
 }
 
@@ -134,11 +122,11 @@ func New(net *netsim.Network, name string, numID int, cfg Config) *Bridge {
 		hosts: core.NewLockTable(cfg.LockTimeout, cfg.HostTimeout),
 		// Pair keys are packed MACs in both halves: the junk-key guard
 		// applies (multicast or zero halves never pin a slot).
-		pairs:   NewBoundedPairTable(cfg.LockTimeout, cfg.PairTimeout, bound, true),
-		repairs: make(map[PairKey]*pairRepair),
+		pairs: NewBoundedPairTable(cfg.LockTimeout, cfg.PairTimeout, bound, true),
 	}
 	b.Chassis = bridge.NewChassis(net, name, numID, b)
 	b.HelloEnabled = true
+	b.repairs = bridge.NewRepairs[PairKey](b.Chassis, cfg.RepairTimeout, cfg.RepairBuffer, &b.stats.RepairDropped)
 	return b
 }
 
@@ -171,16 +159,7 @@ func (b *Bridge) FlowNextHop(src, dst layers.MAC, now time.Duration) (*netsim.Po
 }
 
 // PendingRepairs returns the number of outstanding pair repairs (tests).
-func (b *Bridge) PendingRepairs() int { return len(b.repairs) }
-
-// repairWheel lazily creates the repair-timeout wheel (the scheduling
-// identity only resolves once the builder registered the bridge).
-func (b *Bridge) repairWheel() *sim.Wheel {
-	if b.wheel == nil {
-		b.wheel = sim.NewWheelOn(b.Sched(), repairWheelTick)
-	}
-	return b.wheel
-}
+func (b *Bridge) PendingRepairs() int { return b.repairs.Len() }
 
 // OnStart implements bridge.Protocol.
 func (b *Bridge) OnStart() {}
@@ -197,24 +176,11 @@ func (b *Bridge) OnPortStatus(p *netsim.Port, up bool) {
 // core.Bridge.Restart: repairs abandoned (buffered frames released),
 // tables emptied, chassis forgotten, every link bounced.
 func (b *Bridge) Restart() {
-	for k, r := range b.repairs {
-		b.repairWheel().Stop(r.timer)
-		b.stats.RepairDropped += uint64(len(r.buffered))
-		for _, f := range r.buffered {
-			f.Release()
-		}
-		r.buffered = nil
-		delete(b.repairs, k)
-	}
+	b.repairs.Abandon()
 	b.hosts.Reset()
 	b.pairs.Reset()
 	b.Chassis.Restart()
-	for _, p := range b.Ports() {
-		if l := p.Link(); l.Up() {
-			l.SetUp(false)
-			l.SetUp(true)
-		}
-	}
+	b.BounceLinks()
 }
 
 // OnFrame implements bridge.Protocol.
@@ -229,36 +195,18 @@ func (b *Bridge) OnFrame(in *netsim.Port, f *netsim.Frame) {
 	b.handleUnicast(in, f, v)
 }
 
-// pathEstablishingBroadcast mirrors core: ARP Requests and PathRequests
-// create or refresh discovery state.
-func pathEstablishingBroadcast(v *layers.FrameView) bool {
-	if v.HasARP {
-		return v.ARP.Operation == layers.ARPRequest
-	}
-	return v.HasCtl && v.Ctl.Type == layers.PathCtlRequest
-}
-
-// pathEstablishingUnicast mirrors core: ARP Replies and PathReplies
-// confirm a path.
-func pathEstablishingUnicast(v *layers.FrameView) bool {
-	if v.HasARP {
-		return v.ARP.Operation == layers.ARPReply
-	}
-	return v.HasCtl && v.Ctl.Type == layers.PathCtlReply
-}
-
-// handleBroadcast is ARP-Path's §2.1.1/§2.1.3 discovery race, reused
-// verbatim at the per-source level: flood loop-freedom and reply routing
-// both need the first-port rule on the flood's source whatever keys the
-// confirmed state. The one Flow-Path refinement: a broadcast arriving on
-// an edge port learns the attached station durably, so this bridge can
-// answer future PathRequests for it (the study's edge host table).
+// handleBroadcast is ARP-Path's §2.1.1/§2.1.3 discovery race — the same
+// Table.Race call core makes — at the per-source level: flood
+// loop-freedom and reply routing both need the first-port rule on the
+// flood's source whatever keys the confirmed state. The one Flow-Path
+// refinement: a broadcast arriving on an edge port learns the attached
+// station durably, so this bridge can answer future PathRequests for it
+// (the study's edge host table).
 //
 //fabric:hotpath
 func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.FrameView) {
 	now := b.Now()
 	src := v.SrcKey
-	establishing := pathEstablishingBroadcast(v)
 
 	// Own returning PathRequest flood: statelessly dead (core's rule).
 	if v.HasCtl && v.Ctl.Type == layers.PathCtlRequest && v.Ctl.BridgeID == uint64(b.NumID()) {
@@ -266,25 +214,12 @@ func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.Fra
 		return
 	}
 
-	if e, ok := b.hosts.GetKey(src, now); ok {
-		switch {
-		case e.Port == in:
-			if establishing {
-				b.hosts.LockKey(src, in, now)
-			}
-		case e.Guarded(now):
-			b.stats.BroadcastRaceDrop++
-			return
-		case establishing:
-			b.hosts.LockKey(src, in, now)
-			b.stats.BroadcastLocked++
-		default:
-			b.stats.BroadcastRaceDrop++
-			return
-		}
-	} else {
-		b.hosts.LockKey(src, in, now)
+	switch b.hosts.Race(src, in, now, v.OpensPath()) {
+	case tables.RaceWon:
 		b.stats.BroadcastLocked++
+	case tables.RaceLost:
+		b.stats.BroadcastRaceDrop++
+		return
 	}
 	if b.IsEdge(in) {
 		// Our own attached station: keep it past the race window (the
@@ -310,7 +245,7 @@ func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.Fra
 func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.FrameView) {
 	now := b.Now()
 	src, dst := v.SrcKey, v.DstKey
-	establishing := pathEstablishingUnicast(v)
+	establishing := v.ConfirmsPath()
 
 	// Flow-Path has no PathFail walk (repair always floods from the miss
 	// bridge); a stray one is consumed, not forwarded.
@@ -402,7 +337,7 @@ func (b *Bridge) confirmPair(in *netsim.Port, f *netsim.Frame, v *layers.FrameVi
 	b.pairs.Learn(pairOf(src, dst), out, now)
 	b.stats.PairsConfirmed++
 	// Release anything buffered for S→D now that the path exists.
-	b.completeRepair(pairOf(dst, src), in, now)
+	b.completeRepair(pairOf(dst, src), in)
 	b.stats.Forwarded++
 	out.SendFrame(f)
 }
@@ -412,62 +347,31 @@ func (b *Bridge) confirmPair(in *netsim.Port, f *netsim.Frame, v *layers.FrameVi
 // request always floods from the miss bridge, sourced from the flow's
 // source MAC so the per-source race relocks reply routing fabric-wide.
 func (b *Bridge) startRepair(f *netsim.Frame, v *layers.FrameView, now time.Duration) {
-	pk := pairOf(v.SrcKey, v.DstKey)
-	r, pending := b.repairs[pk]
-	if !pending {
-		r = &pairRepair{nonce: b.Rand().Uint32()}
-		b.repairs[pk] = r
-		b.stats.RepairsStarted++
-		r.timer = b.repairWheel().After(b.cfg.RepairTimeout, func() {
-			b.stats.RepairDropped += uint64(len(r.buffered))
-			for _, bf := range r.buffered {
-				bf.Release()
-			}
-			r.buffered = nil
-			delete(b.repairs, pk)
-		})
-		frame, err := layers.Serialize(
-			// Sourced from the flow's source so the locking race works
-			// unchanged; hosts never see it (bridges consume PathCtl).
-			&layers.Ethernet{Dst: layers.BroadcastMAC, Src: v.Src, EtherType: layers.EtherTypePathCtl},
-			&layers.PathCtl{Type: layers.PathCtlRequest, BridgeID: uint64(b.NumID()), Src: v.Src, Dst: v.Dst, Nonce: r.nonce},
-		)
-		if err != nil {
-			panic("flowpath: serialize PathRequest: " + err.Error())
-		}
-		b.stats.PathRequestsSent++
-		var except *netsim.Port
-		if e, ok := b.hosts.GetKey(v.SrcKey, now); ok {
-			// Guard the source's binding so our own returning flood
-			// cannot steal it (core.originatePathRequest's rule).
-			b.hosts.GuardKey(v.SrcKey, now)
-			except = e.Port
-		}
-		b.stats.BroadcastRelayed++
-		b.FloodBytesExcept(except, frame)
-	}
-	if len(r.buffered) >= b.cfg.RepairBuffer {
-		b.stats.RepairDropped++
+	nonce, fresh := b.repairs.Park(pairOf(v.SrcKey, v.DstKey), f)
+	if !fresh {
 		return
 	}
-	r.buffered = append(r.buffered, f.Retain())
+	b.stats.RepairsStarted++
+	// Sourced from the flow's source so the locking race works unchanged;
+	// hosts never see it (bridges consume PathCtl).
+	frame := b.CtlFrame(layers.BroadcastMAC, v.Src, layers.PathCtl{Type: layers.PathCtlRequest, Src: v.Src, Dst: v.Dst, Nonce: nonce})
+	b.stats.PathRequestsSent++
+	var except *netsim.Port
+	if e, ok := b.hosts.GetKey(v.SrcKey, now); ok {
+		// Guard the source's binding so our own returning flood cannot
+		// steal it (core.originatePathRequest's rule).
+		b.hosts.GuardKey(v.SrcKey, now)
+		except = e.Port
+	}
+	b.stats.BroadcastRelayed++
+	b.FloodBytesExcept(except, frame)
 }
 
 // completeRepair releases frames buffered for pk out the confirmed port.
-func (b *Bridge) completeRepair(pk PairKey, out *netsim.Port, _ time.Duration) {
-	r, ok := b.repairs[pk]
-	if !ok {
-		return
-	}
-	delete(b.repairs, pk)
-	b.repairWheel().Stop(r.timer)
-	for _, f := range r.buffered {
-		b.stats.RepairReleased++
-		b.stats.Forwarded++
-		out.SendFrame(f)
-		f.Release()
-	}
-	r.buffered = nil
+func (b *Bridge) completeRepair(pk PairKey, out *netsim.Port) {
+	n := uint64(b.repairs.Release(pk, out))
+	b.stats.RepairReleased += n
+	b.stats.Forwarded += n
 }
 
 // answerPathRequest replies to a pair PathRequest when the requested
@@ -483,13 +387,6 @@ func (b *Bridge) answerPathRequest(in *netsim.Port, v *layers.FrameView, now tim
 	if !ok || !b.IsEdge(e.Port) || e.Port == in {
 		return false
 	}
-	reply, err := layers.Serialize(
-		&layers.Ethernet{Dst: ctl.Src, Src: ctl.Dst, EtherType: layers.EtherTypePathCtl},
-		&layers.PathCtl{Type: layers.PathCtlReply, BridgeID: uint64(b.NumID()), Src: ctl.Src, Dst: ctl.Dst, Nonce: ctl.Nonce},
-	)
-	if err != nil {
-		panic("flowpath: serialize PathReply: " + err.Error())
-	}
 	b.stats.PathRepliesSent++
 	// The request just locked Src to the ingress; the reply will retrace
 	// it, confirming the pair at every hop. The terminal hops are ours:
@@ -497,9 +394,9 @@ func (b *Bridge) answerPathRequest(in *netsim.Port, v *layers.FrameView, now tim
 	// path (Src→Dst out the edge port, Dst→Src back out the ingress).
 	b.pairs.Learn(pairOf(ctl.Src.Uint64(), ctl.Dst.Uint64()), e.Port, now)
 	b.pairs.Learn(pairOf(ctl.Dst.Uint64(), ctl.Src.Uint64()), in, now)
-	in.Send(reply)
+	in.Send(b.CtlFrame(ctl.Src, ctl.Dst, layers.PathCtl{Type: layers.PathCtlReply, Src: ctl.Src, Dst: ctl.Dst, Nonce: ctl.Nonce}))
 	// Release anything we were buffering for the pair ourselves.
-	b.completeRepair(pairOf(ctl.Src.Uint64(), ctl.Dst.Uint64()), e.Port, now)
+	b.completeRepair(pairOf(ctl.Src.Uint64(), ctl.Dst.Uint64()), e.Port)
 	return true
 }
 

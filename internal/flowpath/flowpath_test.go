@@ -170,3 +170,47 @@ func TestFlowPathRepairsWarmConversation(t *testing.T) {
 		t.Fatal("conversation recovered without any pair repair — test is not exercising the machinery")
 	}
 }
+
+// TestFlowPathRestartReleasesBufferedRepairFrames is core's
+// TestRestartReleasesBufferedRepairFrames for the pair-keyed queue: a
+// frame parked awaiting a pair repair is released when the bridge crashes
+// mid-repair, so a drained network holds no frames. Both bridges of the
+// line H1—S1—S2—H2 are blanked first, so nobody can answer the
+// PathRequest and the repair is still pending when S1 goes down again.
+func TestFlowPathRestartReleasesBufferedRepairFrames(t *testing.T) {
+	net := topo.Line(topo.DefaultOptions(ProtoFlowPath, 1), 2)
+	base := net.LiveFrames()
+	if pingOK(t, net, "H1", "H2", 1, 10*time.Millisecond) != 1 {
+		t.Fatal("warmup ping failed")
+	}
+	b1, b2 := net.Bridge("S1").(*Bridge), net.Bridge("S2").(*Bridge)
+	h1, h2 := net.Host("H1"), net.Host("H2")
+
+	net.Engine.At(net.Now(), func() {
+		b1.Restart()
+		b2.Restart()
+	})
+	sock := h1.UDP(5000, nil)
+	net.Engine.At(net.Now()+time.Millisecond, func() {
+		sock.SendTo(h2.IP(), 5000, make([]byte, 100))
+	})
+	net.Engine.At(net.Now()+2*time.Millisecond, func() {
+		if n := b1.PendingRepairs(); n != 1 {
+			t.Errorf("%d repairs pending at the second restart, want 1", n)
+		}
+		b1.Restart()
+		// The restart itself, not the repair timeout half a second later,
+		// is what must let go of the frame.
+		if s := b1.Stats(); b1.PendingRepairs() != 0 || s.RepairsStarted != 1 || s.RepairDropped != 1 {
+			t.Errorf("right after restart: %d pending, started/dropped = %d/%d; want 0, 1/1",
+				b1.PendingRepairs(), s.RepairsStarted, s.RepairDropped)
+		}
+	})
+	net.Run()
+	if got := net.LiveFrames(); got != base {
+		t.Fatalf("live frames %d after drain, want baseline %d", got, base)
+	}
+	if s := b1.Stats(); s.RepairDropped != 1 || s.RepairReleased != 0 {
+		t.Fatalf("after drain: dropped/released = %d/%d, want 1/0", s.RepairDropped, s.RepairReleased)
+	}
+}

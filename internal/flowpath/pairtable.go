@@ -12,6 +12,10 @@
 // ("flowpath", "tcppath") with no switch anywhere — which is exactly the
 // out-of-tree shape the registry exists for. See DESIGN.md §10 for the
 // semantics and the table-size trade-off the allpath experiment measures.
+//
+// Neither restates the family's mechanisms: discovery is tables.Table.Race
+// on the variant's key (the flood's source MAC, the reverse connection
+// key) and pair repair parks its frames in a bridge.Repairs[PairKey].
 package flowpath
 
 import (

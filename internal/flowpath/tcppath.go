@@ -201,21 +201,12 @@ func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 // path the SYN|ACK will retrace) to its arrival port, duplicates are
 // filtered, and the flood terminates at the destination's edge bridge.
 func (t *TCPPath) handleSYN(in *netsim.Port, f *netsim.Frame, v *layers.FrameView, k PairKey, now time.Duration) {
-	rk := reverseKey(k)
-	if e, ok := t.conns.Get(rk, now); ok {
-		switch {
-		case e.Port == in:
-			// Same port: a retransmitted opener — restart the race.
-			t.conns.Lock(rk, in, now)
-		case e.Guarded(now):
-			// A slower flood copy: discard (§2.1.1 on the connection).
-			t.stats.SynRaceDrops++
-			return
-		default:
-			t.conns.Lock(rk, in, now)
-		}
-	} else {
-		t.conns.Lock(rk, in, now)
+	// A SYN always opens a race: a retransmitted opener on the bound port
+	// restarts the window, a copy from elsewhere outside it relocks.
+	if t.conns.Race(reverseKey(k), in, now, true) == tables.RaceLost {
+		// A slower flood copy: discard (§2.1.1 on the connection).
+		t.stats.SynRaceDrops++
+		return
 	}
 
 	// The embedded ARP-Path table knows the destination from the ARP

@@ -102,3 +102,23 @@ func (v *FrameView) IsHello() bool {
 func (v *FrameView) IsTCPSYN() bool {
 	return v.HasTCP && v.TCPFlags&TCPFlagSYN != 0 && v.TCPFlags&TCPFlagACK == 0
 }
+
+// OpensPath reports whether the frame is one whose flood creates or
+// refreshes paths: an ARP Request or a PathRequest (§2.1.3: "other
+// multicast and broadcast frames do not establish new paths").
+func (v *FrameView) OpensPath() bool {
+	if v.HasARP {
+		return v.ARP.Operation == ARPRequest
+	}
+	return v.HasCtl && v.Ctl.Type == PathCtlRequest
+}
+
+// ConfirmsPath reports whether the frame is a unicast that confirms a
+// path as it retraces the winning flood copy: an ARP Reply or a PathReply
+// (§2.1.2).
+func (v *FrameView) ConfirmsPath() bool {
+	if v.HasARP {
+		return v.ARP.Operation == ARPReply
+	}
+	return v.HasCtl && v.Ctl.Type == PathCtlReply
+}

@@ -124,6 +124,30 @@ func (m *model[K]) learn(k K, p *netsim.Port, now time.Duration) {
 	m.write(k, Entry{Port: p, State: StateLearned, Expires: now + m.learnedTimeout}, now)
 }
 
+// race is the first-port rule spelled arm by arm, the way the bridges'
+// broadcast handlers carried it before Table.Race.
+func (m *model[K]) race(k K, in *netsim.Port, now time.Duration, establishing bool) Verdict {
+	_, e, ok := m.find(k, now)
+	if !ok {
+		m.lock(k, in, now)
+		return RaceWon
+	}
+	if e.Port == in {
+		if establishing {
+			m.lock(k, in, now)
+		}
+		return RacePass
+	}
+	if e.Guarded(now) {
+		return RaceLost
+	}
+	if establishing {
+		m.lock(k, in, now)
+		return RaceWon
+	}
+	return RaceLost
+}
+
 // live returns k's entry if it is valid at now, removing it otherwise.
 func (m *model[K]) live(k K, now time.Duration) (modelEntry, bool) {
 	e, ok := m.entries[k]
@@ -303,9 +327,14 @@ func differential[K comparable](t *testing.T, policy Policy, key func(int) K) {
 			case op < 55:
 				tb.Refresh(k, now)
 				m.refresh(k, now)
-			case op < 70:
+			case op < 63:
 				tb.Lock(k, p, now)
 				m.lock(k, p, now)
+			case op < 70:
+				establishing := rng.Intn(2) == 0
+				if got, want := tb.Race(k, p, now, establishing), m.race(k, p, now, establishing); got != want {
+					t.Fatalf("step %d: Race = %d, model %d", step, got, want)
+				}
 			case op < 85:
 				tb.Learn(k, p, now)
 				m.learn(k, p, now)

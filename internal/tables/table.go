@@ -360,6 +360,58 @@ func (t *Table[K]) Lock(key K, port *netsim.Port, now time.Duration) {
 	}, now)
 }
 
+// Verdict is how one flood copy fared in the discovery race.
+type Verdict uint8
+
+// Race verdicts.
+const (
+	RacePass Verdict = iota // arrived on the bound port: passes, nothing decided
+	RaceWon                 // first copy: key is now locked to its ingress port
+	RaceLost                // slower or looping copy: discard, binding untouched
+)
+
+// Race is the first-port rule (§2.1.1, §2.1.3), the one decision every
+// All-Path variant takes on a flooded frame whatever its entries are keyed
+// by: the first copy to arrive locks key to its ingress port and later
+// copies on other ports are discarded. establishing says whether the frame
+// may open a new race (ARP Request, PathRequest, TCP SYN; §2.1.3: "other
+// multicast and broadcast frames do not establish new paths"). One Get and
+// at most one Lock: the recency tracker sees exactly those.
+//
+//fabric:hotpath
+func (t *Table[K]) Race(key K, in *netsim.Port, now time.Duration, establishing bool) Verdict {
+	e, ok := t.Get(key, now)
+	switch {
+	case !ok:
+		// First copy from this key. The first-port rule applies to every
+		// broadcast; only later races need an establishing frame.
+		t.Lock(key, in, now)
+		return RaceWon
+	case e.Port == in:
+		// Frames from the bound port pass. A fresh establishing frame
+		// restarts the race window on this port.
+		if establishing {
+			t.Lock(key, in, now)
+		}
+		return RacePass
+	case e.Guarded(now):
+		// A slower copy of the flood (or a loop copy) inside the race
+		// window: discard. This holds even after the reply confirmed the
+		// entry — the window outlives confirmation.
+		return RaceLost
+	case establishing:
+		// Window over, new request from another direction: a new race. The
+		// first copy wins the lock (possibly moving the port — that is how
+		// paths change between exchanges); its window filters duplicates.
+		t.Lock(key, in, now)
+		return RaceWon
+	default:
+		// A non-establishing broadcast must still respect the first-port
+		// rule.
+		return RaceLost
+	}
+}
+
 // Learn binds key to port in the learned state (path confirmed). A
 // confirmation on the entry's existing port preserves the remaining race
 // window so late flood copies stay filtered — and, when that entry is

@@ -413,3 +413,60 @@ func TestHitPathDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestRaceTruthTable pins the first-port rule row by row: what the entry
+// for the key looks like when a flood copy arrives on port A × whether the
+// frame may open a race → the verdict and the entry left behind.
+func TestRaceTruthTable(t *testing.T) {
+	matrix(t, raceTruthTable[uint64], raceTruthTable[key128])
+}
+
+func raceTruthTable[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const (
+		lock    = 10 * time.Millisecond
+		learned = time.Second
+		now     = time.Millisecond // the copy arrives inside a window opened at 0
+	)
+	ports := testPorts(2)
+	a, b := ports[0], ports[1]
+	k := key(7)
+	absent := func(*Table[K]) {}
+	learnedOn := func(p *netsim.Port) func(*Table[K]) {
+		return func(tb *Table[K]) { tb.Learn(k, p, 0) } // confirmed, window long over
+	}
+	confirmedInWindow := func(tb *Table[K]) { // the reply came back before the window closed
+		tb.Lock(k, b, 0)
+		tb.Learn(k, b, 0)
+	}
+	rows := []struct {
+		name         string
+		setup        func(*Table[K])
+		establishing bool
+		verdict      Verdict
+		port         *netsim.Port
+		state        State
+		lockedUntil  time.Duration
+	}{
+		{"absent/establishing", absent, true, RaceWon, a, StateLocked, now + lock},
+		{"absent/other", absent, false, RaceWon, a, StateLocked, now + lock},
+		{"same-port/establishing", learnedOn(a), true, RacePass, a, StateLocked, now + lock},
+		{"same-port/other", learnedOn(a), false, RacePass, a, StateLearned, 0},
+		{"other-port-guarded/establishing", confirmedInWindow, true, RaceLost, b, StateLearned, lock},
+		{"other-port-guarded/other", confirmedInWindow, false, RaceLost, b, StateLearned, lock},
+		{"other-port-unguarded/establishing", learnedOn(b), true, RaceWon, a, StateLocked, now + lock},
+		{"other-port-unguarded/other", learnedOn(b), false, RaceLost, b, StateLearned, 0},
+	}
+	for _, r := range rows {
+		tb := New[K](lock, learned, Config{Capacity: 4, Policy: policy}, nil)
+		r.setup(tb)
+		if got := tb.Race(k, a, now, r.establishing); got != r.verdict {
+			t.Errorf("%s: verdict %d, want %d", r.name, got, r.verdict)
+		}
+		e, ok := tb.Get(k, now)
+		if !ok || e.Port != r.port || e.State != r.state || e.LockedUntil != r.lockedUntil {
+			t.Errorf("%s: entry (%v, %v, until %v, ok %v), want (%v, %v, until %v)", r.name,
+				e.Port, e.State, e.LockedUntil, ok, r.port, r.state, r.lockedUntil)
+		}
+		checkAccounting(t, tb)
+	}
+}

@@ -9,8 +9,10 @@ import (
 // TestSpecSmoke is the spec-path determinism gate: every cmd runs against
 // its golden spec fixture (examples/specs/<cmd>.json) and must reproduce
 // its committed golden output byte for byte — trace fingerprint line
-// included. Same seed ⇒ same fingerprint, now across the Spec path too;
-// CI runs the same check as a dedicated job.
+// included. Same seed ⇒ same fingerprint, now across the Spec path too —
+// and, for fabricbench, at -shards 4 as well: the fingerprint may not move
+// with the shard count. This test is the goldens' one gate; CI reaches it
+// through `go test ./...`.
 //
 // Regenerate a golden after an intentional behavior change with e.g.
 //
@@ -22,9 +24,11 @@ func TestSpecSmoke(t *testing.T) {
 	cases := []struct {
 		cmd  string
 		spec string // fixture basename; defaults to the cmd name
+		name string // subtest name; defaults to the fixture basename
 		args []string
 	}{
 		{cmd: "fabricbench"},
+		{cmd: "fabricbench", name: "fabricbench-shards4", args: []string{"-shards", "4"}},
 		{cmd: "scenario", args: []string{"-j", "2"}},
 		{cmd: "arppath-sim"},
 		{cmd: "arpvstp"},
@@ -39,7 +43,10 @@ func TestSpecSmoke(t *testing.T) {
 		if c.spec == "" {
 			c.spec = c.cmd
 		}
-		t.Run(c.spec, func(t *testing.T) {
+		if c.name == "" {
+			c.name = c.spec
+		}
+		t.Run(c.name, func(t *testing.T) {
 			golden, err := os.ReadFile("examples/specs/" + c.spec + ".golden")
 			if err != nil {
 				t.Fatal(err)
