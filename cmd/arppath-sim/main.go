@@ -2,15 +2,19 @@
 // topology, a bridging protocol and a workload, and it prints what
 // happened. The -trace flag streams a tcpdump-style view of every frame.
 // It is a thin shell over pkg/fabric: flags compile into a fabric.Spec,
-// or -spec loads one and explicitly set flags override it.
+// or -spec loads one and explicitly set flags override it. The workload
+// is any kind the Runner knows, so the paper's two demos run here too:
+// -workload figure2-demo (Figure 2, ARP-Path vs STP latency) and
+// -workload path-repair (Figure 3, streaming across link failures), or
+// their tuned fixtures examples/specs/{arpvstp,pathrepair}.json.
 //
 // Usage:
 //
 //	arppath-sim [-spec FILE]
 //	            [-topo figure1|figure2|line|ring|grid|fattree|random]
 //	            [-bridge arppath|stp|learning|flowpath|tcppath]
-//	            [-workload ping|stream|allpairs|matrix]
-//	            [-n N] [-seed N] [-trace] [-proxy]
+//	            [-workload ping|stream|allpairs|matrix|figure2-demo|path-repair]
+//	            [-n N] [-seed N] [-trace] [-proxy] [-csv] [-graphs]
 package main
 
 import (
@@ -26,11 +30,13 @@ func main() {
 	specPath := flag.String("spec", "", "run the spec file (explicitly set flags override it)")
 	topoName := flag.String("topo", "figure2", "topology: figure1, figure2, line, ring, grid, fattree, random")
 	bridgeProto := flag.String("bridge", "arppath", "bridging protocol: arppath, stp, learning, flowpath, tcppath")
-	workload := flag.String("workload", "ping", "workload: ping, stream, allpairs, matrix")
+	workload := flag.String("workload", "ping", "workload: ping, stream, allpairs, matrix, figure2-demo, path-repair")
 	n := flag.Int("n", 4, "topology size parameter (bridges, ring size, fat-tree k, ...)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	traceFlag := flag.Bool("trace", false, "stream every frame event to stderr")
 	proxy := flag.Bool("proxy", false, "enable the in-switch ARP proxy (arppath only)")
+	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
+	graphs := flag.Bool("graphs", true, "render the figure2-demo per-scenario latency graphs")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "arppath-sim: unexpected arguments")
@@ -72,14 +78,7 @@ func main() {
 		}
 	}
 
-	switch spec.Workload.Kind {
-	case "ping", "stream", "allpairs", "matrix":
-	default:
-		fmt.Fprintf(os.Stderr, "arppath-sim: unknown workload %q\n", spec.Workload.Kind)
-		os.Exit(2)
-	}
-
-	runner := fabric.Runner{Spec: spec}
+	runner := fabric.Runner{Spec: spec, CSV: *csv, Graphs: *graphs}
 	if *traceFlag {
 		runner.TraceTo = os.Stderr
 	}

@@ -1,6 +1,6 @@
 // Command fabricvet runs the fabric's static-analysis suite
-// (internal/analysis: determinism, frameownership, hotpath, strictspec
-// — see DESIGN.md §14).
+// (internal/analysis: determinism, frameownership, hotpath — see
+// DESIGN.md §14).
 //
 // Two modes share the analyzers:
 //
@@ -33,7 +33,7 @@ import (
 
 // version keys cmd/go's vet action cache. Bump when analyzer behavior
 // changes, or cached clean verdicts from the previous binary survive.
-const version = "v1"
+const version = "v2"
 
 func main() {
 	log := func(err error) {

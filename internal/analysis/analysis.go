@@ -1,10 +1,11 @@
-// Package analysis is the fabric's static-analysis suite: four analyzers
+// Package analysis is the fabric's static-analysis suite: three analyzers
 // that machine-check the contracts the rest of the repository only
 // enforces at runtime — determinism of trace-affecting code (DESIGN.md
-// §6), the pooled-frame borrow/Retain ownership contract (§3), the
-// zero-allocation hot-path budget (§11), and the strict Spec codec rule
-// for registry extensions (§9). See DESIGN.md §14 for each analyzer's
-// exact contract and the suppression-comment grammar.
+// §6), the pooled-frame borrow/Retain ownership contract (§3) and the
+// zero-allocation hot-path budget (§11). See DESIGN.md §14 for each
+// analyzer's exact contract and the suppression-comment grammar. (The
+// strict Spec codec rule for registry extensions, §9, needs no analyzer:
+// topo.Register owns the one decode and checks the config type itself.)
 //
 // The package deliberately reimplements the small slice of the
 // golang.org/x/tools/go/analysis surface it needs (Analyzer, Pass,
@@ -126,7 +127,6 @@ func All() []*Analyzer {
 		DeterminismAnalyzer,
 		FrameOwnershipAnalyzer,
 		HotPathAnalyzer,
-		StrictSpecAnalyzer,
 	}
 }
 
@@ -154,32 +154,6 @@ func isPkgFunc(obj types.Object, pkgPath, name string) bool {
 		return false
 	}
 	return obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// pkgBaseOf returns the last path element of obj's defining package.
-func pkgBaseOf(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	path := obj.Pkg().Path()
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
-// namedOrNil unwraps t to its *types.Named core, looking through
-// pointers and aliases.
-func namedOrNil(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	n, _ := t.(*types.Named)
-	return n
 }
 
 // isFramePtr reports whether t is *Frame from a package whose base name

@@ -25,10 +25,6 @@ func TestHotPath(t *testing.T) {
 	analysistest.Run(t, "hotpath", analysis.HotPathAnalyzer)
 }
 
-func TestStrictSpec(t *testing.T) {
-	analysistest.Run(t, "strictspec", analysis.StrictSpecAnalyzer)
-}
-
 // A suppression without a justification reports the comment itself and
 // swallows the underlying diagnostic: one finding, not two.
 func TestMalformedSuppression(t *testing.T) {

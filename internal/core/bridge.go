@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/bridge"
@@ -10,47 +11,48 @@ import (
 )
 
 // Config tunes an ARP-Path bridge. The zero value is not valid; use
-// DefaultConfig.
+// DefaultConfig. The struct is also the protocol's spec-file form: the
+// json tags are the wire names (topo.Register decodes into it directly).
 type Config struct {
 	// LockTimeout is the race window: how long a locked entry filters
 	// duplicate flood copies and may carry the returning reply. It must
 	// exceed the network's flood traversal time.
-	LockTimeout time.Duration
+	LockTimeout layers.Duration `json:"lock_timeout,omitempty"`
 	// LearnedTimeout is the lifetime of confirmed path entries; traffic
 	// refreshes it.
-	LearnedTimeout time.Duration
+	LearnedTimeout layers.Duration `json:"learned_timeout,omitempty"`
 	// RepairTimeout bounds how long frames buffer while a PathRequest is
 	// outstanding before they are dropped.
-	RepairTimeout time.Duration
+	RepairTimeout layers.Duration `json:"repair_timeout,omitempty"`
 	// RepairBuffer is the maximum number of frames buffered per unknown
 	// destination during repair.
-	RepairBuffer int
+	RepairBuffer int `json:"repair_buffer,omitempty"`
 	// Proxy enables the in-switch ARP Proxy (§2.2, EtherProxy [5]).
-	Proxy bool
+	Proxy bool `json:"proxy,omitempty"`
 	// ProxyTimeout is the proxy cache lifetime for snooped IP→MAC
 	// bindings.
-	ProxyTimeout time.Duration
+	ProxyTimeout layers.Duration `json:"proxy_timeout,omitempty"`
 	// DisableRepair turns §2.1.4 off entirely: unicast table misses are
 	// silently dropped. Exists only for the repair ablation (T4), which
 	// shows the dataplane blackholes without it.
-	DisableRepair bool
+	DisableRepair bool `json:"disable_repair,omitempty"`
 	// TableCapacity bounds the locking table's entry count (0 =
 	// unbounded). A bound requires TablePolicy. See DESIGN.md §12.
-	TableCapacity int
+	TableCapacity int `json:"table_capacity,omitempty"`
 	// TablePolicy selects the eviction policy for a bounded table:
 	// "lru" or "clock" ("" / "timeout" is the unbounded baseline).
-	TablePolicy string
+	TablePolicy string `json:"table_policy,omitempty"`
 }
 
 // DefaultConfig returns the defaults used throughout the experiments.
 func DefaultConfig() Config {
 	return Config{
-		LockTimeout:    200 * time.Millisecond,
-		LearnedTimeout: 120 * time.Second,
-		RepairTimeout:  500 * time.Millisecond,
+		LockTimeout:    layers.Duration(200 * time.Millisecond),
+		LearnedTimeout: layers.Duration(120 * time.Second),
+		RepairTimeout:  layers.Duration(500 * time.Millisecond),
 		RepairBuffer:   64,
 		Proxy:          false,
-		ProxyTimeout:   60 * time.Second,
+		ProxyTimeout:   layers.Duration(60 * time.Second),
 	}
 }
 
@@ -76,6 +78,27 @@ func (c Config) WithDefaults() Config {
 		c.ProxyTimeout = d.ProxyTimeout
 	}
 	return c
+}
+
+// Check reports the first value a bridge cannot run with, naming the field
+// by its spec key. The registry runs it on every decoded spec, so a bad
+// spec file is an error; the constructor runs it too, where a failure is
+// programmer misuse and panics.
+func (c Config) Check() error {
+	switch {
+	case c.LockTimeout <= 0:
+		return errors.New("lock_timeout must be positive")
+	case c.LearnedTimeout <= 0:
+		return errors.New("learned_timeout must be positive")
+	case c.RepairTimeout <= 0:
+		return errors.New("repair_timeout must be positive")
+	case c.RepairBuffer <= 0:
+		return errors.New("repair_buffer must be positive")
+	case c.ProxyTimeout < 0:
+		return errors.New("proxy_timeout must not be negative")
+	}
+	_, err := tables.ParseConfig(c.TableCapacity, c.TablePolicy)
+	return err
 }
 
 // Stats counts every protocol event an ARP-Path bridge takes part in.
@@ -134,28 +157,22 @@ func New(net *netsim.Network, name string, numID int, cfg Config) *Bridge {
 // constructed at call time — the chassis only invokes it once traffic
 // flows.
 func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, proto bridge.Protocol) *Bridge {
-	if cfg.LockTimeout <= 0 || cfg.LearnedTimeout <= 0 {
-		panic("core: lock and learned timeouts must be positive")
-	}
-	if cfg.RepairTimeout <= 0 || cfg.RepairBuffer <= 0 {
-		panic("core: repair timeout and buffer must be positive")
-	}
-	bound, err := tables.ParseConfig(cfg.TableCapacity, cfg.TablePolicy)
-	if err != nil {
+	if err := cfg.Check(); err != nil {
 		panic("core: " + err.Error())
 	}
+	bound, _ := tables.ParseConfig(cfg.TableCapacity, cfg.TablePolicy) // Check vetted it
 	b := &Bridge{
 		cfg:   cfg,
-		table: NewBoundedLockTable(cfg.LockTimeout, cfg.LearnedTimeout, bound),
+		table: NewBoundedLockTable(cfg.LockTimeout.D(), cfg.LearnedTimeout.D(), bound),
 	}
 	if proto == nil {
 		proto = b
 	}
 	b.Chassis = bridge.NewChassis(net, name, numID, proto)
 	b.HelloEnabled = true
-	b.repairs = bridge.NewRepairs[uint64](b.Chassis, cfg.RepairTimeout, cfg.RepairBuffer, &b.stats.RepairDropped)
+	b.repairs = bridge.NewRepairs[uint64](b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.stats.RepairDropped)
 	if cfg.Proxy {
-		b.proxy = newProxyCache(cfg.ProxyTimeout)
+		b.proxy = newProxyCache(cfg.ProxyTimeout.D())
 	}
 	return b
 }
@@ -192,7 +209,7 @@ func (b *Bridge) Restart() {
 	b.repairs.Abandon()
 	b.table.Reset()
 	if b.proxy != nil {
-		b.proxy = newProxyCache(b.cfg.ProxyTimeout)
+		b.proxy = newProxyCache(b.cfg.ProxyTimeout.D())
 	}
 	b.Chassis.Restart()
 	b.BounceLinks()

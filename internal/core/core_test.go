@@ -281,7 +281,7 @@ func TestLockExpiryOffPath(t *testing.T) {
 	if e, ok := b4.EntryFor(s.mac); ok && e.State == StateLearned {
 		t.Fatal("off-path bridge has a learned S entry")
 	}
-	net.RunFor(DefaultConfig().LockTimeout + time.Millisecond)
+	net.RunFor(DefaultConfig().LockTimeout.D() + time.Millisecond)
 	if _, ok := b4.EntryFor(s.mac); ok {
 		t.Fatal("off-path lock did not expire")
 	}
@@ -432,7 +432,7 @@ func TestRepairTimeoutDropsBufferedFrames(t *testing.T) {
 func TestRepairBufferOverflow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RepairBuffer = 2
-	cfg.RepairTimeout = 10 * time.Second
+	cfg.RepairTimeout = layers.Duration(10 * time.Second)
 	net := netsim.NewNetwork(1)
 	s := newHost("S", 1)
 	a := New(net, "A", 1, cfg)

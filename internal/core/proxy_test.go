@@ -46,7 +46,7 @@ func TestProxyCacheSweepsExpired(t *testing.T) {
 func TestProxyCacheBoundedAcrossTimeouts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Proxy = true
-	cfg.ProxyTimeout = 50 * time.Millisecond
+	cfg.ProxyTimeout = layers.Duration(50 * time.Millisecond)
 	net := netsim.NewNetwork(1)
 	a := New(net, "A", 1, cfg)
 

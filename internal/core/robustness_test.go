@@ -242,7 +242,7 @@ func TestRepairWhenBothDirectionsBreak(t *testing.T) {
 // as the paper's §2.1.4 "emulates an ARP exchange" implies.
 func TestRepairNeedsLiveDestinationEntry(t *testing.T) {
 	cfgB := DefaultConfig()
-	cfgB.LearnedTimeout = 50 * time.Millisecond // expire aggressively
+	cfgB.LearnedTimeout = layers.Duration(50 * time.Millisecond) // expire aggressively
 	net := netsim.NewNetwork(1)
 	h1 := hostpkg.New(net, "h1", 1)
 	h2 := hostpkg.New(net, "h2", 2)

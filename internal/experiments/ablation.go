@@ -40,7 +40,7 @@ func RunT5LockWindow(seed int64, windows []time.Duration) []T5Row {
 	var rows []T5Row
 	for _, w := range windows {
 		opts := expOptions(topo.ARPPath, seed)
-		opts.ARPPath().LockTimeout = w
+		opts.ARPPath().LockTimeout = topo.Duration(w)
 		opts.Link = opts.Link.WithDelay(linkDelay)
 		built := topo.Ring(opts, ringSize)
 		row := T5Row{LockTimeout: w, FloodTime: floodTime}

@@ -1,6 +1,7 @@
 package flowpath
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/bridge"
@@ -11,39 +12,40 @@ import (
 )
 
 // Config tunes a Flow-Path bridge. The zero value is not valid; use
-// DefaultConfig (the builder defaults field-wise via WithDefaults).
+// DefaultConfig (the builder defaults field-wise via WithDefaults). The
+// struct is also the spec-file form: the json tags are the wire names.
 type Config struct {
 	// LockTimeout is the discovery race window, shared by the transient
 	// per-host locks and the pair entries' guards.
-	LockTimeout time.Duration
+	LockTimeout layers.Duration `json:"lock_timeout,omitempty"`
 	// PairTimeout is the lifetime of confirmed pair entries; traffic
 	// refreshes it.
-	PairTimeout time.Duration
+	PairTimeout layers.Duration `json:"pair_timeout,omitempty"`
 	// HostTimeout is the lifetime of the durable host entries an edge
 	// bridge keeps for its own attached stations (the study's edge host
 	// table); transit bridges hold hosts only for the race window.
-	HostTimeout time.Duration
+	HostTimeout layers.Duration `json:"host_timeout,omitempty"`
 	// RepairTimeout bounds how long frames buffer per missing pair.
-	RepairTimeout time.Duration
+	RepairTimeout layers.Duration `json:"repair_timeout,omitempty"`
 	// RepairBuffer caps buffered frames per missing pair.
-	RepairBuffer int
+	RepairBuffer int `json:"repair_buffer,omitempty"`
 	// PairCapacity bounds the pair table (0 = unbounded); the durable
 	// edge host table is naturally bounded by the attached stations and
 	// stays unbounded. See DESIGN.md §12.
-	PairCapacity int
+	PairCapacity int `json:"pair_capacity,omitempty"`
 	// PairPolicy is the pair-table eviction policy: "lru" or "clock"
 	// ("" / "timeout" is the unbounded baseline).
-	PairPolicy string
+	PairPolicy string `json:"pair_policy,omitempty"`
 }
 
 // DefaultConfig matches ARP-Path's timing so the variants compare like
 // for like.
 func DefaultConfig() Config {
 	return Config{
-		LockTimeout:   200 * time.Millisecond,
-		PairTimeout:   120 * time.Second,
-		HostTimeout:   120 * time.Second,
-		RepairTimeout: 500 * time.Millisecond,
+		LockTimeout:   layers.Duration(200 * time.Millisecond),
+		PairTimeout:   layers.Duration(120 * time.Second),
+		HostTimeout:   layers.Duration(120 * time.Second),
+		RepairTimeout: layers.Duration(500 * time.Millisecond),
 		RepairBuffer:  64,
 	}
 }
@@ -67,6 +69,25 @@ func (c Config) WithDefaults() Config {
 		c.RepairBuffer = d.RepairBuffer
 	}
 	return c
+}
+
+// Check reports the first value a bridge cannot run with, by its spec key
+// (the registry's check on decoded specs; New panics on the same error).
+func (c Config) Check() error {
+	switch {
+	case c.LockTimeout <= 0:
+		return errors.New("lock_timeout must be positive")
+	case c.PairTimeout <= 0:
+		return errors.New("pair_timeout must be positive")
+	case c.HostTimeout <= 0:
+		return errors.New("host_timeout must be positive")
+	case c.RepairTimeout <= 0:
+		return errors.New("repair_timeout must be positive")
+	case c.RepairBuffer <= 0:
+		return errors.New("repair_buffer must be positive")
+	}
+	_, err := tables.ParseConfig(c.PairCapacity, c.PairPolicy)
+	return err
 }
 
 // Stats counts Flow-Path protocol events.
@@ -107,26 +128,20 @@ type Bridge struct {
 
 // New creates a Flow-Path bridge.
 func New(net *netsim.Network, name string, numID int, cfg Config) *Bridge {
-	if cfg.LockTimeout <= 0 || cfg.PairTimeout <= 0 || cfg.HostTimeout <= 0 {
-		panic("flowpath: timeouts must be positive")
-	}
-	if cfg.RepairTimeout <= 0 || cfg.RepairBuffer <= 0 {
-		panic("flowpath: repair timeout and buffer must be positive")
-	}
-	bound, err := tables.ParseConfig(cfg.PairCapacity, cfg.PairPolicy)
-	if err != nil {
+	if err := cfg.Check(); err != nil {
 		panic("flowpath: " + err.Error())
 	}
+	bound, _ := tables.ParseConfig(cfg.PairCapacity, cfg.PairPolicy) // Check vetted it
 	b := &Bridge{
 		cfg:   cfg,
-		hosts: core.NewLockTable(cfg.LockTimeout, cfg.HostTimeout),
+		hosts: core.NewLockTable(cfg.LockTimeout.D(), cfg.HostTimeout.D()),
 		// Pair keys are packed MACs in both halves: the junk-key guard
 		// applies (multicast or zero halves never pin a slot).
-		pairs: NewBoundedPairTable(cfg.LockTimeout, cfg.PairTimeout, bound, true),
+		pairs: NewBoundedPairTable(cfg.LockTimeout.D(), cfg.PairTimeout.D(), bound, true),
 	}
 	b.Chassis = bridge.NewChassis(net, name, numID, b)
 	b.HelloEnabled = true
-	b.repairs = bridge.NewRepairs[PairKey](b.Chassis, cfg.RepairTimeout, cfg.RepairBuffer, &b.stats.RepairDropped)
+	b.repairs = bridge.NewRepairs[PairKey](b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.stats.RepairDropped)
 	return b
 }
 

@@ -2,6 +2,7 @@ package flowpath
 
 import (
 	"encoding/binary"
+	"errors"
 	"time"
 
 	"repro/internal/bridge"
@@ -12,31 +13,34 @@ import (
 )
 
 // TCPConfig tunes a TCP-Path bridge: the embedded ARP-Path config for the
-// fallback dataplane plus the per-connection knobs.
+// fallback dataplane plus the per-connection knobs. The struct is also
+// the spec-file form: the json tags are the wire names.
 type TCPConfig struct {
 	// ARPPath configures the fallback dataplane (everything non-TCP, and
-	// TCP segments whose connection has no entry and is not opening).
-	ARPPath core.Config
+	// TCP segments whose connection has no entry and is not opening). It
+	// is not part of the spec surface: the variant's own knobs are what a
+	// spec can meaningfully sweep, the fallback keeps its defaults.
+	ARPPath core.Config `json:"-"`
 	// ConnLockTimeout is the SYN flood's race window.
-	ConnLockTimeout time.Duration
+	ConnLockTimeout layers.Duration `json:"conn_lock_timeout,omitempty"`
 	// ConnTimeout is the lifetime of confirmed connection entries;
 	// segments refresh it.
-	ConnTimeout time.Duration
+	ConnTimeout layers.Duration `json:"conn_timeout,omitempty"`
 	// ConnCapacity bounds the connection table (0 = unbounded). Per-
 	// connection keys are where state grows fastest in the All-Path
 	// family, so this is the bound that bites first. See DESIGN.md §12.
-	ConnCapacity int
+	ConnCapacity int `json:"conn_capacity,omitempty"`
 	// ConnPolicy is the connection-table eviction policy: "lru" or
 	// "clock" ("" / "timeout" is the unbounded baseline).
-	ConnPolicy string
+	ConnPolicy string `json:"conn_policy,omitempty"`
 }
 
 // DefaultTCPConfig matches ARP-Path's timing.
 func DefaultTCPConfig() TCPConfig {
 	return TCPConfig{
 		ARPPath:         core.DefaultConfig(),
-		ConnLockTimeout: 200 * time.Millisecond,
-		ConnTimeout:     120 * time.Second,
+		ConnLockTimeout: layers.Duration(200 * time.Millisecond),
+		ConnTimeout:     layers.Duration(120 * time.Second),
 	}
 }
 
@@ -51,6 +55,22 @@ func (c TCPConfig) WithDefaults() TCPConfig {
 		c.ConnTimeout = d.ConnTimeout
 	}
 	return c
+}
+
+// Check reports the first value a bridge cannot run with, by its spec key
+// (the registry's check on decoded specs; NewTCPPath panics on the same
+// error).
+func (c TCPConfig) Check() error {
+	switch {
+	case c.ConnLockTimeout <= 0:
+		return errors.New("conn_lock_timeout must be positive")
+	case c.ConnTimeout <= 0:
+		return errors.New("conn_timeout must be positive")
+	}
+	if _, err := tables.ParseConfig(c.ConnCapacity, c.ConnPolicy); err != nil {
+		return err
+	}
+	return c.ARPPath.Check()
 }
 
 // TCPStats counts the TCP-Path-specific events (the embedded ARP-Path
@@ -82,18 +102,15 @@ type TCPPath struct {
 
 // NewTCPPath creates a TCP-Path bridge.
 func NewTCPPath(net *netsim.Network, name string, numID int, cfg TCPConfig) *TCPPath {
-	if cfg.ConnLockTimeout <= 0 || cfg.ConnTimeout <= 0 {
-		panic("flowpath: connection timeouts must be positive")
-	}
-	bound, err := tables.ParseConfig(cfg.ConnCapacity, cfg.ConnPolicy)
-	if err != nil {
+	if err := cfg.Check(); err != nil {
 		panic("flowpath: " + err.Error())
 	}
+	bound, _ := tables.ParseConfig(cfg.ConnCapacity, cfg.ConnPolicy) // Check vetted it
 	t := &TCPPath{
 		cfg: cfg,
 		// Connection keys pack IPs and TCP ports, not MACs: no junk-key
 		// guard (a zero half is a legal tuple encoding).
-		conns: NewBoundedPairTable(cfg.ConnLockTimeout, cfg.ConnTimeout, bound, false),
+		conns: NewBoundedPairTable(cfg.ConnLockTimeout.D(), cfg.ConnTimeout.D(), bound, false),
 	}
 	// The chassis dispatches to t; t consumes TCP segments and delegates
 	// the rest to the embedded ARP-Path protocol.

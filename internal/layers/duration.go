@@ -1,4 +1,4 @@
-package topo
+package layers
 
 import (
 	"encoding/json"
@@ -6,10 +6,13 @@ import (
 	"time"
 )
 
-// Duration is a time.Duration that marshals as a human-readable string
-// ("200ms", "2s") and accepts both that form and raw integer nanoseconds
-// on decode. The fabric Spec and every per-protocol config extension use
-// it so spec files stay legible.
+// Duration is the JSON wire form of a time span: a time.Duration that
+// marshals as a human-readable string ("200ms", "2s") and accepts both
+// that form and raw integer nanoseconds on decode. The fabric Spec, the
+// serve op log and every protocol config struct use it so spec files stay
+// legible; it lives in this leaf package because the protocol packages'
+// config structs are themselves the spec-file form (topo.Duration and
+// fabric.Duration are aliases).
 type Duration time.Duration
 
 // D converts back to the standard library type.

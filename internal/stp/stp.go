@@ -11,6 +11,7 @@
 package stp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,26 +23,27 @@ import (
 	"repro/internal/tables"
 )
 
-// Timers groups the 802.1D protocol timers.
+// Timers groups the 802.1D protocol timers. The struct is also the
+// protocol's spec-file form: the json tags are the wire names.
 type Timers struct {
-	Hello        time.Duration
-	MaxAge       time.Duration
-	ForwardDelay time.Duration
+	Hello        layers.Duration `json:"hello,omitempty"`
+	MaxAge       layers.Duration `json:"max_age,omitempty"`
+	ForwardDelay layers.Duration `json:"forward_delay,omitempty"`
 	// MsgAgeIncrement is added to the message age at each relay hop.
-	MsgAgeIncrement time.Duration
+	MsgAgeIncrement layers.Duration `json:"msg_age_increment,omitempty"`
 	// Aging is the normal filtering-database aging time.
-	Aging time.Duration
+	Aging layers.Duration `json:"aging,omitempty"`
 }
 
 // DefaultTimers returns the standard's default values, as used by the
 // demo's Linux bridges.
 func DefaultTimers() Timers {
 	return Timers{
-		Hello:           2 * time.Second,
-		MaxAge:          20 * time.Second,
-		ForwardDelay:    15 * time.Second,
-		MsgAgeIncrement: time.Second,
-		Aging:           learning.DefaultAging,
+		Hello:           layers.Duration(2 * time.Second),
+		MaxAge:          layers.Duration(20 * time.Second),
+		ForwardDelay:    layers.Duration(15 * time.Second),
+		MsgAgeIncrement: layers.Duration(time.Second),
+		Aging:           layers.Duration(learning.DefaultAging),
 	}
 }
 
@@ -68,16 +70,35 @@ func (t Timers) WithDefaults() Timers {
 	return t
 }
 
+// Check reports the first timer a bridge cannot run with, by its spec key:
+// every one of them arms a timer or ages a table, so each must be
+// positive. The registry runs it on decoded specs.
+func (t Timers) Check() error {
+	switch {
+	case t.Hello <= 0:
+		return errors.New("hello must be positive")
+	case t.MaxAge <= 0:
+		return errors.New("max_age must be positive")
+	case t.ForwardDelay <= 0:
+		return errors.New("forward_delay must be positive")
+	case t.MsgAgeIncrement <= 0:
+		return errors.New("msg_age_increment must be positive")
+	case t.Aging <= 0:
+		return errors.New("aging must be positive")
+	}
+	return nil
+}
+
 // FastTimers returns a 10x-accelerated profile for the repair-ablation
 // experiment (T4): the fastest STP can legally be tuned, still orders of
 // magnitude slower than ARP-Path repair.
 func FastTimers() Timers {
 	return Timers{
-		Hello:           200 * time.Millisecond,
-		MaxAge:          2 * time.Second,
-		ForwardDelay:    1500 * time.Millisecond,
-		MsgAgeIncrement: 100 * time.Millisecond,
-		Aging:           30 * time.Second,
+		Hello:           layers.Duration(200 * time.Millisecond),
+		MaxAge:          layers.Duration(2 * time.Second),
+		ForwardDelay:    layers.Duration(1500 * time.Millisecond),
+		MsgAgeIncrement: layers.Duration(100 * time.Millisecond),
+		Aging:           layers.Duration(30 * time.Second),
 	}
 }
 
@@ -214,7 +235,7 @@ type Bridge struct {
 func New(net *netsim.Network, name string, numID int, priority uint16, timers Timers) *Bridge {
 	b := &Bridge{
 		timers: timers,
-		fib:    learning.NewTable(timers.Aging),
+		fib:    learning.NewTable(timers.Aging.D()),
 		ports:  make(map[*netsim.Port]*port),
 	}
 	b.Chassis = bridge.NewChassis(net, name, numID, b)
@@ -305,7 +326,7 @@ func (b *Bridge) helloTick() {
 	if b.IsRoot() {
 		b.txAllDesignated()
 	}
-	b.helloTimer = b.After(b.timers.Hello, b.helloTick)
+	b.helloTimer = b.After(b.timers.Hello.D(), b.helloTick)
 }
 
 // Stop quiesces the bridge: periodic timers are cancelled and incoming
@@ -475,11 +496,11 @@ func (b *Bridge) armInfoExpiry(sp *port, msgAge, maxAge time.Duration) {
 		sp.infoExpiry.Stop()
 	}
 	if maxAge <= 0 {
-		maxAge = b.timers.MaxAge
+		maxAge = b.timers.MaxAge.D()
 	}
 	life := maxAge - msgAge
 	if life <= 0 {
-		life = b.timers.MsgAgeIncrement
+		life = b.timers.MsgAgeIncrement.D()
 	}
 	sp.infoExpiry = b.After(life, func() {
 		// The designated bridge behind this port went silent for max-age:
@@ -575,11 +596,11 @@ func (b *Bridge) enterState(sp *port, st PortState) {
 	}
 	switch st {
 	case StateListening:
-		sp.transition = b.After(b.timers.ForwardDelay, func() {
+		sp.transition = b.After(b.timers.ForwardDelay.D(), func() {
 			b.enterState(sp, StateLearning)
 		})
 	case StateLearning:
-		sp.transition = b.After(b.timers.ForwardDelay, func() {
+		sp.transition = b.After(b.timers.ForwardDelay.D(), func() {
 			b.enterState(sp, StateForwarding)
 		})
 	case StateForwarding:
@@ -594,7 +615,7 @@ func (b *Bridge) topologyChange() {
 		return
 	}
 	if b.IsRoot() {
-		b.tcDeadline = b.Now() + b.timers.MaxAge + b.timers.ForwardDelay
+		b.tcDeadline = b.Now() + b.timers.MaxAge.D() + b.timers.ForwardDelay.D()
 		b.enterFastAging()
 		return
 	}
@@ -606,7 +627,7 @@ func (b *Bridge) topologyChange() {
 	var send func()
 	send = func() {
 		b.txTCN()
-		b.tcnTimer = b.After(b.timers.Hello, send)
+		b.tcnTimer = b.After(b.timers.Hello.D(), send)
 	}
 	send()
 }
@@ -619,12 +640,12 @@ func (b *Bridge) propagateTC() {
 // enterFastAging shortens FIB aging for the TC period.
 func (b *Bridge) enterFastAging() {
 	now := b.Now()
-	if deadline := now + b.timers.MaxAge + b.timers.ForwardDelay; deadline > b.tcDeadline {
+	if deadline := now + b.timers.MaxAge.D() + b.timers.ForwardDelay.D(); deadline > b.tcDeadline {
 		b.tcDeadline = deadline
 	}
 	if !b.fastAging {
 		b.fastAging = true
-		b.fib.SetAging(b.timers.ForwardDelay)
+		b.fib.SetAging(b.timers.ForwardDelay.D())
 		b.fib.FlushExpired(now)
 	}
 }
@@ -633,7 +654,7 @@ func (b *Bridge) enterFastAging() {
 func (b *Bridge) maybeRestoreAging(now time.Duration) {
 	if b.fastAging && now >= b.tcDeadline {
 		b.fastAging = false
-		b.fib.SetAging(b.timers.Aging)
+		b.fib.SetAging(b.timers.Aging.D())
 	}
 }
 
@@ -656,7 +677,7 @@ func (b *Bridge) txConfig(sp *port) {
 	msgAge := time.Duration(0)
 	if !b.IsRoot() {
 		if b.rootPort != nil {
-			msgAge = b.rootPort.infoAge + b.timers.MsgAgeIncrement
+			msgAge = b.rootPort.infoAge + b.timers.MsgAgeIncrement.D()
 		}
 		if b.rootPort != nil && b.rootPort.infoTC {
 			flags |= layers.BPDUFlagTopologyChange
@@ -674,9 +695,9 @@ func (b *Bridge) txConfig(sp *port) {
 			SenderID:     b.id,
 			PortID:       sp.id,
 			MessageAge:   msgAge,
-			MaxAge:       b.timers.MaxAge,
-			HelloTime:    b.timers.Hello,
-			ForwardDelay: b.timers.ForwardDelay,
+			MaxAge:       b.timers.MaxAge.D(),
+			HelloTime:    b.timers.Hello.D(),
+			ForwardDelay: b.timers.ForwardDelay.D(),
 		},
 	)
 	if err != nil {

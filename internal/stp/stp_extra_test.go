@@ -42,7 +42,7 @@ func TestTCNStopsAfterTCA(t *testing.T) {
 	}
 	// Once acknowledged, the retransmission stops: over the next several
 	// hello intervals the count must not keep climbing unboundedly.
-	net.RunFor(10 * timers.Hello)
+	net.RunFor(10 * timers.Hello.D())
 	if leaf.Stats().TCNTx > tcnSent+2 {
 		t.Fatalf("TCN kept retransmitting after TCA: %d → %d", tcnSent, leaf.Stats().TCNTx)
 	}
@@ -81,7 +81,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.RunFor(10 * time.Second)
 	fastSeen := false
 	for _, b := range bs {
-		if b.FIB().LearnedTimeout() == timers.ForwardDelay {
+		if b.FIB().LearnedTimeout() == timers.ForwardDelay.D() {
 			fastSeen = true
 		}
 	}
@@ -90,7 +90,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	}
 	// After the TC period (max-age + forward-delay) plus margin, traffic
 	// through the dataplane restores normal aging lazily.
-	net.RunFor(timers.MaxAge + timers.ForwardDelay + 5*time.Second)
+	net.RunFor((timers.MaxAge + timers.ForwardDelay).D() + 5*time.Second)
 	net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, 2) })
 	net.RunFor(5 * time.Second)
 	for _, b := range bs {

@@ -3,76 +3,162 @@ package topo
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/layers"
 	"repro/internal/learning"
 	"repro/internal/netsim"
 	"repro/internal/stp"
-	"repro/internal/tables"
 )
 
-// Definition describes a bridging protocol to the builder. Registering one
-// is all it takes to make a protocol buildable by every harness: the
-// builder, the fabric Spec codec and the cmds consult the registry instead
-// of switching on known names, so out-of-tree variants (Flow-Path,
-// TCP-Path, wARP-Path, ...) plug in without touching this package.
-type Definition struct {
-	// Name is the protocol's registry key ("arppath", "stp", ...).
-	Name Protocol
+// Duration is the spec-file form of a time span (layers.Duration, where
+// the protocol packages' config structs can reach it).
+type Duration = layers.Duration
 
-	// NewConfig returns a pointer to a zero value of the protocol's config
-	// type. The Spec codec decodes JSON extensions into it; the builder
-	// fills unset fields with ApplyDefaults.
-	NewConfig func() any
-
-	// ApplyDefaults fills unset (zero) fields of cfg field-wise, in place.
-	// cfg is always a pointer produced by NewConfig (or a caller-supplied
-	// pointer of the same type).
-	ApplyDefaults func(cfg any)
-
+// Proto describes a bridging protocol to the builder. The config type C is
+// the protocol's spec-file form as well: a struct whose exported fields
+// carry json tags (Duration for time spans), decoded and encoded by the
+// registry alone. Registering one is all it takes to make a protocol
+// buildable by every harness: the builder, the fabric Spec codec and the
+// cmds consult the registry instead of switching on known names, so
+// out-of-tree variants plug in without touching this package.
+type Proto[C any] struct {
+	// Defaults fills unset (zero) fields of cfg field-wise.
+	Defaults func(cfg C) C
+	// Check rejects a defaulted cfg a bridge cannot run with, naming the
+	// field by its spec key. Optional. It is what keeps a bad spec file an
+	// error: constructors may panic on what Check lets through.
+	Check func(cfg C) error
 	// WarmUp returns the convergence budget for a fabric built with cfg
 	// (STP needs its listening/learning delays; ARP-Path needs HELLOs).
-	WarmUp func(cfg any) time.Duration
+	WarmUp func(cfg C) time.Duration
+	// New constructs one bridge on net from a defaulted, checked cfg.
+	New func(net *netsim.Network, name string, numID int, cfg C) Bridge
+}
 
-	// New constructs one bridge on net. cfg is a pointer of the config
-	// type, already defaulted.
-	New func(net *netsim.Network, name string, numID int, cfg any) Bridge
+// Definition is a registered protocol behind its config type. Configs
+// cross it as a *C in an any (Options.ProtocolConfig's form); handing it
+// another protocol's config is a programming error and panics.
+type Definition interface {
+	// Decode is the one decode of a spec's config extension: strict JSON
+	// (unknown keys and trailing data are errors; nil or empty raw selects
+	// the registered defaults), then Resolve.
+	Decode(raw []byte) (cfg any, err error)
+	// Resolve defaults cfg (nil, or a possibly partial *C) field-wise into
+	// a fresh *C and runs the protocol's Check on the result.
+	Resolve(cfg any) (any, error)
+	// Encode renders cfg as the canonical JSON extension.
+	Encode(cfg any) ([]byte, error)
+	// WarmUp is the convergence budget of a fabric built with cfg.
+	WarmUp(cfg any) time.Duration
+	// New constructs one bridge on net from a resolved cfg.
+	New(net *netsim.Network, name string, numID int, cfg any) Bridge
+}
 
-	// DecodeConfig parses a JSON config extension (strictly: unknown
-	// fields are rejected) into a config pointer. nil raw yields the
-	// defaults. Optional; when nil, any non-empty extension is an error.
-	DecodeConfig func(raw []byte) (any, error)
+// registered is the one Definition implementation, per config type.
+type registered[C any] struct {
+	name Protocol
+	Proto[C]
+}
 
-	// EncodeConfig renders cfg back to canonical JSON for spec
-	// round-trips. Optional; when nil, specs encode no extension.
-	EncodeConfig func(cfg any) ([]byte, error)
+func (r registered[C]) Decode(raw []byte) (any, error) {
+	var c C
+	if len(raw) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&c); err != nil {
+			return nil, err
+		}
+		// A config extension is a single JSON value; trailing data is a typo.
+		if dec.More() {
+			return nil, errors.New("trailing data after JSON value")
+		}
+	}
+	return r.Resolve(&c)
+}
+
+func (r registered[C]) Resolve(cfg any) (any, error) {
+	var c C
+	if cfg != nil {
+		c = *r.config(cfg)
+	}
+	c = r.Defaults(c)
+	if r.Check != nil {
+		if err := r.Check(c); err != nil {
+			return nil, err
+		}
+	}
+	return &c, nil
+}
+
+func (r registered[C]) config(cfg any) *C {
+	c, ok := cfg.(*C)
+	if !ok {
+		panic(fmt.Sprintf("topo: protocol %q takes a %T config, got %T", r.name, c, cfg))
+	}
+	return c
+}
+
+func (r registered[C]) Encode(cfg any) ([]byte, error) { return json.Marshal(r.config(cfg)) }
+
+func (r registered[C]) WarmUp(cfg any) time.Duration { return r.Proto.WarmUp(*r.config(cfg)) }
+
+func (r registered[C]) New(net *netsim.Network, name string, numID int, cfg any) Bridge {
+	return r.Proto.New(net, name, numID, *r.config(cfg))
 }
 
 var protocolRegistry = map[Protocol]Definition{}
 
-// RegisterProtocol adds a protocol to the registry. It panics on a
-// duplicate name or an incomplete definition — registration happens in
-// init() where a panic is a build-time error.
-func RegisterProtocol(def Definition) {
-	if def.Name == "" {
-		panic("topo: RegisterProtocol with empty name")
+// Register adds a protocol to the registry. It panics on a duplicate name,
+// an incomplete Proto, or a config struct with an untagged exported field
+// (the wire name must be declared, not inherited from the Go identifier,
+// or a rename would silently change the spec format) — registration
+// happens in init() where a panic is a build-time error.
+func Register[C any](name Protocol, p Proto[C]) {
+	if name == "" {
+		panic("topo: Register with empty name")
 	}
-	if def.NewConfig == nil || def.ApplyDefaults == nil || def.WarmUp == nil || def.New == nil {
-		panic(fmt.Sprintf("topo: protocol %q registered without NewConfig/ApplyDefaults/WarmUp/New", def.Name))
+	if p.Defaults == nil || p.WarmUp == nil || p.New == nil {
+		panic(fmt.Sprintf("topo: protocol %q registered without Defaults/WarmUp/New", name))
 	}
-	if _, dup := protocolRegistry[def.Name]; dup {
-		panic(fmt.Sprintf("topo: protocol %q registered twice", def.Name))
+	if _, dup := protocolRegistry[name]; dup {
+		panic(fmt.Sprintf("topo: protocol %q registered twice", name))
 	}
-	protocolRegistry[def.Name] = def
+	if t := reflect.TypeFor[C](); t.Kind() == reflect.Struct {
+		for i := range t.NumField() {
+			if f := t.Field(i); f.IsExported() && f.Tag.Get("json") == "" {
+				panic(fmt.Sprintf("topo: protocol %q: config field %s.%s has no json tag", name, t, f.Name))
+			}
+		}
+	}
+	protocolRegistry[name] = registered[C]{name, p}
 }
 
 // LookupProtocol returns the named protocol's definition.
 func LookupProtocol(name Protocol) (Definition, bool) {
 	def, ok := protocolRegistry[name]
 	return def, ok
+}
+
+// DecodeProtocol resolves a spec's protocol section: the registered
+// definition plus the extension decoded, defaulted and checked. Every
+// spec-driven build goes through here, so an unknown name, an unknown key
+// and an unusable value all surface as one kind of error.
+func DecodeProtocol(name Protocol, raw []byte) (Definition, any, error) {
+	def, ok := LookupProtocol(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown protocol %q (registered: %v)", name, Protocols())
+	}
+	cfg, err := def.Decode(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("protocol %q config: %w", name, err)
+	}
+	return def, cfg, nil
 }
 
 // Protocols lists every registered protocol name, sorted.
@@ -85,177 +171,30 @@ func Protocols() []Protocol {
 	return names
 }
 
-// strictUnmarshal decodes JSON rejecting unknown fields.
-func strictUnmarshal(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	// A config extension is a single JSON value; trailing data is a typo.
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON value")
-	}
-	return nil
-}
-
-// --- in-tree protocol registrations ------------------------------------
-
-// arpPathConfigJSON is the spec-file form of core.Config.
-type arpPathConfigJSON struct {
-	LockTimeout    Duration `json:"lock_timeout,omitempty"`
-	LearnedTimeout Duration `json:"learned_timeout,omitempty"`
-	RepairTimeout  Duration `json:"repair_timeout,omitempty"`
-	RepairBuffer   int      `json:"repair_buffer,omitempty"`
-	Proxy          bool     `json:"proxy,omitempty"`
-	ProxyTimeout   Duration `json:"proxy_timeout,omitempty"`
-	DisableRepair  bool     `json:"disable_repair,omitempty"`
-	TableCapacity  int      `json:"table_capacity,omitempty"`
-	TablePolicy    string   `json:"table_policy,omitempty"`
-}
-
-// stpTimersJSON is the spec-file form of stp.Timers.
-type stpTimersJSON struct {
-	Hello           Duration `json:"hello,omitempty"`
-	MaxAge          Duration `json:"max_age,omitempty"`
-	ForwardDelay    Duration `json:"forward_delay,omitempty"`
-	MsgAgeIncrement Duration `json:"msg_age_increment,omitempty"`
-	Aging           Duration `json:"aging,omitempty"`
-}
-
-// learningConfigJSON is the spec-file form of learning.Config.
-type learningConfigJSON struct {
-	Aging         Duration `json:"aging,omitempty"`
-	TableCapacity int      `json:"table_capacity,omitempty"`
-	TablePolicy   string   `json:"table_policy,omitempty"`
-}
-
 func init() {
-	RegisterProtocol(Definition{
-		Name:      ARPPath,
-		NewConfig: func() any { return new(core.Config) },
-		ApplyDefaults: func(cfg any) {
-			c := cfg.(*core.Config)
-			*c = c.WithDefaults()
-		},
-		WarmUp: func(any) time.Duration { return 10 * time.Millisecond },
-		New: func(net *netsim.Network, name string, numID int, cfg any) Bridge {
-			return core.New(net, name, numID, *cfg.(*core.Config))
-		},
-		DecodeConfig: func(raw []byte) (any, error) {
-			var j arpPathConfigJSON
-			if len(raw) > 0 {
-				if err := strictUnmarshal(raw, &j); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := tables.ParseConfig(j.TableCapacity, j.TablePolicy); err != nil {
-				return nil, err
-			}
-			return &core.Config{
-				LockTimeout:    j.LockTimeout.D(),
-				LearnedTimeout: j.LearnedTimeout.D(),
-				RepairTimeout:  j.RepairTimeout.D(),
-				RepairBuffer:   j.RepairBuffer,
-				Proxy:          j.Proxy,
-				ProxyTimeout:   j.ProxyTimeout.D(),
-				DisableRepair:  j.DisableRepair,
-				TableCapacity:  j.TableCapacity,
-				TablePolicy:    j.TablePolicy,
-			}, nil
-		},
-		EncodeConfig: func(cfg any) ([]byte, error) {
-			c := cfg.(*core.Config)
-			return json.Marshal(arpPathConfigJSON{
-				LockTimeout:    Duration(c.LockTimeout),
-				LearnedTimeout: Duration(c.LearnedTimeout),
-				RepairTimeout:  Duration(c.RepairTimeout),
-				RepairBuffer:   c.RepairBuffer,
-				Proxy:          c.Proxy,
-				ProxyTimeout:   Duration(c.ProxyTimeout),
-				DisableRepair:  c.DisableRepair,
-				TableCapacity:  c.TableCapacity,
-				TablePolicy:    c.TablePolicy,
-			})
+	Register(ARPPath, Proto[core.Config]{
+		Defaults: core.Config.WithDefaults,
+		Check:    core.Config.Check,
+		WarmUp:   func(core.Config) time.Duration { return 10 * time.Millisecond },
+		New: func(net *netsim.Network, name string, numID int, cfg core.Config) Bridge {
+			return core.New(net, name, numID, cfg)
 		},
 	})
-
-	RegisterProtocol(Definition{
-		Name:      STP,
-		NewConfig: func() any { return new(stp.Timers) },
-		ApplyDefaults: func(cfg any) {
-			t := cfg.(*stp.Timers)
-			*t = t.WithDefaults()
-		},
-		WarmUp: func(cfg any) time.Duration {
-			t := cfg.(*stp.Timers)
-			// Listening + learning on every port, plus hello propagation.
-			return 2*t.ForwardDelay + 5*t.Hello
-		},
-		New: func(net *netsim.Network, name string, numID int, cfg any) Bridge {
-			return stp.New(net, name, numID, 0x8000, *cfg.(*stp.Timers))
-		},
-		DecodeConfig: func(raw []byte) (any, error) {
-			var j stpTimersJSON
-			if len(raw) > 0 {
-				if err := strictUnmarshal(raw, &j); err != nil {
-					return nil, err
-				}
-			}
-			return &stp.Timers{
-				Hello:           j.Hello.D(),
-				MaxAge:          j.MaxAge.D(),
-				ForwardDelay:    j.ForwardDelay.D(),
-				MsgAgeIncrement: j.MsgAgeIncrement.D(),
-				Aging:           j.Aging.D(),
-			}, nil
-		},
-		EncodeConfig: func(cfg any) ([]byte, error) {
-			t := cfg.(*stp.Timers)
-			return json.Marshal(stpTimersJSON{
-				Hello:           Duration(t.Hello),
-				MaxAge:          Duration(t.MaxAge),
-				ForwardDelay:    Duration(t.ForwardDelay),
-				MsgAgeIncrement: Duration(t.MsgAgeIncrement),
-				Aging:           Duration(t.Aging),
-			})
+	Register(STP, Proto[stp.Timers]{
+		Defaults: stp.Timers.WithDefaults,
+		Check:    stp.Timers.Check,
+		// Listening + learning on every port, plus hello propagation.
+		WarmUp: func(t stp.Timers) time.Duration { return 2*t.ForwardDelay.D() + 5*t.Hello.D() },
+		New: func(net *netsim.Network, name string, numID int, t stp.Timers) Bridge {
+			return stp.New(net, name, numID, 0x8000, t)
 		},
 	})
-
-	RegisterProtocol(Definition{
-		Name:      Learning,
-		NewConfig: func() any { return new(learning.Config) },
-		ApplyDefaults: func(cfg any) {
-			c := cfg.(*learning.Config)
-			*c = c.WithDefaults()
-		},
-		WarmUp: func(any) time.Duration { return 10 * time.Millisecond },
-		New: func(net *netsim.Network, name string, numID int, cfg any) Bridge {
-			return learning.NewWithConfig(net, name, numID, *cfg.(*learning.Config))
-		},
-		DecodeConfig: func(raw []byte) (any, error) {
-			var j learningConfigJSON
-			if len(raw) > 0 {
-				if err := strictUnmarshal(raw, &j); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := tables.ParseConfig(j.TableCapacity, j.TablePolicy); err != nil {
-				return nil, err
-			}
-			return &learning.Config{
-				Aging:         j.Aging.D(),
-				TableCapacity: j.TableCapacity,
-				TablePolicy:   j.TablePolicy,
-			}, nil
-		},
-		EncodeConfig: func(cfg any) ([]byte, error) {
-			c := cfg.(*learning.Config)
-			return json.Marshal(learningConfigJSON{
-				Aging:         Duration(c.Aging),
-				TableCapacity: c.TableCapacity,
-				TablePolicy:   c.TablePolicy,
-			})
+	Register(Learning, Proto[learning.Config]{
+		Defaults: learning.Config.WithDefaults,
+		Check:    learning.Config.Check,
+		WarmUp:   func(learning.Config) time.Duration { return 10 * time.Millisecond },
+		New: func(net *netsim.Network, name string, numID int, cfg learning.Config) Bridge {
+			return learning.NewWithConfig(net, name, numID, cfg)
 		},
 	})
 }

@@ -1,0 +1,154 @@
+package topo_test
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	_ "repro/internal/flowpath" // the All-Path variants register from their own package
+	"repro/internal/netsim"
+	"repro/internal/topo"
+)
+
+// wireDefaults is the canonical defaulted extension of every in-tree
+// protocol, captured from the commit before the registry owned the codec
+// (each protocol then hand-copied its config through a shadow struct):
+// keys, key order and duration spelling are the spec wire format, and
+// every committed spec, op-log header and golden depends on them.
+var wireDefaults = map[topo.Protocol]string{
+	"arppath":  `{"lock_timeout":"200ms","learned_timeout":"2m0s","repair_timeout":"500ms","repair_buffer":64,"proxy_timeout":"1m0s"}`,
+	"flowpath": `{"lock_timeout":"200ms","pair_timeout":"2m0s","host_timeout":"2m0s","repair_timeout":"500ms","repair_buffer":64}`,
+	"learning": `{"aging":"5m0s"}`,
+	"stp":      `{"hello":"2s","max_age":"20s","forward_delay":"15s","msg_age_increment":"1s","aging":"5m0s"}`,
+	"tcppath":  `{"conn_lock_timeout":"200ms","conn_timeout":"2m0s"}`,
+}
+
+// canonical is decode → defaults → check → encode, the registry's whole
+// contract in one call.
+func canonical(p topo.Protocol, raw string) (string, error) {
+	var in []byte
+	if raw != "" {
+		in = []byte(raw)
+	}
+	def, cfg, err := topo.DecodeProtocol(p, in)
+	if err != nil {
+		return "", err
+	}
+	out, err := def.Encode(cfg)
+	return string(out), err
+}
+
+// TestRegistryContract holds every registered protocol to the one codec:
+// an absent or empty extension is the registered defaults, the decode is
+// strict, a value the bridge could not run with is an error naming its
+// key (never a constructor panic), and encode∘decode is a fixed point.
+func TestRegistryContract(t *testing.T) {
+	// rejected lists, per protocol, extensions the protocol's Check must
+	// refuse, with the key the error has to name.
+	rejected := map[topo.Protocol]map[string]string{
+		"arppath": {
+			`{"lock_timeout":"-1s"}`:     "lock_timeout",
+			`{"learned_timeout":-5}`:     "learned_timeout",
+			`{"repair_timeout":"-1ms"}`:  "repair_timeout",
+			`{"repair_buffer":-3}`:       "repair_buffer",
+			`{"proxy_timeout":"-1s"}`:    "proxy_timeout",
+			`{"table_capacity":-1}`:      "capacity",
+			`{"table_capacity":8}`:       "policy",
+			`{"table_policy":"fifo"}`:    "fifo",
+			`{"lock_timeout":"quickly"}`: "quickly",
+		},
+		"stp": {
+			`{"hello":"-1s"}`:             "hello",
+			`{"max_age":"-1s"}`:           "max_age",
+			`{"forward_delay":"-1s"}`:     "forward_delay",
+			`{"msg_age_increment":"-1s"}`: "msg_age_increment",
+			`{"aging":"-1s"}`:             "aging",
+		},
+		"learning": {
+			`{"aging":"-1s"}`:       "aging",
+			`{"table_capacity":-1}`: "capacity",
+		},
+		"flowpath": {
+			`{"lock_timeout":"-1s"}`:   "lock_timeout",
+			`{"pair_timeout":"-1s"}`:   "pair_timeout",
+			`{"host_timeout":"-1s"}`:   "host_timeout",
+			`{"repair_timeout":"-1s"}`: "repair_timeout",
+			`{"repair_buffer":-1}`:     "repair_buffer",
+			`{"pair_capacity":4}`:      "policy",
+		},
+		"tcppath": {
+			`{"conn_lock_timeout":"-1s"}`: "conn_lock_timeout",
+			`{"conn_timeout":"-1s"}`:      "conn_timeout",
+			`{"conn_capacity":-1}`:        "capacity",
+			// The fallback ARP-Path config is not part of the extension.
+			`{"ARPPath":{}}`: "ARPPath",
+		},
+	}
+	if got := len(topo.Protocols()); got != len(wireDefaults) {
+		t.Fatalf("%d protocols registered, wire pins for %d: pin the new one", got, len(wireDefaults))
+	}
+	for _, p := range topo.Protocols() {
+		t.Run(string(p), func(t *testing.T) {
+			defaults, err := canonical(p, "")
+			if err != nil {
+				t.Fatalf("nil extension: %v", err)
+			}
+			if defaults != wireDefaults[p] {
+				t.Fatalf("wire format moved:\n got %s\nwant %s", defaults, wireDefaults[p])
+			}
+			for _, raw := range []string{`{}`, `null`, defaults} {
+				if got, err := canonical(p, raw); err != nil || got != defaults {
+					t.Errorf("extension %s: got %s, %v; want the defaults", raw, got, err)
+				}
+			}
+			for raw, want := range map[string]string{
+				`{"no_such_key":1}`: "no_such_key",
+				`{} {}`:             "trailing",
+				`[]`:                "array",
+			} {
+				if _, err := canonical(p, raw); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("extension %s: err %v, want one naming %q", raw, err, want)
+				}
+			}
+			for raw, want := range rejected[p] {
+				if _, err := canonical(p, raw); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("extension %s: err %v, want one naming %q", raw, err, want)
+				}
+			}
+		})
+	}
+
+	// A tuned extension survives the round trip, and re-encodes to itself.
+	tuned := `{"lock_timeout":"50ms","learned_timeout":"2m0s","repair_timeout":"500ms","repair_buffer":7,"proxy":true,"proxy_timeout":"1m0s","table_capacity":16,"table_policy":"lru"}`
+	once, err := canonical(topo.ARPPath, `{"table_policy":"lru","proxy":true,"lock_timeout":50000000,"repair_buffer":7,"table_capacity":16}`)
+	if err != nil || once != tuned {
+		t.Fatalf("tuned extension: got %s, %v\nwant %s", once, err, tuned)
+	}
+	if twice, err := canonical(topo.ARPPath, once); err != nil || twice != once {
+		t.Fatalf("encode∘decode is not a fixed point: %s → %s (%v)", once, twice, err)
+	}
+}
+
+// TestRegisterRejectsUntaggedField pins the registration-time half of the
+// contract: a config struct whose exported field inherits its wire name
+// from the Go identifier does not register.
+func TestRegisterRejectsUntaggedField(t *testing.T) {
+	type untagged struct {
+		Window topo.Duration `json:"window,omitempty"`
+		Limit  int
+	}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "Limit") {
+			t.Fatalf("registration with an untagged field: recovered %v, want a panic naming Limit", r)
+		}
+		if _, ok := topo.LookupProtocol("untagged"); ok {
+			t.Fatal("the rejected protocol is registered anyway")
+		}
+	}()
+	topo.Register("untagged", topo.Proto[untagged]{
+		Defaults: func(c untagged) untagged { return c },
+		WarmUp:   func(untagged) time.Duration { return 0 },
+		New:      func(*netsim.Network, string, int, untagged) topo.Bridge { return nil },
+	})
+}

@@ -27,17 +27,17 @@ func TestPartialConfigKeepsSetFields(t *testing.T) {
 	}
 
 	sopts := Options{Protocol: STP, Seed: 1}
-	sopts.STP().MaxAge = 7 * time.Second // Hello left zero
+	sopts.STP().MaxAge = Duration(7 * time.Second) // Hello left zero
 	sb := NewBuilder(sopts)
 	gt := *sb.net.Opts.ProtocolConfig.(*stp.Timers)
-	if gt.MaxAge != 7*time.Second {
+	if gt.MaxAge.D() != 7*time.Second {
 		t.Fatalf("set MaxAge was clobbered: %+v", gt)
 	}
 	if gt.Hello != stp.DefaultTimers().Hello {
 		t.Fatalf("unset Hello not defaulted: %+v", gt)
 	}
 	// The warm-up budget must follow the (partially custom) timers.
-	want := 2*gt.ForwardDelay + 5*gt.Hello
+	want := (2*gt.ForwardDelay + 5*gt.Hello).D()
 	if sb.net.Opts.WarmUp != want {
 		t.Fatalf("warm-up %v, want %v from defaulted timers", sb.net.Opts.WarmUp, want)
 	}

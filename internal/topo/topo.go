@@ -5,9 +5,9 @@
 // then starts every bridge.
 //
 // Protocols are pluggable: the builder holds no protocol knowledge beyond
-// the registry (RegisterProtocol). ARP-Path, STP and the plain learning
-// switch register themselves in this package's init; variants register
-// from their own packages (or through pkg/fabric, the public surface).
+// the registry (Register). ARP-Path, STP and the plain learning switch
+// register themselves in this package's init; variants register from
+// their own packages (or through pkg/fabric, the public surface).
 package topo
 
 import (
@@ -71,12 +71,7 @@ type Options struct {
 // DefaultOptions returns a gigabit build of the given protocol with its
 // registered default configuration.
 func DefaultOptions(p Protocol, seed int64) Options {
-	def, ok := LookupProtocol(p)
-	if !ok {
-		panic(fmt.Sprintf("topo: unknown protocol %q (registered: %v)", p, Protocols()))
-	}
-	cfg := def.NewConfig()
-	def.ApplyDefaults(cfg)
+	def, cfg := mustResolve(p, nil)
 	return Options{
 		Protocol:       p,
 		ProtocolConfig: cfg,
@@ -84,6 +79,21 @@ func DefaultOptions(p Protocol, seed int64) Options {
 		Link:           netsim.DefaultLinkConfig(),
 		WarmUp:         def.WarmUp(cfg),
 	}
+}
+
+// mustResolve is the imperative path into the registry: an unknown name
+// or a config the protocol's Check rejects is programmer misuse here, so
+// both panic (the spec path, DecodeProtocol, returns them as errors).
+func mustResolve(p Protocol, cfg any) (Definition, any) {
+	def, ok := LookupProtocol(p)
+	if !ok {
+		panic(fmt.Sprintf("topo: unknown protocol %q (registered: %v)", p, Protocols()))
+	}
+	cfg, err := def.Resolve(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("topo: protocol %q config: %v", p, err))
+	}
+	return def, cfg
 }
 
 // ARPPath returns the build's ARP-Path config for tuning, allocating the
@@ -172,14 +182,8 @@ func NewBuilder(opts Options) *Builder {
 	if opts.Protocol == "" {
 		opts.Protocol = ARPPath
 	}
-	def, ok := LookupProtocol(opts.Protocol)
-	if !ok {
-		panic(fmt.Sprintf("topo: unknown protocol %q (registered: %v)", opts.Protocol, Protocols()))
-	}
-	if opts.ProtocolConfig == nil {
-		opts.ProtocolConfig = def.NewConfig()
-	}
-	def.ApplyDefaults(opts.ProtocolConfig)
+	def, cfg := mustResolve(opts.Protocol, opts.ProtocolConfig)
+	opts.ProtocolConfig = cfg
 	d := netsim.DefaultLinkConfig()
 	if opts.Link.Rate == 0 {
 		opts.Link.Rate = d.Rate

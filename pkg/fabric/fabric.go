@@ -5,9 +5,9 @@
 // bridging protocols pluggable, and a Runner that owns the build →
 // warm-up → workload → collect lifecycle every harness shares.
 //
-// The five cmds (fabricbench, scenario, arppath-sim, arpvstp, pathrepair)
-// are thin shells over this package: each compiles its flags into a Spec
-// (or loads one with -spec file.json) and hands it to a Runner. A Spec
+// The cmds (fabricbench, scenario, arppath-sim, fabricserve) are thin
+// shells over this package: each compiles its flags into a Spec (or loads
+// one with -spec file.json) and hands it to a Runner. A Spec
 // plus a seed is a complete, reproducible experiment: same Spec, same
 // trace fingerprint, at any shard count.
 //
@@ -19,16 +19,23 @@
 //	}
 //	res, err := fabric.Run(spec)
 //
-// Protocols register like database/sql drivers. The three in-tree ones
-// (arppath, stp, learning) are registered by init(); a variant registers
-// itself and is immediately buildable from any Spec naming it:
+// Protocols register like database/sql drivers. The in-tree ones (arppath,
+// stp, learning, flowpath, tcppath) are registered by init(); a variant is
+// a json-tagged config struct plus a constructor, and is immediately
+// buildable from any Spec naming it:
 //
-//	fabric.RegisterProtocol("flow-path", fabric.Constructor{...})
+//	type Config struct {
+//		Window fabric.Duration `json:"window,omitempty"`
+//	}
+//	fabric.RegisterProtocol("warp-path", fabric.Proto[Config]{
+//		Defaults: func(c Config) Config { ...; return c },
+//		Check:    func(c Config) error { ... },
+//		WarmUp:   func(Config) time.Duration { return 10 * time.Millisecond },
+//		New:      func(net *fabric.Network, name string, id int, c Config) fabric.Bridge { ... },
+//	})
 package fabric
 
 import (
-	"time"
-
 	"repro/internal/host"
 	"repro/internal/netsim"
 	"repro/internal/topo"
@@ -58,41 +65,20 @@ type (
 	Duration = topo.Duration
 )
 
-// Constructor describes a bridging protocol to the SDK. All hooks operate
-// on an opaque config value: a pointer to the protocol's own config type,
-// produced by NewConfig and carried through the Spec as a typed JSON
-// extension — the builder never learns the concrete type, which is what
-// lets out-of-tree variants register without touching it.
-type Constructor struct {
-	// NewConfig returns a pointer to a zero config value.
-	NewConfig func() any
-	// Defaults fills unset (zero) fields of cfg field-wise, in place.
-	Defaults func(cfg any)
-	// WarmUp returns the convergence budget for a fabric built with cfg.
-	WarmUp func(cfg any) time.Duration
-	// Build constructs one bridge on net.
-	Build func(net *Network, name string, numID int, cfg any) Bridge
-	// DecodeConfig parses the Spec's JSON extension (strict: unknown
-	// fields rejected) into a config pointer. Optional; without it a
-	// non-empty extension is an error.
-	DecodeConfig func(raw []byte) (any, error)
-	// EncodeConfig renders cfg back to canonical JSON. Optional.
-	EncodeConfig func(cfg any) ([]byte, error)
-}
+// Proto describes a bridging protocol to the SDK. Its config type C is
+// the protocol's spec-file form: a struct of json-tagged fields (Duration
+// for time spans) that the registry alone decodes — strictly, so an
+// unknown key in a spec's extension is an error — defaults through
+// Defaults, vets through Check, and re-encodes canonically. The builder
+// never learns the concrete type, which is what lets out-of-tree variants
+// register without touching it.
+type Proto[C any] = topo.Proto[C]
 
 // RegisterProtocol makes a protocol buildable from every Spec and every
-// harness under the given name. It panics on duplicates or incomplete
-// constructors (call it from init()).
-func RegisterProtocol(name string, c Constructor) {
-	topo.RegisterProtocol(topo.Definition{
-		Name:          topo.Protocol(name),
-		NewConfig:     c.NewConfig,
-		ApplyDefaults: c.Defaults,
-		WarmUp:        c.WarmUp,
-		New:           c.Build,
-		DecodeConfig:  c.DecodeConfig,
-		EncodeConfig:  c.EncodeConfig,
-	})
+// harness under the given name. It panics on duplicates, an incomplete
+// Proto or an untagged config field (call it from init()).
+func RegisterProtocol[C any](name string, p Proto[C]) {
+	topo.Register(topo.Protocol(name), p)
 }
 
 // Protocols lists every registered protocol name, sorted.

@@ -78,6 +78,19 @@ func TestRunnerSweep(t *testing.T) {
 	if again.Fingerprint != res.Fingerprint {
 		t.Fatalf("sweep fingerprint depends on jobs: %#x vs %#x", again.Fingerprint, res.Fingerprint)
 	}
+
+	// Proxy aside, the sweep runs the registered defaults: any other
+	// tuning is refused, whichever sweepable protocol carries it.
+	for name, ext := range map[string]string{
+		"arppath":  `{"proxy":true,"lock_timeout":"50ms"}`,
+		"flowpath": `{"pair_capacity":8,"pair_policy":"lru"}`,
+	} {
+		spec.Protocol = ProtocolSpec{Name: name, Config: json.RawMessage(ext)}
+		var sink bytes.Buffer
+		if _, err := (&Runner{Spec: spec, Out: &sink, Err: &sink}).Run(); err == nil || !strings.Contains(err.Error(), "default "+name+" config") {
+			t.Errorf("%s sweep with tuning %s: err %v, want a refusal", name, ext, err)
+		}
+	}
 }
 
 // TestOutOfTreeProtocolPluggable is the registry's reason to exist: a
@@ -87,29 +100,17 @@ func TestOutOfTreeProtocolPluggable(t *testing.T) {
 	type variantConfig struct {
 		Aging Duration `json:"aging,omitempty"`
 	}
-	RegisterProtocol("test-variant", Constructor{
-		NewConfig: func() any { return new(variantConfig) },
-		Defaults: func(cfg any) {
-			c := cfg.(*variantConfig)
+	RegisterProtocol("test-variant", Proto[variantConfig]{
+		Defaults: func(c variantConfig) variantConfig {
 			if c.Aging == 0 {
 				c.Aging = Duration(time.Minute)
 			}
+			return c
 		},
-		WarmUp: func(any) time.Duration { return 10 * time.Millisecond },
-		Build: func(net *Network, name string, numID int, cfg any) Bridge {
-			c := cfg.(*variantConfig)
-			return learning.NewWithConfig(net, name, numID, learning.Config{Aging: c.Aging.D()})
+		WarmUp: func(variantConfig) time.Duration { return 10 * time.Millisecond },
+		New: func(net *Network, name string, numID int, c variantConfig) Bridge {
+			return learning.NewWithConfig(net, name, numID, learning.Config{Aging: c.Aging})
 		},
-		DecodeConfig: func(raw []byte) (any, error) {
-			c := new(variantConfig)
-			if len(raw) > 0 {
-				if err := json.Unmarshal(raw, c); err != nil {
-					return nil, err
-				}
-			}
-			return c, nil
-		},
-		EncodeConfig: func(cfg any) ([]byte, error) { return json.Marshal(cfg) },
 	})
 
 	found := false
@@ -130,5 +131,12 @@ func TestOutOfTreeProtocolPluggable(t *testing.T) {
 	_, out := runToBuffer(t, Runner{Spec: spec})
 	if !strings.Contains(out, "protocol=test-variant") || !strings.Contains(out, "lost=0") {
 		t.Fatalf("variant did not carry traffic:\n%s", out)
+	}
+
+	// The registry owns the decode, so the variant's extension is strict
+	// without the variant writing a line of codec.
+	spec.Protocol.Config = json.RawMessage(`{"aging":"30s","agingg":"1s"}`)
+	if _, err := spec.WithDefaults(); err == nil || !strings.Contains(err.Error(), "agingg") {
+		t.Fatalf("unknown key in an out-of-tree extension not rejected: %v", err)
 	}
 }

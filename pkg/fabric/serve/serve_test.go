@@ -287,6 +287,18 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	if _, err := Replay(strings.NewReader(header+"\n"+`{"at":"5ms","seq":1,"zap":true}`+"\n"), 0, io.Discard); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("unknown entry field accepted (err=%v)", err)
 	}
+	// A header whose spec carries a value no bridge can run with is an
+	// error too — it used to panic in a timer two frames below Replay —
+	// and the daemon refuses the same spec at boot.
+	unusable := `{"topology":{"family":"ring","n":3},"protocol":{"name":"stp","config":{"hello":"-1s"}}}`
+	if _, err := Replay(strings.NewReader(`{"fabricserve":1,"spec":`+unusable+`,"quantum":"10ms"}`+"\n"), 0, io.Discard); err == nil || !strings.Contains(err.Error(), "hello") {
+		t.Fatalf("unusable header spec accepted (err=%v)", err)
+	}
+	if spec, err := fabric.DecodeSpec([]byte(unusable)); err != nil {
+		t.Fatal(err)
+	} else if _, err := New(Options{Spec: spec}); err == nil || !strings.Contains(err.Error(), "hello") {
+		t.Fatalf("daemon booted on an unusable spec (err=%v)", err)
+	}
 	backwards := header + "\n" +
 		`{"at":"20ms","seq":1,"heal":true}` + "\n" +
 		`{"at":"5ms","seq":2,"heal":true}` + "\n"

@@ -96,7 +96,8 @@ type TopologySpec struct {
 }
 
 // ProtocolSpec selects a registered protocol and carries its config as a
-// typed JSON extension, decoded by the protocol's own registered codec.
+// typed JSON extension, decoded by the registry into the protocol's
+// registered config struct.
 type ProtocolSpec struct {
 	Name string `json:"name,omitempty"`
 	// Config is the per-protocol extension, e.g. for arppath:
@@ -122,8 +123,8 @@ type LinkSpec struct {
 //     seeded flow arrivals following the hotspot, permutation or
 //     weighted-pairs pattern, driven as TCP-lite transfers for any
 //     registered protocol
-//   - "figure2-demo" — the ARP-Path vs STP latency demo (arpvstp)
-//   - "path-repair" — streaming under successive failures (pathrepair)
+//   - "figure2-demo" — the paper's Figure 2 ARP-Path vs STP latency demo
+//   - "path-repair" — Figure 3, streaming under successive link failures
 //   - "properties", "load", "proxy", "repair", "lockwindow",
 //     "tablesize", "forward", "scale", "allpath", "tables", "all" — the
 //     evaluation tables (fabricbench); "allpath" is the Flow-Path/
@@ -262,27 +263,38 @@ func (s Spec) WithDefaults() (Spec, error) {
 	if s.Shards < 1 {
 		s.Shards = 1
 	}
+	// Sizes, counts and time spans are zero ("use the default") or
+	// positive; a negative one would reach a make() or a timer as a panic.
+	w := s.Workload
+	for _, f := range []struct {
+		key string
+		v   int64
+	}{
+		{"link.rate_bps", s.Link.RateBps}, {"link.delay", int64(s.Link.Delay)},
+		{"link.queue_bytes", int64(s.Link.QueueBytes)}, {"warm_up", int64(s.WarmUp)},
+		{"workload.pings", int64(w.Pings)}, {"workload.interval", int64(w.Interval)},
+		{"workload.stream_size", int64(w.StreamSize)}, {"workload.failures", int64(w.Failures)},
+		{"workload.frames", int64(w.Frames)}, {"workload.bridges", int64(w.Bridges)},
+		{"workload.flows", int64(w.Flows)}, {"workload.hotspots", int64(w.Hotspots)},
+		{"workload.flow_bytes", int64(w.FlowBytes)}, {"workload.arrival", int64(w.Arrival)},
+		{"workload.conversations", int64(w.Conversations)},
+	} {
+		if f.v < 0 {
+			return Spec{}, fmt.Errorf("spec: %s must not be negative", f.key)
+		}
+	}
 
 	// Protocol: resolve, decode the extension, default field-wise,
 	// re-encode canonically.
 	if s.Protocol.Name == "" {
 		s.Protocol.Name = string(topo.ARPPath)
 	}
-	def, ok := topo.LookupProtocol(topo.Protocol(s.Protocol.Name))
-	if !ok {
-		return Spec{}, fmt.Errorf("spec: unknown protocol %q (registered: %v)", s.Protocol.Name, Protocols())
-	}
-	cfg, err := decodeProtocolConfig(def, s.Protocol.Config)
+	def, cfg, err := topo.DecodeProtocol(topo.Protocol(s.Protocol.Name), s.Protocol.Config)
 	if err != nil {
-		return Spec{}, fmt.Errorf("spec: protocol %q config: %w", s.Protocol.Name, err)
+		return Spec{}, fmt.Errorf("spec: %w", err)
 	}
-	def.ApplyDefaults(cfg)
-	if def.EncodeConfig != nil {
-		raw, err := def.EncodeConfig(cfg)
-		if err != nil {
-			return Spec{}, fmt.Errorf("spec: protocol %q config: %w", s.Protocol.Name, err)
-		}
-		s.Protocol.Config = raw
+	if s.Protocol.Config, err = def.Encode(cfg); err != nil {
+		return Spec{}, fmt.Errorf("spec: protocol %q config: %w", s.Protocol.Name, err)
 	}
 
 	// Link, warm-up.
@@ -328,16 +340,6 @@ func (s Spec) WithDefaults() (Spec, error) {
 		}
 	}
 	return s, nil
-}
-
-func decodeProtocolConfig(def topo.Definition, raw json.RawMessage) (any, error) {
-	if def.DecodeConfig != nil {
-		return def.DecodeConfig(raw)
-	}
-	if len(raw) > 0 && !bytes.Equal(bytes.TrimSpace(raw), []byte("{}")) {
-		return nil, fmt.Errorf("protocol registers no config codec but the spec carries an extension")
-	}
-	return def.NewConfig(), nil
 }
 
 // SetOption merges one key into the protocol's JSON config extension,
@@ -520,15 +522,10 @@ func (sc ScenarioSpec) withDefaults() (ScenarioSpec, error) {
 // Options compiles the Spec's build half into the imperative form the
 // topology builder consumes. The Spec must already be defaulted.
 func (s Spec) Options() (topo.Options, error) {
-	def, ok := topo.LookupProtocol(topo.Protocol(s.Protocol.Name))
-	if !ok {
-		return topo.Options{}, fmt.Errorf("spec: unknown protocol %q (registered: %v)", s.Protocol.Name, Protocols())
-	}
-	cfg, err := decodeProtocolConfig(def, s.Protocol.Config)
+	_, cfg, err := topo.DecodeProtocol(topo.Protocol(s.Protocol.Name), s.Protocol.Config)
 	if err != nil {
-		return topo.Options{}, fmt.Errorf("spec: protocol %q config: %w", s.Protocol.Name, err)
+		return topo.Options{}, fmt.Errorf("spec: %w", err)
 	}
-	def.ApplyDefaults(cfg)
 	return topo.Options{
 		Protocol:       topo.Protocol(s.Protocol.Name),
 		ProtocolConfig: cfg,

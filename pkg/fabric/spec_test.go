@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 	"repro/internal/topo"
 )
 
-// specSamples are the shapes the five cmds compile their flags into, plus
+// specSamples are the shapes the cmds compile their flags into, plus
 // a fully spelled-out custom one.
 func specSamples() []Spec {
 	return []Spec{
@@ -94,6 +95,55 @@ func TestSpecStrictDecoding(t *testing.T) {
 	}
 }
 
+// TestSpecTypesFullyTagged pins the wire names of the Spec itself: every
+// exported field of every struct the spec decoder fills declares its json
+// key, so renaming a Go field cannot silently change the spec format.
+// (Protocol config structs get the same check from topo.Register.)
+func TestSpecTypesFullyTagged(t *testing.T) {
+	for _, v := range []any{Spec{}, TopologySpec{}, ProtocolSpec{}, LinkSpec{}, WorkloadSpec{}, ScenarioSpec{}, VerifySpec{}} {
+		typ := reflect.TypeOf(v)
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.IsExported() && f.Tag.Get("json") == "" {
+				t.Errorf("%s.%s has no json tag", typ, f.Name)
+			}
+		}
+	}
+}
+
+// TestSpecRejectsUnusableValues is the spec-file half of "never a panic
+// reachable from the wire": each of these decodes cleanly and used to
+// reach a constructor, a timer or a make() as a panic. They now fail in
+// WithDefaults — so in Run, serve.New and serve.Replay alike — with an
+// error naming the field.
+func TestSpecRejectsUnusableValues(t *testing.T) {
+	cases := []struct{ doc, want string }{
+		{`{"protocol":{"name":"arppath","config":{"lock_timeout":"-1s"}}}`, "lock_timeout"},
+		{`{"protocol":{"name":"arppath","config":{"repair_buffer":-3}}}`, "repair_buffer"},
+		{`{"protocol":{"name":"stp","config":{"hello":"-1s"}}}`, "hello"},
+		{`{"link":{"rate_bps":-5}}`, "link.rate_bps"},
+		{`{"link":{"queue_bytes":-5}}`, "link.queue_bytes"},
+		{`{"link":{"delay":"-1us"}}`, "link.delay"},
+		{`{"warm_up":"-1s"}`, "warm_up"},
+		{`{"workload":{"kind":"ping","pings":-2}}`, "workload.pings"},
+		{`{"workload":{"kind":"stream","stream_size":-1}}`, "workload.stream_size"},
+	}
+	for _, c := range cases {
+		s, err := DecodeSpec([]byte(c.doc))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.doc, err)
+		}
+		if s.Workload.Kind == "" {
+			s.Workload.Kind = "ping"
+		}
+		s.Topology = TopologySpec{Family: "line", N: 2}
+		var out bytes.Buffer
+		_, err = (&Runner{Spec: s, Out: &out, Err: &out}).Run()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run returned %v, want an error naming %q", c.doc, err, c.want)
+		}
+	}
+}
+
 // TestSpecUnknownNamesRejected covers protocol, topology-family and fault
 // family validation.
 func TestSpecUnknownNamesRejected(t *testing.T) {
@@ -165,6 +215,8 @@ func FuzzDecodeSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"workload":{"kind":"sweep"},"scenario":{"faults":["all"]}}`))
+	f.Add([]byte(`{"protocol":{"name":"stp","config":{"hello":"-1s"}},"link":{"rate_bps":-5},"warm_up":"-1s"}`))
+	f.Add([]byte(`{"protocol":{"name":"tcppath","config":{"conn_capacity":4,"conn_policy":"clock"}},"link":{"queue_bytes":1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSpec(data)
 		if err != nil {
@@ -193,5 +245,13 @@ func FuzzDecodeSpec(f *testing.F) {
 		if !bytes.Equal(e1, e2) {
 			t.Fatalf("not a fixed point:\n--- first\n%s\n--- second\n%s", e1, e2)
 		}
+		// What WithDefaults accepts must build: the options compile and
+		// one bridge of the protocol comes up on a link without a panic.
+		opts, err := d1.Options()
+		if err != nil {
+			t.Fatalf("defaulted spec failed to compile: %v\n%s", err, e1)
+		}
+		opts.Shards, opts.WarmUp = 1, time.Nanosecond
+		topo.Line(opts, 1)
 	})
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topo"
 )
 
-// runFigure2Demo is the arpvstp harness: the paper's Figure 2 latency
+// runFigure2Demo is the figure2-demo harness: the paper's Figure 2 latency
 // comparison, ARP-Path vs STP across the delay profiles.
 func (r *Runner) runFigure2Demo(spec Spec, out io.Writer, res *Result) error {
 	cfg := experiments.DefaultFigure2Config()
@@ -38,7 +38,7 @@ func (r *Runner) runFigure2Demo(spec Spec, out io.Writer, res *Result) error {
 	return nil
 }
 
-// runPathRepair is the pathrepair harness: the paper's Figure 3 streaming
+// runPathRepair is the path-repair harness: the paper's Figure 3 streaming
 // demo under successive link failures, optionally with the STP baseline.
 func (r *Runner) runPathRepair(spec Spec, out io.Writer, res *Result) error {
 	cfg := experiments.DefaultFigure3Config()

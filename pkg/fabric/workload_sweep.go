@@ -1,11 +1,12 @@
 package fabric
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/flowpath"
 	"repro/internal/scenario"
 	"repro/internal/topo"
@@ -28,35 +29,32 @@ func (r *Runner) runSweep(spec Spec, out io.Writer, jobs int, res *Result) error
 	if !sweepProtocols[proto] {
 		return fmt.Errorf("fabric: the sweep verifies All-Path invariants; protocol %q is not sweepable", spec.Protocol.Name)
 	}
-	// The one protocol knob the sweep honours is ARP-Path's proxy: a
-	// proxy-enabled Spec arms proxy mode (and the proxy-consistency
-	// invariant) fleet-wide. Any other tuning in the extension is rejected
-	// rather than silently dropped — each scenario builds its fabric with
-	// the defaults.
-	proxy := false
-	if def, ok := topo.LookupProtocol(proto); ok {
-		cfg, err := decodeProtocolConfig(def, spec.Protocol.Config)
-		if err != nil {
-			return err
-		}
-		def.ApplyDefaults(cfg)
-		switch c := cfg.(type) {
-		case *core.Config:
-			proxy = c.Proxy
-			ref := core.DefaultConfig()
-			ref.Proxy = c.Proxy
-			if *c != ref {
-				return fmt.Errorf("fabric: the sweep builds its fabrics with the default ARP-Path config; only the proxy knob is honoured (got %+v)", *c)
-			}
-		case *flowpath.Config:
-			if *c != flowpath.DefaultConfig() {
-				return fmt.Errorf("fabric: the sweep builds its fabrics with the default Flow-Path config (got %+v)", *c)
-			}
-		case *flowpath.TCPConfig:
-			if *c != flowpath.DefaultTCPConfig() {
-				return fmt.Errorf("fabric: the sweep builds its fabrics with the default TCP-Path config (got %+v)", *c)
-			}
-		}
+	// The one protocol knob the sweep honours is the proxy: a proxy-enabled
+	// Spec arms proxy mode (and the proxy-consistency invariant)
+	// fleet-wide. Any other tuning in the extension is rejected rather
+	// than silently dropped — each scenario builds its fabric with the
+	// defaults — so the (already canonical) extension must equal the
+	// canonical encoding of the registered defaults, proxy excepted.
+	var knobs struct {
+		Proxy bool `json:"proxy"`
+	}
+	if err := json.Unmarshal(spec.Protocol.Config, &knobs); err != nil {
+		return err
+	}
+	var ref []byte
+	if knobs.Proxy {
+		ref = []byte(`{"proxy":true}`)
+	}
+	def, cfg, err := topo.DecodeProtocol(proto, ref)
+	if err != nil {
+		return err
+	}
+	if ref, err = def.Encode(cfg); err != nil {
+		return err
+	}
+	if !bytes.Equal(ref, spec.Protocol.Config) {
+		return fmt.Errorf("fabric: the sweep builds its fabrics with the default %s config; only the proxy knob is honoured (got %s)",
+			spec.Protocol.Name, spec.Protocol.Config)
 	}
 
 	sc := spec.Scenario
@@ -70,7 +68,7 @@ func (r *Runner) runSweep(spec Spec, out io.Writer, jobs int, res *Result) error
 					Faults:      scenario.FaultFamily(ff),
 					Protocol:    proto,
 					Big:         sc.Big,
-					Proxy:       proxy,
+					Proxy:       knobs.Proxy,
 					Shards:      spec.Shards,
 					FaultPhase:  sc.FaultPhase.D(),
 					Quiesce:     sc.Quiesce.D(),

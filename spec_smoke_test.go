@@ -31,10 +31,11 @@ func TestSpecSmoke(t *testing.T) {
 		{cmd: "fabricbench", name: "fabricbench-shards4", args: []string{"-shards", "4"}},
 		{cmd: "scenario", args: []string{"-j", "2"}},
 		{cmd: "arppath-sim"},
-		{cmd: "arpvstp"},
-		{cmd: "pathrepair"},
-		// The All-Path variants run through the same simulator shell: the
-		// registry, not the cmd, is what selects the protocol.
+		// The paper's two demos and the All-Path variants run through the
+		// same simulator shell: the Runner owns the workload kinds and the
+		// registry selects the protocol, not the cmd.
+		{cmd: "arppath-sim", spec: "arpvstp"},
+		{cmd: "arppath-sim", spec: "pathrepair"},
 		{cmd: "arppath-sim", spec: "flowpath"},
 		{cmd: "arppath-sim", spec: "tcppath"},
 	}
