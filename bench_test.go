@@ -202,16 +202,17 @@ func BenchmarkTableStateSize(b *testing.B) {
 // IP protocol, so H2 counts and drops it without replying).
 func establishedLine(b testing.TB, n int) (*topo.Built, []byte) {
 	b.Helper()
-	return establishedLineSharded(b, n, 1)
+	return establishedLineSharded(b, topo.ARPPath, n, 1)
 }
 
-// establishedLineSharded is establishedLine on a partitioned fabric: the
-// line is split across the given number of engine shards, so steady-state
-// forwarding exercises the parallel coordinator's windows and the
-// cross-shard exchange on every frame.
-func establishedLineSharded(b testing.TB, n, shards int) (*topo.Built, []byte) {
+// establishedLineSharded is establishedLine with bridges of any registered
+// protocol on a partitioned fabric: the line is split across the given
+// number of engine shards, so steady-state forwarding exercises the
+// parallel coordinator's windows and the cross-shard exchange on every
+// frame.
+func establishedLineSharded(b testing.TB, proto topo.Protocol, n, shards int) (*topo.Built, []byte) {
 	b.Helper()
-	opts := topo.DefaultOptions(topo.ARPPath, 1)
+	opts := topo.DefaultOptions(proto, 1)
 	opts.Shards = shards
 	built := topo.Line(opts, n)
 	h1, h2 := built.Host("H1"), built.Host("H2")

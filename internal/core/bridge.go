@@ -101,48 +101,17 @@ func (c Config) Check() error {
 	return err
 }
 
-// Stats counts every protocol event an ARP-Path bridge takes part in.
-type Stats struct {
-	// Discovery.
-	BroadcastLocked   uint64 // new locks created by broadcast first copies
-	BroadcastRelayed  uint64 // broadcast frames flooded onward
-	BroadcastRaceDrop uint64 // duplicate copies discarded (slower paths)
-	PathsConfirmed    uint64 // locked→learned upgrades by replies
-
-	// Unicast dataplane.
-	Forwarded      uint64 // unicast frames forwarded along the path
-	HairpinDrop    uint64 // destination resolved to the ingress port
-	SrcPortDrop    uint64 // unicast from a source locked to another port
-	SrcViolRepairs uint64 // new repairs created by non-guarded src-port violations
-
-	// Repair (§2.1.4).
-	RepairsStarted   uint64
-	PathFailsSent    uint64
-	PathFailsRelayed uint64
-	PathRequestsSent uint64
-	PathRepliesSent  uint64
-	RepairReleased   uint64 // buffered frames released after repair
-	RepairDropped    uint64 // buffered frames dropped (timeout/overflow)
-	EntriesPurged    uint64 // entries flushed by link failures
-
-	// Proxy (§2.2).
-	ProxyConverted uint64 // broadcast requests converted to unicast
-	ProxyMisses    uint64 // requests that had to flood anyway
-}
-
 // Bridge is an ARP-Path bridge. It is fully transparent: hosts run
 // unmodified ARP/IP stacks (§2.2 "zero configuration").
 type Bridge struct {
-	*bridge.Chassis
+	// ARP-Path forwards on the discovery layer's per-source table itself.
+	Discovery
 	cfg     Config
-	table   *LockTable
 	repairs *bridge.Repairs[uint64] // keyed by packed destination MAC
 	proxy   *proxyCache
-	stats   Stats
 }
 
-// New creates an ARP-Path bridge. HELLO neighbour discovery is enabled so
-// Path Repair can identify edge (host-facing) ports.
+// New creates an ARP-Path bridge.
 func New(net *netsim.Network, name string, numID int, cfg Config) *Bridge {
 	return NewWithProtocol(net, name, numID, cfg, nil)
 }
@@ -161,15 +130,12 @@ func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, pr
 		panic("core: " + err.Error())
 	}
 	bound, _ := tables.ParseConfig(cfg.TableCapacity, cfg.TablePolicy) // Check vetted it
-	b := &Bridge{
-		cfg:   cfg,
-		table: NewBoundedLockTable(cfg.LockTimeout.D(), cfg.LearnedTimeout.D(), bound),
-	}
+	b := &Bridge{cfg: cfg}
 	if proto == nil {
 		proto = b
 	}
-	b.Chassis = bridge.NewChassis(net, name, numID, proto)
-	b.HelloEnabled = true
+	b.Discovery = NewDiscovery(net, name, numID, proto,
+		NewBoundedLockTable(cfg.LockTimeout.D(), cfg.LearnedTimeout.D(), bound))
 	b.repairs = bridge.NewRepairs[uint64](b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.stats.RepairDropped)
 	if cfg.Proxy {
 		b.proxy = newProxyCache(cfg.ProxyTimeout.D())
@@ -179,48 +145,26 @@ func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, pr
 
 // Table exposes the locking table; experiments use it to reconstruct
 // locked paths (Figure 1) and to measure table sizes.
-func (b *Bridge) Table() *LockTable { return b.table }
+func (b *Bridge) Table() *LockTable { return b.hosts }
 
 // PathTables lists the bridge's path tables behind the key-independent
 // view the harnesses count and sweep; index 0 is the table the capacity
 // bound applies to (variants put their pair or connection table there).
-func (b *Bridge) PathTables() []tables.View { return []tables.View{b.table} }
-
-// Stats returns a snapshot of the protocol counters.
-func (b *Bridge) Stats() Stats { return b.stats }
+func (b *Bridge) PathTables() []tables.View { return []tables.View{b.hosts} }
 
 // Config returns the bridge configuration.
 func (b *Bridge) Config() Config { return b.cfg }
 
-// OnStart implements bridge.Protocol.
-func (b *Bridge) OnStart() {}
-
 // Restart models a bridge power-cycle with total table loss: every
 // outstanding repair is abandoned (buffered frames released — the
-// refcounts must balance even across a crash), the locking table and
-// proxy cache are emptied, the chassis forgets its neighbours, and every
-// attached link bounces — a rebooting chassis drops carrier, which is how
-// the neighbours learn anything happened: they purge paths through this
-// bridge (OnPortStatus) and re-HELLO on the up transition, while this
-// bridge relearns everything from live traffic and the repair machinery
-// alone. That recovery is exactly the property the scenario engine's
-// fault schedules probe. Must be called from the simulation goroutine.
+// refcounts must balance even across a crash), the proxy cache is emptied,
+// and Discovery.PowerCycle does the rest.
 func (b *Bridge) Restart() {
 	b.repairs.Abandon()
-	b.table.Reset()
 	if b.proxy != nil {
 		b.proxy = newProxyCache(b.cfg.ProxyTimeout.D())
 	}
-	b.Chassis.Restart()
-	b.BounceLinks()
-}
-
-// OnPortStatus implements bridge.Protocol: a dead link invalidates every
-// path through it immediately — the next unicast miss triggers repair.
-func (b *Bridge) OnPortStatus(p *netsim.Port, up bool) {
-	if !up {
-		b.stats.EntriesPurged += uint64(b.table.FlushPort(p))
-	}
+	b.PowerCycle()
 }
 
 // OnFrame implements bridge.Protocol: the ARP-Path dataplane (§2.1). The
@@ -244,24 +188,7 @@ func (b *Bridge) OnFrame(in *netsim.Port, f *netsim.Frame) {
 //fabric:hotpath
 func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.FrameView) {
 	now := b.Now()
-
-	// A copy of our own PathRequest flood returning around a cycle is
-	// never new information: the originator stamps its BridgeID into the
-	// control header, so it can be dropped statelessly. Normally the
-	// guard on src's entry filters these copies anyway; this check also
-	// covers the bridge that originated a request with no entry for src
-	// at all (a restarted bridge mid-repair), which otherwise would treat
-	// its own returning flood as a first copy and flood it a second time.
-	if v.HasCtl && v.Ctl.Type == layers.PathCtlRequest && v.Ctl.BridgeID == uint64(b.NumID()) {
-		b.stats.BroadcastRaceDrop++
-		return
-	}
-
-	switch b.table.Race(v.SrcKey, in, now, v.OpensPath()) {
-	case tables.RaceWon:
-		b.stats.BroadcastLocked++
-	case tables.RaceLost:
-		b.stats.BroadcastRaceDrop++
+	if !b.Flooded(in, v, now) {
 		return
 	}
 
@@ -273,15 +200,16 @@ func (b *Bridge) handleBroadcast(in *netsim.Port, f *netsim.Frame, v *layers.Fra
 	}
 
 	// If this is a PathRequest for a host attached to one of our edge
-	// ports, answer with a PathReply on the destination's behalf.
+	// ports, answer with a PathReply on the destination's behalf — and
+	// release any frames we were buffering for it ourselves.
 	if v.HasCtl {
-		if b.answerPathRequest(in, v, now) {
+		if edge := b.Answer(in, v, now); edge != nil {
+			b.Completed(b.repairs.Release(v.Ctl.Dst.Uint64(), edge))
 			return
 		}
 	}
 
-	b.stats.BroadcastRelayed++
-	b.FloodExcept(in, f)
+	b.Relay(in, f)
 }
 
 // handleUnicast implements §2.1.2 (reply confirmation), §2.1.3 (path
@@ -300,7 +228,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 	}
 
 	// Source side: maintain the reverse half of the symmetric path.
-	if ref, e, ok := b.table.Find(src, now); ok {
+	if ref, e, ok := b.hosts.Find(src, now); ok {
 		switch {
 		case e.Port == in:
 			if establishing {
@@ -308,9 +236,9 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 				if e.State == StateLocked {
 					b.stats.PathsConfirmed++
 				}
-				b.table.LearnKey(src, in, now)
+				b.hosts.LearnKey(src, in, now)
 			} else {
-				b.table.RefreshAt(ref, now)
+				b.hosts.RefreshAt(ref, now)
 			}
 		case e.Guarded(now):
 			// The sender's position is still race-locked elsewhere:
@@ -319,7 +247,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 			return
 		case establishing:
 			// A reply on a new port re-establishes the path (repair).
-			b.table.LearnKey(src, in, now)
+			b.hosts.LearnKey(src, in, now)
 		default:
 			// Data violating the symmetric path outside any race window.
 			// This used to be a silent discard — and a silent discard is
@@ -344,7 +272,7 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 		}
 	} else {
 		// Unknown source: learn it so the reverse path stays alive.
-		b.table.LearnKey(src, in, now)
+		b.hosts.LearnKey(src, in, now)
 	}
 
 	// Proxy snooping of unicast ARP replies.
@@ -354,11 +282,11 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 
 	// A PathReply releases frames that were buffered awaiting this path.
 	if v.HasCtl && establishing {
-		b.completeRepair(src, in)
+		b.Completed(b.repairs.Release(src, in))
 	}
 
 	// Destination side.
-	ref, e, ok := b.table.Find(dst, now)
+	ref, e, ok := b.hosts.Find(dst, now)
 	switch {
 	case !ok:
 		// Table miss: the entry expired or a link/bridge failed (§2.1.4).
@@ -374,9 +302,9 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 			if e.State == StateLocked {
 				b.stats.PathsConfirmed++
 			}
-			b.table.LearnKey(dst, e.Port, now)
+			b.hosts.LearnKey(dst, e.Port, now)
 		} else {
-			b.table.RefreshAt(ref, now)
+			b.hosts.RefreshAt(ref, now)
 		}
 		b.stats.Forwarded++
 		e.Port.SendFrame(f)
@@ -385,7 +313,14 @@ func (b *Bridge) handleUnicast(in *netsim.Port, f *netsim.Frame, v *layers.Frame
 
 // EntryFor reports the port and state the bridge currently binds mac to.
 func (b *Bridge) EntryFor(mac layers.MAC) (Entry, bool) {
-	return b.table.Get(mac, b.Now())
+	return b.hosts.Get(mac, b.Now())
+}
+
+// NextHop returns the port frames src→dst leave on (the scenario checker's
+// walk primitive): here dst's entry alone decides.
+func (b *Bridge) NextHop(_, dst layers.MAC, now time.Duration) (*netsim.Port, bool) {
+	e, ok := b.hosts.Get(dst, now)
+	return e.Port, ok
 }
 
 var _ bridge.Protocol = (*Bridge)(nil)

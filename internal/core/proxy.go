@@ -134,7 +134,7 @@ func (b *Bridge) proxyHandleBroadcast(in *netsim.Port, v *layers.FrameView, now 
 		b.stats.ProxyMisses++
 		return false
 	}
-	e, ok := b.table.Get(mac, now)
+	e, ok := b.hosts.Get(mac, now)
 	if !ok || e.State != StateLearned || e.Port == in {
 		b.stats.ProxyMisses++
 		return false

@@ -487,20 +487,11 @@ func collectTables(run *TablesRun, br topo.Bridge) {
 	run.ResidentTotal += t.Len()
 	run.PeakMax = max(run.PeakMax, t.PeakEntries())
 	run.Evictions += t.Evictions()
-	switch b := br.(type) {
-	case *flowpath.TCPPath:
-		ts, cs := b.TCPStats(), b.Stats()
-		run.Floods += cs.BroadcastRelayed + ts.SynFloods
-		run.Rediscoveries += ts.Fallbacks + cs.RepairsStarted + cs.PathRequestsSent
-	case *flowpath.Bridge:
-		s := b.Stats()
-		run.Floods += s.BroadcastRelayed
-		run.Rediscoveries += s.RepairsStarted + s.PathRequestsSent
-	case *core.Bridge:
-		s := b.Stats()
-		run.Floods += s.BroadcastRelayed
-		run.Rediscoveries += s.RepairsStarted + s.PathRequestsSent
-	}
+	// Every All-Path variant keeps the family's one counter block; the
+	// variant-only fields are zero where they do not apply.
+	s := br.(interface{ Stats() core.Stats }).Stats()
+	run.Floods += s.BroadcastRelayed + s.SynFloods
+	run.Rediscoveries += s.Fallbacks + s.RepairsStarted + s.PathRequestsSent
 }
 
 // TablesResult is one cell of the sweep.

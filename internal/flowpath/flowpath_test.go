@@ -43,8 +43,8 @@ func TestFlowPathDeliversAndKeysPerPair(t *testing.T) {
 	onPath, confirmed := 0, 0
 	for _, br := range built.Bridges {
 		fb := br.(*Bridge)
-		_, fwd := fb.FlowNextHop(a, b, now)
-		_, rev := fb.FlowNextHop(b, a, now)
+		_, fwd := fb.NextHop(a, b, now)
+		_, rev := fb.NextHop(b, a, now)
 		if fwd != rev {
 			t.Fatalf("bridge %s holds asymmetric pair state (fwd=%v rev=%v)", br.Name(), fwd, rev)
 		}
@@ -101,7 +101,7 @@ func TestFlowPathWalkSymmetry(t *testing.T) {
 				return chain // reached a host
 			}
 			chain = append(chain, fb.Name())
-			p, ok := fb.FlowNextHop(from.MAC(), dst.MAC(), now)
+			p, ok := fb.NextHop(from.MAC(), dst.MAC(), now)
 			if !ok {
 				t.Fatalf("walk %s->%s dead-ends at %s", from.Name(), dst.Name(), fb.Name())
 			}
@@ -144,7 +144,7 @@ func TestFlowPathRepairsWarmConversation(t *testing.T) {
 			if br.Name() == "S1" || br.Name() == "S3" {
 				continue
 			}
-			if _, ok := fb.FlowNextHop(a, b, now); ok {
+			if _, ok := fb.NextHop(a, b, now); ok {
 				fb.Restart()
 				restarted++
 			}

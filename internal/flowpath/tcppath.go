@@ -73,18 +73,6 @@ func (c TCPConfig) Check() error {
 	return c.ARPPath.Check()
 }
 
-// TCPStats counts the TCP-Path-specific events (the embedded ARP-Path
-// dataplane keeps its own core.Stats).
-type TCPStats struct {
-	SynFloods     uint64 // opening segments flooded to race a path
-	SynRaceDrops  uint64 // duplicate flood copies filtered
-	SynDelivered  uint64 // opening segments terminated at the destination edge
-	ConnConfirmed uint64 // connection entries confirmed by SYN|ACK
-	ConnForwarded uint64 // segments forwarded on connection entries
-	Fallbacks     uint64 // TCP segments handed to the ARP-Path dataplane
-	ConnPurged    uint64 // connection entries flushed by link failures
-}
-
 // TCPPath is a TCP-Path bridge: per-TCP-connection paths keyed by the
 // 4-tuple, established by flooding the connection's opening SYN exactly
 // like an ARP discovery (first copy locks the reverse path, duplicates
@@ -97,7 +85,6 @@ type TCPPath struct {
 	*core.Bridge
 	cfg   TCPConfig
 	conns *PairTable
-	stats TCPStats
 }
 
 // NewTCPPath creates a TCP-Path bridge.
@@ -134,23 +121,17 @@ func reverseKey(k PairKey) PairKey {
 	}
 }
 
-// TCPStats returns the TCP-Path counters.
-func (t *TCPPath) TCPStats() TCPStats { return t.stats }
-
 // Conns exposes the connection table (experiments, tests).
 func (t *TCPPath) Conns() *PairTable { return t.conns }
 
 // PathTables lists the bounded connection table, then the ARP-Path table.
 func (t *TCPPath) PathTables() []tables.View { return []tables.View{t.conns, t.Table()} }
 
-// OnStart implements bridge.Protocol.
-func (t *TCPPath) OnStart() { t.Bridge.OnStart() }
-
 // OnPortStatus implements bridge.Protocol: flush connections through the
 // dead link, then let ARP-Path flush its own table.
 func (t *TCPPath) OnPortStatus(p *netsim.Port, up bool) {
 	if !up {
-		t.stats.ConnPurged += uint64(t.conns.FlushPort(p))
+		t.Count().EntriesPurged += uint64(t.conns.FlushPort(p))
 	}
 	t.Bridge.OnPortStatus(p, up)
 }
@@ -175,6 +156,8 @@ func (t *TCPPath) OnFrame(in *netsim.Port, f *netsim.Frame) {
 }
 
 // handleTCP is the per-connection dataplane.
+//
+//fabric:hotpath
 func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameView) {
 	now := t.Now()
 	k := connKey(v)
@@ -188,7 +171,7 @@ func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 		if e.Port == in || t.SameNeighbor(e.Port, in) {
 			// Hairpin on the connection entry: let ARP-Path decide (it
 			// has its own hairpin/repair handling for the MAC pair).
-			t.stats.Fallbacks++
+			t.Count().Fallbacks++
 			t.Bridge.OnFrame(in, f)
 			return
 		}
@@ -198,18 +181,18 @@ func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 			// back where it arrived.
 			t.conns.Learn(k, e.Port, now)
 			t.conns.Learn(reverseKey(k), in, now)
-			t.stats.ConnConfirmed++
+			t.Count().ConnConfirmed++
 		} else {
 			t.conns.RefreshAt(ref, now)
 		}
-		t.stats.ConnForwarded++
+		t.Count().ConnForwarded++
 		e.Port.SendFrame(f)
 		return
 	}
 
 	// No connection entry (expired, flushed, or a mid-stream segment of a
 	// connection opened before a restart): ARP-Path semantics.
-	t.stats.Fallbacks++
+	t.Count().Fallbacks++
 	t.Bridge.OnFrame(in, f)
 }
 
@@ -217,12 +200,14 @@ func (t *TCPPath) handleTCP(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 // the connection key: the first copy locks the reverse direction (the
 // path the SYN|ACK will retrace) to its arrival port, duplicates are
 // filtered, and the flood terminates at the destination's edge bridge.
+//
+//fabric:hotpath
 func (t *TCPPath) handleSYN(in *netsim.Port, f *netsim.Frame, v *layers.FrameView, k PairKey, now time.Duration) {
 	// A SYN always opens a race: a retransmitted opener on the bound port
 	// restarts the window, a copy from elsewhere outside it relocks.
 	if t.conns.Race(reverseKey(k), in, now, true) == tables.RaceLost {
 		// A slower flood copy: discard (§2.1.1 on the connection).
-		t.stats.SynRaceDrops++
+		t.Count().SynRaceDrops++
 		return
 	}
 
@@ -234,11 +219,11 @@ func (t *TCPPath) handleSYN(in *netsim.Port, f *netsim.Frame, v *layers.FrameVie
 		// and pre-learn the opener's direction — the SYN|ACK will confirm
 		// the rest of the path.
 		t.conns.Learn(k, e.Port, now)
-		t.stats.SynDelivered++
+		t.Count().SynDelivered++
 		e.Port.SendFrame(f)
 		return
 	}
-	t.stats.SynFloods++
+	t.Count().SynFloods++
 	t.FloodExcept(in, f)
 }
 

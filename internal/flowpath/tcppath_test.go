@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/host/app"
 	"repro/internal/topo"
 )
@@ -28,11 +29,11 @@ func TestTCPPathConnectionPaths(t *testing.T) {
 		t.Fatalf("stream did not complete: %+v", rep)
 	}
 
-	var st TCPStats
+	var st core.Stats
 	conns := 0
 	for _, br := range built.Bridges {
 		tb := br.(*TCPPath)
-		s := tb.TCPStats()
+		s := tb.Stats()
 		st.SynFloods += s.SynFloods
 		st.SynRaceDrops += s.SynRaceDrops
 		st.SynDelivered += s.SynDelivered
@@ -110,7 +111,7 @@ func TestTCPPathSurvivesMidPathRestart(t *testing.T) {
 	}
 	var fallbacks uint64
 	for _, br := range built.Bridges {
-		fallbacks += br.(*TCPPath).TCPStats().Fallbacks
+		fallbacks += br.(*TCPPath).Stats().Fallbacks
 	}
 	if fallbacks == 0 {
 		t.Fatal("restart recovery never used the ARP-Path fallback")

@@ -16,10 +16,19 @@ import (
 // coreTabler is the checker's view of any bridge that forwards on an
 // ARP-Path locking table — core.Bridge itself and variants that embed it
 // (flowpath.TCPPath). Walks never assert the concrete type, so a
-// registered variant gets the table checks for free.
+// registered variant gets the table checks for free. A variant that only
+// races floods on a per-source table (flowpath.Bridge: core.Discovery's
+// Hosts()) must have neither method.
 type coreTabler interface {
 	Table() *core.LockTable
 	EntryFor(layers.MAC) (core.Entry, bool)
+}
+
+// nextHopper is the checker's view of any bridge that can say where a
+// conversation's frames leave it — every All-Path variant, each from its
+// own forwarding state.
+type nextHopper interface {
+	NextHop(src, dst layers.MAC, now time.Duration) (*netsim.Port, bool)
 }
 
 // proxySnapshotter is the checker's view of a bridge with the in-switch
@@ -456,11 +465,11 @@ func (c *Checker) checkConnTables(now time.Duration) {
 	)
 }
 
-// walkTo follows dst-MAC entries from a bridge and returns the bridge
-// chain, ending when a host is reached (ok true if it is the owner). On
-// flowpath fabrics the walk follows the directed (src, dst) pair entries
-// instead — the protocol's forwarding state for exactly this
-// conversation.
+// walkTo follows each bridge's NextHop for the conversation src→dst and
+// returns the bridge chain, ending when a host is reached (ok true if it
+// is the owner). Which state answers — dst-MAC entries, or on flowpath
+// fabrics the directed (src, dst) pair entries — is the variant's
+// business.
 func (c *Checker) walkTo(start string, src, dst layers.MAC, owner string) (chain []string, ok bool) {
 	now := c.built.Now()
 	cur := start
@@ -470,21 +479,12 @@ func (c *Checker) walkTo(start string, src, dst layers.MAC, owner string) (chain
 		if !isBridge {
 			return chain, false
 		}
-		var port *netsim.Port
-		switch b := br.(type) {
-		case *flowpath.Bridge:
-			p, found := b.FlowNextHop(src, dst, now)
-			if !found {
-				return chain, false
-			}
-			port = p
-		case coreTabler:
-			e, found := b.EntryFor(dst)
-			if !found {
-				return chain, false
-			}
-			port = e.Port
-		default:
+		hopper, walkable := br.(nextHopper)
+		if !walkable {
+			return chain, false
+		}
+		port, found := hopper.NextHop(src, dst, now)
+		if !found {
 			return chain, false
 		}
 		next := port.Peer().Node().Name()

@@ -4,11 +4,38 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/flowpath"
 	"repro/internal/host"
 	"repro/internal/layers"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 )
+
+// The checker reaches bridges by duck-typing, so which methods a variant
+// has — including the ones it gains by promotion from core.Discovery —
+// decides what is walked as forwarding state. Every variant answers the
+// walk primitive; the ones that forward on the per-source table (ARP-Path,
+// and TCP-Path through it) are MAC-walked.
+var (
+	_ nextHopper = (*core.Bridge)(nil)
+	_ nextHopper = (*flowpath.Bridge)(nil)
+	_ nextHopper = (*flowpath.TCPPath)(nil)
+	_ coreTabler = (*core.Bridge)(nil)
+	_ coreTabler = (*flowpath.TCPPath)(nil)
+)
+
+// TestFlowPathHostTableIsNotWalkedAsForwardingState guards the one trap in
+// sharing the discovery layer: Flow-Path's per-source table holds
+// transient race locks and edge bindings, not paths, so *flowpath.Bridge
+// must never satisfy coreTabler (Table + EntryFor) — the shared layer
+// exposes that table as Hosts() only.
+func TestFlowPathHostTableIsNotWalkedAsForwardingState(t *testing.T) {
+	var fb any = (*flowpath.Bridge)(nil)
+	if _, ok := fb.(coreTabler); ok {
+		t.Fatal("*flowpath.Bridge satisfies coreTabler: the checker would walk its race locks as MAC forwarding entries")
+	}
+}
 
 // ringPort returns the port of bridge on the named ring link.
 func ringPort(t *testing.T, built *topo.Built, linkName, bridge string) *netsim.Port {

@@ -380,6 +380,13 @@ const (
 //
 //fabric:hotpath
 func (t *Table[K]) Race(key K, in *netsim.Port, now time.Duration, establishing bool) Verdict {
+	if t.junk != nil && t.junk(key) {
+		// A key the table refuses to bind can never lose to an earlier
+		// copy, so "absent ⇒ first copy" would let it win on every port,
+		// forever: a flood sourced from a multicast or zero MAC would
+		// circle any cycle until the horizon. No binding, no race: it loses.
+		return RaceLost
+	}
 	e, ok := t.Get(key, now)
 	switch {
 	case !ok:

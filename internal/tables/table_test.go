@@ -447,6 +447,9 @@ func raceTruthTable[K comparable](t *testing.T, policy Policy, key func(int) K) 
 		state        State
 		lockedUntil  time.Duration
 	}{
+		// port nil: the table refuses k, so it is never bound — and never wins.
+		{"junk/establishing", absent, true, RaceLost, nil, 0, 0},
+		{"junk/other", absent, false, RaceLost, nil, 0, 0},
 		{"absent/establishing", absent, true, RaceWon, a, StateLocked, now + lock},
 		{"absent/other", absent, false, RaceWon, a, StateLocked, now + lock},
 		{"same-port/establishing", learnedOn(a), true, RacePass, a, StateLocked, now + lock},
@@ -457,13 +460,21 @@ func raceTruthTable[K comparable](t *testing.T, policy Policy, key func(int) K) 
 		{"other-port-unguarded/other", learnedOn(b), false, RaceLost, b, StateLearned, 0},
 	}
 	for _, r := range rows {
-		tb := New[K](lock, learned, Config{Capacity: 4, Policy: policy}, nil)
+		var refuse func(K) bool
+		if r.port == nil {
+			refuse = func(x K) bool { return x == k }
+		}
+		tb := New[K](lock, learned, Config{Capacity: 4, Policy: policy}, refuse)
 		r.setup(tb)
 		if got := tb.Race(k, a, now, r.establishing); got != r.verdict {
 			t.Errorf("%s: verdict %d, want %d", r.name, got, r.verdict)
 		}
 		e, ok := tb.Get(k, now)
-		if !ok || e.Port != r.port || e.State != r.state || e.LockedUntil != r.lockedUntil {
+		if r.port == nil {
+			if ok || tb.Entries() != 0 {
+				t.Errorf("%s: refused key left an entry (%v, %d resident)", r.name, e.Port, tb.Entries())
+			}
+		} else if !ok || e.Port != r.port || e.State != r.state || e.LockedUntil != r.lockedUntil {
 			t.Errorf("%s: entry (%v, %v, until %v, ok %v), want (%v, %v, until %v)", r.name,
 				e.Port, e.State, e.LockedUntil, ok, r.port, r.state, r.lockedUntil)
 		}

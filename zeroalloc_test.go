@@ -18,21 +18,28 @@ import (
 	"repro/internal/learning"
 	"repro/internal/netsim"
 	"repro/internal/tables"
+	"repro/internal/topo"
 )
 
 func TestSteadyStateForwardingDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race job")
 	}
+	// The All-Path variants ride along on the long chain: Flow-Path's
+	// pair-table hit and TCP-Path's dispatch in front of the ARP-Path
+	// dataplane sit behind the same gate as the hop bench/perf measures.
 	for _, tc := range []struct {
 		name    string
+		proto   topo.Protocol
 		bridges int
 	}{
-		{"SingleHop", 1},
-		{"Chain16", 16},
+		{"SingleHop", topo.ARPPath, 1},
+		{"Chain16", topo.ARPPath, 16},
+		{"Chain16FlowPath", flowpath.ProtoFlowPath, 16},
+		{"Chain16TCPPath", flowpath.ProtoTCPPath, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			built, frame := establishedLine(t, tc.bridges)
+			built, frame := establishedLineSharded(t, tc.proto, tc.bridges, 1)
 			src := built.Host("H1").Port()
 			// Warm every pool: frame buffers, flights, engine events.
 			for i := 0; i < 200; i++ {
@@ -134,7 +141,7 @@ func TestShardedSteadyStateCoordinationDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race job")
 	}
-	built, frame := establishedLineSharded(t, 8, 2)
+	built, frame := establishedLineSharded(t, topo.ARPPath, 8, 2)
 	if k, ok := built.Net.Network.Sharded(); !ok || k != 2 {
 		t.Fatalf("expected a 2-shard line, got %d shards", k)
 	}
