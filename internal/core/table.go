@@ -57,7 +57,7 @@ func NewLockTable(lockTimeout, learnedTimeout time.Duration) *LockTable {
 // timeout baseline (exactly NewLockTable). Multicast and zero MACs are
 // never bound.
 func NewBoundedLockTable(lockTimeout, learnedTimeout time.Duration, bound tables.Config) *LockTable {
-	return &LockTable{*tables.New(lockTimeout, learnedTimeout, bound, tables.JunkMAC)}
+	return &LockTable{*tables.New(lockTimeout, learnedTimeout, bound, tables.JunkMAC, tables.Mix64)}
 }
 
 // GetKey returns the live entry for a packed key.
@@ -89,9 +89,6 @@ func (t *LockTable) LearnKey(key uint64, port *netsim.Port, now time.Duration) {
 func (t *LockTable) Learn(mac layers.MAC, port *netsim.Port, now time.Duration) {
 	t.Table.Learn(mac.Uint64(), port, now)
 }
-
-// GuardKey re-arms the race window on a packed key's current binding.
-func (t *LockTable) GuardKey(key uint64, now time.Duration) { t.Table.Guard(key, now) }
 
 // Guard re-arms the race window on mac's current binding.
 func (t *LockTable) Guard(mac layers.MAC, now time.Duration) { t.Table.Guard(mac.Uint64(), now) }

@@ -36,11 +36,11 @@ func TestGuardOnExpiredEntry(t *testing.T) {
 		t.Fatalf("Len = %d after guarding an expired entry, want 0", tb.Len())
 	}
 
-	// Same via the keyed API: locked entry expires, GuardKey is a no-op.
+	// Same for a lock: once it has expired, Guard is a no-op.
 	tb.LockKey(m.Uint64(), p, 2*time.Second) // expires at 2.1s
-	tb.GuardKey(m.Uint64(), 3*time.Second)
+	tb.Guard(m, 3*time.Second)
 	if _, ok := tb.GetKey(m.Uint64(), 3*time.Second); ok {
-		t.Fatal("GuardKey resurrected an expired lock")
+		t.Fatal("Guard resurrected an expired lock")
 	}
 }
 

@@ -59,7 +59,9 @@ func NewBoundedPairTable(lockTimeout, learnedTimeout time.Duration, bound tables
 	if macKeys {
 		junk = junkPair
 	}
-	return tables.New(lockTimeout, learnedTimeout, bound, junk)
+	return tables.New(lockTimeout, learnedTimeout, bound, junk, hashPair)
 }
+
+func hashPair(k PairKey) uint64 { return tables.Mix128(k.Hi, k.Lo) }
 
 func junkPair(k PairKey) bool { return tables.JunkMAC(k.Hi) || tables.JunkMAC(k.Lo) }

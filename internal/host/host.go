@@ -199,23 +199,15 @@ func (h *Host) handleIPv4(eth *layers.Ethernet) {
 // IPv4 header. Packets are queued while resolution is in flight.
 //
 // The cached-binding case — every packet of an established conversation —
-// serializes into the host's reusable scratch instead of allocating a
-// resolution closure, a layer slice and a fresh buffer per packet. The
-// miss path keeps the allocating closure: its captures must survive until
-// the ARP exchange completes, so it detaches them first — a payload may
-// alias the borrowed frame being answered (an echo reply's data) or the
-// caller's buffer, both recycled long before the resolution lands.
+// is sendResolved. The miss path keeps the allocating closure: its
+// captures must survive until the ARP exchange completes, so it detaches
+// them first — a payload may alias the borrowed frame being answered (an
+// echo reply's data) or the caller's buffer, both recycled long before the
+// resolution lands. The layers themselves are retained as passed: a caller
+// that reuses its header values must not hand them to this path
+// (UDPSocket.SendTo).
 func (h *Host) sendIP(dst layers.Addr4, proto uint8, transport ...layers.SerializableLayer) {
-	if mac, ok := h.arp.lookup(dst); ok {
-		h.txEth = layers.Ethernet{Dst: mac, Src: h.mac, EtherType: layers.EtherTypeIPv4}
-		h.txIP = layers.IPv4{TTL: 64, Protocol: proto, Src: h.ip, Dst: dst}
-		ls := append(h.txLs[:0], &h.txEth, &h.txIP)
-		ls = append(ls, transport...)
-		if err := layers.SerializeLayers(h.txBuf, layers.FixAll, ls...); err != nil {
-			panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
-		}
-		h.stats.IPTx++
-		h.send(h.txBuf.Bytes())
+	if h.sendResolved(dst, proto, transport...) {
 		return
 	}
 	queued := make([]layers.SerializableLayer, len(transport))
@@ -242,4 +234,25 @@ func (h *Host) sendIP(dst layers.Addr4, proto uint8, transport ...layers.Seriali
 		h.stats.IPTx++
 		h.send(frame)
 	})
+}
+
+// sendResolved transmits the transport layers if dst's MAC is cached and
+// reports whether it did. It serializes into the host's reusable scratch
+// instead of allocating a resolution closure, a layer slice and a fresh
+// buffer per packet, and keeps no reference to the layers past the call.
+func (h *Host) sendResolved(dst layers.Addr4, proto uint8, transport ...layers.SerializableLayer) bool {
+	mac, ok := h.arp.lookup(dst)
+	if !ok {
+		return false
+	}
+	h.txEth = layers.Ethernet{Dst: mac, Src: h.mac, EtherType: layers.EtherTypeIPv4}
+	h.txIP = layers.IPv4{TTL: 64, Protocol: proto, Src: h.ip, Dst: dst}
+	ls := append(h.txLs[:0], &h.txEth, &h.txIP)
+	ls = append(ls, transport...)
+	if err := layers.SerializeLayers(h.txBuf, layers.FixAll, ls...); err != nil {
+		panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
+	}
+	h.stats.IPTx++
+	h.send(h.txBuf.Bytes())
+	return true
 }

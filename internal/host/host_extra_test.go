@@ -239,3 +239,69 @@ func TestUDPBroadcastLocal(t *testing.T) {
 		t.Fatalf("broadcast datagrams received = %d, want 1", got)
 	}
 }
+
+// TestUDPSendIntoARPMissKeepsItsOwnLayers: a datagram sent before the
+// destination resolves waits in the ARP queue, and the same socket sends
+// again — other destination port, other bytes, the caller's buffer reused
+// — before the reply lands. The socket's resolved path serializes from
+// per-socket scratch values; the queued datagram must not be looking at
+// them (or at the caller's buffer) when it is finally serialized.
+func TestUDPSendIntoARPMissKeepsItsOwnLayers(t *testing.T) {
+	net, h1, h2 := pair(12)
+	got := map[uint16][]string{}
+	for _, port := range []uint16{6000, 6001} {
+		h2.UDP(port, func(d Datagram) { got[port] = append(got[port], string(d.Data)) })
+	}
+	s := h1.UDP(5000, nil)
+	buf := []byte("first")
+	net.Engine.At(net.Now(), func() {
+		s.SendTo(h2.IP(), 6000, buf)
+		copy(buf, "FIRST") // the caller's buffer is its own again once SendTo returns
+		s.SendTo(h2.IP(), 6001, []byte("second, longer"))
+	})
+	net.Run()
+	if h1.Stats().ARPRequestsTx != 1 {
+		t.Fatalf("fixture broken: %d ARP requests, want both datagrams behind one miss", h1.Stats().ARPRequestsTx)
+	}
+	if len(got[6000]) != 1 || got[6000][0] != "first" || len(got[6001]) != 1 || got[6001][0] != "second, longer" {
+		t.Fatalf("delivered %q, want port 6000 ← \"first\", port 6001 ← \"second, longer\"", got)
+	}
+
+	// Resolved now: the third datagram takes the scratch path, and a
+	// fourth right behind it must not disturb it either.
+	net.Engine.At(net.Now(), func() {
+		s.SendTo(h2.IP(), 6001, []byte("third"))
+		s.SendTo(h2.IP(), 6000, []byte("fourth"))
+	})
+	net.Run()
+	if len(got[6001]) != 2 || got[6001][1] != "third" || len(got[6000]) != 2 || got[6000][1] != "fourth" {
+		t.Fatalf("delivered %q after resolution", got)
+	}
+}
+
+// TestUDPResolvedSendAllocations: with the destination's MAC cached, a
+// datagram costs one allocation end to end, the receiving socket's private
+// copy of the payload. The header and the boxed payload a send used to
+// allocate live in the socket, and the host's serialize buffer stops
+// growing once it has seen one datagram of this size — 64 bytes, which
+// fills the buffer's default headroom and used to regrow it per send.
+func TestUDPResolvedSendAllocations(t *testing.T) {
+	net, h1, h2 := pair(11)
+	s := h1.UDP(5000, nil)
+	received := 0
+	h2.UDP(6000, func(Datagram) { received++ })
+	h1.Ping(h2.IP(), 0, time.Second, func(PingResult) {})
+	net.Run()
+	payload := make([]byte, 64)
+	const runs = 1000
+	avg := testing.AllocsPerRun(runs, func() {
+		s.SendTo(h2.IP(), 6000, payload)
+		net.Run()
+	})
+	if received != runs+1 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("%d of %d datagrams delivered", received, runs+1)
+	}
+	if avg > 1 {
+		t.Fatalf("a resolved SendTo allocates %.1f per datagram, want at most the receiver's copy", avg)
+	}
+}

@@ -25,6 +25,9 @@ type UDPSocket struct {
 	rx     uint64
 	tx     uint64
 	drops  uint64
+	// Scratch layers of the resolved send path (SendTo).
+	txUDP  layers.UDP
+	txData layers.Payload
 }
 
 // UDP binds port on the host. onRx is invoked for each received datagram
@@ -60,13 +63,20 @@ func (s *UDPSocket) Received() uint64 { return s.rx }
 // Sent returns the number of datagrams transmitted.
 func (s *UDPSocket) Sent() uint64 { return s.tx }
 
-// SendTo transmits payload to dst:dstPort.
+// SendTo transmits payload to dst:dstPort. With dst's MAC cached — every
+// datagram of an established flow — the header and the payload's layer
+// value live in the socket and are serialized before the call returns, so
+// nothing is allocated. On an ARP miss the layers wait in the resolution
+// queue until the reply lands, possibly behind this socket's next SendTo:
+// that path gets a header of its own (and sendIP clones the bytes).
 func (s *UDPSocket) SendTo(dst layers.Addr4, dstPort uint16, payload []byte) {
 	s.tx++
-	s.h.sendIP(dst, layers.IPProtoUDP,
-		&layers.UDP{SrcPort: s.port, DstPort: dstPort, SrcIP: s.h.ip, DstIP: dst},
-		layers.Payload(payload),
-	)
+	s.txUDP = layers.UDP{SrcPort: s.port, DstPort: dstPort, SrcIP: s.h.ip, DstIP: dst}
+	s.txData = payload
+	if !s.h.sendResolved(dst, layers.IPProtoUDP, &s.txUDP, &s.txData) {
+		hdr := s.txUDP
+		s.h.sendIP(dst, layers.IPProtoUDP, &hdr, layers.Payload(payload))
+	}
 }
 
 // handleUDP dispatches a received UDP datagram to its socket.

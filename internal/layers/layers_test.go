@@ -30,6 +30,82 @@ func TestParseMACRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseMACVariations: the text forms a spec file or a CLI flag may carry,
+// case by case. A form that is not exactly six hex octets with one
+// separator between each is an error, never a truncated or padded address.
+func TestParseMACVariations(t *testing.T) {
+	want := MAC{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF}
+	good := []struct{ name, mac string }{
+		{"colon separators", "AA:BB:CC:DD:EE:FF"},
+		{"dash separators", "AA-BB-CC-DD-EE-FF"},
+		{"case insensitive", "aa-Bb-cc-Dd-eE-FF"},
+		{"mixed separators", "aa:bb-cc:dd-ee:ff"},
+	}
+	for _, v := range good {
+		t.Run("good/"+v.name, func(t *testing.T) {
+			if got, err := ParseMAC(v.mac); err != nil || got != want {
+				t.Fatalf("ParseMAC(%q) = %v, %v; want %v", v.mac, got, err, want)
+			}
+		})
+	}
+	bad := []struct{ name, mac string }{
+		{"empty", ""},
+		{"incomplete address", "AA:BB:CC:DD:EE:"},
+		{"five octets", "AA:BB:CC:DD:EE"},
+		{"non-hex characters", "SO:ME:WE:IR:DS:TR"},
+		{"oversize address", "AA:BB:CC:DD:EE:FF:00:11:22"},
+		{"one octet too many", "AA:BB:CC:DD:EE:FF:00"},
+		{"no separators", "AABBCCDDEEFF"},
+		{"dot separators", "AA.BB.CC.DD.EE.FF"},
+		{"single-digit octet", "A:BB:CC:DD:EE:FFF"},
+		{"leading space", " A:BB:CC:DD:EE:FF"},
+		{"trailing newline", "AA:BB:CC:DD:EE:F\n"},
+	}
+	for _, v := range bad {
+		t.Run("bad/"+v.name, func(t *testing.T) {
+			if got, err := ParseMAC(v.mac); err == nil || got != (MAC{}) {
+				t.Fatalf("ParseMAC(%q) = %v, %v; want the zero MAC and an error", v.mac, got, err)
+			}
+		})
+	}
+}
+
+// TestGroupBit: an address is multicast exactly when the low bit of its
+// first octet is set (mac[0]&1), and the packed form the tables key on
+// must answer the same as the byte form — it is what refuses a multicast
+// source a table slot.
+func TestGroupBit(t *testing.T) {
+	cases := []struct {
+		name      string
+		mac       MAC
+		multicast bool
+	}{
+		{"zero", ZeroMAC, false},
+		{"broadcast", BroadcastMAC, true},
+		{"host", HostMAC(1), false},
+		{"bridge", BridgeMAC(1), false},
+		{"path control group", PathCtlMulticast, true},
+		{"IPv4 multicast", MAC{0x01, 0x00, 0x5E, 0x00, 0x00, 0x01}, true},
+		{"group bit alone", MAC{0x01, 0, 0, 0, 0, 0}, true},
+		{"every bit but the group bit", MAC{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, false},
+		{"low bit of the last octet", MAC{0x02, 0, 0, 0, 0, 0x01}, false},
+		{"low bit of the second octet", MAC{0x02, 0x01, 0, 0, 0, 0}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if byOctet := c.mac[0]&1 == 1; byOctet != c.multicast {
+				t.Fatalf("case is wrong: %v has mac[0]&1 = %v", c.mac, byOctet)
+			}
+			if c.mac.IsMulticast() != c.multicast || c.mac.IsUnicast() == c.multicast {
+				t.Fatalf("%v: IsMulticast %v, IsUnicast %v", c.mac, c.mac.IsMulticast(), c.mac.IsUnicast())
+			}
+			if KeyIsMulticast(c.mac.Uint64()) != c.multicast {
+				t.Fatalf("KeyIsMulticast(%#x) = %v", c.mac.Uint64(), !c.multicast)
+			}
+		})
+	}
+}
+
 func TestMACClassification(t *testing.T) {
 	if !BroadcastMAC.IsBroadcast() || !BroadcastMAC.IsMulticast() || BroadcastMAC.IsUnicast() {
 		t.Fatal("broadcast misclassified")

@@ -57,9 +57,14 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 		}
 		nb := make([]byte, head+b.Len(), head+len(b.buf))
 		copy(nb[head:], b.Bytes())
+		// Clear's restore point moves with the contents: what this packet
+		// has already prepended stays headroom too, so the next packet of
+		// the same shape does not grow again. (A payload is prepended
+		// first; one that nearly fills the default headroom used to make
+		// every datagram regrow for its headers.)
+		b.head = head + b.head - b.start
 		b.buf = nb
 		b.start = head
-		b.head = head
 	}
 	b.start -= n
 	return b.buf[b.start : b.start+n]

@@ -48,6 +48,35 @@ func TestSerializeBufferHeadroomGrowth(t *testing.T) {
 	}
 }
 
+// TestSerializeBufferReuseStopsGrowing: a datagram's payload is prepended
+// first; when it fits the default headroom but leaves too little for the
+// headers, the buffer grows at the front — and once a reused buffer has
+// grown for one such packet, the next of the same shape must fit. (Growth
+// used to restore only the new headroom on Clear, not the bytes already
+// prepended into the old one, so every datagram of 23 to 64 payload bytes
+// reallocated, forever.)
+func TestSerializeBufferReuseStopsGrowing(t *testing.T) {
+	for _, size := range []int{defaultHeadroom - 8, defaultHeadroom, 8 * defaultHeadroom} {
+		b := NewSerializeBuffer()
+		payload := bytes.Repeat([]byte{0x5A}, size)
+		packet := func() {
+			b.Clear()
+			copy(b.PrependBytes(len(payload)), payload)
+			copy(b.PrependBytes(8), "udp-hdr.")
+			copy(b.PrependBytes(20), "ipv4-header-20-bytes")
+			copy(b.PrependBytes(14), "ethernet-hdr14")
+		}
+		packet()
+		want := append([]byte(nil), b.Bytes()...)
+		if avg := testing.AllocsPerRun(100, packet); avg != 0 {
+			t.Fatalf("%d-byte payload: a reused buffer allocates %.1f times per same-shape packet", size, avg)
+		}
+		if !bytes.Equal(b.Bytes(), want) || len(want) != size+8+20+14 {
+			t.Fatalf("%d-byte payload: reuse changed the packet: %d bytes, want %d", size, len(b.Bytes()), len(want))
+		}
+	}
+}
+
 func TestSerializeBufferClearAfterFullConsumption(t *testing.T) {
 	b := NewSerializeBufferExpectedSize(4, 0)
 	b.PrependBytes(4) // consume all headroom

@@ -37,7 +37,7 @@ func NewBoundedTable(aging time.Duration, bound tables.Config) *Table {
 	if aging <= 0 {
 		aging = DefaultAging
 	}
-	return &Table{*tables.New(aging, aging, bound, tables.JunkMAC)}
+	return &Table{*tables.New(aging, aging, bound, tables.JunkMAC, tables.Mix64)}
 }
 
 // SetAging changes the aging time for future learns. 802.1D shortens it to

@@ -60,11 +60,28 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.Connect(h2, bs[1], cfg())
 	net.RunFor(settle)
 
-	// Seed the FIBs.
-	net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, 1) })
-	net.RunFor(time.Second)
+	// Aging is restored lazily, by the first frame forwarded after the TC
+	// period: the root flags TC for max-age + forward-delay after the last
+	// notification (which a port reaching forwarding may raise up to two
+	// forward-delays after the event), and every flagged BPDU pushes a
+	// bridge's own deadline out by as much again. Three periods cover it.
+	normal := timers.Aging.D()
+	tcPeriod := 3*(timers.MaxAge+timers.ForwardDelay).D() + 5*time.Second
+	restored := func(when string, tag byte) {
+		t.Helper()
+		net.RunFor(tcPeriod)
+		net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, tag) })
+		net.RunFor(5 * time.Second)
+		for _, b := range bs {
+			if !fibAgesAfter(b, net.Now(), normal) {
+				t.Fatalf("%s: %s aging is not %v once the TC period is over", when, b.Name(), normal)
+			}
+		}
+	}
+	// Initial convergence is itself a topology change; let it lapse so the
+	// cut below is what shortens the aging.
+	restored("after convergence", 1)
 
-	normal := bs[1].FIB().LearnedTimeout()
 	// Cut a forwarding ring link → TC propagates → fast aging at the
 	// bridges that hear the root's TC flag.
 	var cut *netsim.Link
@@ -81,23 +98,26 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 	net.RunFor(10 * time.Second)
 	fastSeen := false
 	for _, b := range bs {
-		if b.FIB().LearnedTimeout() == timers.ForwardDelay.D() {
+		if fibAgesAfter(b, net.Now(), timers.ForwardDelay.D()) {
 			fastSeen = true
 		}
 	}
 	if !fastSeen {
 		t.Fatal("no bridge entered fast aging after the topology change")
 	}
-	// After the TC period (max-age + forward-delay) plus margin, traffic
-	// through the dataplane restores normal aging lazily.
-	net.RunFor((timers.MaxAge + timers.ForwardDelay).D() + 5*time.Second)
-	net.Engine.At(net.Now(), func() { h1.send(layers.BroadcastMAC, 2) })
-	net.RunFor(5 * time.Second)
-	for _, b := range bs {
-		if got := b.FIB().LearnedTimeout(); got != normal {
-			t.Fatalf("%s aging = %v after TC period, want %v", b.Name(), got, normal)
-		}
-	}
+	restored("after the cut", 2)
+}
+
+// fibAgesAfter reports whether b's FIB currently ages entries after exactly
+// aging, read off the table the way a frame meets it: a probe address
+// learned now is still found one tick before now+aging and gone at it.
+func fibAgesAfter(b *Bridge, now, aging time.Duration) bool {
+	probe := layers.HostMAC(0xfffe)
+	b.fib.Learn(probe, b.ForwardingPorts()[0], now)
+	_, before := b.fib.Lookup(probe, now+aging-1)
+	_, at := b.fib.Lookup(probe, now+aging)
+	b.fib.Delete(probe.Uint64())
+	return before && !at
 }
 
 // TestBPDUIgnoredOnDownPort: BPDUs that arrive racing a link-down event

@@ -1,8 +1,9 @@
 package tables
 
 import (
+	"maps"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -274,18 +275,33 @@ func recencyOf[T, K comparable](tr *Tracker[T], key func(T) K) recency[K] {
 // same answer from every call and the same counters and victim order
 // after every step.
 func TestDifferentialAgainstModel(t *testing.T) {
-	matrix(t, differential[uint64], differential[key128])
+	matrix(t,
+		func(t *testing.T, p Policy, key func(int) uint64) { differential(t, p, key, 12, 0) },
+		func(t *testing.T, p Policy, key func(int) key128) { differential(t, p, key, 12, 0) })
 }
 
-func differential[K comparable](t *testing.T, policy Policy, key func(int) K) {
+// TestDifferentialDeleteHeavyPairs is the same run on Flow-Path-shaped keys
+// (two packed MACs) with a quarter of the operations turned into Deletes:
+// repair teardown at a rate that keeps the index shifting runs back over
+// holes while evictions, sweeps and lazy expiry remove keys around them.
+func TestDifferentialDeleteHeavyPairs(t *testing.T) {
+	for _, policy := range []Policy{PolicyLRU, PolicyClock} {
+		t.Run(policy.String(), func(t *testing.T) { differential(t, policy, pairOf, 6, 25) })
+	}
+}
+
+// differential is the run, once bounded at capacity and once unbounded;
+// deletes is the percentage of steps replaced by a Delete on top of the
+// schedule's own 4 % (the bound shrinks with it, or nothing would evict).
+func differential[K comparable](t *testing.T, policy Policy, key func(int) K, capacity, deletes int) {
 	const (
 		lock    = 3 * time.Millisecond
 		learned = 40 * time.Millisecond
 		steps   = 30_000
 	)
 	ports := testPorts(3)
-	for _, bound := range []Config{{Capacity: 12, Policy: policy}, {Policy: policy}} {
-		tb := New[K](lock, learned, bound, nil)
+	for _, bound := range []Config{{Capacity: capacity, Policy: policy}, {Policy: policy}} {
+		tb := New[K](lock, learned, bound, nil, hashOf[K]())
 		m := newModel[K](lock, learned, bound)
 		rng := rand.New(rand.NewSource(int64(policy)*1000 + int64(bound.Capacity)))
 
@@ -301,6 +317,9 @@ func differential[K comparable](t *testing.T, policy Policy, key func(int) K) {
 			}
 			k, p := key(rng.Intn(40)), ports[rng.Intn(len(ports))]
 			op := rng.Intn(100)
+			if rng.Intn(100) < deletes {
+				op = 90 // a Delete
+			}
 			switch {
 			case op < 20:
 				r, e, ok := tb.Find(k, now)
@@ -364,11 +383,11 @@ func differential[K comparable](t *testing.T, policy Policy, key func(int) K) {
 			}
 			got := recencyOf(tb.tracker, func(i int32) K { return tb.slab[i].key })
 			want := recencyOf(m.tracker, func(k K) K { return k })
-			if !reflect.DeepEqual(got, want) {
+			if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.refs, want.refs) || got.hand != want.hand {
 				t.Fatalf("step %d: victim order diverged:\n table %+v\n model %+v", step, got, want)
 			}
 			if step%32 == 0 {
-				if got, want := tb.Snapshot(now), m.snapshot(now); !reflect.DeepEqual(got, want) {
+				if got, want := tb.Snapshot(now), m.snapshot(now); !maps.Equal(got, want) {
 					t.Fatalf("step %d: Snapshot diverged:\n table %+v\n model %+v", step, got, want)
 				}
 				checkAccounting(t, tb)

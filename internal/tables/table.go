@@ -97,14 +97,15 @@ type portState struct {
 // TCP-Path — so they share this body and instantiate it per key type.
 // There is no routing protocol and no tree behind it (§1).
 //
-// Storage is a slab of records and a key index pointing into it (DESIGN.md
-// §5): a hit is one index probe, and every rewrite of a resident key —
-// refresh, guard, re-lock, re-learn, even onto another port — mutates its
-// record in place, the way the NetFPGA lookup stage rewrites state and
-// timestamp at the matched address. Only admitting a new key or removing
+// Storage is a slab of records and an open-addressed key index pointing
+// into it (index.go, DESIGN.md §5): a hit is one index probe — a hash, a
+// mask and a compare, no runtime map call — and every rewrite of a
+// resident key — refresh, guard, re-lock, re-learn, even onto another
+// port — mutates its record in place, the way the NetFPGA lookup stage
+// rewrites state and timestamp at the matched address. Only admitting a new key or removing
 // one writes the index. Freed slots are reused before the slab grows, and
 // the sweeps walk the slab, so nothing observable (or allocated) depends
-// on Go map iteration order.
+// on the order of the index's buckets.
 //
 // Expiry is lazy (checked on access) and link failures are handled by
 // per-port generation counters, so no operation on the hot path scans the
@@ -123,7 +124,7 @@ type Table[K comparable] struct {
 	capacity       int
 	junk           func(K) bool    // keys Lock/Learn must ignore; nil admits all
 	tracker        *Tracker[int32] // recency order over slab slots; nil for the timeout baseline
-	index          map[K]int32     // key → slab slot
+	index          index[K]        // key → slab slot
 	slab           []slot[K]
 	free           []int32 // free slab slots, reused last-freed first
 	seq            uint64  // entries ever admitted; the newest slot incarnation
@@ -158,9 +159,11 @@ func JunkMAC(key uint64) bool { return layers.KeyIsMulticast(key) || key == 0 }
 
 // New builds an empty table with the two timeouts — the short race window
 // for locked entries and the long lifetime for confirmed (learned) ones —
-// a capacity bound (the zero Config is the unbounded timeout baseline) and
-// an optional junk predicate naming keys that must never pin a slot.
-func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, junk func(K) bool) *Table[K] {
+// a capacity bound (the zero Config is the unbounded timeout baseline), an
+// optional junk predicate naming keys that must never pin a slot, and the
+// key index's hash (Mix64 or Mix128 over the key's words; index.go says
+// what it must be).
+func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, junk func(K) bool, hash func(K) uint64) *Table[K] {
 	if lockTimeout <= 0 || learnedTimeout <= 0 {
 		panic("tables: timeouts must be positive")
 	}
@@ -172,7 +175,7 @@ func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, 
 		learnedTimeout: learnedTimeout,
 		capacity:       bound.Capacity,
 		junk:           junk,
-		index:          make(map[K]int32),
+		index:          newIndex(hash, bound.Capacity),
 		ports:          make(map[*netsim.Port]*portState),
 	}
 	if bound.Tracked() {
@@ -180,9 +183,6 @@ func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, 
 	}
 	return t
 }
-
-// LearnedTimeout returns the lifetime given to learned entries.
-func (t *Table[K]) LearnedTimeout() time.Duration { return t.learnedTimeout }
 
 // SetLearnedTimeout changes the learned lifetime (and sweep period) for
 // future writes; existing entries keep their deadlines until rewritten or
@@ -219,7 +219,7 @@ func (t *Table[K]) evict(i int32) {
 	if t.tracker != nil {
 		t.tracker.Remove(s.th)
 	}
-	delete(t.index, s.key)
+	t.index.del(s.key)
 	*s = slot[K]{}
 	t.free = append(t.free, i)
 }
@@ -250,7 +250,7 @@ func (t *Table[K]) makeRoom(now time.Duration) {
 	if t.tracker == nil || t.capacity <= 0 {
 		return
 	}
-	for rejects := RejectBudget; len(t.index) >= t.capacity; {
+	for rejects := RejectBudget; t.index.n >= t.capacity; {
 		h, ok := t.tracker.Victim()
 		if !ok {
 			return
@@ -287,7 +287,7 @@ func (t *Table[K]) store(key K, i int32, resident bool, e Entry, now time.Durati
 			t.tracker.Touch(t.slab[i].th)
 		}
 	} else {
-		if t.capacity > 0 && len(t.index) >= t.capacity {
+		if t.capacity > 0 && t.index.n >= t.capacity {
 			t.makeRoom(now)
 		}
 		if n := len(t.free); n > 0 {
@@ -301,9 +301,9 @@ func (t *Table[K]) store(key K, i int32, resident bool, e Entry, now time.Durati
 		if t.tracker != nil {
 			t.slab[i].th = t.tracker.Insert(i)
 		}
-		t.index[key] = i
-		if len(t.index) > t.peak {
-			t.peak = len(t.index)
+		t.index.put(key, i)
+		if t.index.n > t.peak {
+			t.peak = t.index.n
 		}
 	}
 	st := t.port(e.Port)
@@ -320,7 +320,7 @@ func (t *Table[K]) store(key K, i int32, resident bool, e Entry, now time.Durati
 //
 //fabric:hotpath
 func (t *Table[K]) Find(key K, now time.Duration) (Ref, Entry, bool) {
-	i, ok := t.index[key]
+	i, ok := t.index.get(t.index.hash(key), key)
 	if !ok {
 		return Ref{}, Entry{}, false
 	}
@@ -351,7 +351,7 @@ func (t *Table[K]) Lock(key K, port *netsim.Port, now time.Duration) {
 		return
 	}
 	t.maybeSweep(now)
-	i, resident := t.index[key]
+	i, resident := t.index.get(t.index.hash(key), key)
 	t.store(key, i, resident, Entry{
 		Port:        port,
 		State:       StateLocked,
@@ -431,7 +431,7 @@ func (t *Table[K]) Learn(key K, port *netsim.Port, now time.Duration) {
 		return
 	}
 	t.maybeSweep(now)
-	i, resident := t.index[key]
+	i, resident := t.index.get(t.index.hash(key), key)
 	if resident {
 		if s := &t.slab[i]; s.Port == port && !s.dead(now) {
 			s.State, s.Expires = StateLearned, now+t.learnedTimeout
@@ -469,7 +469,7 @@ func (t *Table[K]) refresh(i int32, now time.Duration) {
 //
 //fabric:hotpath
 func (t *Table[K]) Refresh(key K, now time.Duration) {
-	if i, ok := t.index[key]; ok {
+	if i, ok := t.index.get(t.index.hash(key), key); ok {
 		t.refresh(i, now)
 	}
 }
@@ -505,7 +505,7 @@ func (t *Table[K]) Guard(key K, now time.Duration) {
 
 // Delete removes key's entry (stale-path teardown during repair).
 func (t *Table[K]) Delete(key K) {
-	if i, ok := t.index[key]; ok {
+	if i, ok := t.index.get(t.index.hash(key), key); ok {
 		t.evict(i)
 	}
 }
@@ -531,7 +531,7 @@ func (t *Table[K]) Len() int { return t.resident }
 // flushed-generation corpses awaiting reclamation: the table's actual
 // memory footprint, the quantity the capacity bound and the leak
 // regression tests are about.
-func (t *Table[K]) Entries() int { return len(t.index) }
+func (t *Table[K]) Entries() int { return t.index.n }
 
 // Evictions returns the cumulative count of live entries force-evicted by
 // the capacity bound (corpse reclamation is not an eviction).
@@ -547,7 +547,7 @@ func (t *Table[K]) PeakEntries() int { return t.peak }
 // (evictions, peak occupancy) survive, and so does the incarnation
 // counter: a Ref taken before the Reset matches nothing after it.
 func (t *Table[K]) Reset() {
-	clear(t.index)
+	t.index.reset()
 	clear(t.slab)
 	t.slab = t.slab[:0]
 	t.free = t.free[:0]
@@ -588,7 +588,7 @@ func (t *Table[K]) FlushExpired(now time.Duration) {
 // path a flow has locked from it (Figure 1's bubbles) and the scenario
 // checker walks it per key.
 func (t *Table[K]) Snapshot(now time.Duration) map[K]Entry {
-	out := make(map[K]Entry, len(t.index))
+	out := make(map[K]Entry, t.index.n)
 	for i := range t.slab {
 		if s := &t.slab[i]; s.seq != 0 && !s.dead(now) {
 			out[s.key] = s.Entry

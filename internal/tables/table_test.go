@@ -21,6 +21,19 @@ type key128 struct{ Hi, Lo uint64 }
 func macKey(i int) uint64  { return layers.HostMAC(i + 1).Uint64() }
 func wideKey(i int) key128 { return key128{Hi: uint64(i + 1), Lo: uint64(i) << 32} }
 
+// pairOf is a Flow-Path-shaped key: two packed host MACs.
+func pairOf(i int) key128 { return key128{Hi: macKey(i), Lo: macKey(i + 1<<20)} }
+
+// hashOf returns the index hash the fabric pairs with each key shape:
+// Mix64 for packed MACs, Mix128 over the halves of a pair.
+func hashOf[K comparable]() func(K) uint64 {
+	var h any = Mix64
+	if _, wide := any(*new(K)).(key128); wide {
+		h = func(k key128) uint64 { return Mix128(k.Hi, k.Lo) }
+	}
+	return h.(func(K) uint64)
+}
+
 // matrix runs one generic property over {uint64, 128-bit} × {lru, clock}.
 func matrix(t *testing.T,
 	narrow func(*testing.T, Policy, func(int) uint64),
@@ -73,7 +86,7 @@ func guardedNeverEvicted[K comparable](t *testing.T, policy Policy, key func(int
 		ops         = 20_000
 	)
 	ports := testPorts(2)
-	tb := New[K](lockTimeout, time.Hour, Config{Capacity: capacity, Policy: policy}, nil)
+	tb := New[K](lockTimeout, time.Hour, Config{Capacity: capacity, Policy: policy}, nil, hashOf[K]())
 	rng := rand.New(rand.NewSource(int64(policy) + 42))
 
 	// Shadow of every key's latest window-opening operation.
@@ -103,7 +116,7 @@ func guardedNeverEvicted[K comparable](t *testing.T, policy Policy, key func(int
 					delete(lockedAt, k) // window closed
 					continue
 				}
-				if _, ok := tb.index[k]; !ok {
+				if _, ok := tb.index.get(tb.index.hash(k), k); !ok {
 					t.Fatalf("op %d: key %v evicted inside its race window (locked at %v, now %v)", i, k, at, now)
 				}
 			}
@@ -130,7 +143,7 @@ func corpseBoundedMap[K comparable](t *testing.T, policy Policy, key func(int) K
 	// Short confirmed lifetime so expiry churns quickly; the sweep period
 	// equals it. Tracked but unbounded: only the sweep reclaims.
 	const lifetime = 10 * time.Millisecond
-	tb := New[K](time.Millisecond, lifetime, Config{Policy: policy}, nil)
+	tb := New[K](time.Millisecond, lifetime, Config{Policy: policy}, nil, hashOf[K]())
 
 	now := time.Duration(0)
 	maxEntries := 0
@@ -164,7 +177,7 @@ func TestPortStateReclaim(t *testing.T) {
 func portStateReclaim[K comparable](t *testing.T, policy Policy, key func(int) K) {
 	const n = 64
 	ports := testPorts(n)
-	tb := New[K](time.Millisecond, 10*time.Millisecond, Config{Policy: policy}, nil)
+	tb := New[K](time.Millisecond, 10*time.Millisecond, Config{Policy: policy}, nil, hashOf[K]())
 
 	// One entry per port, then let everything expire: a full sweep must
 	// drop every port record along with the corpses.
@@ -210,7 +223,7 @@ func TestCapacityBound(t *testing.T) {
 func capacityBound[K comparable](t *testing.T, policy Policy, key func(int) K) {
 	ports := testPorts(1)
 	const capacity, inserts = 16, 200
-	tb := New[K](time.Millisecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil)
+	tb := New[K](time.Millisecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil, hashOf[K]())
 
 	now := 10 * time.Millisecond
 	for i := 0; i < inserts; i++ {
@@ -254,7 +267,7 @@ func TestJunkPredicate(t *testing.T) {
 func junkPredicate[K comparable](t *testing.T, policy Policy, key func(int) K) {
 	ports := testPorts(1)
 	bad := key(0)
-	guarded := New(time.Millisecond, time.Second, Config{Policy: policy}, func(k K) bool { return k == bad })
+	guarded := New(time.Millisecond, time.Second, Config{Policy: policy}, func(k K) bool { return k == bad }, hashOf[K]())
 	guarded.Lock(bad, ports[0], 0)
 	guarded.Learn(bad, ports[0], 0)
 	if _, ok := guarded.Get(bad, 0); ok || guarded.Len() != 0 || guarded.Entries() != 0 {
@@ -265,7 +278,7 @@ func junkPredicate[K comparable](t *testing.T, policy Policy, key func(int) K) {
 		t.Fatal("legitimate key rejected")
 	}
 
-	open := New[K](time.Millisecond, time.Second, Config{Policy: policy}, nil)
+	open := New[K](time.Millisecond, time.Second, Config{Policy: policy}, nil, hashOf[K]())
 	open.Lock(bad, ports[0], 0)
 	if _, ok := open.Get(bad, 0); !ok {
 		t.Fatal("table without a predicate rejected a key")
@@ -282,7 +295,7 @@ func TestResetKeepsLifetimeCounters(t *testing.T) {
 func resetKeepsLifetimeCounters[K comparable](t *testing.T, policy Policy, key func(int) K) {
 	ports := testPorts(2)
 	const capacity = 8
-	tb := New[K](time.Millisecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil)
+	tb := New[K](time.Millisecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil, hashOf[K]())
 	now := 10 * time.Millisecond
 	for i := 0; i < 3*capacity; i++ {
 		tb.Learn(key(i), ports[i%2], now)
@@ -337,7 +350,7 @@ func staleRef[K comparable](t *testing.T, policy Policy, key func(int) K) {
 			tb.FlushExpired(at)
 		},
 	} {
-		tb := New[K](time.Millisecond, lifetime, Config{Capacity: 1, Policy: policy}, nil)
+		tb := New[K](time.Millisecond, lifetime, Config{Capacity: 1, Policy: policy}, nil, hashOf[K]())
 		now := 10 * time.Millisecond
 		tb.Learn(key(0), ports[0], now)
 		stale, _, ok := tb.Find(key(0), now)
@@ -371,7 +384,7 @@ func staleRef[K comparable](t *testing.T, policy Policy, key func(int) K) {
 
 	// A Ref to an entry whose port was flushed (the corpse still resident)
 	// must not resurrect it.
-	tb := New[K](time.Millisecond, lifetime, Config{Policy: policy}, nil)
+	tb := New[K](time.Millisecond, lifetime, Config{Policy: policy}, nil, hashOf[K]())
 	tb.Learn(key(0), ports[0], 0)
 	r, _, _ := tb.Find(key(0), 0)
 	tb.FlushPort(ports[0])
@@ -388,7 +401,7 @@ func TestHitPathDoesNotAllocate(t *testing.T) {
 	ports := testPorts(1)
 	const n = 512
 	for _, bound := range []Config{{}, {Capacity: 2 * n, Policy: PolicyLRU}} {
-		tb := New[uint64](time.Millisecond, time.Hour, bound, JunkMAC)
+		tb := New(time.Millisecond, time.Hour, bound, JunkMAC, Mix64)
 		for i := 0; i < n; i++ {
 			tb.Learn(macKey(i), ports[0], 0)
 		}
@@ -411,6 +424,42 @@ func TestHitPathDoesNotAllocate(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("%+v: same-port Learn allocates %.1f per call", bound, avg)
 		}
+	}
+}
+
+// TestBoundedChurnDoesNotAllocate: a bounded table's index is sized from
+// its capacity at construction, and slab slots, tracker nodes and index
+// buckets are all recycled — so once the table has filled, admitting a
+// never-seen key by evicting the coldest one (discovery_churn's regime,
+// and what a MAC-flooding station does to a switch) allocates nothing.
+func TestBoundedChurnDoesNotAllocate(t *testing.T) {
+	matrix(t, boundedChurnDoesNotAllocate[uint64], boundedChurnDoesNotAllocate[key128])
+}
+
+func boundedChurnDoesNotAllocate[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const capacity = 256
+	ports := testPorts(2)
+	tb := New[K](time.Microsecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil, hashOf[K]())
+	buckets := len(tb.index.buckets)
+	now, i := time.Duration(0), 0
+	admit := func() {
+		now += time.Millisecond // past the previous key's race window: the victim is evictable
+		if i%3 == 0 {
+			tb.Learn(key(i), ports[i%2], now)
+		} else {
+			tb.Lock(key(i), ports[i%2], now)
+		}
+		i++
+	}
+	for range 2 * capacity {
+		admit()
+	}
+	if avg := testing.AllocsPerRun(20*capacity, admit); avg != 0 {
+		t.Fatalf("insert+evict at capacity allocates %.2f per key", avg)
+	}
+	if tb.Entries() != capacity || tb.Evictions() == 0 || len(tb.index.buckets) != buckets {
+		t.Fatalf("%d entries (bound %d), %d evictions, index %d → %d buckets",
+			tb.Entries(), capacity, tb.Evictions(), buckets, len(tb.index.buckets))
 	}
 }
 
@@ -464,7 +513,7 @@ func raceTruthTable[K comparable](t *testing.T, policy Policy, key func(int) K) 
 		if r.port == nil {
 			refuse = func(x K) bool { return x == k }
 		}
-		tb := New[K](lock, learned, Config{Capacity: 4, Policy: policy}, refuse)
+		tb := New[K](lock, learned, Config{Capacity: 4, Policy: policy}, refuse, hashOf[K]())
 		r.setup(tb)
 		if got := tb.Race(k, a, now, r.establishing); got != r.verdict {
 			t.Errorf("%s: verdict %d, want %d", r.name, got, r.verdict)
