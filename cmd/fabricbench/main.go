@@ -24,10 +24,11 @@
 // all figure/table outputs are byte-identical for any K (only wall-clock
 // rates change). -exp scale sweeps shard counts 1..K on a 256-bridge
 // fabric and, with -bench-out, writes the wall-clock figures as a JSON
-// artifact (BENCH_scale.json in CI). -procs repeats that sweep at each
-// GOMAXPROCS in a comma list ("1,2,4"), or at every power of two up to
-// the machine's cores with -procs auto, producing the multi-core speedup
-// matrix the benchdiff -speedup gate consumes.
+// artifact. -procs repeats that sweep at each GOMAXPROCS in a comma list
+// ("1,2,4"), or at every power of two up to the machine's cores with
+// -procs auto, producing the multi-core speedup matrix; the run fails —
+// after writing the artifact — when a pass with GOMAXPROCS >= 4 is not at
+// least 2x faster at 4 shards than at 1 (DESIGN.md §8).
 package main
 
 import (
@@ -73,7 +74,7 @@ func main() {
 	shards := flag.Int("shards", 1, "run simulations on K parallel engine shards")
 	bridges := flag.Int("bridges", 0, "fabric size override for -exp scale / -exp allpath (0 = the experiment's default)")
 	conversations := flag.Int("conversations", 0, "conversation count override for -exp tables (0 = the spec/experiment default)")
-	benchOut := flag.String("bench-out", "", "write the -exp scale / -exp allpath / -exp tables JSON artifact to this file")
+	benchOut := flag.String("bench-out", "", "write the -exp scale / -exp tables JSON artifact to this file")
 	procs := flag.String("procs", "", "GOMAXPROCS sweep for -exp scale: a comma list like 1,2,4, or auto (powers of two up to the machine's cores)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the workload to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-workload, after GC) to this file")
@@ -136,14 +137,21 @@ func main() {
 		MutexPath: *mutexProfile, BlockPath: *blockProfile,
 	}}
 	res, err := runner.Run()
+	// Written before the error is reported: a scale run that fails its
+	// speedup verdict still hands over the matrix that failed it.
+	if *benchOut != "" && res != nil && res.BenchJSON != nil {
+		if werr := os.WriteFile(*benchOut, res.BenchJSON, 0o644); werr != nil {
+			fmt.Fprintf(os.Stderr, "fabricbench: writing %s: %v\n", *benchOut, werr)
+			os.Exit(1)
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fabricbench: %v\n", err)
 		os.Exit(1)
 	}
-	if *benchOut != "" && res.BenchJSON != nil {
-		if err := os.WriteFile(*benchOut, res.BenchJSON, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "fabricbench: writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
+	if *benchOut != "" && res.BenchJSON == nil {
+		fmt.Fprintf(os.Stderr, "fabricbench: -bench-out %s: -exp %s has no JSON artifact (scale and tables do)\n",
+			*benchOut, spec.Workload.Kind)
+		os.Exit(2)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,8 +22,8 @@ import (
 // state), path diversity (how many distinct trunks carry the load and
 // how evenly), and delivered throughput. Everything reported here is
 // deterministic: a function of the seed alone, bit-identical at any
-// shard count, which is what lets CI diff the JSON artifact across
-// -shards 1 and 4.
+// shard count, which is what lets examples/specs/allpath.golden pin the
+// table and the nine fabrics' folded trace fingerprint at -shards 1 and 4.
 
 // MatrixPattern names a spec-level traffic matrix shape.
 type MatrixPattern string
@@ -180,10 +179,8 @@ type MatrixRun struct {
 	FinishedAt     time.Duration // virtual time the last transfer completed
 	TableEntries   int           // resident forwarding entries, summed over bridges
 	TableMax       int           // largest single bridge table
-	TrunksUsed     int           // trunk links that carried any traffic
 	TrunkShareMax  float64       // busiest trunk's share of total trunk busy time
 	EffTrunks      float64       // effective trunk count: 1 / Σ share² (inverse Herfindahl)
-	Events         uint64
 }
 
 // DriveMatrix runs a compiled matrix as TCP-lite transfers over a built
@@ -192,7 +189,6 @@ type MatrixRun struct {
 func DriveMatrix(built *topo.Built, flows []MatrixFlow) *MatrixRun {
 	hostOf := func(i int) string { return fmt.Sprintf("H%d", i+1) }
 	run := &MatrixRun{Flows: len(flows)}
-	eventsBefore := built.Network.Processed()
 
 	// Trunk utilization is measured as the delta over the run, so warm-up
 	// HELLOs (which touch every trunk once) do not drown the diversity
@@ -241,10 +237,6 @@ func DriveMatrix(built *topo.Built, flows []MatrixFlow) *MatrixRun {
 		run.TableEntries += n
 		run.TableMax = max(run.TableMax, n)
 	}
-	bridges := make(map[string]bool, len(built.Bridges))
-	for _, br := range built.Bridges {
-		bridges[br.Name()] = true
-	}
 	// Links is a map: iterate in sorted name order so the floating-point
 	// share accumulation below is bit-identical run to run.
 	names := make([]string, 0, len(built.Links))
@@ -256,12 +248,11 @@ func DriveMatrix(built *topo.Built, flows []MatrixFlow) *MatrixRun {
 	var trunkBusy []time.Duration
 	for _, name := range names {
 		l := built.Links[name]
-		if !bridges[l.A().Node().Name()] || !bridges[l.B().Node().Name()] {
+		if !built.IsTrunk(l) {
 			continue
 		}
 		busy := l.BusyTime(l.A()) + l.BusyTime(l.B()) - busyBefore[l]
 		if busy > 0 {
-			run.TrunksUsed++
 			trunkBusy = append(trunkBusy, busy)
 			total += busy
 			if busy > max {
@@ -278,7 +269,6 @@ func DriveMatrix(built *topo.Built, flows []MatrixFlow) *MatrixRun {
 		}
 		run.EffTrunks = 1 / hhi
 	}
-	run.Events = built.Network.Processed() - eventsBefore
 	return run
 }
 
@@ -338,44 +328,4 @@ func AllPathTable(rs []*AllPathResult) *metrics.Table {
 			fmt.Sprintf("%.3f", r.Run.TrunkShareMax))
 	}
 	return t
-}
-
-// allPathRecord is the JSON artifact's row. Deliberately free of any
-// machine- or shard-dependent field: CI diffs this file byte for byte
-// between -shards 1 and -shards 4.
-type allPathRecord struct {
-	Pattern        string  `json:"pattern"`
-	Protocol       string  `json:"protocol"`
-	Bridges        int     `json:"bridges"`
-	Flows          int     `json:"flows"`
-	Completed      int     `json:"completed"`
-	DeliveredBytes int     `json:"delivered_bytes"`
-	FinishedNS     int64   `json:"finished_virtual_ns"`
-	TableEntries   int     `json:"table_entries_total"`
-	TableMax       int     `json:"table_entries_max"`
-	TrunksUsed     int     `json:"trunks_used"`
-	TrunkShareMax  float64 `json:"max_trunk_share"`
-	EffTrunks      float64 `json:"effective_trunks"`
-	Events         uint64  `json:"events"`
-}
-
-// AllPathJSON renders the comparison as the deterministic bench artifact.
-func AllPathJSON(cfg AllPathConfig, rs []*AllPathResult) ([]byte, error) {
-	records := make([]allPathRecord, 0, len(rs))
-	for _, r := range rs {
-		records = append(records, allPathRecord{
-			Pattern: string(r.Pattern), Protocol: string(r.Protocol),
-			Bridges: cfg.Bridges, Flows: r.Run.Flows, Completed: r.Run.Completed,
-			DeliveredBytes: r.Run.DeliveredBytes, FinishedNS: int64(r.Run.FinishedAt),
-			TableEntries: r.Run.TableEntries, TableMax: r.Run.TableMax,
-			TrunksUsed: r.Run.TrunksUsed, TrunkShareMax: r.Run.TrunkShareMax,
-			EffTrunks: r.Run.EffTrunks,
-			Events:    r.Run.Events,
-		})
-	}
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -60,5 +65,122 @@ func TestT2Deterministic(t *testing.T) {
 	if a.UsedLinks != b.UsedLinks || a.Jain != b.Jain ||
 		a.Delivered != b.Delivered || a.MaxBusy != b.MaxBusy {
 		t.Fatalf("T2 diverged: %+v vs %+v", a, b)
+	}
+}
+
+// The other half of the promise: the execution mode is invisible. cell is
+// one column of the determinism matrix — a way of running the same
+// workload that may change nothing it renders and nothing in its trace.
+type cell struct {
+	shards  int
+	procs   int  // GOMAXPROCS for the run; 0 leaves the ambient value
+	batched bool // false = the one-pop-per-event reference engine
+}
+
+// matrixCells lists the columns; every row is held against the first. A
+// new axis is a field of cell, a line in observe and the columns that
+// vary it — not another test.
+var matrixCells = []cell{
+	{shards: 1, batched: false},
+	{shards: 1, batched: true},
+	{shards: 2, batched: true},
+	{shards: 4, procs: 1, batched: true},
+	{shards: 4, procs: 4, batched: true},
+}
+
+// observation is what one (workload, cell) run is compared by: the bytes
+// it rendered and the trace of every fabric it built — one
+// fingerprint/events line each, build order, warm-up included.
+type observation struct{ rendered, traces string }
+
+// row is one workload of the matrix. It builds its fabrics at the package
+// shard count and returns everything it renders.
+type row struct {
+	name   string
+	render func(*testing.T) string
+}
+
+func observe(t *testing.T, c cell, render func(*testing.T) string) observation {
+	prevShards := Shards
+	Shards = c.shards
+	defer func() { Shards = prevShards }()
+	defer sim.SetDefaultBatched(sim.SetDefaultBatched(c.batched))
+	if c.procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+	}
+	var fps []*netsim.TapFingerprint
+	prevHook := topo.OnBuilt
+	topo.OnBuilt = func(n *topo.Net) {
+		fp := netsim.NewTapFingerprint()
+		n.Tap(fp.Observe)
+		fps = append(fps, fp)
+	}
+	defer func() { topo.OnBuilt = prevHook }()
+
+	o := observation{rendered: render(t)}
+	for i, fp := range fps {
+		o.traces += fmt.Sprintf("fabric %d: %#016x/%d events\n", i, fp.Sum(), fp.Events())
+	}
+	return o
+}
+
+// smallScale keeps the scale rows fast: a 32-bridge fabric with a short
+// traffic window, RunScale's own fingerprint tap attached so the table's
+// fingerprint cell is compared too. Synchronized CBR flows are the worst
+// case for same-timestamp key windows, hence the seed sweep.
+func smallScale(seed int64) func(*testing.T) string {
+	return func(t *testing.T) string {
+		cfg := DefaultScaleConfig(seed, Shards)
+		cfg.Bridges = 32
+		cfg.Flows = 16
+		cfg.Window = 30 * time.Millisecond
+		cfg.Trace = true
+		r := RunScale(cfg)
+		if r.Delivered == 0 || r.TraceEvents == 0 {
+			t.Fatalf("degenerate run: %+v", r)
+		}
+		r.Config.Shards = 0 // the one table column that names the cell
+		return ScaleTable([]*ScaleResult{r}).String()
+	}
+}
+
+// TestDeterminismMatrix is the package's one execution-mode differential:
+// every workload row must render byte-identical output — tables, the
+// tables sweep's JSON artifact — and produce the identical trace
+// fingerprint in every cell: any shard count, any GOMAXPROCS, batched or
+// not.
+func TestDeterminismMatrix(t *testing.T) {
+	rows := []row{
+		{"figure1", func(*testing.T) string { return RunFigure1(9).Table().String() }},
+		{"t1-properties", func(*testing.T) string { return T1Table(RunT1Properties(9, 3)).String() }},
+		{"t5-lock-window", func(*testing.T) string {
+			return T5Table(RunT5LockWindow(9, []time.Duration{time.Millisecond, 20 * time.Millisecond})).String()
+		}},
+		// Eviction decisions, re-discovery storms and flood counts included.
+		{"tables", func(t *testing.T) string {
+			rs := RunTables(smallTables(13))
+			js, err := TablesJSON(rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return TablesTable(rs).String() + string(js)
+		}},
+	}
+	for _, seed := range []int64{3, 5, 11, 12, 13, 14, 15} {
+		rows = append(rows, row{fmt.Sprintf("scale-seed%d", seed), smallScale(seed)})
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ref := observe(t, matrixCells[0], row.render)
+			if ref.traces == "" {
+				t.Fatalf("degenerate reference run: no fabric was traced")
+			}
+			for _, c := range matrixCells[1:] {
+				if got := observe(t, c, row.render); got != ref {
+					t.Errorf("%+v diverged from %+v:\n%s%s\nwant:\n%s%s",
+						c, matrixCells[0], got.traces, got.rendered, ref.traces, ref.rendered)
+				}
+			}
+		})
 	}
 }

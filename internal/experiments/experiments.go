@@ -15,7 +15,7 @@ import (
 // Shards is the shard count applied to every experiment topology
 // (fabricbench -shards): >1 runs each simulation on the partitioned
 // parallel engine. Every figure and table is bit-identical for any value
-// — that equivalence is enforced by TestExperimentsShardInvariant.
+// — that equivalence is enforced by TestDeterminismMatrix.
 var Shards = 1
 
 // expOptions is topo.DefaultOptions plus the package shard setting; every

@@ -1,44 +1,12 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // smallTables keeps the eviction-pressure gates fast: a few hundred
 // conversations still exercise every capacity point (n/32 ≥ 12) and all
 // three protocol variants.
 func smallTables(seed int64) TablesConfig {
 	return DefaultTablesConfig(seed, 400)
-}
-
-// TestTablesShardInvariant is the determinism gate for the
-// eviction-pressure experiment: the sweep's deterministic table and its
-// BENCH_tables.json payload must be byte-identical at shards=1 and
-// shards=4 — eviction decisions, re-discovery storms and flood counts
-// included.
-func TestTablesShardInvariant(t *testing.T) {
-	render := func() (string, []byte) {
-		rs := RunTables(smallTables(13))
-		js, err := TablesJSON(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return TablesTable(rs).String(), js
-	}
-	Shards = 1
-	singleTable, singleJSON := render()
-	Shards = 4
-	shardedTable, shardedJSON := render()
-	Shards = 1
-	if singleTable != shardedTable {
-		t.Fatalf("tables sweep diverged between shards=1 and shards=4:\n%s\nvs\n%s",
-			singleTable, shardedTable)
-	}
-	if !bytes.Equal(singleJSON, shardedJSON) {
-		t.Fatalf("BENCH_tables.json diverged between shards=1 and shards=4:\n%s\nvs\n%s",
-			singleJSON, shardedJSON)
-	}
 }
 
 // TestTablesPressureSignals pins the experiment's semantic contract: the

@@ -41,13 +41,9 @@ func RunT1Properties(seed int64, trials int) []T1Row {
 		row.Bridges = len(built.Bridges)
 		trunkLinks := 0
 		for _, l := range built.Network.Links() {
-			if _, aIsHost := l.A().Node().(*host.Host); aIsHost {
-				continue
+			if built.IsTrunk(l) {
+				trunkLinks++
 			}
-			if _, bIsHost := l.B().Node().(*host.Host); bIsHost {
-				continue
-			}
-			trunkLinks++
 		}
 		row.Links = trunkLinks
 		row.CopyBound = uint64(2 * trunkLinks)
@@ -139,10 +135,7 @@ func RunT2Load(seed int64, proto topo.Protocol) *T2Result {
 		if ev.Kind != netsim.TapSend || layers.FrameEtherType(ev.Frame) != layers.EtherTypeIPv4 {
 			return
 		}
-		if _, ok := ev.From.Node().(*host.Host); ok {
-			return
-		}
-		if _, ok := ev.To.Node().(*host.Host); ok {
+		if !built.IsTrunk(ev.From.Link()) {
 			return
 		}
 		wire := layers.WireBytes(len(ev.Frame))
@@ -188,10 +181,7 @@ func RunT2Load(seed int64, proto topo.Protocol) *T2Result {
 	var busies []float64
 	var total, maxBusy time.Duration
 	for _, l := range built.Network.Links() {
-		if _, ok := l.A().Node().(*host.Host); ok {
-			continue
-		}
-		if _, ok := l.B().Node().(*host.Host); ok {
+		if !built.IsTrunk(l) {
 			continue
 		}
 		res.TrunkLinks++

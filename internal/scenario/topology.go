@@ -130,27 +130,20 @@ func newNetIndex(built *topo.Built) *netIndex {
 	for i, name := range ix.hostNames {
 		hostIdx[name] = i
 	}
-	bridges := make(map[string]bool, len(built.Bridges))
-	for _, b := range built.Bridges {
-		bridges[b.Name()] = true
-	}
 	ix.isSpare = make([]bool, len(ix.linkNames))
 	for i, name := range ix.linkNames {
 		l := built.Links[name]
-		if bridges[l.A().Node().Name()] && bridges[l.B().Node().Name()] {
+		if built.IsTrunk(l) {
 			ix.trunks = append(ix.trunks, i)
 			continue
 		}
 		// Access links: tie each one to its host's index. Spare jacks are
 		// named by the builder; home jacks are whichever access link the
 		// host's name prefixes.
-		hostEnd := l.A().Node().Name()
-		if !bridges[hostEnd] {
-			// ok: A side is the host
-		} else {
-			hostEnd = l.B().Node().Name()
+		h, isHost := hostIdx[l.A().Node().Name()]
+		if !isHost {
+			h, isHost = hostIdx[l.B().Node().Name()]
 		}
-		h, isHost := hostIdx[hostEnd]
 		if !isHost {
 			continue
 		}

@@ -34,6 +34,15 @@ func (b *Built) Link(name string) *netsim.Link {
 	return l
 }
 
+// IsTrunk reports whether both ends of l are bridges of this fabric — as
+// opposed to an access link, whose other end is a host or any other
+// station.
+func (b *Built) IsTrunk(l *netsim.Link) bool {
+	_, aIsBridge := b.byName[l.A().Node().Name()]
+	_, bIsBridge := b.byName[l.B().Node().Name()]
+	return aIsBridge && bIsBridge
+}
+
 // Figure1 builds the 5-bridge mesh of the paper's Figure 1 with hosts S
 // and D:
 //

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -47,23 +48,19 @@ func (r *Runner) runBench(spec Spec, out, errw io.Writer, res *Result) error {
 		r.emit(out, res, experiments.ForwardTable(experiments.RunForwardBench(seed, spec.Workload.Frames)))
 	case "scale":
 		t, bench, err := runScale(seed, spec.Workload.Bridges, spec.Shards, spec.Procs, errw)
-		if err != nil {
+		if t == nil {
 			return err
 		}
+		// A failed speedup verdict arrives with the matrix it judged:
+		// the artifact and the table are still reported, then the error.
 		res.BenchJSON = bench
 		r.emit(out, res, t)
+		return err
 	case "allpath":
-		acfg := experiments.AllPathConfig{
+		r.emit(out, res, experiments.AllPathTable(experiments.RunAllPath(experiments.AllPathConfig{
 			Seed: seed, Bridges: spec.Workload.Bridges, Degree: 3,
 			Flows: spec.Workload.Flows,
-		}
-		rs := experiments.RunAllPath(acfg)
-		bench, err := experiments.AllPathJSON(acfg, rs)
-		if err != nil {
-			return err
-		}
-		res.BenchJSON = bench
-		r.emit(out, res, experiments.AllPathTable(rs))
+		})))
 	case "tables":
 		tcfg := experiments.DefaultTablesConfig(seed, spec.Workload.Conversations)
 		rs := experiments.RunTables(tcfg)
@@ -74,14 +71,12 @@ func (r *Runner) runBench(spec Spec, out, errw io.Writer, res *Result) error {
 		res.BenchJSON = bench
 		r.emit(out, res, experiments.TablesTable(rs))
 	case "all":
-		r.emit(out, res, experiments.T1Table(experiments.RunT1Properties(seed, 6)))
-		ap := experiments.RunT2Load(seed, topo.ARPPath)
-		st := experiments.RunT2Load(seed, topo.STP)
-		r.emit(out, res, experiments.T2Table([]*experiments.T2Result{ap, st}))
-		r.emit(out, res, experiments.T3Table(experiments.RunT3Proxy(seed, []int{4, 8, 16, 32})))
-		r.emit(out, res, experiments.T4Table(experiments.RunT4Repair(seed)))
-		r.emit(out, res, experiments.T5Table(experiments.RunT5LockWindow(seed, lockWindows())))
-		r.emit(out, res, experiments.T6Table(experiments.RunT6TableSize(seed, []int{8, 16, 32})))
+		for _, kind := range []string{"properties", "load", "proxy", "repair", "lockwindow", "tablesize"} {
+			spec.Workload.Kind = kind
+			if err := r.runBench(spec, out, errw, res); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -111,7 +106,9 @@ type benchRecord struct {
 // once per requested GOMAXPROCS value — and renders the deterministic
 // table; wall-clock figures go to errw and come back as the JSON bench
 // artifact. The deterministic columns must not move across procs passes:
-// a mismatch is a coordinator bug and fails the run.
+// a mismatch is a coordinator bug and fails the run. A failed speedup
+// verdict is returned together with the table and artifact it judged;
+// every other error comes alone.
 func runScale(seed int64, bridges, maxShards int, procs []int, errw io.Writer) (*metrics.Table, []byte, error) {
 	// Shard counts: doubling from 1, always ending exactly at maxShards.
 	var counts []int
@@ -162,5 +159,41 @@ func runScale(seed int64, bridges, maxShards int, procs []int, errw io.Writer) (
 	if err != nil {
 		return nil, nil, err
 	}
-	return experiments.ScaleTable(results), append(bench, '\n'), nil
+	return experiments.ScaleTable(results), append(bench, '\n'), speedupVerdict(records, errw)
+}
+
+// The multi-core claim (DESIGN.md §8): given at least speedupShards OS
+// threads, the speedupShards-shard run finishes minSpeedup times faster
+// than the 1-shard run of the same workload.
+const (
+	speedupShards = 4
+	minSpeedup    = 2.0
+)
+
+// speedupVerdict judges the claim on one scale matrix. A GOMAXPROCS pass
+// is judged when it had the threads (gomaxprocs >= speedupShards) and ran
+// both ends of the ratio; each judged pass gets a line on errw, and the
+// error names every pass that fell short. A matrix with nothing to judge
+// — a runner with fewer cores, a sweep that stopped below speedupShards —
+// writes nothing and returns nil: the claim is about hardware it lacks.
+func speedupVerdict(records []benchRecord, errw io.Writer) error {
+	var short []error
+	for _, k := range records {
+		if k.GOMAXPROCS < speedupShards || k.Shards != speedupShards || k.WallNS <= 0 {
+			continue
+		}
+		for _, one := range records {
+			if one.GOMAXPROCS != k.GOMAXPROCS || one.Shards != 1 {
+				continue
+			}
+			got := float64(one.WallNS) / float64(k.WallNS)
+			line := fmt.Sprintf("scale: gomaxprocs=%d: %d shards ran %.2fx faster than 1 (want >= %.2fx)",
+				k.GOMAXPROCS, speedupShards, got, minSpeedup)
+			fmt.Fprintln(errw, line)
+			if got < minSpeedup {
+				short = append(short, errors.New(line))
+			}
+		}
+	}
+	return errors.Join(short...)
 }

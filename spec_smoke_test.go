@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -11,8 +14,9 @@ import (
 // its committed golden output byte for byte — trace fingerprint line
 // included. Same seed ⇒ same fingerprint, now across the Spec path too —
 // and, for fabricbench, at -shards 4 as well: the fingerprint may not move
-// with the shard count. This test is the goldens' one gate; CI reaches it
-// through `go test ./...`.
+// with the shard count. The allpath fixture is the All-Path comparison's
+// one pin: its table plus the folded trace of all nine fabrics. This test
+// is the goldens' one gate; CI reaches it through `go test ./...`.
 //
 // Regenerate a golden after an intentional behavior change with e.g.
 //
@@ -29,6 +33,8 @@ func TestSpecSmoke(t *testing.T) {
 	}{
 		{cmd: "fabricbench"},
 		{cmd: "fabricbench", name: "fabricbench-shards4", args: []string{"-shards", "4"}},
+		{cmd: "fabricbench", spec: "allpath"},
+		{cmd: "fabricbench", spec: "allpath", name: "allpath-shards4", args: []string{"-shards", "4"}},
 		{cmd: "scenario", args: []string{"-j", "2"}},
 		{cmd: "arppath-sim"},
 		// The paper's two demos and the All-Path variants run through the
@@ -63,4 +69,18 @@ func TestSpecSmoke(t *testing.T) {
 			}
 		})
 	}
+	// -bench-out on an experiment with no JSON artifact is a usage error,
+	// not a silent no-op.
+	t.Run("bench-out-without-artifact", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "x.json")
+		_, err := exec.Command("go", "run", "./cmd/fabricbench", "-exp", "load", "-bench-out", path).Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("fabricbench -exp load -bench-out: err = %v, want a nonzero exit", err)
+		}
+		// `go run` reports the child's status on its own stderr.
+		if msg := string(exit.Stderr); !strings.Contains(msg, "-exp load has no JSON artifact") || !strings.Contains(msg, "exit status 2") {
+			t.Fatalf("stderr = %q, want the experiment named and exit status 2", msg)
+		}
+	})
 }
