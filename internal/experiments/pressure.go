@@ -267,7 +267,7 @@ func (m *muxStation) pump() {
 	if d < 0 {
 		d = 0
 	}
-	m.proc.After(d, func() {
+	m.proc.Schedule(m.proc.Now()+d, func() {
 		m.open(st.conv)
 		m.pump()
 	})
@@ -380,7 +380,7 @@ func (m *muxStation) handleTCP(ip *layers.IPv4, t *layers.TCPLite) {
 			return
 		}
 		m.sendSeg(did, did^1, tablesFirstDataSeq, 0, layers.TCPFlagACK)
-		m.proc.After(m.revisit, func() {
+		m.proc.Schedule(m.proc.Now()+m.revisit, func() {
 			m.sendSeg(did, did^1, tablesRevisitSeq, 0, layers.TCPFlagACK)
 		})
 	case t.Seq == tablesFirstDataSeq: // the completing segment

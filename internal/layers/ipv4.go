@@ -93,25 +93,40 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
 	return nil
 }
 
-// sum16 accumulates data as big-endian 16-bit words onto sum (RFC 1071,
-// no folding). The 8-byte strides read four words per load; since the sum
-// is a plain integer total — folding happens only at the end — the result
-// is bit-identical to the byte-pair loop. Overflow needs 64 KiB of 0xFFFF
-// words to threaten uint32, far beyond any frame here.
+// sum16 accumulates data as big-endian 16-bit words onto sum (RFC 1071)
+// and returns a partial sum for the caller to fold. The bulk is summed as
+// 32-bit halves of 8-byte loads into a 64-bit accumulator and folded to
+// 32 bits on return: 2^16 ≡ 1 (mod 0xFFFF), so the result is congruent
+// mod 0xFFFF to the plain total of the 16-bit words — it is not that
+// total — and zero exactly when that total is zero, which is all the
+// callers' end-around fold can tell apart. Each load adds under 2^33, so
+// the accumulator cannot overflow on any buffer that fits in memory.
 func sum16(data []byte, sum uint32) uint32 {
+	acc := uint64(sum)
+	for len(data) >= 32 {
+		a := binary.BigEndian.Uint64(data)
+		b := binary.BigEndian.Uint64(data[8:])
+		c := binary.BigEndian.Uint64(data[16:])
+		d := binary.BigEndian.Uint64(data[24:])
+		acc += a>>32 + a&0xFFFFFFFF + b>>32 + b&0xFFFFFFFF +
+			c>>32 + c&0xFFFFFFFF + d>>32 + d&0xFFFFFFFF
+		data = data[32:]
+	}
 	for len(data) >= 8 {
 		w := binary.BigEndian.Uint64(data)
-		sum += uint32(w>>48) + uint32(w>>32)&0xFFFF + uint32(w>>16)&0xFFFF + uint32(w)&0xFFFF
+		acc += w>>32 + w&0xFFFFFFFF
 		data = data[8:]
 	}
 	for len(data) >= 2 {
-		sum += uint32(data[0])<<8 | uint32(data[1])
+		acc += uint64(data[0])<<8 | uint64(data[1])
 		data = data[2:]
 	}
 	if len(data) == 1 {
-		sum += uint32(data[0]) << 8
+		acc += uint64(data[0]) << 8
 	}
-	return sum
+	acc = acc>>32 + acc&0xFFFFFFFF // < 2^33
+	acc = acc>>32 + acc&0xFFFFFFFF // < 2^32
+	return uint32(acc)
 }
 
 // Checksum computes the RFC 1071 Internet checksum of data.

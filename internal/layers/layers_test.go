@@ -338,6 +338,54 @@ func TestChecksumOddLength(t *testing.T) {
 	}
 }
 
+// fold16 is the callers' end-around fold of a sum16 partial.
+func fold16(sum uint32) uint16 {
+	for sum>>16 != 0 {
+		sum = sum&0xFFFF + sum>>16
+	}
+	return uint16(sum)
+}
+
+// TestSum16MatchesBytePairLoop holds the wide-load sum16 to the textbook
+// byte-pair loop. The partial sums differ as integers (sum16 folds 32-bit
+// halves), so the comparison is on what callers see: the folded checksum,
+// for every length class (0–1 599 bytes, odd and even, across the 32- and
+// 8-byte stride edges), all-zero and all-0xFF contents, and random
+// initial sums standing in for the pseudo-header.
+func TestSum16MatchesBytePairLoop(t *testing.T) {
+	ref := func(data []byte, sum uint32) uint32 {
+		for ; len(data) >= 2; data = data[2:] {
+			sum += uint32(data[0])<<8 | uint32(data[1])
+		}
+		if len(data) == 1 {
+			sum += uint32(data[0]) << 8
+		}
+		return sum
+	}
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 1600)
+	check := func(data []byte, init uint32) {
+		t.Helper()
+		if got, want := fold16(sum16(data, init)), fold16(ref(data, init)); got != want {
+			t.Fatalf("len %d init %#x: folded sum16 = %#04x, byte-pair loop = %#04x", len(data), init, got, want)
+		}
+	}
+	for n := 0; n < len(buf); n++ {
+		for _, fill := range []byte{0x00, 0xFF} {
+			for i := range buf[:n] {
+				buf[i] = fill
+			}
+			check(buf[:n], 0)
+			check(buf[:n], 0xFFFF)
+		}
+		for k := 0; k < 8; k++ {
+			rng.Read(buf[:n])
+			check(buf[:n], 0)
+			check(buf[:n], rng.Uint32()>>12) // pseudo-header sums stay under 2^20
+		}
+	}
+}
+
 func TestICMPEchoRoundTrip(t *testing.T) {
 	ic := &ICMPEcho{Type: ICMPEchoRequest, Ident: 7, Seq: 3}
 	payload := []byte("ping payload")

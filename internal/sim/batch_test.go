@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -65,78 +68,168 @@ type execRecord struct {
 	tag         int
 }
 
+func (r execRecord) less(o execRecord) bool {
+	return keyBelow(r.at, r.owner, r.oseq, o.at, o.owner, o.oseq)
+}
+
+// workloadRun is what one randomized scheduling storm left behind: the
+// engine's execution log, and a reference model kept beside the engine
+// that shares nothing with its queue — every scheduled event under the key
+// the model stamped itself (its own per-owner counters), the set canceled
+// while still due, and which events a handler scheduled below its own key.
+// The run itself fails the test at the first disagreement between the two,
+// above all an event that ran while the model held a smaller pending key.
+type workloadRun struct {
+	log       []execRecord
+	scheduled []execRecord // indexed by tag
+	canceled  map[int]bool
+	early     map[int]bool // scheduled below the key that was executing
+}
+
 // runRandomWorkload drives one randomized scheduling storm on a fresh
-// engine and returns the execution log. The workload is built to stress
-// every batched-path structure: bursts of events sharing one timestamp
-// (shuffled owner order, so spill appends go out of order and fall back
-// to the heap), cascades scheduled from inside handlers at the current
-// timestamp and at tiny deltas (landing inside the live window), timer
-// cancellations (stale entries in run/spill/heap), and occasional far
-// jumps (forcing window turnover).
-func runRandomWorkload(seed int64, batched bool) []execRecord {
+// engine. The workload is built to stress every pending structure: bursts
+// of events sharing one timestamp (shuffled owner order, so spill appends
+// go out of order and fall back to the heap), cascades scheduled from
+// inside handlers at the current timestamp and at tiny deltas (landing
+// inside the live window), delays from hundreds of µs to seconds (parked
+// in the far heap, crossing the horizon later, and leaving the near heap
+// dry in between), timer cancellations wherever the entry is staged
+// (run/spill/near/far), and occasional short jumps (forcing window
+// turnover). sliced drives the engine by RunFor slices instead of one
+// Run, so drains stop short of far events and pick them up later; the
+// execution order must not depend on it.
+func runRandomWorkload(t *testing.T, seed int64, batched, sliced bool) workloadRun {
+	t.Helper()
 	e := New(seed)
 	e.SetBatched(batched)
 	rng := rand.New(rand.NewSource(seed))
 	procs := make([]*Proc, 8)
+	seqs := make([]uint64, len(procs)) // the model's per-owner sequence counters
 	for i := range procs {
 		procs[i] = NewProc(e, uint64(i+1))
 	}
-	var log []execRecord
-	var timers []*Timer
-	tag := 0
-	var spawn func(depth int) func()
-	spawn = func(depth int) func() {
-		id := tag
-		tag++
-		return func() {
+	r := workloadRun{canceled: map[int]bool{}, early: map[int]bool{}}
+	pending := map[int]bool{} // the model's queue: tags neither run nor canceled
+	fault := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d batched=%v sliced=%v: %s", seed, batched, sliced, fmt.Sprintf(format, args...))
+	}
+	type armed struct {
+		tm  *Timer
+		tag int
+	}
+	var timers []armed
+	var spawn func(pi int, at time.Duration, depth int, cancellable bool)
+	spawn = func(pi int, at time.Duration, depth int, cancellable bool) {
+		id := len(r.scheduled)
+		key := execRecord{at: at, owner: uint64(pi + 1), oseq: seqs[pi], tag: id}
+		seqs[pi]++
+		r.scheduled = append(r.scheduled, key)
+		pending[id] = true
+		if cAt, cOwner, cSeq := e.CurKey(); keyBelow(at, key.owner, key.oseq, cAt, cOwner, cSeq) {
+			r.early[id] = true // same timestamp, smaller owner: legitimately runs next
+		}
+		fn := func() {
 			at, owner, oseq := e.CurKey()
-			log = append(log, execRecord{at: at, owner: owner, oseq: oseq, tag: id})
+			got := execRecord{at: at, owner: owner, oseq: oseq, tag: id}
+			if got != key {
+				fault("tag %d ran under key %+v, model stamped %+v", id, got, key)
+			}
+			if !pending[id] {
+				fault("tag %d ran twice or after its cancellation", id)
+			}
+			delete(pending, id)
+			for tag := range pending {
+				if r.scheduled[tag].less(key) {
+					fault("tag %d ran under %+v while %+v was still pending", id, key, r.scheduled[tag])
+					break
+				}
+			}
+			r.log = append(r.log, got)
+			checkTiers(e, fault)
 			if depth >= 3 {
 				return
 			}
 			n := rng.Intn(4)
 			for i := 0; i < n; i++ {
-				p := procs[rng.Intn(len(procs))]
+				pi := rng.Intn(len(procs))
 				var d time.Duration
-				switch rng.Intn(4) {
+				far := false
+				switch rng.Intn(6) {
 				case 0: // same timestamp, possibly smaller owner: window head
 					d = 0
 				case 1: // inside the live window
 					d = time.Duration(rng.Intn(3)) * time.Nanosecond
 				case 2: // near future
 					d = time.Duration(rng.Intn(500)) * time.Nanosecond
-				default: // far jump
+				case 3: // short jump
 					d = time.Duration(1+rng.Intn(5)) * time.Microsecond
+				case 4: // around and past the horizon
+					d = time.Duration(100+rng.Intn(900)) * time.Microsecond
+					far = true
+				default: // protocol-timer range: ms to s
+					d = time.Duration(1+rng.Intn(3000)) * time.Millisecond
+					far = true
 				}
-				if rng.Intn(5) == 0 {
-					timers = append(timers, p.At(p.Now()+d, spawn(depth+1)))
-				} else {
-					p.Schedule(p.Now()+d, spawn(depth+1))
-				}
+				// Far timers are cancellable half the time, so stale
+				// entries sit in the far heap and cross the horizon.
+				spawn(pi, e.Now()+d, depth+1, rng.Intn(5) == 0 || far && rng.Intn(2) == 0)
 			}
 			// Cancel a random outstanding timer now and then, wherever its
 			// entry happens to be staged.
 			if len(timers) > 0 && rng.Intn(3) == 0 {
 				i := rng.Intn(len(timers))
-				timers[i].Stop()
+				a := timers[i]
+				if stopped := a.tm.Stop(); stopped != pending[a.tag] {
+					fault("Stop(tag %d) = %v, but the model has pending = %v", a.tag, stopped, pending[a.tag])
+				} else if stopped {
+					delete(pending, a.tag)
+					r.canceled[a.tag] = true
+				}
 				timers[i] = timers[len(timers)-1]
 				timers = timers[:len(timers)-1]
 			}
+		}
+		if cancellable {
+			timers = append(timers, armed{procs[pi].At(at, fn), id})
+		} else {
+			procs[pi].Schedule(at, fn)
 		}
 	}
 	// Seed bursts: many events at identical timestamps under shuffled
 	// owners, plus a sprinkle of distinct times.
 	for burst := 0; burst < 6; burst++ {
 		at := time.Duration(burst) * 300 * time.Nanosecond
-		order := rng.Perm(len(procs))
-		for _, pi := range order {
+		for _, pi := range rng.Perm(len(procs)) {
 			for k := 0; k < 3; k++ {
-				procs[pi].Schedule(at, spawn(0))
+				spawn(pi, at, 0, false)
 			}
 		}
 	}
-	e.Run()
-	return log
+	if !sliced {
+		e.Run()
+		return r
+	}
+	slices := rand.New(rand.NewSource(seed ^ 0x5eed)) // not rng: the workload must not see the pacing
+	for e.Pending() > 0 {
+		e.RunFor(time.Duration(1+slices.Intn(400)) * time.Millisecond)
+	}
+	return r
+}
+
+// checkTiers asserts the two-tier invariant from inside a handler: every
+// near key sorts before the horizon, every far key at or after it.
+func checkTiers(e *Engine, fault func(string, ...any)) {
+	for i := range e.queue {
+		if uint64(e.queue[i].at) >= e.horizon {
+			fault("near heap holds t=%v at or past horizon %d", e.queue[i].at, e.horizon)
+		}
+	}
+	for i := range e.far {
+		if uint64(e.far[i].at) < e.horizon {
+			fault("far heap holds t=%v below horizon %d", e.far[i].at, e.horizon)
+		}
+	}
 }
 
 // TestBatchedMatchesUnbatchedDifferential is the engine-level half of the
@@ -145,8 +238,8 @@ func runRandomWorkload(seed int64, batched bool) []execRecord {
 // and the unbatched one-pop-per-event reference path.
 func TestBatchedMatchesUnbatchedDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		a := runRandomWorkload(seed, true)
-		b := runRandomWorkload(seed, false)
+		a := runRandomWorkload(t, seed, true, false).log
+		b := runRandomWorkload(t, seed, false, false).log
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: batched ran %d events, unbatched %d", seed, len(a), len(b))
 		}
@@ -157,6 +250,233 @@ func TestBatchedMatchesUnbatchedDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFarTierMatchesSortedReference is the oracle that does not share the
+// queue: both engine paths sit on the same two tiers, so agreeing with each
+// other proves nothing about them. Here every run is held to the model in
+// workloadRun: each event ran while no smaller key was pending; the log's
+// keys strictly increase in (at, owner, oseq), except at an event a handler
+// scheduled below its own key; and the set that ran is exactly scheduled
+// minus canceled-while-due. A key left behind in the wrong tier surfaces as
+// an event that runs late (order) or never (set).
+func TestFarTierMatchesSortedReference(t *testing.T) {
+	modes := []struct {
+		name            string
+		batched, sliced bool
+	}{{"batched", true, false}, {"unbatched", false, false}, {"batched-sliced", true, true}, {"unbatched-sliced", false, true}}
+	for _, m := range modes {
+		parked := 0
+		for seed := int64(1); seed <= 24; seed++ {
+			r := runRandomWorkload(t, seed, m.batched, m.sliced)
+			for i := 1; i < len(r.log); i++ {
+				if !r.log[i-1].less(r.log[i]) && !r.early[r.log[i].tag] {
+					t.Fatalf("%s seed %d: event %d key %+v does not sort after %+v",
+						m.name, seed, i, r.log[i], r.log[i-1])
+				}
+			}
+			var want []execRecord
+			for tag, k := range r.scheduled {
+				if !r.canceled[tag] {
+					want = append(want, k)
+				}
+				if k.at >= farSpan {
+					parked++
+				}
+			}
+			got := append([]execRecord(nil), r.log...)
+			sort.Slice(got, func(i, j int) bool { return got[i].less(got[j]) })
+			sort.Slice(want, func(i, j int) bool { return want[i].less(want[j]) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: ran %d events, reference has %d (scheduled %d, canceled %d), or the sets differ",
+					m.name, seed, len(got), len(want), len(r.scheduled), len(r.canceled))
+			}
+		}
+		if parked == 0 {
+			t.Fatalf("%s: workload never scheduled past the first horizon", m.name)
+		}
+	}
+}
+
+// TestFarTierEdges pins the places where the two tiers meet the engine's
+// API, each on both execution paths.
+func TestFarTierEdges(t *testing.T) {
+	const far = time.Second // well past the first horizon
+	nop := func() {}
+	mustPanic := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, e *Engine)
+	}{
+		{"head reads with the near heap empty", func(t *testing.T, e *Engine) {
+			p := NewProc(e, 4)
+			dead := p.At(far/2, nop)
+			p.Schedule(far, nop)
+			dead.Stop()
+			if len(e.queue) != 0 || len(e.far) != 2 {
+				t.Fatalf("setup: near %d far %d, want 0 and 2", len(e.queue), len(e.far))
+			}
+			if got := e.Pending(); got != 2 {
+				t.Fatalf("Pending = %d, want 2 (canceled entries count until discarded)", got)
+			}
+			if at, ok := e.NextEventAt(); !ok || at != far {
+				t.Fatalf("NextEventAt = %v, %v, want %v", at, ok, far)
+			}
+			if at, owner, oseq, ok := e.NextKey(); !ok || at != far || owner != 4 || oseq != 1 {
+				t.Fatalf("NextKey = (%v, %d, %d, %v), want (%v, 4, 1, true)", at, owner, oseq, ok, far)
+			}
+			if got := e.Pending(); got != 1 {
+				t.Fatalf("Pending after the head read = %d, want 1", got)
+			}
+		}},
+		{"a key at the horizon is far", func(t *testing.T, e *Engine) {
+			e.Schedule(farSpan-1, nop)
+			e.Schedule(farSpan, nop)
+			if len(e.queue) != 1 || len(e.far) != 1 || e.far[0].at != farSpan {
+				t.Fatalf("near %d far %d with the horizon at %d", len(e.queue), len(e.far), e.horizon)
+			}
+			e.Run()
+			if e.Processed() != 2 {
+				t.Fatalf("processed %d events, want 2", e.Processed())
+			}
+		}},
+		{"SetNow sees a far-only event", func(t *testing.T, e *Engine) {
+			e.Schedule(far, nop)
+			e.SetNow(far) // an event at exactly t is not older than t
+			mustPanic(t, "SetNow past a far-only event", func() { e.SetNow(far + 1) })
+		}},
+		{"RunUntil stops short of a far event", func(t *testing.T, e *Engine) {
+			var ran []time.Duration
+			rec := func() { ran = append(ran, e.Now()) }
+			e.Schedule(10*time.Microsecond, rec)
+			e.Schedule(far, rec)
+			e.RunUntil(far / 2)
+			e.RunUntil(far - 1)
+			if len(ran) != 1 || e.Now() != far-1 || e.Pending() != 1 {
+				t.Fatalf("before the far event: ran %v, now %v, pending %d", ran, e.Now(), e.Pending())
+			}
+			e.RunUntil(far)
+			if len(ran) != 2 || ran[1] != far || e.Pending() != 0 {
+				t.Fatalf("at the far event: ran %v, pending %d", ran, e.Pending())
+			}
+		}},
+		{"only canceled entries before a far event", func(t *testing.T, e *Engine) {
+			ran := false
+			e.At(10*time.Microsecond, nop).Stop()
+			e.At(20*time.Microsecond, nop).Stop()
+			e.Schedule(far, func() { ran = true })
+			e.Run()
+			if !ran || e.Pending() != 0 {
+				t.Fatalf("far event ran = %v, pending %d", ran, e.Pending())
+			}
+		}},
+		{"keyed injection between windows", func(t *testing.T, e *Engine) {
+			var got []execRecord
+			rec := recorder{e: e, log: &got}
+			e.ScheduleKeyed(300*time.Microsecond, 5, 0, rec, 0)
+			e.ScheduleKeyed(far, 5, 1, rec, 0)
+			if n := e.RunWindowKey(100*time.Microsecond, 0, 0); n != 0 {
+				t.Fatalf("first window ran %d events, want 0", n)
+			}
+			// The window looked at the head, so the horizon now sits past
+			// it: these land below it, beside it and beyond it.
+			rolled := e.horizon
+			if rolled <= uint64(300*time.Microsecond) {
+				t.Fatalf("horizon %d did not roll past the head", rolled)
+			}
+			e.ScheduleKeyed(200*time.Microsecond, 9, 0, rec, 0)
+			if at, _ := e.NextEventAt(); at != 200*time.Microsecond || e.horizon != rolled {
+				t.Fatalf("a new, earlier head at %v moved the horizon %d -> %d", at, rolled, e.horizon)
+			}
+			e.ScheduleKeyed(300*time.Microsecond, 2, 7, rec, 0)
+			e.ScheduleKeyed(far/2, 1, 0, rec, 0)
+			if n := e.RunWindowKey(far, 5, 1); n != 4 {
+				t.Fatalf("second window ran %d events, want 4", n)
+			}
+			e.RunWindowKey(far, 5, 2)
+			want := []execRecord{
+				{at: 200 * time.Microsecond, owner: 9},
+				{at: 300 * time.Microsecond, owner: 2, oseq: 7},
+				{at: 300 * time.Microsecond, owner: 5},
+				{at: far / 2, owner: 1},
+				{at: far, owner: 5, oseq: 1},
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ran %+v, want %+v", got, want)
+			}
+		}},
+		{"equal timestamps on either side of a merge", func(t *testing.T, e *Engine) {
+			const at = time.Millisecond
+			var got []execRecord
+			rec := recorder{e: e, log: &got}
+			e.ScheduleKeyed(at, 7, 0, rec, 0) // parks in far
+			e.Schedule(at-farSpan/2, func() {
+				// The refill that ran this rolled the horizon past at and
+				// merged owner 7 across; its peers go straight to near.
+				if len(e.far) != 0 {
+					t.Fatalf("owner 7 still parked with the horizon at %d", e.horizon)
+				}
+				e.ScheduleKeyed(at, 9, 0, rec, 0)
+				e.ScheduleKeyed(at, 3, 0, rec, 0)
+			})
+			if len(e.far) != 2 {
+				t.Fatalf("setup: far holds %d entries, want 2", len(e.far))
+			}
+			e.Run()
+			want := []execRecord{{at: at, owner: 3}, {at: at, owner: 7}, {at: at, owner: 9}}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ran %+v, want %+v", got, want)
+			}
+		}},
+		{"a schedule at the last representable time", func(t *testing.T, e *Engine) {
+			var ran []time.Duration
+			rec := func() { ran = append(ran, e.Now()) }
+			e.Schedule(maxBoundAt, rec)
+			e.Schedule(time.Microsecond, rec)
+			if at, ok := e.NextEventAt(); !ok || at != time.Microsecond {
+				t.Fatalf("NextEventAt = %v, %v", at, ok)
+			}
+			e.Run()
+			if len(ran) != 2 || ran[1] != maxBoundAt || e.Pending() != 0 {
+				t.Fatalf("ran %v, pending %d", ran, e.Pending())
+			}
+			if e.horizon <= uint64(maxBoundAt) {
+				t.Fatalf("horizon %d wrapped or stopped short of t=%d", e.horizon, maxBoundAt)
+			}
+			e.Schedule(maxBoundAt, rec) // nothing can park any more
+			if len(e.far) != 0 || !e.Step() {
+				t.Fatalf("second event at the last time: far %d", len(e.far))
+			}
+		}},
+	}
+	for _, c := range cases {
+		for _, batched := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/batched=%v", c.name, batched), func(t *testing.T) {
+				e := New(1)
+				e.SetBatched(batched)
+				c.run(t, e)
+			})
+		}
+	}
+}
+
+// recorder is a Runner that logs the key it ran under.
+type recorder struct {
+	e   *Engine
+	log *[]execRecord
+}
+
+func (r recorder) RunEvent(int32) {
+	at, owner, oseq := r.e.CurKey()
+	*r.log = append(*r.log, execRecord{at: at, owner: owner, oseq: oseq})
 }
 
 // TestSpillOverflowKeepsOrder overflows the spill cap from inside a single

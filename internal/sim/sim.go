@@ -22,20 +22,29 @@
 // into shards, which is the determinism bedrock the parallel coordinator
 // in internal/netsim builds on.
 //
-// Representation (DESIGN.md §11): events live in a generation-guarded
+// Representation (DESIGN.md §4, §11): events live in a generation-guarded
 // arena and the pending queue is a binary heap of pointer-free 32-byte
 // entries carrying the full ordering key inline. Comparisons during heap
 // maintenance touch only the contiguous entry slice — no pointer chasing,
 // no interface dispatch, no GC write barriers on sift swaps — and
 // cancellation is a generation bump, with stale entries skipped lazily
-// when the queue reaches them. On top of that sits batched window-drain
-// execution (Run/RunUntil/RunWindowKey): the heap's front window is popped
-// into a reusable run buffer and dispatched as a batch, with events
-// scheduled *during* the batch that fall inside the window going to a
-// small insertion-sorted spill buffer instead of the heap. Execution
+// when the queue reaches them. The queue has two tiers split by a rolling
+// horizon: every key in the near heap sorts before the horizon, every key
+// in the far heap at or after it. Every batch starts with the horizon
+// farSpan/2 to farSpan ahead of the first pending key, so the heap the hot
+// path sifts holds only what is due soon, and a parked timer (lock window,
+// repair, re-discovery probe) costs the traffic around it nothing until
+// the horizon reaches it and it is merged into the near heap. On top of
+// that sits batched window-drain execution (Run/RunUntil/RunWindowKey):
+// the near heap's front window is popped into a reusable run buffer and
+// dispatched as a batch, with events scheduled *during* the batch that
+// fall inside the window going to a small insertion-sorted spill buffer
+// instead of the heap. Execution
 // always takes the minimum pending key across run buffer, spill buffer
-// and heap, so the order is exactly the classic one-pop-per-event order —
-// the batching is invisible everywhere except the wall clock.
+// and near heap (a window never reaches past the horizon, so the far heap
+// cannot hold a smaller one), so the order is exactly the classic
+// one-pop-per-event order — batching and tiering are invisible everywhere
+// except the wall clock.
 package sim
 
 import (
@@ -62,6 +71,20 @@ const (
 	maxBatch = 128
 	maxSpill = 512
 )
+
+// farSpan is how far ahead of the first pending key roll puts the horizon
+// between the near and the far heap, in ns of virtual time; advance lets
+// that lead shrink to farSpan/2 before rolling again. The lead has to stay
+// several link delays long (512 B at 1 Gb/s plus 5 µs of cable is ~9 µs
+// here) or an ordinary frame arrival parks in far and is handled twice,
+// and short against the protocol timers (ms to s) or they all sit in the
+// near heap again. Between those it is a plateau, not a tuning knob.
+// Measured on bench/perf against the parent, seed 1, median of three 10 s
+// runs (EXPERIMENTS.md "Parked timers leave the hot heap"): 1<<14 costs
+// pump_forward and steady_unicast 12 % each; 1<<16, 1<<18 and 1<<20 are
+// all within 1 % on pump and +2…+4 % on steady, and read +44 %, +45 % and
+// +35 % on discovery_churn.
+const farSpan = 1 << 18
 
 // defaultBatched is the execution mode New hands to fresh engines. The
 // differential determinism tests flip it to force entire fabrics (shard
@@ -320,9 +343,17 @@ func (p *Proc) ScheduleRunner(t time.Duration, r Runner, arg int32) {
 // shard, each still single-threaded, synchronized by the netsim
 // coordinator.
 type Engine struct {
-	now       time.Duration
-	root      Proc
-	queue     eventHeap
+	now  time.Duration
+	root Proc
+
+	// The pending queue's two tiers: every key in queue (near) has
+	// at < horizon, every key in far has at >= horizon (see roll). The
+	// horizon is unsigned so that farSpan past the last representable
+	// time still fits and a key at maxBoundAt can sort below it.
+	queue   eventHeap
+	far     eventHeap
+	horizon uint64
+
 	arena     []event
 	freeHead  int32 // arena free list head, -1 when empty
 	rng       *rand.Rand
@@ -358,6 +389,7 @@ func New(seed int64) *Engine {
 	e := &Engine{
 		rng:       rand.New(rand.NewSource(seed)),
 		seed:      seed,
+		horizon:   farSpan,
 		limit:     DefaultEventLimit,
 		freeHead:  -1,
 		unbatched: !defaultBatched,
@@ -393,10 +425,10 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending returns the number of events still queued (including canceled
 // events that have not yet been discarded). During batched execution,
 // events pending in the run and spill buffers count exactly like events
-// still in the heap — a handler that schedules work observes it here
+// still in either heap — a handler that schedules work observes it here
 // wherever the engine happens to have staged it.
 func (e *Engine) Pending() int {
-	return len(e.queue) + (len(e.run) - e.runPos) + (len(e.spill) - e.spillPos)
+	return len(e.queue) + len(e.far) + (len(e.run) - e.runPos) + (len(e.spill) - e.spillPos)
 }
 
 // Batched reports whether the engine uses batched window-drain execution.
@@ -466,10 +498,12 @@ func (e *Engine) release(idx int32) {
 // ahead of a non-decreasing now), so this append-only fast path catches
 // nearly everything and costs O(1). Anything else — no batch running, key
 // beyond the window, or out of order against the spill tail — goes to the
-// heap, which the batch dispatch also merges from, so routing is a cost
-// decision, never a correctness one. (An earlier draft binary-inserted
-// out-of-order keys into the spill; same-timestamp bursts with shuffled
-// owner ids turned that into quadratic memmove traffic.)
+// heap on its side of the horizon. The batch dispatch also merges from the
+// near heap, and a key inside the window is below the horizon, so spill
+// versus near heap is a cost decision, never a correctness one. (An
+// earlier draft binary-inserted out-of-order keys into the spill;
+// same-timestamp bursts with shuffled owner ids turned that into quadratic
+// memmove traffic.)
 //
 //fabric:hotpath
 func (e *Engine) enqueue(en entry) {
@@ -480,7 +514,53 @@ func (e *Engine) enqueue(en entry) {
 			return
 		}
 	}
+	if uint64(en.at) >= e.horizon {
+		e.far.push(en)
+		return
+	}
 	e.queue.push(en)
+}
+
+// advance makes queue[0] the first pending key and keeps the horizon
+// between farSpan/2 and farSpan ahead of it, reporting whether anything is
+// pending at all. Every reader of the queue's head calls it first, and
+// drain calls it once per refill; this half is the inlined common case —
+// a near head the horizon is still comfortably ahead of — and costs the
+// refill one compare.
+//
+//fabric:hotpath
+func (e *Engine) advance() bool {
+	if len(e.queue) > 0 && uint64(e.queue[0].at)+farSpan/2 <= e.horizon {
+		return true
+	}
+	return e.roll()
+}
+
+// roll moves the horizon to farSpan past the first pending key — never
+// backwards — and merges the far entries now below it into the near heap.
+// When the near heap has run dry this is the jump that brings far's front
+// over. It is the only writer of horizon and the only mover between the
+// tiers, so an entry crosses once, when the first pending key has come
+// within farSpan of it.
+//
+//fabric:hotpath
+func (e *Engine) roll() bool {
+	var first time.Duration
+	switch {
+	case len(e.queue) > 0:
+		first = e.queue[0].at
+	case len(e.far) > 0:
+		first = e.far[0].at
+	default:
+		return false
+	}
+	if h := uint64(first) + farSpan; h > e.horizon {
+		e.horizon = h
+		for len(e.far) > 0 && uint64(e.far[0].at) < h {
+			e.queue.push(e.far.popMin())
+		}
+	}
+	return true
 }
 
 // at is the common keyed scheduling path behind Proc.At and Engine.At.
@@ -600,7 +680,7 @@ func (e *Engine) execute(en *entry, a *event) {
 // Step executes the next pending event, if any, and reports whether one ran.
 // Canceled events are discarded without counting as a step.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
+	for e.advance() {
 		en := e.queue.popMin()
 		a := &e.arena[en.idx]
 		if a.free || a.gen != en.gen {
@@ -619,22 +699,28 @@ func (e *Engine) Step() bool {
 // event against a precomputed register value, instead of the old
 // per-iteration limit arithmetic).
 //
-// Mechanics: the heap's front window — up to maxBatch entries below the
-// caller bound — is popped into the run buffer; the window's own exclusive
-// bound is the smaller of the caller bound and the next heap key. The
+// Mechanics: each refill first looks at the horizon (advance), then pops
+// the near heap's front window — up to maxBatch entries below the caller
+// bound — into the run buffer; the window's own exclusive bound is the
+// smallest of the caller bound, the next near key and the horizon. The
 // batch then dispatches by merging three sorted sources: the run buffer,
 // the spill buffer (events scheduled during the batch that fall inside the
-// window — they skip the heap entirely, which is the point), and the heap
-// itself (reached when enqueue declined the spill: out-of-order key or
-// cap overflow). Taking the minimum key across the three sources every
-// step makes the execution order identical to the unbatched engine's,
-// whatever the routing decided.
+// window — they skip the heap entirely, which is the point), and the near
+// heap itself (reached when enqueue declined the spill: out-of-order key
+// or cap overflow). The far heap is not a fourth source: every key in it
+// is at or past the horizon and so outside the window. Taking the minimum
+// key across the three sources every step makes the execution order
+// identical to the unbatched engine's, whatever the routing decided.
 //
 //fabric:hotpath
 func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopAt uint64) int {
 	n := 0
 	for {
-		// Refill: pop the heap's front window into the run buffer.
+		// Refill: look at the horizon, then pop the near heap's front
+		// window into the run buffer.
+		if !e.advance() {
+			return n
+		}
 		e.run = e.run[:0]
 		e.runPos = 0
 		for len(e.run) < maxBatch && len(e.queue) > 0 {
@@ -649,10 +735,17 @@ func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopA
 			e.run = append(e.run, en)
 		}
 		if len(e.run) == 0 {
+			if len(e.queue) == 0 && len(e.far) > 0 {
+				continue // popped only canceled entries; far may hold keys below the bound
+			}
 			return n // nothing below the bound (spill drains with its batch)
 		}
-		// The window bound: where the refill stopped.
+		// The window bound: where the refill stopped, and no further than
+		// the horizon, so no key in far is inside the window.
 		wAt, wOwner, wSeq := boundAt, boundOwner, boundSeq
+		if e.horizon <= uint64(wAt) {
+			wAt, wOwner, wSeq = time.Duration(e.horizon), 0, 0
+		}
 		if len(e.queue) > 0 {
 			if h := &e.queue[0]; keyBelow(h.at, h.owner, h.oseq, wAt, wOwner, wSeq) {
 				wAt, wOwner, wSeq = h.at, h.owner, h.oseq
@@ -763,7 +856,7 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
 // peek returns the timestamp of the next live event.
 func (e *Engine) peek() (time.Duration, bool) {
-	for len(e.queue) > 0 {
+	for e.advance() {
 		h := &e.queue[0]
 		if a := &e.arena[h.idx]; a.free || a.gen != h.gen {
 			e.queue.popMin()

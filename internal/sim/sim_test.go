@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -333,5 +334,56 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(time.Microsecond, func() {})
 		e.Step()
+	}
+}
+
+// benchTicker is a self-rescheduling event: depth of them keep that many
+// events pending while left events run (bench/perf's microScheduleRun).
+type benchTicker struct {
+	e      *Engine
+	period time.Duration
+	left   *int
+}
+
+func (t *benchTicker) RunEvent(int32) {
+	if *t.left > 0 {
+		*t.left--
+		t.e.ScheduleRunner(t.e.Now()+t.period, t, 0)
+	}
+}
+
+type nopRunner struct{}
+
+func (nopRunner) RunEvent(int32) {}
+
+// BenchmarkEngineParkedTimers is the far tier's own number: a depth-64
+// ticker load — one ScheduleRunner plus one dispatch per op — run with
+// 0 / 1 024 / 16 384 timers parked a second past its end. The tickers'
+// periods are staggered (64–127 ns) so that, as in a fabric, reschedules
+// do not arrive in key order and go through the heap rather than the
+// batch spill. With one heap the cost per event grows with the log of
+// everything pending; with the far tier the three must read the same
+// (EXPERIMENTS.md "Parked timers leave the hot heap" has both).
+func BenchmarkEngineParkedTimers(b *testing.B) {
+	const depth = 64
+	for _, parked := range []int{0, 1024, 16384} {
+		b.Run(fmt.Sprintf("parked=%d", parked), func(b *testing.B) {
+			e := New(1)
+			end := time.Duration(2*b.N + 4*depth) // the slowest ticker's share, with room
+			for i := 0; i < parked; i++ {
+				e.ScheduleRunner(end+time.Second+time.Duration(i), nopRunner{}, 0)
+			}
+			left := b.N - depth
+			for i := 0; i < depth; i++ {
+				period := time.Duration(depth + i*7%depth)
+				e.ScheduleRunner(time.Duration(i+1), &benchTicker{e: e, period: period, left: &left}, 0)
+			}
+			b.ResetTimer()
+			e.RunUntil(end)
+			if e.Pending() != parked || left > 0 {
+				b.Fatalf("%d events pending and %d ticks left after the load, want the %d parked and 0",
+					e.Pending(), left, parked)
+			}
+		})
 	}
 }
