@@ -18,7 +18,7 @@
 // workload (DESIGN.md §11 documents the recipe); they change nothing in
 // any table, figure or fingerprint. -mutexprofile and -blockprofile
 // capture lock contention and blocking waits — the collectors that show
-// whether the shard coordinator's window barrier is stalling workers.
+// whether the shard coordinator is stalling on its helpers.
 //
 // -shards runs every experiment's simulation on K parallel engine shards;
 // all figure/table outputs are byte-identical for any K (only wall-clock

@@ -55,8 +55,8 @@ var tracePkgBases = map[string]bool{
 }
 
 // blessedGoFiles are the files allowed to spawn goroutines without a
-// suppression comment: the shard coordinator's worker pool is the
-// parallel engine itself.
+// suppression comment: the shard coordinator's helper goroutines are
+// the parallel engine itself.
 var blessedGoFiles = map[string]bool{
 	"netsim/shard.go": true,
 }

@@ -85,6 +85,7 @@ var matrixCells = []cell{
 	{shards: 1, batched: true},
 	{shards: 2, batched: true},
 	{shards: 4, procs: 1, batched: true},
+	{shards: 4, procs: 2, batched: true}, // more shards than processors: one helper and the caller share four
 	{shards: 4, procs: 4, batched: true},
 }
 

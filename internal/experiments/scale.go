@@ -62,11 +62,14 @@ type ScaleResult struct {
 	FramesPerSec          float64 // delivered datagrams per wall second
 	// Coordination overhead over the traffic phase (zero unsharded).
 	// Windows, Barriers and Exchanged are deterministic for a given
-	// (seed, shards); WakeNS is wall clock, like Wall.
+	// (seed, shards); Handoffs, WakeNS and WaitNS depend on the machine,
+	// like Wall, and are zero when GOMAXPROCS is 1.
 	Windows   uint64 // parallel windows the coordinator dispatched
 	Barriers  uint64 // control events run with all shards paused
 	Exchanged uint64 // cross-shard arrivals moved between engines
-	WakeNS    int64  // total worker wake latency
+	Handoffs  uint64 // helper wake-ups that claimed a shard window
+	WakeNS    int64  // dispatch → helper's first claim, summed over Handoffs
+	WaitNS    int64  // coordinator wall time parked on helpers
 }
 
 // RunScale executes one scaling run.
@@ -144,7 +147,9 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 		Windows:   coord.Windows - coordBefore.Windows,
 		Barriers:  coord.Barriers - coordBefore.Barriers,
 		Exchanged: coord.Exchanged - coordBefore.Exchanged,
+		Handoffs:  coord.Handoffs - coordBefore.Handoffs,
 		WakeNS:    coord.WakeNS - coordBefore.WakeNS,
+		WaitNS:    coord.WaitNS - coordBefore.WaitNS,
 	}
 	for _, s := range sinks {
 		res.Delivered += s.Count()
@@ -180,7 +185,7 @@ func ScaleTable(rs []*ScaleResult) *metrics.Table {
 // ScaleBenchLine renders one run's wall-clock figures for stderr / bench
 // artifacts.
 func ScaleBenchLine(r *ScaleResult) string {
-	return fmt.Sprintf("scale: bridges=%d shards=%d lookahead=%v wall=%v events/s=%.0f frames/s=%.0f windows=%d barriers=%d exchanged=%d",
+	return fmt.Sprintf("scale: bridges=%d shards=%d lookahead=%v wall=%v events/s=%.0f frames/s=%.0f windows=%d barriers=%d exchanged=%d handoffs=%d wake_ns/handoff=%d wait_ns/window=%d",
 		r.Bridges, r.Config.Shards, r.Lookahead, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.FramesPerSec,
-		r.Windows, r.Barriers, r.Exchanged)
+		r.Windows, r.Barriers, r.Exchanged, r.Handoffs, r.WakeNS/int64(max(r.Handoffs, 1)), r.WaitNS/int64(max(r.Windows, 1)))
 }

@@ -121,11 +121,11 @@ type TapFunc func(TapEvent)
 // Network owns the simulation engine(s), the nodes and the links.
 //
 // A network starts single-engine. Partition splits it into shards — one
-// engine per shard, one worker per engine — synchronized by a conservative
-// lookahead coordinator (DESIGN.md §8). Engine remains the control engine:
-// driver code (experiments, fault schedules) keeps scheduling on it, and in
-// a sharded run those root events execute at barriers with every shard
-// paused and lined up on the same virtual instant.
+// engine each, run by up to GOMAXPROCS goroutines — synchronized by a
+// conservative lookahead coordinator (DESIGN.md §8). Engine remains the
+// control engine: driver code (experiments, fault schedules) keeps
+// scheduling on it, and in a sharded run those root events execute at
+// barriers with every shard paused and lined up on the same virtual instant.
 type Network struct {
 	Engine *sim.Engine
 
@@ -338,7 +338,7 @@ func (n *Network) ScheduleLinkUp(t time.Duration, l *Link) {
 // path: the trace is byte-identical either way, only the synchronization
 // cost differs. Call from driver code only (between runs or inside a
 // barrier event): the cross-shard branch schedules on the control
-// engine, which shard workers must never touch mid-window.
+// engine, which shard windows must never touch.
 func (n *Network) ScheduleScoped(t time.Duration, owner Node, touch []Node, fn func()) {
 	p := n.Proc(owner.Name())
 	oseq := p.NextSeq()
@@ -371,19 +371,21 @@ func (n *Network) Barriers() uint64 {
 }
 
 // CoordStats returns the coordinator's cumulative overhead counters —
-// windows dispatched, barriers, cross-shard arrivals exchanged, worker
-// wake-ups and total wake latency. Zero-valued on an unsharded network.
-// Windows/Barriers/Exchanged are deterministic for a given workload and
-// shard count; WakeNS is wall clock. Call it between runs only.
+// windows dispatched, barriers, cross-shard arrivals exchanged, shard
+// windows run, and what handing some of them to helper goroutines cost.
+// Zero-valued on an unsharded network. Windows/Barriers/Exchanged/Wakes
+// are deterministic for a given workload and shard count; Handoffs,
+// WakeNS and WaitNS are not. Call it between runs only.
 func (n *Network) CoordStats() CoordStats {
 	if n.co == nil {
 		return CoordStats{}
 	}
-	s := CoordStats{Windows: n.co.windows, Barriers: n.co.barriers}
-	for i := range n.co.wstats {
-		w := &n.co.wstats[i]
+	s := CoordStats{Windows: n.co.windows, Barriers: n.co.barriers, WaitNS: n.co.waitNS}
+	for i := range n.co.sstats {
+		w := &n.co.sstats[i]
 		s.Exchanged += w.exchanged
 		s.Wakes += w.wakes
+		s.Handoffs += w.handoffs
 		s.WakeNS += w.wakeNS
 	}
 	return s

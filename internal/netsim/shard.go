@@ -1,9 +1,9 @@
 package netsim
 
 // This file is the parallel half of the simulator: a conservative
-// discrete-event coordinator that runs a partitioned fabric on one
-// persistent worker goroutine per shard while preserving, bit for bit,
-// the event order of the single-engine run (DESIGN.md §8).
+// discrete-event coordinator that runs a partitioned fabric's shards on
+// min(shards, GOMAXPROCS) participants while preserving, bit for bit, the
+// event order of the single-engine run (DESIGN.md §8).
 //
 // The synchronization protocol is a null-message-free window barrier. Let
 // L (the lookahead) be the minimum latency — serialization of a minimum
@@ -11,12 +11,27 @@ package netsim
 // different shards. If the earliest pending event anywhere sits at time T,
 // then no shard can receive a cross-shard arrival before T+L (a send at
 // s ≥ T arrives strictly after s+L), so every shard may run all events in
-// [T, T+L) without looking up. Windows are delimited by an epoch/countdown
-// barrier on a single mutex: the coordinator publishes per-shard bounds,
-// bumps the epoch and broadcasts; each parked worker wakes once, runs its
-// window, decrements the countdown and the last one signals the
-// coordinator. One wake plus one arrive per shard per window — no channel
-// churn, no per-window goroutines.
+// [T, T+L) without looking up.
+//
+// A window's k shard windows are claimed, not assigned. The goroutine that
+// called Run is participant 0, the coordinator; P-1 helpers exist for the
+// length of that call, none when P is 1. The coordinator publishes bounds
+// and the outbox swap, resets one atomic claim cursor, wakes any helpers,
+// claims off the same cursor itself until nothing is left, and parks only
+// behind a helper still inside a shard window. Three invariants:
+//
+//  1. Exactly one participant runs a shard's window: cursor.Add hands each
+//     index out once per reset.
+//  2. Everything a window reads (bounds, fill, stamp, the zeroed
+//     completed-count) is written before the cursor is reset, and a claim
+//     is an atomic read of that reset — so it sees all of it, however late
+//     the helper woke, even a window late.
+//  3. The coordinator touches no shared state (outboxes, cached next keys,
+//     tap buffers, engines) until the completed-count reaches k; the
+//     cursor then stays at or above k, so a helper finds nothing to claim.
+//
+// Which goroutine ran a shard window is therefore unobservable: the event
+// order, every deterministic counter and every trace are those of P = 1.
 //
 // Cross-shard arrivals are double-buffered: during window n every sender
 // appends into the fill-side outbox matrix out[fill][from][to], and at the
@@ -37,7 +52,9 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/layers"
@@ -90,40 +107,39 @@ type laEdge struct {
 	d    time.Duration
 }
 
-// workerStats is one shard worker's counter block, padded so concurrent
-// workers never share a cache line.
-type workerStats struct {
-	exchanged uint64 // cross-shard arrivals this worker drained
-	wakes     uint64 // windows this worker ran
-	wakeNS    int64  // total dispatch→running latency
-	_         [5]uint64
+// shardStats is one shard's counter block, written by whoever claimed that
+// shard's window, padded so two participants never share a cache line.
+type shardStats struct {
+	exchanged uint64 // cross-shard arrivals drained into this shard
+	wakes     uint64 // windows of this shard run
+	handoffs  uint64 // of those, the ones that were a helper's first claim after a wake-up
+	wakeNS    int64  // dispatch→claim latency summed over handoffs
+	_         [4]uint64
 }
 
-// CoordStats reports the coordinator's per-run overhead counters.
-// Windows, Barriers and Exchanged are deterministic functions of the
-// workload and the shard count; WakeNS is wall-clock (machine-dependent).
-// Read it between runs — never from driver code racing a window.
+// CoordStats reports the coordinator's per-run overhead counters. The
+// first four are deterministic functions of the workload and the shard
+// count; Handoffs, WakeNS and WaitNS depend on the machine and are zero
+// when one participant runs every window. Read it between runs.
 type CoordStats struct {
 	Windows   uint64 // parallel windows dispatched
 	Barriers  uint64 // control-engine events run with all shards paused
 	Exchanged uint64 // cross-shard arrivals moved between engines
-	Wakes     uint64 // worker wake-ups (≈ Windows × shards)
-	WakeNS    int64  // total worker wake latency, summed over wakes
+	Wakes     uint64 // shard windows run = Windows × shards, whoever ran them (the name predates claiming: nothing need wake)
+	Handoffs  uint64 // helper wake-ups that claimed a shard window
+	WakeNS    int64  // dispatch → the helper's first claim, summed over Handoffs
+	WaitNS    int64  // coordinator wall time parked on helpers after its own claims
 }
 
-// workerSync is the epoch/countdown barrier the persistent workers park
-// on. One mutex guards everything; it is also the happens-before edge for
-// all coordinator↔worker shared state (bounds, outboxes, cached next
-// keys, tap buffers): the coordinator only touches that state while
-// remaining == 0, workers only inside a window.
-type workerSync struct {
-	mu        sync.Mutex
-	wake      sync.Cond // workers wait here for an epoch bump
-	done      sync.Cond // the coordinator waits here for the countdown
-	epoch     uint64
-	remaining int
-	stop      bool
-	running   int // workers spawned and not yet exited
+// windowSync is what a run's participants share. cursor and done are the
+// protocol (file header); the channels only park helpers between windows
+// and the coordinator behind a helper's last shard window.
+type windowSync struct {
+	cursor atomic.Int32   // next shard to claim; at or above k between windows
+	done   atomic.Int32   // shard windows completed; maintained only when helpers exist
+	wake   chan bool      // one true per helper per window, dropped when full; false retires a helper (cap k-1)
+	joined chan struct{}  // the helper that takes done to k tells the parked coordinator (cap 1: it need not wait)
+	exited sync.WaitGroup // helpers spawned and not yet returned
 }
 
 // coordinator drives a partitioned network.
@@ -144,29 +160,27 @@ type coordinator struct {
 	outMin [2][][]evKey
 	fill   int
 
-	tap      []tapShard // per-shard tap buffers, written only by that shard's worker
+	tap      []tapShard // per-shard tap buffers, written only by the participant running that shard's window
 	mergeIdx []int      // flushTapsBelow merge cursors (reused across calls)
 
-	bounds    []evKey // per-shard window bounds, published before each epoch bump
-	next      []evKey // cached engine next keys: worker-written at window end
+	bounds    []evKey // per-shard window bounds, published before each cursor reset
+	next      []evKey // cached engine next keys: written at shard-window end
 	nextValid bool    // false when engines were scheduled into outside a window
 	pend      []evKey // scratch: next folded with the fill-side outbox minima
 
-	wg        workerSync
-	wstats    []workerStats
-	wakeStamp time.Time // dispatch instant of the current window
+	ws     windowSync
+	sstats []shardStats
+	stamp  time.Time // dispatch instant of the current window (taken only when helpers exist)
+	waitNS int64     // coordinator wall time parked behind helpers
 
 	windows  uint64 // parallel windows dispatched
 	barriers uint64 // root events executed with all shards paused
 
-	// inWindow is true while shard workers are executing a parallel
-	// window. Written only while every worker is parked (the barrier
-	// mutex provides the synchronization edges), read by workers inside
-	// the window to route tap emissions into the shard buffers.
+	// inWindow is true while a parallel window is executing: written
+	// between windows, read inside them to route taps to the shard buffers.
 	inWindow bool
 
-	mu       sync.Mutex
-	panicked any // first worker panic, re-raised on the coordinator goroutine
+	panicked atomic.Pointer[any] // first panic inside a shard window, re-raised by run after the join
 }
 
 // Partition splits the fabric into k shards: shardOf assigns every node,
@@ -203,10 +217,11 @@ func (n *Network) Partition(k int, shardOf func(Node) int) {
 		bounds:   make([]evKey, k),
 		next:     make([]evKey, k),
 		pend:     make([]evKey, k),
-		wstats:   make([]workerStats, k),
+		sstats:   make([]shardStats, k),
 	}
-	co.wg.wake.L = &co.wg.mu
-	co.wg.done.L = &co.wg.mu
+	co.ws.wake = make(chan bool, k-1)
+	co.ws.joined = make(chan struct{}, 1)
+	co.ws.cursor.Store(int32(k)) // nothing to claim until the first window opens
 	for b := range co.out {
 		co.out[b] = make([][][]remoteRec, k)
 		co.outMin[b] = make([][]evKey, k)
@@ -334,9 +349,9 @@ func (n *Network) Processed() uint64 {
 	return total
 }
 
-// ship queues one cross-shard arrival into the fill-side outbox; called by
-// the sending shard's worker during a window (or by a barrier event),
-// drained by the destination's worker at the start of the next window.
+// ship queues one cross-shard arrival into the fill-side outbox; called
+// from the sending shard's window (or by a barrier event), drained at the
+// start of the destination shard's next window.
 //
 //fabric:hotpath
 func (co *coordinator) ship(from, to int, rec remoteRec) {
@@ -363,8 +378,8 @@ func (co *coordinator) inject(to int, rec *remoteRec) {
 }
 
 // drainInbox injects everything buffered for shard s in outbox buffer buf
-// and reports how many records moved. During a window only shard s's own
-// worker touches column s of the drain-side buffer, so no lock is needed.
+// and reports how many records moved. During a window only shard s's
+// claimant touches column s of the drain-side buffer, so no lock is needed.
 //
 //fabric:hotpath
 func (co *coordinator) drainInbox(buf, s int) uint64 {
@@ -386,14 +401,14 @@ func (co *coordinator) drainInbox(buf, s int) uint64 {
 
 // drainOutboxes serially injects every buffered record from both outbox
 // buffers, restoring the invariant that run() returns with empty
-// outboxes. Safe whenever the workers are parked; the records' keys all
-// sit above the bounded horizon (that is what made returning legal).
+// outboxes. Safe between windows; the records' keys all sit above the
+// bounded horizon (that is what made returning legal).
 //
 //fabric:hotpath
 func (co *coordinator) drainOutboxes() {
 	for buf := 0; buf < 2; buf++ {
 		for s := range co.shards {
-			co.wstats[s].exchanged += co.drainInbox(buf, s)
+			co.sstats[s].exchanged += co.drainInbox(buf, s)
 		}
 	}
 	co.nextValid = false
@@ -508,24 +523,6 @@ func tapKeyLess(a, b *tapRec) bool {
 	return a.oseq < b.oseq
 }
 
-// noteWorkerPanic records the first panic raised inside a shard worker.
-func (co *coordinator) noteWorkerPanic(r any) {
-	co.mu.Lock()
-	if co.panicked == nil {
-		co.panicked = r
-	}
-	co.mu.Unlock()
-}
-
-// takePanic reads the first worker panic, if any, with the happens-before
-// edge the recording worker established through co.mu.
-func (co *coordinator) takePanic() any {
-	co.mu.Lock()
-	p := co.panicked
-	co.mu.Unlock()
-	return p
-}
-
 // evKey is a full event ordering key: the coordinator compares them
 // lexicographically to decide barriers and per-shard window bounds.
 type evKey struct {
@@ -555,100 +552,86 @@ func engineNextKey(e *sim.Engine) evKey {
 	return maxKey
 }
 
-// startWorkers spawns the persistent shard workers for one run. The epoch
-// baseline is captured under the barrier mutex before any spawn so a
-// worker scheduled late can never mistake the first dispatch for one it
-// already ran.
-func (co *coordinator) startWorkers() {
-	g := &co.wg
-	g.mu.Lock()
-	base := g.epoch
-	g.running = len(co.shards)
-	g.mu.Unlock()
-	for s := range co.shards {
-		go co.worker(s, base)
+// helper is participants 1..P-1: one pass over the claim cursor per wake
+// token. A token taken late, or left from an earlier window or run, costs a
+// pass that finds the cursor exhausted; nothing stalls on one, because the
+// coordinator waits for claimed shard windows, never for helpers.
+func (co *coordinator) helper() {
+	defer co.ws.exited.Done()
+	for <-co.ws.wake {
+		co.claimShards(true)
 	}
 }
 
-// stopWorkers tears the persistent workers down at the end of a run and
-// waits for the last one to exit, so no parked goroutine outlives the
-// run (a parked pool would pin the Network — blocked goroutines never
-// collect).
-func (co *coordinator) stopWorkers() {
-	g := &co.wg
-	g.mu.Lock()
-	g.stop = true
-	g.wake.Broadcast()
-	for g.running > 0 {
-		g.done.Wait()
+// dispatchWindow runs one window: open it, run every shard window nobody
+// else claims, park only behind a helper that is still inside one. With no
+// helpers that is a loop over the shards — no lock, no clock, no count.
+func (co *coordinator) dispatchWindow(helpers int) {
+	g := &co.ws
+	k := int32(len(co.shards))
+	if helpers > 0 {
+		co.stamp = time.Now() //fabriclint:wallclock wake-latency stats only; never read by event scheduling
+		g.done.Store(0)
 	}
-	g.stop = false
-	g.mu.Unlock()
+	g.cursor.Store(0) // opens the window: everything it reads is published above
+	for ; helpers > 0; helpers-- {
+		select {
+		case g.wake <- true:
+		default: // as many tokens queued as there are helpers to take them
+		}
+	}
+	// The Add that takes done to k is the last one, and whoever makes it
+	// knows: either the coordinator here, or a helper — which then sends
+	// exactly the one value received here (always, if it ran them all).
+	if ran := co.claimShards(false); ran == 0 || ran < k && g.done.Add(ran) < k {
+		parked := time.Now() //fabriclint:wallclock wait stats only; never read by event scheduling
+		<-g.joined
+		co.waitNS += int64(time.Since(parked))
+	}
 }
 
-// dispatchWindow runs one epoch of the barrier: wake every worker, wait
-// for the countdown. Bounds and the fill swap were published before the
-// epoch bump; the mutex carries them to the workers.
-func (co *coordinator) dispatchWindow() {
-	g := &co.wg
-	g.mu.Lock()
-	g.remaining = len(co.shards)
-	co.wakeStamp = time.Now() //fabriclint:wallclock wake-latency stats only; never read by event scheduling
-	g.epoch++
-	g.wake.Broadcast()
-	for g.remaining > 0 {
-		g.done.Wait()
-	}
-	g.mu.Unlock()
-}
-
-// worker is one shard's persistent loop: park on the barrier, run the
-// published window, arrive, repeat until stopped.
-func (co *coordinator) worker(s int, seen uint64) {
-	g := &co.wg
-	g.mu.Lock()
+// claimShards is the one claim loop: run the shard window of every index
+// this participant gets off the cursor, and report how many that was. A
+// helper times its first claim against the dispatch stamp and counts each
+// completion as it goes; the coordinator adds its share once, afterwards.
+func (co *coordinator) claimShards(helper bool) (ran int32) {
+	g := &co.ws
+	k := int32(len(co.shards))
 	for {
-		for g.epoch == seen && !g.stop {
-			g.wake.Wait()
+		s := g.cursor.Add(1) - 1
+		if s >= k {
+			return ran
 		}
-		if g.stop {
-			g.running--
-			if g.running == 0 {
-				g.done.Signal()
-			}
-			g.mu.Unlock()
-			return
+		if helper && ran == 0 {
+			w := &co.sstats[s]
+			w.handoffs++
+			w.wakeNS += int64(time.Since(co.stamp))
 		}
-		seen = g.epoch
-		bound := co.bounds[s]
-		stamp := co.wakeStamp
-		g.mu.Unlock()
-
-		co.runShardWindow(s, bound, stamp)
-
-		g.mu.Lock()
-		g.remaining--
-		if g.remaining == 0 {
-			g.done.Signal()
+		co.runShardWindow(int(s))
+		ran++
+		if helper && g.done.Add(1) == k {
+			g.joined <- struct{}{}
 		}
 	}
 }
 
-// runShardWindow is one worker's window body: drain the shard's inbox
+// runShardWindow is one shard's window body: drain the shard's inbox
 // column from the previous window, run the engine up to the bound, cache
-// the next pending key for the coordinator. Panics are recorded and
-// re-raised on the coordinator goroutine after the window.
-func (co *coordinator) runShardWindow(s int, bound evKey, stamp time.Time) {
+// the next pending key for the coordinator. The first panic is kept for
+// run to re-raise on the caller's goroutine after the join; the window
+// still counts as completed, so nobody is left parked.
+func (co *coordinator) runShardWindow(s int) {
 	defer func() {
 		if r := recover(); r != nil {
-			co.noteWorkerPanic(r)
+			first := r // declared here so the heap copy is made only on a panic
+			co.panicked.CompareAndSwap(nil, &first)
 		}
 	}()
-	w := &co.wstats[s]
+	w := &co.sstats[s]
 	w.wakes++
-	w.wakeNS += int64(time.Since(stamp))
 	w.exchanged += co.drainInbox(co.fill^1, s)
 	e := co.shards[s]
+	bound := co.bounds[s]
 	e.RunWindowKey(bound.at, bound.owner, bound.oseq)
 	co.next[s] = engineNextKey(e)
 }
@@ -673,14 +656,18 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 	root := co.net.Engine
 	k := len(co.shards)
 
-	// Workers persist for the duration of this run, spawned lazily at the
-	// first parallel window so barrier-only calls (driver code slicing
-	// time in small steps) pay no goroutine churn.
-	started := false
+	// One participant per processor, at most one per shard, the caller
+	// among them. Helpers spawn at the first window, so barrier-only calls
+	// (drivers slicing time finely) start none, and are retired and waited
+	// out before this call returns: a parked goroutine would pin the
+	// Network (blocked goroutines never collect).
+	helpers := min(k, runtime.GOMAXPROCS(0)) - 1
+	unspawned := helpers
 	defer func() {
-		if started {
-			co.stopWorkers()
+		for n := helpers - unspawned; n > 0; n-- {
+			co.ws.wake <- false
 		}
+		co.ws.exited.Wait()
 	}()
 
 	startProcessed := co.net.Processed()
@@ -703,8 +690,8 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 			rootKey = evKey{rootAt, rootOwner, rootSeq}
 		}
 
-		// Per-shard pending minima: the workers cached each engine's next
-		// key at the end of the last window; anything scheduled outside a
+		// Per-shard pending minima: each shard window cached its engine's
+		// next key as it ended; anything scheduled outside a
 		// window (barriers, driver code before the run) invalidates the
 		// cache and is recomputed here, serially, once.
 		if !co.nextValid {
@@ -792,9 +779,9 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 		// costing at least la[t][s], the closed matrix, t = s included via
 		// its cheapest round trip. The pending root event, if any, caps
 		// every shard key-exactly.
-		if !started {
-			co.startWorkers()
-			started = true
+		for ; unspawned > 0; unspawned-- {
+			co.ws.exited.Add(1)
+			go co.helper()
 		}
 		for s := 0; s < k; s++ {
 			b := rootKey // maxKey when no root event is pending
@@ -813,14 +800,14 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 			}
 			co.bounds[s] = b
 		}
-		co.fill ^= 1 // workers drain what senders filled last window
+		co.fill ^= 1 // shard windows drain what senders filled last window
 		co.windows++
 		flushIn--
 		co.inWindow = true
-		co.dispatchWindow()
+		co.dispatchWindow(helpers)
 		co.inWindow = false
-		if p := co.takePanic(); p != nil {
-			panic(p)
+		if p := co.panicked.Swap(nil); p != nil {
+			panic(*p)
 		}
 	}
 }

@@ -55,8 +55,8 @@ type Options struct {
 	// WarmUp is how long to run the fabric before the experiment starts
 	// (0 = the protocol's registered convergence budget).
 	WarmUp time.Duration
-	// Shards splits the simulation across that many parallel engine
-	// shards (one worker each): the bridge graph is partitioned by
+	// Shards splits the simulation across that many engine shards, run on
+	// up to GOMAXPROCS goroutines: the bridge graph is partitioned by
 	// PartitionAssign and the run is synchronized by netsim's conservative
 	// coordinator. 0 or 1 keeps the classic single-engine run. Results are
 	// bit-identical for every value — see DESIGN.md §8.

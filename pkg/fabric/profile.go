@@ -20,7 +20,7 @@ type ProfileOptions struct {
 	// (with a GC first, so it reflects live retention, not garbage).
 	MemPath string
 	// TracePath receives a runtime execution trace covering the workload
-	// (goroutine scheduling of the shard workers, GC, syscalls).
+	// (goroutine scheduling of the coordinator's helpers, GC, syscalls).
 	TracePath string
 	// MutexPath receives a pprof mutex-contention profile covering the
 	// workload: where goroutines stalled waiting for locks held by others
@@ -28,8 +28,8 @@ type ProfileOptions struct {
 	// contends.
 	MutexPath string
 	// BlockPath receives a pprof blocking profile covering the workload:
-	// time spent parked in channel/condvar waits, which is how worker
-	// wake-up stalls and coordinator waits are attributed to call sites.
+	// time spent parked in channel waits, which is how helper wake-up
+	// stalls and coordinator waits are attributed to call sites.
 	BlockPath string
 }
 

@@ -16,9 +16,9 @@
 //
 // A Server owns its fabric exclusively and runs every simulation step from
 // one goroutine; connection handlers only enqueue decoded requests.
-// Completion callbacks (ping trains, streams) fire on shard workers
-// mid-window, so they write exclusively into their own flow's state; the
-// serving loop folds finished flows into the per-class histograms at
+// Completion callbacks (ping trains, streams) fire inside shard windows,
+// on whichever goroutine claimed it, so they write only their own flow's
+// state; the serving loop folds finished flows into the histograms at
 // boundaries, where the window join has already established
 // happens-before. Like the Runner, at most one Server may be live per
 // process (it hooks topo.OnBuilt to attach its trace taps).
@@ -98,7 +98,7 @@ type Report struct {
 }
 
 // flow is one workload op's completion state. The done callback — which
-// runs on a shard worker mid-window — writes only these fields, and only
+// runs inside a shard window — writes only these fields, and only
 // before setting done; the serving loop reads them at boundaries, after
 // the window join established happens-before.
 type flow struct {

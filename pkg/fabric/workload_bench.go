@@ -84,8 +84,9 @@ func (r *Runner) runBench(spec Spec, out, errw io.Writer, res *Result) error {
 // benchRecord is one scale run's machine-dependent half, serialized for
 // the CI bench artifact. Records pair by (bridges, shards, gomaxprocs);
 // events/delivered/windows/barriers/exchanged are deterministic, the
-// wall-clock family (wall_ns, events_per_sec, frames_per_sec, wake_ns)
-// is not.
+// wall-clock family (wall_ns, events_per_sec, frames_per_sec, and the
+// hand-off costs: handoffs, wake_ns summed over them, wait_ns summed over
+// windows — all three zero at gomaxprocs 1) is not.
 type benchRecord struct {
 	Bridges      int     `json:"bridges"`
 	Shards       int     `json:"shards"`
@@ -96,7 +97,9 @@ type benchRecord struct {
 	Windows      uint64  `json:"windows"`
 	Barriers     uint64  `json:"barriers"`
 	Exchanged    uint64  `json:"exchanged"`
+	Handoffs     uint64  `json:"handoffs"`
 	WakeNS       int64   `json:"wake_ns"`
+	WaitNS       int64   `json:"wait_ns"`
 	WallNS       int64   `json:"wall_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	FramesPerSec float64 `json:"frames_per_sec"`
@@ -150,7 +153,8 @@ func runScale(seed int64, bridges, maxShards int, procs []int, errw io.Writer) (
 			records = append(records, benchRecord{
 				Bridges: sr.Bridges, Shards: k, GOMAXPROCS: p,
 				LookaheadNS: int64(sr.Lookahead), Events: sr.Events, Delivered: sr.Delivered,
-				Windows: sr.Windows, Barriers: sr.Barriers, Exchanged: sr.Exchanged, WakeNS: sr.WakeNS,
+				Windows: sr.Windows, Barriers: sr.Barriers, Exchanged: sr.Exchanged,
+				Handoffs: sr.Handoffs, WakeNS: sr.WakeNS, WaitNS: sr.WaitNS,
 				WallNS: int64(sr.Wall), EventsPerSec: sr.EventsPerSec, FramesPerSec: sr.FramesPerSec,
 			})
 		}
