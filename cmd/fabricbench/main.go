@@ -10,7 +10,7 @@
 //
 //	fabricbench [-spec FILE]
 //	            [-exp properties|load|proxy|repair|lockwindow|tablesize|forward|scale|allpath|tables|all]
-//	            [-seed N] [-shards K] [-procs LIST] [-csv] [-bench-out FILE]
+//	            [-seed N] [-shards K] [-csv] [-bench-out FILE]
 //	            [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	            [-mutexprofile FILE] [-blockprofile FILE]
 //
@@ -23,47 +23,19 @@
 // -shards runs every experiment's simulation on K parallel engine shards;
 // all figure/table outputs are byte-identical for any K (only wall-clock
 // rates change). -exp scale sweeps shard counts 1..K on a 256-bridge
-// fabric and, with -bench-out, writes the wall-clock figures as a JSON
-// artifact. -procs repeats that sweep at each GOMAXPROCS in a comma list
-// ("1,2,4"), or at every power of two up to the machine's cores with
-// -procs auto, producing the multi-core speedup matrix; the run fails —
-// after writing the artifact — when a pass with GOMAXPROCS >= 4 is not at
-// least 2x faster at 4 shards than at 1 (DESIGN.md §8).
+// fabric and prints each run's wall-clock figures on stderr; the thread
+// count is the Go runtime's GOMAXPROCS environment variable, named on
+// every line (DESIGN.md §8 has the measured one- and two-thread ratios).
+// -bench-out writes -exp tables' rows as JSON.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/pkg/fabric"
 )
-
-// parseProcs turns the -procs flag into a GOMAXPROCS sweep: an explicit
-// comma list, or "auto" — powers of two up to the machine's core count
-// (always including 1), so a 1-core runner degrades to a single pass.
-func parseProcs(s string) ([]int, error) {
-	if s == "auto" {
-		cores := runtime.NumCPU()
-		var list []int
-		for p := 1; p <= cores; p *= 2 {
-			list = append(list, p)
-		}
-		return list, nil
-	}
-	var list []int
-	for _, part := range strings.Split(s, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || p < 1 {
-			return nil, fmt.Errorf("bad -procs value %q", part)
-		}
-		list = append(list, p)
-	}
-	return list, nil
-}
 
 func main() {
 	specPath := flag.String("spec", "", "run the spec file (explicitly set flags override it)")
@@ -74,8 +46,7 @@ func main() {
 	shards := flag.Int("shards", 1, "run simulations on K parallel engine shards")
 	bridges := flag.Int("bridges", 0, "fabric size override for -exp scale / -exp allpath (0 = the experiment's default)")
 	conversations := flag.Int("conversations", 0, "conversation count override for -exp tables (0 = the spec/experiment default)")
-	benchOut := flag.String("bench-out", "", "write the -exp scale / -exp tables JSON artifact to this file")
-	procs := flag.String("procs", "", "GOMAXPROCS sweep for -exp scale: a comma list like 1,2,4, or auto (powers of two up to the machine's cores)")
+	benchOut := flag.String("bench-out", "", "write the -exp tables JSON artifact to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the workload to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-workload, after GC) to this file")
 	execTrace := flag.String("trace", "", "write a runtime execution trace of the workload to this file")
@@ -116,19 +87,17 @@ func main() {
 	if use("conversations") && *conversations > 0 {
 		spec.Workload.Conversations = *conversations
 	}
-	if use("procs") && *procs != "" {
-		list, err := parseProcs(*procs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fabricbench: %v\n", err)
-			os.Exit(2)
-		}
-		spec.Procs = list
-	}
 
 	switch spec.Workload.Kind {
 	case "properties", "load", "proxy", "repair", "lockwindow", "tablesize", "forward", "scale", "allpath", "tables", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "fabricbench: unknown experiment %q\n", spec.Workload.Kind)
+		os.Exit(2)
+	}
+	// A value the spec rules reject is a usage error like the two above,
+	// not a failed run.
+	if _, err := spec.WithDefaults(); err != nil {
+		fmt.Fprintf(os.Stderr, "fabricbench: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -137,21 +106,20 @@ func main() {
 		MutexPath: *mutexProfile, BlockPath: *blockProfile,
 	}}
 	res, err := runner.Run()
-	// Written before the error is reported: a scale run that fails its
-	// speedup verdict still hands over the matrix that failed it.
-	if *benchOut != "" && res != nil && res.BenchJSON != nil {
-		if werr := os.WriteFile(*benchOut, res.BenchJSON, 0o644); werr != nil {
-			fmt.Fprintf(os.Stderr, "fabricbench: writing %s: %v\n", *benchOut, werr)
-			os.Exit(1)
-		}
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fabricbench: %v\n", err)
 		os.Exit(1)
 	}
-	if *benchOut != "" && res.BenchJSON == nil {
-		fmt.Fprintf(os.Stderr, "fabricbench: -bench-out %s: -exp %s has no JSON artifact (scale and tables do)\n",
+	if *benchOut == "" {
+		return
+	}
+	if res.BenchJSON == nil {
+		fmt.Fprintf(os.Stderr, "fabricbench: -bench-out %s: -exp %s has no JSON artifact (only tables does)\n",
 			*benchOut, spec.Workload.Kind)
 		os.Exit(2)
+	}
+	if err := os.WriteFile(*benchOut, res.BenchJSON, 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "fabricbench: writing %s: %v\n", *benchOut, err)
+		os.Exit(1)
 	}
 }

@@ -111,6 +111,11 @@ func main() {
 		if *shards > 0 {
 			spec.Shards = *shards
 		}
+		// A value the spec rules reject is a usage error, not a failed run.
+		if _, err := spec.WithDefaults(); err != nil {
+			fmt.Fprintf(os.Stderr, "fabricserve: %v\n", err)
+			os.Exit(2)
+		}
 		opts := serve.Options{Spec: spec, Quantum: *quantum, Pace: *pace, Out: os.Stdout}
 		if *opLog != "" {
 			f, err := os.Create(*opLog)

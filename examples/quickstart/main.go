@@ -1,4 +1,6 @@
-// Quickstart: the paper's Figure 1 walkthrough in ~40 lines.
+// Quickstart: the paper's Figure 1 walkthrough in ~50 lines, on the SDK
+// (pkg/fabric) every cmd uses: a Spec names the fabric, Options compiles
+// it, BuildTopology builds it.
 //
 // Host S resolves host D's address across a five-bridge mesh. The flooded
 // ARP Request races through the loops; each bridge locks S's address to
@@ -13,20 +15,33 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
-	"repro"
+	"repro/pkg/fabric"
 )
 
 func main() {
 	// The Figure 1 topology: S—B2; B2—B1, B2—B3; B1—B3; B1—B4; B3—B5;
-	// B4—B5; B5—D, prebuilt with ARP-Path bridges.
-	n := repro.Figure1Topology(1)
+	// B4—B5; B5—D. A bare Spec defaults to seed 1 and ARP-Path bridges;
+	// examples/specs/quickstart.json is the same fabric as a spec file.
+	spec, err := fabric.Spec{Topology: fabric.TopologySpec{Family: "figure1"}}.WithDefaults()
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		log.Fatal(err)
+	}
+	n, err := fabric.BuildTopology(opts, spec.Topology)
+	if err != nil {
+		log.Fatal(err)
+	}
 	s, d := n.Host("S"), n.Host("D")
 
 	// One ping: the ARP exchange that precedes it is the discovery.
 	n.Engine.At(n.Now(), func() {
-		s.Ping(d.IP(), 56, time.Second, func(r repro.PingResult) {
+		s.Ping(d.IP(), 56, time.Second, func(r fabric.PingResult) {
 			fmt.Printf("S -> D ping: rtt=%v (includes ARP + path discovery)\n\n", r.RTT)
 		})
 	})
@@ -46,7 +61,7 @@ func main() {
 
 	// A second ping rides the established path: no flooding this time.
 	n.Engine.At(n.Now(), func() {
-		s.Ping(d.IP(), 56, time.Second, func(r repro.PingResult) {
+		s.Ping(d.IP(), 56, time.Second, func(r fabric.PingResult) {
 			fmt.Printf("\nestablished-path ping: rtt=%v\n", r.RTT)
 		})
 	})

@@ -1,4 +1,4 @@
-package repro
+package specs_test
 
 import (
 	"errors"
@@ -7,10 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	// The cmds run as subprocesses, which `go test`'s result cache cannot
+	// see; linking the SDK they are shells over is what makes a change
+	// under pkg/ or internal/ re-run the goldens.
+	_ "repro/pkg/fabric"
 )
 
 // TestSpecSmoke is the spec-path determinism gate: every cmd runs against
-// its golden spec fixture (examples/specs/<cmd>.json) and must reproduce
+// its golden spec fixture (<cmd>.json in this directory) and must reproduce
 // its committed golden output byte for byte — trace fingerprint line
 // included. Same seed ⇒ same fingerprint, now across the Spec path too —
 // and, for fabricbench, at -shards 4 as well: the fingerprint may not move
@@ -19,6 +24,7 @@ import (
 // is the goldens' one gate; CI reaches it through `go test ./...`.
 //
 // Regenerate a golden after an intentional behavior change with e.g.
+// (from the repository root)
 //
 //	go run ./cmd/fabricbench -spec examples/specs/fabricbench.json \
 //	    > examples/specs/fabricbench.golden
@@ -37,6 +43,9 @@ func TestSpecSmoke(t *testing.T) {
 		{cmd: "fabricbench", spec: "allpath", name: "allpath-shards4", args: []string{"-shards", "4"}},
 		{cmd: "scenario", args: []string{"-j", "2"}},
 		{cmd: "arppath-sim"},
+		// The Figure 1 walkthrough examples/quickstart drives through the
+		// SDK, as a spec.
+		{cmd: "arppath-sim", spec: "quickstart"},
 		// The paper's two demos and the All-Path variants run through the
 		// same simulator shell: the Runner owns the workload kinds and the
 		// registry selects the protocol, not the cmd.
@@ -54,11 +63,11 @@ func TestSpecSmoke(t *testing.T) {
 			c.name = c.spec
 		}
 		t.Run(c.name, func(t *testing.T) {
-			golden, err := os.ReadFile("examples/specs/" + c.spec + ".golden")
+			golden, err := os.ReadFile(c.spec + ".golden")
 			if err != nil {
 				t.Fatal(err)
 			}
-			args := append([]string{"run", "./cmd/" + c.cmd, "-spec", "examples/specs/" + c.spec + ".json"}, c.args...)
+			args := append([]string{"run", "repro/cmd/" + c.cmd, "-spec", c.spec + ".json"}, c.args...)
 			out, err := exec.Command("go", args...).Output()
 			if err != nil {
 				t.Fatalf("go %v: %v", args, err)
@@ -73,7 +82,7 @@ func TestSpecSmoke(t *testing.T) {
 	// not a silent no-op.
 	t.Run("bench-out-without-artifact", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "x.json")
-		_, err := exec.Command("go", "run", "./cmd/fabricbench", "-exp", "load", "-bench-out", path).Output()
+		_, err := exec.Command("go", "run", "repro/cmd/fabricbench", "-exp", "load", "-bench-out", path).Output()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) {
 			t.Fatalf("fabricbench -exp load -bench-out: err = %v, want a nonzero exit", err)

@@ -1,4 +1,4 @@
-package repro
+package specs_test
 
 import (
 	"encoding/json"
@@ -23,7 +23,7 @@ import (
 // uses.
 func TestTrackedTablesReproduceGoldens(t *testing.T) {
 	cases := []struct {
-		spec   string // fixture basename under examples/specs/
+		spec   string // fixture basename in this directory
 		config map[string]any
 	}{
 		{"arppath-sim", map[string]any{"table_policy": "lru"}},
@@ -40,11 +40,11 @@ func TestTrackedTablesReproduceGoldens(t *testing.T) {
 			policy = v.(string)
 		}
 		t.Run(c.spec+"/"+policy, func(t *testing.T) {
-			golden, err := os.ReadFile("examples/specs/" + c.spec + ".golden")
+			golden, err := os.ReadFile(c.spec + ".golden")
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile("examples/specs/" + c.spec + ".json")
+			raw, err := os.ReadFile(c.spec + ".json")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,9 +72,9 @@ func TestTrackedTablesReproduceGoldens(t *testing.T) {
 			if err := os.WriteFile(path, mod, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			out, err := exec.Command("go", "run", "./cmd/arppath-sim", "-spec", path).Output()
+			out, err := exec.Command("go", "run", "repro/cmd/arppath-sim", "-spec", path).Output()
 			if err != nil {
-				t.Fatalf("go run ./cmd/arppath-sim -spec %s: %v", path, err)
+				t.Fatalf("go run repro/cmd/arppath-sim -spec %s: %v", path, err)
 			}
 			if string(out) != string(golden) {
 				t.Fatalf("tracked-but-unbounded %s (%v) diverged from examples/specs/%s.golden.\ngot:\n%s\nwant:\n%s",

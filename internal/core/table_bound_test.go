@@ -91,7 +91,7 @@ func TestEvictionNeverTouchesGuardedEntries(t *testing.T) {
 // eviction-pressure experiment lives in: every op inserts a fresh key
 // into a full table, forcing a policy eviction plus tracker recycling.
 // The interesting number is allocs/op: it must be zero (the gate in
-// ../../zeroalloc_test.go enforces this without -bench).
+// ../topo/zeroalloc_test.go enforces this without -bench).
 func BenchmarkTableChurn(b *testing.B) {
 	for _, policy := range []tables.Policy{tables.PolicyLRU, tables.PolicyClock} {
 		b.Run(policy.String(), func(b *testing.B) {

@@ -101,7 +101,10 @@ type row struct {
 	render func(*testing.T) string
 }
 
-func observe(t *testing.T, c cell, render func(*testing.T) string) observation {
+// The second result is the coordinator's three deterministic counts per
+// fabric. They depend on the shard count, so they are no part of the
+// observation; cells that differ only in GOMAXPROCS must agree on them.
+func observe(t *testing.T, c cell, render func(*testing.T) string) (o observation, coord string) {
 	prevShards := Shards
 	Shards = c.shards
 	defer func() { Shards = prevShards }()
@@ -110,19 +113,23 @@ func observe(t *testing.T, c cell, render func(*testing.T) string) observation {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 	}
 	var fps []*netsim.TapFingerprint
+	var nets []*topo.Net
 	prevHook := topo.OnBuilt
 	topo.OnBuilt = func(n *topo.Net) {
 		fp := netsim.NewTapFingerprint()
 		n.Tap(fp.Observe)
 		fps = append(fps, fp)
+		nets = append(nets, n)
 	}
 	defer func() { topo.OnBuilt = prevHook }()
 
-	o := observation{rendered: render(t)}
+	o.rendered = render(t)
 	for i, fp := range fps {
 		o.traces += fmt.Sprintf("fabric %d: %#016x/%d events\n", i, fp.Sum(), fp.Events())
+		cs := nets[i].CoordStats()
+		coord += fmt.Sprintf("fabric %d: windows=%d barriers=%d exchanged=%d\n", i, cs.Windows, cs.Barriers, cs.Exchanged)
 	}
-	return o
+	return o, coord
 }
 
 // smallScale keeps the scale rows fast: a 32-bridge fabric with a short
@@ -149,7 +156,8 @@ func smallScale(seed int64) func(*testing.T) string {
 // every workload row must render byte-identical output — tables, the
 // tables sweep's JSON artifact — and produce the identical trace
 // fingerprint in every cell: any shard count, any GOMAXPROCS, batched or
-// not.
+// not. Cells of one shard count also agree on how many windows, barriers
+// and cross-shard arrivals the coordinator counted.
 func TestDeterminismMatrix(t *testing.T) {
 	rows := []row{
 		{"figure1", func(*testing.T) string { return RunFigure1(9).Table().String() }},
@@ -172,14 +180,21 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			ref := observe(t, matrixCells[0], row.render)
+			ref, _ := observe(t, matrixCells[0], row.render)
 			if ref.traces == "" {
 				t.Fatalf("degenerate reference run: no fabric was traced")
 			}
+			coordAt := map[int]string{} // shard count → the first such cell's counts
 			for _, c := range matrixCells[1:] {
-				if got := observe(t, c, row.render); got != ref {
+				got, coord := observe(t, c, row.render)
+				if got != ref {
 					t.Errorf("%+v diverged from %+v:\n%s%s\nwant:\n%s%s",
 						c, matrixCells[0], got.traces, got.rendered, ref.traces, ref.rendered)
+				}
+				if first, seen := coordAt[c.shards]; !seen {
+					coordAt[c.shards] = coord
+				} else if coord != first {
+					t.Errorf("%+v: coordinator counts moved with GOMAXPROCS:\n%swant:\n%s", c, coord, first)
 				}
 			}
 		})

@@ -1,7 +1,7 @@
 // Package experiments contains one runner per figure and table of the
-// paper's evaluation (see DESIGN.md §4 for the index). The cmd/ tools,
-// the examples and the root benchmark harness all call into this package,
-// so a result is computed exactly one way everywhere.
+// paper's evaluation (see DESIGN.md §4 for the index). The cmd/ tools
+// (through pkg/fabric) and this package's benchmarks all call into it, so
+// a result is computed exactly one way everywhere.
 package experiments
 
 import (

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/host"
@@ -167,8 +168,8 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 
 // ScaleTable renders the deterministic half of scaling runs: every cell
 // is bit-identical for a given seed at any shard count and GOMAXPROCS.
-// Wall-clock rates are reported separately (ScaleBenchLine, BENCH json)
-// precisely because they are the one machine-dependent output.
+// Wall-clock rates are reported separately (ScaleBenchLine) precisely
+// because they are the one machine-dependent output.
 func ScaleTable(rs []*ScaleResult) *metrics.Table {
 	t := metrics.NewTable("Scaling fabric (random-regular, one host per bridge) — deterministic outputs",
 		"bridges", "links", "shards", "flows", "offered", "delivered", "events", "trace events", "fingerprint")
@@ -182,10 +183,12 @@ func ScaleTable(rs []*ScaleResult) *metrics.Table {
 	return t
 }
 
-// ScaleBenchLine renders one run's wall-clock figures for stderr / bench
-// artifacts.
+// ScaleBenchLine renders one run's wall-clock figures for stderr, ending
+// with the GOMAXPROCS the process ran at (set it through the
+// environment: the thread count is the other half of what the rates mean).
 func ScaleBenchLine(r *ScaleResult) string {
-	return fmt.Sprintf("scale: bridges=%d shards=%d lookahead=%v wall=%v events/s=%.0f frames/s=%.0f windows=%d barriers=%d exchanged=%d handoffs=%d wake_ns/handoff=%d wait_ns/window=%d",
+	return fmt.Sprintf("scale: bridges=%d shards=%d lookahead=%v wall=%v events/s=%.0f frames/s=%.0f windows=%d barriers=%d exchanged=%d handoffs=%d wake_ns/handoff=%d wait_ns/window=%d gomaxprocs=%d",
 		r.Bridges, r.Config.Shards, r.Lookahead, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.FramesPerSec,
-		r.Windows, r.Barriers, r.Exchanged, r.Handoffs, r.WakeNS/int64(max(r.Handoffs, 1)), r.WaitNS/int64(max(r.Windows, 1)))
+		r.Windows, r.Barriers, r.Exchanged, r.Handoffs, r.WakeNS/int64(max(r.Handoffs, 1)), r.WaitNS/int64(max(r.Windows, 1)),
+		runtime.GOMAXPROCS(0))
 }

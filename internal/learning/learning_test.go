@@ -69,8 +69,8 @@ func TestUnknownUnicastFloodsThenLearns(t *testing.T) {
 	if len(h2.got) != 1 {
 		t.Fatalf("h2 got %d frames, want 1", len(h2.got))
 	}
-	if sw1.ForwardingStats().FloodedUnknown != 1 {
-		t.Fatalf("sw1 flooded = %d, want 1", sw1.ForwardingStats().FloodedUnknown)
+	if sw1.stats.FloodedUnknown != 1 {
+		t.Fatalf("sw1 flooded = %d, want 1", sw1.stats.FloodedUnknown)
 	}
 	// Reply: now both switches know h2, so no new floods.
 	net.Engine.At(net.Now(), func() { h2.send(layers.HostMAC(1), 2) })
@@ -78,14 +78,14 @@ func TestUnknownUnicastFloodsThenLearns(t *testing.T) {
 	if len(h1.got) != 1 {
 		t.Fatalf("h1 got %d frames, want 1", len(h1.got))
 	}
-	if sw1.ForwardingStats().FloodedUnknown != 1 {
+	if sw1.stats.FloodedUnknown != 1 {
 		t.Fatal("reply flooded despite learned table")
 	}
 	// Third frame h1→h2 is a pure unicast forward.
-	before := sw1.ForwardingStats().Forwarded
+	before := sw1.stats.Forwarded
 	net.Engine.At(net.Now(), func() { h1.send(layers.HostMAC(2), 3) })
 	net.Run()
-	if sw1.ForwardingStats().Forwarded != before+1 {
+	if sw1.stats.Forwarded != before+1 {
 		t.Fatal("learned unicast not forwarded directly")
 	}
 }
@@ -123,8 +123,8 @@ func TestFilterSameSegment(t *testing.T) {
 	net.RunFor(time.Millisecond)
 	net.Engine.At(net.Now(), func() { h1.send(layers.HostMAC(3), 1) })
 	net.Run()
-	if sw.ForwardingStats().Filtered != 1 {
-		t.Fatalf("Filtered = %d, want 1", sw.ForwardingStats().Filtered)
+	if sw.stats.Filtered != 1 {
+		t.Fatalf("Filtered = %d, want 1", sw.stats.Filtered)
 	}
 	// The ghost's flood carried an alien destination MAC, so h2's NIC
 	// filter dropped it; nothing else may have reached h2.

@@ -88,9 +88,6 @@ func (s *Switch) FIB() *Table { return s.fib }
 // PathTables lists the filtering database behind the key-independent view.
 func (s *Switch) PathTables() []tables.View { return []tables.View{s.fib} }
 
-// Stats returns a snapshot of the forwarding counters.
-func (s *Switch) ForwardingStats() Stats { return s.stats }
-
 // OnStart implements bridge.Protocol.
 func (s *Switch) OnStart() {}
 

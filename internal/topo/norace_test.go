@@ -1,6 +1,6 @@
 //go:build !race
 
-package repro
+package topo_test
 
 // raceEnabled reports whether this binary was built with -race.
 const raceEnabled = false

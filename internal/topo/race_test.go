@@ -1,6 +1,6 @@
 //go:build race
 
-package repro
+package topo_test
 
 // raceEnabled reports that this binary was built with -race. The race
 // detector's instrumentation allocates on its own, so allocation gates

@@ -1,4 +1,4 @@
-package repro
+package topo_test
 
 // The zero-allocation gate (DESIGN.md §3): once paths are established,
 // forwarding a unicast frame across the fabric must not allocate — not
@@ -200,7 +200,7 @@ func TestEstablishedPathStaysUp(t *testing.T) {
 	// pooled fast path.
 	ok := false
 	built.Engine.At(built.Now(), func() {
-		built.Host("H1").Ping(h2.IP(), 0, time.Second, func(r PingResult) { ok = r.Err == nil })
+		built.Host("H1").Ping(h2.IP(), 0, time.Second, func(r hostpkg.PingResult) { ok = r.Err == nil })
 	})
 	built.RunFor(2 * time.Second)
 	if !ok {

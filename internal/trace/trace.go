@@ -29,27 +29,19 @@ func (r Record) String() string {
 		r.At, r.Kind, r.From, r.To, r.Summary, r.Len)
 }
 
+// ringLimit bounds how many records a Capture retains, so a long -trace
+// run streams through its writer without growing.
+const ringLimit = 4096
+
 // Capture is a bounded ring buffer of frame records attached to a network.
 type Capture struct {
-	limit   int
 	records []Record
-	dropped uint64
 	filter  func(netsim.TapEvent) bool
 	sink    io.Writer
 }
 
 // Option configures a capture.
 type Option func(*Capture)
-
-// WithLimit bounds the ring (default 4096 records).
-func WithLimit(n int) Option {
-	return func(c *Capture) {
-		if n <= 0 {
-			panic("trace: limit must be positive")
-		}
-		c.limit = n
-	}
-}
 
 // WithFilter keeps only events the predicate accepts.
 func WithFilter(f func(netsim.TapEvent) bool) Option {
@@ -61,33 +53,13 @@ func WithWriter(w io.Writer) Option {
 	return func(c *Capture) { c.sink = w }
 }
 
-// EtherTypeFilter keeps only frames of the given EtherTypes.
-func EtherTypeFilter(types ...layers.EtherType) func(netsim.TapEvent) bool {
-	set := make(map[layers.EtherType]bool, len(types))
-	for _, t := range types {
-		set[t] = true
-	}
-	return func(ev netsim.TapEvent) bool { return set[layers.FrameEtherType(ev.Frame)] }
-}
-
 // DeliveriesOnly keeps only TapDeliver events (one record per hop
 // traversal instead of two).
 func DeliveriesOnly(ev netsim.TapEvent) bool { return ev.Kind == netsim.TapDeliver }
 
-// FlowFilter keeps only frames belonging to the given link-layer flow, in
-// either direction (the symmetric-flow idiom: a conversation is one
-// thing, whichever way the frame travels).
-func FlowFilter(flow layers.Flow) func(netsim.TapEvent) bool {
-	rev := flow.Reverse()
-	return func(ev netsim.TapEvent) bool {
-		f := layers.MACFlow(layers.FrameSrc(ev.Frame), layers.FrameDst(ev.Frame))
-		return f == flow || f == rev
-	}
-}
-
 // Attach registers a capture on net and returns it.
 func Attach(net *netsim.Network, opts ...Option) *Capture {
-	c := &Capture{limit: 4096}
+	c := &Capture{}
 	for _, o := range opts {
 		o(c)
 	}
@@ -110,20 +82,16 @@ func (c *Capture) observe(ev netsim.TapEvent) {
 	if c.sink != nil {
 		fmt.Fprintln(c.sink, r)
 	}
-	if len(c.records) >= c.limit {
+	if len(c.records) >= ringLimit {
 		// Drop the oldest half rather than one-at-a-time shifting.
 		n := copy(c.records, c.records[len(c.records)/2:])
 		c.records = c.records[:n]
-		c.dropped += uint64(c.limit - n)
 	}
 	c.records = append(c.records, r)
 }
 
 // Records returns the retained records, oldest first.
 func (c *Capture) Records() []Record { return c.records }
-
-// Dropped returns how many records were evicted by the ring bound.
-func (c *Capture) Dropped() uint64 { return c.dropped }
 
 // Dump renders all retained records as text.
 func (c *Capture) Dump() string {

@@ -41,7 +41,9 @@ func TestCaptureRecordsTraffic(t *testing.T) {
 }
 
 func TestCaptureFilter(t *testing.T) {
-	net, h1, h2, cap := build(WithFilter(EtherTypeFilter(layers.EtherTypeARP)))
+	net, h1, h2, cap := build(WithFilter(func(ev netsim.TapEvent) bool {
+		return layers.FrameEtherType(ev.Frame) == layers.EtherTypeARP
+	}))
 	net.Engine.At(net.Now(), func() {
 		h1.Ping(h2.IP(), 0, time.Second, func(host.PingResult) {})
 	})
@@ -70,16 +72,23 @@ func TestDeliveriesOnlyFilter(t *testing.T) {
 }
 
 func TestCaptureRingBound(t *testing.T) {
-	net, h1, h2, cap := build(WithLimit(16))
+	var streamed strings.Builder
+	net, h1, h2, cap := build(WithWriter(&streamed))
 	net.Engine.At(net.Now(), func() {
-		h1.PingSeries(h2.IP(), 50, 0, time.Millisecond, time.Second, func([]host.PingResult) {})
+		h1.PingSeries(h2.IP(), 1000, 0, time.Millisecond, time.Second, func([]host.PingResult) {})
 	})
 	net.RunFor(5 * time.Second)
-	if len(cap.Records()) > 16 {
-		t.Fatalf("ring grew to %d records", len(cap.Records()))
+	lines := strings.Split(strings.TrimSuffix(streamed.String(), "\n"), "\n")
+	if len(lines) <= ringLimit {
+		t.Fatalf("only %d records captured: the workload no longer fills the ring", len(lines))
 	}
-	if cap.Dropped() == 0 {
-		t.Fatal("evictions not counted")
+	recs := cap.Records()
+	if len(recs) > ringLimit {
+		t.Fatalf("ring grew to %d records", len(recs))
+	}
+	// The ring sheds its oldest half; the newest record is always kept.
+	if got, want := recs[len(recs)-1].String(), lines[len(lines)-1]; got != want {
+		t.Fatalf("newest retained record = %q, want the last one streamed %q", got, want)
 	}
 }
 
@@ -95,15 +104,6 @@ func TestWithWriterStreams(t *testing.T) {
 	}
 }
 
-func TestBadLimitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero limit accepted")
-		}
-	}()
-	Attach(netsim.NewNetwork(1), WithLimit(0))
-}
-
 func TestRecordString(t *testing.T) {
 	r := Record{At: time.Millisecond, Kind: netsim.TapDeliver, From: "a[0]", To: "b[0]", Summary: "x", Len: 60}
 	s := r.String()
@@ -111,29 +111,3 @@ func TestRecordString(t *testing.T) {
 		t.Fatalf("Record.String() = %q", s)
 	}
 }
-
-func TestFlowFilterBothDirections(t *testing.T) {
-	net, h1, h2, cap := build(WithFilter(FlowFilter(layers.MACFlow(h1Mac(), h2Mac()))))
-	net.Engine.At(net.Now(), func() {
-		h1.Ping(h2.IP(), 0, time.Second, func(host.PingResult) {})
-	})
-	net.RunFor(time.Second)
-	sawForward, sawReverse := false, false
-	for _, r := range cap.Records() {
-		switch {
-		case strings.HasPrefix(r.Summary, h1Mac().String()):
-			sawForward = true
-		case strings.HasPrefix(r.Summary, h2Mac().String()):
-			sawReverse = true
-		default:
-			t.Fatalf("foreign frame passed the flow filter: %s", r)
-		}
-	}
-	if !sawForward || !sawReverse {
-		t.Fatalf("flow filter missed a direction: fwd=%v rev=%v", sawForward, sawReverse)
-	}
-}
-
-// h1Mac/h2Mac mirror the fixed host numbering of build().
-func h1Mac() layers.MAC { return layers.HostMAC(1) }
-func h2Mac() layers.MAC { return layers.HostMAC(2) }

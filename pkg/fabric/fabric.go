@@ -61,6 +61,8 @@ type (
 	Options = topo.Options
 	// Host is a simulated end station.
 	Host = host.Host
+	// PingResult is the outcome of one ICMP echo exchange (Host.Ping).
+	PingResult = host.PingResult
 	// Duration marshals as a human-readable string ("200ms") in specs.
 	Duration = topo.Duration
 )

@@ -67,8 +67,8 @@ type Result struct {
 	Fingerprint uint64
 	Fabrics     int
 	TraceEvents uint64
-	// BenchJSON is the scale workload's machine-dependent wall-clock
-	// artifact (fabricbench -bench-out).
+	// BenchJSON is the tables workload's row-per-cell JSON artifact
+	// (fabricbench -bench-out).
 	BenchJSON []byte
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/netsim"
@@ -44,12 +45,6 @@ type Spec struct {
 	// Shards runs the simulation on that many parallel engine shards.
 	// Every figure, table and fingerprint is bit-identical at any value.
 	Shards int `json:"shards,omitempty"`
-	// Procs is the GOMAXPROCS sweep of the scale experiment: each value
-	// re-runs the shard-count matrix at that parallelism so the bench
-	// artifact carries a speedup-vs-shards curve per core count. Empty
-	// means one pass at the ambient GOMAXPROCS. Deterministic outputs are
-	// unaffected (and asserted unchanged across passes).
-	Procs []int `json:"procs,omitempty"`
 	// Workload selects what runs on the fabric.
 	Workload WorkloadSpec `json:"workload,omitzero"`
 	// Scenario parameterizes the adversarial sweep (kind "sweep"): the
@@ -318,9 +313,16 @@ func (s Spec) WithDefaults() (Spec, error) {
 	}
 	if s.Topology.Family != "" {
 		s.Topology = s.Topology.withDefaults()
+		if err := s.Topology.check(); err != nil {
+			return Spec{}, err
+		}
 	}
 
 	s.Workload = s.Workload.withDefaults()
+	// scale and allpath build a degree-3 random-regular fabric of this size.
+	if k := s.Workload.Kind; (k == "scale" || k == "allpath") && !evenAtLeast(s.Workload.Bridges, 4) {
+		return Spec{}, fmt.Errorf("spec: workload.bridges: %s needs an even count ≥ 4, got %d", k, s.Workload.Bridges)
+	}
 
 	if s.Workload.Kind == "sweep" {
 		sc := ScenarioSpec{}
@@ -398,6 +400,81 @@ func (t TopologySpec) withDefaults() TopologySpec {
 		}
 	}
 	return t
+}
+
+func evenAtLeast(v, min int) bool { return v >= min && v%2 == 0 }
+
+// gridDims resolves a grid's side lengths: Rows falls back to N, Cols to
+// Rows.
+func (t TopologySpec) gridDims() (rows, cols int) {
+	rows, cols = t.Rows, t.Cols
+	if rows == 0 {
+		rows = t.N
+	}
+	if cols == 0 {
+		cols = rows
+	}
+	return rows, cols
+}
+
+// check rejects, for each in-tree family, every size its builder would
+// panic on: a spec file, a flag or a replay-log header is outside input.
+// It runs on the defaulted TopologySpec. A family registered from
+// outside the tree vets its own parameters in its builder.
+func (t TopologySpec) check() error {
+	bad := func(field, rule string, got any) error {
+		return fmt.Errorf("spec: topology.%s: %s needs %s, got %v", field, t.Family, rule, got)
+	}
+	switch t.Family {
+	case "figure2":
+		switch topo.Figure2Profile(t.Profile) {
+		case topo.ProfileUniform, topo.ProfileSlowDiagonal, topo.ProfileAsymmetric:
+		default:
+			return bad("profile", "uniform, slow-diagonal or asymmetric", strconv.Quote(t.Profile))
+		}
+	case "line":
+		if t.N < 1 {
+			return bad("n", "at least 1 bridge", t.N)
+		}
+	case "ring":
+		if t.N < 3 {
+			return bad("n", "at least 3 bridges", t.N)
+		}
+	case "grid":
+		if rows, cols := t.gridDims(); rows < 2 || cols < 2 {
+			return bad("rows/cols", "at least 2x2 (rows defaults to n, cols to rows)", fmt.Sprintf("%dx%d", rows, cols))
+		}
+	case "fattree":
+		if !evenAtLeast(t.N, 2) {
+			return bad("n", "an even k ≥ 2", t.N)
+		}
+	case "random":
+		if t.N < 2 {
+			return bad("n", "at least 2 bridges", t.N)
+		}
+	case "erdos-renyi":
+		if t.N < 2 {
+			return bad("n", "at least 2 bridges", t.N)
+		}
+		if t.P < 0 || t.P > 1 {
+			return bad("p", "a probability in [0, 1]", t.P)
+		}
+	case "ring-of-rings":
+		if t.Rings < 2 {
+			return bad("rings", "at least 2 rings", t.Rings)
+		}
+		if t.RingSize < 3 {
+			return bad("ring_size", "at least 3 bridges per ring", t.RingSize)
+		}
+	case "random-regular":
+		if !evenAtLeast(t.N, 4) {
+			return bad("n", "an even n ≥ 4", t.N)
+		}
+		if t.Degree < 2 || t.Degree >= t.N {
+			return bad("degree", "a degree in [2, n)", t.Degree)
+		}
+	}
+	return nil
 }
 
 func (w WorkloadSpec) withDefaults() WorkloadSpec {

@@ -77,6 +77,7 @@ func TestSpecStrictDecoding(t *testing.T) {
 		{"topology", `{"topology": {"famly": "ring"}}`},
 		{"trailing", `{"seed": 1} {"seed": 2}`},
 		{"future-version", `{"version": 99}`},
+		{"removed-procs", `{"workload": {"kind": "scale"}, "procs": [1, 2]}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeSpec([]byte(c.doc)); err == nil {
@@ -140,6 +141,80 @@ func TestSpecRejectsUnusableValues(t *testing.T) {
 		_, err = (&Runner{Spec: s, Out: &out, Err: &out}).Run()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Run returned %v, want an error naming %q", c.doc, err, c.want)
+		}
+	}
+}
+
+// TestSpecSizeRules holds WithDefaults to the topology builders' own
+// preconditions: for every in-tree family, each size a builder panics on
+// is a spec: error naming the field, and the smallest size it accepts
+// builds. scale and allpath size their own random-regular fabric from
+// workload.bridges, under the same rule.
+func TestSpecSizeRules(t *testing.T) {
+	type bad struct {
+		t    TopologySpec
+		want string // the field the error must name
+	}
+	cases := map[string]struct {
+		good TopologySpec
+		bad  []bad
+	}{
+		"figure1": {},
+		"figure2": {TopologySpec{Profile: "uniform"}, []bad{{TopologySpec{Profile: "bogus"}, "topology.profile"}}},
+		"line":    {TopologySpec{N: 1}, []bad{{TopologySpec{N: -1}, "topology.n"}}},
+		"ring":    {TopologySpec{N: 3}, []bad{{TopologySpec{N: 2}, "topology.n"}, {TopologySpec{N: -3}, "topology.n"}}},
+		"grid": {TopologySpec{Rows: 2}, []bad{
+			{TopologySpec{Rows: 1}, "topology.rows/cols"}, {TopologySpec{N: 3, Cols: 1}, "topology.rows/cols"},
+			{TopologySpec{N: -2}, "topology.rows/cols"}}},
+		"fattree": {TopologySpec{N: 2}, []bad{{TopologySpec{N: 3}, "topology.n"}, {TopologySpec{N: -2}, "topology.n"}}},
+		"random":  {TopologySpec{N: 2}, []bad{{TopologySpec{N: 1}, "topology.n"}}},
+		"erdos-renyi": {TopologySpec{N: 2, P: 1}, []bad{
+			{TopologySpec{N: 1}, "topology.n"}, {TopologySpec{P: 1.5}, "topology.p"}, {TopologySpec{P: -0.1}, "topology.p"}}},
+		"ring-of-rings": {TopologySpec{Rings: 2, RingSize: 3}, []bad{
+			{TopologySpec{Rings: 1}, "topology.rings"}, {TopologySpec{RingSize: 2}, "topology.ring_size"}}},
+		"random-regular": {TopologySpec{N: 4, Degree: 2}, []bad{
+			{TopologySpec{N: 7}, "topology.n"}, {TopologySpec{N: 2}, "topology.n"},
+			{TopologySpec{N: 4, Degree: 4}, "topology.degree"}, {TopologySpec{Degree: 1}, "topology.degree"}}},
+	}
+	for _, family := range TopologyFamilies() {
+		c, ok := cases[family]
+		if !ok {
+			t.Errorf("family %q has no size-rule case", family)
+			continue
+		}
+		spec := Spec{Workload: WorkloadSpec{Kind: "ping"}}
+		for _, b := range c.bad {
+			spec.Topology = b.t
+			spec.Topology.Family = family
+			if _, err := spec.WithDefaults(); err == nil || !strings.HasPrefix(err.Error(), "spec: "+b.want) {
+				t.Errorf("%s %+v: WithDefaults returned %v, want a spec: error naming %s", family, b.t, err, b.want)
+			}
+		}
+		spec.Topology = c.good
+		spec.Topology.Family = family
+		d, err := spec.WithDefaults()
+		if err != nil {
+			t.Errorf("%s %+v: smallest good value rejected: %v", family, c.good, err)
+			continue
+		}
+		opts, err := d.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildTopology(opts, d.Topology); err != nil {
+			t.Errorf("%s %+v: %v", family, c.good, err)
+		}
+	}
+
+	for _, kind := range []string{"scale", "allpath"} {
+		for _, bridges := range []int{2, 3, 7} {
+			_, err := Spec{Workload: WorkloadSpec{Kind: kind, Bridges: bridges}}.WithDefaults()
+			if err == nil || !strings.HasPrefix(err.Error(), "spec: workload.bridges") {
+				t.Errorf("%s bridges=%d: WithDefaults returned %v, want a spec: error naming workload.bridges", kind, bridges, err)
+			}
+		}
+		if _, err := (Spec{Workload: WorkloadSpec{Kind: kind, Bridges: 4}}).WithDefaults(); err != nil {
+			t.Errorf("%s bridges=4 rejected: %v", kind, err)
 		}
 	}
 }
@@ -217,6 +292,7 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":{"kind":"sweep"},"scenario":{"faults":["all"]}}`))
 	f.Add([]byte(`{"protocol":{"name":"stp","config":{"hello":"-1s"}},"link":{"rate_bps":-5},"warm_up":"-1s"}`))
 	f.Add([]byte(`{"protocol":{"name":"tcppath","config":{"conn_capacity":4,"conn_policy":"clock"}},"link":{"queue_bytes":1}}`))
+	f.Add([]byte(`{"topology":{"family":"random-regular","n":7,"degree":2}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSpec(data)
 		if err != nil {
@@ -246,12 +322,19 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("not a fixed point:\n--- first\n%s\n--- second\n%s", e1, e2)
 		}
 		// What WithDefaults accepts must build: the options compile and
-		// one bridge of the protocol comes up on a link without a panic.
+		// one bridge of the protocol comes up on a link without a panic —
+		// and so does the spec's own topology, when it is small enough to
+		// build on every fuzz iteration (an unregistered family is
+		// BuildTopology's error to return).
 		opts, err := d1.Options()
 		if err != nil {
 			t.Fatalf("defaulted spec failed to compile: %v\n%s", err, e1)
 		}
 		opts.Shards, opts.WarmUp = 1, time.Nanosecond
 		topo.Line(opts, 1)
+		tp := d1.Topology
+		if max(tp.N, tp.Rows, tp.Cols, tp.Rings, tp.RingSize, tp.Degree, tp.ExtraEdges) <= 16 {
+			BuildTopology(opts, tp)
+		}
 	})
 }

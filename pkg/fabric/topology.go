@@ -61,13 +61,7 @@ func init() {
 		return topo.Ring(opts, t.N)
 	})
 	RegisterTopology("grid", func(opts Options, t TopologySpec) *Built {
-		rows, cols := t.Rows, t.Cols
-		if rows == 0 {
-			rows = t.N
-		}
-		if cols == 0 {
-			cols = rows
-		}
+		rows, cols := t.gridDims()
 		return topo.Grid(opts, rows, cols)
 	})
 	RegisterTopology("fattree", func(opts Options, t TopologySpec) *Built {
