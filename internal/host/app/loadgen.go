@@ -11,7 +11,7 @@ import (
 type FlowConfig struct {
 	DstIP       layers.Addr4
 	DstPort     uint16
-	SrcPort     uint16
+	SrcPort     uint16        // 0 = none: an unbound, transmit-only socket
 	PayloadSize int           // bytes per datagram
 	Interval    time.Duration // datagram spacing
 	Count       int           // datagrams to send
@@ -41,7 +41,8 @@ func (s *Sink) Count() int { return s.count }
 
 // StartFlow sends cfg.Count datagrams from h per cfg and calls done with
 // the sender-side result when the last datagram has been handed to the
-// stack.
+// stack; the source socket is closed at that point, so a finished flow
+// leaves nothing bound.
 func StartFlow(h *host.Host, cfg FlowConfig, done func(FlowResult)) {
 	if cfg.Count <= 0 || cfg.PayloadSize < 0 || cfg.Interval <= 0 {
 		panic("app: invalid flow config")
@@ -57,6 +58,7 @@ func StartFlow(h *host.Host, cfg FlowConfig, done func(FlowResult)) {
 			h.After(cfg.Interval, tick)
 			return
 		}
+		sock.Close()
 		if done != nil {
 			done(FlowResult{Sent: sent})
 		}

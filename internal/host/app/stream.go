@@ -9,7 +9,8 @@ import (
 
 // StreamConfig describes the Figure 3 video stream.
 type StreamConfig struct {
-	// Port is the server's listening port (the demo's HTTP server).
+	// Port is the server's listening port (the demo's HTTP server); 0
+	// listens on any free port.
 	Port uint16
 	// Size is the total video size in bytes.
 	Size int
@@ -59,8 +60,9 @@ type Streamer struct {
 	report *StreamReport
 	onDone func(*StreamReport)
 
-	server *host.Host
-	client *host.Host
+	server   *host.Host
+	client   *host.Host
+	listener *host.Listener
 
 	lastByteAt  time.Duration
 	bucketStart time.Duration
@@ -70,8 +72,11 @@ type Streamer struct {
 
 // StartStream makes server serve cfg.Size bytes on cfg.Port and client
 // fetch them, HTTP-style. onDone fires when the stream completes or
-// aborts. The returned Streamer exposes the live report for mid-stream
-// probes.
+// aborts — a dial nobody answers, or a host with no port left, aborts.
+// The server accepts one connection and closes its listener as it does,
+// so a stream that connected leaves nothing bound; for one that never did,
+// see Release. The returned Streamer exposes the live report for
+// mid-stream probes.
 func StartStream(server, client *host.Host, cfg StreamConfig, onDone func(*StreamReport)) *Streamer {
 	if cfg.Size <= 0 || cfg.Bucket <= 0 || cfg.StallThreshold <= 0 {
 		panic("app: invalid stream config")
@@ -89,23 +94,42 @@ func StartStream(server, client *host.Host, cfg StreamConfig, onDone func(*Strea
 		lastByteAt:  now,
 		bucketStart: now,
 	}
-	server.Listen(cfg.Port, func(c *host.Conn) {
+	s.listener = server.Listen(cfg.Port, func(c *host.Conn) {
+		s.listener.Close()
 		// Serve the whole "video file"; TCP-lite paces it out.
 		c.Write(make([]byte, cfg.Size))
 		c.Close()
 	})
-	client.Dial(server.IP(), cfg.Port, func(c *host.Conn) {
-		s.report.Connected = client.Now()
-		s.lastByteAt = s.report.Connected
-		c.OnData = s.onData
-		c.OnClose = s.onClose
-		c.OnAbort = s.onAbort
-	})
+	var c *host.Conn
+	if s.listener != nil {
+		c = client.Dial(server.IP(), s.listener.Port(), func(c *host.Conn) {
+			s.report.Connected = client.Now()
+			s.lastByteAt = s.report.Connected
+			c.OnData = s.onData
+			c.OnClose = s.onClose
+		})
+	}
+	if c == nil {
+		s.Release()
+		s.onAbort()
+		return s
+	}
+	c.OnAbort = s.onAbort // from the first SYN: a dial nobody answers gives up through it
 	return s
 }
 
 // Report returns the live report (final once onDone has fired).
 func (s *Streamer) Report() *StreamReport { return s.report }
+
+// Release closes the listener of a stream that never connected (a dial
+// nobody answered); otherwise it does nothing. The stream's callbacks run
+// on the client, which may sit in another shard than the server, so they
+// cannot: call it once onDone has fired, from driver context between runs.
+func (s *Streamer) Release() {
+	if s.listener != nil {
+		s.listener.Close()
+	}
+}
 
 func (s *Streamer) onData(p []byte) {
 	now := s.client.Now()

@@ -305,3 +305,57 @@ func TestUDPResolvedSendAllocations(t *testing.T) {
 		t.Fatalf("a resolved SendTo allocates %.1f per datagram, want at most the receiver's copy", avg)
 	}
 }
+
+// TestPortZeroAndEphemeralPorts: UDP port 0 is an unbound transmit-only
+// socket — any number coexist and their datagrams carry source port 0;
+// Listen(0) and a dialler's local port share one ephemeral walk that skips
+// what is live and, once the whole range is, refuses instead of
+// overwriting; a listener's Close removes only its own entry.
+func TestPortZeroAndEphemeralPorts(t *testing.T) {
+	net, h1, h2 := pair(1)
+	var rx []Datagram
+	h2.UDP(9000, func(d Datagram) { rx = append(rx, d) })
+	s1, s2 := h1.UDP(0, nil), h1.UDP(0, nil)
+	net.Engine.At(net.Now(), func() {
+		s1.SendTo(h2.IP(), 9000, []byte("a"))
+		s2.SendTo(h2.IP(), 9000, []byte("b"))
+	})
+	net.RunFor(time.Second)
+	s1.Close()
+	if len(rx) != 2 || rx[0].SrcPort != 0 || rx[1].SrcPort != 0 {
+		t.Fatalf("rx = %+v, want two datagrams from port 0", rx)
+	}
+
+	first := h1.Listen(0, func(*Conn) {})
+	if first.Port() != 49152 {
+		t.Fatalf("first ephemeral listener on %d, want 49152", first.Port())
+	}
+	c := h1.Dial(h2.IP(), 80, nil) // shares the counter: 49153
+	if c.key.lport != 49153 {
+		t.Fatalf("dial from %d, want 49153", c.key.lport)
+	}
+	first.Close()
+	reuse := h1.Listen(49152, func(*Conn) {})
+	first.Close() // stale handle: must not unbind its successor
+	if h1.tcp.listeners[49152] != reuse {
+		t.Fatal("a stale Close removed the port's later listener")
+	}
+	// Walk the counter round: 49152 (listening) and 49153 (the live
+	// connection's key) are skipped by the kind of user they are taken for.
+	h1.tcp.nextPort = 49152
+	if l := h1.Listen(0, func(*Conn) {}); l.Port() != 49153 {
+		t.Fatalf("Listen(0) took %d, want 49153 (49152 is listening)", l.Port())
+	}
+	h1.tcp.nextPort = 49153
+	if d := h1.Dial(h2.IP(), 80, nil); d.key.lport != 49154 {
+		t.Fatalf("dial took %d, want 49154 (49153 holds a live connection to the same peer)", d.key.lport)
+	}
+	for p := 49152; p <= 0xffff; p++ {
+		if h1.tcp.listeners[uint16(p)] == nil {
+			h1.Listen(uint16(p), func(*Conn) {})
+		}
+	}
+	if l := h1.Listen(0, func(*Conn) {}); l != nil {
+		t.Fatalf("Listen(0) with every ephemeral port listening returned port %d, want nil", l.Port())
+	}
+}

@@ -168,7 +168,7 @@ type tcpHost struct {
 	h         *Host
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
-	nextPort  uint16
+	nextPort  uint16 // the next ephemeral port to try, for dials and Listen(0) alike
 }
 
 func newTCPHost(h *Host) *tcpHost {
@@ -180,10 +180,31 @@ func newTCPHost(h *Host) *tcpHost {
 	}
 }
 
-// Listen registers accept for incoming connections on port.
+// ephemeral walks the host's one port counter through [49152, 65535] to
+// the next port taken does not hold and returns it, or 0 once all 16384
+// are held.
+func (th *tcpHost) ephemeral(taken func(port uint16) bool) uint16 {
+	for range 1 << 14 {
+		p := th.nextPort
+		th.nextPort = (p + 1) | 0xC000
+		if !taken(p) {
+			return p
+		}
+	}
+	return 0
+}
+
+// Listen registers accept for incoming connections on port. Port 0 asks
+// for any free ephemeral port (Port reads it back) and returns nil when
+// none is left; listening on a named port that is taken panics.
 func (h *Host) Listen(port uint16, accept func(*Conn)) *Listener {
 	th := h.tcp
-	if _, taken := th.listeners[port]; taken {
+	listening := func(p uint16) bool { return th.listeners[p] != nil }
+	if port == 0 {
+		if port = th.ephemeral(listening); port == 0 {
+			return nil
+		}
+	} else if listening(port) {
 		panic(fmt.Sprintf("host %s: TCP port %d already listening", h.name, port))
 	}
 	l := &Listener{h: h, port: port, accept: accept}
@@ -191,8 +212,17 @@ func (h *Host) Listen(port uint16, accept func(*Conn)) *Listener {
 	return l
 }
 
-// Close stops accepting new connections.
-func (l *Listener) Close() { delete(l.h.tcp.listeners, l.port) }
+// Port returns the port the listener accepts on.
+func (l *Listener) Port() uint16 { return l.port }
+
+// Close stops accepting new connections; connections already accepted
+// live on. Closing twice is harmless, also once the port has been taken
+// by a later listener.
+func (l *Listener) Close() {
+	if th := l.h.tcp; th.listeners[l.port] == l {
+		delete(th.listeners, l.port)
+	}
+}
 
 // Dial opens a connection to dst:port with the default configuration;
 // onConnect fires when the handshake completes.
@@ -200,11 +230,17 @@ func (h *Host) Dial(dst layers.Addr4, port uint16, onConnect func(*Conn)) *Conn 
 	return h.DialConfig(dst, port, DefaultTCPConfig(), onConnect)
 }
 
-// DialConfig opens a connection with an explicit configuration.
+// DialConfig opens a connection with an explicit configuration, from an
+// ephemeral local port no live connection to dst:port uses; it returns
+// nil when there is none.
 func (h *Host) DialConfig(dst layers.Addr4, port uint16, cfg TCPConfig, onConnect func(*Conn)) *Conn {
 	th := h.tcp
-	lport := th.nextPort
-	th.nextPort++
+	lport := th.ephemeral(func(p uint16) bool {
+		return th.conns[connKey{rip: dst, rport: port, lport: p}] != nil
+	})
+	if lport == 0 {
+		return nil
+	}
 	c := newConn(h, cfg, connKey{rip: dst, rport: port, lport: lport})
 	c.onConnect = onConnect
 	th.conns[c.key] = c

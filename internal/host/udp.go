@@ -32,11 +32,17 @@ type UDPSocket struct {
 
 // UDP binds port on the host. onRx is invoked for each received datagram
 // on the simulation goroutine; it may be nil for transmit-only sockets.
+// Port 0 binds nothing: the socket only transmits, its datagrams carry
+// source port 0 (RFC 768's "none"), and any number of them coexist.
+// Binding a port that is taken panics.
 func (h *Host) UDP(port uint16, onRx func(Datagram)) *UDPSocket {
+	s := &UDPSocket{h: h, port: port, onRx: onRx}
+	if port == 0 {
+		return s
+	}
 	if _, taken := h.udp[port]; taken {
 		panic(fmt.Sprintf("host %s: UDP port %d already bound", h.name, port))
 	}
-	s := &UDPSocket{h: h, port: port, onRx: onRx}
 	h.udp[port] = s
 	return s
 }

@@ -217,8 +217,10 @@ func linkEnds(l *netsim.Link) (netsim.Node, netsim.Node) {
 // whose neighbours are co-sharded all run inside their shard's parallel
 // windows; only ops that genuinely span shards pause the fabric as
 // coordinator barriers. Burst sinks are bound up front (port bindings are
-// not time-dependent); the returned sinks report burst delivery for the
-// result's traffic accounting.
+// not time-dependent), one per destination (host, port) however many
+// bursts name it; the returned sinks are the ones this call bound, and
+// report burst delivery for the result's traffic accounting. A burst's
+// source socket is unbound (source port 0), so bursts never collide.
 func applyOps(ix *netIndex, ops []FaultOp, base time.Duration) (offered int, sinks []*app.Sink) {
 	for _, op := range ops {
 		op := op
@@ -251,11 +253,14 @@ func applyOps(ix *netIndex, ops []FaultOp, base time.Duration) (offered int, sin
 			})
 		case OpBurst:
 			offered += op.Count
-			sinks = append(sinks, app.NewSink(ix.host(op.Dst), op.Port))
+			if at := [2]int{op.Dst, int(op.Port)}; !ix.sinks[at] {
+				ix.sinks[at] = true
+				sinks = append(sinks, app.NewSink(ix.host(op.Dst), op.Port))
+			}
 			src := ix.host(op.Src)
 			ix.scheduleOp(base+op.At, src, []netsim.Node{src}, func() {
 				app.StartFlow(src, app.FlowConfig{
-					DstIP: ix.host(op.Dst).IP(), DstPort: op.Port, SrcPort: op.Port,
+					DstIP: ix.host(op.Dst).IP(), DstPort: op.Port,
 					PayloadSize: op.Payload, Interval: op.Interval, Count: op.Count,
 				}, nil)
 			})

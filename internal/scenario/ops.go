@@ -456,9 +456,10 @@ func (x *Index) Validate(op FaultOp) error {
 
 // Apply schedules every op at base+op.At with the engine's shard-aware
 // routing (shard-local where possible, coordinator barrier where an op
-// genuinely spans shards). Burst sinks are bound immediately; the returned
-// sinks report burst delivery. Apply is legal from driver context only —
-// between runs, exactly like the batch engine's fault phase.
+// genuinely spans shards). Burst sinks are bound immediately, one per
+// destination (host, port); the returned sinks are the ones this call
+// bound. Apply is legal from driver context only — between runs, exactly
+// like the batch engine's fault phase.
 func (x *Index) Apply(ops []FaultOp, base time.Duration) (offered int, sinks []*app.Sink) {
 	return applyOps(x.ix, ops, base)
 }

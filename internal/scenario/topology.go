@@ -109,6 +109,10 @@ type netIndex struct {
 	homeJack   map[int]int // hostNames index -> linkNames index
 	spareJack  map[int]int // hostNames index -> linkNames index
 	mobile     []int       // hostNames indices with a spare jack, sorted
+
+	// sinks marks the (host index, port) pairs a burst receiver is bound
+	// on: bursts naming the same destination socket share its sink.
+	sinks map[[2]int]bool
 }
 
 func newNetIndex(built *topo.Built) *netIndex {
@@ -117,6 +121,7 @@ func newNetIndex(built *topo.Built) *netIndex {
 		spareOwner: make(map[int]int),
 		homeJack:   make(map[int]int),
 		spareJack:  make(map[int]int),
+		sinks:      make(map[[2]int]bool),
 	}
 	for name := range built.Links {
 		ix.linkNames = append(ix.linkNames, name)

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/pkg/fabric"
+
+	"repro/internal/metrics"
 )
 
 func (s *Server) info() *Info {
@@ -38,7 +40,7 @@ func (s *Server) stats() *Stats {
 		burstDelivered += sk.Count()
 	}
 	active := 0
-	for _, fl := range s.flows {
+	for _, fl := range s.pending {
 		if !fl.done {
 			active++
 		}
@@ -122,15 +124,22 @@ func (s *Server) renderMetrics() string {
 	}
 
 	// Per-flow quantiles for completed probe flows still resident in the
-	// bounded list; dropped flows survive only in their class series.
+	// bounded list; dropped flows survive only in their class series. The
+	// quantiles are the histogram's (bucketed like the class lines), read
+	// from one scratch histogram refilled per flow.
+	hist := metrics.NewHistogram()
 	for _, fl := range s.flows {
-		if !fl.done || fl.stream != nil || fl.hist.Count() == 0 {
+		if !fl.done || len(fl.rtts) == 0 {
 			continue
 		}
+		*hist = metrics.Histogram{}
+		for _, rtt := range fl.rtts {
+			hist.Record(rtt)
+		}
 		w("fabricserve_flow_latency_seconds{flow=\"%d:%s\",class=%q,quantile=\"0.5\"} %s\n",
-			fl.id, fl.label, fl.class, fsec(fl.hist.Percentile(50)))
+			fl.id, fl.label, fl.class, fsec(hist.Percentile(50)))
 		w("fabricserve_flow_latency_seconds{flow=\"%d:%s\",class=%q,quantile=\"0.99\"} %s\n",
-			fl.id, fl.label, fl.class, fsec(fl.hist.Percentile(99)))
+			fl.id, fl.label, fl.class, fsec(hist.Percentile(99)))
 	}
 	if s.flowsDropped > 0 {
 		w("fabricserve_flows_dropped_total %d\n", s.flowsDropped)

@@ -183,6 +183,11 @@ const (
 	defaultFlapFor      = 50 * time.Millisecond
 	defaultPartitionFor = 100 * time.Millisecond
 
+	// burstPort is the UDP port every burst is addressed to: one sink per
+	// destination host counts them all, and a burst's source socket is
+	// unbound, so no burst picks a port that could be taken.
+	burstPort = 7001
+
 	// ClassPriority and ClassBackground are the latency classes. Ping ops
 	// default to background; the soak's SLO is asserted on priority.
 	ClassPriority   = "priority"
@@ -295,9 +300,8 @@ func (s *Server) compileFault(req Request) ([]scenario.FaultOp, error) {
 		if payload == 0 {
 			payload = defaultBurstPayload
 		}
-		s.burstPort++
 		return scenario.FaultOp{
-			Kind: scenario.OpBurst, Src: src, Dst: dst, Port: s.burstPort,
+			Kind: scenario.OpBurst, Src: src, Dst: dst, Port: burstPort,
 			Count: count, Interval: time.Duration(interval), Payload: payload,
 		}
 	}

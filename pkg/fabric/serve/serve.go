@@ -21,7 +21,7 @@
 // state; the serving loop folds finished flows into the histograms at
 // boundaries, where the window join has already established
 // happens-before. Like the Runner, at most one Server may be live per
-// process (it hooks topo.OnBuilt to attach its trace taps).
+// process (it hooks topo.OnBuilt to attach its trace tap).
 package serve
 
 import (
@@ -97,19 +97,20 @@ type Report struct {
 	Text string
 }
 
-// flow is one workload op's completion state. The done callback — which
-// runs inside a shard window — writes only these fields, and only
+// flow is one workload op's completion state. The op's callbacks — which
+// run inside a shard window — write only these fields, and only
 // before setting done; the serving loop reads them at boundaries, after
-// the window join established happens-before.
+// the window join established happens-before. A probe train keeps its
+// answered RTTs (at most the op's count, 1000); histograms exist per
+// class, and per flow only while /metrics renders one.
 type flow struct {
 	id     int
 	label  string
 	class  string
-	hist   *metrics.Histogram
+	rtts   []time.Duration
 	lost   uint64
-	stream *app.StreamReport
+	stream *app.Streamer // a stream op's session, until it is folded
 	done   bool
-	folded bool
 }
 
 // classAgg accumulates one latency class across folded flows.
@@ -141,12 +142,14 @@ type Server struct {
 	opLog    *bufio.Writer
 	opLogErr error
 
-	seq        uint64
-	burstPort  uint16
-	streamPort uint16
-	opCounts   map[string]uint64
+	seq      uint64
+	opCounts map[string]uint64
 
+	// flows is the bounded per-flow stat list /metrics renders; pending
+	// is its not-yet-folded part, in creation order — all a boundary
+	// looks at.
 	flows        []*flow
+	pending      []*flow
 	flowsDropped int
 	nextFlowID   int
 	classes      map[string]*classAgg
@@ -188,28 +191,26 @@ func newServer(o Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		spec:       spec,
-		quantum:    quantum,
-		pace:       o.Pace,
-		out:        o.Out,
-		fp:         netsim.NewTapFingerprint(),
-		burstPort:  7000,
-		streamPort: 8000,
-		opCounts:   map[string]uint64{},
-		classes:    map[string]*classAgg{},
-		reqCh:      make(chan *request, 64),
-		doneCh:     make(chan struct{}),
-		wallStart:  time.Now(), //fabriclint:wallclock uptime reporting in status replies; the fabric runs on virtual time
+		spec:      spec,
+		quantum:   quantum,
+		pace:      o.Pace,
+		out:       o.Out,
+		fp:        netsim.NewTapFingerprint(),
+		opCounts:  map[string]uint64{},
+		classes:   map[string]*classAgg{},
+		reqCh:     make(chan *request, 64),
+		doneCh:    make(chan struct{}),
+		wallStart: time.Now(), //fabriclint:wallclock uptime reporting in status replies; the fabric runs on virtual time
 	}
 	if s.out == nil {
 		s.out = io.Discard
 	}
-	// Attach the trace taps before any bridge starts, so the fingerprint
+	// Attach the trace tap before any bridge starts, so the fingerprint
 	// covers the warm-up exactly as the batch Runner's does.
 	prev := topo.OnBuilt
 	topo.OnBuilt = func(n *topo.Net) {
-		n.Tap(s.fp.Observe)
 		n.Tap(func(ev netsim.TapEvent) {
+			s.fp.Observe(ev)
 			if ev.Kind == netsim.TapDeliver {
 				s.delivered++
 				s.deliveredBytes += uint64(len(ev.Frame))
@@ -387,13 +388,31 @@ func (s *Server) loop() {
 		if s.stopping {
 			break
 		}
-		if !s.built.Quiescent() {
-			s.built.RunFor(s.quantum)
-			s.paceSleep()
-		}
-		s.foldFlows()
+		s.advance()
 	}
 	s.finish()
+}
+
+// advance runs one quantum, unless nothing is scheduled, and the boundary
+// after it.
+func (s *Server) advance() {
+	if !s.built.Quiescent() {
+		s.built.RunFor(s.quantum)
+		s.paceSleep()
+	}
+	s.boundary()
+}
+
+// boundary is the loop's bookkeeping between slices, and it costs what
+// changed: flows that finished fold, and once the fabric holds no frame
+// the fingerprint drops the identities nobody can ask about again. An
+// empty quantum — timers pending, nothing in flight, nothing finished —
+// walks the pending flows and touches nothing else.
+func (s *Server) boundary() {
+	s.foldFlows()
+	if s.built.LiveFrames() == 0 {
+		s.fp.Forget()
+	}
 }
 
 // gather drains every queued request; with nothing queued and nothing
@@ -521,7 +540,7 @@ func (s *Server) applyEntry(e *logEntry) error {
 		// Run to quiescence: re-anchors the boundary grid at the drain
 		// time, which is why drains must be logged like any mutation.
 		s.built.Run()
-		s.foldFlows()
+		s.boundary()
 	default:
 		return fmt.Errorf("empty op entry")
 	}
@@ -530,13 +549,9 @@ func (s *Server) applyEntry(e *logEntry) error {
 
 func (s *Server) newFlow(label, class string) *flow {
 	s.nextFlowID++
-	fl := &flow{
-		id:    s.nextFlowID,
-		label: label,
-		class: class,
-		hist:  metrics.NewHistogram(),
-	}
+	fl := &flow{id: s.nextFlowID, label: label, class: class}
 	s.flows = append(s.flows, fl)
+	s.pending = append(s.pending, fl)
 	return fl
 }
 
@@ -556,9 +571,10 @@ func (s *Server) applyPing(p *PingOp) error {
 	interval, timeout := p.Interval.D(), p.Timeout.D()
 	s.built.Engine.At(s.built.Now(), func() {
 		src.PingSeries(ip, count, size, interval, timeout, func(rs []host.PingResult) {
+			fl.rtts = make([]time.Duration, 0, len(rs))
 			for _, r := range rs {
 				if r.Err == nil {
-					fl.hist.Record(r.RTT)
+					fl.rtts = append(fl.rtts, r.RTT)
 				} else {
 					fl.lost++
 				}
@@ -583,33 +599,38 @@ func (s *Server) applyStream(st *StreamOp) error {
 	fl := s.newFlow(st.Src+">"+st.Dst, "stream")
 	cfg := app.DefaultStreamConfig()
 	cfg.Size = st.Bytes
-	s.streamPort++
-	cfg.Port = s.streamPort
+	cfg.Port = 0 // any free port on the server
 	s.built.Engine.At(s.built.Now(), func() {
-		app.StartStream(server, client, cfg, func(r *app.StreamReport) {
-			fl.stream = r
-			fl.done = true
-		})
+		fl.stream = app.StartStream(server, client, cfg, func(*app.StreamReport) { fl.done = true })
 	})
 	return nil
 }
 
-// foldFlows merges every completed, unfolded flow into its class
-// aggregate. Called only from driver context: flow completion happened in
-// an already-joined window, and Merge is deterministic, so the class
-// histograms are identical live and replayed. It then trims the per-flow
-// list to its bound, dropping oldest folded flows first.
+// foldFlows merges every completed pending flow into its class aggregate
+// and takes it off the pending list; flows still running stay, in order.
+// Called only from driver context: flow completion happened in an
+// already-joined window, and recording is order-independent, so the class
+// histograms are identical live and replayed. A finished stream that never
+// connected gives its server port back here, where every shard is paused —
+// its own callbacks run on the client and must not touch the server; live
+// and replay both fold before they apply an op, so a later stream finds
+// the same ports free in both. It then trims the per-flow
+// list to its bound, dropping oldest folded flows first — a walk it makes
+// only when there is a folded flow to drop.
 func (s *Server) foldFlows() {
-	for _, fl := range s.flows {
-		if fl.folded || !fl.done {
+	running := s.pending[:0]
+	for _, fl := range s.pending {
+		if !fl.done {
+			running = append(running, fl)
 			continue
 		}
-		fl.folded = true
 		if fl.stream != nil {
+			fl.stream.Release()
 			s.streamsDone++
-			if fl.stream.Complete {
+			if fl.stream.Report().Complete {
 				s.streamsOK++
 			}
+			fl.stream = nil
 			continue
 		}
 		agg := s.classes[fl.class]
@@ -617,20 +638,25 @@ func (s *Server) foldFlows() {
 			agg = &classAgg{hist: metrics.NewHistogram()}
 			s.classes[fl.class] = agg
 		}
-		agg.hist.Merge(fl.hist)
+		for _, rtt := range fl.rtts {
+			agg.hist.Record(rtt)
+		}
 		agg.lost += fl.lost
 	}
-	if len(s.flows) > maxFlows {
-		excess := len(s.flows) - maxFlows
+	clear(s.pending[len(running):])
+	s.pending = running
+	// Every flow not pending is folded, and here every done flow is.
+	if excess := len(s.flows) - maxFlows; excess > 0 && len(s.flows) > len(s.pending) {
 		kept := s.flows[:0]
 		for _, fl := range s.flows {
-			if excess > 0 && fl.folded {
+			if excess > 0 && fl.done {
 				excess--
 				s.flowsDropped++
 				continue
 			}
 			kept = append(kept, fl)
 		}
+		clear(s.flows[len(kept):])
 		s.flows = kept
 	}
 }
@@ -659,7 +685,7 @@ func (s *Server) logAppend(e *logEntry) {
 // replayed reports diff clean whatever parallelism either ran at.
 func (s *Server) finish() {
 	s.built.Run()
-	s.foldFlows()
+	s.boundary()
 	now := s.built.Now()
 	entries, evictions := s.sweepTables(now)
 	burstDelivered := 0
@@ -807,6 +833,10 @@ func Replay(r io.Reader, shards int, out io.Writer) (*Report, error) {
 		}
 		if at > now {
 			s.built.RunUntil(at)
+			// What the live loop did before it applied this entry: flows
+			// that finished fold (a stream's port is released there), and
+			// a drained fabric's frame identities are forgotten.
+			s.boundary()
 		}
 		if err := s.applyEntry(&e); err != nil {
 			return nil, fmt.Errorf("serve: op-log line %d: %w", lineNo, err)
