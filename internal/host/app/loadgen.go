@@ -55,7 +55,9 @@ func StartFlow(h *host.Host, cfg FlowConfig, done func(FlowResult)) {
 		sock.SendTo(cfg.DstIP, cfg.DstPort, payload)
 		sent++
 		if sent < cfg.Count {
-			h.After(cfg.Interval, tick)
+			// Nothing cancels a tick, so it takes no Timer handle: the pooled
+			// event is keyed exactly as After would key it, and allocates nothing.
+			h.Sched().Schedule(h.Now()+cfg.Interval, tick)
 			return
 		}
 		sock.Close()

@@ -341,9 +341,9 @@ func (n *Network) ScheduleLinkUp(t time.Duration, l *Link) {
 // engine, which shard windows must never touch.
 func (n *Network) ScheduleScoped(t time.Duration, owner Node, touch []Node, fn func()) {
 	p := n.Proc(owner.Name())
-	oseq := p.NextSeq()
+	k := sim.Key{At: t, Owner: p.ID(), Seq: p.NextSeq()}
 	if n.co == nil {
-		n.Engine.ScheduleKeyedFunc(t, p.ID(), oseq, fn)
+		n.Engine.ScheduleKeyedFunc(k, fn)
 		return
 	}
 	home := n.co.shardOf[owner]
@@ -351,11 +351,11 @@ func (n *Network) ScheduleScoped(t time.Duration, owner Node, touch []Node, fn f
 		if n.co.shardOf[nd] != home {
 			// Spans shards: a barrier, but keyed exactly like the
 			// shard-local venue would have keyed it.
-			n.Engine.ScheduleKeyedFunc(t, p.ID(), oseq, fn)
+			n.Engine.ScheduleKeyedFunc(k, fn)
 			return
 		}
 	}
-	n.co.shards[home].ScheduleKeyedFunc(t, p.ID(), oseq, fn)
+	n.co.shards[home].ScheduleKeyedFunc(k, fn)
 }
 
 // Barriers returns how many control-engine events have executed as
@@ -792,7 +792,7 @@ func (l *Link) transmit(from *Port, f *Frame) {
 		// destination's event order is identical at any shard count.
 		p.ScheduleRunner(txDone, l.takeFlight(from, e, nil, wire), flightTxDone)
 		co.ship(e.ID(), l.shard[to.side], remoteRec{
-			at: arrival, owner: p.ID(), oseq: p.NextSeq(),
+			key:  sim.Key{At: arrival, Owner: p.ID(), Seq: p.NextSeq()},
 			link: l, side: int8(from.side), epoch: l.epoch, frame: f.clone(),
 		})
 		return

@@ -64,24 +64,22 @@ import (
 // remoteRec is one cross-shard arrival waiting in a sender's outbox: the
 // destination-shard event (key + payload) in wire form.
 type remoteRec struct {
-	at          time.Duration
-	owner, oseq uint64
-	link        *Link
-	side        int8 // transmitting side
-	epoch       uint64
-	frame       *Frame // destination shard's own clone (ownership transfers)
+	key   sim.Key
+	link  *Link
+	side  int8 // transmitting side
+	epoch uint64
+	frame *Frame // destination shard's own clone (ownership transfers)
 }
 
 // tapRec is one buffered tap observation: the TapEvent fields plus the
 // ordering key of the event that emitted it and the byte range of the
 // frame copy in the shard's arena.
 type tapRec struct {
-	at          time.Duration
-	owner, oseq uint64
-	kind        TapKind
-	from, to    *Port
-	frameID     uint64
-	off, ln     int32
+	key      sim.Key // the emitting event's; its At is the tap's time too
+	kind     TapKind
+	from, to *Port
+	frameID  uint64
+	off, ln  int32
 }
 
 // tapShard buffers one shard's tap stream for the deterministic merge.
@@ -157,16 +155,16 @@ type coordinator struct {
 	// the coordinator can fold undrained arrivals into its pending minima
 	// without touching the records.
 	out    [2][][][]remoteRec
-	outMin [2][][]evKey
+	outMin [2][][]sim.Key
 	fill   int
 
 	tap      []tapShard // per-shard tap buffers, written only by the participant running that shard's window
 	mergeIdx []int      // flushTapsBelow merge cursors (reused across calls)
 
-	bounds    []evKey // per-shard window bounds, published before each cursor reset
-	next      []evKey // cached engine next keys: written at shard-window end
-	nextValid bool    // false when engines were scheduled into outside a window
-	pend      []evKey // scratch: next folded with the fill-side outbox minima
+	bounds    []sim.Key // per-shard window bounds, published before each cursor reset
+	next      []sim.Key // cached engine next keys: written at shard-window end
+	nextValid bool      // false when engines were scheduled into outside a window
+	pend      []sim.Key // scratch: next folded with the fill-side outbox minima
 
 	ws     windowSync
 	sstats []shardStats
@@ -214,9 +212,9 @@ func (n *Network) Partition(k int, shardOf func(Node) int) {
 		shardOf:  make(map[Node]int, len(n.nodes)),
 		tap:      make([]tapShard, k),
 		mergeIdx: make([]int, k),
-		bounds:   make([]evKey, k),
-		next:     make([]evKey, k),
-		pend:     make([]evKey, k),
+		bounds:   make([]sim.Key, k),
+		next:     make([]sim.Key, k),
+		pend:     make([]sim.Key, k),
 		sstats:   make([]shardStats, k),
 	}
 	co.ws.wake = make(chan bool, k-1)
@@ -224,12 +222,12 @@ func (n *Network) Partition(k int, shardOf func(Node) int) {
 	co.ws.cursor.Store(int32(k)) // nothing to claim until the first window opens
 	for b := range co.out {
 		co.out[b] = make([][][]remoteRec, k)
-		co.outMin[b] = make([][]evKey, k)
+		co.outMin[b] = make([][]sim.Key, k)
 		for i := 0; i < k; i++ {
 			co.out[b][i] = make([][]remoteRec, k)
-			co.outMin[b][i] = make([]evKey, k)
+			co.outMin[b][i] = make([]sim.Key, k)
 			for j := 0; j < k; j++ {
-				co.outMin[b][i][j] = maxKey
+				co.outMin[b][i][j] = sim.MaxKey
 			}
 		}
 	}
@@ -357,8 +355,8 @@ func (n *Network) Processed() uint64 {
 func (co *coordinator) ship(from, to int, rec remoteRec) {
 	f := co.fill
 	co.out[f][from][to] = append(co.out[f][from][to], rec)
-	if k := (evKey{rec.at, rec.owner, rec.oseq}); keyLess(k, co.outMin[f][from][to]) {
-		co.outMin[f][from][to] = k
+	if rec.key.Less(co.outMin[f][from][to]) {
+		co.outMin[f][from][to] = rec.key
 	}
 }
 
@@ -373,7 +371,7 @@ func (co *coordinator) inject(to int, rec *remoteRec) {
 	rf.from = rec.link.ports[rec.side]
 	rf.frame = rec.frame
 	rf.epoch = rec.epoch
-	co.shards[to].ScheduleKeyed(rec.at, rec.owner, rec.oseq, rf, 0)
+	co.shards[to].ScheduleKeyed(rec.key, rf, 0)
 	*rec = remoteRec{}
 }
 
@@ -394,7 +392,7 @@ func (co *coordinator) drainInbox(buf, s int) uint64 {
 		}
 		n += uint64(len(cell))
 		co.out[buf][from][s] = cell[:0]
-		co.outMin[buf][from][s] = maxKey
+		co.outMin[buf][from][s] = sim.MaxKey
 	}
 	return n
 }
@@ -421,18 +419,17 @@ func (co *coordinator) drainOutboxes() {
 //fabric:hotpath
 func (co *coordinator) buffer(e *sim.Engine, ev TapEvent) {
 	ts := &co.tap[e.ID()]
-	_, owner, oseq := e.CurKey()
 	off := int32(len(ts.arena))
 	ts.arena = append(ts.arena, ev.Frame...)
 	ts.recs = append(ts.recs, tapRec{
-		at: ev.At, owner: owner, oseq: oseq,
+		key:  e.CurKey(),
 		kind: ev.Kind, from: ev.From, to: ev.To, frameID: ev.FrameID,
 		off: off, ln: int32(len(ev.Frame)),
 	})
 }
 
 // flushTaps drains every buffered tap observation (end of a run).
-func (co *coordinator) flushTaps() { co.flushTapsBelow(maxKey) }
+func (co *coordinator) flushTaps() { co.flushTapsBelow(sim.MaxKey) }
 
 // tapBacklogged reports whether any shard's tap buffer has outgrown the
 // backlog bounds and should flush ahead of the periodic schedule.
@@ -462,7 +459,7 @@ func (co *coordinator) tapBacklogged() bool {
 // amortized (every tapFlushWindows windows, before barriers, on backlog):
 // the watermark argument is exactly why batching windows up changes
 // nothing in the delivered order.
-func (co *coordinator) flushTapsBelow(watermark evKey) {
+func (co *coordinator) flushTapsBelow(watermark sim.Key) {
 	if len(co.net.taps) == 0 {
 		for s := range co.tap {
 			co.tap[s].recs = co.tap[s].recs[:0]
@@ -480,7 +477,7 @@ func (co *coordinator) flushTapsBelow(watermark evKey) {
 			if idx[s] >= len(co.tap[s].recs) {
 				continue
 			}
-			if best == -1 || tapKeyLess(&co.tap[s].recs[idx[s]], &co.tap[best].recs[idx[best]]) {
+			if best == -1 || co.tap[s].recs[idx[s]].key.Less(co.tap[best].recs[idx[best]].key) {
 				best = s
 			}
 		}
@@ -488,12 +485,12 @@ func (co *coordinator) flushTapsBelow(watermark evKey) {
 			break
 		}
 		r := &co.tap[best].recs[idx[best]]
-		if k := (evKey{r.at, r.owner, r.oseq}); !keyLess(k, watermark) {
+		if !r.key.Less(watermark) {
 			break
 		}
 		idx[best]++
 		ev := TapEvent{
-			At: r.at, Kind: r.kind, From: r.from, To: r.to,
+			At: r.key.At, Kind: r.kind, From: r.from, To: r.to,
 			Frame: co.tap[best].arena[r.off : r.off+r.ln], FrameID: r.frameID,
 		}
 		for _, t := range co.net.taps {
@@ -510,46 +507,6 @@ func (co *coordinator) flushTapsBelow(watermark evKey) {
 			ts.arena = ts.arena[:0]
 		}
 	}
-}
-
-// tapKeyLess orders buffered tap records by the emitting event's key.
-func tapKeyLess(a, b *tapRec) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	return a.oseq < b.oseq
-}
-
-// evKey is a full event ordering key: the coordinator compares them
-// lexicographically to decide barriers and per-shard window bounds.
-type evKey struct {
-	at          time.Duration
-	owner, oseq uint64
-}
-
-// keyLess orders two keys the way the event heap does.
-func keyLess(a, b evKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	return a.oseq < b.oseq
-}
-
-// maxKey sorts after every real event key.
-var maxKey = evKey{at: time.Duration(math.MaxInt64), owner: math.MaxUint64, oseq: math.MaxUint64}
-
-// engineNextKey reads an engine's earliest pending key as an evKey.
-func engineNextKey(e *sim.Engine) evKey {
-	if at, owner, oseq, ok := e.NextKey(); ok {
-		return evKey{at, owner, oseq}
-	}
-	return maxKey
 }
 
 // helper is participants 1..P-1: one pass over the claim cursor per wake
@@ -631,9 +588,8 @@ func (co *coordinator) runShardWindow(s int) {
 	w.wakes++
 	w.exchanged += co.drainInbox(co.fill^1, s)
 	e := co.shards[s]
-	bound := co.bounds[s]
-	e.RunWindowKey(bound.at, bound.owner, bound.oseq)
-	co.next[s] = engineNextKey(e)
+	e.RunWindowKey(co.bounds[s])
+	co.next[s], _ = e.NextKey()
 }
 
 // run is the coordinator's main loop: alternate parallel lookahead windows
@@ -670,6 +626,7 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 		co.ws.exited.Wait()
 	}()
 
+	untilBound := sim.KeyAfter(until) // inclusive of events at exactly until
 	startProcessed := co.net.Processed()
 	limit := root.EventLimit()
 	tracing := len(co.net.taps) > 0
@@ -684,11 +641,7 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 			panic(fmt.Sprintf("netsim: event limit %d exceeded across shards — probable forwarding loop", limit))
 		}
 
-		rootKey := maxKey
-		rootAt, rootOwner, rootSeq, rootOK := root.NextKey()
-		if rootOK {
-			rootKey = evKey{rootAt, rootOwner, rootSeq}
-		}
+		rootKey, rootOK := root.NextKey() // MaxKey when none is pending
 
 		// Per-shard pending minima: each shard window cached its engine's
 		// next key as it ended; anything scheduled outside a
@@ -696,7 +649,7 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 		// cache and is recomputed here, serially, once.
 		if !co.nextValid {
 			for s, e := range co.shards {
-				co.next[s] = engineNextKey(e)
+				co.next[s], _ = e.NextKey()
 			}
 			co.nextValid = true
 		}
@@ -705,18 +658,18 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 		for from := 0; from < k; from++ {
 			mins := co.outMin[co.fill][from]
 			for to := 0; to < k; to++ {
-				if keyLess(mins[to], pend[to]) {
+				if mins[to].Less(pend[to]) {
 					pend[to] = mins[to]
 				}
 			}
 		}
-		minShard := maxKey
+		minShard := sim.MaxKey
 		for s := 0; s < k; s++ {
-			if keyLess(pend[s], minShard) {
+			if pend[s].Less(minShard) {
 				minShard = pend[s]
 			}
 		}
-		shardOK := minShard != maxKey
+		shardOK := minShard != sim.MaxKey
 
 		// Everything keyed below both the pending barrier and every
 		// shard's pending minimum is final: no later execution, injection
@@ -725,10 +678,10 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 		// buffered taps below that watermark may flush, in global key
 		// order. Flushing is amortized; a barrier forces it because the
 		// barrier's own inline emissions must come after the buffers.
-		barrierNext := rootOK && keyLess(rootKey, minShard)
+		barrierNext := rootOK && rootKey.Less(minShard)
 		if tracing && (barrierNext || flushIn <= 0 || co.tapBacklogged()) {
 			watermark := minShard
-			if keyLess(rootKey, watermark) {
+			if rootKey.Less(watermark) {
 				watermark = rootKey
 			}
 			co.flushTapsBelow(watermark)
@@ -745,9 +698,9 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 			}
 			return
 		}
-		earliest := minShard.at
-		if rootOK && rootKey.at < earliest {
-			earliest = rootKey.at
+		earliest := minShard.At
+		if rootOK && rootKey.At < earliest {
+			earliest = rootKey.At
 		}
 		if bounded && earliest > until {
 			co.drainOutboxes()
@@ -762,7 +715,7 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 			// order; anything they schedule re-enters the loop. Taps the
 			// barrier emits deliver inline (emit), in program order,
 			// after everything already flushed.
-			co.setAllNow(rootKey.at)
+			co.setAllNow(rootKey.At)
 			co.barriers++
 			root.Step()
 			// The barrier may have scheduled onto shard engines
@@ -783,17 +736,17 @@ func (co *coordinator) run(until time.Duration, bounded bool) {
 			co.ws.exited.Add(1)
 			go co.helper()
 		}
+		ceil := rootKey
+		if bounded && untilBound.Less(ceil) {
+			ceil = untilBound
+		}
 		for s := 0; s < k; s++ {
-			b := rootKey // maxKey when no root event is pending
-			if bounded {
-				// Inclusive of events at exactly `until`.
-				if lim := (evKey{at: until + 1}); keyLess(lim, b) {
-					b = lim
-				}
-			}
+			b := ceil
 			for _, e := range co.laIn[s] {
-				if p := pend[e.from]; p != maxKey {
-					if lim := (evKey{at: p.at + e.d}); keyLess(lim, b) {
+				// An idle sender (MaxKey) caps nothing, and neither does one
+				// whose cap would pass the last representable time.
+				if p := pend[e.from]; p.At <= math.MaxInt64-e.d {
+					if lim := (sim.Key{At: p.At + e.d}); lim.Less(b) {
 						b = lim
 					}
 				}

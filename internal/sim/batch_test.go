@@ -68,9 +68,20 @@ type execRecord struct {
 	tag         int
 }
 
+// less is the model's own (at, owner, oseq) order, written out plainly so
+// the oracle shares no comparator with the queue it judges.
 func (r execRecord) less(o execRecord) bool {
-	return keyBelow(r.at, r.owner, r.oseq, o.at, o.owner, o.oseq)
+	if r.at != o.at {
+		return r.at < o.at
+	}
+	if r.owner != o.owner {
+		return r.owner < o.owner
+	}
+	return r.oseq < o.oseq
 }
+
+// keyRecord is the model's view of an engine key.
+func keyRecord(k Key) execRecord { return execRecord{at: k.At, owner: k.Owner, oseq: k.Seq} }
 
 // workloadRun is what one randomized scheduling storm left behind: the
 // engine's execution log, and a reference model kept beside the engine
@@ -126,12 +137,12 @@ func runRandomWorkload(t *testing.T, seed int64, batched, sliced bool) workloadR
 		seqs[pi]++
 		r.scheduled = append(r.scheduled, key)
 		pending[id] = true
-		if cAt, cOwner, cSeq := e.CurKey(); keyBelow(at, key.owner, key.oseq, cAt, cOwner, cSeq) {
+		if key.less(keyRecord(e.CurKey())) {
 			r.early[id] = true // same timestamp, smaller owner: legitimately runs next
 		}
 		fn := func() {
-			at, owner, oseq := e.CurKey()
-			got := execRecord{at: at, owner: owner, oseq: oseq, tag: id}
+			got := keyRecord(e.CurKey())
+			got.tag = id
 			if got != key {
 				fault("tag %d ran under key %+v, model stamped %+v", id, got, key)
 			}
@@ -221,13 +232,13 @@ func runRandomWorkload(t *testing.T, seed int64, batched, sliced bool) workloadR
 // near key sorts before the horizon, every far key at or after it.
 func checkTiers(e *Engine, fault func(string, ...any)) {
 	for i := range e.queue {
-		if uint64(e.queue[i].at) >= e.horizon {
-			fault("near heap holds t=%v at or past horizon %d", e.queue[i].at, e.horizon)
+		if uint64(e.queue[i].At) >= e.horizon {
+			fault("near heap holds t=%v at or past horizon %d", e.queue[i].At, e.horizon)
 		}
 	}
 	for i := range e.far {
-		if uint64(e.far[i].at) < e.horizon {
-			fault("far heap holds t=%v below horizon %d", e.far[i].at, e.horizon)
+		if uint64(e.far[i].At) < e.horizon {
+			fault("far heap holds t=%v below horizon %d", e.far[i].At, e.horizon)
 		}
 	}
 }
@@ -330,8 +341,8 @@ func TestFarTierEdges(t *testing.T) {
 			if at, ok := e.NextEventAt(); !ok || at != far {
 				t.Fatalf("NextEventAt = %v, %v, want %v", at, ok, far)
 			}
-			if at, owner, oseq, ok := e.NextKey(); !ok || at != far || owner != 4 || oseq != 1 {
-				t.Fatalf("NextKey = (%v, %d, %d, %v), want (%v, 4, 1, true)", at, owner, oseq, ok, far)
+			if k, ok := e.NextKey(); !ok || k != (Key{far, 4, 1}) {
+				t.Fatalf("NextKey = (%+v, %v), want ({%v 4 1}, true)", k, ok, far)
 			}
 			if got := e.Pending(); got != 1 {
 				t.Fatalf("Pending after the head read = %d, want 1", got)
@@ -340,7 +351,7 @@ func TestFarTierEdges(t *testing.T) {
 		{"a key at the horizon is far", func(t *testing.T, e *Engine) {
 			e.Schedule(farSpan-1, nop)
 			e.Schedule(farSpan, nop)
-			if len(e.queue) != 1 || len(e.far) != 1 || e.far[0].at != farSpan {
+			if len(e.queue) != 1 || len(e.far) != 1 || e.far[0].At != farSpan {
 				t.Fatalf("near %d far %d with the horizon at %d", len(e.queue), len(e.far), e.horizon)
 			}
 			e.Run()
@@ -381,9 +392,9 @@ func TestFarTierEdges(t *testing.T) {
 		{"keyed injection between windows", func(t *testing.T, e *Engine) {
 			var got []execRecord
 			rec := recorder{e: e, log: &got}
-			e.ScheduleKeyed(300*time.Microsecond, 5, 0, rec, 0)
-			e.ScheduleKeyed(far, 5, 1, rec, 0)
-			if n := e.RunWindowKey(100*time.Microsecond, 0, 0); n != 0 {
+			e.ScheduleKeyed(Key{300 * time.Microsecond, 5, 0}, rec, 0)
+			e.ScheduleKeyed(Key{far, 5, 1}, rec, 0)
+			if n := e.RunWindowKey(Key{At: 100 * time.Microsecond}); n != 0 {
 				t.Fatalf("first window ran %d events, want 0", n)
 			}
 			// The window looked at the head, so the horizon now sits past
@@ -392,16 +403,16 @@ func TestFarTierEdges(t *testing.T) {
 			if rolled <= uint64(300*time.Microsecond) {
 				t.Fatalf("horizon %d did not roll past the head", rolled)
 			}
-			e.ScheduleKeyed(200*time.Microsecond, 9, 0, rec, 0)
+			e.ScheduleKeyed(Key{200 * time.Microsecond, 9, 0}, rec, 0)
 			if at, _ := e.NextEventAt(); at != 200*time.Microsecond || e.horizon != rolled {
 				t.Fatalf("a new, earlier head at %v moved the horizon %d -> %d", at, rolled, e.horizon)
 			}
-			e.ScheduleKeyed(300*time.Microsecond, 2, 7, rec, 0)
-			e.ScheduleKeyed(far/2, 1, 0, rec, 0)
-			if n := e.RunWindowKey(far, 5, 1); n != 4 {
+			e.ScheduleKeyed(Key{300 * time.Microsecond, 2, 7}, rec, 0)
+			e.ScheduleKeyed(Key{far / 2, 1, 0}, rec, 0)
+			if n := e.RunWindowKey(Key{far, 5, 1}); n != 4 {
 				t.Fatalf("second window ran %d events, want 4", n)
 			}
-			e.RunWindowKey(far, 5, 2)
+			e.RunWindowKey(Key{far, 5, 2})
 			want := []execRecord{
 				{at: 200 * time.Microsecond, owner: 9},
 				{at: 300 * time.Microsecond, owner: 2, oseq: 7},
@@ -417,15 +428,15 @@ func TestFarTierEdges(t *testing.T) {
 			const at = time.Millisecond
 			var got []execRecord
 			rec := recorder{e: e, log: &got}
-			e.ScheduleKeyed(at, 7, 0, rec, 0) // parks in far
+			e.ScheduleKeyed(Key{at, 7, 0}, rec, 0) // parks in far
 			e.Schedule(at-farSpan/2, func() {
 				// The refill that ran this rolled the horizon past at and
 				// merged owner 7 across; its peers go straight to near.
 				if len(e.far) != 0 {
 					t.Fatalf("owner 7 still parked with the horizon at %d", e.horizon)
 				}
-				e.ScheduleKeyed(at, 9, 0, rec, 0)
-				e.ScheduleKeyed(at, 3, 0, rec, 0)
+				e.ScheduleKeyed(Key{at, 9, 0}, rec, 0)
+				e.ScheduleKeyed(Key{at, 3, 0}, rec, 0)
 			})
 			if len(e.far) != 2 {
 				t.Fatalf("setup: far holds %d entries, want 2", len(e.far))
@@ -439,19 +450,19 @@ func TestFarTierEdges(t *testing.T) {
 		{"a schedule at the last representable time", func(t *testing.T, e *Engine) {
 			var ran []time.Duration
 			rec := func() { ran = append(ran, e.Now()) }
-			e.Schedule(maxBoundAt, rec)
+			e.Schedule(MaxKey.At, rec)
 			e.Schedule(time.Microsecond, rec)
 			if at, ok := e.NextEventAt(); !ok || at != time.Microsecond {
 				t.Fatalf("NextEventAt = %v, %v", at, ok)
 			}
 			e.Run()
-			if len(ran) != 2 || ran[1] != maxBoundAt || e.Pending() != 0 {
+			if len(ran) != 2 || ran[1] != MaxKey.At || e.Pending() != 0 {
 				t.Fatalf("ran %v, pending %d", ran, e.Pending())
 			}
-			if e.horizon <= uint64(maxBoundAt) {
-				t.Fatalf("horizon %d wrapped or stopped short of t=%d", e.horizon, maxBoundAt)
+			if e.horizon <= uint64(MaxKey.At) {
+				t.Fatalf("horizon %d wrapped or stopped short of t=%d", e.horizon, MaxKey.At)
 			}
-			e.Schedule(maxBoundAt, rec) // nothing can park any more
+			e.Schedule(MaxKey.At, rec) // nothing can park any more
 			if len(e.far) != 0 || !e.Step() {
 				t.Fatalf("second event at the last time: far %d", len(e.far))
 			}
@@ -475,8 +486,7 @@ type recorder struct {
 }
 
 func (r recorder) RunEvent(int32) {
-	at, owner, oseq := r.e.CurKey()
-	*r.log = append(*r.log, execRecord{at: at, owner: owner, oseq: oseq})
+	*r.log = append(*r.log, keyRecord(r.e.CurKey()))
 }
 
 // TestSpillOverflowKeepsOrder overflows the spill cap from inside a single
@@ -493,10 +503,7 @@ func TestSpillOverflowKeepsOrder(t *testing.T) {
 		procs[i] = NewProc(e, uint64(i+1))
 	}
 	var log []execRecord
-	record := func() {
-		at, owner, oseq := e.CurKey()
-		log = append(log, execRecord{at: at, owner: owner, oseq: oseq})
-	}
+	record := func() { log = append(log, keyRecord(e.CurKey())) }
 	const at = time.Microsecond
 	e.Schedule(at, func() {
 		// 2×maxSpill+64 events, all at the executing timestamp, owners

@@ -50,6 +50,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -170,43 +171,54 @@ type event struct {
 	nextFree int32
 }
 
+// Key is the event order: an event's virtual time, then the scheduling
+// identity that stamped it (owner 0 = the root driver), then that owner's
+// sequence number. Keys are unique — an owner never reuses a sequence
+// number — so every correct queue pops them in the same order.
+type Key struct {
+	At         time.Duration
+	Owner, Seq uint64
+}
+
+// MaxKey sorts after every key a real event carries (no owner reaches
+// MaxUint64), so as an exclusive bound it admits them all.
+var MaxKey = Key{At: math.MaxInt64, Owner: math.MaxUint64, Seq: math.MaxUint64}
+
+// KeyAfter is the first key after every key at time t: the exclusive bound
+// that makes a run inclusive of t. It saturates at MaxKey.
+func KeyAfter(t time.Duration) Key {
+	if t == math.MaxInt64 {
+		return MaxKey
+	}
+	return Key{At: t + 1}
+}
+
+// Less reports whether k sorts strictly before o. It reads each key as one
+// unsigned 192-bit number, At the top word, and subtracts with a borrow
+// chain — SUB, SBB, SBB, no branch. Reading At unsigned is exact because a
+// queued At is never negative: scheduling before now panics, and now
+// starts at 0.
+func (k Key) Less(o Key) bool {
+	_, b := bits.Sub64(k.Seq, o.Seq, 0)
+	_, b = bits.Sub64(k.Owner, o.Owner, b)
+	_, b = bits.Sub64(uint64(k.At), uint64(o.At), b)
+	return b != 0
+}
+
 // entry is one pending event in the queue, run buffer or spill buffer:
 // the full ordering key inline plus the generation-guarded arena
-// reference. Entries are 32 pointer-free bytes, so sift swaps are plain
+// reference. Entries are 32 pointer-free bytes, so sift moves are plain
 // memory moves with no GC write barrier and key comparisons stay inside
 // the contiguous slice.
 type entry struct {
-	at          time.Duration
-	owner, oseq uint64 // scheduling identity (owner 0 = the root driver) + per-owner seq
-	idx         int32
-	gen         uint32
-}
-
-// entryLess orders entries by (time, owner, owner-sequence).
-func entryLess(a, b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	return a.oseq < b.oseq
-}
-
-// keyBelow reports whether (at, owner, oseq) sorts strictly before the
-// bound key.
-func keyBelow(at time.Duration, owner, oseq uint64, bAt time.Duration, bOwner, bOseq uint64) bool {
-	if at != bAt {
-		return at < bAt
-	}
-	if owner != bOwner {
-		return owner < bOwner
-	}
-	return oseq < bOseq
+	Key
+	idx int32
+	gen uint32
 }
 
 // eventHeap is a binary min-heap of entries with the comparison inlined —
-// no container/heap interface dispatch on the hot path.
+// no container/heap interface dispatch on the hot path. Both directions
+// move a hole instead of swapping: one 32-byte move per level.
 type eventHeap []entry
 
 //fabric:hotpath
@@ -214,41 +226,66 @@ func (h *eventHeap) push(en entry) {
 	q := append(*h, en)
 	i := len(q) - 1
 	for i > 0 {
-		p := (i - 1) / 2
-		if !entryLess(&q[i], &q[p]) {
+		p := (i - 1) >> 1
+		if !en.Less(q[p].Key) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = en
 	*h = q
 }
 
+// popMin walks the root's hole down to a leaf along the smaller child —
+// one compare per level, whose result indexes the child instead of
+// steering a branch, and no compare against the entry being placed — then
+// sifts the old last entry up from there, which is rarely more than a
+// level or two because it came from the bottom.
+//
 //fabric:hotpath
 func (h *eventHeap) popMin() entry {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q = q[:n]
 	*h = q
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c+1 >= n {
+			if c < n { // a lone left child
+				q[i] = q[c]
+				i = c
+			}
 			break
 		}
-		m := l
-		if r := l + 1; r < n && entryLess(&q[r], &q[l]) {
-			m = r
-		}
-		if !entryLess(&q[m], &q[i]) {
+		c += b2i(q[c+1].Less(q[c].Key))
+		q[i] = q[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) >> 1
+		if !last.Less(q[p].Key) {
 			break
 		}
-		q[i], q[m] = q[m], q[i]
-		i = m
+		q[i] = q[p]
+		i = p
+	}
+	if n > 0 {
+		q[i] = last
 	}
 	return top
+}
+
+// b2i is 1 for true and 0 for false; it compiles to SETcc and a zero
+// extension, no jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Proc is a deterministic scheduling identity bound to one Engine: the
@@ -305,7 +342,7 @@ func (p *Proc) Now() time.Duration { return p.eng.now }
 
 // At schedules fn at absolute virtual time t under this identity.
 func (p *Proc) At(t time.Duration, fn func()) *Timer {
-	return p.eng.at(t, p.id, p.NextSeq(), fn)
+	return p.eng.at(Key{t, p.id, p.NextSeq()}, fn)
 }
 
 // After schedules fn d after the bound engine's current time.
@@ -322,7 +359,7 @@ func (p *Proc) Schedule(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	p.eng.scheduleFunc(t, p.id, p.NextSeq(), fn)
+	p.eng.scheduleFunc(Key{t, p.id, p.NextSeq()}, fn)
 }
 
 // ScheduleRunner enqueues r.RunEvent(arg) at absolute time t under this
@@ -333,7 +370,7 @@ func (p *Proc) ScheduleRunner(t time.Duration, r Runner, arg int32) {
 	if r == nil {
 		panic("sim: nil event runner")
 	}
-	p.eng.scheduleRunner(t, p.id, p.NextSeq(), r, arg)
+	p.eng.scheduleRunner(Key{t, p.id, p.NextSeq()}, r, arg)
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -349,7 +386,7 @@ type Engine struct {
 	// The pending queue's two tiers: every key in queue (near) has
 	// at < horizon, every key in far has at >= horizon (see roll). The
 	// horizon is unsigned so that farSpan past the last representable
-	// time still fits and a key at maxBoundAt can sort below it.
+	// time still fits and a key at that time can sort below it.
 	queue   eventHeap
 	far     eventHeap
 	horizon uint64
@@ -366,21 +403,19 @@ type Engine struct {
 	// Batched window-drain state (see drain). run is the heap's popped
 	// front window, spill collects events scheduled during the batch that
 	// fall inside it; both are consumed by index and reused across
-	// batches. While inBatch is set, bound{At,Owner,Seq} is the window's
-	// exclusive key bound, and enqueues below it route to the spill.
-	run                  []entry
-	runPos               int
-	spill                []entry
-	spillPos             int
-	inBatch              bool
-	boundAt              time.Duration
-	boundOwner, boundSeq uint64
+	// batches. While inBatch is set, bound is the window's exclusive key
+	// bound, and enqueues below it route to the spill.
+	run      []entry
+	runPos   int
+	spill    []entry
+	spillPos int
+	inBatch  bool
+	bound    Key
 
 	// Key of the event currently executing — the causal stamp the tap
 	// buffering layer records so per-shard tap streams can be merged into
 	// the one deterministic total order.
-	curAt            time.Duration
-	curOwner, curSeq uint64
+	cur Key
 }
 
 // New returns an Engine whose random source is seeded with seed. Two engines
@@ -507,14 +542,14 @@ func (e *Engine) release(idx int32) {
 //
 //fabric:hotpath
 func (e *Engine) enqueue(en entry) {
-	if e.inBatch && keyBelow(en.at, en.owner, en.oseq, e.boundAt, e.boundOwner, e.boundSeq) {
+	if e.inBatch && en.Less(e.bound) {
 		if n := len(e.spill); n-e.spillPos < maxSpill &&
-			(n == e.spillPos || !entryLess(&en, &e.spill[n-1])) {
+			(n == e.spillPos || !en.Less(e.spill[n-1].Key)) {
 			e.spill = append(e.spill, en)
 			return
 		}
 	}
-	if uint64(en.at) >= e.horizon {
+	if uint64(en.At) >= e.horizon {
 		e.far.push(en)
 		return
 	}
@@ -530,7 +565,7 @@ func (e *Engine) enqueue(en entry) {
 //
 //fabric:hotpath
 func (e *Engine) advance() bool {
-	if len(e.queue) > 0 && uint64(e.queue[0].at)+farSpan/2 <= e.horizon {
+	if len(e.queue) > 0 && uint64(e.queue[0].At)+farSpan/2 <= e.horizon {
 		return true
 	}
 	return e.roll()
@@ -548,15 +583,15 @@ func (e *Engine) roll() bool {
 	var first time.Duration
 	switch {
 	case len(e.queue) > 0:
-		first = e.queue[0].at
+		first = e.queue[0].At
 	case len(e.far) > 0:
-		first = e.far[0].at
+		first = e.far[0].At
 	default:
 		return false
 	}
 	if h := uint64(first) + farSpan; h > e.horizon {
 		e.horizon = h
-		for len(e.far) > 0 && uint64(e.far[0].at) < h {
+		for len(e.far) > 0 && uint64(e.far[0].At) < h {
 			e.queue.push(e.far.popMin())
 		}
 	}
@@ -564,45 +599,41 @@ func (e *Engine) roll() bool {
 }
 
 // at is the common keyed scheduling path behind Proc.At and Engine.At.
-func (e *Engine) at(t time.Duration, owner, oseq uint64, fn func()) *Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
+func (e *Engine) at(k Key, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	idx := e.alloc()
-	a := &e.arena[idx]
-	a.fn = fn
-	e.enqueue(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
-	return &Timer{eng: e, at: t, idx: idx + 1, gen: a.gen}
+	idx := e.scheduleFunc(k, fn)
+	return &Timer{eng: e, at: k.At, idx: idx + 1, gen: e.arena[idx].gen}
 }
 
-// scheduleFunc enqueues a non-cancellable closure event under the given
-// key. No Timer handle exists, so the arena slot recycles the moment it
-// fires.
-func (e *Engine) scheduleFunc(t time.Duration, owner, oseq uint64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+// scheduleFunc enqueues a closure event under k and returns its arena
+// slot. Without a Timer handle (only At makes one) the slot recycles the
+// moment the event fires. This check of k.At against now is what keeps
+// every queued At non-negative, which Key.Less relies on.
+func (e *Engine) scheduleFunc(k Key, fn func()) int32 {
+	if k.At < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", k.At, e.now))
 	}
 	idx := e.alloc()
 	a := &e.arena[idx]
 	a.fn = fn
-	e.enqueue(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.enqueue(entry{k, idx, a.gen})
+	return idx
 }
 
 // scheduleRunner is scheduleFunc for Runner events: fully allocation-free.
 //
 //fabric:hotpath
-func (e *Engine) scheduleRunner(t time.Duration, owner, oseq uint64, r Runner, arg int32) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+func (e *Engine) scheduleRunner(k Key, r Runner, arg int32) {
+	if k.At < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", k.At, e.now))
 	}
 	idx := e.alloc()
 	a := &e.arena[idx]
 	a.runner = r
 	a.rarg = arg
-	e.enqueue(entry{at: t, owner: owner, oseq: oseq, idx: idx, gen: a.gen})
+	e.enqueue(entry{k, idx, a.gen})
 }
 
 // Schedule runs fn at absolute virtual time t like At, but returns no
@@ -624,31 +655,30 @@ func (e *Engine) ScheduleRunner(t time.Duration, r Runner, arg int32) {
 	e.root.ScheduleRunner(t, r, arg)
 }
 
-// ScheduleKeyed enqueues r.RunEvent(arg) at absolute time t with an
-// explicit, caller-computed key. This is the cross-shard injection
-// primitive: the sending shard stamps an arrival with its link identity's
-// (owner, seq) before shipping it, and the coordinator inserts it here
-// between windows — the key, not the insertion moment, decides where the
-// event sorts, so the destination shard's execution order is independent
-// of exchange timing.
-func (e *Engine) ScheduleKeyed(t time.Duration, owner, oseq uint64, r Runner, arg int32) {
+// ScheduleKeyed enqueues r.RunEvent(arg) under an explicit, caller-computed
+// key. This is the cross-shard injection primitive: the sending shard
+// stamps an arrival with its link identity's (owner, seq) before shipping
+// it, and the coordinator inserts it here between windows — the key, not
+// the insertion moment, decides where the event sorts, so the destination
+// shard's execution order is independent of exchange timing.
+func (e *Engine) ScheduleKeyed(k Key, r Runner, arg int32) {
 	if r == nil {
 		panic("sim: nil event runner")
 	}
-	e.scheduleRunner(t, owner, oseq, r, arg)
+	e.scheduleRunner(k, r, arg)
 }
 
-// ScheduleKeyedFunc enqueues fn at absolute time t with an explicit,
-// caller-computed key (the closure counterpart of ScheduleKeyed). netsim
-// uses it to give fault-injection events an entity's partition-independent
-// identity while choosing the executing engine separately: the same key
-// lands on a shard engine when the fault is shard-local and on the control
-// engine (a coordinator barrier) when it spans shards.
-func (e *Engine) ScheduleKeyedFunc(t time.Duration, owner, oseq uint64, fn func()) {
+// ScheduleKeyedFunc enqueues fn under an explicit, caller-computed key (the
+// closure counterpart of ScheduleKeyed). netsim uses it to give
+// fault-injection events an entity's partition-independent identity while
+// choosing the executing engine separately: the same key lands on a shard
+// engine when the fault is shard-local and on the control engine (a
+// coordinator barrier) when it spans shards.
+func (e *Engine) ScheduleKeyedFunc(k Key, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.scheduleFunc(t, owner, oseq, fn)
+	e.scheduleFunc(k, fn)
 }
 
 // After schedules fn to run d after the current virtual time under the
@@ -663,8 +693,8 @@ func (e *Engine) After(d time.Duration, fn func()) *Timer {
 //
 //fabric:hotpath
 func (e *Engine) execute(en *entry, a *event) {
-	e.now = en.at
-	e.curAt, e.curOwner, e.curSeq = en.at, en.owner, en.oseq
+	e.now = en.At
+	e.cur = en.Key
 	e.processed++
 	if r := a.runner; r != nil {
 		arg := a.rarg
@@ -693,8 +723,8 @@ func (e *Engine) Step() bool {
 }
 
 // drain executes every pending event whose key sorts strictly before
-// (boundAt, boundOwner, boundSeq), in exact (time, owner, oseq) order, and
-// returns how many ran. It panics when the total processed count would
+// bound, in exact key order, and returns how many ran. It panics when the
+// total processed count would
 // exceed stopAt (the hoisted event-limit check: one predictable branch per
 // event against a precomputed register value, instead of the old
 // per-iteration limit arithmetic).
@@ -713,7 +743,7 @@ func (e *Engine) Step() bool {
 // identical to the unbatched engine's, whatever the routing decided.
 //
 //fabric:hotpath
-func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopAt uint64) int {
+func (e *Engine) drain(bound Key, stopAt uint64) int {
 	n := 0
 	for {
 		// Refill: look at the horizon, then pop the near heap's front
@@ -724,8 +754,7 @@ func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopA
 		e.run = e.run[:0]
 		e.runPos = 0
 		for len(e.run) < maxBatch && len(e.queue) > 0 {
-			h := &e.queue[0]
-			if !keyBelow(h.at, h.owner, h.oseq, boundAt, boundOwner, boundSeq) {
+			if !e.queue[0].Less(bound) {
 				break
 			}
 			en := e.queue.popMin()
@@ -742,17 +771,15 @@ func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopA
 		}
 		// The window bound: where the refill stopped, and no further than
 		// the horizon, so no key in far is inside the window.
-		wAt, wOwner, wSeq := boundAt, boundOwner, boundSeq
-		if e.horizon <= uint64(wAt) {
-			wAt, wOwner, wSeq = time.Duration(e.horizon), 0, 0
+		w := bound
+		if e.horizon <= uint64(w.At) {
+			w = Key{At: time.Duration(e.horizon)}
 		}
-		if len(e.queue) > 0 {
-			if h := &e.queue[0]; keyBelow(h.at, h.owner, h.oseq, wAt, wOwner, wSeq) {
-				wAt, wOwner, wSeq = h.at, h.owner, h.oseq
-			}
+		if len(e.queue) > 0 && e.queue[0].Less(w) {
+			w = e.queue[0].Key
 		}
 		e.inBatch = true
-		e.boundAt, e.boundOwner, e.boundSeq = wAt, wOwner, wSeq
+		e.bound = w
 
 		for {
 			var en entry
@@ -762,14 +789,13 @@ func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopA
 				src = 0
 			}
 			if e.spillPos < len(e.spill) {
-				if s := &e.spill[e.spillPos]; src < 0 || entryLess(s, &en) {
+				if s := &e.spill[e.spillPos]; src < 0 || s.Less(en.Key) {
 					en = *s
 					src = 1
 				}
 			}
 			if len(e.queue) > 0 { // keys enqueue routed past the spill
-				if h := &e.queue[0]; keyBelow(h.at, h.owner, h.oseq, wAt, wOwner, wSeq) &&
-					(src < 0 || entryLess(h, &en)) {
+				if h := &e.queue[0]; h.Less(w) && (src < 0 || h.Less(en.Key)) {
 					src = 2
 				}
 			}
@@ -791,7 +817,7 @@ func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopA
 			n++
 			if e.processed > stopAt {
 				e.inBatch = false
-				panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
+				e.overLimit()
 			}
 		}
 	batchDone:
@@ -801,24 +827,36 @@ func (e *Engine) drain(boundAt time.Duration, boundOwner, boundSeq uint64, stopA
 	}
 }
 
-// maxBound is the exclusive drain bound that admits every real key.
-const maxBoundAt = time.Duration(math.MaxInt64)
+// overLimit is the runaway-loop backstop's panic.
+func (e *Engine) overLimit() {
+	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
+}
+
+// runBelow executes every pending event keyed strictly before bound and
+// returns how many ran, panicking once more than stopAt events have run
+// in total: the one entry point of Run, RunUntil and RunWindowKey, on
+// either execution path.
+func (e *Engine) runBelow(bound Key, stopAt uint64) int {
+	if !e.unbatched {
+		return e.drain(bound, stopAt)
+	}
+	n := 0
+	for {
+		if _, ok := e.peek(); !ok || !e.queue[0].Less(bound) {
+			return n
+		}
+		e.Step()
+		n++
+		if e.processed > stopAt {
+			e.overLimit()
+		}
+	}
+}
 
 // Run executes events until the queue drains. It panics if the event limit
 // is exceeded, which in practice means a protocol is generating events
 // faster than it consumes them (a forwarding loop).
-func (e *Engine) Run() {
-	stopAt := e.processed + e.limit
-	if e.unbatched {
-		for e.Step() {
-			if e.processed > stopAt {
-				panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
-			}
-		}
-		return
-	}
-	e.drain(maxBoundAt, math.MaxUint64, math.MaxUint64, stopAt)
-}
+func (e *Engine) Run() { e.runBelow(MaxKey, e.processed+e.limit) }
 
 // RunUntil executes every event scheduled at or before t, then advances the
 // clock to exactly t. It panics on event-limit overrun like Run.
@@ -826,28 +864,7 @@ func (e *Engine) RunUntil(t time.Duration) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	stopAt := e.processed + e.limit
-	if e.unbatched {
-		for {
-			next, ok := e.peek()
-			if !ok || next > t {
-				break
-			}
-			e.Step()
-			if e.processed > stopAt {
-				panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
-			}
-		}
-		e.now = t
-		return
-	}
-	// Inclusive of events at exactly t: the exclusive bound is the first
-	// key of t+1 (saturating at the horizon).
-	boundAt := t + 1
-	if t == maxBoundAt {
-		boundAt = maxBoundAt
-	}
-	e.drain(boundAt, 0, 0, stopAt)
+	e.runBelow(KeyAfter(t), e.processed+e.limit)
 	e.now = t
 }
 
@@ -862,7 +879,7 @@ func (e *Engine) peek() (time.Duration, bool) {
 			e.queue.popMin()
 			continue
 		}
-		return h.at, true
+		return h.At, true
 	}
 	return 0, false
 }
@@ -870,59 +887,32 @@ func (e *Engine) peek() (time.Duration, bool) {
 // NextEventAt returns the virtual time of the next pending live event.
 func (e *Engine) NextEventAt() (time.Duration, bool) { return e.peek() }
 
-// NextKey returns the full ordering key of the next pending live event.
-// The coordinator uses it to pre-stamp shard engines before executing a
-// barrier event, so taps the barrier emits carry the barrier's key.
-func (e *Engine) NextKey() (at time.Duration, owner, oseq uint64, ok bool) {
+// NextKey returns the full ordering key of the next pending live event,
+// or MaxKey and false when nothing is pending. The coordinator folds it
+// into its pending minima, and uses it to pre-stamp shard engines before
+// executing a barrier event, so taps the barrier emits carry its key.
+func (e *Engine) NextKey() (Key, bool) {
 	if _, live := e.peek(); !live {
-		return 0, 0, 0, false
+		return MaxKey, false
 	}
-	h := &e.queue[0]
-	return h.at, h.owner, h.oseq, true
+	return e.queue[0].Key, true
 }
 
 // CurKey returns the ordering key of the event currently (or most
 // recently) executing. The netsim tap layer records it with every buffered
 // tap event so per-shard streams merge into the deterministic total order.
-func (e *Engine) CurKey() (at time.Duration, owner, oseq uint64) {
-	return e.curAt, e.curOwner, e.curSeq
-}
+func (e *Engine) CurKey() Key { return e.cur }
 
-// RunWindow executes every event strictly before bound and reports how
-// many ran. It is the per-shard half of one conservative synchronization
-// window: the coordinator guarantees no other shard can inject an event
-// before bound, so everything below it is safe to run without looking up.
-// Unlike RunUntil it does not advance the clock to the bound — the next
-// window recomputes its horizon from the real queue heads.
-func (e *Engine) RunWindow(bound time.Duration) int {
-	return e.RunWindowKey(bound, 0, 0)
-}
-
-// RunWindowKey executes every event whose full ordering key sorts
-// strictly before (at, owner, oseq) and reports how many ran. The key-
-// exact bound is what lets a pending coordinator barrier carry an entity
-// identity (owner > 0): shard events at the barrier's own timestamp with
-// smaller keys must still run inside the window, exactly where the
-// single-engine run would have executed them. The event-limit backstop for
-// sharded runs lives in the coordinator (it spans all shards of one run),
-// so the per-engine check is disarmed here.
-func (e *Engine) RunWindowKey(at time.Duration, owner, oseq uint64) int {
-	if e.unbatched {
-		n := 0
-		for {
-			if _, ok := e.peek(); !ok {
-				return n
-			}
-			h := &e.queue[0]
-			if !keyBelow(h.at, h.owner, h.oseq, at, owner, oseq) {
-				return n
-			}
-			e.Step()
-			n++
-		}
-	}
-	return e.drain(at, owner, oseq, math.MaxUint64)
-}
+// RunWindowKey executes every event whose key sorts strictly before bound
+// and reports how many ran: the per-shard half of one conservative
+// synchronization window. Unlike RunUntil it does not advance the clock to
+// the bound. The key-exact bound is what lets a pending coordinator
+// barrier carry an entity identity (owner > 0): shard events at the
+// barrier's own timestamp with smaller keys must still run inside the
+// window, exactly where the single-engine run would have executed them.
+// The event-limit backstop for sharded runs lives in the coordinator (it
+// spans all shards of one run), so the per-engine check is disarmed here.
+func (e *Engine) RunWindowKey(bound Key) int { return e.runBelow(bound, math.MaxUint64) }
 
 // SetNow advances the clock to exactly t without running anything. It
 // panics when t is in the past or when an event older than t is still

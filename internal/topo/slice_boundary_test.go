@@ -12,6 +12,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -146,6 +147,42 @@ func TestSliceBoundaryEquivalence(t *testing.T) {
 				t.Errorf("shards=%d %s diverged: fp=%#016x events=%d answered=%d, want fp=%#016x events=%d answered=%d",
 					shards, strat.name, got.fp, got.events, got.answered, ref.fp, ref.events, ref.answered)
 			}
+		}
+	}
+}
+
+// TestRunUntilEndOfTime runs a fabric with one pending ping to the last
+// representable instant. The coordinator's inclusive bound — the first key
+// after that instant — saturates instead of wrapping below every key, so
+// every shard count returns, having run the same events. A goroutine and a
+// deadline keep a regression from hanging the suite.
+func TestRunUntilEndOfTime(t *testing.T) {
+	var want uint64
+	for _, shards := range []int{1, 2, 4} {
+		opts := DefaultOptions(ARPPath, 17)
+		opts.Shards = shards
+		built := Grid(opts, 4, 4)
+		a, b := built.Host("H1"), built.Host("H4")
+		built.Engine.At(built.Now()+time.Millisecond, func() {
+			a.PingSeries(b.IP(), 1, 56, time.Millisecond, time.Second, func([]host.PingResult) {})
+		})
+		done := make(chan uint64, 1)
+		go func() {
+			built.RunUntil(math.MaxInt64)
+			done <- built.Network.Processed()
+		}()
+		select {
+		case got := <-done:
+			if shards == 1 {
+				want = got
+			} else if got != want {
+				t.Fatalf("shards=%d ran %d events to the end of time, shards=1 ran %d", shards, got, want)
+			}
+			if now := built.Now(); now != math.MaxInt64 {
+				t.Fatalf("shards=%d: clock at %v after RunUntil(MaxInt64)", shards, now)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("shards=%d: RunUntil(MaxInt64) has not returned after 20s", shards)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flowpath"
 	hostpkg "repro/internal/host"
+	"repro/internal/host/app"
 	"repro/internal/learning"
 	"repro/internal/netsim"
 	"repro/internal/tables"
@@ -60,6 +61,35 @@ func TestSteadyStateForwardingDoesNotAllocate(t *testing.T) {
 				t.Fatalf("delivered %d frames, want %d", got, runs+1)
 			}
 		})
+	}
+}
+
+// TestCBRFlowDoesNotAllocate extends the gate to the traffic source the
+// unicast benchmarks and the daemon's bursts use: once its path is
+// established, a running app.StartFlow sends and delivers each datagram
+// without allocating — its re-arm is a pooled, handle-free event.
+func TestCBRFlowDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race job")
+	}
+	built := topo.Line(topo.DefaultOptions(topo.ARPPath, 1), 4)
+	src, dst := built.Host("H1"), built.Host("H2")
+	sink := app.NewSink(dst, 7000)
+	const interval = 10 * time.Microsecond
+	built.Engine.At(built.Now(), func() {
+		app.StartFlow(src, app.FlowConfig{
+			DstIP: dst.IP(), DstPort: 7000, PayloadSize: 200, Interval: interval, Count: 1 << 30,
+		}, nil)
+	})
+	built.RunFor(200 * interval) // resolve ARP, lock the path, warm every pool
+	rx0 := sink.Count()
+	const runs = 500
+	if allocs := testing.AllocsPerRun(runs, func() { built.RunFor(interval) }); allocs != 0 {
+		t.Fatalf("a running CBR flow allocates %.2f/datagram, want 0", allocs)
+	}
+	// AllocsPerRun executes runs+1 iterations, one datagram each.
+	if got := sink.Count() - rx0; got != runs+1 {
+		t.Fatalf("delivered %d datagrams, want %d", got, runs+1)
 	}
 }
 

@@ -194,6 +194,24 @@ const (
 	ClassBackground = "background"
 )
 
+// MaxSpan bounds how far past its boundary an op may reach — every
+// duration it carries or derives: a ping train's (count−1) × interval +
+// timeout, a burst's count × interval, a fault's self-heal horizon — and
+// how far a session's boundaries may go, live or in an op-log. A century
+// is beyond any session, and a boundary plus a span plus the protocols'
+// own timers stays inside the virtual clock's 292 years, so no op reaches
+// a now + d that overflows it.
+const MaxSpan = 100 * 365 * 24 * time.Hour
+
+// checkSpan refuses an op whose last event would fall n × step + tail
+// after its boundary, when that is negative or past MaxSpan.
+func checkSpan(what string, n int, step, tail time.Duration) error {
+	if n < 0 || step < 0 || tail < 0 || tail > MaxSpan || n > 0 && step > (MaxSpan-tail)/time.Duration(n) {
+		return fmt.Errorf("%s: %d × %v + %v is not a span in [0, %v]", what, n, step, tail, MaxSpan)
+	}
+	return nil
+}
+
 // compilePing translates and defaults a ping request.
 func (s *Server) compilePing(req Request) (*PingOp, error) {
 	if req.Src == "" || req.Dst == "" {

@@ -517,13 +517,21 @@ func (s *Server) compile(req Request) (*logEntry, error) {
 // applyEntry executes one op at the current boundary. It is the shared
 // execution path of live serving and replay: both feed it identical
 // entries in identical order at identical virtual times, which is the
-// whole replay-determinism argument.
+// whole replay-determinism argument. Both also get its checks, made
+// before anything is scheduled: the boundary and every span the op
+// derives stay within MaxSpan.
 func (s *Server) applyEntry(e *logEntry) error {
 	at := s.built.Now()
+	if at > MaxSpan {
+		return fmt.Errorf("boundary %v is past the %v horizon", at, MaxSpan)
+	}
 	switch {
 	case len(e.Fault) > 0:
 		for _, op := range e.Fault {
 			if err := s.index.Validate(op); err != nil {
+				return err
+			}
+			if err := checkSpan(s.index.Describe(op), op.Count, op.Interval, op.At); err != nil {
 				return err
 			}
 		}
@@ -531,7 +539,11 @@ func (s *Server) applyEntry(e *logEntry) error {
 		s.burstOffered += offered
 		s.sinks = append(s.sinks, sinks...)
 	case e.Ping != nil:
-		return s.applyPing(e.Ping)
+		p := e.Ping
+		if err := checkSpan("ping", p.Count-1, p.Interval.D(), p.Timeout.D()); err != nil {
+			return err
+		}
+		return s.applyPing(p)
 	case e.Stream != nil:
 		return s.applyStream(e.Stream)
 	case e.Heal:
@@ -830,6 +842,9 @@ func Replay(r io.Reader, shards int, out io.Writer) (*Report, error) {
 		now := s.built.Now()
 		if at < now {
 			return nil, fmt.Errorf("serve: op-log line %d: time moves backwards (%v < %v)", lineNo, at, now)
+		}
+		if at > MaxSpan {
+			return nil, fmt.Errorf("serve: op-log line %d: boundary %v is past the %v horizon", lineNo, at, MaxSpan)
 		}
 		if at > now {
 			s.built.RunUntil(at)

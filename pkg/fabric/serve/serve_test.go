@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -317,5 +318,96 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	}
 	if rep1.Fingerprint != rep2.Fingerprint || rep1.Text != rep2.Text {
 		t.Fatal("minimal log replays differently at shards 1 vs 2")
+	}
+}
+
+// TestServeRefusesSpansPastTheClock: an op whose durations — carried or
+// derived — would carry the virtual clock past MaxSpan is refused with
+// ok:false before it is acknowledged or logged. Each of these used to be
+// acknowledged and logged, and the first one then killed the daemon inside
+// an engine event ("scheduling event at -2562047h… before now"). After the
+// refusals the daemon still answers, and its session replays to the live
+// report.
+func TestServeRefusesSpansPastTheClock(t *testing.T) {
+	var opLog bytes.Buffer
+	srv, err := New(Options{Spec: soakSpec(2), Quantum: 5 * time.Millisecond, OpLog: &opLog})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	c := dialTest(t, ln.Addr().String())
+	c.conn.SetDeadline(time.Now().Add(30 * time.Second)) // a dead daemon fails the test, never hangs it
+	info := c.raw(`{"op":"info"}`)
+	if !info.OK || info.Info == nil || len(info.Info.Hosts) < 2 || len(info.Info.Mobile) == 0 {
+		t.Fatalf("info: %+v", info)
+	}
+	h0, h1 := info.Info.Hosts[0], info.Info.Hosts[1]
+	link, mobile := info.Info.Links[0], info.Info.Mobile[0]
+	const end = math.MaxInt64
+	for _, line := range []string{
+		fmt.Sprintf(`{"op":"ping","src":%q,"dst":%q,"timeout":%d}`, h0, h1, int64(end)),
+		fmt.Sprintf(`{"op":"ping","src":%q,"dst":%q,"count":3,"interval":%d}`, h0, h1, int64(end/2)),
+		fmt.Sprintf(`{"op":"ping","src":%q,"dst":%q,"count":1000,"interval":%d}`, h0, h1, int64(MaxSpan/500)),
+		fmt.Sprintf(`{"op":"flap","link":%q,"for":%d}`, link, int64(end)),
+		fmt.Sprintf(`{"op":"set-loss","link":%q,"rate":0.5,"for":%d}`, link, int64(end)),
+		fmt.Sprintf(`{"op":"host-move","host":%q,"for":%d}`, mobile, int64(end)),
+		fmt.Sprintf(`{"op":"partition","seed":3,"for":%d}`, int64(end)),
+		fmt.Sprintf(`{"op":"burst","src":%q,"dst":%q,"count":4,"interval":%d}`, h0, h1, int64(end/2)),
+		fmt.Sprintf(`{"op":"matrix","flows":2,"interval":%d}`, int64(end/8)),
+	} {
+		c.expectErr(line, "not a span")
+	}
+	stats := c.raw(`{"op":"stats"}`)
+	if !stats.OK || stats.Stats == nil || stats.Stats.OpsApplied != 0 {
+		t.Fatalf("stats after the refusals: %+v", stats)
+	}
+	if resp := c.raw(fmt.Sprintf(`{"op":"ping","src":%q,"dst":%q}`, h0, h1)); !resp.OK || resp.Seq != 1 {
+		t.Fatalf("first sound op after the refusals: %+v, want ok with seq 1", resp)
+	}
+	// A logged drain ends both sessions at the same virtual time.
+	if !c.raw(`{"op":"drain"}`).OK {
+		t.Fatal("drain rejected")
+	}
+	if !c.raw(`{"op":"shutdown"}`).OK {
+		t.Fatal("shutdown rejected")
+	}
+	live := srv.Wait()
+	rep, err := Replay(bytes.NewReader(opLog.Bytes()), 1, io.Discard)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if rep.Text != live.Text {
+		t.Fatalf("replay differs from live:\n--- live ---\n%s--- replay ---\n%s", live.Text, rep.Text)
+	}
+}
+
+// TestReplayRefusesBoundaryPastTheClock: an op-log entry stamped past
+// MaxSpan is an error naming its line, at every shard count. It used to
+// panic at shards 1 and spin forever at 2 and more (the coordinator's
+// inclusive bound wrapped below every key), so each replay runs behind a
+// deadline.
+func TestReplayRefusesBoundaryPastTheClock(t *testing.T) {
+	// A ping still in flight gives the coordinator something to bound.
+	log := `{"fabricserve":1,"spec":{"topology":{"family":"ring","n":6}},"quantum":"10ms"}` + "\n" +
+		`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":5,"size":56,"interval":"20ms","timeout":"1s","class":"background"}}` + "\n" +
+		`{"at":9223372036854775807,"seq":2,"heal":true}` + "\n"
+	for _, shards := range []int{1, 2, 4} {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := Replay(strings.NewReader(log), shards, io.Discard)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "horizon") {
+				t.Errorf("shards=%d: replay of an entry past the horizon returned %v", shards, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Errorf("shards=%d: replay still running after 20s", shards)
+		}
 	}
 }
