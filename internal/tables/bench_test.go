@@ -8,10 +8,10 @@ import (
 
 // BenchmarkTableFind is the forwarding path's probe by table occupancy. The
 // benchmark's own core.micro.hop_ns runs on a line whose tables hold two
-// MACs, where any index is one compare; a fabric bridge holds an entry per
+// MACs, where any probe is one compare; a fabric bridge holds an entry per
 // host a discovery flood ever reached it from — 16 on the k=4 fat tree of
 // pump_forward, hundreds to thousands on the unicast fabrics — and that is
-// where the index is paid for. Misses matter as much as hits: every
+// where the probe array is paid for. Misses matter as much as hits: every
 // unknown-destination frame and every first flood copy is one.
 func BenchmarkTableFind(b *testing.B) {
 	for _, n := range []int{2, 16, 256, 4096} {
@@ -51,8 +51,8 @@ func benchFind[K comparable](b *testing.B, n int, key func(int) K) {
 
 // BenchmarkTableChurn is the write path at the bound, discovery_churn's
 // regime: every Lock admits a never-seen key into a full table, so each
-// op is one miss probe, one eviction (index delete, backward shift) and
-// one insert.
+// op is one miss probe, one eviction (backward shift of the victim's run)
+// and one insert.
 func BenchmarkTableChurn(b *testing.B) {
 	b.Run("uint64", func(b *testing.B) { benchChurn(b, macKey) })
 	b.Run("pair", func(b *testing.B) { benchChurn(b, pairOf) })

@@ -1,151 +1,126 @@
 package tables
 
-// index is the table's key index: key → slab slot, open-addressed with
-// linear probing over a power-of-two bucket array held at load ≤ 1/2
-// (DESIGN.md §5). It exists because the forwarding path probes twice per
-// hop and a Go map charges a runtime call and a directory → group →
-// control-word → slot walk per probe; here a hit is one hash, one mask and
-// — at this load, with a mixing hash — one or two adjacent cache lines.
+import "unsafe"
+
+// The table's records live in its probe array (DESIGN.md §5): a
+// power-of-two slice of slot[K], open-addressed with linear probing from
+// hash(key) & mask and held at load ≤ 1/2. The forwarding path probes twice
+// per hop, and past the CPU caches each dependent load is a miss; with the
+// record in the cell the probe lands on, a hit is one hash, one mask and —
+// at this load, with a mixing hash — one cache line holding the key, the
+// port, the state and both deadlines.
 //
 // Removal shifts the rest of the run back over the hole instead of leaving
 // a tombstone, so a table that has churned probes exactly as short as a
-// fresh one of the same content. Nothing observable depends on bucket
-// order: sweeps and Snapshot walk the slab, victims come from the tracker.
-type index[K comparable] struct {
-	buckets []bucket[K] // nil or a power-of-two length
-	n       int         // occupied buckets
-	hash    func(K) uint64
-}
-
-// bucket is one index cell, the key stored inline so a probe compares
-// without leaving the bucket array.
-type bucket[K comparable] struct {
-	key K
-	ref int32 // slab slot + 1; 0 marks the bucket empty
-}
+// fresh one of the same content. Records therefore move — on a shift and
+// on grow — and every move re-points the record's tracker node (Rekey).
+// Nothing observable depends on cell order: victims come from the tracker,
+// whose removals commute, and Snapshot returns a map.
 
 const (
-	minBuckets = 8
-	// maxPresize caps what a capacity bound may reserve up front. The
+	minCells = 8
+	// firstCells is an unbounded table's first array: 2 KiB of MAC records,
+	// room for 16. Set-up time follows the bytes a fabric's tables
+	// allocate: a smaller first array adds growth garbage on every bridge
+	// that learns hundreds of addresses (wide_unicast's, an extra
+	// collection), a larger one zeroes memory that a fabric of many small
+	// tables never uses (discovery_churn's twelve builds).
+	firstCells = 32
+	// maxPresizeBytes caps what a capacity bound may reserve up front. The
 	// bound arrives from a spec file, and a table told "at most 2^40
-	// entries" must not try to allocate for them; past this the index
-	// grows on demand like an unbounded one.
-	maxPresize = 1 << 16
+	// entries" must not try to allocate for them; past this the array grows
+	// on demand like an unbounded one's.
+	maxPresizeBytes = 2 << 20
 )
 
-// newIndex returns an empty index over hash. A positive capacity sizes the
-// bucket array once, here, so a bounded table's index never grows (unless
-// open race windows push the table over its bound; makeRoom).
-func newIndex[K comparable](hash func(K) uint64, capacity int) index[K] {
-	x := index[K]{hash: hash}
-	if capacity > 0 {
-		x.buckets = make([]bucket[K], bucketsFor(min(capacity, maxPresize)))
-	}
-	return x
-}
-
-// bucketsFor returns the smallest legal bucket count holding n keys at
+// cellsFor returns the smallest legal array length holding n records at
 // load ≤ 1/2.
-func bucketsFor(n int) int {
-	size := minBuckets
+func cellsFor(n int) int {
+	size := minCells
 	for size < 2*n {
 		size *= 2
 	}
 	return size
 }
 
-// get returns the slab slot stored under key. The caller passes key's hash
-// (x.hash(key)): with the one indirect call outside, the probe loop is
-// small enough to inline into Find and Learn. The loop condition is true
-// of every masked i unless the bucket array is still nil, where it ends
-// the probe at once; stating it also lets the compiler drop the bounds
-// check on bs[i].
+// presize returns the array length a capacity bound reserves at
+// construction: room for capacity records, cut to maxPresizeBytes.
+func presize[K comparable](capacity int) int {
+	size := cellsFor(capacity)
+	for size > minCells && uintptr(size)*unsafe.Sizeof(slot[K]{}) > maxPresizeBytes {
+		size /= 2
+	}
+	return size
+}
+
+// probe looks key up given its hash (t.hash(key)): with the one indirect
+// call outside, the loop is small enough to inline into Find and Learn. It
+// returns the cell holding key or, on a miss, the empty cell that ends
+// key's run — where an insert would place it — and -1 while the array is
+// still nil. The loop condition is true of every masked i unless the array
+// is nil, where it ends the probe at once; stating it also lets the
+// compiler drop the bounds check on cs[i].
 //
 //fabric:hotpath
-func (x *index[K]) get(h uint64, key K) (int32, bool) {
-	bs := x.buckets
-	mask := uint64(len(bs) - 1)
-	for i := h & mask; i < uint64(len(bs)); i = (i + 1) & mask {
-		b := &bs[i]
-		if b.ref == 0 {
-			break
+func (t *Table[K]) probe(h uint64, key K) (int32, bool) {
+	cs := t.cells
+	mask := uint64(len(cs) - 1)
+	for i := h & mask; i < uint64(len(cs)); i = (i + 1) & mask {
+		c := &cs[i]
+		if c.seq == 0 {
+			return int32(i), false
 		}
-		if b.key == key {
-			return b.ref - 1, true
+		if c.key == key {
+			return int32(i), true
 		}
 	}
-	return 0, false
+	return -1, false
 }
 
-// put stores slot under key, which must not be present: every caller has
-// just probed for it (Table.store's contract).
-func (x *index[K]) put(key K, slot int32) {
-	if 2*(x.n+1) > len(x.buckets) {
-		x.grow()
+// moved re-points the tracker node of the record now in cell i.
+func (t *Table[K]) moved(i int32) {
+	if t.tracker != nil {
+		t.tracker.Rekey(t.cells[i].th, i)
 	}
-	x.place(key, slot+1)
-	x.n++
 }
 
-// place writes (key, ref) into the first empty bucket of key's run.
-func (x *index[K]) place(key K, ref int32) {
-	mask := uint64(len(x.buckets) - 1)
-	i := x.hash(key) & mask
-	for x.buckets[i].ref != 0 {
-		i = (i + 1) & mask
-	}
-	x.buckets[i] = bucket[K]{key, ref}
-}
-
-// grow doubles the bucket array (or allocates the first one) and rehashes.
-func (x *index[K]) grow() {
-	old := x.buckets
-	x.buckets = make([]bucket[K], bucketsFor(x.n+1))
-	for _, b := range old {
-		if b.ref != 0 {
-			x.place(b.key, b.ref)
+// grow doubles the array (or allocates the first one) and rehashes the
+// records into it.
+func (t *Table[K]) grow() {
+	old := t.cells
+	t.cells = make([]slot[K], max(cellsFor(t.n+1), firstCells))
+	for j := range old {
+		if c := &old[j]; c.seq != 0 {
+			i, _ := t.probe(t.hash(c.key), c.key)
+			t.cells[i] = *c
+			t.moved(i)
 		}
 	}
 }
 
-// del removes key, if present, and closes the hole by backward shift: each
-// later bucket of the run moves into the hole unless its home position
-// lies cyclically in (hole, bucket] — moving that one would put it before
-// its home, where no probe would find it. The run ends at the first empty
-// bucket, which load ≤ 1/2 guarantees exists.
-func (x *index[K]) del(key K) {
-	if x.n == 0 {
-		return
-	}
-	mask := uint64(len(x.buckets) - 1)
-	hole := x.hash(key) & mask
-	for ; ; hole = (hole + 1) & mask {
-		if b := &x.buckets[hole]; b.ref == 0 {
-			return
-		} else if b.key == key {
-			break
+// shiftBack empties cell hole, whose record has been unaccounted, and
+// closes the gap by backward shift: each later record of the run moves into
+// the hole unless its home lies cyclically in (hole, cell] — moving that
+// one would put it before its home, where no probe would find it. The run
+// ends at the first empty cell, which load ≤ 1/2 guarantees exists.
+func (t *Table[K]) shiftBack(hole int32) {
+	cs := t.cells
+	mask := uint64(len(cs) - 1)
+	h := uint64(hole)
+	for j := (h + 1) & mask; cs[j].seq != 0; j = (j + 1) & mask {
+		home := t.hash(cs[j].key) & mask
+		if (j-home)&mask >= (j-h)&mask {
+			cs[h] = cs[j]
+			t.moved(int32(h))
+			h = j
 		}
 	}
-	for j := (hole + 1) & mask; x.buckets[j].ref != 0; j = (j + 1) & mask {
-		home := x.hash(x.buckets[j].key) & mask
-		if (j-home)&mask >= (j-hole)&mask {
-			x.buckets[hole] = x.buckets[j]
-			hole = j
-		}
-	}
-	x.buckets[hole] = bucket[K]{}
-	x.n--
+	cs[h] = slot[K]{}
 }
 
-// reset empties the index, keeping its bucket array.
-func (x *index[K]) reset() {
-	clear(x.buckets)
-	x.n = 0
-}
-
-// Mix64 is the index hash for packed 64-bit keys: the splitmix64
+// Mix64 is the table hash for packed 64-bit keys: the splitmix64
 // finalizer, a bijection in which every input bit flips every output bit
-// with probability ≈ 1/2. The index keeps only the low bits, so anything
+// with probability ≈ 1/2. The probe keeps only the low bits, so anything
 // weaker — the identity, one multiply — would map MACs that agree in their
 // low bytes (one vendor's OUI block, a counter in the high bytes) onto one
 // run. It is fixed and unseeded on purpose: the same fabric must probe the
@@ -161,7 +136,7 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
-// Mix128 is the index hash for two-word keys (a directed pair, a
+// Mix128 is the table hash for two-word keys (a directed pair, a
 // connection tuple): the first word is mixed before the second joins, so
 // (a, b) and (b, a) land apart and holding either word constant leaves a
 // full Mix64 over the other.

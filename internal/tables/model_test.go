@@ -10,7 +10,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// model is the reference the slab table is checked against: the table's
+// model is the reference the table is checked against: the table's
 // contract written the plain way — one Go map from key to a value that is
 // copied out, edited and assigned back on every operation, with the
 // recency Tracker keyed by the key itself. Nothing here shares code with
@@ -267,7 +267,7 @@ func recencyOf[T, K comparable](tr *Tracker[T], key func(T) K) recency[K] {
 	return r
 }
 
-// TestDifferentialAgainstModel drives the slab table and the plain-map
+// TestDifferentialAgainstModel drives the table and the plain-map
 // model through the same random operation sequence — every public write
 // and read, handle-based refreshes through Refs held across arbitrary
 // other operations, flushes, sweeps and resets, with time jumps that
@@ -282,7 +282,7 @@ func TestDifferentialAgainstModel(t *testing.T) {
 
 // TestDifferentialDeleteHeavyPairs is the same run on Flow-Path-shaped keys
 // (two packed MACs) with a quarter of the operations turned into Deletes:
-// repair teardown at a rate that keeps the index shifting runs back over
+// repair teardown at a rate that keeps the table shifting runs back over
 // holes while evictions, sweeps and lazy expiry remove keys around them.
 func TestDifferentialDeleteHeavyPairs(t *testing.T) {
 	for _, policy := range []Policy{PolicyLRU, PolicyClock} {
@@ -305,7 +305,7 @@ func differential[K comparable](t *testing.T, policy Policy, key func(int) K, ca
 		m := newModel[K](lock, learned, bound)
 		rng := rand.New(rand.NewSource(int64(policy)*1000 + int64(bound.Capacity)))
 
-		var held []Ref
+		var held []Ref[K]
 		var heldM []modelRef[K]
 		now := time.Duration(0)
 		for step := 0; step < steps; step++ {
@@ -381,7 +381,7 @@ func differential[K comparable](t *testing.T, policy Policy, key func(int) K, ca
 					tb.Len(), tb.Entries(), tb.PeakEntries(), tb.Evictions(),
 					m.resident(), len(m.entries), m.peak, m.evictions)
 			}
-			got := recencyOf(tb.tracker, func(i int32) K { return tb.slab[i].key })
+			got := recencyOf(tb.tracker, func(i int32) K { return tb.cells[i].key })
 			want := recencyOf(m.tracker, func(k K) K { return k })
 			if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.refs, want.refs) || got.hand != want.hand {
 				t.Fatalf("step %d: victim order diverged:\n table %+v\n model %+v", step, got, want)

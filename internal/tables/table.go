@@ -51,37 +51,39 @@ type Entry struct {
 // Guarded reports whether the race window is still open at time now.
 func (e Entry) Guarded(now time.Duration) bool { return now < e.LockedUntil }
 
-// slot is one slab record: the public Entry plus its key, the generation
-// of its port at bind time and its recency handle. A port's generation
-// advances on FlushPort, which kills every entry bound to it in O(1)
-// without touching the slab; the portState pointer is cached in the slot
-// so the hot-path liveness check costs a pointer chase, not a map lookup.
+// slot is one record of the probe array: the public Entry plus its key,
+// the generation of its port at bind time and its recency handle — 64
+// bytes for a packed-MAC key, one cache line. A port's generation advances
+// on FlushPort, which kills every entry bound to it in O(1) without
+// touching the records; the portState pointer is cached in the record so
+// the hot-path liveness check costs a pointer chase, not a map lookup.
 type slot[K comparable] struct {
 	Entry
 	key K
 	ps  *portState
 	gen uint32
 	th  Handle // recency-tracker handle; 0 when untracked
-	// seq is the slot's incarnation: the table-wide insert count at the
-	// time this entry was admitted, 0 while the slot is free. A Ref
-	// carries it, so a handle outliving its entry never matches the
-	// slot's next tenant.
+	// seq is the record's incarnation: the table-wide insert count at the
+	// time this entry was admitted, 0 while the cell is empty. A Ref
+	// carries it, so a handle outliving its entry never matches another.
 	seq uint64
 }
 
-// dead reports whether the slot's entry is no longer valid at now: past
+// dead reports whether the record's entry is no longer valid at now: past
 // its expiry, or bound to a port generation that has been flushed.
 func (s *slot[K]) dead(now time.Duration) bool {
 	return s.Expires <= now || s.gen != s.ps.gen
 }
 
 // Ref names the resident record a Find hit, so the caller can refresh it
-// without a second probe. It dies with its entry: after an eviction,
-// Delete, sweep or Reset — and across the slot's reuse by another key —
-// RefreshAt on it is a no-op. The zero Ref is never valid.
-type Ref struct {
-	slot int32
+// without a second probe. It survives the record's moves (a grow, a
+// backward shift) and dies with its admission: after an eviction, Delete,
+// sweep or Reset — and across the key's re-admission — RefreshAt on it is
+// a no-op. The zero Ref is never valid.
+type Ref[K comparable] struct {
+	slot int32 // the cell the record sat in when found
 	seq  uint64
+	key  K // finds the record again if it has moved since
 }
 
 // portState is the per-port side table backing constant-time flushes.
@@ -97,15 +99,14 @@ type portState struct {
 // TCP-Path — so they share this body and instantiate it per key type.
 // There is no routing protocol and no tree behind it (§1).
 //
-// Storage is a slab of records and an open-addressed key index pointing
-// into it (index.go, DESIGN.md §5): a hit is one index probe — a hash, a
-// mask and a compare, no runtime map call — and every rewrite of a
-// resident key — refresh, guard, re-lock, re-learn, even onto another
-// port — mutates its record in place, the way the NetFPGA lookup stage
-// rewrites state and timestamp at the matched address. Only admitting a new key or removing
-// one writes the index. Freed slots are reused before the slab grows, and
-// the sweeps walk the slab, so nothing observable (or allocated) depends
-// on the order of the index's buckets.
+// Storage is one open-addressed array of records (index.go, DESIGN.md
+// §5): a hit is one probe — a hash, a mask and a compare, no runtime map
+// call — landing on the record itself, and every rewrite of a resident
+// key — refresh, guard, re-lock, re-learn, even onto another port —
+// mutates that record in place, the way the NetFPGA lookup stage rewrites
+// state and timestamp at the matched address. Only admitting a new key or
+// removing one moves records, and nothing observable (or allocated)
+// depends on which cell a record sits in.
 //
 // Expiry is lazy (checked on access) and link failures are handled by
 // per-port generation counters, so no operation on the hot path scans the
@@ -123,11 +124,11 @@ type Table[K comparable] struct {
 	learnedTimeout time.Duration
 	capacity       int
 	junk           func(K) bool    // keys Lock/Learn must ignore; nil admits all
-	tracker        *Tracker[int32] // recency order over slab slots; nil for the timeout baseline
-	index          index[K]        // key → slab slot
-	slab           []slot[K]
-	free           []int32 // free slab slots, reused last-freed first
-	seq            uint64  // entries ever admitted; the newest slot incarnation
+	tracker        *Tracker[int32] // recency order over cells; nil for the timeout baseline
+	cells          []slot[K]       // the probe array: nil or a power-of-two length
+	n              int             // occupied cells
+	hash           func(K) uint64
+	seq            uint64 // entries ever admitted; the newest incarnation
 	ports          map[*netsim.Port]*portState
 	resident       int // stored entries whose port generation is current
 
@@ -160,9 +161,11 @@ func JunkMAC(key uint64) bool { return layers.KeyIsMulticast(key) || key == 0 }
 // New builds an empty table with the two timeouts — the short race window
 // for locked entries and the long lifetime for confirmed (learned) ones —
 // a capacity bound (the zero Config is the unbounded timeout baseline), an
-// optional junk predicate naming keys that must never pin a slot, and the
-// key index's hash (Mix64 or Mix128 over the key's words; index.go says
-// what it must be).
+// optional junk predicate naming keys that must never pin a record, and
+// the probe hash (Mix64 or Mix128 over the key's words; index.go says what
+// it must be). A capacity bound sizes the array once, here, up to
+// maxPresizeBytes, so a bounded table never grows (unless open race
+// windows push it over its bound; makeRoom).
 func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, junk func(K) bool, hash func(K) uint64) *Table[K] {
 	if lockTimeout <= 0 || learnedTimeout <= 0 {
 		panic("tables: timeouts must be positive")
@@ -175,8 +178,11 @@ func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, 
 		learnedTimeout: learnedTimeout,
 		capacity:       bound.Capacity,
 		junk:           junk,
-		index:          newIndex(hash, bound.Capacity),
+		hash:           hash,
 		ports:          make(map[*netsim.Port]*portState),
+	}
+	if bound.Capacity > 0 {
+		t.cells = make([]slot[K], presize[K](bound.Capacity))
 	}
 	if bound.Tracked() {
 		t.tracker = NewTracker[int32](bound.Policy)
@@ -207,11 +213,11 @@ func (t *Table[K]) port(p *netsim.Port) *portState {
 	return st
 }
 
-// evict removes the entry in slot i, maintaining the residency counters,
-// and frees the slot: its incarnation is zeroed, which is what kills every
-// Ref still naming it.
+// evict removes the record in cell i, maintaining the residency counters,
+// and closes the hole. Its incarnation leaves the table with it, which is
+// what kills every Ref still naming it.
 func (t *Table[K]) evict(i int32) {
-	s := &t.slab[i]
+	s := &t.cells[i]
 	if s.gen == s.ps.gen {
 		s.ps.live--
 		t.resident--
@@ -219,9 +225,8 @@ func (t *Table[K]) evict(i int32) {
 	if t.tracker != nil {
 		t.tracker.Remove(s.th)
 	}
-	t.index.del(s.key)
-	*s = slot[K]{}
-	t.free = append(t.free, i)
+	t.n--
+	t.shiftBack(i)
 }
 
 // maybeSweep runs the amortized corpse sweep: at most one full
@@ -250,13 +255,13 @@ func (t *Table[K]) makeRoom(now time.Duration) {
 	if t.tracker == nil || t.capacity <= 0 {
 		return
 	}
-	for rejects := RejectBudget; t.index.n >= t.capacity; {
+	for rejects := RejectBudget; t.n >= t.capacity; {
 		h, ok := t.tracker.Victim()
 		if !ok {
 			return
 		}
 		i := t.tracker.Key(h)
-		s := &t.slab[i]
+		s := &t.cells[i]
 		switch {
 		case s.dead(now):
 			t.evict(i)
@@ -272,44 +277,45 @@ func (t *Table[K]) makeRoom(now time.Duration) {
 	}
 }
 
-// store writes e under key, given the index probe (i, resident) the caller
+// store writes e under key, given the probe (i, resident) the caller
 // already paid for. A resident key — live, expired or corpse — is
-// rewritten in its slot, keeping its recency handle; a new key takes a
-// slot (after makeRoom enforced the bound) and enters the index. Either
-// way the residency counters, the recency tracker and the peak follow.
+// rewritten in its cell, keeping its recency handle; a new key is admitted
+// into the empty cell the probe ended on — probed again if makeRoom's
+// evictions or a grow have moved the run since. Either way the residency
+// counters, the recency tracker and the peak follow.
 func (t *Table[K]) store(key K, i int32, resident bool, e Entry, now time.Duration) {
 	if resident {
-		if s := &t.slab[i]; s.gen == s.ps.gen {
+		s := &t.cells[i]
+		if s.gen == s.ps.gen {
 			s.ps.live--
 			t.resident--
 		}
 		if t.tracker != nil {
-			t.tracker.Touch(t.slab[i].th)
+			t.tracker.Touch(s.th)
 		}
 	} else {
-		if t.capacity > 0 && t.index.n >= t.capacity {
+		if t.capacity > 0 && t.n >= t.capacity || 2*(t.n+1) > len(t.cells) {
 			t.makeRoom(now)
-		}
-		if n := len(t.free); n > 0 {
-			i, t.free = t.free[n-1], t.free[:n-1]
-		} else {
-			t.slab = append(t.slab, slot[K]{})
-			i = int32(len(t.slab) - 1)
+			if 2*(t.n+1) > len(t.cells) {
+				t.grow()
+			}
+			i, _ = t.probe(t.hash(key), key)
 		}
 		t.seq++
-		t.slab[i].key, t.slab[i].seq = key, t.seq
+		t.n++
+		s := &t.cells[i]
+		s.key, s.seq = key, t.seq
 		if t.tracker != nil {
-			t.slab[i].th = t.tracker.Insert(i)
+			s.th = t.tracker.Insert(i)
 		}
-		t.index.put(key, i)
-		if t.index.n > t.peak {
-			t.peak = t.index.n
+		if t.n > t.peak {
+			t.peak = t.n
 		}
 	}
 	st := t.port(e.Port)
 	st.live++
 	t.resident++
-	s := &t.slab[i]
+	s := &t.cells[i]
 	s.Entry, s.gen, s.ps = e, st.gen, st
 }
 
@@ -319,20 +325,20 @@ func (t *Table[K]) store(key K, i int32, resident bool, e Entry, now time.Durati
 // extends the lifetime through RefreshAt without looking the key up again.
 //
 //fabric:hotpath
-func (t *Table[K]) Find(key K, now time.Duration) (Ref, Entry, bool) {
-	i, ok := t.index.get(t.index.hash(key), key)
+func (t *Table[K]) Find(key K, now time.Duration) (Ref[K], Entry, bool) {
+	i, ok := t.probe(t.hash(key), key)
 	if !ok {
-		return Ref{}, Entry{}, false
+		return Ref[K]{}, Entry{}, false
 	}
-	s := &t.slab[i]
+	s := &t.cells[i]
 	if s.dead(now) {
 		t.evict(i)
-		return Ref{}, Entry{}, false
+		return Ref[K]{}, Entry{}, false
 	}
 	if t.tracker != nil {
 		t.tracker.Touch(s.th)
 	}
-	return Ref{slot: i, seq: s.seq}, s.Entry, true
+	return Ref[K]{slot: i, seq: s.seq, key: key}, s.Entry, true
 }
 
 // Get returns the live entry for key, evicting it lazily if expired or
@@ -351,7 +357,7 @@ func (t *Table[K]) Lock(key K, port *netsim.Port, now time.Duration) {
 		return
 	}
 	t.maybeSweep(now)
-	i, resident := t.index.get(t.index.hash(key), key)
+	i, resident := t.probe(t.hash(key), key)
 	t.store(key, i, resident, Entry{
 		Port:        port,
 		State:       StateLocked,
@@ -422,8 +428,8 @@ func (t *Table[K]) Race(key K, in *netsim.Port, now time.Duration, establishing 
 // Learn binds key to port in the learned state (path confirmed). A
 // confirmation on the entry's existing port preserves the remaining race
 // window so late flood copies stay filtered — and, when that entry is
-// live, touches nothing but its record: no counter moves and no index
-// write, which is the steady state of a learning switch's source learn.
+// live, touches nothing but its record: no counter moves and no record
+// moves, which is the steady state of a learning switch's source learn.
 //
 //fabric:hotpath
 func (t *Table[K]) Learn(key K, port *netsim.Port, now time.Duration) {
@@ -431,9 +437,9 @@ func (t *Table[K]) Learn(key K, port *netsim.Port, now time.Duration) {
 		return
 	}
 	t.maybeSweep(now)
-	i, resident := t.index.get(t.index.hash(key), key)
+	i, resident := t.probe(t.hash(key), key)
 	if resident {
-		if s := &t.slab[i]; s.Port == port && !s.dead(now) {
+		if s := &t.cells[i]; s.Port == port && !s.dead(now) {
 			s.State, s.Expires = StateLearned, now+t.learnedTimeout
 			if t.tracker != nil {
 				t.tracker.Touch(s.th)
@@ -444,11 +450,11 @@ func (t *Table[K]) Learn(key K, port *netsim.Port, now time.Duration) {
 	t.store(key, i, resident, Entry{Port: port, State: StateLearned, Expires: now + t.learnedTimeout}, now)
 }
 
-// refresh is the shared tail of Refresh and RefreshAt on a resident slot.
+// refresh is the shared tail of Refresh and RefreshAt on a resident record.
 //
 //fabric:hotpath
 func (t *Table[K]) refresh(i int32, now time.Duration) {
-	s := &t.slab[i]
+	s := &t.cells[i]
 	if s.dead(now) {
 		t.evict(i)
 		return
@@ -469,19 +475,22 @@ func (t *Table[K]) refresh(i int32, now time.Duration) {
 //
 //fabric:hotpath
 func (t *Table[K]) Refresh(key K, now time.Duration) {
-	if i, ok := t.index.get(t.index.hash(key), key); ok {
+	if i, ok := t.probe(t.hash(key), key); ok {
 		t.refresh(i, now)
 	}
 }
 
-// RefreshAt is Refresh on the record a Find returned, without the probe.
-// A Ref whose entry has since been removed (or whose slot now holds
-// another key) is ignored.
+// RefreshAt is Refresh on the record a Find returned, without the probe
+// while the record stays in its cell. A record that has moved since is
+// found again by key and matched by incarnation; a Ref whose admission has
+// since been removed is ignored.
 //
 //fabric:hotpath
-func (t *Table[K]) RefreshAt(r Ref, now time.Duration) {
-	if r.seq != 0 && int(r.slot) < len(t.slab) && t.slab[r.slot].seq == r.seq {
+func (t *Table[K]) RefreshAt(r Ref[K], now time.Duration) {
+	if r.seq != 0 && int(r.slot) < len(t.cells) && t.cells[r.slot].seq == r.seq {
 		t.refresh(r.slot, now)
+	} else if i, ok := t.probe(t.hash(r.key), r.key); ok && t.cells[i].seq == r.seq {
+		t.refresh(i, now) // a resident record's seq is never 0: the zero Ref matches nothing
 	}
 }
 
@@ -496,7 +505,7 @@ func (t *Table[K]) Guard(key K, now time.Duration) {
 	if !ok {
 		return
 	}
-	s := &t.slab[r.slot]
+	s := &t.cells[r.slot]
 	s.LockedUntil = now + t.lockTimeout
 	if s.Expires < s.LockedUntil {
 		s.Expires = s.LockedUntil
@@ -505,7 +514,7 @@ func (t *Table[K]) Guard(key K, now time.Duration) {
 
 // Delete removes key's entry (stale-path teardown during repair).
 func (t *Table[K]) Delete(key K) {
-	if i, ok := t.index.get(t.index.hash(key), key); ok {
+	if i, ok := t.probe(t.hash(key), key); ok {
 		t.evict(i)
 	}
 }
@@ -531,7 +540,7 @@ func (t *Table[K]) Len() int { return t.resident }
 // flushed-generation corpses awaiting reclamation: the table's actual
 // memory footprint, the quantity the capacity bound and the leak
 // regression tests are about.
-func (t *Table[K]) Entries() int { return t.index.n }
+func (t *Table[K]) Entries() int { return t.n }
 
 // Evictions returns the cumulative count of live entries force-evicted by
 // the capacity bound (corpse reclamation is not an eviction).
@@ -547,10 +556,8 @@ func (t *Table[K]) PeakEntries() int { return t.peak }
 // (evictions, peak occupancy) survive, and so does the incarnation
 // counter: a Ref taken before the Reset matches nothing after it.
 func (t *Table[K]) Reset() {
-	t.index.reset()
-	clear(t.slab)
-	t.slab = t.slab[:0]
-	t.free = t.free[:0]
+	clear(t.cells)
+	t.n = 0
 	clear(t.ports)
 	t.resident = 0
 	t.nextSweep = 0
@@ -567,11 +574,18 @@ func (t *Table[K]) Reset() {
 // left is live-generation). The dataplane never calls this directly; the
 // amortized sweep does, bounding memory for long-lived tables, and
 // experiments call it for exact counts.
+//
+// An eviction shifts a later record of the run into cell i, so the walk
+// looks at i again before moving on. Shifts only move records backward
+// into the hole, so every record not yet examined stays at or after i; one
+// that wraps from the array's start was examined at the start.
 func (t *Table[K]) FlushExpired(now time.Duration) {
-	for i := range t.slab {
-		if s := &t.slab[i]; s.seq != 0 && s.dead(now) {
+	for i := 0; i < len(t.cells); {
+		if s := &t.cells[i]; s.seq != 0 && s.dead(now) {
 			t.evict(int32(i))
+			continue
 		}
+		i++
 	}
 	for p, st := range t.ports {
 		if st.live == 0 {
@@ -588,9 +602,9 @@ func (t *Table[K]) FlushExpired(now time.Duration) {
 // path a flow has locked from it (Figure 1's bubbles) and the scenario
 // checker walks it per key.
 func (t *Table[K]) Snapshot(now time.Duration) map[K]Entry {
-	out := make(map[K]Entry, t.index.n)
-	for i := range t.slab {
-		if s := &t.slab[i]; s.seq != 0 && !s.dead(now) {
+	out := make(map[K]Entry, t.n)
+	for i := range t.cells {
+		if s := &t.cells[i]; s.seq != 0 && !s.dead(now) {
 			out[s.key] = s.Entry
 		}
 	}

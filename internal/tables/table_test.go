@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	hostpkg "repro/internal/host"
 	"repro/internal/layers"
@@ -24,7 +25,7 @@ func wideKey(i int) key128 { return key128{Hi: uint64(i + 1), Lo: uint64(i) << 3
 // pairOf is a Flow-Path-shaped key: two packed host MACs.
 func pairOf(i int) key128 { return key128{Hi: macKey(i), Lo: macKey(i + 1<<20)} }
 
-// hashOf returns the index hash the fabric pairs with each key shape:
+// hashOf returns the probe hash the fabric pairs with each key shape:
 // Mix64 for packed MACs, Mix128 over the halves of a pair.
 func hashOf[K comparable]() func(K) uint64 {
 	var h any = Mix64
@@ -59,15 +60,17 @@ func testPorts(n int) []*netsim.Port {
 }
 
 // checkAccounting asserts the bookkeeping every operation must preserve:
-// resident ≤ map size, and one tracker node per map entry.
+// resident ≤ stored records, one tracker node per record, and the probe
+// array's own structure (checkCells).
 func checkAccounting[K comparable](t *testing.T, tb *Table[K]) {
 	t.Helper()
 	if tb.Len() > tb.Entries() {
-		t.Fatalf("resident %d exceeds map size %d", tb.Len(), tb.Entries())
+		t.Fatalf("resident %d exceeds stored records %d", tb.Len(), tb.Entries())
 	}
 	if tb.tracker != nil && tb.tracker.Len() != tb.Entries() {
-		t.Fatalf("tracker holds %d keys, map %d", tb.tracker.Len(), tb.Entries())
+		t.Fatalf("tracker holds %d keys, table %d", tb.tracker.Len(), tb.Entries())
 	}
+	checkCells(t, tb)
 }
 
 // TestGuardedNeverEvicted is the race-window property: under randomized
@@ -116,7 +119,7 @@ func guardedNeverEvicted[K comparable](t *testing.T, policy Policy, key func(int
 					delete(lockedAt, k) // window closed
 					continue
 				}
-				if _, ok := tb.index.get(tb.index.hash(k), k); !ok {
+				if _, ok := tb.probe(tb.hash(k), k); !ok {
 					t.Fatalf("op %d: key %v evicted inside its race window (locked at %v, now %v)", i, k, at, now)
 				}
 			}
@@ -327,11 +330,17 @@ func resetKeepsLifetimeCounters[K comparable](t *testing.T, policy Policy, key f
 
 // TestStaleRefNeverRefreshesAnotherEntry: a Ref dies with its entry. Held
 // across an eviction, a Delete, a sweep, a Reset or a FlushPort — and
-// across the slot's reuse by another key — RefreshAt must leave whatever
-// lives in the slab now exactly as it was.
+// across another key's admission into the very cell it names — RefreshAt
+// must leave whatever lives in the table now exactly as it was.
 func TestStaleRefNeverRefreshesAnotherEntry(t *testing.T) {
 	matrix(t, staleRef[uint64], staleRef[key128])
 }
+
+// homeZero homes every key at cell 0: whatever the table holds is one run
+// from the array's start, so the first admission into an empty table
+// retakes the cell its predecessor sat in, and a delete at the head shifts
+// the whole run.
+func homeZero[K comparable](K) uint64 { return 0 }
 
 func staleRef[K comparable](t *testing.T, policy Policy, key func(int) K) {
 	const lifetime = time.Second
@@ -350,7 +359,7 @@ func staleRef[K comparable](t *testing.T, policy Policy, key func(int) K) {
 			tb.FlushExpired(at)
 		},
 	} {
-		tb := New[K](time.Millisecond, lifetime, Config{Capacity: 1, Policy: policy}, nil, hashOf[K]())
+		tb := New(time.Millisecond, lifetime, Config{Capacity: 1, Policy: policy}, nil, homeZero[K])
 		now := 10 * time.Millisecond
 		tb.Learn(key(0), ports[0], now)
 		stale, _, ok := tb.Find(key(0), now)
@@ -362,22 +371,29 @@ func staleRef[K comparable](t *testing.T, policy Policy, key func(int) K) {
 			t.Fatalf("%s: fixture: %d entries survive the kill", name, tb.Entries())
 		}
 
-		// The slot's next tenant: another key, another port.
+		// The cell's next tenant: another key, another port.
 		tb.Learn(key(1), ports[1], now)
 		fresh, before, _ := tb.Find(key(1), now)
 		if fresh.slot != stale.slot {
-			t.Fatalf("%s: fixture: the freed slot was not reused (slot %d, then %d)", name, stale.slot, fresh.slot)
+			t.Fatalf("%s: fixture: the cell was not retaken (cell %d, then %d)", name, stale.slot, fresh.slot)
 		}
 		later := now + lifetime/2
 		tb.RefreshAt(stale, later)
 		if after, ok := tb.Get(key(1), later); !ok || after != before {
-			t.Fatalf("%s: a stale Ref rewrote the slot's new tenant: %+v -> %+v (ok=%v)", name, before, after, ok)
+			t.Fatalf("%s: a stale Ref rewrote the cell's new tenant: %+v -> %+v (ok=%v)", name, before, after, ok)
 		}
 		// The live Ref still works, and the zero Ref never does.
-		tb.RefreshAt(Ref{}, later)
+		tb.RefreshAt(Ref[K]{}, later)
 		tb.RefreshAt(fresh, later)
 		if after, _ := tb.Get(key(1), later); after.Expires != later+lifetime {
 			t.Fatalf("%s: live Ref did not refresh: expires %v, want %v", name, after.Expires, later+lifetime)
+		}
+		// Nor does the stale Ref refresh its own key's next admission.
+		tb.Learn(key(0), ports[0], later)
+		readmitted, _ := tb.Get(key(0), later)
+		tb.RefreshAt(stale, later+lifetime/4)
+		if after, _ := tb.Get(key(0), later); after != readmitted {
+			t.Fatalf("%s: a stale Ref refreshed its key's next admission: %+v -> %+v", name, readmitted, after)
 		}
 		checkAccounting(t, tb)
 	}
@@ -391,6 +407,96 @@ func staleRef[K comparable](t *testing.T, policy Policy, key func(int) K) {
 	tb.RefreshAt(r, time.Millisecond)
 	if _, ok := tb.Get(key(0), time.Millisecond); ok || tb.Len() != 0 {
 		t.Fatal("RefreshAt resurrected an entry behind a flushed port")
+	}
+}
+
+// TestRefSurvivesMoves: a record moves when the array grows and when a
+// delete shifts its run back, and a Ref held across the move still
+// refreshes exactly its own entry — found again by key, matched by
+// incarnation — while one whose entry has gone refreshes nothing.
+func TestRefSurvivesMoves(t *testing.T) {
+	matrix(t, refSurvivesMoves[uint64], refSurvivesMoves[key128])
+}
+
+func refSurvivesMoves[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const lifetime = time.Second
+	ports := testPorts(1)
+	now, later := 10*time.Millisecond, 500*time.Millisecond
+	// refreshOnly applies r at later and requires that exactly want's entry
+	// (if any) moved its deadline, every other key's entry standing still.
+	refreshOnly := func(tb *Table[K], r Ref[K], want int, keys int) {
+		t.Helper()
+		before := tb.Snapshot(later)
+		tb.RefreshAt(r, later)
+		for i := 0; i < keys; i++ {
+			e, ok := tb.Get(key(i), later)
+			if b, had := before[key(i)]; ok != had || (i != want && e != b) {
+				t.Fatalf("key %d: %+v -> %+v (ok %v→%v)", i, b, e, had, ok)
+			}
+			if i == want && e.Expires != later+lifetime {
+				t.Fatalf("key %d: expires %v, want %v", i, e.Expires, later+lifetime)
+			}
+		}
+		checkAccounting(t, tb)
+	}
+
+	t.Run("grow", func(t *testing.T) {
+		// Every key homes at firstCells: cell 0 of the first array, cell
+		// firstCells once the array has doubled.
+		tb := New(time.Millisecond, lifetime, Config{Policy: policy}, nil, func(K) uint64 { return firstCells })
+		tb.Learn(key(0), ports[0], now)
+		r, _, _ := tb.Find(key(0), now)
+		keys := 1
+		for ; len(tb.cells) == firstCells; keys++ {
+			tb.Learn(key(keys), ports[0], now)
+		}
+		if tb.cells[r.slot].seq == r.seq {
+			t.Fatalf("fixture: %d cells, record still in cell %d", len(tb.cells), r.slot)
+		}
+		refreshOnly(tb, r, 0, keys)
+	})
+	t.Run("shift", func(t *testing.T) {
+		tb := New(time.Millisecond, lifetime, Config{Policy: policy}, nil, homeZero[K])
+		for i := 0; i < 3; i++ {
+			tb.Learn(key(i), ports[0], now)
+		}
+		r, _, _ := tb.Find(key(2), now)
+		tb.Delete(key(0)) // key(1) and key(2) shift back a cell
+		if tb.cells[r.slot].seq == r.seq {
+			t.Fatalf("fixture: record still in cell %d", r.slot)
+		}
+		refreshOnly(tb, r, 2, 3)
+
+		tb.Delete(key(2))
+		tb.Learn(key(3), ports[0], now) // retakes the record's first cell
+		refreshOnly(tb, r, -1, 4)
+		tb.Learn(key(2), ports[0], now) // the key again, a new admission
+		refreshOnly(tb, r, -1, 4)
+	})
+}
+
+// TestCapacityReservesAtMostTwoMiB: a spec's table_capacity sizes the probe
+// array at construction, but only up to maxPresizeBytes — a thousand
+// bridges told "a million entries each" must not reserve gigabytes before
+// the first frame. Past the reservation the table grows like an unbounded
+// one, and the bound still holds.
+func TestCapacityReservesAtMostTwoMiB(t *testing.T) {
+	matrix(t, capacityReservesAtMost[uint64], capacityReservesAtMost[key128])
+}
+
+func capacityReservesAtMost[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const capacity = 1 << 20
+	tb := New[K](time.Millisecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil, hashOf[K]())
+	if reserved := cap(tb.cells) * int(unsafe.Sizeof(tb.cells[0])); reserved > 2<<20 || reserved <= 1<<20 {
+		t.Fatalf("New reserves %d bytes for capacity %d, want (1 MiB, 2 MiB]", reserved, capacity)
+	}
+	ports := testPorts(1)
+	reserved, n := len(tb.cells), 2*len(tb.cells) // twice what the reservation holds at load 1/2
+	for i := range n {
+		tb.Learn(key(i), ports[0], 0)
+	}
+	if tb.Entries() != n || len(tb.cells) <= reserved || tb.Evictions() != 0 {
+		t.Fatalf("%d keys learned: %d entries, %d evictions, array %d → %d cells", n, tb.Entries(), tb.Evictions(), reserved, len(tb.cells))
 	}
 }
 
@@ -427,9 +533,9 @@ func TestHitPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestBoundedChurnDoesNotAllocate: a bounded table's index is sized from
-// its capacity at construction, and slab slots, tracker nodes and index
-// buckets are all recycled — so once the table has filled, admitting a
+// TestBoundedChurnDoesNotAllocate: a bounded table's probe array is sized
+// from its capacity at construction, and cells and tracker nodes are
+// recycled — so once the table has filled, admitting a
 // never-seen key by evicting the coldest one (discovery_churn's regime,
 // and what a MAC-flooding station does to a switch) allocates nothing.
 func TestBoundedChurnDoesNotAllocate(t *testing.T) {
@@ -440,7 +546,7 @@ func boundedChurnDoesNotAllocate[K comparable](t *testing.T, policy Policy, key 
 	const capacity = 256
 	ports := testPorts(2)
 	tb := New[K](time.Microsecond, time.Hour, Config{Capacity: capacity, Policy: policy}, nil, hashOf[K]())
-	buckets := len(tb.index.buckets)
+	cells := len(tb.cells)
 	now, i := time.Duration(0), 0
 	admit := func() {
 		now += time.Millisecond // past the previous key's race window: the victim is evictable
@@ -457,9 +563,9 @@ func boundedChurnDoesNotAllocate[K comparable](t *testing.T, policy Policy, key 
 	if avg := testing.AllocsPerRun(20*capacity, admit); avg != 0 {
 		t.Fatalf("insert+evict at capacity allocates %.2f per key", avg)
 	}
-	if tb.Entries() != capacity || tb.Evictions() == 0 || len(tb.index.buckets) != buckets {
-		t.Fatalf("%d entries (bound %d), %d evictions, index %d → %d buckets",
-			tb.Entries(), capacity, tb.Evictions(), buckets, len(tb.index.buckets))
+	if tb.Entries() != capacity || tb.Evictions() == 0 || len(tb.cells) != cells {
+		t.Fatalf("%d entries (bound %d), %d evictions, array %d → %d cells",
+			tb.Entries(), capacity, tb.Evictions(), cells, len(tb.cells))
 	}
 }
 

@@ -46,6 +46,10 @@ func (t *Tracker[K]) Len() int { return t.n }
 // Key returns the key stored under h.
 func (t *Tracker[K]) Key(h Handle) K { return t.nodes[h].key }
 
+// Rekey changes the key stored under h, leaving its recency alone: the
+// table calls it when a record moves to another cell.
+func (t *Tracker[K]) Rekey(h Handle, k K) { t.nodes[h].key = k }
+
 // alloc takes a node off the free list, growing the arena when empty.
 func (t *Tracker[K]) alloc() int32 {
 	if t.free != 0 {
