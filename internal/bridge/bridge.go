@@ -32,22 +32,30 @@ type Protocol interface {
 	OnStart()
 }
 
-// Chassis implements netsim.Node on behalf of a bridge protocol.
+// Chassis implements netsim.Node on behalf of a bridge protocol. A bridge
+// embeds it by value and builds it in place (Init), so the fields every
+// frame reads — dispatch, clock, the hairpin rule's peers and the flood's
+// ports, with inline storage for the first four of each — share the
+// bridge's one allocation. Never copy a Chassis once Init has run: its
+// slices point into itself.
 type Chassis struct {
+	proto Protocol
+	sched *sim.Proc
+	peers []peer // what HELLOs taught about each port, indexed by Port.Index()
+	ports []*netsim.Port
+
+	peerBuf [4]peer
+	portBuf [4]*netsim.Port
+
 	net   *netsim.Network
 	name  string
 	numID int
 	mac   layers.MAC
-	proto Protocol
-
-	ports []*netsim.Port
-	peers []peer // what HELLOs taught about each port, indexed by Port.Index()
 
 	// HelloEnabled turns on neighbour discovery. ARP-Path bridges enable
 	// it; the STP and learning baselines do not need it.
 	HelloEnabled bool
 
-	sched *sim.Proc
 	rng   *rand.Rand
 	stats ChassisStats
 }
@@ -69,16 +77,17 @@ type ChassisStats struct {
 	Flooded        uint64 // frames flooded by FloodExcept
 }
 
-// NewChassis builds a chassis for the named bridge. numID seeds the bridge
-// MAC (layers.BridgeMAC) and the PathCtl bridge identifier.
-func NewChassis(net *netsim.Network, name string, numID int, proto Protocol) *Chassis {
-	return &Chassis{
+// Init builds, in place, the chassis of the named bridge. numID seeds the
+// bridge MAC (layers.BridgeMAC) and the PathCtl bridge identifier.
+func (c *Chassis) Init(net *netsim.Network, name string, numID int, proto Protocol) {
+	*c = Chassis{
+		proto: proto,
 		net:   net,
 		name:  name,
 		numID: numID,
 		mac:   layers.BridgeMAC(numID),
-		proto: proto,
 	}
+	c.peers, c.ports = c.peerBuf[:0], c.portBuf[:0]
 }
 
 // Name implements netsim.Node.

@@ -21,14 +21,14 @@ func (s *stubProto) OnStart()                                { s.started++ }
 
 // stubBridge couples a chassis with a stub protocol as a netsim.Node.
 type stubBridge struct {
-	*Chassis
+	Chassis
 	proto *stubProto
 }
 
 func newStubBridge(net *netsim.Network, name string, id int, hello bool) *stubBridge {
 	p := &stubProto{}
 	b := &stubBridge{proto: p}
-	b.Chassis = NewChassis(net, name, id, p)
+	b.Init(net, name, id, p)
 	b.HelloEnabled = hello
 	return b
 }

@@ -27,7 +27,7 @@ func newRepairRig(limit int) *repairRig {
 	r := &repairRig{net: netsim.NewNetwork(1), out: &sink{name: "out"}}
 	r.br = newStubBridge(r.net, "br", 1, false)
 	r.net.Connect(r.br, r.out, cfg())
-	r.q = NewRepairs[int](r.br.Chassis, rigTimeout, limit, &r.dropped)
+	r.q = NewRepairs[int](&r.br.Chassis, rigTimeout, limit, &r.dropped)
 	r.base = r.net.LiveFrames()
 	return r
 }

@@ -134,9 +134,8 @@ func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, pr
 	if proto == nil {
 		proto = b
 	}
-	b.Discovery = NewDiscovery(net, name, numID, proto,
-		NewBoundedLockTable(cfg.LockTimeout.D(), cfg.LearnedTimeout.D(), bound))
-	b.repairs = bridge.NewRepairs[uint64](b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.stats.RepairDropped)
+	b.Discovery.Init(net, name, numID, proto, cfg.LockTimeout.D(), cfg.LearnedTimeout.D(), bound)
+	b.repairs = bridge.NewRepairs[uint64](&b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.stats.RepairDropped)
 	if cfg.Proxy {
 		b.proxy = newProxyCache(cfg.ProxyTimeout.D())
 	}
@@ -145,12 +144,12 @@ func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, pr
 
 // Table exposes the locking table; experiments use it to reconstruct
 // locked paths (Figure 1) and to measure table sizes.
-func (b *Bridge) Table() *LockTable { return b.hosts }
+func (b *Bridge) Table() *LockTable { return &b.hosts }
 
 // PathTables lists the bridge's path tables behind the key-independent
 // view the harnesses count and sweep; index 0 is the table the capacity
 // bound applies to (variants put their pair or connection table there).
-func (b *Bridge) PathTables() []tables.View { return []tables.View{b.hosts} }
+func (b *Bridge) PathTables() []tables.View { return []tables.View{&b.hosts} }
 
 // Config returns the bridge configuration.
 func (b *Bridge) Config() Config { return b.cfg }

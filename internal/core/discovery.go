@@ -68,24 +68,29 @@ type Stats struct {
 // it and says so by adding Table() and EntryFor; Flow-Path must not gain
 // those by promotion, or the scenario checker would walk its transient
 // race locks as forwarding state.
+//
+// The chassis and the table are stored by value: a variant embeds
+// Discovery by value too, so one allocation holds everything a frame
+// crossing the bridge reads (DESIGN.md §5, "What one hop touches").
 type Discovery struct {
-	*bridge.Chassis
-	hosts *LockTable
+	bridge.Chassis
+	hosts LockTable
 	stats Stats
 }
 
-// NewDiscovery builds the shared layer of a bridge whose chassis
-// dispatches to proto (the embedding variant), racing floods on hosts.
-// HELLO neighbour discovery is on: repair needs to tell edge ports from
-// trunks.
-func NewDiscovery(net *netsim.Network, name string, numID int, proto bridge.Protocol, hosts *LockTable) Discovery {
-	c := bridge.NewChassis(net, name, numID, proto)
-	c.HelloEnabled = true
-	return Discovery{Chassis: c, hosts: hosts}
+// Init builds, in place, the shared layer of a bridge whose chassis
+// dispatches to proto (the embedding variant), racing floods on a
+// per-source table with the two timeouts and bound. HELLO neighbour
+// discovery is on: repair needs to tell edge ports from trunks. Never copy
+// a Discovery once Init has run.
+func (d *Discovery) Init(net *netsim.Network, name string, numID int, proto bridge.Protocol, lockTimeout, learnedTimeout time.Duration, bound tables.Config) {
+	d.Chassis.Init(net, name, numID, proto)
+	d.HelloEnabled = true
+	d.hosts.init(lockTimeout, learnedTimeout, bound)
 }
 
 // Hosts exposes the per-source table (experiments, checker, variants).
-func (d *Discovery) Hosts() *LockTable { return d.hosts }
+func (d *Discovery) Hosts() *LockTable { return &d.hosts }
 
 // Stats returns a snapshot of the protocol counters.
 func (d *Discovery) Stats() Stats { return d.stats }

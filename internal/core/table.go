@@ -57,7 +57,15 @@ func NewLockTable(lockTimeout, learnedTimeout time.Duration) *LockTable {
 // timeout baseline (exactly NewLockTable). Multicast and zero MACs are
 // never bound.
 func NewBoundedLockTable(lockTimeout, learnedTimeout time.Duration, bound tables.Config) *LockTable {
-	return &LockTable{*tables.New(lockTimeout, learnedTimeout, bound, tables.JunkMAC, tables.Mix64)}
+	t := new(LockTable)
+	t.init(lockTimeout, learnedTimeout, bound)
+	return t
+}
+
+// init builds the table NewBoundedLockTable returns in place, for a bridge
+// that stores its table inside itself.
+func (t *LockTable) init(lockTimeout, learnedTimeout time.Duration, bound tables.Config) {
+	t.Table.Init(lockTimeout, learnedTimeout, bound, tables.JunkMAC, tables.Mix64)
 }
 
 // GetKey returns the live entry for a packed key.

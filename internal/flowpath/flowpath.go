@@ -120,8 +120,8 @@ func New(net *netsim.Network, name string, numID int, cfg Config) *Bridge {
 		// applies (multicast or zero halves never pin a slot).
 		pairs: NewBoundedPairTable(cfg.LockTimeout.D(), cfg.PairTimeout.D(), bound, true),
 	}
-	b.Discovery = core.NewDiscovery(net, name, numID, b, core.NewLockTable(cfg.LockTimeout.D(), cfg.HostTimeout.D()))
-	b.repairs = bridge.NewRepairs[PairKey](b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.Count().RepairDropped)
+	b.Discovery.Init(net, name, numID, b, cfg.LockTimeout.D(), cfg.HostTimeout.D(), tables.Config{})
+	b.repairs = bridge.NewRepairs[PairKey](&b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.Count().RepairDropped)
 	return b
 }
 

@@ -45,7 +45,8 @@ type arpPending struct {
 	timer     *sim.Timer
 }
 
-// arpCache is the host's ARP cache and resolution engine.
+// arpCache is the host's ARP cache and resolution engine, stored inside
+// its Host.
 type arpCache struct {
 	h       *Host
 	cfg     ARPConfig
@@ -53,8 +54,9 @@ type arpCache struct {
 	pending map[layers.Addr4]*arpPending
 }
 
-func newARPCache(h *Host, cfg ARPConfig) *arpCache {
-	return &arpCache{
+// init builds the cache of host h in place.
+func (c *arpCache) init(h *Host, cfg ARPConfig) {
+	*c = arpCache{
 		h:       h,
 		cfg:     cfg,
 		entries: make(map[layers.Addr4]arpEntry),

@@ -45,7 +45,7 @@ type Host struct {
 
 	proc  *sim.Proc
 	rng   *rand.Rand
-	arp   *arpCache
+	arp   arpCache
 	icmp  *icmpEndpoint
 	udp   map[uint16]*UDPSocket
 	tcp   *tcpHost
@@ -70,7 +70,7 @@ func New(net *netsim.Network, name string, n int) *Host {
 		udp:   make(map[uint16]*UDPSocket),
 		txBuf: layers.NewSerializeBuffer(),
 	}
-	h.arp = newARPCache(h, DefaultARPConfig())
+	h.arp.init(h, DefaultARPConfig())
 	h.icmp = newICMPEndpoint(h)
 	h.tcp = newTCPHost(h)
 	net.AddNode(h)
@@ -99,7 +99,7 @@ func (h *Host) Stats() Stats { return h.stats }
 
 // ARP returns the host's ARP resolver (exposed for experiments measuring
 // cache behaviour).
-func (h *Host) ARP() *ARPView { return &ARPView{h.arp} }
+func (h *Host) ARP() *ARPView { return &ARPView{&h.arp} }
 
 // now returns the current virtual time (the host's shard clock).
 func (h *Host) now() time.Duration { return h.proc.Now() }

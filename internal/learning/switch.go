@@ -59,7 +59,7 @@ type Stats struct {
 // bridges with STP converged; on looped topologies it melts down — which
 // the tests demonstrate on purpose.
 type Switch struct {
-	*bridge.Chassis
+	bridge.Chassis
 	fib   *Table
 	stats Stats
 }
@@ -77,7 +77,7 @@ func NewWithConfig(net *netsim.Network, name string, numID int, cfg Config) *Swi
 	}
 	bound, _ := tables.ParseConfig(cfg.TableCapacity, cfg.TablePolicy) // Check vetted it
 	s := &Switch{}
-	s.Chassis = bridge.NewChassis(net, name, numID, s)
+	s.Init(net, name, numID, s)
 	s.fib = NewBoundedTable(cfg.Aging.D(), bound)
 	return s
 }

@@ -37,7 +37,9 @@ func NewBoundedTable(aging time.Duration, bound tables.Config) *Table {
 	if aging <= 0 {
 		aging = DefaultAging
 	}
-	return &Table{*tables.New(aging, aging, bound, tables.JunkMAC, tables.Mix64)}
+	t := new(Table)
+	t.Init(aging, aging, bound, tables.JunkMAC, tables.Mix64)
+	return t
 }
 
 // SetAging changes the aging time for future learns. 802.1D shortens it to

@@ -13,6 +13,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,7 +137,8 @@ type Network struct {
 	links  []*Link
 	taps   []TapFunc
 	procs  map[string]*sim.Proc
-	owners uint64 // scheduling-identity allocator; id 0 is the root driver
+	slab   []sim.Proc // the current chunk node identities are carved from
+	owners uint64     // scheduling-identity allocator; id 0 is the root driver
 	live   atomic.Int64
 
 	co *coordinator // non-nil once Partition sharded the fabric
@@ -166,8 +168,17 @@ func (n *Network) AddNode(node Node) {
 	n.byNam[node.Name()] = node
 	n.nodes = append(n.nodes, node)
 	n.owners++
-	n.procs[node.Name()] = sim.NewProc(n.Engine, n.owners)
+	if len(n.slab) == cap(n.slab) {
+		n.slab = make([]sim.Proc, 0, procChunk)
+	}
+	n.slab = n.slab[:len(n.slab)+1]
+	p := &n.slab[len(n.slab)-1]
+	p.Init(n.Engine, n.owners)
+	n.procs[node.Name()] = p
 }
+
+// procChunk is how many node identities share one allocation.
+const procChunk = 64
 
 // Proc returns the scheduling identity of the named node: the handle its
 // code must use for every timer and event it creates, so the event order
@@ -247,27 +258,27 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) *Link {
 		}
 	}
 	l := &Link{net: n, cfg: cfg, up: true, idx: len(n.links)}
-	ia := n.nports[a]
-	n.nports[a]++
-	ib := n.nports[b] // after a's increment so self-loops get distinct indices
-	n.nports[b]++
-	l.ports[0] = &Port{node: a, index: ia, link: l, side: 0}
-	l.ports[1] = &Port{node: b, index: ib, link: l, side: 1}
-	for _, p := range l.ports {
-		p.str = fmt.Sprintf("%s[%d]", p.node.Name(), p.index)
+	for side, node := range [2]Node{a, b} {
+		// b's index is read after a's increment, so self-loops get
+		// distinct indices.
+		p := &l.ports[side]
+		*p = Port{link: l, node: node, side: side, index: n.nports[node]}
+		n.nports[node]++
+		p.str = node.Name() + "[" + strconv.Itoa(p.index) + "]"
 		p.nameHash = fnvString(p.str)
+		// Each direction transmits under its own identity: flight events
+		// are keyed by (link direction, per-direction sequence), both
+		// functions of the sending side's deterministic history alone, so
+		// delivery order is the same whether the link is intra-shard or a
+		// shard boundary.
+		n.owners++
+		l.proc[side].Init(n.Engine, n.owners)
+		l.first[side] = flight{link: l, from: p}
+		l.dir[side].free = &l.first[side]
 	}
-	// Each direction transmits under its own identity: flight events are
-	// keyed by (link direction, per-direction sequence), both functions of
-	// the sending side's deterministic history alone, so delivery order is
-	// the same whether the link is intra-shard or a shard boundary.
-	n.owners++
-	l.proc[0] = sim.NewProc(n.Engine, n.owners)
-	n.owners++
-	l.proc[1] = sim.NewProc(n.Engine, n.owners)
 	n.links = append(n.links, l)
-	a.AttachPort(l.ports[0])
-	b.AttachPort(l.ports[1])
+	a.AttachPort(&l.ports[0])
+	b.AttachPort(&l.ports[1])
 	return l
 }
 
@@ -400,14 +411,15 @@ type PortStats struct {
 	DropsLoss         uint64 // frames lost to unidirectional degradation
 }
 
-// Port is one end of a link, owned by a node.
+// Port is one end of a link, owned by a node and stored inside its Link.
+// The fields every frame reads come first; the tracing-only ones last.
 type Port struct {
-	node  Node
-	index int
 	link  *Link
+	node  Node
 	side  int
-	str   string // cached String(): node name and index are fixed at cabling
+	index int
 	stats PortStats
+	str   string // cached String(): node name and index are fixed at cabling
 	// nameHash is FNV-1a(str), what TapFingerprint folds for this port.
 	nameHash uint64
 }
@@ -422,7 +434,7 @@ func (p *Port) Index() int { return p.index }
 func (p *Port) Link() *Link { return p.link }
 
 // Peer returns the port at the other end of the link.
-func (p *Port) Peer() *Port { return p.link.ports[1-p.side] }
+func (p *Port) Peer() *Port { return &p.link.ports[1-p.side] }
 
 // Up reports whether the attached link is up.
 func (p *Port) Up() bool { return p.link.up }
@@ -484,17 +496,21 @@ type linkDir struct {
 	free        *flight       // recycled flights of this direction, threaded through next
 }
 
-// Link is a full-duplex point-to-point Ethernet link.
+// Link is a full-duplex point-to-point Ethernet link: one allocation
+// holding both ports, both direction identities and each direction's
+// first flight, with the fields every frame reads first (DESIGN.md §5,
+// "What one hop touches"). Connect builds it in place; it is never copied.
 type Link struct {
 	net   *Network
-	cfg   LinkConfig
-	ports [2]*Port
-	proc  [2]*sim.Proc // per-direction transmit identity (side = sender)
-	shard [2]int       // shard of each side's node (set by Partition)
+	proc  [2]sim.Proc // per-direction transmit identity (side = sender)
 	dir   [2]linkDir
-	idx   int // creation order; seeds the per-direction loss RNGs
+	cfg   LinkConfig
 	up    bool
 	epoch uint64 // bumped on every up/down transition; kills in-flight frames
+	shard [2]int // shard of each side's node (set by Partition)
+	ports [2]Port
+	first [2]flight // each direction's first flight, on its free list from cabling
+	idx   int       // creation order; seeds the per-direction loss RNGs
 }
 
 // Config returns the link's configuration.
@@ -504,17 +520,17 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 func (l *Link) Up() bool { return l.up }
 
 // A returns the first-cabled port, B the second.
-func (l *Link) A() *Port { return l.ports[0] }
+func (l *Link) A() *Port { return &l.ports[0] }
 
 // B returns the second-cabled port.
-func (l *Link) B() *Port { return l.ports[1] }
+func (l *Link) B() *Port { return &l.ports[1] }
 
 // Ports returns both ends, A first.
-func (l *Link) Ports() [2]*Port { return l.ports }
+func (l *Link) Ports() [2]*Port { return [2]*Port{&l.ports[0], &l.ports[1]} }
 
 // String renders "a[i]<->b[j]".
 func (l *Link) String() string {
-	return fmt.Sprintf("%s<->%s", l.ports[0], l.ports[1])
+	return fmt.Sprintf("%s<->%s", &l.ports[0], &l.ports[1])
 }
 
 // BusyTime returns the cumulative serialization time in the direction away
@@ -576,7 +592,8 @@ func (l *Link) SetUp(up bool) {
 		l.dir[i].busyUntil = now
 		l.dir[i].queuedBytes = 0
 	}
-	for _, p := range l.ports {
+	for i := range l.ports {
+		p := &l.ports[i]
 		p.node.PortStatusChanged(p, up)
 	}
 }
@@ -592,7 +609,7 @@ func (l *Link) SetUp(up bool) {
 // sending side's shard (the txDone and local-arrival events run under the
 // direction's own Proc), so recycling needs no synchronization and no
 // sync.Pool pin per frame. A direction holds as many flights as it ever
-// had in transit at once.
+// had in transit at once; the first of them is stored in the link itself.
 type flight struct {
 	eng   *sim.Engine // the shard engine executing this flight's events
 	link  *Link
@@ -755,7 +772,7 @@ func serTime(rate int64, wire int) time.Duration {
 //
 //fabric:hotpath
 func (l *Link) transmit(from *Port, f *Frame) {
-	p := l.proc[from.side]
+	p := &l.proc[from.side]
 	e := p.Engine()
 	now := e.Now()
 	wire := layers.WireBytes(f.Len())

@@ -368,7 +368,7 @@ func (co *coordinator) inject(to int, rec *remoteRec) {
 	rf := remoteFlightPool.Get().(*remoteFlight)
 	rf.eng = co.shards[to]
 	rf.link = rec.link
-	rf.from = rec.link.ports[rec.side]
+	rf.from = &rec.link.ports[rec.side]
 	rf.frame = rec.frame
 	rf.epoch = rec.epoch
 	co.shards[to].ScheduleKeyed(rec.key, rf, 0)

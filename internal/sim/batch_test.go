@@ -117,7 +117,8 @@ func runRandomWorkload(t *testing.T, seed int64, batched, sliced bool) workloadR
 	procs := make([]*Proc, 8)
 	seqs := make([]uint64, len(procs)) // the model's per-owner sequence counters
 	for i := range procs {
-		procs[i] = NewProc(e, uint64(i+1))
+		procs[i] = new(Proc)
+		procs[i].Init(e, uint64(i+1))
 	}
 	r := workloadRun{canceled: map[int]bool{}, early: map[int]bool{}}
 	pending := map[int]bool{} // the model's queue: tags neither run nor canceled
@@ -328,7 +329,8 @@ func TestFarTierEdges(t *testing.T) {
 		run  func(t *testing.T, e *Engine)
 	}{
 		{"head reads with the near heap empty", func(t *testing.T, e *Engine) {
-			p := NewProc(e, 4)
+			p := new(Proc)
+			p.Init(e, 4)
 			dead := p.At(far/2, nop)
 			p.Schedule(far, nop)
 			dead.Stop()
@@ -500,7 +502,8 @@ func TestSpillOverflowKeepsOrder(t *testing.T) {
 	const owners = 64
 	procs := make([]*Proc, owners)
 	for i := range procs {
-		procs[i] = NewProc(e, uint64(i+1))
+		procs[i] = new(Proc)
+		procs[i].Init(e, uint64(i+1))
 	}
 	var log []execRecord
 	record := func() { log = append(log, keyRecord(e.CurKey())) }

@@ -307,13 +307,16 @@ type Proc struct {
 	seq uint64
 }
 
-// NewProc creates a scheduling identity with the given globally unique id
-// on engine e. Id 0 is reserved for the engine's own root identity.
-func NewProc(e *Engine, id uint64) *Proc {
+// Init makes p the scheduling identity with the given globally unique id
+// on engine e, in place: its owners hold their identities inside
+// themselves (a link's two directions, the network's slab of node
+// identities) instead of allocating one object each. Id 0 is reserved for
+// the engine's own root identity.
+func (p *Proc) Init(e *Engine, id uint64) {
 	if id == 0 {
 		panic("sim: Proc id 0 is reserved for the engine root")
 	}
-	return &Proc{eng: e, id: id}
+	*p = Proc{eng: e, id: id}
 }
 
 // Rebind moves the identity to another engine (fabric partitioning). The

@@ -209,7 +209,7 @@ type port struct {
 
 // Bridge is an 802.1D bridge.
 type Bridge struct {
-	*bridge.Chassis
+	bridge.Chassis
 	id     layers.BridgeID
 	timers Timers
 	fib    *learning.Table
@@ -238,7 +238,7 @@ func New(net *netsim.Network, name string, numID int, priority uint16, timers Ti
 		fib:    learning.NewTable(timers.Aging.D()),
 		ports:  make(map[*netsim.Port]*port),
 	}
-	b.Chassis = bridge.NewChassis(net, name, numID, b)
+	b.Init(net, name, numID, b)
 	b.id = layers.MakeBridgeID(priority, b.MAC())
 	b.rootID = b.id
 	return b

@@ -56,7 +56,8 @@ func (e Entry) Guarded(now time.Duration) bool { return now < e.LockedUntil }
 // bytes for a packed-MAC key, one cache line. A port's generation advances
 // on FlushPort, which kills every entry bound to it in O(1) without
 // touching the records; the portState pointer is cached in the record so
-// the hot-path liveness check costs a pointer chase, not a map lookup.
+// the hot-path liveness check costs a pointer chase — into the table
+// itself for its first inlinePorts ports — not a map lookup.
 type slot[K comparable] struct {
 	Entry
 	key K
@@ -89,8 +90,15 @@ type Ref[K comparable] struct {
 // portState is the per-port side table backing constant-time flushes.
 type portState struct {
 	gen  uint32 // current generation; entries with an older gen are dead
+	held bool   // an inline record in use
 	live int    // resident entries bound to this port at the current gen
 }
+
+// inlinePorts is how many port-state records a table stores inside
+// itself. Every liveness check reads its record's generation, so a bridge
+// with at most this many ports reads it from the table's own allocation;
+// further ports get a record each.
+const inlinePorts = 4
 
 // Table is the All-Path family's one piece of forwarding state: key →
 // (port, locked|learned, expiry). The variants differ only in the key —
@@ -120,14 +128,16 @@ type portState struct {
 // proxyCache-style) so even the unbounded configuration cannot leak under
 // churn of never-reused keys plus FlushPort.
 type Table[K comparable] struct {
-	lockTimeout    time.Duration
-	learnedTimeout time.Duration
-	capacity       int
+	// What a lookup reads comes first, the port records right after.
+	cells          []slot[K] // the probe array: nil or a power-of-two length
+	hash           func(K) uint64
 	junk           func(K) bool    // keys Lock/Learn must ignore; nil admits all
 	tracker        *Tracker[int32] // recency order over cells; nil for the timeout baseline
-	cells          []slot[K]       // the probe array: nil or a power-of-two length
-	n              int             // occupied cells
-	hash           func(K) uint64
+	lockTimeout    time.Duration
+	learnedTimeout time.Duration
+	inline         [inlinePorts]portState // records of the first ports bound (newPortState)
+	n              int                    // occupied cells
+	capacity       int
 	seq            uint64 // entries ever admitted; the newest incarnation
 	ports          map[*netsim.Port]*portState
 	resident       int // stored entries whose port generation is current
@@ -167,13 +177,22 @@ func JunkMAC(key uint64) bool { return layers.KeyIsMulticast(key) || key == 0 }
 // maxPresizeBytes, so a bounded table never grows (unless open race
 // windows push it over its bound; makeRoom).
 func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, junk func(K) bool, hash func(K) uint64) *Table[K] {
+	t := new(Table[K])
+	t.Init(lockTimeout, learnedTimeout, bound, junk, hash)
+	return t
+}
+
+// Init builds in place the table New would return, for an owner that
+// stores its table inside itself. Never copy a Table once Init has run:
+// its records point into it.
+func (t *Table[K]) Init(lockTimeout, learnedTimeout time.Duration, bound Config, junk func(K) bool, hash func(K) uint64) {
 	if lockTimeout <= 0 || learnedTimeout <= 0 {
 		panic("tables: timeouts must be positive")
 	}
 	if err := bound.Validate(); err != nil {
 		panic(err.Error())
 	}
-	t := &Table[K]{
+	*t = Table[K]{
 		lockTimeout:    lockTimeout,
 		learnedTimeout: learnedTimeout,
 		capacity:       bound.Capacity,
@@ -187,7 +206,6 @@ func New[K comparable](lockTimeout, learnedTimeout time.Duration, bound Config, 
 	if bound.Tracked() {
 		t.tracker = NewTracker[int32](bound.Policy)
 	}
-	return t
 }
 
 // SetLearnedTimeout changes the learned lifetime (and sweep period) for
@@ -206,11 +224,23 @@ func (t *Table[K]) port(p *netsim.Port) *portState {
 	}
 	st, ok := t.ports[p]
 	if !ok {
-		st = &portState{}
+		st = t.newPortState()
 		t.ports[p] = st
 	}
 	t.lastPort, t.lastPS = p, st
 	return st
+}
+
+// newPortState returns a fresh record: a free inline one if any is left
+// (FlushExpired frees them again), else a new one.
+func (t *Table[K]) newPortState() *portState {
+	for i := range t.inline {
+		if st := &t.inline[i]; !st.held {
+			*st = portState{held: true}
+			return st
+		}
+	}
+	return new(portState)
 }
 
 // evict removes the record in cell i, maintaining the residency counters,
@@ -559,6 +589,7 @@ func (t *Table[K]) Reset() {
 	clear(t.cells)
 	t.n = 0
 	clear(t.ports)
+	t.inline = [inlinePorts]portState{}
 	t.resident = 0
 	t.nextSweep = 0
 	t.lastPort = nil
@@ -593,6 +624,7 @@ func (t *Table[K]) FlushExpired(now time.Duration) {
 				t.lastPort = nil
 				t.lastPS = nil
 			}
+			st.held = false
 			delete(t.ports, p)
 		}
 	}

@@ -216,6 +216,64 @@ func portStateReclaim[K comparable](t *testing.T, policy Policy, key func(int) K
 	checkAccounting(t, tb)
 }
 
+// TestPortStateSpill covers a table bound to more ports than it stores
+// records for inline: FlushPort kills exactly the flushed port's entries
+// whichever side of the spill its record lives on, and once FlushExpired
+// has reclaimed the records, the next ports bound get the inline ones
+// again — TestPortStateReclaim's bound on records holds in bytes too.
+func TestPortStateSpill(t *testing.T) {
+	matrix(t, portStateSpill[uint64], portStateSpill[key128])
+}
+
+func portStateSpill[K comparable](t *testing.T, policy Policy, key func(int) K) {
+	const perPort = 3
+	ports := testPorts(inlinePorts + 3)
+	tb := New[K](time.Millisecond, 10*time.Millisecond, Config{Policy: policy}, nil, hashOf[K]())
+	inline := func(p *netsim.Port) bool {
+		for i := range tb.inline {
+			if tb.ports[p] == &tb.inline[i] {
+				return true
+			}
+		}
+		return false
+	}
+	for i, p := range ports {
+		for j := 0; j < perPort; j++ {
+			tb.Learn(key(i*perPort+j), p, 0)
+		}
+		if want := i < inlinePorts; inline(p) != want {
+			t.Fatalf("port %d: inline record = %v, want %v", i, !want, want)
+		}
+	}
+	flushed := map[int]bool{1: true, inlinePorts + 1: true} // one each side of the spill
+	for i := range flushed {
+		if got := tb.FlushPort(ports[i]); got != perPort {
+			t.Fatalf("FlushPort(port %d) invalidated %d entries, want %d", i, got, perPort)
+		}
+	}
+	for i := range ports {
+		for j := 0; j < perPort; j++ {
+			if _, ok := tb.Get(key(i*perPort+j), time.Microsecond); ok == flushed[i] {
+				t.Fatalf("port %d entry %d: live = %v after flushing ports %v", i, j, ok, flushed)
+			}
+		}
+	}
+	checkAccounting(t, tb)
+
+	tb.FlushExpired(time.Second)
+	if len(tb.ports) != 0 {
+		t.Fatalf("port records = %d after every entry expired, want 0", len(tb.ports))
+	}
+	for i := range ports {
+		p := ports[len(ports)-1-i] // another order: spilled ports now come first
+		tb.Learn(key(1000+i), p, time.Second)
+		if want := i < inlinePorts; inline(p) != want {
+			t.Fatalf("rebinding %d: inline record = %v, want %v (inline records not reused)", i, !want, want)
+		}
+	}
+	checkAccounting(t, tb)
+}
+
 // TestCapacityBound: the bound holds under distinct-key churn once race
 // windows close, the coldest entry goes first, and the eviction/peak
 // counters report what happened.

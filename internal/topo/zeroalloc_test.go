@@ -159,14 +159,15 @@ func TestBoundedTableChurnDoesNotAllocate(t *testing.T) {
 
 // TestShardedSteadyStateCoordinationDoesNotAllocate extends the gate to
 // the parallel coordinator (DESIGN.md §8): once paths are established on
-// a partitioned line, steady-state forwarding — windows dispatched
-// through the epoch barrier, cross-shard arrivals drained by the
-// destination workers — must stay allocation-free per window. The only
-// tolerated mallocs are the per-run worker spawns (one goroutine per
-// shard per Run call, amortized over that run's windows), which is why
-// the gate is a mallocs-per-window budget from runtime.MemStats rather
-// than testing.AllocsPerRun: spawning goroutines inside AllocsPerRun's
-// callback would charge scheduler bookkeeping to every iteration.
+// a partitioned line, steady-state forwarding — shard windows claimed off
+// one cursor by the calling goroutine and its helpers, cross-shard
+// arrivals exchanged from the claimants' outboxes — must stay
+// allocation-free per window. The only tolerated mallocs are the helper
+// spawns: a run starts min(shards, GOMAXPROCS) − 1 helper goroutines (none
+// at GOMAXPROCS 1), amortized over that run's windows, which is why the
+// gate is a mallocs-per-window budget from runtime.MemStats rather than
+// testing.AllocsPerRun: spawning goroutines inside AllocsPerRun's callback
+// would charge scheduler bookkeeping to every iteration.
 func TestShardedSteadyStateCoordinationDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race job")
@@ -208,6 +209,24 @@ func TestShardedSteadyStateCoordinationDoesNotAllocate(t *testing.T) {
 	if perWindow >= 1.0 {
 		t.Fatalf("sharded steady state allocates %.3f objects/window (%d mallocs over %d windows), want < 1",
 			perWindow, m1.Mallocs-m0.Mallocs, windows)
+	}
+}
+
+// TestFabricBuildAllocations holds the per-hop layout in place (DESIGN.md
+// §5, "What one hop touches"): a link is one allocation with its ports,
+// identities and first flights, a bridge one with its chassis and table,
+// node identities come from a slab. Building a 256-bridge degree-3 fabric
+// took 21 558 allocations before that layout and 13 626–13 832 with it
+// (the spread is the frame pool refilling after a GC), so a change that
+// splits a link or a bridge back into separate objects fails here.
+func TestFabricBuildAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race job")
+	}
+	const ceiling = 14000
+	opts := topo.DefaultOptions(topo.ARPPath, 1)
+	if allocs := testing.AllocsPerRun(5, func() { topo.RandomRegular(opts, 256, 3) }); allocs > ceiling {
+		t.Fatalf("building RandomRegular(256, 3) allocates %.0f objects, want ≤ %d", allocs, ceiling)
 	}
 }
 

@@ -212,19 +212,23 @@ func checkSpan(what string, n int, step, tail time.Duration) error {
 	return nil
 }
 
+// hostPair refuses an op whose src or dst is missing or names no host.
+func (s *Server) hostPair(op, src, dst string) error {
+	if src == "" || dst == "" {
+		return fmt.Errorf("%s requires src and dst", op)
+	}
+	for _, h := range []string{src, dst} {
+		if _, ok := s.index.HostIndex(h); !ok {
+			return fmt.Errorf("unknown host %q", h)
+		}
+	}
+	return nil
+}
+
 // compilePing translates and defaults a ping request.
 func (s *Server) compilePing(req Request) (*PingOp, error) {
-	if req.Src == "" || req.Dst == "" {
-		return nil, fmt.Errorf("ping requires src and dst")
-	}
-	if req.Src == req.Dst {
-		return nil, fmt.Errorf("ping src and dst are both %q", req.Src)
-	}
-	if _, ok := s.index.HostIndex(req.Src); !ok {
-		return nil, fmt.Errorf("unknown host %q", req.Src)
-	}
-	if _, ok := s.index.HostIndex(req.Dst); !ok {
-		return nil, fmt.Errorf("unknown host %q", req.Dst)
+	if err := s.hostPair("ping", req.Src, req.Dst); err != nil {
+		return nil, err
 	}
 	p := &PingOp{
 		Src: req.Src, Dst: req.Dst,
@@ -247,40 +251,54 @@ func (s *Server) compilePing(req Request) (*PingOp, error) {
 	if p.Class == "" {
 		p.Class = ClassBackground
 	}
-	if p.Count < 1 || p.Count > 1000 {
-		return nil, fmt.Errorf("ping count %d outside [1,1000]", p.Count)
-	}
-	if p.Size < 0 || p.Size > 1400 {
-		return nil, fmt.Errorf("ping size %d outside [0,1400]", p.Size)
-	}
-	if p.Interval.D() <= 0 || p.Timeout.D() <= 0 {
-		return nil, fmt.Errorf("ping interval and timeout must be positive")
+	if err := p.check(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
+// check refuses a defaulted ping the wire would refuse. compilePing and
+// applyEntry both run it, so a hand-written op-log line gets the same
+// bounds as a request.
+func (p *PingOp) check() error {
+	switch {
+	case p.Src == p.Dst:
+		return fmt.Errorf("ping src and dst are both %q", p.Src)
+	case p.Count < 1 || p.Count > 1000:
+		return fmt.Errorf("ping count %d outside [1,1000]", p.Count)
+	case p.Size < 0 || p.Size > 1400:
+		return fmt.Errorf("ping size %d outside [0,1400]", p.Size)
+	case p.Interval.D() <= 0 || p.Timeout.D() <= 0:
+		return fmt.Errorf("ping interval and timeout must be positive")
+	}
+	return checkSpan("ping", p.Count-1, p.Interval.D(), p.Timeout.D())
+}
+
 // compileStream translates and defaults a stream request.
 func (s *Server) compileStream(req Request) (*StreamOp, error) {
-	if req.Src == "" || req.Dst == "" {
-		return nil, fmt.Errorf("stream requires src and dst")
-	}
-	if req.Src == req.Dst {
-		return nil, fmt.Errorf("stream src and dst are both %q", req.Src)
-	}
-	if _, ok := s.index.HostIndex(req.Src); !ok {
-		return nil, fmt.Errorf("unknown host %q", req.Src)
-	}
-	if _, ok := s.index.HostIndex(req.Dst); !ok {
-		return nil, fmt.Errorf("unknown host %q", req.Dst)
+	if err := s.hostPair("stream", req.Src, req.Dst); err != nil {
+		return nil, err
 	}
 	st := &StreamOp{Src: req.Src, Dst: req.Dst, Bytes: req.Bytes}
 	if st.Bytes == 0 {
 		st.Bytes = defaultStreamBytes
 	}
-	if st.Bytes < 1 || st.Bytes > 64<<20 {
-		return nil, fmt.Errorf("stream bytes %d outside [1,64MiB]", st.Bytes)
+	if err := st.check(); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// check refuses a defaulted stream the wire would refuse (see
+// PingOp.check).
+func (st *StreamOp) check() error {
+	switch {
+	case st.Src == st.Dst:
+		return fmt.Errorf("stream src and dst are both %q", st.Src)
+	case st.Bytes < 1 || st.Bytes > 64<<20:
+		return fmt.Errorf("stream bytes %d outside [1,64MiB]", st.Bytes)
+	}
+	return nil
 }
 
 // compileFault translates a fault-family request into scenario ops. One

@@ -519,7 +519,8 @@ func (s *Server) compile(req Request) (*logEntry, error) {
 // entries in identical order at identical virtual times, which is the
 // whole replay-determinism argument. Both also get its checks, made
 // before anything is scheduled: the boundary and every span the op
-// derives stay within MaxSpan.
+// derives stay within MaxSpan, and a ping or stream is within the wire's
+// bounds.
 func (s *Server) applyEntry(e *logEntry) error {
 	at := s.built.Now()
 	if at > MaxSpan {
@@ -539,12 +540,14 @@ func (s *Server) applyEntry(e *logEntry) error {
 		s.burstOffered += offered
 		s.sinks = append(s.sinks, sinks...)
 	case e.Ping != nil:
-		p := e.Ping
-		if err := checkSpan("ping", p.Count-1, p.Interval.D(), p.Timeout.D()); err != nil {
+		if err := e.Ping.check(); err != nil {
 			return err
 		}
-		return s.applyPing(p)
+		return s.applyPing(e.Ping)
 	case e.Stream != nil:
+		if err := e.Stream.check(); err != nil {
+			return err
+		}
 		return s.applyStream(e.Stream)
 	case e.Heal:
 		s.index.Heal()

@@ -411,3 +411,55 @@ func TestReplayRefusesBoundaryPastTheClock(t *testing.T) {
 		}
 	}
 }
+
+// ring6Header is the op-log header the replay-input tests put in front of
+// their entry lines.
+const ring6Header = `{"fabricserve":1,"spec":{"topology":{"family":"ring","n":6}},"quantum":"10ms"}`
+
+// outOfRangeEntries are op-log lines the wire would never have accepted,
+// each with a fragment of the error replay must refuse it with. The first
+// two used to panic (a frame past the maximum size, an invalid stream
+// config); the rest were silently run.
+var outOfRangeEntries = []struct{ line, want string }{
+	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":1,"size":100000,"interval":"20ms","timeout":"1s","class":"background"}}`, "size 100000 outside"},
+	{`{"at":"1s","seq":1,"stream":{"src":"H1","dst":"H4","bytes":0}}`, "bytes 0 outside"},
+	{`{"at":"1s","seq":1,"stream":{"src":"H1","dst":"H4","bytes":-1}}`, "bytes -1 outside"},
+	{`{"at":"1s","seq":1,"stream":{"src":"H2","dst":"H2","bytes":100}}`, "both"},
+	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":0,"size":56,"interval":"20ms","timeout":"1s","class":"background"}}`, "count 0 outside"},
+	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":1001,"size":56,"interval":"20ms","timeout":"1s","class":"background"}}`, "count 1001 outside"},
+	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":1,"size":-1,"interval":"20ms","timeout":"1s","class":"background"}}`, "size -1 outside"},
+	{`{"at":"1s","seq":1,"ping":{"src":"H3","dst":"H3","count":1,"size":56,"interval":"20ms","timeout":"1s","class":"background"}}`, "both"},
+	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":1,"size":56,"interval":"0s","timeout":"1s","class":"background"}}`, "must be positive"},
+}
+
+// TestReplayRefusesOutOfRangeEntries: a hand-written op-log line outside
+// the bounds a live request is held to is an error naming its line, at
+// shards 1 and 2 — the same check runs on both paths.
+func TestReplayRefusesOutOfRangeEntries(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, tc := range outOfRangeEntries {
+			_, err := Replay(strings.NewReader(ring6Header+"\n"+tc.line+"\n"), shards, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), "op-log line 2") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("shards=%d: replay of %s returned %v, want an op-log line 2 error containing %q", shards, tc.line, err, tc.want)
+			}
+		}
+	}
+}
+
+// FuzzReplayEntry holds replay to its trust boundary: whatever one entry
+// line after a fixed ring-6 header says, Replay returns a report or an
+// error and never panics.
+func FuzzReplayEntry(f *testing.F) {
+	for _, tc := range outOfRangeEntries {
+		f.Add(tc.line)
+	}
+	f.Add(`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":5,"size":56,"interval":"20ms","timeout":"1s","class":"background"}}`)
+	f.Add(`{"at":"1s","seq":1,"fault":[{"at":"0s","kind":"link-down","link":0}]}`)
+	f.Add(`{"at":"1s","seq":1,"drain":true}`)
+	f.Fuzz(func(t *testing.T, line string) {
+		rep, err := Replay(strings.NewReader(ring6Header+"\n"+line+"\n"), 1, io.Discard)
+		if err == nil && rep == nil {
+			t.Fatal("replay returned neither a report nor an error")
+		}
+	})
+}
