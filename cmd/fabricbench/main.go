@@ -2,7 +2,7 @@
 // paper's §2.2 claims (DESIGN.md T1–T4): the loop-freedom/no-blocking
 // properties table, load distribution on a fat tree, ARP-proxy broadcast
 // suppression, the repair ablation, and the scaling experiment for the
-// sharded parallel engine (DESIGN.md §8). It is a thin shell over
+// sharded engine (DESIGN.md §8). It is a thin shell over
 // pkg/fabric: flags compile into a fabric.Spec, or -spec loads one and
 // explicitly set flags override it.
 //
@@ -17,15 +17,14 @@
 // The profiling flags record pprof/runtime-trace artifacts around the
 // workload (DESIGN.md §11 documents the recipe); they change nothing in
 // any table, figure or fingerprint. -mutexprofile and -blockprofile
-// capture lock contention and blocking waits — the collectors that show
-// whether the shard coordinator is stalling on its helpers.
+// capture lock contention and blocking waits.
 //
-// -shards runs every experiment's simulation on K parallel engine shards;
-// all figure/table outputs are byte-identical for any K (only wall-clock
-// rates change). -exp scale sweeps shard counts 1..K on a 256-bridge
-// fabric and prints each run's wall-clock figures on stderr; the thread
-// count is the Go runtime's GOMAXPROCS environment variable, named on
-// every line (DESIGN.md §8 has the measured one- and two-thread ratios).
+// -shards runs every experiment's simulation on K engine shards, in
+// lookahead windows on one goroutine; all figure/table outputs are
+// byte-identical for any K (only wall-clock rates change). -exp scale
+// sweeps shard counts 1..K on a 256-bridge fabric and prints each run's
+// wall-clock figures and coordinator counts on stderr, with the Go
+// runtime's GOMAXPROCS named on every line.
 // -bench-out writes -exp tables' rows as JSON.
 package main
 
@@ -43,7 +42,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	frames := flag.Int("frames", 50_000, "data frames to pump in -exp forward")
-	shards := flag.Int("shards", 1, "run simulations on K parallel engine shards")
+	shards := flag.Int("shards", 1, "run simulations on K engine shards (same results, lookahead windows on one goroutine)")
 	bridges := flag.Int("bridges", 0, "fabric size override for -exp scale / -exp allpath (0 = the experiment's default)")
 	conversations := flag.Int("conversations", 0, "conversation count override for -exp tables (0 = the spec/experiment default)")
 	benchOut := flag.String("bench-out", "", "write the -exp tables JSON artifact to this file")

@@ -17,8 +17,8 @@
 // accounting is per-network, nothing is shared between runs). -big selects
 // the larger topology tier; -proxy runs every bridge with the in-switch
 // ARP proxy (arming the proxy-consistency invariant); -shards runs each
-// simulation itself on the sharded parallel engine, which by construction
-// does not change any result either.
+// simulation itself on the sharded engine, which by construction does not
+// change any result either.
 //
 // A failing scenario prints its minimal fault schedule and the exact
 // triple to reproduce it; the exit status is nonzero.
@@ -45,7 +45,7 @@ func main() {
 	big := flag.Bool("big", false, "larger topology tier (dozens of bridges per instance)")
 	protocol := flag.String("protocol", "arppath", "protocol under test: arppath, flowpath or tcppath")
 	proxy := flag.Bool("proxy", false, "enable the in-switch ARP proxy on every bridge (arppath)")
-	shards := flag.Int("shards", 1, "run each simulation on K parallel engine shards")
+	shards := flag.Int("shards", 1, "run each simulation on K engine shards (same results, lookahead windows on one goroutine)")
 	shrink := flag.Bool("shrink", true, "shrink failing fault schedules to a minimal subset")
 	verbose := flag.Bool("v", false, "print every scenario, not just failures")
 	flag.Parse()

@@ -12,8 +12,9 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "sim", analysis.DeterminismAnalyzer)
 }
 
-// The blessed coordinator file may spawn goroutines without suppression.
-func TestDeterminismBlessedCoordinator(t *testing.T) {
+// No file may spawn goroutines without suppression, netsim/shard.go
+// included.
+func TestDeterminismNoBlessedFile(t *testing.T) {
 	analysistest.Run(t, "netsim", analysis.DeterminismAnalyzer)
 }
 

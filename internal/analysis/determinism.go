@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -27,10 +26,10 @@ import (
 //     randomizes map iteration order per run, so any event or trace
 //     byte produced inside such a loop varies run to run. Sweeps and
 //     snapshots whose effect is order-independent pass untouched.
-//  4. go statements outside the blessed coordinator file — the sharded
-//     engine's one sanctioned source of parallelism (netsim/shard.go).
-//     Anything else reintroduces scheduling races the coordinator's
-//     barrier protocol exists to prevent.
+//  4. go statements: the simulator runs on one goroutine, so a spawn
+//     makes what it touches depend on the Go scheduler. Code that
+//     cannot reach a trace (a daemon's connection handlers) says so with
+//     a suppression.
 //
 // Scope: the packages whose code can affect a trace. Matching is by
 // package-path base so the analysistest fixtures exercise the real
@@ -52,13 +51,6 @@ var tracePkgBases = map[string]bool{
 	"learning": true, "tables": true,
 	"topo": true, "scenario": true, "host": true, "bridge": true,
 	"experiments": true, "serve": true,
-}
-
-// blessedGoFiles are the files allowed to spawn goroutines without a
-// suppression comment: the shard coordinator's helper goroutines are
-// the parallel engine itself.
-var blessedGoFiles = map[string]bool{
-	"netsim/shard.go": true,
 }
 
 // orderSinkNames are method/function names through which an iteration
@@ -187,15 +179,10 @@ func calleeName(info *types.Info, call *ast.CallExpr) (string, types.Object) {
 }
 
 func checkGoStmt(pass *Pass, g *ast.GoStmt) {
-	position := pass.Fset.Position(g.Pos())
-	key := filepath.Base(filepath.Dir(position.Filename)) + "/" + filepath.Base(position.Filename)
-	if blessedGoFiles[key] {
-		return
-	}
 	if pass.Suppressed("nondeterministic", g.Pos()) {
 		return
 	}
 	pass.Reportf(g.Pos(),
-		"goroutine spawned outside the blessed coordinator (netsim/shard.go): parallelism in trace-affecting "+
-			"code must go through the shard barrier protocol, or be annotated //fabriclint:nondeterministic <why>")
+		"goroutine spawned in trace-affecting code: the simulator runs on one goroutine; "+
+			"annotate //fabriclint:nondeterministic <why> if this one cannot reach a trace")
 }

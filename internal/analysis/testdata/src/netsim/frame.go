@@ -1,7 +1,7 @@
 // Package netsim is a fixture stand-in for repro/internal/netsim: just
 // enough surface for the frameownership fixtures (a pooled Frame with
-// Retain/Release), plus the blessed coordinator file for the
-// determinism goroutine rule.
+// Retain/Release), plus a coordinator file the determinism goroutine
+// rule holds like any other.
 package netsim
 
 // Frame mimics the pooled, refcounted frame.

@@ -1,9 +1,9 @@
 package netsim
 
-// startWorkers spawns the worker pool. netsim/shard.go is the blessed
-// coordinator file, so these goroutines need no suppression comment.
+// startWorkers spawns a worker pool. No file is exempt from the
+// goroutine rule, the coordinator's included.
 func startWorkers(n int) {
 	for i := 0; i < n; i++ {
-		go func() {}()
+		go func() {}() // want "goroutine spawned in trace-affecting code"
 	}
 }

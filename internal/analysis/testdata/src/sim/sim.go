@@ -51,7 +51,7 @@ func okSorted(s *Sched, keys []int) {
 }
 
 func badSpawn() {
-	go func() {}() // want "goroutine spawned outside the blessed coordinator"
+	go func() {}() // want "goroutine spawned in trace-affecting code"
 }
 
 func okSpawn() {

@@ -132,7 +132,7 @@ func (c *Chassis) Rand() *rand.Rand {
 
 // Now returns the current virtual time as this bridge observes it: its
 // own shard's clock. (The network's control clock only advances at
-// barriers, so reading it from inside a parallel window would freeze
+// barriers, so reading it from inside a lookahead window would freeze
 // every lazy expiry check for the window's duration.)
 func (c *Chassis) Now() time.Duration { return c.Sched().Now() }
 

@@ -85,7 +85,7 @@ var matrixCells = []cell{
 	{shards: 1, batched: true},
 	{shards: 2, batched: true},
 	{shards: 4, procs: 1, batched: true},
-	{shards: 4, procs: 2, batched: true}, // more shards than processors: one helper and the caller share four
+	{shards: 4, procs: 2, batched: true}, // more shards than processors
 	{shards: 4, procs: 4, batched: true},
 }
 
@@ -103,7 +103,8 @@ type row struct {
 
 // The second result is the coordinator's three deterministic counts per
 // fabric. They depend on the shard count, so they are no part of the
-// observation; cells that differ only in GOMAXPROCS must agree on them.
+// observation; cells that differ only in GOMAXPROCS must agree on them,
+// and the scale rows must match scaleCoordPins.
 func observe(t *testing.T, c cell, render func(*testing.T) string) (o observation, coord string) {
 	prevShards := Shards
 	Shards = c.shards
@@ -152,12 +153,27 @@ func smallScale(seed int64) func(*testing.T) string {
 	}
 }
 
+// scaleCoordPins are the scale rows' coordinator counts at 2 and 4 shards.
+// Traces survive a window bound that is merely too tight, so only these
+// counts catch a pending minimum that drifted — say, an arrival's key read
+// after its record was consumed.
+var scaleCoordPins = map[string]map[int]string{
+	"scale-seed3":  {2: "windows=2753 barriers=32 exchanged=3162", 4: "windows=1991 barriers=32 exchanged=7067"},
+	"scale-seed5":  {2: "windows=2602 barriers=32 exchanged=3857", 4: "windows=3984 barriers=32 exchanged=5498"},
+	"scale-seed11": {2: "windows=5178 barriers=32 exchanged=3555", 4: "windows=8555 barriers=32 exchanged=6823"},
+	"scale-seed12": {2: "windows=11306 barriers=32 exchanged=2616", 4: "windows=3677 barriers=32 exchanged=6766"},
+	"scale-seed13": {2: "windows=4576 barriers=32 exchanged=8514", 4: "windows=4266 barriers=32 exchanged=7359"},
+	"scale-seed14": {2: "windows=10993 barriers=32 exchanged=3264", 4: "windows=9759 barriers=32 exchanged=4322"},
+	"scale-seed15": {2: "windows=11583 barriers=32 exchanged=4843", 4: "windows=4876 barriers=32 exchanged=6980"},
+}
+
 // TestDeterminismMatrix is the package's one execution-mode differential:
 // every workload row must render byte-identical output — tables, the
 // tables sweep's JSON artifact — and produce the identical trace
 // fingerprint in every cell: any shard count, any GOMAXPROCS, batched or
 // not. Cells of one shard count also agree on how many windows, barriers
-// and cross-shard arrivals the coordinator counted.
+// and cross-shard arrivals the coordinator counted, and the scale rows
+// count exactly their pins.
 func TestDeterminismMatrix(t *testing.T) {
 	rows := []row{
 		{"figure1", func(*testing.T) string { return RunFigure1(9).Table().String() }},
@@ -190,6 +206,9 @@ func TestDeterminismMatrix(t *testing.T) {
 				if got != ref {
 					t.Errorf("%+v diverged from %+v:\n%s%s\nwant:\n%s%s",
 						c, matrixCells[0], got.traces, got.rendered, ref.traces, ref.rendered)
+				}
+				if want, pinned := scaleCoordPins[row.name][c.shards]; pinned && coord != "fabric 0: "+want+"\n" {
+					t.Errorf("%+v: coordinator counts %qwant %q", c, coord, want)
 				}
 				if first, seen := coordAt[c.shards]; !seen {
 					coordAt[c.shards] = coord

@@ -19,10 +19,9 @@ import (
 // single-threaded event loop cannot reach in reasonable wall-clock. It
 // builds a large random-regular fabric, drives many concurrent UDP
 // conversations across it, and measures the simulator's wall-clock
-// throughput — single engine versus the sharded parallel engine
-// (DESIGN.md §8). The protocol-side numbers (delivery, events, trace
-// fingerprint) are bit-identical at every shard count; only the wall
-// clock may differ, which is the whole point.
+// throughput — single engine versus the sharded engine (DESIGN.md §8).
+// The protocol-side numbers (delivery, events, trace fingerprint) are
+// bit-identical at every shard count; only the wall clock may differ.
 
 // ScaleConfig parameterizes one scaling run.
 type ScaleConfig struct {
@@ -61,16 +60,11 @@ type ScaleResult struct {
 	Wall                  time.Duration
 	EventsPerSec          float64
 	FramesPerSec          float64 // delivered datagrams per wall second
-	// Coordination overhead over the traffic phase (zero unsharded).
-	// Windows, Barriers and Exchanged are deterministic for a given
-	// (seed, shards); Handoffs, WakeNS and WaitNS depend on the machine,
-	// like Wall, and are zero when GOMAXPROCS is 1.
-	Windows   uint64 // parallel windows the coordinator dispatched
+	// Coordination overhead over the traffic phase (zero unsharded),
+	// deterministic for a given (seed, shards).
+	Windows   uint64 // lookahead windows the coordinator ran
 	Barriers  uint64 // control events run with all shards paused
 	Exchanged uint64 // cross-shard arrivals moved between engines
-	Handoffs  uint64 // helper wake-ups that claimed a shard window
-	WakeNS    int64  // dispatch → helper's first claim, summed over Handoffs
-	WaitNS    int64  // coordinator wall time parked on helpers
 }
 
 // RunScale executes one scaling run.
@@ -148,9 +142,6 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 		Windows:   coord.Windows - coordBefore.Windows,
 		Barriers:  coord.Barriers - coordBefore.Barriers,
 		Exchanged: coord.Exchanged - coordBefore.Exchanged,
-		Handoffs:  coord.Handoffs - coordBefore.Handoffs,
-		WakeNS:    coord.WakeNS - coordBefore.WakeNS,
-		WaitNS:    coord.WaitNS - coordBefore.WaitNS,
 	}
 	for _, s := range sinks {
 		res.Delivered += s.Count()
@@ -183,12 +174,12 @@ func ScaleTable(rs []*ScaleResult) *metrics.Table {
 	return t
 }
 
-// ScaleBenchLine renders one run's wall-clock figures for stderr, ending
-// with the GOMAXPROCS the process ran at (set it through the
-// environment: the thread count is the other half of what the rates mean).
+// ScaleBenchLine renders one run's wall-clock figures and coordinator
+// counts for stderr, ending with the GOMAXPROCS the process ran at. The
+// simulation runs on one goroutine at any value; the runtime's own work
+// (GC) is what another thread can take off it.
 func ScaleBenchLine(r *ScaleResult) string {
-	return fmt.Sprintf("scale: bridges=%d shards=%d lookahead=%v wall=%v events/s=%.0f frames/s=%.0f windows=%d barriers=%d exchanged=%d handoffs=%d wake_ns/handoff=%d wait_ns/window=%d gomaxprocs=%d",
+	return fmt.Sprintf("scale: bridges=%d shards=%d lookahead=%v wall=%v events/s=%.0f frames/s=%.0f windows=%d barriers=%d exchanged=%d gomaxprocs=%d",
 		r.Bridges, r.Config.Shards, r.Lookahead, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.FramesPerSec,
-		r.Windows, r.Barriers, r.Exchanged, r.Handoffs, r.WakeNS/int64(max(r.Handoffs, 1)), r.WaitNS/int64(max(r.Windows, 1)),
-		runtime.GOMAXPROCS(0))
+		r.Windows, r.Barriers, r.Exchanged, runtime.GOMAXPROCS(0))
 }

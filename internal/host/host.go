@@ -106,7 +106,7 @@ func (h *Host) now() time.Duration { return h.proc.Now() }
 
 // Now returns the current virtual time as this host observes it —
 // application code (internal/host/app) must use this, not the network's
-// control clock, which stands still during parallel windows.
+// control clock, which stands still during lookahead windows.
 func (h *Host) Now() time.Duration { return h.proc.Now() }
 
 // Sched returns the host's scheduling identity; all host timers go

@@ -32,9 +32,9 @@ import (
 // frame's bytes.
 type Frame struct {
 	refs int32
-	id   uint64        // origination identity, fresh per NewFrame (not per buffer)
-	live *atomic.Int64 // owning network's live-frame counter (nil for bare frames)
-	data []byte        // aliases buf for wire-sized frames
+	id   uint64 // origination identity, fresh per NewFrame (not per buffer)
+	live *int64 // owning network's live-frame counter (nil for bare frames)
+	data []byte // aliases buf for wire-sized frames
 	view layers.FrameView
 	buf  [layers.MaxFrameLen]byte
 }
@@ -72,14 +72,14 @@ func LiveFrames() int64 { return frameLive.Load() }
 // own refcounts.
 func NewFrame(b []byte) *Frame { return newFrame(b, nil) }
 
-func newFrame(b []byte, live *atomic.Int64) *Frame {
+func newFrame(b []byte, live *int64) *Frame {
 	f := framePool.Get().(*Frame)
 	f.refs = 1
 	f.id = frameSeq.Add(1)
 	f.live = live
 	frameLive.Add(1)
 	if live != nil {
-		live.Add(1)
+		*live++
 	}
 	if len(b) <= len(f.buf) {
 		f.data = f.buf[:copy(f.buf[:], b)]
@@ -106,7 +106,7 @@ func (f *Frame) clone() *Frame {
 	nf.live = f.live
 	frameLive.Add(1)
 	if nf.live != nil {
-		nf.live.Add(1)
+		*nf.live++
 	}
 	if len(f.data) <= len(nf.buf) {
 		nf.data = nf.buf[:copy(nf.buf[:], f.data)]
@@ -150,7 +150,7 @@ func (f *Frame) Release() {
 		f.data = nil
 		frameLive.Add(-1)
 		if f.live != nil {
-			f.live.Add(-1)
+			*f.live--
 			f.live = nil
 		}
 		framePool.Put(f)

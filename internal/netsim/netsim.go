@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/layers"
@@ -122,7 +121,7 @@ type TapFunc func(TapEvent)
 // Network owns the simulation engine(s), the nodes and the links.
 //
 // A network starts single-engine. Partition splits it into shards — one
-// engine each, run by up to GOMAXPROCS goroutines — synchronized by a
+// engine each, run in turn on the calling goroutine — synchronized by a
 // conservative lookahead coordinator (DESIGN.md §8). Engine remains the
 // control engine: driver code (experiments, fault schedules) keeps
 // scheduling on it, and in a sharded run those root events execute at
@@ -139,7 +138,7 @@ type Network struct {
 	procs  map[string]*sim.Proc
 	slab   []sim.Proc // the current chunk node identities are carved from
 	owners uint64     // scheduling-identity allocator; id 0 is the root driver
-	live   atomic.Int64
+	live   int64      // this network's frames not yet finally released
 
 	co *coordinator // non-nil once Partition sharded the fabric
 }
@@ -199,7 +198,7 @@ func (n *Network) NewFrame(b []byte) *Frame { return newFrame(b, &n.live) }
 // LiveFrames returns the number of this network's pooled frames currently
 // referenced anywhere. Unlike the package-level LiveFrames it is immune to
 // other simulations running concurrently in the same process.
-func (n *Network) LiveFrames() int64 { return n.live.Load() }
+func (n *Network) LiveFrames() int64 { return n.live }
 
 // Nodes returns the registered nodes in registration order.
 func (n *Network) Nodes() []Node { return n.nodes }
@@ -220,7 +219,7 @@ func (n *Network) Tap(fn TapFunc) { n.taps = append(n.taps, fn) }
 func (n *Network) tracing() bool { return len(n.taps) > 0 }
 
 // emit reports a tap event observed while engine e was executing. During
-// a parallel window the event is buffered per shard (bytes copied into a
+// a lookahead window the event is buffered per shard (bytes copied into a
 // per-shard arena, stamped with the executing event's ordering key) and
 // delivered later by the coordinator's deterministic merge. Everywhere
 // else — unsharded runs, barrier events, driver code between runs — it is
@@ -307,12 +306,12 @@ func (n *Network) RunUntil(t time.Duration) {
 func (n *Network) Now() time.Duration { return n.Engine.Now() }
 
 // Quiescent reports whether nothing is scheduled anywhere: no control
-// engine events, and in a sharded fabric no shard events either (between
-// runs the coordinator's outboxes are drained by invariant, so pending
-// counts are the whole story). Call from driver context only — between
-// runs or inside a barrier event. A long-running driver uses this to park
-// instead of spinning bounded runs against an idle fabric: once quiescent,
-// virtual time only moves again when the driver schedules new work.
+// engine events, and in a sharded fabric no shard events either (a
+// cross-shard arrival is a shard event from the moment it is sent). Call
+// from driver context only — between runs or inside a barrier event. A
+// long-running driver uses this to park instead of spinning bounded runs
+// against an idle fabric: once quiescent, virtual time only moves again
+// when the driver schedules new work.
 func (n *Network) Quiescent() bool {
 	if n.Engine.Pending() > 0 {
 		return false
@@ -342,7 +341,7 @@ func (n *Network) ScheduleLinkUp(t time.Duration, l *Link) {
 // nodes in touch (owner included). The event's ordering key is a function
 // of owner's own history — partition-independent, like every other key —
 // but its venue is chosen by the partition: when every touched node lives
-// in owner's shard the event executes inside that shard's parallel
+// in owner's shard the event executes inside that shard's lookahead
 // windows; when the action spans shards it executes on the control engine
 // as a coordinator barrier, with every shard paused and clocks aligned.
 // Fault injection uses this to keep intra-shard faults off the barrier
@@ -381,25 +380,18 @@ func (n *Network) Barriers() uint64 {
 	return n.co.barriers
 }
 
-// CoordStats returns the coordinator's cumulative overhead counters —
-// windows dispatched, barriers, cross-shard arrivals exchanged, shard
-// windows run, and what handing some of them to helper goroutines cost.
-// Zero-valued on an unsharded network. Windows/Barriers/Exchanged/Wakes
-// are deterministic for a given workload and shard count; Handoffs,
-// WakeNS and WaitNS are not. Call it between runs only.
+// CoordStats returns the coordinator's cumulative overhead counters:
+// windows run, barriers, cross-shard arrivals exchanged and shard windows
+// run. Zero-valued on an unsharded network. Call it between runs only.
 func (n *Network) CoordStats() CoordStats {
-	if n.co == nil {
+	co := n.co
+	if co == nil {
 		return CoordStats{}
 	}
-	s := CoordStats{Windows: n.co.windows, Barriers: n.co.barriers, WaitNS: n.co.waitNS}
-	for i := range n.co.sstats {
-		w := &n.co.sstats[i]
-		s.Exchanged += w.exchanged
-		s.Wakes += w.wakes
-		s.Handoffs += w.handoffs
-		s.WakeNS += w.wakeNS
+	return CoordStats{
+		Windows: co.windows, Barriers: co.barriers, Exchanged: co.exchanged,
+		Wakes: co.windows * uint64(len(co.shards)),
 	}
-	return s
 }
 
 // PortStats counts traffic through one port.
@@ -440,14 +432,8 @@ func (p *Port) Peer() *Port { return &p.link.ports[1-p.side] }
 func (p *Port) Up() bool { return p.link.up }
 
 // Stats returns a snapshot of the port's counters. Call it while the
-// simulation is paused; DropsDown is the one counter a remote shard may
-// touch (an in-flight frame killed at the far side of a boundary link), so
-// it is re-read atomically.
-func (p *Port) Stats() PortStats {
-	s := p.stats
-	s.DropsDown = atomic.LoadUint64(&p.stats.DropsDown)
-	return s
-}
+// simulation is paused.
+func (p *Port) Stats() PortStats { return p.stats }
 
 // String renders "node[index]".
 func (p *Port) String() string {
@@ -684,10 +670,8 @@ func (fl *flight) RunEvent(arg int32) {
 //fabric:hotpath
 func deliver(e *sim.Engine, l *Link, from, to *Port, f *Frame, epoch uint64) {
 	if l.epoch != epoch || !l.up {
-		// The frame was in flight when the link flapped. On a boundary
-		// link this runs in the receiver's shard while the sender owns the
-		// rest of the port counters, hence the atomic.
-		atomic.AddUint64(&from.stats.DropsDown, 1)
+		// The frame was in flight when the link flapped.
+		from.stats.DropsDown++
 		if l.net.tracing() {
 			l.net.emit(e, TapEvent{At: e.Now(), Kind: TapDropDown, From: from, To: to, Frame: f.Bytes(), FrameID: f.id})
 		}
@@ -703,8 +687,8 @@ func deliver(e *sim.Engine, l *Link, from, to *Port, f *Frame, epoch uint64) {
 	f.Release()
 }
 
-// remoteFlight is a cross-shard arrival: materialized by the coordinator's
-// exchange in the destination shard, carrying that shard's own clone of
+// remoteFlight is a cross-shard arrival: injected by the coordinator's
+// ship into the destination shard, carrying that shard's own clone of
 // the frame. Its ordering key was stamped by the sending link direction,
 // so it sorts exactly where the local arrival would have.
 type remoteFlight struct {
@@ -739,7 +723,7 @@ func (l *Link) admit(from *Port, frame []byte, id uint64) bool {
 	e := l.proc[from.side].Engine()
 	now := e.Now()
 	if !l.up {
-		atomic.AddUint64(&from.stats.DropsDown, 1)
+		from.stats.DropsDown++
 		if l.net.tracing() {
 			l.net.emit(e, TapEvent{At: now, Kind: TapDropDown, From: from, To: from.Peer(), Frame: frame, FrameID: id})
 		}
@@ -802,16 +786,13 @@ func (l *Link) transmit(from *Port, f *Frame) {
 	// ARP race outcome — is a function of the senders' histories alone.
 	if co := l.net.co; co != nil && l.shard[from.side] != l.shard[to.side] {
 		// Boundary link: serializer bookkeeping stays home; the arrival is
-		// shipped with a sender-stamped key and its own clone of the
-		// frame, to be injected into the destination shard's future at the
-		// next window exchange. The key consumes this direction's sequence
-		// numbers in the same order as the local path below, so the
-		// destination's event order is identical at any shard count.
+		// shipped into the destination shard's engine with a sender-stamped
+		// key and its own clone of the frame. The key consumes this
+		// direction's sequence numbers in the same order as the local path
+		// below, so the destination's event order is identical at any
+		// shard count.
 		p.ScheduleRunner(txDone, l.takeFlight(from, e, nil, wire), flightTxDone)
-		co.ship(e.ID(), l.shard[to.side], remoteRec{
-			key:  sim.Key{At: arrival, Owner: p.ID(), Seq: p.NextSeq()},
-			link: l, side: int8(from.side), epoch: l.epoch, frame: f.clone(),
-		})
+		co.ship(l.shard[to.side], sim.Key{At: arrival, Owner: p.ID(), Seq: p.NextSeq()}, l, from, f.clone())
 		return
 	}
 	// The flight holds its own reference, released on delivery/drop.

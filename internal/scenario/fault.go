@@ -214,7 +214,7 @@ func linkEnds(l *netsim.Link) (netsim.Node, netsim.Node) {
 // applyOps schedules every op at base+op.At. Each op is keyed by the
 // entity it acts on and classified by the set of nodes whose state it
 // touches: a flap of an intra-shard link, a loss knob, a burst, a restart
-// whose neighbours are co-sharded all run inside their shard's parallel
+// whose neighbours are co-sharded all run inside their shard's lookahead
 // windows; only ops that genuinely span shards pause the fabric as
 // coordinator barriers. Burst sinks are bound up front (port bindings are
 // not time-dependent), one per destination (host, port) however many

@@ -42,7 +42,7 @@ type Config struct {
 	// different scenario from the arppath run.
 	Protocol topo.Protocol
 
-	// Shards runs the simulation on a parallel engine partitioned into
+	// Shards runs the simulation on an engine partitioned into
 	// that many shards (0/1 = classic single engine). A scenario's trace,
 	// fingerprint and verdict are bit-identical at every value — that
 	// equivalence is itself a tested invariant of the sharded engine.

@@ -40,7 +40,7 @@ func TopologyFamilies() []TopologyFamily {
 // buildTopology draws the family's shape parameters from plan and builds
 // the instance with the scenario seed (which also seeds the simulation
 // engine, so wiring, delays and race outcomes are all functions of the
-// seed alone). cfg.Shards > 1 partitions the instance onto the parallel
+// seed alone). cfg.Shards > 1 partitions the instance onto the sharded
 // engine; cfg.Big selects the larger tier — both leave the plan stream of
 // the corresponding non-big draw untouched only for shards (a Big run is
 // a different scenario, a sharded run of the same scenario is the same

@@ -10,7 +10,7 @@
 // deterministic event order.
 //
 // The ordering key deserves a word, because it is what makes the sharded
-// parallel engine (DESIGN.md §8) possible. Every event is stamped by the
+// engine (DESIGN.md §8) possible. Every event is stamped by the
 // Proc that scheduled it: a scheduling identity owned by exactly one
 // simulated entity (a node, one direction of a link, or the root driver).
 // Ties at equal virtual times break by (owner id, per-owner sequence), and
@@ -19,8 +19,8 @@
 // events that tie across owners touch disjoint state, so their relative
 // order is fixed arbitrarily (by owner id) but consistently. The result is
 // an execution order that does not depend on how the fabric is partitioned
-// into shards, which is the determinism bedrock the parallel coordinator
-// in internal/netsim builds on.
+// into shards, which is the determinism bedrock the shard coordinator in
+// internal/netsim builds on.
 //
 // Representation (DESIGN.md §4, §11): events live in a generation-guarded
 // arena and the pending queue is a binary heap of pointer-free 32-byte
@@ -298,9 +298,8 @@ func b2i(b bool) int {
 // with globally unique ids in construction order, and rebound to a shard's
 // engine when the fabric is partitioned.
 //
-// A Proc is not safe for concurrent use; it is driven by the single
-// goroutine executing its engine's events (or by the coordinator while all
-// shards are paused).
+// A Proc is not safe for concurrent use; it is driven by its engine's
+// events (or by a barrier while all shards are paused).
 type Proc struct {
 	eng *Engine
 	id  uint64
@@ -660,10 +659,10 @@ func (e *Engine) ScheduleRunner(t time.Duration, r Runner, arg int32) {
 
 // ScheduleKeyed enqueues r.RunEvent(arg) under an explicit, caller-computed
 // key. This is the cross-shard injection primitive: the sending shard
-// stamps an arrival with its link identity's (owner, seq) before shipping
-// it, and the coordinator inserts it here between windows — the key, not
-// the insertion moment, decides where the event sorts, so the destination
-// shard's execution order is independent of exchange timing.
+// stamps an arrival with its link identity's (owner, seq) and the
+// coordinator inserts it here as it is sent — the key, not the insertion
+// moment, decides where the event sorts, so the destination shard's
+// execution order is independent of exchange timing.
 func (e *Engine) ScheduleKeyed(k Key, r Runner, arg int32) {
 	if r == nil {
 		panic("sim: nil event runner")

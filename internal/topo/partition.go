@@ -6,7 +6,7 @@ import (
 
 // This file implements the topology-aware graph partitioner behind
 // Options.Shards: it cuts the bridge graph into k balanced, connected-ish
-// regions so the parallel engine (netsim.Partition, DESIGN.md §8) gets few
+// regions so the sharded engine (netsim.Partition, DESIGN.md §8) gets few
 // boundary links — every cut trunk costs a frame clone per crossing and
 // bounds the synchronization window by its latency. Hosts always follow
 // their edge bridge, so host access links are never cut.

@@ -55,10 +55,10 @@ type Options struct {
 	// WarmUp is how long to run the fabric before the experiment starts
 	// (0 = the protocol's registered convergence budget).
 	WarmUp time.Duration
-	// Shards splits the simulation across that many engine shards, run on
-	// up to GOMAXPROCS goroutines: the bridge graph is partitioned by
-	// PartitionAssign and the run is synchronized by netsim's conservative
-	// coordinator. 0 or 1 keeps the classic single-engine run. Results are
+	// Shards splits the simulation across that many engine shards, run in
+	// lookahead windows on the calling goroutine: the bridge graph is
+	// partitioned by PartitionAssign and the run is synchronized by
+	// netsim's conservative coordinator. 0 or 1 keeps the classic single-engine run. Results are
 	// bit-identical for every value — see DESIGN.md §8.
 	Shards int
 	// SpareJacks pre-cables every host of the host-per-bridge families

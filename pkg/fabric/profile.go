@@ -20,16 +20,13 @@ type ProfileOptions struct {
 	// (with a GC first, so it reflects live retention, not garbage).
 	MemPath string
 	// TracePath receives a runtime execution trace covering the workload
-	// (goroutine scheduling of the coordinator's helpers, GC, syscalls).
+	// (goroutine scheduling, GC, syscalls).
 	TracePath string
 	// MutexPath receives a pprof mutex-contention profile covering the
-	// workload: where goroutines stalled waiting for locks held by others
-	// — the coordinator's window barrier shows up here if it ever
-	// contends.
+	// workload: where goroutines stalled waiting for locks held by others.
 	MutexPath string
 	// BlockPath receives a pprof blocking profile covering the workload:
-	// time spent parked in channel waits, which is how helper wake-up
-	// stalls and coordinator waits are attributed to call sites.
+	// time spent parked in channel waits, attributed to call sites.
 	BlockPath string
 }
 

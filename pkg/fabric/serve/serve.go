@@ -17,10 +17,9 @@
 // A Server owns its fabric exclusively and runs every simulation step from
 // one goroutine; connection handlers only enqueue decoded requests.
 // Completion callbacks (ping trains, streams) fire inside shard windows,
-// on whichever goroutine claimed it, so they write only their own flow's
-// state; the serving loop folds finished flows into the histograms at
-// boundaries, where the window join has already established
-// happens-before. Like the Runner, at most one Server may be live per
+// where shards run ahead of one another, so they write only their own
+// flow's state; the serving loop folds finished flows into the histograms
+// at boundaries. Like the Runner, at most one Server may be live per
 // process (it hooks topo.OnBuilt to attach its trace tap).
 package serve
 
@@ -354,21 +353,25 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		var resp Response
-		var req Request
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			resp = Response{Error: fmt.Sprintf("bad request: %v", err)}
-		} else if dec.More() {
-			resp = Response{Error: "bad request: trailing data after the op object"}
-		} else {
-			resp = s.do(req)
-		}
-		if err := enc.Encode(resp); err != nil {
+		if err := enc.Encode(s.answer(line)); err != nil {
 			return
 		}
 	}
+}
+
+// answer decodes one request line strictly and runs it through the
+// serving loop; a line that does not decode is answered with the error.
+func (s *Server) answer(line []byte) Response {
+	var req Request
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Response{Error: fmt.Sprintf("bad request: %v", err)}
+	}
+	if dec.More() {
+		return Response{Error: "bad request: trailing data after the op object"}
+	}
+	return s.do(req)
 }
 
 // loop is the single goroutine that touches the fabric: it gathers
@@ -697,7 +700,7 @@ func (s *Server) logAppend(e *logEntry) {
 // flows out through the LiveFrames gate, remaining flows fold, expired
 // table and proxy state is swept, and the report — fingerprint included —
 // is rendered. No report line depends on the shard count, so live and
-// replayed reports diff clean whatever parallelism either ran at.
+// replayed reports diff clean whatever shard count either ran at.
 func (s *Server) finish() {
 	s.built.Run()
 	s.boundary()

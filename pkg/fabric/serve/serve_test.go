@@ -463,3 +463,68 @@ func FuzzReplayEntry(f *testing.F) {
 		}
 	})
 }
+
+// fuzzSpec is FuzzServeRequest's fabric: four bridges meshed, every host
+// with a spare jack so host moves are in play, on two shards.
+var fuzzSpec = fabric.Spec{
+	Seed:     11,
+	Shards:   2,
+	Topology: fabric.TopologySpec{Family: "erdos-renyi", N: 4, P: 0.9, SpareJacks: true},
+}
+
+// FuzzServeRequest holds the live wire to its trust boundary: one fuzzed
+// line goes through the strict decode and the serving loop exactly as a
+// connection's line does, and is answered as an accepted op or an error,
+// never a panic. The session goes on afterwards: a stats op still
+// answers (unless the line shut the session down), and shutdown ends it
+// with a report and no leaked frame.
+func FuzzServeRequest(f *testing.F) {
+	for _, tc := range outOfRangeEntries {
+		f.Add(tc.line)
+	}
+	for _, line := range []string{
+		`{"op":"ping","src":"H1","dst":"H3","count":3,"interval":"5ms","class":"priority"}`,
+		`{"op":"ping","src":"H1","dst":"H3","size":100000}`,
+		`{"op":"stream","src":"H2","dst":"H4","bytes":20000}`,
+		`{"op":"stream","src":"H2","dst":"H4","bytes":-1}`,
+		`{"op":"burst","src":"H1","dst":"H2","count":10,"payload":200,"interval":"1ms"}`,
+		`{"op":"matrix","flows":4,"count":5,"interval":"1ms","seed":3}`,
+		`{"op":"link-down","link":"S1-S2"}`,
+		`{"op":"link-up","link":"S1-S2"}`,
+		`{"op":"flap","link":"S2-S3","for":"5ms"}`,
+		`{"op":"set-loss","link":"S1-S3","side":1,"rate":0.5,"for":"20ms"}`,
+		`{"op":"clear-loss","link":"S1-S3","side":1}`,
+		`{"op":"bridge-restart","bridge":"S4"}`,
+		`{"op":"host-move","host":"H1","for":"10ms"}`,
+		`{"op":"host-return","host":"H1"}`,
+		`{"op":"partition","seed":5,"for":"10ms"}`,
+		`{"op":"heal"}`,
+		`{"op":"info"}`,
+		`{"op":"stats"}`,
+		`{"op":"metrics"}`,
+		`{"op":"drain"}`,
+		`{"op":"shutdown"}`,
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		srv, err := New(Options{Spec: fuzzSpec})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if resp := srv.answer([]byte(line)); resp.OK == (resp.Error != "") {
+			t.Fatalf("%s: answered %+v, want exactly one of ok and an error", line, resp)
+		}
+		if st := srv.do(Request{Op: "stats"}); !st.OK || st.Stats == nil {
+			select {
+			case <-srv.doneCh: // the line was a shutdown
+			default:
+				t.Fatalf("%s: stats afterwards answered %+v", line, st)
+			}
+		}
+		srv.Shutdown()
+		if rep := srv.Wait(); rep == nil || rep.LeakedFrames != 0 {
+			t.Fatalf("%s: session ended with report %+v", line, rep)
+		}
+	})
+}

@@ -42,7 +42,7 @@ type Spec struct {
 	// WarmUp is how long the fabric runs before the workload (0 = the
 	// protocol's registered convergence budget; WithDefaults fills it).
 	WarmUp Duration `json:"warm_up,omitempty"`
-	// Shards runs the simulation on that many parallel engine shards.
+	// Shards runs the simulation on that many engine shards.
 	// Every figure, table and fingerprint is bit-identical at any value.
 	Shards int `json:"shards,omitempty"`
 	// Workload selects what runs on the fabric.
