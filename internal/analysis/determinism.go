@@ -45,7 +45,7 @@ var DeterminismAnalyzer = &Analyzer{
 // base name: the event engine, the network simulator, every protocol
 // implementation and the path table under them (its victim order decides
 // which flow re-floods), topology/partitioning, the scenario engine,
-// hosts, the chassis, the timed experiments and the live serving loop.
+// hosts, the chassis, the experiment runners and the live serving loop.
 var tracePkgBases = map[string]bool{
 	"sim": true, "netsim": true, "core": true, "flowpath": true,
 	"learning": true, "tables": true,

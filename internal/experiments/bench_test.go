@@ -194,15 +194,3 @@ func BenchmarkTableStateSize(b *testing.B) {
 	b.ReportMetric(rows[0].ARPPathMean, "arppath-entries")
 	b.ReportMetric(rows[0].STPMean, "stp-entries")
 }
-
-// BenchmarkFabricForwardThroughput is the benchmark form of
-// `fabricbench -exp forward`: wall-clock forwarding rate on the fat-tree
-// mesh with every path established.
-func BenchmarkFabricForwardThroughput(b *testing.B) {
-	var res *experiments.ForwardResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunForwardBench(1, 20_000)
-	}
-	b.ReportMetric(res.FramesPerSec, "frames/s")
-	b.ReportMetric(res.HopsPerSec, "hops/s")
-}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/host"
@@ -15,13 +14,13 @@ import (
 
 // The scale experiment is the reproduction's answer to the All-Path
 // scalability study (PAPERS.md, arXiv:1703.08744): flood cost, repair
-// churn and load balancing only get interesting at fabric sizes a
-// single-threaded event loop cannot reach in reasonable wall-clock. It
-// builds a large random-regular fabric, drives many concurrent UDP
-// conversations across it, and measures the simulator's wall-clock
-// throughput — single engine versus the sharded engine (DESIGN.md §8).
-// The protocol-side numbers (delivery, events, trace fingerprint) are
-// bit-identical at every shard count; only the wall clock may differ.
+// churn and load balancing only get interesting at fabric sizes well
+// past the paper's testbed. It builds a large random-regular fabric,
+// drives many concurrent UDP conversations across it, and reports what
+// the single engine and the sharded engine (DESIGN.md §8) did. The
+// protocol-side numbers (delivery, events, trace fingerprint) are
+// bit-identical at every shard count; the coordinator's counts are a
+// function of (seed, shards). Speed is bench/perf's to measure.
 
 // ScaleConfig parameterizes one scaling run.
 type ScaleConfig struct {
@@ -46,9 +45,10 @@ func DefaultScaleConfig(seed int64, shards int) ScaleConfig {
 	}
 }
 
-// ScaleResult reports one scaling run. Everything except Wall and the
-// derived rates is a deterministic function of (Seed, Bridges, Degree,
-// Flows, Window) — independent of Shards and GOMAXPROCS.
+// ScaleResult reports one scaling run. Everything but the coordinator's
+// fields (Lookahead, Windows, Barriers, Exchanged) is a deterministic
+// function of (Seed, Bridges, Degree, Flows, Window) — independent of
+// Shards and GOMAXPROCS.
 type ScaleResult struct {
 	Config                ScaleConfig
 	Bridges, Hosts, Links int
@@ -57,9 +57,6 @@ type ScaleResult struct {
 	Events                uint64        // events executed across all engines
 	Fingerprint           uint64        // merged-trace digest (Trace runs)
 	TraceEvents           uint64        // tap events folded into the fingerprint
-	Wall                  time.Duration
-	EventsPerSec          float64
-	FramesPerSec          float64 // delivered datagrams per wall second
 	// Coordination overhead over the traffic phase (zero unsharded),
 	// deterministic for a given (seed, shards).
 	Windows   uint64 // lookahead windows the coordinator ran
@@ -124,10 +121,8 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 
 	eventsBefore := built.Network.Processed()
 	coordBefore := built.Network.CoordStats()
-	start := time.Now() //fabriclint:wallclock measures wall speedup of the same virtual workload; traces are compared separately
 	built.RunFor(cfg.Window + 10*time.Millisecond)
 	built.Run()
-	wall := time.Since(start)
 	coord := built.Network.CoordStats()
 
 	res := &ScaleResult{
@@ -138,7 +133,6 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 		Lookahead: built.Network.Lookahead(),
 		Offered:   offered,
 		Events:    built.Network.Processed() - eventsBefore,
-		Wall:      wall,
 		Windows:   coord.Windows - coordBefore.Windows,
 		Barriers:  coord.Barriers - coordBefore.Barriers,
 		Exchanged: coord.Exchanged - coordBefore.Exchanged,
@@ -150,17 +144,12 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 		res.Fingerprint = fp.Sum()
 		res.TraceEvents = fp.Events()
 	}
-	if wall > 0 {
-		res.EventsPerSec = float64(res.Events) / wall.Seconds()
-		res.FramesPerSec = float64(res.Delivered) / wall.Seconds()
-	}
 	return res
 }
 
-// ScaleTable renders the deterministic half of scaling runs: every cell
-// is bit-identical for a given seed at any shard count and GOMAXPROCS.
-// Wall-clock rates are reported separately (ScaleBenchLine) precisely
-// because they are the one machine-dependent output.
+// ScaleTable renders the shard-invariant half of scaling runs: every
+// cell but the shards column is bit-identical for a given seed at any
+// shard count and GOMAXPROCS.
 func ScaleTable(rs []*ScaleResult) *metrics.Table {
 	t := metrics.NewTable("Scaling fabric (random-regular, one host per bridge) — deterministic outputs",
 		"bridges", "links", "shards", "flows", "offered", "delivered", "events", "trace events", "fingerprint")
@@ -174,12 +163,14 @@ func ScaleTable(rs []*ScaleResult) *metrics.Table {
 	return t
 }
 
-// ScaleBenchLine renders one run's wall-clock figures and coordinator
-// counts for stderr, ending with the GOMAXPROCS the process ran at. The
-// simulation runs on one goroutine at any value; the runtime's own work
-// (GC) is what another thread can take off it.
-func ScaleBenchLine(r *ScaleResult) string {
-	return fmt.Sprintf("scale: bridges=%d shards=%d lookahead=%v wall=%v events/s=%.0f frames/s=%.0f windows=%d barriers=%d exchanged=%d gomaxprocs=%d",
-		r.Bridges, r.Config.Shards, r.Lookahead, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.FramesPerSec,
-		r.Windows, r.Barriers, r.Exchanged, runtime.GOMAXPROCS(0))
+// ScaleCoordTable renders the coordinator's counts of the same runs, one
+// row per shard count: deterministic for a given (seed, shards), and zero
+// on the single engine.
+func ScaleCoordTable(rs []*ScaleResult) *metrics.Table {
+	t := metrics.NewTable("Scaling fabric — shard coordinator over the traffic phase",
+		"bridges", "shards", "lookahead", "windows", "barriers", "exchanged")
+	for _, r := range rs {
+		t.AddRow(r.Bridges, r.Config.Shards, r.Lookahead, r.Windows, r.Barriers, r.Exchanged)
+	}
+	return t
 }

@@ -62,7 +62,6 @@ func TestExperimentsDrainToZeroFrameRefs(t *testing.T) {
 		experiments.RunT5LockWindow(1, []time.Duration{5 * time.Millisecond, 200 * time.Millisecond})
 	})
 	t.Run("t6-table-size", func(t *testing.T) { experiments.RunT6TableSize(1, []int{8}) })
-	t.Run("forward", func(t *testing.T) { experiments.RunForwardBench(1, 2000) })
 
 	if nets == 0 {
 		t.Fatal("no networks reported through OnNetworkDone")

@@ -22,18 +22,11 @@ type ProfileOptions struct {
 	// TracePath receives a runtime execution trace covering the workload
 	// (goroutine scheduling, GC, syscalls).
 	TracePath string
-	// MutexPath receives a pprof mutex-contention profile covering the
-	// workload: where goroutines stalled waiting for locks held by others.
-	MutexPath string
-	// BlockPath receives a pprof blocking profile covering the workload:
-	// time spent parked in channel waits, attributed to call sites.
-	BlockPath string
 }
 
 // enabled reports whether any collector is requested.
 func (p ProfileOptions) enabled() bool {
-	return p.CPUPath != "" || p.MemPath != "" || p.TracePath != "" ||
-		p.MutexPath != "" || p.BlockPath != ""
+	return p.CPUPath != "" || p.MemPath != "" || p.TracePath != ""
 }
 
 // start begins the requested collectors and returns the matching stop
@@ -49,22 +42,7 @@ func (p ProfileOptions) start() (stop func() error, err error) {
 			rtrace.Stop()
 			traceFile.Close()
 		}
-		if p.MutexPath != "" {
-			runtime.SetMutexProfileFraction(0)
-		}
-		if p.BlockPath != "" {
-			runtime.SetBlockProfileRate(0)
-		}
 		return nil, err
-	}
-	// The mutex/block collectors are runtime-global sampling rates rather
-	// than stream writers: turn them on before the workload, snapshot the
-	// accumulated profiles into files at stop, then turn them back off.
-	if p.MutexPath != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	if p.BlockPath != "" {
-		runtime.SetBlockProfileRate(1)
 	}
 	if p.CPUPath != "" {
 		cpuFile, err = os.Create(p.CPUPath)
@@ -118,36 +96,6 @@ func (p ProfileOptions) start() (stop func() error, err error) {
 				}
 			}
 		}
-		if p.MutexPath != "" {
-			if err := writeLookupProfile("mutex", p.MutexPath); err != nil && first == nil {
-				first = err
-			}
-			runtime.SetMutexProfileFraction(0)
-		}
-		if p.BlockPath != "" {
-			if err := writeLookupProfile("block", p.BlockPath); err != nil && first == nil {
-				first = err
-			}
-			runtime.SetBlockProfileRate(0)
-		}
 		return first
 	}, nil
-}
-
-// writeLookupProfile snapshots one of the runtime's named accumulated
-// profiles (mutex, block) into path in pprof proto form.
-func writeLookupProfile(name, path string) error {
-	prof := pprof.Lookup(name)
-	if prof == nil {
-		return fmt.Errorf("fabric: unknown profile %q", name)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("fabric: %s profile: %w", name, err)
-	}
-	if err := prof.WriteTo(f, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("fabric: %s profile: %w", name, err)
-	}
-	return f.Close()
 }

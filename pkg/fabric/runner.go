@@ -28,10 +28,8 @@ type Runner struct {
 	Spec Spec
 
 	// Out is the report stream (default os.Stdout): tables, sweep
-	// verdicts, fingerprints. Err is the side channel (default
-	// os.Stderr): wall-clock bench lines.
+	// verdicts, fingerprints.
 	Out io.Writer
-	Err io.Writer
 	// CSV renders tables as CSV instead of aligned text.
 	CSV bool
 	// Graphs renders the per-scenario ASCII latency graphs of the
@@ -90,12 +88,9 @@ func (r *Runner) Run() (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	out, errw := r.Out, r.Err
+	out := r.Out
 	if out == nil {
 		out = os.Stdout
-	}
-	if errw == nil {
-		errw = os.Stderr
 	}
 	jobs := r.Jobs
 	if jobs < 1 {
@@ -144,8 +139,8 @@ func (r *Runner) Run() (res *Result, err error) {
 		err = r.runFigure2Demo(spec, out, res)
 	case "path-repair":
 		err = r.runPathRepair(spec, out, res)
-	case "properties", "load", "proxy", "repair", "lockwindow", "tablesize", "forward", "scale", "allpath", "tables", "all":
-		err = r.runBench(spec, out, errw, res)
+	case "properties", "load", "proxy", "repair", "lockwindow", "tablesize", "scale", "allpath", "tables", "all":
+		err = r.runBench(spec, out, res)
 	case "sweep":
 		err = r.runSweep(spec, out, jobs, res)
 	case "":

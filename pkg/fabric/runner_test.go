@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,6 @@ func runToBuffer(t *testing.T, r Runner) (*Result, string) {
 	t.Helper()
 	var out bytes.Buffer
 	r.Out = &out
-	r.Err = &out
 	res, err := r.Run()
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -47,6 +47,26 @@ func TestRunnerFingerprintShardInvariant(t *testing.T) {
 	if sharded.Fingerprint != res1.Fingerprint || sharded.TraceEvents != res1.TraceEvents {
 		t.Fatalf("shards=3 diverged: %#x/%d vs %#x/%d",
 			sharded.Fingerprint, sharded.TraceEvents, res1.Fingerprint, res1.TraceEvents)
+	}
+}
+
+// TestRunnerScaleTables: the scale workload reports on Out only — the
+// shard-invariant table, then the coordinator's counts per shard count —
+// and the same Spec prints the same bytes at another GOMAXPROCS.
+func TestRunnerScaleTables(t *testing.T) {
+	spec := Spec{Shards: 2, Workload: WorkloadSpec{Kind: "scale", Bridges: 32}}
+	res, out := runToBuffer(t, Runner{Spec: spec})
+	if len(res.Tables) != 2 {
+		t.Fatalf("scale emitted %d tables, want 2:\n%s", len(res.Tables), out)
+	}
+	// Columns: bridges, shards, lookahead, windows, barriers, exchanged.
+	coord := res.Tables[1]
+	if coord.Rows() != 2 || coord.Cell(0, 3) != "0" || coord.Cell(1, 1) != "2" || coord.Cell(1, 3) == "0" {
+		t.Fatalf("coordinator table: want a zero shards=1 row and a windowed shards=2 row:\n%s", coord)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, again := runToBuffer(t, Runner{Spec: spec}); again != out {
+		t.Fatalf("GOMAXPROCS=1 rerun differs:\n%s\nwant:\n%s", again, out)
 	}
 }
 
@@ -87,7 +107,7 @@ func TestRunnerSweep(t *testing.T) {
 	} {
 		spec.Protocol = ProtocolSpec{Name: name, Config: json.RawMessage(ext)}
 		var sink bytes.Buffer
-		if _, err := (&Runner{Spec: spec, Out: &sink, Err: &sink}).Run(); err == nil || !strings.Contains(err.Error(), "default "+name+" config") {
+		if _, err := (&Runner{Spec: spec, Out: &sink}).Run(); err == nil || !strings.Contains(err.Error(), "default "+name+" config") {
 			t.Errorf("%s sweep with tuning %s: err %v, want a refusal", name, ext, err)
 		}
 	}

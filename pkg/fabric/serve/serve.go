@@ -844,6 +844,11 @@ func Replay(r io.Reader, shards int, out io.Writer) (*Report, error) {
 		if err := dec.Decode(&e); err != nil {
 			return nil, fmt.Errorf("serve: op-log line %d: %w", lineNo, err)
 		}
+		// The daemon numbers accepted ops 1, 2, 3…: a duplicated, dropped
+		// or reordered line would otherwise replay silently as another run.
+		if e.Seq != s.seq+1 {
+			return nil, fmt.Errorf("serve: op-log line %d: seq %d, want %d", lineNo, e.Seq, s.seq+1)
+		}
 		at := e.At.D()
 		now := s.built.Now()
 		if at < now {
@@ -862,7 +867,7 @@ func Replay(r io.Reader, shards int, out io.Writer) (*Report, error) {
 		if err := s.applyEntry(&e); err != nil {
 			return nil, fmt.Errorf("serve: op-log line %d: %w", lineNo, err)
 		}
-		s.seq = e.Seq
+		s.seq++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -446,6 +446,41 @@ func TestReplayRefusesOutOfRangeEntries(t *testing.T) {
 	}
 }
 
+// renumberedLogs are op-log bodies whose entries are not numbered 1, 2,
+// 3… as the daemon writes them, each with the line replay must refuse.
+// They used to replay: a duplicated line ran its op twice, and a lone
+// seq-7 entry reported seven ops.
+var renumberedLogs = []struct {
+	name, body string
+	line       int
+}{
+	{"duplicated", heal(1, "10ms") + heal(1, "10ms"), 3},
+	{"skipped", heal(1, "10ms") + heal(3, "20ms"), 3},
+	{"lone-seq-7", heal(7, "10ms"), 2},
+	{"swapped", heal(2, "10ms") + heal(1, "20ms"), 2},
+	{"unnumbered", `{"at":"10ms","heal":true}` + "\n", 2},
+}
+
+// heal is one heal entry line numbered seq at time at.
+func heal(seq int, at string) string {
+	return fmt.Sprintf(`{"at":%q,"seq":%d,"heal":true}`+"\n", at, seq)
+}
+
+// TestReplayRefusesRenumberedLog: an entry whose seq is not the previous
+// one plus one is an error naming its line and the seq it should carry.
+func TestReplayRefusesRenumberedLog(t *testing.T) {
+	for _, tc := range renumberedLogs {
+		_, err := Replay(strings.NewReader(ring6Header+"\n"+tc.body), 1, io.Discard)
+		if want := fmt.Sprintf("op-log line %d: seq", tc.line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: replay returned %v, want an error containing %q", tc.name, err, want)
+		}
+	}
+	rep, err := Replay(strings.NewReader(ring6Header+"\n"+heal(1, "10ms")+heal(2, "20ms")), 1, io.Discard)
+	if err != nil || rep.Ops != 2 {
+		t.Fatalf("a log numbered 1, 2 replayed to %+v, %v; want 2 ops", rep, err)
+	}
+}
+
 // FuzzReplayEntry holds replay to its trust boundary: whatever one entry
 // line after a fixed ring-6 header says, Replay returns a report or an
 // error and never panics.

@@ -121,7 +121,7 @@ type LinkSpec struct {
 //   - "figure2-demo" — the paper's Figure 2 ARP-Path vs STP latency demo
 //   - "path-repair" — Figure 3, streaming under successive link failures
 //   - "properties", "load", "proxy", "repair", "lockwindow",
-//     "tablesize", "forward", "scale", "allpath", "tables", "all" — the
+//     "tablesize", "scale", "allpath", "tables", "all" — the
 //     evaluation tables (fabricbench); "allpath" is the Flow-Path/
 //     TCP-Path comparative experiment over the same matrices, "tables"
 //     the eviction-pressure capacity sweep
@@ -139,8 +139,6 @@ type WorkloadSpec struct {
 	WithSTP *bool `json:"with_stp,omitempty"`
 	// FastSTP gives the baseline the fastest legal STP timers.
 	FastSTP bool `json:"fast_stp,omitempty"`
-	// Frames is the pump volume of the forward benchmark.
-	Frames int `json:"frames,omitempty"`
 	// Bridges sizes the scale and allpath experiments' fabrics.
 	Bridges int `json:"bridges,omitempty"`
 
@@ -269,10 +267,9 @@ func (s Spec) WithDefaults() (Spec, error) {
 		{"link.queue_bytes", int64(s.Link.QueueBytes)}, {"warm_up", int64(s.WarmUp)},
 		{"workload.pings", int64(w.Pings)}, {"workload.interval", int64(w.Interval)},
 		{"workload.stream_size", int64(w.StreamSize)}, {"workload.failures", int64(w.Failures)},
-		{"workload.frames", int64(w.Frames)}, {"workload.bridges", int64(w.Bridges)},
-		{"workload.flows", int64(w.Flows)}, {"workload.hotspots", int64(w.Hotspots)},
-		{"workload.flow_bytes", int64(w.FlowBytes)}, {"workload.arrival", int64(w.Arrival)},
-		{"workload.conversations", int64(w.Conversations)},
+		{"workload.bridges", int64(w.Bridges)}, {"workload.flows", int64(w.Flows)},
+		{"workload.hotspots", int64(w.Hotspots)}, {"workload.flow_bytes", int64(w.FlowBytes)},
+		{"workload.arrival", int64(w.Arrival)}, {"workload.conversations", int64(w.Conversations)},
 	} {
 		if f.v < 0 {
 			return Spec{}, fmt.Errorf("spec: %s must not be negative", f.key)
@@ -500,10 +497,6 @@ func (w WorkloadSpec) withDefaults() WorkloadSpec {
 		if w.WithSTP == nil {
 			t := true
 			w.WithSTP = &t
-		}
-	case "forward":
-		if w.Frames == 0 {
-			w.Frames = 50_000
 		}
 	case "scale":
 		if w.Bridges == 0 {

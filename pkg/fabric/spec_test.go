@@ -78,6 +78,7 @@ func TestSpecStrictDecoding(t *testing.T) {
 		{"trailing", `{"seed": 1} {"seed": 2}`},
 		{"future-version", `{"version": 99}`},
 		{"removed-procs", `{"workload": {"kind": "scale"}, "procs": [1, 2]}`},
+		{"removed-frames", `{"workload": {"kind": "scale", "frames": 50000}}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeSpec([]byte(c.doc)); err == nil {
@@ -138,7 +139,7 @@ func TestSpecRejectsUnusableValues(t *testing.T) {
 		}
 		s.Topology = TopologySpec{Family: "line", N: 2}
 		var out bytes.Buffer
-		_, err = (&Runner{Spec: s, Out: &out, Err: &out}).Run()
+		_, err = (&Runner{Spec: s, Out: &out}).Run()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Run returned %v, want an error naming %q", c.doc, err, c.want)
 		}
@@ -219,9 +220,16 @@ func TestSpecSizeRules(t *testing.T) {
 	}
 }
 
-// TestSpecUnknownNamesRejected covers protocol, topology-family and fault
-// family validation.
+// TestSpecUnknownNamesRejected covers workload-kind, protocol,
+// topology-family and fault family validation.
 func TestSpecUnknownNamesRejected(t *testing.T) {
+	// forward is no workload: bench/perf's pump_forward is that pump's
+	// one timer.
+	var out bytes.Buffer
+	if _, err := (&Runner{Spec: Spec{Workload: WorkloadSpec{Kind: "forward"}}, Out: &out}).Run(); err == nil ||
+		!strings.Contains(err.Error(), "unknown workload kind") {
+		t.Errorf("forward workload: err %v, want an unknown workload kind", err)
+	}
 	if _, err := (Spec{Protocol: ProtocolSpec{Name: "flow-path"}}).WithDefaults(); err == nil {
 		t.Error("unknown protocol accepted")
 	}

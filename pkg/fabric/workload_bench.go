@@ -1,12 +1,10 @@
 package fabric
 
 import (
-	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/topo"
 )
 
@@ -22,9 +20,9 @@ func lockWindows() []time.Duration {
 }
 
 // runBench is the fabricbench harness: the extended experiments derived
-// from the paper's §2.2 claims (DESIGN.md T1–T6), the forwarding
-// benchmark and the sharded-engine scaling experiment.
-func (r *Runner) runBench(spec Spec, out, errw io.Writer, res *Result) error {
+// from the paper's §2.2 claims (DESIGN.md T1–T6) and the sharded-engine
+// scaling experiment.
+func (r *Runner) runBench(spec Spec, out io.Writer, res *Result) error {
 	seed := spec.Seed
 	switch spec.Workload.Kind {
 	case "properties":
@@ -41,10 +39,10 @@ func (r *Runner) runBench(spec Spec, out, errw io.Writer, res *Result) error {
 		r.emit(out, res, experiments.T5Table(experiments.RunT5LockWindow(seed, lockWindows())))
 	case "tablesize":
 		r.emit(out, res, experiments.T6Table(experiments.RunT6TableSize(seed, []int{8, 16, 32})))
-	case "forward":
-		r.emit(out, res, experiments.ForwardTable(experiments.RunForwardBench(seed, spec.Workload.Frames)))
 	case "scale":
-		r.emit(out, res, runScale(seed, spec.Workload.Bridges, spec.Shards, errw))
+		rs := runScale(seed, spec.Workload.Bridges, spec.Shards)
+		r.emit(out, res, experiments.ScaleTable(rs))
+		r.emit(out, res, experiments.ScaleCoordTable(rs))
 	case "allpath":
 		r.emit(out, res, experiments.AllPathTable(experiments.RunAllPath(experiments.AllPathConfig{
 			Seed: seed, Bridges: spec.Workload.Bridges, Degree: 3,
@@ -62,7 +60,7 @@ func (r *Runner) runBench(spec Spec, out, errw io.Writer, res *Result) error {
 	case "all":
 		for _, kind := range []string{"properties", "load", "proxy", "repair", "lockwindow", "tablesize"} {
 			spec.Workload.Kind = kind
-			if err := r.runBench(spec, out, errw, res); err != nil {
+			if err := r.runBench(spec, out, res); err != nil {
 				return err
 			}
 		}
@@ -70,21 +68,16 @@ func (r *Runner) runBench(spec Spec, out, errw io.Writer, res *Result) error {
 	return nil
 }
 
-// runScale sweeps shard counts 1..maxShards (doubling) on one fabric and
-// renders the deterministic table; each run's wall-clock figures go to
-// errw. The thread count is the process's GOMAXPROCS, which the line
-// names.
-func runScale(seed int64, bridges, maxShards int, errw io.Writer) *metrics.Table {
+// runScale sweeps shard counts 1..maxShards (doubling) on one fabric.
+func runScale(seed int64, bridges, maxShards int) []*experiments.ScaleResult {
 	var results []*experiments.ScaleResult
 	// Shard counts: doubling from 1, always ending exactly at maxShards.
 	for k := 1; ; k = min(2*k, maxShards) {
 		cfg := experiments.DefaultScaleConfig(seed, k)
 		cfg.Bridges = bridges
-		sr := experiments.RunScale(cfg)
-		fmt.Fprintln(errw, experiments.ScaleBenchLine(sr))
-		results = append(results, sr)
+		results = append(results, experiments.RunScale(cfg))
 		if k >= maxShards {
-			return experiments.ScaleTable(results)
+			return results
 		}
 	}
 }
