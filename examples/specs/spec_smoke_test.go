@@ -41,6 +41,9 @@ func TestSpecSmoke(t *testing.T) {
 		{cmd: "fabricbench", name: "fabricbench-shards4", args: []string{"-shards", "4"}},
 		{cmd: "fabricbench", spec: "allpath"},
 		{cmd: "fabricbench", spec: "allpath", name: "allpath-shards4", args: []string{"-shards", "4"}},
+		// T1–T6, the paper tables: every number EXPERIMENTS.md quotes
+		// for them is a line here.
+		{cmd: "fabricbench", spec: "tables"},
 		{cmd: "scenario", args: []string{"-j", "2"}},
 		{cmd: "arppath-sim"},
 		// The Figure 1 walkthrough examples/quickstart drives through the

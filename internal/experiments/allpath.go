@@ -292,12 +292,6 @@ type AllPathConfig struct {
 	Flows   int
 }
 
-// DefaultAllPathConfig is the fabricbench default: a 24-bridge 3-regular
-// fabric, 24 flows per pattern.
-func DefaultAllPathConfig(seed int64) AllPathConfig {
-	return AllPathConfig{Seed: seed, Bridges: 24, Degree: 3, Flows: 24}
-}
-
 // RunAllPath drives every (protocol, pattern) pairing: same seed, same
 // wiring, same matrix — only the bridging protocol differs.
 func RunAllPath(cfg AllPathConfig) []*AllPathResult {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -72,21 +71,19 @@ func TestT2Deterministic(t *testing.T) {
 // one column of the determinism matrix — a way of running the same
 // workload that may change nothing it renders and nothing in its trace.
 type cell struct {
-	shards  int
-	procs   int  // GOMAXPROCS for the run; 0 leaves the ambient value
-	batched bool // false = the one-pop-per-event reference engine
+	shards int
+	procs  int // GOMAXPROCS for the run; 0 leaves the ambient value
 }
 
 // matrixCells lists the columns; every row is held against the first. A
 // new axis is a field of cell, a line in observe and the columns that
 // vary it — not another test.
 var matrixCells = []cell{
-	{shards: 1, batched: false},
-	{shards: 1, batched: true},
-	{shards: 2, batched: true},
-	{shards: 4, procs: 1, batched: true},
-	{shards: 4, procs: 2, batched: true}, // more shards than processors
-	{shards: 4, procs: 4, batched: true},
+	{shards: 1},
+	{shards: 2},
+	{shards: 4, procs: 1},
+	{shards: 4, procs: 2}, // more shards than processors
+	{shards: 4, procs: 4},
 }
 
 // observation is what one (workload, cell) run is compared by: the bytes
@@ -109,7 +106,6 @@ func observe(t *testing.T, c cell, render func(*testing.T) string) (o observatio
 	prevShards := Shards
 	Shards = c.shards
 	defer func() { Shards = prevShards }()
-	defer sim.SetDefaultBatched(sim.SetDefaultBatched(c.batched))
 	if c.procs > 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 	}
@@ -170,8 +166,7 @@ var scaleCoordPins = map[string]map[int]string{
 // TestDeterminismMatrix is the package's one execution-mode differential:
 // every workload row must render byte-identical output — tables, the
 // tables sweep's JSON artifact — and produce the identical trace
-// fingerprint in every cell: any shard count, any GOMAXPROCS, batched or
-// not. Cells of one shard count also agree on how many windows, barriers
+// fingerprint in every cell: any shard count, any GOMAXPROCS. Cells of one shard count also agree on how many windows, barriers
 // and cross-shard arrivals the coordinator counted, and the scale rows
 // count exactly their pins.
 func TestDeterminismMatrix(t *testing.T) {

@@ -134,17 +134,29 @@ func RunFigure3(cfg Figure3Config, proto topo.Protocol) *Figure3Result {
 // and returns a gapMeter fed by them.
 func attachStreamMeter(n *topo.Built, client *host.Host) *gapMeter {
 	meter := &gapMeter{}
-	var p layers.Parser // preallocated decode, gopacket-parser style
 	mac := client.MAC()
 	n.Network.Tap(func(ev netsim.TapEvent) {
-		if ev.Kind != netsim.TapDeliver || ev.To.Node() != netsim.Node(client) {
-			return
-		}
-		if p.Parse(ev.Frame) == nil && p.IsStreamData(mac) {
+		if ev.Kind == netsim.TapDeliver && ev.To.Node() == netsim.Node(client) && isStreamData(ev.Frame, mac) {
 			meter.onDeliver(ev.At)
 		}
 	})
 	return meter
+}
+
+// isStreamData reports whether frame is a TCP-lite segment carrying
+// payload to dst, decoded down the Ethernet → IPv4 → TCPLite codec chain
+// as PathTracer decodes its probes.
+func isStreamData(frame []byte, dst layers.MAC) bool {
+	var eth layers.Ethernet
+	if eth.DecodeFromBytes(frame) != nil || eth.Dst != dst || eth.EtherType != layers.EtherTypeIPv4 {
+		return false
+	}
+	var ip layers.IPv4
+	if ip.DecodeFromBytes(eth.Payload()) != nil || ip.Protocol != layers.IPProtoTCPLite {
+		return false
+	}
+	var tcp layers.TCPLite
+	return tcp.DecodeFromBytes(ip.Payload()) == nil && len(tcp.Payload()) > 0
 }
 
 // gapMeter measures stream interruptions: for each failure, the largest

@@ -139,13 +139,9 @@ func (c *arpCache) transmitRequest(dst layers.Addr4, p *arpPending) {
 	})
 }
 
-// handleFrame processes a received ARP packet: learn the sender, answer
-// requests for our address.
-func (c *arpCache) handleFrame(eth *layers.Ethernet) {
-	var arp layers.ARP
-	if arp.DecodeFromBytes(eth.Payload()) != nil {
-		return
-	}
+// handleARP processes a received ARP packet (the frame view's decode):
+// learn the sender, answer requests for our address.
+func (c *arpCache) handleARP(arp *layers.ARP) {
 	// Standard opportunistic learning: any ARP naming the sender updates
 	// the cache (this is also how the in-switch proxy's replies land).
 	c.learn(arp.SenderIP, arp.SenderHW)

@@ -158,25 +158,24 @@ func (h *Host) HandleFrame(_ *netsim.Port, f *netsim.Frame) {
 		return
 	}
 	h.stats.FramesRx++
-	var eth layers.Ethernet
-	if eth.DecodeFromBytes(f.Bytes()) != nil {
-		return
-	}
-	switch eth.EtherType {
+	switch v.EtherType {
 	case layers.EtherTypeARP:
-		h.arp.handleFrame(&eth)
+		if v.HasARP {
+			h.arp.handleARP(&v.ARP)
+		}
 	case layers.EtherTypeIPv4:
-		h.handleIPv4(&eth)
+		h.handleIPv4(f.Bytes()[layers.EthernetHeaderLen:])
 	default:
 		// PathCtl, BPDUs, anything else: hosts ignore bridge traffic.
 		h.stats.DroppedUnknownProto++
 	}
 }
 
-// handleIPv4 dispatches a received IPv4 packet.
-func (h *Host) handleIPv4(eth *layers.Ethernet) {
+// handleIPv4 dispatches a received IPv4 packet (the frame's Ethernet
+// payload).
+func (h *Host) handleIPv4(packet []byte) {
 	var ip layers.IPv4
-	if ip.DecodeFromBytes(eth.Payload()) != nil {
+	if ip.DecodeFromBytes(packet) != nil {
 		return
 	}
 	if ip.Dst != h.ip && !ip.Dst.IsBroadcast() {

@@ -9,6 +9,26 @@ import (
 	"repro/internal/netsim"
 )
 
+// decodeTransport decodes frame down the Ethernet → IPv4 codec chain and
+// then into layer. It reports the frame's source MAC, and whether every
+// step decoded with the IPv4 protocol proto.
+func decodeTransport(frame []byte, proto uint8, layer layers.DecodingLayer) (layers.MAC, bool) {
+	var eth layers.Ethernet
+	var ip layers.IPv4
+	if eth.DecodeFromBytes(frame) != nil || eth.EtherType != layers.EtherTypeIPv4 ||
+		ip.DecodeFromBytes(eth.Payload()) != nil || ip.Protocol != proto {
+		return layers.MAC{}, false
+	}
+	return eth.Src, layer.DecodeFromBytes(ip.Payload()) == nil
+}
+
+// decodeEcho decodes frame as an ICMP echo message.
+func decodeEcho(frame []byte) (*layers.ICMPEcho, bool) {
+	var echo layers.ICMPEcho
+	_, ok := decodeTransport(frame, layers.IPProtoICMP, &echo)
+	return &echo, ok
+}
+
 // TestICMPPayloadEchoedIntact: the echo reply must carry the request's
 // payload back byte for byte (RFC 792).
 func TestICMPPayloadEchoedIntact(t *testing.T) {
@@ -19,9 +39,8 @@ func TestICMPPayloadEchoedIntact(t *testing.T) {
 		if ev.Kind != netsim.TapDeliver || layers.FrameDst(ev.Frame) != h1.MAC() {
 			return
 		}
-		var p layers.Parser
-		if p.Parse(ev.Frame) == nil && p.Has(layers.LayerICMPEcho) && p.ICMP.Type == layers.ICMPEchoReply {
-			replyPayload = append([]byte(nil), p.ICMP.Payload()...)
+		if echo, ok := decodeEcho(ev.Frame); ok && echo.Type == layers.ICMPEchoReply {
+			replyPayload = append([]byte(nil), echo.Payload()...)
 		}
 	})
 	net.Engine.At(net.Now(), func() {
@@ -53,10 +72,8 @@ func TestEchoReplySurvivesARPMiss(t *testing.T) {
 	}
 	var reply []byte
 	net.Tap(func(ev netsim.TapEvent) {
-		var p layers.Parser
-		if ev.Kind == netsim.TapDeliver && p.Parse(ev.Frame) == nil &&
-			p.Has(layers.LayerICMPEcho) && p.ICMP.Type == layers.ICMPEchoReply {
-			reply = append([]byte(nil), p.ICMP.Payload()...)
+		if echo, ok := decodeEcho(ev.Frame); ev.Kind == netsim.TapDeliver && ok && echo.Type == layers.ICMPEchoReply {
+			reply = append([]byte(nil), echo.Payload()...)
 		}
 	})
 	raw := func(proto uint8, ls ...layers.SerializableLayer) []byte {
@@ -176,17 +193,14 @@ func TestTCPWindowNeverExceeded(t *testing.T) {
 		if ev.Kind != netsim.TapSend {
 			return
 		}
-		var p layers.Parser
-		if p.Parse(ev.Frame) != nil || !p.Has(layers.LayerTCPLite) || len(p.TCP.Payload()) == 0 {
-			return
-		}
-		if p.Eth.Src != h1.MAC() {
+		var tcp layers.TCPLite
+		if src, ok := decodeTransport(ev.Frame, layers.IPProtoTCPLite, &tcp); !ok || src != h1.MAC() || len(tcp.Payload()) == 0 {
 			return
 		}
 		if !seen {
-			base, seen = p.TCP.Seq, true
+			base, seen = tcp.Seq, true
 		}
-		if end := int(p.TCP.Seq-base) + len(p.TCP.Payload()); end > maxSeen {
+		if end := int(tcp.Seq-base) + len(tcp.Payload()); end > maxSeen {
 			maxSeen = end
 		}
 	})

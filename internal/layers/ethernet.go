@@ -53,9 +53,8 @@ func (e *Ethernet) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error 
 	return nil
 }
 
-// Fast-path accessors used by the bridge dataplane. They avoid a full
-// decode (and any allocation) for the three fields every forwarding
-// decision needs, in the spirit of gopacket's DecodingLayerParser.
+// Header peekers. They read one Ethernet field of a raw frame without a
+// full decode (and without any allocation).
 
 // FrameDst returns the destination MAC of a raw frame. The frame must be at
 // least EthernetHeaderLen bytes; shorter input returns the zero MAC.
@@ -63,15 +62,6 @@ func FrameDst(frame []byte) MAC {
 	var m MAC
 	if len(frame) >= 6 {
 		copy(m[:], frame[0:6])
-	}
-	return m
-}
-
-// FrameSrc returns the source MAC of a raw frame.
-func FrameSrc(frame []byte) MAC {
-	var m MAC
-	if len(frame) >= 12 {
-		copy(m[:], frame[6:12])
 	}
 	return m
 }

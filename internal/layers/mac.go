@@ -78,38 +78,6 @@ func BridgeMAC(n int) MAC {
 	return MAC{0x02, 0x42, 0x42, byte(n >> 16), byte(n >> 8), byte(n)}
 }
 
-// ParseMAC parses the aa:bb:cc:dd:ee:ff (or aa-bb-...) form.
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	if len(s) != 17 {
-		return m, fmt.Errorf("layers: bad MAC %q", s)
-	}
-	for i := 0; i < 6; i++ {
-		hi, ok1 := fromHex(s[i*3])
-		lo, ok2 := fromHex(s[i*3+1])
-		if !ok1 || !ok2 {
-			return MAC{}, fmt.Errorf("layers: bad MAC %q", s)
-		}
-		m[i] = hi<<4 | lo
-		if i < 5 && s[i*3+2] != ':' && s[i*3+2] != '-' {
-			return MAC{}, fmt.Errorf("layers: bad MAC %q", s)
-		}
-	}
-	return m, nil
-}
-
-func fromHex(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
 // Addr4 is an IPv4 address. Comparable, map-key friendly.
 type Addr4 [4]byte
 
@@ -127,35 +95,4 @@ func (a Addr4) IsBroadcast() bool { return a == Addr4{255, 255, 255, 255} }
 // HostIP returns the address 10.0.x.y assigned to the n-th simulated host.
 func HostIP(n int) Addr4 {
 	return Addr4{10, 0, byte(n >> 8), byte(n)}
-}
-
-// ParseAddr4 parses dotted-quad form.
-func ParseAddr4(s string) (Addr4, error) {
-	var a Addr4
-	part, idx := 0, 0
-	seen := false
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '.' {
-			if !seen || idx > 3 {
-				return Addr4{}, fmt.Errorf("layers: bad IPv4 %q", s)
-			}
-			a[idx] = byte(part)
-			idx++
-			part, seen = 0, false
-			continue
-		}
-		c := s[i]
-		if c < '0' || c > '9' {
-			return Addr4{}, fmt.Errorf("layers: bad IPv4 %q", s)
-		}
-		part = part*10 + int(c-'0')
-		if part > 255 {
-			return Addr4{}, fmt.Errorf("layers: bad IPv4 %q", s)
-		}
-		seen = true
-	}
-	if idx != 4 {
-		return Addr4{}, fmt.Errorf("layers: bad IPv4 %q", s)
-	}
-	return a, nil
 }

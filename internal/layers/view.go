@@ -8,9 +8,9 @@ package layers
 // forwarding decision needs (addresses, EtherType, ARP operation, the
 // full ARP-Path control message) is already broken out.
 //
-// The view only covers the layers bridges inspect. Hosts still run the
-// full Parser/DecodeFromBytes stack on frames addressed to them; a view
-// is to a Parser what a TCAM pre-classifier is to a software slow path.
+// The view holds what bridges inspect. Hosts read it for the addresses,
+// the EtherType and the ARP packet, and they and the tools decode every
+// other layer (IPv4 and the transports) with the per-layer codecs.
 type FrameView struct {
 	// OK is set when the Ethernet header was present. A view with OK
 	// false has no other valid field.

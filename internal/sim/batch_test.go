@@ -14,31 +14,28 @@ import (
 // work mid-batch must see it in Pending() whether the engine staged it in
 // the run buffer, the spill buffer, or the heap.
 func TestPendingCountsBufferedEvents(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		e := New(1)
-		e.SetBatched(batched)
-		var inside []int
-		for i := 0; i < 5; i++ {
-			e.Schedule(time.Duration(i)*time.Microsecond, func() {})
-		}
-		// At t=10µs: schedule one event into the current window (same
-		// timestamp ⇒ spill or heap), one at a future time (heap), then
-		// record what Pending reports from inside the handler.
-		e.Schedule(10*time.Microsecond, func() {
-			e.Schedule(10*time.Microsecond, func() {})
-			e.Schedule(20*time.Microsecond, func() {})
-			inside = append(inside, e.Pending())
-		})
-		e.Run()
-		if len(inside) != 1 || inside[0] != 2 {
-			t.Fatalf("batched=%v: Pending inside handler = %v, want [2]", batched, inside)
-		}
-		if got := e.Pending(); got != 0 {
-			t.Fatalf("batched=%v: Pending after Run = %d, want 0", batched, got)
-		}
-		if e.Processed() != 8 {
-			t.Fatalf("batched=%v: processed %d events, want 8", batched, e.Processed())
-		}
+	e := New(1)
+	var inside []int
+	for i := 0; i < 5; i++ {
+		e.Schedule(time.Duration(i)*time.Microsecond, func() {})
+	}
+	// At t=10µs: schedule one event into the current window (same
+	// timestamp ⇒ spill or heap), one at a future time (heap), then
+	// record what Pending reports from inside the handler.
+	e.Schedule(10*time.Microsecond, func() {
+		e.Schedule(10*time.Microsecond, func() {})
+		e.Schedule(20*time.Microsecond, func() {})
+		inside = append(inside, e.Pending())
+	})
+	e.Run()
+	if len(inside) != 1 || inside[0] != 2 {
+		t.Fatalf("Pending inside handler = %v, want [2]", inside)
+	}
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending after Run = %d, want 0", got)
+	}
+	if e.Processed() != 8 {
+		t.Fatalf("processed %d events, want 8", e.Processed())
 	}
 }
 
@@ -106,13 +103,15 @@ type workloadRun struct {
 // in the far heap, crossing the horizon later, and leaving the near heap
 // dry in between), timer cancellations wherever the entry is staged
 // (run/spill/near/far), and occasional short jumps (forcing window
-// turnover). sliced drives the engine by RunFor slices instead of one
-// Run, so drains stop short of far events and pick them up later; the
-// execution order must not depend on it.
-func runRandomWorkload(t *testing.T, seed int64, batched, sliced bool) workloadRun {
+// turnover). Every third handler also reads the queue's head mid-batch,
+// as the shard coordinator does, which may roll the horizon under the
+// running batch; the head it reads must be an event the model still
+// holds. sliced drives the engine by RunFor slices instead of one Run, so
+// drains stop short of far events and pick them up later; the execution
+// order must not depend on it.
+func runRandomWorkload(t *testing.T, seed int64, sliced bool) workloadRun {
 	t.Helper()
 	e := New(seed)
-	e.SetBatched(batched)
 	rng := rand.New(rand.NewSource(seed))
 	procs := make([]*Proc, 8)
 	seqs := make([]uint64, len(procs)) // the model's per-owner sequence counters
@@ -124,7 +123,7 @@ func runRandomWorkload(t *testing.T, seed int64, batched, sliced bool) workloadR
 	pending := map[int]bool{} // the model's queue: tags neither run nor canceled
 	fault := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d batched=%v sliced=%v: %s", seed, batched, sliced, fmt.Sprintf(format, args...))
+		t.Fatalf("seed %d sliced=%v: %s", seed, sliced, fmt.Sprintf(format, args...))
 	}
 	type armed struct {
 		tm  *Timer
@@ -159,6 +158,22 @@ func runRandomWorkload(t *testing.T, seed int64, batched, sliced bool) workloadR
 			}
 			r.log = append(r.log, got)
 			checkTiers(e, fault)
+			if id%3 == 0 {
+				if k, ok := e.NextKey(); ok {
+					head := keyRecord(k)
+					live := false
+					for tag := range pending {
+						if rec := r.scheduled[tag]; rec.at == head.at && rec.owner == head.owner && rec.oseq == head.oseq {
+							live = true
+							break
+						}
+					}
+					if !live {
+						fault("NextKey inside tag %d = %+v, which the model has already run or canceled", id, head)
+					}
+				}
+				checkTiers(e, fault)
+			}
 			if depth >= 3 {
 				return
 			}
@@ -244,29 +259,8 @@ func checkTiers(e *Engine, fault func(string, ...any)) {
 	}
 }
 
-// TestBatchedMatchesUnbatchedDifferential is the engine-level half of the
-// batch determinism argument: for a sweep of seeds, a randomized workload
-// executes in the byte-identical order on the batched window-drain path
-// and the unbatched one-pop-per-event reference path.
-func TestBatchedMatchesUnbatchedDifferential(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		a := runRandomWorkload(t, seed, true, false).log
-		b := runRandomWorkload(t, seed, false, false).log
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: batched ran %d events, unbatched %d", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: execution diverges at event %d: batched %+v, unbatched %+v",
-					seed, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-// TestFarTierMatchesSortedReference is the oracle that does not share the
-// queue: both engine paths sit on the same two tiers, so agreeing with each
-// other proves nothing about them. Here every run is held to the model in
+// TestFarTierMatchesSortedReference is the queue's oracle, one that shares
+// nothing with it. Every run, plain and sliced, is held to the model in
 // workloadRun: each event ran while no smaller key was pending; the log's
 // keys strictly increase in (at, owner, oseq), except at an event a handler
 // scheduled below its own key; and the set that ran is exactly scheduled
@@ -274,13 +268,13 @@ func TestBatchedMatchesUnbatchedDifferential(t *testing.T) {
 // an event that runs late (order) or never (set).
 func TestFarTierMatchesSortedReference(t *testing.T) {
 	modes := []struct {
-		name            string
-		batched, sliced bool
-	}{{"batched", true, false}, {"unbatched", false, false}, {"batched-sliced", true, true}, {"unbatched-sliced", false, true}}
+		name   string
+		sliced bool
+	}{{"plain", false}, {"sliced", true}}
 	for _, m := range modes {
 		parked := 0
 		for seed := int64(1); seed <= 24; seed++ {
-			r := runRandomWorkload(t, seed, m.batched, m.sliced)
+			r := runRandomWorkload(t, seed, m.sliced)
 			for i := 1; i < len(r.log); i++ {
 				if !r.log[i-1].less(r.log[i]) && !r.early[r.log[i].tag] {
 					t.Fatalf("%s seed %d: event %d key %+v does not sort after %+v",
@@ -311,7 +305,7 @@ func TestFarTierMatchesSortedReference(t *testing.T) {
 }
 
 // TestFarTierEdges pins the places where the two tiers meet the engine's
-// API, each on both execution paths.
+// API.
 func TestFarTierEdges(t *testing.T) {
 	const far = time.Second // well past the first horizon
 	nop := func() {}
@@ -471,13 +465,7 @@ func TestFarTierEdges(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		for _, batched := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/batched=%v", c.name, batched), func(t *testing.T) {
-				e := New(1)
-				e.SetBatched(batched)
-				c.run(t, e)
-			})
-		}
+		t.Run(c.name, func(t *testing.T) { c.run(t, New(1)) })
 	}
 }
 
@@ -529,20 +517,5 @@ func TestSpillOverflowKeepsOrder(t *testing.T) {
 			t.Fatalf("event %d: key order violated: (%d,%d) after (%d,%d)",
 				i, c.owner, c.oseq, p.owner, p.oseq)
 		}
-	}
-}
-
-// TestSetDefaultBatched pins the package-level switch the differential
-// fabric tests rely on to force every engine of a sharded run (control
-// plus shards) onto the reference path.
-func TestSetDefaultBatched(t *testing.T) {
-	prev := SetDefaultBatched(false)
-	defer SetDefaultBatched(prev)
-	if e := New(1); e.Batched() {
-		t.Fatal("New ignored SetDefaultBatched(false)")
-	}
-	SetDefaultBatched(true)
-	if e := New(1); !e.Batched() {
-		t.Fatal("New ignored SetDefaultBatched(true)")
 	}
 }

@@ -87,23 +87,6 @@ const (
 // +35 % on discovery_churn.
 const farSpan = 1 << 18
 
-// defaultBatched is the execution mode New hands to fresh engines. The
-// differential determinism tests flip it to force entire fabrics (shard
-// engines included) onto the unbatched reference path; see
-// SetDefaultBatched.
-var defaultBatched = true
-
-// SetDefaultBatched sets whether engines created by New use batched
-// window-drain execution (the default) or the unbatched one-pop-per-event
-// reference path. It exists for differential testing — run a workload both
-// ways, require byte-identical traces — and must not be called while
-// engines are running. Returns the previous value.
-func SetDefaultBatched(on bool) bool {
-	prev := defaultBatched
-	defaultBatched = on
-	return prev
-}
-
 // Timer is a handle to a scheduled event. The zero value is not a valid
 // Timer; handles are produced by Engine.At and Engine.After.
 type Timer struct {
@@ -399,8 +382,7 @@ type Engine struct {
 	seed      int64
 	processed uint64
 	limit     uint64
-	id        int  // shard index (0 when unsharded)
-	unbatched bool // force the one-pop-per-event reference path
+	id        int // shard index (0 when unsharded)
 
 	// Batched window-drain state (see drain). run is the heap's popped
 	// front window, spill collects events scheduled during the batch that
@@ -424,12 +406,11 @@ type Engine struct {
 // built with the same seed and fed the same schedule produce identical runs.
 func New(seed int64) *Engine {
 	e := &Engine{
-		rng:       rand.New(rand.NewSource(seed)),
-		seed:      seed,
-		horizon:   farSpan,
-		limit:     DefaultEventLimit,
-		freeHead:  -1,
-		unbatched: !defaultBatched,
+		rng:      rand.New(rand.NewSource(seed)),
+		seed:     seed,
+		horizon:  farSpan,
+		limit:    DefaultEventLimit,
+		freeHead: -1,
 	}
 	e.root = Proc{eng: e}
 	return e
@@ -467,16 +448,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 func (e *Engine) Pending() int {
 	return len(e.queue) + len(e.far) + (len(e.run) - e.runPos) + (len(e.spill) - e.spillPos)
 }
-
-// Batched reports whether the engine uses batched window-drain execution.
-func (e *Engine) Batched() bool { return !e.unbatched }
-
-// SetBatched selects between batched window-drain execution (the default)
-// and the unbatched one-pop-per-event reference path. Both produce the
-// identical execution order; the differential determinism tests run
-// workloads both ways and require byte-identical traces. Call between
-// runs, not from inside an event.
-func (e *Engine) SetBatched(on bool) { e.unbatched = !on }
 
 // SetEventLimit replaces the runaway-loop backstop. n must be positive.
 func (e *Engine) SetEventLimit(n uint64) {
@@ -742,7 +713,7 @@ func (e *Engine) Step() bool {
 // or cap overflow). The far heap is not a fourth source: every key in it
 // is at or past the horizon and so outside the window. Taking the minimum
 // key across the three sources every step makes the execution order
-// identical to the unbatched engine's, whatever the routing decided.
+// identical to popping one event at a time, whatever the routing decided.
 //
 //fabric:hotpath
 func (e *Engine) drain(bound Key, stopAt uint64) int {
@@ -834,31 +805,10 @@ func (e *Engine) overLimit() {
 	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v — probable forwarding loop", e.limit, e.now))
 }
 
-// runBelow executes every pending event keyed strictly before bound and
-// returns how many ran, panicking once more than stopAt events have run
-// in total: the one entry point of Run, RunUntil and RunWindowKey, on
-// either execution path.
-func (e *Engine) runBelow(bound Key, stopAt uint64) int {
-	if !e.unbatched {
-		return e.drain(bound, stopAt)
-	}
-	n := 0
-	for {
-		if _, ok := e.peek(); !ok || !e.queue[0].Less(bound) {
-			return n
-		}
-		e.Step()
-		n++
-		if e.processed > stopAt {
-			e.overLimit()
-		}
-	}
-}
-
 // Run executes events until the queue drains. It panics if the event limit
 // is exceeded, which in practice means a protocol is generating events
 // faster than it consumes them (a forwarding loop).
-func (e *Engine) Run() { e.runBelow(MaxKey, e.processed+e.limit) }
+func (e *Engine) Run() { e.drain(MaxKey, e.processed+e.limit) }
 
 // RunUntil executes every event scheduled at or before t, then advances the
 // clock to exactly t. It panics on event-limit overrun like Run.
@@ -866,7 +816,7 @@ func (e *Engine) RunUntil(t time.Duration) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	e.runBelow(KeyAfter(t), e.processed+e.limit)
+	e.drain(KeyAfter(t), e.processed+e.limit)
 	e.now = t
 }
 
@@ -914,7 +864,7 @@ func (e *Engine) CurKey() Key { return e.cur }
 // window, exactly where the single-engine run would have executed them.
 // The event-limit backstop for sharded runs lives in the coordinator (it
 // spans all shards of one run), so the per-engine check is disarmed here.
-func (e *Engine) RunWindowKey(bound Key) int { return e.runBelow(bound, math.MaxUint64) }
+func (e *Engine) RunWindowKey(bound Key) int { return e.drain(bound, math.MaxUint64) }
 
 // SetNow advances the clock to exactly t without running anything. It
 // panics when t is in the past or when an event older than t is still

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/host"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // runShardedGrid builds a 3x4 grid with corner hosts, pumps a few ARP-initiated
@@ -65,13 +64,9 @@ func TestShardedRunMatchesSingleEngine(t *testing.T) {
 // the batched hot path: every ordered host pair starts a ping series at
 // the SAME virtual instant, so the run opens with a dense burst of events
 // sharing one key window — ARP floods from all four corners at once, with
-// boundary-link frames landing mid-batch in neighbouring shards. batched
-// selects the engine execution mode for every engine the fabric builds
-// (control and shards alike).
-func runShardedGridBurst(t *testing.T, shards int, batched bool) (uint64, uint64, int) {
+// boundary-link frames landing mid-batch in neighbouring shards.
+func runShardedGridBurst(t *testing.T, shards int) (uint64, uint64, int) {
 	t.Helper()
-	prev := sim.SetDefaultBatched(batched)
-	defer sim.SetDefaultBatched(prev)
 	opts := DefaultOptions(ARPPath, 99)
 	opts.Shards = shards
 	built := Grid(opts, 3, 4)
@@ -113,31 +108,24 @@ func runShardedGridBurst(t *testing.T, shards int, batched bool) (uint64, uint64
 		answered += n
 	}
 	if live := built.Network.LiveFrames(); live != 0 {
-		t.Fatalf("shards=%d batched=%v: %d frames still live after drain", shards, batched, live)
+		t.Fatalf("shards=%d: %d frames still live after drain", shards, live)
 	}
 	return fp.Sum(), fp.Events(), answered
 }
 
-// TestShardedBurstMatchesUnbatchedSingleEngine extends the determinism
-// gate along both new axes at once: the same-instant burst workload must
-// produce the identical tap trace on one engine or four, batched
-// window-drain or unbatched one-pop reference — every combination byte
-// for byte.
-func TestShardedBurstMatchesUnbatchedSingleEngine(t *testing.T) {
-	baseFP, baseEv, baseOK := runShardedGridBurst(t, 1, false)
+// TestShardedBurstMatchesSingleEngine extends the determinism gate to
+// the same-instant burst: the workload must produce the identical tap
+// trace on one engine or on two, three or four shards, byte for byte.
+func TestShardedBurstMatchesSingleEngine(t *testing.T) {
+	baseFP, baseEv, baseOK := runShardedGridBurst(t, 1)
 	if baseOK == 0 {
-		t.Fatal("no pings answered on the unbatched unsharded run")
+		t.Fatal("no pings answered on the unsharded run")
 	}
-	for _, k := range []int{1, 2, 3, 4} {
-		for _, batched := range []bool{true, false} {
-			if k == 1 && !batched {
-				continue // the reference run itself
-			}
-			fp, ev, ok := runShardedGridBurst(t, k, batched)
-			if fp != baseFP || ev != baseEv || ok != baseOK {
-				t.Fatalf("shards=%d batched=%v diverged: fp=%#x events=%d answered=%d, want fp=%#x events=%d answered=%d",
-					k, batched, fp, ev, ok, baseFP, baseEv, baseOK)
-			}
+	for _, k := range []int{2, 3, 4} {
+		fp, ev, ok := runShardedGridBurst(t, k)
+		if fp != baseFP || ev != baseEv || ok != baseOK {
+			t.Fatalf("shards=%d diverged: fp=%#x events=%d answered=%d, want fp=%#x events=%d answered=%d",
+				k, fp, ev, ok, baseFP, baseEv, baseOK)
 		}
 	}
 }

@@ -157,16 +157,28 @@ type logHeader struct {
 
 // logEntry is one applied op: the virtual boundary it was applied at, its
 // session sequence number, and exactly one payload field. Fault ops are
-// the scenario codec's wire form (indices into the Info name lists).
+// the scenario codec's wire form (indices into the Info name lists). The
+// line a session ends its log with carries Seal and nothing else.
 type logEntry struct {
-	At  fabric.Duration `json:"at"`
-	Seq uint64          `json:"seq"`
+	At  fabric.Duration `json:"at,omitempty"`
+	Seq uint64          `json:"seq,omitempty"`
 
 	Fault  []scenario.FaultOp `json:"fault,omitempty"`
 	Ping   *PingOp            `json:"ping,omitempty"`
 	Stream *StreamOp          `json:"stream,omitempty"`
 	Heal   bool               `json:"heal,omitempty"`
 	Drain  bool               `json:"drain,omitempty"`
+
+	Seal *logSeal `json:"seal,omitempty"`
+}
+
+// logSeal is how the live session ended: its op count, virtual end and
+// trace fingerprint. A log without one was cut short — a crash, a full
+// disk, a copy stopped early — and a replay of it says so.
+type logSeal struct {
+	Ops         uint64          `json:"ops"`
+	Virtual     fabric.Duration `json:"virtual"`
+	Fingerprint uint64          `json:"fingerprint"`
 }
 
 // Workload defaults.

@@ -394,6 +394,9 @@ func (s *Server) loop() {
 		s.advance()
 	}
 	s.finish()
+	io.WriteString(s.out, s.report.Text)
+	seal := s.report.seal()
+	s.logAppend(&logEntry{Seal: &seal})
 }
 
 // advance runs one quantum, unless nothing is scheduled, and the boundary
@@ -699,8 +702,9 @@ func (s *Server) logAppend(e *logEntry) {
 // finish drains the fabric and closes the session: every in-flight frame
 // flows out through the LiveFrames gate, remaining flows fold, expired
 // table and proxy state is swept, and the report — fingerprint included —
-// is rendered. No report line depends on the shard count, so live and
-// replayed reports diff clean whatever shard count either ran at.
+// is rendered into s.report for the caller to print. No report line
+// depends on the shard count, so live and replayed reports diff clean
+// whatever shard count either ran at.
 func (s *Server) finish() {
 	s.built.Run()
 	s.boundary()
@@ -743,8 +747,12 @@ func (s *Server) finish() {
 	fmt.Fprintf(&b, "leaked frames: %d\n", rep.LeakedFrames)
 	fmt.Fprintf(&b, "trace fingerprint: %#016x (events=%d)\n", rep.Fingerprint, rep.Events)
 	rep.Text = b.String()
-	io.WriteString(s.out, rep.Text)
 	s.report = rep
+}
+
+// seal is the op-log seal of the session r reports.
+func (r *Report) seal() logSeal {
+	return logSeal{Ops: r.Ops, Virtual: fabric.Duration(r.Virtual), Fingerprint: r.Fingerprint}
 }
 
 func sortedClassNames(m map[string]ClassStats) []string {
@@ -805,6 +813,9 @@ func newSeededRand(seed int64) *rand.Rand {
 // Replay re-executes a session op-log against a freshly built fabric,
 // applying every entry at its recorded virtual boundary. shards > 0
 // overrides the header's shard count — the fingerprint must not change.
+// A sealed log must replay to its seal, or Replay fails; the report then
+// reads as the live one did. An unsealed log replays as far as it goes,
+// and its report ends "op-log: unsealed (N ops)".
 func Replay(r io.Reader, shards int, out io.Writer) (*Report, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -832,17 +843,28 @@ func Replay(r io.Reader, shards int, out io.Writer) (*Report, error) {
 		return nil, err
 	}
 	lineNo := 1
+	var seal *logSeal
 	for sc.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
+		if seal != nil {
+			return nil, fmt.Errorf("serve: op-log line %d: entry after the seal", lineNo)
+		}
 		var e logEntry
 		dec := json.NewDecoder(bytes.NewReader(line))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&e); err != nil {
 			return nil, fmt.Errorf("serve: op-log line %d: %w", lineNo, err)
+		}
+		if e.Seal != nil {
+			if e.At != 0 || e.Seq != 0 || e.Fault != nil || e.Ping != nil || e.Stream != nil || e.Heal || e.Drain {
+				return nil, fmt.Errorf("serve: op-log line %d: the seal carries an op", lineNo)
+			}
+			seal = e.Seal
+			continue
 		}
 		// The daemon numbers accepted ops 1, 2, 3…: a duplicated, dropped
 		// or reordered line would otherwise replay silently as another run.
@@ -872,6 +894,24 @@ func Replay(r io.Reader, shards int, out io.Writer) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	// The live loop may have idled on past its last op before it shut
+	// down; the seal says where it stopped.
+	if seal != nil && seal.Virtual.D() > s.built.Now() {
+		end := seal.Virtual.D()
+		if end > MaxSpan {
+			return nil, fmt.Errorf("serve: op-log seal: virtual end %v is past the %v horizon", end, MaxSpan)
+		}
+		s.built.RunUntil(end)
+		s.boundary()
+	}
 	s.finish()
-	return s.report, nil
+	rep := s.report
+	if seal == nil {
+		rep.Text += fmt.Sprintf("op-log: unsealed (%d ops)\n", rep.Ops)
+	} else if got := rep.seal(); got != *seal {
+		return nil, fmt.Errorf("serve: op-log seal: the replay ended at ops=%d virtual=%v fingerprint=%#016x, the seal says ops=%d virtual=%v fingerprint=%#016x",
+			got.Ops, got.Virtual.D(), got.Fingerprint, seal.Ops, seal.Virtual.D(), seal.Fingerprint)
+	}
+	io.WriteString(s.out, rep.Text)
+	return rep, nil
 }

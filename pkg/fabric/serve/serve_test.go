@@ -213,10 +213,10 @@ func TestServeWireStrict(t *testing.T) {
 	if rep.Ops != 2 {
 		t.Fatalf("session logged %d ops, want 2 (rejects must not log)", rep.Ops)
 	}
-	// Exactly header + two entries in the log.
+	// Exactly header + two entries + the seal in the log.
 	lines := bytes.Count(bytes.TrimSpace(opLog.Bytes()), []byte("\n")) + 1
-	if lines != 3 {
-		t.Fatalf("op-log has %d lines, want 3 (header + 2 ops)", lines)
+	if lines != 4 {
+		t.Fatalf("op-log has %d lines, want 4 (header + 2 ops + seal)", lines)
 	}
 }
 
@@ -481,6 +481,99 @@ func TestReplayRefusesRenumberedLog(t *testing.T) {
 	}
 }
 
+// TestOpLogSeal: a live session ends its op-log with a seal. The sealed
+// log replays to the live report byte for byte. Cut at any line boundary
+// it still replays, and the report says it is unsealed and how many ops it
+// held; with every op but no seal, that line is the only difference (the
+// session ends on a drain, so no idle time is lost with the seal). A
+// seal the replay does not reach — other ops, another fingerprint, an end
+// before the replay's own or past MaxSpan — a line after the seal and a
+// seal that carries an op are errors.
+func TestOpLogSeal(t *testing.T) {
+	var opLog bytes.Buffer
+	spec := fabric.Spec{Seed: 5, Topology: fabric.TopologySpec{Family: "ring", N: 6}}
+	srv, err := New(Options{Spec: spec, Quantum: 10 * time.Millisecond, OpLog: &opLog})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, req := range []Request{
+		{Op: "ping", Src: "H1", Dst: "H4", Count: 3},
+		{Op: "burst", Src: "H2", Dst: "H5", Count: 20},
+		{Op: "ping", Src: "H3", Dst: "H6", Count: 2},
+		// Without it the live loop idles on to shutdown, which no entry
+		// but the seal records.
+		{Op: "drain"},
+	} {
+		if resp := srv.do(req); !resp.OK {
+			t.Fatalf("%+v: %+v", req, resp)
+		}
+	}
+	srv.Shutdown()
+	live := srv.Wait()
+	log := opLog.String()
+	lines := strings.SplitAfter(log, "\n")
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	if len(lines) != 6 || !strings.HasPrefix(lines[5], `{"seal":`) {
+		t.Fatalf("op-log of 4 ops does not end in a seal:\n%s", log)
+	}
+
+	rep, err := Replay(strings.NewReader(log), 2, io.Discard)
+	if err != nil || rep.Text != live.Text {
+		t.Fatalf("sealed log replayed to %v:\n%v\nwant the live report:\n%s", err, rep, live.Text)
+	}
+	for n := 1; n < len(lines); n++ {
+		rep, err := Replay(strings.NewReader(strings.Join(lines[:n], "")), 1, io.Discard)
+		want := fmt.Sprintf("op-log: unsealed (%d ops)\n", n-1)
+		if err != nil || !strings.HasSuffix(rep.Text, want) {
+			t.Fatalf("log cut after line %d replayed to %v, want a report ending %q:\n%v", n, err, want, rep)
+		}
+		if n == len(lines)-1 && rep.Text != live.Text+want {
+			t.Fatalf("every op but the seal replayed to\n%s\nwant the live report and %q", rep.Text, want)
+		}
+	}
+
+	var sealed struct{ Seal logSeal }
+	if err := json.Unmarshal([]byte(lines[5]), &sealed); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Join(lines[:5], "")
+	for _, bad := range []logSeal{
+		{sealed.Seal.Ops + 1, sealed.Seal.Virtual, sealed.Seal.Fingerprint},
+		{sealed.Seal.Ops, sealed.Seal.Virtual - 1, sealed.Seal.Fingerprint},
+		{sealed.Seal.Ops, sealed.Seal.Virtual, sealed.Seal.Fingerprint ^ 1},
+		{sealed.Seal.Ops, fabric.Duration(MaxSpan + 1), sealed.Seal.Fingerprint},
+	} {
+		line, _ := json.Marshal(logEntry{Seal: &bad})
+		if _, err := Replay(strings.NewReader(body+string(line)+"\n"), 1, io.Discard); err == nil || !strings.Contains(err.Error(), "op-log seal") {
+			t.Errorf("seal %+v the replay does not reach: err = %v", bad, err)
+		}
+	}
+	after := log + heal(5, "10s")
+	if _, err := Replay(strings.NewReader(after), 1, io.Discard); err == nil || !strings.Contains(err.Error(), "line 7: entry after the seal") {
+		t.Errorf("entry after the seal: err = %v", err)
+	}
+	withOp := body + strings.Replace(lines[5], `{"seal":`, `{"heal":true,"seal":`, 1)
+	if _, err := Replay(strings.NewReader(withOp), 1, io.Discard); err == nil || !strings.Contains(err.Error(), "line 6: the seal carries an op") {
+		t.Errorf("seal carrying an op: err = %v", err)
+	}
+
+	// A session that idles after its last op (the ping's canceled timeout
+	// timers keep the loop stepping) replays to its live report too: the
+	// seal carries the virtual end no entry records.
+	opLog.Reset()
+	if srv, err = New(Options{Spec: spec, Quantum: 10 * time.Millisecond, OpLog: &opLog}); err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if resp := srv.do(Request{Op: "ping", Src: "H1", Dst: "H4"}); !resp.OK {
+		t.Fatalf("ping: %+v", resp)
+	}
+	srv.Shutdown()
+	live = srv.Wait()
+	if rep, err := Replay(bytes.NewReader(opLog.Bytes()), 1, io.Discard); err != nil || rep.Text != live.Text {
+		t.Fatalf("idle session replayed to %v:\n%v\nwant the live report:\n%s", err, rep, live.Text)
+	}
+}
+
 // FuzzReplayEntry holds replay to its trust boundary: whatever one entry
 // line after a fixed ring-6 header says, Replay returns a report or an
 // error and never panics.
@@ -491,6 +584,7 @@ func FuzzReplayEntry(f *testing.F) {
 	f.Add(`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":5,"size":56,"interval":"20ms","timeout":"1s","class":"background"}}`)
 	f.Add(`{"at":"1s","seq":1,"fault":[{"at":"0s","kind":"link-down","link":0}]}`)
 	f.Add(`{"at":"1s","seq":1,"drain":true}`)
+	f.Add(`{"seal":{"ops":0,"virtual":"100ms","fingerprint":1}}`)
 	f.Fuzz(func(t *testing.T, line string) {
 		rep, err := Replay(strings.NewReader(ring6Header+"\n"+line+"\n"), 1, io.Discard)
 		if err == nil && rep == nil {
