@@ -3,16 +3,11 @@
 // enforces at runtime — determinism of trace-affecting code (DESIGN.md
 // §6), the pooled-frame borrow/Retain ownership contract (§3) and the
 // zero-allocation hot-path budget (§11). See DESIGN.md §14 for each
-// analyzer's exact contract and the suppression-comment grammar. (The
-// strict Spec codec rule for registry extensions, §9, needs no analyzer:
-// topo.Register owns the one decode and checks the config type itself.)
+// analyzer's exact contract and the suppression-comment grammar.
 //
-// The package deliberately reimplements the small slice of the
-// golang.org/x/tools/go/analysis surface it needs (Analyzer, Pass,
-// Diagnostic) on the standard library alone: the toolchain image builds
-// hermetically, and the suite must be runnable anywhere the repo
-// compiles — `go vet -vettool=$(fabricvet)` in CI, `go test ./...` via
-// the tree gate in tree_test.go, and standalone `fabricvet ./...`.
+// It is built on the standard library alone, so it runs wherever the
+// module compiles. Its one driver is `go test ./...`: TestTreeIsClean in
+// tree_test.go runs every analyzer over the whole module.
 package analysis
 
 import (
@@ -24,14 +19,10 @@ import (
 	"strings"
 )
 
-// Analyzer is one named static check, shaped like
-// golang.org/x/tools/go/analysis.Analyzer so the suite can migrate to
-// the real framework without touching the analyzer bodies.
+// Analyzer is one named static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph contract statement shown by -help.
-	Doc string
 	// Run executes the analyzer over one package.
 	Run func(*Pass) error
 }
@@ -46,7 +37,7 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	suppressions map[string]map[int][]suppression // filename → line → comments
+	suppressions map[string]map[int]bool // filename → line → suppressed
 }
 
 // Diagnostic is one finding.
@@ -71,14 +62,6 @@ func (p *Pass) PkgBase() string {
 		return path[i+1:]
 	}
 	return path
-}
-
-// IsTestFile reports whether pos is inside a _test.go file. The
-// contracts guard shipped fabric code; tests are covered by the runtime
-// gates (differential traces, AllocsPerRun, the race suite) and freely
-// use wall clocks and goroutines.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // Run executes the analyzers over pkgs and returns every diagnostic,
@@ -121,7 +104,7 @@ func sortDiags(fset *token.FileSet, diags []Diagnostic) {
 	})
 }
 
-// All returns the full fabricvet suite in reporting order.
+// All returns every analyzer in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
@@ -145,15 +128,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 		return info.Uses[fn.Sel] // package-qualified call
 	}
 	return nil
-}
-
-// isPkgFunc reports whether obj is the package-level function pkgPath.name,
-// matching pkgPath by full path ("time") — used for std packages.
-func isPkgFunc(obj types.Object, pkgPath, name string) bool {
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
 // isFramePtr reports whether t is *Frame from a package whose base name

@@ -1,7 +1,6 @@
 // Package analysistest runs an analyzer over a fixture package under
 // testdata/src and checks its diagnostics against `// want "regexp"`
-// comments, mirroring golang.org/x/tools/go/analysis/analysistest so
-// the fixtures stay portable to the real framework.
+// comments.
 //
 // A want comment names, by position, every diagnostic expected on its
 // line; multiple quoted regexps mean multiple diagnostics. Every

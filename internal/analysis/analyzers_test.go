@@ -12,6 +12,14 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "sim", analysis.DeterminismAnalyzer)
 }
 
+// The wall-clock rule holds in every package but serve, trace-affecting
+// or not; the other three rules hold only in trace-affecting packages.
+func TestDeterminismScope(t *testing.T) {
+	for _, pkg := range []string{"tool", "serve"} {
+		t.Run(pkg, func(t *testing.T) { analysistest.Run(t, pkg, analysis.DeterminismAnalyzer) })
+	}
+}
+
 // No file may spawn goroutines without suppression, netsim/shard.go
 // included.
 func TestDeterminismNoBlessedFile(t *testing.T) {
@@ -26,7 +34,7 @@ func TestHotPath(t *testing.T) {
 	analysistest.Run(t, "hotpath", analysis.HotPathAnalyzer)
 }
 
-// A suppression without a justification reports the comment itself and
+// A suppression without a justification is reported, and still
 // swallows the underlying diagnostic: one finding, not two.
 func TestMalformedSuppression(t *testing.T) {
 	diags := analysistest.Diagnostics(t, "suppress/sim", analysis.DeterminismAnalyzer)

@@ -9,14 +9,18 @@ import (
 // DeterminismAnalyzer enforces the reproduction's headline property at
 // compile time: same seed ⇒ byte-identical traces at every shard count
 // (DESIGN.md §6). The paper's discovery race (PAPER.md §2) only
-// reproduces when event order is exact, so inside trace-affecting
-// packages the analyzer forbids the four ways wall-clock or scheduler
-// nondeterminism classically leaks into a discrete-event core:
+// reproduces when event order is exact, so the analyzer forbids the four
+// ways wall-clock or scheduler nondeterminism classically leaks into a
+// discrete-event core:
 //
-//  1. time.Now — virtual time comes from the engine; a wall clock read
-//     in protocol or engine code silently couples traces to host speed.
-//     Suppress with //fabriclint:wallclock <why> (timing *stats* that
-//     never feed event order are the legitimate use).
+//  1. wall-clock reads (wallClockFuncs), in every package but the two
+//     in clockPkgBases: virtual time comes from the engine, and a clock
+//     read anywhere else makes a trace or a command's output depend on
+//     the host's speed. Calls match by type information, so an aliased
+//     import is the same call. There is no suppression.
+//
+// Rules 2–4 hold inside the trace-affecting packages (tracePkgBases):
+//
 //  2. math/rand global functions (rand.Intn, rand.Shuffle, ...) — the
 //     process-wide source is shared across shards and seeded who knows
 //     where. Per-entity seeded *rand.Rand streams (rand.New) are the
@@ -31,14 +35,24 @@ import (
 //     cannot reach a trace (a daemon's connection handlers) says so with
 //     a suppression.
 //
-// Scope: the packages whose code can affect a trace. Matching is by
-// package-path base so the analysistest fixtures exercise the real
-// predicate.
+// Packages are matched by import-path base so the analysistest fixtures
+// exercise the real predicate.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall clocks, global rand, order-sensitive map iteration and stray goroutines " +
-		"in trace-affecting packages (same seed must mean byte-identical traces)",
-	Run: runDeterminism,
+	Run:  runDeterminism,
+}
+
+// clockPkgBases are the packages whose job is wall-clock time: the live
+// daemon (serve: uptime, pacing, dial retries, socket deadlines) and the
+// speed harness (perf, the bench/perf module, which runs this suite over
+// itself).
+var clockPkgBases = map[string]bool{"serve": true, "perf": true}
+
+// wallClockFuncs are the calls that read the host's clock or sample its
+// scheduler: whatever they feed differs from run to run.
+var wallClockFuncs = map[string]bool{
+	"time.Now": true, "time.Since": true, "time.Until": true,
+	"runtime.SetMutexProfileFraction": true, "runtime.SetBlockProfileRate": true,
 }
 
 // tracePkgBases are the trace-affecting packages, keyed by import-path
@@ -64,21 +78,28 @@ var orderSinkNames = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) error {
-	if !tracePkgBases[pass.PkgBase()] {
-		return nil
-	}
+	clockFree := !clockPkgBases[pass.PkgBase()]
+	trace := tracePkgBases[pass.PkgBase()]
+	pass.buildSuppressions()
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.Ident:
+				if clockFree {
+					checkWallClock(pass, n)
+				}
 			case *ast.CallExpr:
-				checkDeterminismCall(pass, n)
+				if trace {
+					checkGlobalRand(pass, n)
+				}
 			case *ast.RangeStmt:
-				checkMapRange(pass, n)
+				if trace {
+					checkMapRange(pass, n)
+				}
 			case *ast.GoStmt:
-				checkGoStmt(pass, n)
+				if trace {
+					checkGoStmt(pass, n)
+				}
 			}
 			return true
 		})
@@ -86,18 +107,24 @@ func runDeterminism(pass *Pass) error {
 	return nil
 }
 
-func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
-	obj := calleeObj(pass.TypesInfo, call)
-	if obj == nil || obj.Pkg() == nil {
+// checkWallClock flags every use of a wallClockFuncs function, called
+// or taken as a value, whatever name its package is imported under.
+func checkWallClock(pass *Pass, id *ast.Ident) {
+	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Signature().Recv() != nil {
 		return
 	}
-	if isPkgFunc(obj, "time", "Now") {
-		if !pass.Suppressed("wallclock", call.Pos()) {
-			pass.Reportf(call.Pos(),
-				"time.Now in trace-affecting package %s: virtual time comes from the engine; "+
-					"use sim clocks, or annotate //fabriclint:wallclock <why> for timing stats that never feed event order",
-				pass.PkgBase())
-		}
+	if name := fn.Pkg().Path() + "." + fn.Name(); wallClockFuncs[name] {
+		pass.Reportf(id.Pos(),
+			"%s reads the wall clock in package %s: virtual time comes from the engine; only the live daemon "+
+				"(serve) and the speed harness (bench/perf) may read the host's clock",
+			name, pass.PkgBase())
+	}
+}
+
+func checkGlobalRand(pass *Pass, call *ast.CallExpr) {
+	obj := calleeObj(pass.TypesInfo, call)
+	if obj == nil || obj.Pkg() == nil {
 		return
 	}
 	if path := obj.Pkg().Path(); path == "math/rand" || path == "math/rand/v2" {
@@ -114,7 +141,7 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 		case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
 			return
 		}
-		if !pass.Suppressed("nondeterministic", call.Pos()) {
+		if !pass.Suppressed(call.Pos()) {
 			pass.Reportf(call.Pos(),
 				"%s.%s draws from the process-global random source: use a per-entity seeded *rand.Rand "+
 					"(rand.New(rand.NewSource(seed))) so draws are a function of one entity's history",
@@ -157,7 +184,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	if sink == nil {
 		return
 	}
-	if pass.Suppressed("nondeterministic", rng.Pos()) {
+	if pass.Suppressed(rng.Pos()) {
 		return
 	}
 	name, _ := calleeName(pass.TypesInfo, sink)
@@ -179,7 +206,7 @@ func calleeName(info *types.Info, call *ast.CallExpr) (string, types.Object) {
 }
 
 func checkGoStmt(pass *Pass, g *ast.GoStmt) {
-	if pass.Suppressed("nondeterministic", g.Pos()) {
+	if pass.Suppressed(g.Pos()) {
 		return
 	}
 	pass.Reportf(g.Pos(),

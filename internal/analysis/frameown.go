@@ -27,13 +27,10 @@ import (
 //
 // The check is a lexical abstract interpretation (statements in source
 // order carry an owned-reference count), which matches how the
-// handlers are written; genuinely path-dependent ownership can be
-// annotated //fabriclint:ownership <why>.
+// handlers are written. It has no suppression.
 var FrameOwnershipAnalyzer = &Analyzer{
 	Name: "frameownership",
-	Doc: "borrowed *netsim.Frame parameters must not be stored or captured without a dominating Retain, " +
-		"and Retain/Release must balance per function body",
-	Run: runFrameOwnership,
+	Run:  runFrameOwnership,
 }
 
 func runFrameOwnership(pass *Pass) error {
@@ -43,9 +40,6 @@ func runFrameOwnership(pass *Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || fn.Type.Params == nil {
@@ -229,7 +223,7 @@ func checkBorrowedFrame(pass *Pass, fn *ast.FuncDecl, frame types.Object) {
 		case evStore:
 			if owned > 0 {
 				owned--
-			} else if !pass.Suppressed("ownership", ev.pos) {
+			} else {
 				pass.Reportf(ev.pos,
 					"borrowed frame %s %s without a dominating Retain: the pooled buffer is recycled after "+
 						"the handler returns, so the stored reference will observe a later frame's bytes "+
@@ -239,7 +233,7 @@ func checkBorrowedFrame(pass *Pass, fn *ast.FuncDecl, frame types.Object) {
 		case evRelease:
 			if owned > 0 {
 				owned--
-			} else if !pass.Suppressed("ownership", ev.pos) {
+			} else {
 				pass.Reportf(ev.pos,
 					"Release of borrowed frame %s without a matching Retain in %s: this gives away the "+
 						"caller's reference and over-releases the pool",
@@ -247,7 +241,7 @@ func checkBorrowedFrame(pass *Pass, fn *ast.FuncDecl, frame types.Object) {
 			}
 		}
 	}
-	if owned > 0 && !pass.Suppressed("ownership", lastRetain) {
+	if owned > 0 {
 		pass.Reportf(lastRetain,
 			"frame %s Retained but neither stored nor Released before %s returns: the pooled buffer leaks",
 			frame.Name(), fn.Name.Name)

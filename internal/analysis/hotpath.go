@@ -23,15 +23,13 @@ import (
 //     boundaries (boxing allocates unless the value is pointer-shaped).
 //
 // Arguments of panic(...) are exempt: a dying process may format its
-// last words. Deliberate exceptions are annotated //fabriclint:alloc
-// <why>. The analyzer is a static screen in front of the runtime
-// gates, not a replacement: the gates measure, this names the culprit
-// at compile time.
+// last words. There is no other exception: a function that must
+// allocate is not a hot path. The analyzer is a static screen in front
+// of the runtime gates, not a replacement: the gates measure, this
+// names the culprit at compile time.
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc: "functions marked //fabric:hotpath must avoid obvious allocation constructs " +
-		"(closures, fmt, string concat, non-reused append, interface boxing)",
-	Run: runHotPath,
+	Run:  runHotPath,
 }
 
 // HotPathMarker is the annotation that opts a function into the check.
@@ -39,9 +37,6 @@ const HotPathMarker = "//fabric:hotpath"
 
 func runHotPath(pass *Pass) error {
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !funcHasMarker(fn, HotPathMarker) {
@@ -98,21 +93,17 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			if exempt(n.Pos()) {
 				return false
 			}
-			if !pass.Suppressed("alloc", n.Pos()) {
-				pass.Reportf(n.Pos(),
-					"closure in //fabric:hotpath function %s: capturing func literals allocate; "+
-						"use a Runner object or hoist the closure (//fabriclint:alloc <why> to keep it)",
-					fn.Name.Name)
-			}
+			pass.Reportf(n.Pos(),
+				"closure in //fabric:hotpath function %s: capturing func literals allocate; "+
+					"use a Runner object or hoist the closure",
+				fn.Name.Name)
 			return false
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && !exempt(n.Pos()) {
 				if tv, ok := pass.TypesInfo.Types[n]; ok {
 					if basic, ok := types.Unalias(tv.Type).Underlying().(*types.Basic); ok && basic.Info()&types.IsString != 0 {
-						if !pass.Suppressed("alloc", n.Pos()) {
-							pass.Reportf(n.Pos(),
-								"string concatenation in //fabric:hotpath function %s allocates", fn.Name.Name)
-						}
+						pass.Reportf(n.Pos(),
+							"string concatenation in //fabric:hotpath function %s allocates", fn.Name.Name)
 					}
 				}
 			}
@@ -132,12 +123,12 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, localSlices 
 		to := types.Unalias(tv.Type).Underlying()
 		if argTV, ok := pass.TypesInfo.Types[call.Args[0]]; ok {
 			from := types.Unalias(argTV.Type).Underlying()
-			if isStringByteConv(from, to) && !pass.Suppressed("alloc", call.Pos()) {
+			if isStringByteConv(from, to) {
 				pass.Reportf(call.Pos(),
 					"string<->[]byte conversion in //fabric:hotpath function %s copies and allocates", fn.Name.Name)
 			}
 			if _, isIface := to.(*types.Interface); isIface {
-				if !pointerShaped(from) && !isInterface(from) && !pass.Suppressed("alloc", call.Pos()) {
+				if !pointerShaped(from) && !isInterface(from) {
 					pass.Reportf(call.Pos(),
 						"interface conversion of a non-pointer value in //fabric:hotpath function %s boxes (allocates)",
 						fn.Name.Name)
@@ -149,11 +140,9 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, localSlices 
 
 	obj := calleeObj(pass.TypesInfo, call)
 	if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
-		if !pass.Suppressed("alloc", call.Pos()) {
-			pass.Reportf(call.Pos(),
-				"fmt.%s in //fabric:hotpath function %s allocates (argument boxing + formatting)",
-				obj.Name(), fn.Name.Name)
-		}
+		pass.Reportf(call.Pos(),
+			"fmt.%s in //fabric:hotpath function %s allocates (argument boxing + formatting)",
+			obj.Name(), fn.Name.Name)
 		return
 	}
 
@@ -165,7 +154,7 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, localSlices 
 				if dobj == nil {
 					dobj = pass.TypesInfo.Defs[dst]
 				}
-				if dobj != nil && localSlices[dobj] && !pass.Suppressed("alloc", call.Pos()) {
+				if dobj != nil && localSlices[dobj] {
 					pass.Reportf(call.Pos(),
 						"append to function-local slice %s in //fabric:hotpath function %s: the buffer is not reused "+
 							"across calls, so steady-state growth allocates — hoist it to the receiver or a pool",
@@ -211,7 +200,7 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, localSlices 
 		if isInterface(at) || pointerShaped(at) || argTV.IsNil() {
 			continue
 		}
-		if exempt(arg.Pos()) || pass.Suppressed("alloc", arg.Pos()) {
+		if exempt(arg.Pos()) {
 			continue
 		}
 		pass.Reportf(arg.Pos(),

@@ -52,8 +52,8 @@ func newInfo() *types.Info {
 // data — `go list -export` compiles dependencies as needed, so the
 // loader works wherever `go build` does, with no extra toolchain
 // dependencies. Test files are excluded by construction (GoFiles only):
-// the contracts guard shipped code, and `go vet -vettool` covers test
-// variants separately through its own per-unit configs.
+// the contracts guard shipped code, and tests are held by the runtime
+// gates (differential traces, AllocsPerRun, the race suite).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	exports, targets, err := goList(dir, patterns)
 	if err != nil {

@@ -8,66 +8,57 @@ import (
 
 // Suppression comments
 //
-// A diagnostic is suppressed by a comment of the form
+// A determinism diagnostic other than a wall-clock read is suppressed by
+// a comment of the form
 //
-//	//fabriclint:<kind> <justification>
+//	//fabriclint:nondeterministic <justification>
 //
 // placed either at the end of the offending line or alone on the line
 // immediately above it. The justification is mandatory: a suppression
-// explains *why* the contract does not apply at this site (e.g. "wall
-// clock feeds wake-latency stats only, never event order"). A bare
-// //fabriclint:<kind> with no justification is itself reported — an
-// unexplained exemption is how contracts rot.
-//
-// Kinds in use: wallclock (time.Now in trace-affecting code),
-// nondeterministic (global rand, ordered map iteration, goroutine
-// spawns), ownership (frame borrow/Retain contract), alloc (hot-path
-// allocation constructs). The grammar is shared; each analyzer consults
-// only its own kinds.
+// explains *why* the contract does not apply at this site (e.g. "this
+// goroutine never touches the engine"). A bare suppression is itself
+// reported — an unexplained exemption is how contracts rot — and so is
+// any other kind: nondeterministic is the only one, so a comment naming
+// another would exempt nothing while looking as if it did.
 
-const suppressPrefix = "//fabriclint:"
-
-type suppression struct {
-	kind          string
-	justification string
-	pos           token.Pos
-}
+const (
+	suppressPrefix = "//fabriclint:"
+	suppressKind   = "nondeterministic"
+)
 
 // buildSuppressions indexes every fabriclint comment in the pass by
-// (filename, line). A whole-line comment suppresses the next line; a
-// trailing comment suppresses its own line.
+// (filename, line), reporting the malformed ones. A whole-line comment
+// suppresses the next line; a trailing comment suppresses its own line.
 func (p *Pass) buildSuppressions() {
-	if p.suppressions != nil {
-		return
-	}
-	p.suppressions = map[string]map[int][]suppression{}
+	p.suppressions = map[string]map[int]bool{}
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, suppressPrefix) {
+				rest, ok := strings.CutPrefix(strings.TrimSpace(c.Text), suppressPrefix)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(text, suppressPrefix)
-				kind := rest
-				just := ""
-				if i := strings.IndexAny(rest, " \t"); i >= 0 {
-					kind, just = rest[:i], strings.TrimSpace(rest[i+1:])
+				kind, just, _ := strings.Cut(rest, " ")
+				if kind != suppressKind {
+					p.Reportf(c.Pos(), "unknown suppression kind fabriclint:%s: the only kind is fabriclint:%s", kind, suppressKind)
+					continue
+				}
+				if strings.TrimSpace(just) == "" {
+					p.Reportf(c.Pos(), "fabriclint:%s suppression requires a justification", kind)
 				}
 				pos := p.Fset.Position(c.Pos())
 				byLine := p.suppressions[pos.Filename]
 				if byLine == nil {
-					byLine = map[int][]suppression{}
+					byLine = map[int]bool{}
 					p.suppressions[pos.Filename] = byLine
 				}
-				s := suppression{kind: kind, justification: just, pos: c.Pos()}
 				// A comment on its own line covers the following line;
 				// a trailing comment covers its own.
 				line := pos.Line
 				if p.commentOwnsLine(f, c, line) {
 					line++
 				}
-				byLine[line] = append(byLine[line], s)
+				byLine[line] = true
 			}
 		}
 	}
@@ -110,22 +101,10 @@ func (p *Pass) commentOwnsLine(f *ast.File, c *ast.Comment, line int) bool {
 	return owns
 }
 
-// Suppressed reports whether a diagnostic of the given kind at pos is
-// covered by a well-formed suppression comment. A matching comment with
-// an empty justification does not suppress; instead it is reported once
-// as malformed.
-func (p *Pass) Suppressed(kind string, pos token.Pos) bool {
-	p.buildSuppressions()
+// Suppressed reports whether a diagnostic at pos is covered by a
+// suppression comment. One without a justification still suppresses:
+// buildSuppressions has already reported it, and one finding is enough.
+func (p *Pass) Suppressed(pos token.Pos) bool {
 	position := p.Fset.Position(pos)
-	for _, s := range p.suppressions[position.Filename][position.Line] {
-		if s.kind != kind {
-			continue
-		}
-		if s.justification == "" {
-			p.Reportf(s.pos, "fabriclint:%s suppression requires a justification", kind)
-			return true // suppressed-but-malformed: one diagnostic, not two
-		}
-		return true
-	}
-	return false
+	return p.suppressions[position.Filename][position.Line]
 }

@@ -55,8 +55,3 @@ func (h *handler) localAlias(f *netsim.Frame) *netsim.Frame {
 	g := f // locals are aliases within the borrow window
 	return g
 }
-
-func (h *handler) stashSuppressed(f *netsim.Frame) {
-	//fabriclint:ownership copied out synchronously by flush before this handler returns
-	h.last = f
-}

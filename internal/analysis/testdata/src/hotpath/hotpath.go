@@ -65,11 +65,6 @@ func okPanic(k int) {
 	}
 }
 
-//fabric:hotpath
-func okSuppressed(k int) string {
-	return fmt.Sprintf("%d", k) //fabriclint:alloc cold slow path; AllocsPerRun gate covers the hot one
-}
-
 func notHot(k int) string {
 	return fmt.Sprintf("%d", k) // unannotated: out of scope
 }

@@ -5,6 +5,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -13,12 +14,25 @@ type Sched struct{}
 
 func (s *Sched) Schedule(k int) {}
 
-func badClock() {
-	_ = time.Now() // want "time.Now in trace-affecting package sim"
+func badClock(start time.Time) {
+	_ = time.Now()         // want "time.Now reads the wall clock in package sim"
+	_ = time.Since(start)  // want "time.Since reads the wall clock"
+	_ = time.Until(start)  // want "time.Until reads the wall clock"
+	clock := time.Now      // want "time.Now reads the wall clock"
+	_ = start.After(start) // a method on a value already read: not a clock read
+	_ = clock
 }
 
-func okClock() {
-	_ = time.Now() //fabriclint:wallclock feeds a latency gauge only, never event order
+func badProfile() {
+	runtime.SetMutexProfileFraction(1) // want "runtime.SetMutexProfileFraction reads the wall clock"
+	runtime.SetBlockProfileRate(1)     // want "runtime.SetBlockProfileRate reads the wall clock"
+}
+
+// No comment exempts a clock read; one naming any kind but
+// nondeterministic is itself reported (the want rides inside it).
+func noClockSuppression() {
+	//fabriclint:clock feeds a latency gauge only // want "unknown suppression kind fabriclint:clock"
+	_ = time.Now() // want "time.Now reads the wall clock"
 }
 
 func badRand() int {

@@ -4,9 +4,7 @@
 // diagnostics test — a want comment cannot share the suppression's line.
 package sim
 
-import "time"
-
 func bad() {
-	//fabriclint:wallclock
-	_ = time.Now()
+	//fabriclint:nondeterministic
+	go func() {}()
 }

@@ -1,9 +1,6 @@
 package analysis_test
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,15 +11,11 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestTreeIsClean runs the full fabricvet suite over the repository and
-// requires zero diagnostics: the contracts hold on the shipped tree,
-// and every suppression carries a justification. This is the tier-1
-// face of the CI lint job — a contract regression fails `go test ./...`
-// before it ever reaches the vettool.
+// TestTreeIsClean runs every analyzer over every package of the module
+// and requires zero diagnostics: the contracts hold on the shipped tree,
+// and every suppression carries a justification. It is the analyzers'
+// one driver, so it runs under -short too.
 func TestTreeIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
 	root := moduleRoot(t)
 	pkgs, err := analysis.Load(root, "./...")
 	if err != nil {
@@ -110,70 +103,4 @@ func TestDesignCitationsResolve(t *testing.T) {
 		t.Fatal("no DESIGN.md citation found: the pattern no longer matches the tree")
 	}
 	t.Logf("%d cited sections resolve", len(cited))
-}
-
-// wallClockReads are the calls that read or sample the host's clock and
-// scheduler: whatever they feed differs from run to run.
-var wallClockReads = map[string]bool{
-	"time.Now": true, "time.Since": true,
-	"runtime.SetMutexProfileFraction": true, "runtime.SetBlockProfileRate": true,
-}
-
-// TestWallClockOnlyInServe holds the module to one speed harness: outside
-// the live daemon (pkg/fabric/serve, whose uptime, dial retries and socket
-// deadlines are wall-clock by nature) no non-test Go file reads the wall
-// clock or carries a //fabriclint:wallclock suppression, so every command
-// and experiment prints the same bytes on every run. Speed is measured by
-// the bench/perf module, which this walk does not enter.
-func TestWallClockOnlyInServe(t *testing.T) {
-	root := moduleRoot(t)
-	serve := filepath.Join(root, "pkg", "fabric", "serve")
-	fset := token.NewFileSet()
-	files := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == root {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
-				strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == serve {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files++
-		rel, _ := filepath.Rel(root, path)
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//fabriclint:wallclock") {
-					t.Errorf("%s:%d: wall-clock suppression outside pkg/fabric/serve", rel, fset.Position(c.Pos()).Line)
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && wallClockReads[x.Name+"."+sel.Sel.Name] {
-					t.Errorf("%s:%d: %s.%s outside pkg/fabric/serve", rel, fset.Position(sel.Pos()).Line, x.Name, sel.Sel.Name)
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files == 0 {
-		t.Fatal("no Go file walked")
-	}
 }

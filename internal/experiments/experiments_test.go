@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -8,27 +10,19 @@ import (
 	"repro/internal/topo"
 )
 
+// TestFigure1LocksAndPath pins Figure 1 byte for byte: every bridge's
+// lock on S, S's ARP round trip and the confirmed S→D path. After an
+// intentional behaviour change, regenerate testdata/figure1.golden from
+// the "got" block of the failure.
 func TestFigure1LocksAndPath(t *testing.T) {
 	res := RunFigure1(1)
-	// Every bridge locked S somewhere (the request floods the mesh).
-	for _, name := range []string{"B1", "B2", "B3", "B4", "B5"} {
-		if _, ok := res.Locks[name]; !ok {
-			t.Fatalf("no lock recorded at %s", name)
-		}
+	got := fmt.Sprintf("%sdiscovery %v\npath %s\n", res.Table(), res.DiscoveryTime, strings.Join(res.Path, "→"))
+	want, err := os.ReadFile("testdata/figure1.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// B2 is S's edge bridge: its lock must point at S itself.
-	if !strings.Contains(res.Locks["B2"], "toward S") {
-		t.Fatalf("B2 lock = %q, want toward S", res.Locks["B2"])
-	}
-	// The confirmed path runs S → B2 → ... → B5 → D.
-	if len(res.Path) < 4 || res.Path[0] != "B2" || res.Path[len(res.Path)-1] != "D" {
-		t.Fatalf("path = %v", res.Path)
-	}
-	if res.DiscoveryTime <= 0 || res.DiscoveryTime > 10*time.Millisecond {
-		t.Fatalf("discovery time = %v", res.DiscoveryTime)
-	}
-	if res.Table().Rows() != 5 {
-		t.Fatal("table rows")
+	if got != string(want) {
+		t.Fatalf("Figure 1 diverged from testdata/figure1.golden.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -273,9 +273,6 @@ func (c *Conn) State() ConnState { return c.state }
 // Stats returns a snapshot of the connection counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
 
-// RemoteIP returns the peer address.
-func (c *Conn) RemoteIP() layers.Addr4 { return c.key.rip }
-
 // Write queues application bytes for transmission.
 func (c *Conn) Write(p []byte) {
 	if c.state == StateClosed || c.sndFin {

@@ -142,28 +142,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Merge folds o into h bucket-wise. Because the layout is fixed, merging
-// is commutative and associative over any partition of the samples: the
-// merged histogram is identical to recording every sample into one.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		if c != 0 {
-			h.counts[i] += c
-		}
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-}
-
 // EachBucket calls fn for every non-empty bucket in value order with the
 // bucket's half-open range and count — the iteration a cumulative
 // ("le"-labelled) text exposition walks.

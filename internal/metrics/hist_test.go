@@ -121,47 +121,6 @@ func TestHistNegativeClamps(t *testing.T) {
 	}
 }
 
-// TestHistMergeDeterministic pins that merging any partition of a sample
-// stream, in any order, equals recording it into one histogram.
-func TestHistMergeDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	samples := make([]time.Duration, 5000)
-	for i := range samples {
-		samples[i] = time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
-	}
-	whole := NewHistogram()
-	for _, v := range samples {
-		whole.Record(v)
-	}
-	parts := make([]*Histogram, 7)
-	for i := range parts {
-		parts[i] = NewHistogram()
-	}
-	for i, v := range samples {
-		parts[i%len(parts)].Record(v)
-	}
-	// Merge in two different orders; both must equal the whole.
-	for name, order := range map[string][]int{
-		"forward": {0, 1, 2, 3, 4, 5, 6},
-		"shuffle": {3, 6, 0, 5, 1, 4, 2},
-	} {
-		m := NewHistogram()
-		for _, i := range order {
-			m.Merge(parts[i])
-		}
-		if *m != *whole {
-			t.Fatalf("%s merge differs from direct recording", name)
-		}
-	}
-	// Merging an empty histogram is the identity.
-	before := *whole
-	whole.Merge(NewHistogram())
-	whole.Merge(nil)
-	if *whole != before {
-		t.Fatal("merging empty changed the histogram")
-	}
-}
-
 // TestHistRecordDoesNotAllocate gates the zero-allocation record path.
 func TestHistRecordDoesNotAllocate(t *testing.T) {
 	h := NewHistogram()

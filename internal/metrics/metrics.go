@@ -73,30 +73,6 @@ func (d *Distribution) Percentile(p float64) time.Duration {
 	return d.samples[rank-1]
 }
 
-// Stddev returns the population standard deviation.
-func (d *Distribution) Stddev() time.Duration {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(d.Mean())
-	var ss float64
-	for _, v := range d.samples {
-		diff := float64(v) - mean
-		ss += diff * diff
-	}
-	return time.Duration(math.Sqrt(ss / float64(n)))
-}
-
-// Samples returns a copy of the raw samples in insertion order is not
-// preserved after percentile queries; callers get the sorted view.
-func (d *Distribution) Samples() []time.Duration {
-	d.sortSamples()
-	out := make([]time.Duration, len(d.samples))
-	copy(out, d.samples)
-	return out
-}
-
 func (d *Distribution) sortSamples() {
 	if !d.sorted {
 		sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
@@ -139,21 +115,8 @@ func (s *Series) Add(at time.Duration, v float64) {
 	s.points = append(s.points, Point{At: at, Value: v})
 }
 
-// Points returns the underlying observations (shared slice; do not
-// modify).
-func (s *Series) Points() []Point { return s.points }
-
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.points) }
-
-// Values returns just the observation values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.points))
-	for i, p := range s.points {
-		out[i] = p.Value
-	}
-	return out
-}
 
 // Mean returns the mean value of the series.
 func (s *Series) Mean() float64 {

@@ -10,7 +10,7 @@ import (
 
 func TestDistributionBasics(t *testing.T) {
 	var d Distribution
-	if d.String() != "no samples" || d.Min() != 0 || d.Max() != 0 || d.Mean() != 0 || d.Stddev() != 0 {
+	if d.String() != "no samples" || d.Min() != 0 || d.Max() != 0 || d.Mean() != 0 {
 		t.Fatal("empty distribution not zeroed")
 	}
 	for _, v := range []time.Duration{30, 10, 20} {
@@ -42,20 +42,6 @@ func TestDistributionPercentileValidation(t *testing.T) {
 		}
 	}()
 	d.Percentile(0)
-}
-
-func TestDistributionStddev(t *testing.T) {
-	var d Distribution
-	for i := 0; i < 10; i++ {
-		d.Add(time.Duration(100) * time.Millisecond)
-	}
-	if d.Stddev() != 0 {
-		t.Fatalf("stddev of constant = %v", d.Stddev())
-	}
-	d.Add(200 * time.Millisecond)
-	if d.Stddev() == 0 {
-		t.Fatal("stddev of varied samples is zero")
-	}
 }
 
 // Property: percentiles are monotone and bounded by min/max.
@@ -91,10 +77,6 @@ func TestSeries(t *testing.T) {
 	s.Add(2*time.Second, 20)
 	if s.Len() != 3 || s.Mean() != 20 || s.Max() != 30 {
 		t.Fatalf("series stats: len=%d mean=%v max=%v", s.Len(), s.Mean(), s.Max())
-	}
-	vals := s.Values()
-	if len(vals) != 3 || vals[1] != 30 {
-		t.Fatalf("values = %v", vals)
 	}
 }
 

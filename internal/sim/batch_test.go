@@ -334,9 +334,6 @@ func TestFarTierEdges(t *testing.T) {
 			if got := e.Pending(); got != 2 {
 				t.Fatalf("Pending = %d, want 2 (canceled entries count until discarded)", got)
 			}
-			if at, ok := e.NextEventAt(); !ok || at != far {
-				t.Fatalf("NextEventAt = %v, %v, want %v", at, ok, far)
-			}
 			if k, ok := e.NextKey(); !ok || k != (Key{far, 4, 1}) {
 				t.Fatalf("NextKey = (%+v, %v), want ({%v 4 1}, true)", k, ok, far)
 			}
@@ -400,8 +397,8 @@ func TestFarTierEdges(t *testing.T) {
 				t.Fatalf("horizon %d did not roll past the head", rolled)
 			}
 			e.ScheduleKeyed(Key{200 * time.Microsecond, 9, 0}, rec, 0)
-			if at, _ := e.NextEventAt(); at != 200*time.Microsecond || e.horizon != rolled {
-				t.Fatalf("a new, earlier head at %v moved the horizon %d -> %d", at, rolled, e.horizon)
+			if k, _ := e.NextKey(); k.At != 200*time.Microsecond || e.horizon != rolled {
+				t.Fatalf("a new, earlier head at %v moved the horizon %d -> %d", k.At, rolled, e.horizon)
 			}
 			e.ScheduleKeyed(Key{300 * time.Microsecond, 2, 7}, rec, 0)
 			e.ScheduleKeyed(Key{far / 2, 1, 0}, rec, 0)
@@ -448,8 +445,8 @@ func TestFarTierEdges(t *testing.T) {
 			rec := func() { ran = append(ran, e.Now()) }
 			e.Schedule(MaxKey.At, rec)
 			e.Schedule(time.Microsecond, rec)
-			if at, ok := e.NextEventAt(); !ok || at != time.Microsecond {
-				t.Fatalf("NextEventAt = %v, %v", at, ok)
+			if k, ok := e.NextKey(); !ok || k.At != time.Microsecond {
+				t.Fatalf("NextKey = %v, %v", k, ok)
 			}
 			e.Run()
 			if len(ran) != 2 || ran[1] != MaxKey.At || e.Pending() != 0 {

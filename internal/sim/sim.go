@@ -836,9 +836,6 @@ func (e *Engine) peek() (time.Duration, bool) {
 	return 0, false
 }
 
-// NextEventAt returns the virtual time of the next pending live event.
-func (e *Engine) NextEventAt() (time.Duration, bool) { return e.peek() }
-
 // NextKey returns the full ordering key of the next pending live event,
 // or MaxKey and false when nothing is pending. The coordinator folds it
 // into its pending minima, and uses it to pre-stamp shard engines before

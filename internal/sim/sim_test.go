@@ -240,16 +240,16 @@ func TestDeterminismSameSeed(t *testing.T) {
 
 func TestNextEventAt(t *testing.T) {
 	e := New(1)
-	if _, ok := e.NextEventAt(); ok {
-		t.Fatal("NextEventAt on empty queue reported an event")
+	if k, ok := e.NextKey(); ok || k != MaxKey {
+		t.Fatalf("NextKey on empty queue = %v,%v", k, ok)
 	}
 	tm := e.After(7*time.Millisecond, func() {})
-	if at, ok := e.NextEventAt(); !ok || at != 7*time.Millisecond {
-		t.Fatalf("NextEventAt = %v,%v", at, ok)
+	if k, ok := e.NextKey(); !ok || k.At != 7*time.Millisecond {
+		t.Fatalf("NextKey = %v,%v", k, ok)
 	}
 	tm.Stop()
-	if _, ok := e.NextEventAt(); ok {
-		t.Fatal("NextEventAt reported a canceled event")
+	if _, ok := e.NextKey(); ok {
+		t.Fatal("NextKey reported a canceled event")
 	}
 }
 

@@ -88,9 +88,6 @@ func NewWheelOn(p *Proc, tick time.Duration) *Wheel {
 	return &Wheel{p: p, tick: tick, free: -1, curTick: int64(p.Now() / tick)}
 }
 
-// Tick returns the wheel's granularity.
-func (w *Wheel) Tick() time.Duration { return w.tick }
-
 // Len returns the number of armed timers.
 func (w *Wheel) Len() int { return w.active }
 

@@ -199,7 +199,7 @@ func newServer(o Options) (*Server, error) {
 		classes:   map[string]*classAgg{},
 		reqCh:     make(chan *request, 64),
 		doneCh:    make(chan struct{}),
-		wallStart: time.Now(), //fabriclint:wallclock uptime reporting in status replies; the fabric runs on virtual time
+		wallStart: time.Now(), // uptime reporting in status replies; the fabric runs on virtual time
 	}
 	if s.out == nil {
 		s.out = io.Discard
@@ -341,7 +341,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Kick the blocked scanner with a deadline rather than an
 			// immediate close, so an in-flight reply (the shutdown ack)
 			// still flushes before the deferred close tears down.
-			conn.SetDeadline(time.Now().Add(200 * time.Millisecond)) //fabriclint:wallclock socket teardown deadline; I/O plumbing, not simulation time
+			conn.SetDeadline(time.Now().Add(200 * time.Millisecond)) // socket teardown deadline; I/O plumbing, not simulation time
 		case <-connDone:
 		}
 	}()

@@ -70,7 +70,7 @@ func dialRetry(network, addr string, timeout time.Duration) (*client, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	deadline := time.Now().Add(timeout) //fabriclint:wallclock dial-retry budget for reaching a live daemon; not simulation time
+	deadline := time.Now().Add(timeout) // dial-retry budget for reaching a live daemon; not simulation time
 	var lastErr error
 	for {
 		conn, err := net.DialTimeout(network, addr, time.Second)
@@ -80,7 +80,7 @@ func dialRetry(network, addr string, timeout time.Duration) (*client, error) {
 			return c, nil
 		}
 		lastErr = err
-		if time.Now().After(deadline) { //fabriclint:wallclock dial-retry budget check; not simulation time
+		if time.Now().After(deadline) { // dial-retry budget check; not simulation time
 			return nil, fmt.Errorf("serve: dial %s %s: %w", network, addr, lastErr)
 		}
 		time.Sleep(100 * time.Millisecond)
