@@ -1,20 +1,19 @@
-// Command arppath-sim is the general-purpose simulator CLI: pick a
-// topology, a bridging protocol and a workload, and it prints what
-// happened. The -trace flag streams a tcpdump-style view of every frame.
-// It is a thin shell over pkg/fabric: flags compile into a fabric.Spec,
-// or -spec loads one and explicitly set flags override it. The workload
-// is any kind the Runner knows, so the paper's two demos run here too:
-// -workload figure2-demo (Figure 2, ARP-Path vs STP latency) and
-// -workload path-repair (Figure 3, streaming across link failures), or
-// their tuned fixtures examples/specs/{arpvstp,pathrepair}.json.
+// Command arppath-sim runs any fabric.Spec: the simulator workloads
+// (ping, stream, allpairs, matrix), the paper's two demos (figure2-demo,
+// path-repair), the evaluation tables (properties … tables, all) and the
+// adversarial scenario sweep. The Spec chooses what runs; the flags only
+// choose how the run is shown, so every flag sets a fabric.Runner field
+// or an artifact path and none of them changes a result. With no -spec it
+// runs a Figure 2 ping. examples/specs holds a fixture per workload.
 //
 // Usage:
 //
-//	arppath-sim [-spec FILE]
-//	            [-topo figure1|figure2|line|ring|grid|fattree|random]
-//	            [-bridge arppath|stp|learning|flowpath|tcppath]
-//	            [-workload ping|stream|allpairs|matrix|figure2-demo|path-repair]
-//	            [-n N] [-seed N] [-trace] [-proxy] [-csv] [-graphs]
+//	arppath-sim [-spec FILE] [-csv] [-graphs] [-trace] [-j N] [-v]
+//	            [-bench-out FILE] [-cpuprofile FILE] [-memprofile FILE]
+//
+// Exit status: 0 on success; 1 when the run finished but failed (a
+// workload that did not complete, or failing sweep scenarios); 2 on a
+// usage or spec error, or any other error.
 package main
 
 import (
@@ -27,16 +26,15 @@ import (
 )
 
 func main() {
-	specPath := flag.String("spec", "", "run the spec file (explicitly set flags override it)")
-	topoName := flag.String("topo", "figure2", "topology: figure1, figure2, line, ring, grid, fattree, random")
-	bridgeProto := flag.String("bridge", "arppath", "bridging protocol: arppath, stp, learning, flowpath, tcppath")
-	workload := flag.String("workload", "ping", "workload: ping, stream, allpairs, matrix, figure2-demo, path-repair")
-	n := flag.Int("n", 4, "topology size parameter (bridges, ring size, fat-tree k, ...)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	traceFlag := flag.Bool("trace", false, "stream every frame event to stderr")
-	proxy := flag.Bool("proxy", false, "enable the in-switch ARP proxy (arppath only)")
+	specPath := flag.String("spec", "", "run the spec file (default: a Figure 2 ping)")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	graphs := flag.Bool("graphs", true, "render the figure2-demo per-scenario latency graphs")
+	traceFlag := flag.Bool("trace", false, "stream a tcpdump-style view of every frame delivery to stderr")
+	jobs := flag.Int("j", 0, "sweep scenarios to run concurrently (0 = GOMAXPROCS)")
+	verbose := flag.Bool("v", false, "print every sweep scenario, not just failures")
+	benchOut := flag.String("bench-out", "", "write the run's JSON artifact (workload kind tables) to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the workload to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-workload, after GC) to this file")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "arppath-sim: unexpected arguments")
@@ -44,49 +42,43 @@ func main() {
 		os.Exit(2)
 	}
 
-	spec := fabric.Spec{}
+	spec := fabric.Spec{Workload: fabric.WorkloadSpec{Kind: "ping"}}
 	if *specPath != "" {
 		var err error
-		spec, err = fabric.LoadSpec(*specPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "arppath-sim: %v\n", err)
-			os.Exit(2)
+		if spec, err = fabric.LoadSpec(*specPath); err != nil {
+			fail(err)
 		}
 	}
-	use := fabric.FlagOverrides(flag.CommandLine, *specPath != "")
-	if use("topo") {
-		spec.Topology.Family = *topoName
+	runner := fabric.Runner{
+		Spec: spec, CSV: *csv, Graphs: *graphs, Jobs: *jobs, Verbose: *verbose,
+		Profile: fabric.ProfileOptions{CPUPath: *cpuProfile, MemPath: *memProfile},
 	}
-	if use("n") {
-		spec.Topology.N = *n
-	}
-	if use("bridge") {
-		spec.Protocol.Name = *bridgeProto
-	}
-	if use("workload") {
-		spec.Workload.Kind = *workload
-	}
-	if use("seed") {
-		spec.Seed = *seed
-	}
-	// Proxy is an arppath knob; merge it into the config extension so a
-	// spec's other settings (lock timeouts, ...) survive the override.
-	if use("proxy") && (spec.Protocol.Name == "" || spec.Protocol.Name == "arppath") {
-		if err := spec.Protocol.SetOption("proxy", *proxy); err != nil {
-			fmt.Fprintf(os.Stderr, "arppath-sim: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	runner := fabric.Runner{Spec: spec, CSV: *csv, Graphs: *graphs}
 	if *traceFlag {
 		runner.TraceTo = os.Stderr
 	}
-	if _, err := runner.Run(); err != nil {
-		if errors.Is(err, fabric.ErrIncomplete) {
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "arppath-sim: %v\n", err)
-		os.Exit(2)
+	res, err := runner.Run()
+	switch {
+	case errors.Is(err, fabric.ErrIncomplete):
+		os.Exit(1)
+	case err != nil:
+		fail(err)
+	case res.Failures > 0:
+		os.Exit(1)
 	}
+	if *benchOut == "" {
+		return
+	}
+	if res.BenchJSON == nil {
+		fail(fmt.Errorf("-bench-out %s: workload kind %s has no JSON artifact (only tables does)",
+			*benchOut, res.Spec.Workload.Kind))
+	}
+	if err := os.WriteFile(*benchOut, res.BenchJSON, 0o644); err != nil {
+		fail(err)
+	}
+}
+
+// fail reports an error that is not a failed run and exits 2.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "arppath-sim: %v\n", err)
+	os.Exit(2)
 }

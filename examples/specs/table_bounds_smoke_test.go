@@ -1,10 +1,8 @@
 package specs_test
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"testing"
 )
 
@@ -18,7 +16,7 @@ import (
 // simulation, so any behavioural leak of the bounding machinery into
 // the dataplane shows up as a fingerprint diff. Fixtures without a
 // protocol section (fabricbench, arpvstp, pathrepair run fixed demo
-// workloads; scenario rejects protocol tuning) are covered indirectly:
+// workloads; the sweep rejects protocol tuning) are covered indirectly:
 // they build through the same defaulted configs the unbounded baseline
 // uses.
 func TestTrackedTablesReproduceGoldens(t *testing.T) {
@@ -34,7 +32,6 @@ func TestTrackedTablesReproduceGoldens(t *testing.T) {
 		{"tcppath", map[string]any{"conn_policy": "clock"}},
 	}
 	for _, c := range cases {
-		c := c
 		var policy string
 		for _, v := range c.config {
 			policy = v.(string)
@@ -44,37 +41,23 @@ func TestTrackedTablesReproduceGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(c.spec + ".json")
+			path := fixtureCopy(t, c.spec, func(spec map[string]any) {
+				proto, _ := spec["protocol"].(map[string]any)
+				if proto == nil {
+					t.Fatalf("fixture %s has no protocol section", c.spec)
+				}
+				cfg, _ := proto["config"].(map[string]any)
+				if cfg == nil {
+					cfg = map[string]any{}
+				}
+				for k, v := range c.config {
+					cfg[k] = v
+				}
+				proto["config"] = cfg
+			})
+			out, err := exec.Command(sim, "-spec", path).Output()
 			if err != nil {
-				t.Fatal(err)
-			}
-			var spec map[string]any
-			if err := json.Unmarshal(raw, &spec); err != nil {
-				t.Fatal(err)
-			}
-			proto, _ := spec["protocol"].(map[string]any)
-			if proto == nil {
-				t.Fatalf("fixture %s has no protocol section", c.spec)
-			}
-			cfg, _ := proto["config"].(map[string]any)
-			if cfg == nil {
-				cfg = map[string]any{}
-			}
-			for k, v := range c.config {
-				cfg[k] = v
-			}
-			proto["config"] = cfg
-			mod, err := json.Marshal(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), c.spec+".json")
-			if err := os.WriteFile(path, mod, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			out, err := exec.Command("go", "run", "repro/cmd/arppath-sim", "-spec", path).Output()
-			if err != nil {
-				t.Fatalf("go run repro/cmd/arppath-sim -spec %s: %v", path, err)
+				t.Fatalf("arppath-sim -spec %s: %v", path, err)
 			}
 			if string(out) != string(golden) {
 				t.Fatalf("tracked-but-unbounded %s (%v) diverged from examples/specs/%s.golden.\ngot:\n%s\nwant:\n%s",

@@ -13,7 +13,7 @@ import (
 )
 
 // Shards is the shard count applied to every experiment topology
-// (fabricbench -shards): >1 runs each simulation on the partitioned
+// (a Spec's "shards"): >1 runs each simulation on the partitioned
 // engine. Every figure and table is bit-identical for any value
 // — that equivalence is enforced by TestDeterminismMatrix.
 var Shards = 1

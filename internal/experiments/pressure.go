@@ -15,8 +15,8 @@ import (
 	"repro/internal/topo"
 )
 
-// This file is the eviction-pressure experiment behind fabricbench
-// -exp tables: the All-Path variants driven through 10⁵–10⁶ distinct
+// This file is the eviction-pressure experiment behind the tables
+// workload: the All-Path variants driven through 10⁵–10⁶ distinct
 // host conversations over a small fixed fabric, with the variant's
 // per-path table (per-host for ARP-Path, per-pair for Flow-Path,
 // per-connection for TCP-Path) swept through capacity bounds and
@@ -63,7 +63,7 @@ type TablesConfig struct {
 	Revisit time.Duration
 }
 
-// DefaultTablesConfig is the fabricbench default.
+// DefaultTablesConfig is the tables workload's default.
 func DefaultTablesConfig(seed int64, conversations int) TablesConfig {
 	return TablesConfig{Seed: seed, Conversations: conversations}.WithDefaults()
 }

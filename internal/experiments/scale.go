@@ -8,7 +8,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/host/app"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/topo"
 )
 
@@ -18,9 +17,9 @@ import (
 // past the paper's testbed. It builds a large random-regular fabric,
 // drives many concurrent UDP conversations across it, and reports what
 // the single engine and the sharded engine (DESIGN.md §8) did. The
-// protocol-side numbers (delivery, events, trace fingerprint) are
-// bit-identical at every shard count; the coordinator's counts are a
-// function of (seed, shards). Speed is bench/perf's to measure.
+// protocol-side numbers (delivery, events) are bit-identical at every
+// shard count; the coordinator's counts are a function of (seed,
+// shards). Speed is bench/perf's to measure.
 
 // ScaleConfig parameterizes one scaling run.
 type ScaleConfig struct {
@@ -30,14 +29,10 @@ type ScaleConfig struct {
 	Shards  int
 	Flows   int           // concurrent UDP conversations
 	Window  time.Duration // traffic phase length (virtual time)
-	// Trace attaches the fingerprint tap. It costs throughput (every tap
-	// is observed and, sharded, buffered + merged), so benchmark runs
-	// leave it off and determinism runs turn it on.
-	Trace bool
 }
 
-// DefaultScaleConfig is the fabricbench default: a 256-bridge fabric, 64
-// conversations, 200ms of virtual traffic.
+// DefaultScaleConfig is the scale workload's default: a 256-bridge
+// fabric, 64 conversations, 200ms of virtual traffic.
 func DefaultScaleConfig(seed int64, shards int) ScaleConfig {
 	return ScaleConfig{
 		Seed: seed, Bridges: 256, Degree: 3, Shards: shards,
@@ -55,8 +50,6 @@ type ScaleResult struct {
 	Lookahead             time.Duration // coordinator window (0 unsharded)
 	Offered, Delivered    int           // UDP datagrams
 	Events                uint64        // events executed across all engines
-	Fingerprint           uint64        // merged-trace digest (Trace runs)
-	TraceEvents           uint64        // tap events folded into the fingerprint
 	// Coordination overhead over the traffic phase (zero unsharded),
 	// deterministic for a given (seed, shards).
 	Windows   uint64 // lookahead windows the coordinator ran
@@ -70,12 +63,6 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 	opts.Shards = cfg.Shards
 	built := topo.RandomRegular(opts, cfg.Bridges, cfg.Degree)
 	defer finishNet(built)
-
-	var fp *netsim.TapFingerprint
-	if cfg.Trace {
-		fp = netsim.NewTapFingerprint()
-		built.Network.Tap(fp.Observe)
-	}
 
 	// Draw the conversation pairs from a plan RNG, independent of the
 	// build stream, so the traffic matrix is a function of the seed alone.
@@ -140,10 +127,6 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 	for _, s := range sinks {
 		res.Delivered += s.Count()
 	}
-	if fp != nil {
-		res.Fingerprint = fp.Sum()
-		res.TraceEvents = fp.Events()
-	}
 	return res
 }
 
@@ -152,13 +135,9 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 // shard count and GOMAXPROCS.
 func ScaleTable(rs []*ScaleResult) *metrics.Table {
 	t := metrics.NewTable("Scaling fabric (random-regular, one host per bridge) — deterministic outputs",
-		"bridges", "links", "shards", "flows", "offered", "delivered", "events", "trace events", "fingerprint")
+		"bridges", "links", "shards", "flows", "offered", "delivered", "events")
 	for _, r := range rs {
-		fpCell := "-"
-		if r.TraceEvents > 0 {
-			fpCell = fmt.Sprintf("%#016x", r.Fingerprint)
-		}
-		t.AddRow(r.Bridges, r.Links, r.Config.Shards, r.Config.Flows, r.Offered, r.Delivered, r.Events, r.TraceEvents, fpCell)
+		t.AddRow(r.Bridges, r.Links, r.Config.Shards, r.Config.Flows, r.Offered, r.Delivered, r.Events)
 	}
 	return t
 }

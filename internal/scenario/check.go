@@ -268,7 +268,7 @@ func (c *Checker) tap(ev netsim.TapEvent) {
 // pre-scenario baseline. Only meaningful after the engine has fully
 // drained (no event in flight may hold a reference). The balance is
 // per-network (Network.LiveFrames), so concurrently running scenarios in
-// one process (cmd/scenario -j) cannot pollute each other's verdicts.
+// one process (a sweep's workers) cannot pollute each other's verdicts.
 func (c *Checker) CheckFrameDrain() {
 	if live := c.built.Network.LiveFrames(); live != c.baseLive {
 		c.violate(InvFrameDrain, 0, "%d pooled frame(s) still referenced after drain (baseline %d, now %d)", live-c.baseLive, c.baseLive, live)

@@ -209,7 +209,7 @@ func TestCheckerFrameDrain(t *testing.T) {
 		t.Fatalf("drained network flagged: %v", chk.Violations())
 	}
 
-	// The balance is per-network now (cmd/scenario -j runs scenarios
+	// The balance is per-network now (a sweep runs scenarios
 	// concurrently), so the leak must be charged to this network.
 	leak := built.Network.NewFrame(make([]byte, 64)) // deliberately never released
 	chk.CheckFrameDrain()

@@ -52,7 +52,7 @@ func TestOpCodecRoundTrip(t *testing.T) {
 // codec must carry.
 func TestOpCodecGeneratedSchedules(t *testing.T) {
 	for _, fam := range FaultFamilies() {
-		cfg := Config{Seed: 5, Topology: TopoErdosRenyi, Faults: fam}.withDefaults()
+		cfg := Config{Seed: 5, Topology: TopoErdosRenyi, Faults: fam}.WithDefaults()
 		plan := rand.New(rand.NewSource(cfg.Seed))
 		built := buildTopology(cfg, plan)
 		ix := newNetIndex(built)
@@ -122,7 +122,7 @@ func TestFaultKindText(t *testing.T) {
 // internal renderer, and Validate accepts a generated schedule while
 // rejecting out-of-range and malformed ops.
 func TestIndexResolvesAndValidates(t *testing.T) {
-	cfg := Config{Seed: 3, Topology: TopoErdosRenyi, Faults: FaultsMixed}.withDefaults()
+	cfg := Config{Seed: 3, Topology: TopoErdosRenyi, Faults: FaultsMixed}.WithDefaults()
 	plan := rand.New(rand.NewSource(cfg.Seed))
 	built := buildTopology(cfg, plan)
 	x := NewIndex(built)

@@ -47,7 +47,7 @@ type Config struct {
 	// fingerprint and verdict are bit-identical at every value — that
 	// equivalence is itself a tested invariant of the sharded engine.
 	Shards int
-	// Big selects the larger topology tier (cmd/scenario -big): the same
+	// Big selects the larger topology tier (the sweep's "big"): the same
 	// families, drawn several times bigger now that sweeps run in
 	// parallel. Big and non-Big runs of one seed are different scenarios.
 	Big bool
@@ -69,7 +69,8 @@ type Config struct {
 	VerifyPings int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills unset fields.
+func (c Config) WithDefaults() Config {
 	if c.Protocol == "" {
 		c.Protocol = topo.ARPPath
 	}
@@ -158,7 +159,7 @@ func Run(cfg Config) *Result { return run(cfg, nil) }
 func Replay(cfg Config, ops []FaultOp) *Result { return run(cfg, ops) }
 
 func run(cfg Config, replayOps []FaultOp) *Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	plan := rand.New(rand.NewSource(cfg.Seed))
 	built := buildTopology(cfg, plan)
 	ix := newNetIndex(built)

@@ -12,7 +12,7 @@ import (
 // sweepTopos × sweepFaults × sweepSeeds is the tier-1 sweep: 4 topology
 // families × 6 fault-schedule families × 4 seeds = 96 scenarios. The
 // mixed schedule and the fat tree are exercised separately (determinism
-// test, cmd/scenario) to keep tier-1 wall-clock in check.
+// test, the sweep workload) to keep tier-1 wall-clock in check.
 var (
 	sweepTopos  = []TopologyFamily{TopoErdosRenyi, TopoRingOfRings, TopoRandomRegular, TopoGrid}
 	sweepFaults = []FaultFamily{FaultsLinkFlaps, FaultsBridgeRestarts, FaultsUnidirLoss, FaultsQueuePressure, FaultsPartition, FaultsHostMobility}
@@ -20,9 +20,12 @@ var (
 )
 
 // TestScenarioSweep runs the full 96-scenario grid and requires every
-// invariant to hold in every one. A failure seed reproduces exactly with
+// invariant to hold in every one. A failure seed reproduces exactly as a
+// one-scenario sweep Spec (a sweep's shrink report prints it as its
+// "reproduce:" line):
 //
-//	go run ./cmd/scenario -topo <family> -faults <family> -seed0 <n> -seeds 1
+//	go run ./cmd/arppath-sim -spec <(echo '{"seed":<n>,"workload":{"kind":"sweep"},
+//	    "scenario":{"topologies":["<family>"],"faults":["<family>"],"seeds":1}}')
 func TestScenarioSweep(t *testing.T) {
 	ran := 0
 	for _, tf := range sweepTopos {

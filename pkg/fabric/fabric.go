@@ -5,11 +5,10 @@
 // bridging protocols pluggable, and a Runner that owns the build →
 // warm-up → workload → collect lifecycle every harness shares.
 //
-// The cmds (fabricbench, scenario, arppath-sim, fabricserve) are thin
-// shells over this package: each compiles its flags into a Spec (or loads
-// one with -spec file.json) and hands it to a Runner. A Spec
-// plus a seed is a complete, reproducible experiment: same Spec, same
-// trace fingerprint, at any shard count.
+// The cmds (arppath-sim, fabricserve) are thin shells over this package:
+// each loads a Spec (-spec file.json) and hands it to a Runner or the
+// daemon. A Spec plus a seed is a complete, reproducible experiment:
+// same Spec, same trace fingerprint, at any shard count.
 //
 // A minimal run:
 //

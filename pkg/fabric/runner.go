@@ -43,9 +43,9 @@ type Runner struct {
 	Jobs int
 	// Verbose prints sweep PASS lines, not just failures.
 	Verbose bool
-	// Profile records pprof/runtime-trace artifacts around the workload
-	// (fabricbench -cpuprofile/-memprofile/-trace). Observation only: a
-	// profiled run's outputs are byte-identical to an unprofiled one.
+	// Profile records pprof artifacts around the workload (arppath-sim
+	// -cpuprofile/-memprofile). Observation only: a profiled run's
+	// outputs are byte-identical to an unprofiled one.
 	Profile ProfileOptions
 }
 
@@ -66,7 +66,7 @@ type Result struct {
 	Fabrics     int
 	TraceEvents uint64
 	// BenchJSON is the tables workload's row-per-cell JSON artifact
-	// (fabricbench -bench-out).
+	// (arppath-sim -bench-out).
 	BenchJSON []byte
 }
 

@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flowpath"
 	"repro/internal/learning"
+	"repro/internal/scenario"
+	"repro/internal/topo"
 )
 
 // runToBuffer runs a spec capturing Out.
@@ -109,6 +112,50 @@ func TestRunnerSweep(t *testing.T) {
 		var sink bytes.Buffer
 		if _, err := (&Runner{Spec: spec, Out: &sink}).Run(); err == nil || !strings.Contains(err.Error(), "default "+name+" config") {
 			t.Errorf("%s sweep with tuning %s: err %v, want a refusal", name, ext, err)
+		}
+	}
+}
+
+// TestReproduceSpecIsTheFailingScenario: the shrink report's reproduce
+// line, decoded and expanded the way runSweep expands a Spec, is exactly
+// the one scenario that failed — protocol, proxy, tier, shards, phase
+// timing and probe counts included.
+func TestReproduceSpecIsTheFailingScenario(t *testing.T) {
+	for _, cfg := range []scenario.Config{
+		{
+			Seed: 9, Topology: scenario.TopoGrid, Faults: scenario.FaultsPartition,
+			Protocol: topo.ARPPath, Shards: 3, Big: true, Proxy: true,
+			FaultPhase: 250 * time.Millisecond, Quiesce: 900 * time.Millisecond,
+			VerifyPairs: 6, VerifyPings: 2,
+		},
+		{
+			Seed: 4, Topology: scenario.TopoFatTree, Faults: scenario.FaultsMixed,
+			Protocol: flowpath.ProtoTCPPath, Shards: 1,
+			FaultPhase: 123 * time.Millisecond, Quiesce: time.Second,
+			VerifyPairs: 1, VerifyPings: 5,
+		},
+	} {
+		line, err := reproduceSpec(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Printed inside echo '…' on one line.
+		if bytes.ContainsAny(line, "\n'") {
+			t.Fatalf("reproduce spec is not one quotable line: %s", line)
+		}
+		spec, err := DecodeSpec(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec, err = spec.WithDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		cfgs, err := sweepConfigs(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cfgs) != 1 || cfgs[0] != cfg {
+			t.Fatalf("%s expands to %+v, want exactly %+v", line, cfgs, cfg)
 		}
 	}
 }

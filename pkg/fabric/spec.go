@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
-	"time"
 
+	"repro/internal/experiments"
+	"repro/internal/host/app"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/topo"
@@ -60,8 +62,7 @@ type Spec struct {
 // to N×N, random falls back to N extra edges.
 type TopologySpec struct {
 	// Family: figure1, figure2, line, ring, grid, fattree, random,
-	// erdos-renyi, ring-of-rings, random-regular (RegisterTopology adds
-	// more).
+	// erdos-renyi, ring-of-rings, random-regular.
 	Family string `json:"family,omitempty"`
 	// N is the generic size: bridges (line, ring, random, erdos-renyi,
 	// random-regular), fat-tree k, grid side.
@@ -113,7 +114,7 @@ type LinkSpec struct {
 // WorkloadSpec selects what runs on the fabric. Kinds:
 //
 //   - "ping", "stream", "allpairs" — the simulator workloads on the
-//     Spec's topology (arppath-sim)
+//     Spec's topology
 //   - "matrix" — a spec-level traffic matrix on the Spec's topology:
 //     seeded flow arrivals following the hotspot, permutation or
 //     weighted-pairs pattern, driven as TCP-lite transfers for any
@@ -122,10 +123,10 @@ type LinkSpec struct {
 //   - "path-repair" — Figure 3, streaming under successive link failures
 //   - "properties", "load", "proxy", "repair", "lockwindow",
 //     "tablesize", "scale", "allpath", "tables", "all" — the
-//     evaluation tables (fabricbench); "allpath" is the Flow-Path/
-//     TCP-Path comparative experiment over the same matrices, "tables"
-//     the eviction-pressure capacity sweep
-//   - "sweep" — the adversarial scenario sweep (scenario)
+//     evaluation tables; "allpath" is the Flow-Path/TCP-Path
+//     comparative experiment over the same matrices, "tables" the
+//     eviction-pressure capacity sweep
+//   - "sweep" — the adversarial scenario sweep
 type WorkloadSpec struct {
 	Kind string `json:"kind,omitempty"`
 	// Pings/Interval drive ping-train workloads (ping, figure2-demo).
@@ -330,35 +331,16 @@ func (s Spec) WithDefaults() (Spec, error) {
 		if err != nil {
 			return Spec{}, err
 		}
+		// The phase timing and probe counts default as a scenario does.
+		d := scenario.Config{
+			FaultPhase: sc.FaultPhase.D(), Quiesce: sc.Quiesce.D(),
+			VerifyPairs: s.Verify.Pairs, VerifyPings: s.Verify.Pings,
+		}.WithDefaults()
+		sc.FaultPhase, sc.Quiesce = Duration(d.FaultPhase), Duration(d.Quiesce)
+		s.Verify.Pairs, s.Verify.Pings = d.VerifyPairs, d.VerifyPings
 		s.Scenario = &sc
-		if s.Verify.Pairs == 0 {
-			s.Verify.Pairs = 4
-		}
-		if s.Verify.Pings == 0 {
-			s.Verify.Pings = 3
-		}
 	}
 	return s, nil
-}
-
-// SetOption merges one key into the protocol's JSON config extension,
-// preserving whatever else the extension already carries. Cmds use it to
-// fold a flag (-proxy) into a possibly spec-loaded config without
-// clobbering the rest.
-func (p *ProtocolSpec) SetOption(key string, value any) error {
-	m := map[string]any{}
-	if len(p.Config) > 0 {
-		if err := json.Unmarshal(p.Config, &m); err != nil {
-			return fmt.Errorf("protocol config: %w", err)
-		}
-	}
-	m[key] = value
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	p.Config = raw
-	return nil
 }
 
 // topologyKinds are the workload kinds that build the Spec's topology.
@@ -414,10 +396,9 @@ func (t TopologySpec) gridDims() (rows, cols int) {
 	return rows, cols
 }
 
-// check rejects, for each in-tree family, every size its builder would
-// panic on: a spec file, a flag or a replay-log header is outside input.
-// It runs on the defaulted TopologySpec. A family registered from
-// outside the tree vets its own parameters in its builder.
+// check rejects, for each family, every size its builder would panic on:
+// a spec file or a replay-log header is outside input. It runs on the
+// defaulted TopologySpec.
 func (t TopologySpec) check() error {
 	bad := func(field, rule string, got any) error {
 		return fmt.Errorf("spec: topology.%s: %s needs %s, got %v", field, t.Family, rule, got)
@@ -474,25 +455,61 @@ func (t TopologySpec) check() error {
 	return nil
 }
 
+// BuildTopology builds the Spec's (defaulted) topology.
+func BuildTopology(opts Options, t TopologySpec) (*Built, error) {
+	switch t.Family {
+	case "figure1":
+		return topo.Figure1(opts), nil
+	case "figure2":
+		return topo.Figure2(opts, topo.Figure2Profile(t.Profile)), nil
+	case "line":
+		return topo.Line(opts, t.N), nil
+	case "ring":
+		return topo.Ring(opts, t.N), nil
+	case "grid":
+		rows, cols := t.gridDims()
+		return topo.Grid(opts, rows, cols), nil
+	case "fattree":
+		return topo.FatTree(opts, t.N), nil
+	case "random":
+		extra := t.ExtraEdges
+		if extra == 0 {
+			extra = t.N
+		}
+		return topo.Random(opts, t.N, extra), nil
+	case "erdos-renyi":
+		return topo.ErdosRenyi(opts, t.N, t.P), nil
+	case "ring-of-rings":
+		return topo.RingOfRings(opts, t.Rings, t.RingSize), nil
+	case "random-regular":
+		return topo.RandomRegular(opts, t.N, t.Degree), nil
+	}
+	return nil, fmt.Errorf("fabric: unknown topology family %q", t.Family)
+}
+
+// withDefaults fills the workload's unset knobs from the defaults of the
+// experiment or application that runs it, so each value is stated once.
 func (w WorkloadSpec) withDefaults() WorkloadSpec {
 	switch w.Kind {
 	case "ping", "figure2-demo":
+		d := experiments.DefaultFigure2Config()
 		if w.Pings == 0 {
-			w.Pings = 20
+			w.Pings = d.Pings
 		}
 		if w.Interval == 0 {
-			w.Interval = Duration(100 * time.Millisecond)
+			w.Interval = Duration(d.Interval)
 		}
 	case "stream":
 		if w.StreamSize == 0 {
-			w.StreamSize = defaultStreamSize()
+			w.StreamSize = app.DefaultStreamConfig().Size
 		}
 	case "path-repair":
+		d := experiments.DefaultFigure3Config()
 		if w.StreamSize == 0 {
-			w.StreamSize = 32 << 20
+			w.StreamSize = d.StreamSize
 		}
 		if w.Failures == 0 {
-			w.Failures = 2
+			w.Failures = len(d.FailureTimes)
 		}
 		if w.WithSTP == nil {
 			t := true
@@ -500,24 +517,15 @@ func (w WorkloadSpec) withDefaults() WorkloadSpec {
 		}
 	case "scale":
 		if w.Bridges == 0 {
-			w.Bridges = 256
+			w.Bridges = experiments.DefaultScaleConfig(0, 1).Bridges
 		}
 	case "matrix":
-		if w.Pattern == "" {
-			w.Pattern = "hotspot"
-		}
-		if w.Hotspots == 0 {
-			w.Hotspots = 2
-		}
-		if w.Skew == 0 {
-			w.Skew = 1.5
-		}
-		if w.FlowBytes == 0 {
-			w.FlowBytes = 256 << 10
-		}
-		if w.Arrival == 0 {
-			w.Arrival = Duration(time.Millisecond)
-		}
+		m := experiments.MatrixConfig{
+			Pattern: experiments.MatrixPattern(w.Pattern), Hotspots: w.Hotspots,
+			Skew: w.Skew, Bytes: w.FlowBytes, Arrival: w.Arrival.D(),
+		}.WithDefaults()
+		w.Pattern, w.Hotspots, w.Skew = string(m.Pattern), m.Hotspots, m.Skew
+		w.FlowBytes, w.Arrival = m.Bytes, Duration(m.Arrival)
 	case "allpath":
 		// The comparative experiment sweeps every pattern itself; only
 		// the fabric and flow-count knobs apply.
@@ -531,47 +539,19 @@ func (w WorkloadSpec) withDefaults() WorkloadSpec {
 		// The eviction-pressure experiment sweeps capacities itself; the
 		// knob is how many distinct conversations churn the tables.
 		if w.Conversations == 0 {
-			w.Conversations = 100_000
+			w.Conversations = experiments.DefaultTablesConfig(0, 0).Conversations
 		}
 	}
 	return w
 }
 
 func (sc ScenarioSpec) withDefaults() (ScenarioSpec, error) {
-	all := func(names []string) bool {
-		return len(names) == 0 || (len(names) == 1 && names[0] == "all")
+	var err error
+	if sc.Topologies, err = families("topology", sc.Topologies, scenario.TopologyFamilies()); err != nil {
+		return sc, err
 	}
-	if all(sc.Topologies) {
-		sc.Topologies = nil
-		for _, f := range scenario.TopologyFamilies() {
-			sc.Topologies = append(sc.Topologies, string(f))
-		}
-	} else {
-		known := make(map[string]bool)
-		for _, f := range scenario.TopologyFamilies() {
-			known[string(f)] = true
-		}
-		for _, f := range sc.Topologies {
-			if !known[f] {
-				return sc, fmt.Errorf("spec: unknown topology family %q", f)
-			}
-		}
-	}
-	if all(sc.Faults) {
-		sc.Faults = nil
-		for _, f := range scenario.FaultFamilies() {
-			sc.Faults = append(sc.Faults, string(f))
-		}
-	} else {
-		known := make(map[string]bool)
-		for _, f := range scenario.FaultFamilies() {
-			known[string(f)] = true
-		}
-		for _, f := range sc.Faults {
-			if !known[f] {
-				return sc, fmt.Errorf("spec: unknown fault family %q", f)
-			}
-		}
+	if sc.Faults, err = families("fault", sc.Faults, scenario.FaultFamilies()); err != nil {
+		return sc, err
 	}
 	if sc.Seeds == 0 {
 		sc.Seeds = 16
@@ -580,13 +560,25 @@ func (sc ScenarioSpec) withDefaults() (ScenarioSpec, error) {
 		t := true
 		sc.Shrink = &t
 	}
-	if sc.FaultPhase == 0 {
-		sc.FaultPhase = Duration(400 * time.Millisecond)
-	}
-	if sc.Quiesce == 0 {
-		sc.Quiesce = Duration(700 * time.Millisecond)
-	}
 	return sc, nil
+}
+
+// families expands an absent or ["all"] family list to every known
+// family, and otherwise rejects any name it does not know.
+func families[F ~string](kind string, names []string, known []F) ([]string, error) {
+	all := make([]string, len(known))
+	for i, f := range known {
+		all[i] = string(f)
+	}
+	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
+		return all, nil
+	}
+	for _, n := range names {
+		if !slices.Contains(all, n) {
+			return nil, fmt.Errorf("spec: unknown %s family %q", kind, n)
+		}
+	}
+	return names, nil
 }
 
 // Options compiles the Spec's build half into the imperative form the

@@ -12,8 +12,8 @@ import (
 	"repro/internal/topo"
 )
 
-// specSamples are the shapes the cmds compile their flags into, plus
-// a fully spelled-out custom one.
+// specSamples are bare specs of the workload families, plus fully
+// spelled-out custom ones.
 func specSamples() []Spec {
 	return []Spec{
 		{Workload: WorkloadSpec{Kind: "all"}},
@@ -147,10 +147,10 @@ func TestSpecRejectsUnusableValues(t *testing.T) {
 }
 
 // TestSpecSizeRules holds WithDefaults to the topology builders' own
-// preconditions: for every in-tree family, each size a builder panics on
-// is a spec: error naming the field, and the smallest size it accepts
-// builds. scale and allpath size their own random-regular fabric from
-// workload.bridges, under the same rule.
+// preconditions: for every family, each size a builder panics on is a
+// spec: error naming the field, the smallest size it accepts builds, and
+// an unknown family is BuildTopology's error. scale and allpath size their
+// own random-regular fabric from workload.bridges, under the same rule.
 func TestSpecSizeRules(t *testing.T) {
 	type bad struct {
 		t    TopologySpec
@@ -177,7 +177,8 @@ func TestSpecSizeRules(t *testing.T) {
 			{TopologySpec{N: 7}, "topology.n"}, {TopologySpec{N: 2}, "topology.n"},
 			{TopologySpec{N: 4, Degree: 4}, "topology.degree"}, {TopologySpec{Degree: 1}, "topology.degree"}}},
 	}
-	for _, family := range TopologyFamilies() {
+	for _, family := range []string{"figure1", "figure2", "line", "ring", "grid", "fattree", "random",
+		"erdos-renyi", "ring-of-rings", "random-regular"} {
 		c, ok := cases[family]
 		if !ok {
 			t.Errorf("family %q has no size-rule case", family)
@@ -205,6 +206,10 @@ func TestSpecSizeRules(t *testing.T) {
 		if _, err := BuildTopology(opts, d.Topology); err != nil {
 			t.Errorf("%s %+v: %v", family, c.good, err)
 		}
+	}
+
+	if _, err := BuildTopology(topo.DefaultOptions(topo.ARPPath, 1), TopologySpec{Family: "torus"}); err == nil {
+		t.Error("unknown topology family built")
 	}
 
 	for _, kind := range []string{"scale", "allpath"} {
@@ -332,7 +337,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		// What WithDefaults accepts must build: the options compile and
 		// one bridge of the protocol comes up on a link without a panic —
 		// and so does the spec's own topology, when it is small enough to
-		// build on every fuzz iteration (an unregistered family is
+		// build on every fuzz iteration (an unknown family is
 		// BuildTopology's error to return).
 		opts, err := d1.Options()
 		if err != nil {

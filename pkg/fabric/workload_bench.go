@@ -19,7 +19,7 @@ func lockWindows() []time.Duration {
 	}
 }
 
-// runBench is the fabricbench harness: the extended experiments derived
+// runBench is the evaluation-table harness: the extended experiments derived
 // from the paper's §2.2 claims (DESIGN.md T1–T6) and the sharded-engine
 // scaling experiment.
 func (r *Runner) runBench(spec Spec, out io.Writer, res *Result) error {

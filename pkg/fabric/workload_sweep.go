@@ -25,58 +25,9 @@ var sweepProtocols = map[topo.Protocol]bool{
 // Independent scenarios run concurrently on Jobs workers; each scenario's
 // seed, trace and fingerprint are identical at any Jobs value.
 func (r *Runner) runSweep(spec Spec, out io.Writer, jobs int, res *Result) error {
-	proto := topo.Protocol(spec.Protocol.Name)
-	if !sweepProtocols[proto] {
-		return fmt.Errorf("fabric: the sweep verifies All-Path invariants; protocol %q is not sweepable", spec.Protocol.Name)
-	}
-	// The one protocol knob the sweep honours is the proxy: a proxy-enabled
-	// Spec arms proxy mode (and the proxy-consistency invariant)
-	// fleet-wide. Any other tuning in the extension is rejected rather
-	// than silently dropped — each scenario builds its fabric with the
-	// defaults — so the (already canonical) extension must equal the
-	// canonical encoding of the registered defaults, proxy excepted.
-	var knobs struct {
-		Proxy bool `json:"proxy"`
-	}
-	if err := json.Unmarshal(spec.Protocol.Config, &knobs); err != nil {
-		return err
-	}
-	var ref []byte
-	if knobs.Proxy {
-		ref = []byte(`{"proxy":true}`)
-	}
-	def, cfg, err := topo.DecodeProtocol(proto, ref)
+	cfgs, err := sweepConfigs(spec)
 	if err != nil {
 		return err
-	}
-	if ref, err = def.Encode(cfg); err != nil {
-		return err
-	}
-	if !bytes.Equal(ref, spec.Protocol.Config) {
-		return fmt.Errorf("fabric: the sweep builds its fabrics with the default %s config; only the proxy knob is honoured (got %s)",
-			spec.Protocol.Name, spec.Protocol.Config)
-	}
-
-	sc := spec.Scenario
-	var cfgs []scenario.Config
-	for _, tf := range sc.Topologies {
-		for _, ff := range sc.Faults {
-			for s := 0; s < sc.Seeds; s++ {
-				cfgs = append(cfgs, scenario.Config{
-					Seed:        spec.Seed + int64(s),
-					Topology:    scenario.TopologyFamily(tf),
-					Faults:      scenario.FaultFamily(ff),
-					Protocol:    proto,
-					Big:         sc.Big,
-					Proxy:       knobs.Proxy,
-					Shards:      spec.Shards,
-					FaultPhase:  sc.FaultPhase.D(),
-					Quiesce:     sc.Quiesce.D(),
-					VerifyPairs: spec.Verify.Pairs,
-					VerifyPings: spec.Verify.Pings,
-				})
-			}
-		}
 	}
 
 	// Worker pool: scenarios are independent simulations, so the sweep
@@ -113,11 +64,13 @@ func (r *Runner) runSweep(spec Spec, out io.Writer, jobs int, res *Result) error
 		}
 		failed++
 		reportFailure(out, sr)
-		if *sc.Shrink {
-			doShrink(out, cfgs[i], sr)
+		if *spec.Scenario.Shrink {
+			if err := doShrink(out, cfgs[i], sr); err != nil {
+				return err
+			}
 		}
 	}
-	fmt.Fprintf(out, "\n%d scenarios, %d failed (j=%d, big=%v, shards=%d)\n", len(cfgs), failed, jobs, sc.Big, spec.Shards)
+	fmt.Fprintf(out, "\n%d scenarios, %d failed (j=%d, big=%v, shards=%d)\n", len(cfgs), failed, jobs, spec.Scenario.Big, spec.Shards)
 	res.Failures = failed
 
 	if spec.Verify.Fingerprint {
@@ -128,6 +81,66 @@ func (r *Runner) runSweep(spec Spec, out io.Writer, jobs int, res *Result) error
 		res.Fabrics = len(results)
 	}
 	return nil
+}
+
+// sweepConfigs expands a defaulted sweep Spec into its scenarios, in
+// sweep order: every (topology, faults) pairing at each seed.
+func sweepConfigs(spec Spec) ([]scenario.Config, error) {
+	proto := topo.Protocol(spec.Protocol.Name)
+	if !sweepProtocols[proto] {
+		return nil, fmt.Errorf("fabric: the sweep verifies All-Path invariants; protocol %q is not sweepable", spec.Protocol.Name)
+	}
+	// The one protocol knob the sweep honours is the proxy: a proxy-enabled
+	// Spec arms proxy mode (and the proxy-consistency invariant)
+	// fleet-wide. Any other tuning in the extension is rejected rather
+	// than silently dropped — each scenario builds its fabric with the
+	// defaults — so the (already canonical) extension must equal the
+	// canonical encoding of the registered defaults, proxy excepted.
+	var knobs struct {
+		Proxy bool `json:"proxy"`
+	}
+	if err := json.Unmarshal(spec.Protocol.Config, &knobs); err != nil {
+		return nil, err
+	}
+	var ref []byte
+	if knobs.Proxy {
+		ref = []byte(`{"proxy":true}`)
+	}
+	def, cfg, err := topo.DecodeProtocol(proto, ref)
+	if err != nil {
+		return nil, err
+	}
+	if ref, err = def.Encode(cfg); err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(ref, spec.Protocol.Config) {
+		return nil, fmt.Errorf("fabric: the sweep builds its fabrics with the default %s config; only the proxy knob is honoured (got %s)",
+			spec.Protocol.Name, spec.Protocol.Config)
+	}
+
+	sc := spec.Scenario
+	var cfgs []scenario.Config
+	for _, tf := range sc.Topologies {
+		for _, ff := range sc.Faults {
+			for s := 0; s < sc.Seeds; s++ {
+				cfgs = append(cfgs, scenario.Config{
+					Seed:        spec.Seed + int64(s),
+					Topology:    scenario.TopologyFamily(tf),
+					Faults:      scenario.FaultFamily(ff),
+					Protocol:    proto,
+					Big:         sc.Big,
+					Proxy:       knobs.Proxy,
+					Shards:      spec.Shards,
+					FaultPhase:  sc.FaultPhase.D(),
+					Quiesce:     sc.Quiesce.D(),
+					VerifyPairs: spec.Verify.Pairs,
+					VerifyPings: spec.Verify.Pings,
+				})
+			}
+		}
+	}
+
+	return cfgs, nil
 }
 
 func reportFailure(out io.Writer, r *scenario.Result) {
@@ -143,28 +156,47 @@ func reportFailure(out io.Writer, r *scenario.Result) {
 	}
 }
 
-func doShrink(out io.Writer, cfg scenario.Config, r *scenario.Result) {
+func doShrink(out io.Writer, cfg scenario.Config, r *scenario.Result) error {
 	min, res, ok := scenario.Shrink(cfg, r.Ops)
 	if !ok {
 		fmt.Fprintf(out, "  shrink: failure does not reproduce from the fault schedule alone\n")
-		return
+		return nil
 	}
 	fmt.Fprintf(out, "  shrink: %d of %d ops suffice:\n", len(min), len(r.Ops))
 	for _, op := range res.OpsApplied {
 		fmt.Fprintf(out, "    %s\n", op)
 	}
-	// The reproduce line must name the exact scenario: protocol, big and
-	// proxy runs of a seed are different scenarios (different builds).
-	extra := ""
-	if cfg.Protocol != "" && cfg.Protocol != topo.ARPPath {
-		extra += " -protocol " + string(cfg.Protocol)
+	// The reproduce line is the one-scenario Spec itself: the protocol,
+	// proxy, tier, phase timing, probe counts and shard count all make a
+	// scenario, and a Spec carries every one of them.
+	line, err := reproduceSpec(cfg)
+	if err != nil {
+		return err
 	}
-	if cfg.Big {
-		extra += " -big"
+	fmt.Fprintf(out, "  reproduce: arppath-sim -spec <(echo '%s')\n", line)
+	return nil
+}
+
+// reproduceSpec encodes, as one line of JSON, the sweep Spec whose one
+// scenario is cfg: runSweep expands it to exactly cfg.
+func reproduceSpec(cfg scenario.Config) ([]byte, error) {
+	s := Spec{
+		Seed:     cfg.Seed,
+		Shards:   cfg.Shards,
+		Protocol: ProtocolSpec{Name: string(cfg.Protocol)},
+		Workload: WorkloadSpec{Kind: "sweep"},
+		Scenario: &ScenarioSpec{
+			Topologies: []string{string(cfg.Topology)},
+			Faults:     []string{string(cfg.Faults)},
+			Seeds:      1,
+			Big:        cfg.Big,
+			FaultPhase: Duration(cfg.FaultPhase),
+			Quiesce:    Duration(cfg.Quiesce),
+		},
+		Verify: VerifySpec{Pairs: cfg.VerifyPairs, Pings: cfg.VerifyPings},
 	}
 	if cfg.Proxy {
-		extra += " -proxy"
+		s.Protocol.Config = json.RawMessage(`{"proxy":true}`)
 	}
-	fmt.Fprintf(out, "  reproduce: go run ./cmd/scenario -topo %s -faults %s -seed0 %d -seeds 1%s\n",
-		cfg.Topology, cfg.Faults, cfg.Seed, extra)
+	return json.Marshal(s)
 }
