@@ -40,7 +40,7 @@ const (
 	// link-up. The fabric must re-lock the station's position from the
 	// announcement flood alone — no bridge configuration, no
 	// reconvergence (§2.1.1's first-port rule under churn). Topology
-	// families without spare jacks (grid, fat-tree) yield empty
+	// families without spare jacks (grid, fattree) yield empty
 	// schedules: the instance still runs and must still verify.
 	FaultsHostMobility FaultFamily = "host-mobility"
 )

@@ -52,9 +52,9 @@ func TestOpCodecRoundTrip(t *testing.T) {
 // codec must carry.
 func TestOpCodecGeneratedSchedules(t *testing.T) {
 	for _, fam := range FaultFamilies() {
-		cfg := Config{Seed: 5, Topology: TopoErdosRenyi, Faults: fam}.WithDefaults()
+		cfg := Config{Seed: 5, Topology: "erdos-renyi", Faults: fam}.WithDefaults()
 		plan := rand.New(rand.NewSource(cfg.Seed))
-		built := buildTopology(cfg, plan)
+		built := buildFabric(cfg, plan)
 		ix := newNetIndex(built)
 		burstPort := uint16(7000)
 		ops := generateOps(fam, plan, ix, cfg.FaultPhase, &burstPort)
@@ -122,9 +122,9 @@ func TestFaultKindText(t *testing.T) {
 // internal renderer, and Validate accepts a generated schedule while
 // rejecting out-of-range and malformed ops.
 func TestIndexResolvesAndValidates(t *testing.T) {
-	cfg := Config{Seed: 3, Topology: TopoErdosRenyi, Faults: FaultsMixed}.WithDefaults()
+	cfg := Config{Seed: 3, Topology: "erdos-renyi", Faults: FaultsMixed}.WithDefaults()
 	plan := rand.New(rand.NewSource(cfg.Seed))
-	built := buildTopology(cfg, plan)
+	built := buildFabric(cfg, plan)
 	x := NewIndex(built)
 
 	for i, name := range x.Links() {
@@ -190,7 +190,7 @@ func TestIndexResolvesAndValidates(t *testing.T) {
 // schedule that took a round trip through JSON replays to the same verdict
 // and fingerprint as the original run.
 func TestReplayAcceptsDecodedSchedule(t *testing.T) {
-	cfg := Config{Seed: 7, Topology: TopoErdosRenyi, Faults: FaultsLinkFlaps}
+	cfg := Config{Seed: 7, Topology: "erdos-renyi", Faults: FaultsLinkFlaps}
 	orig := Run(cfg)
 	data, err := json.Marshal(orig.Ops)
 	if err != nil {

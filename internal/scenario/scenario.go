@@ -29,7 +29,7 @@ import (
 // the run; the remaining knobs default via withDefaults.
 type Config struct {
 	Seed     int64
-	Topology TopologyFamily
+	Topology string // required: a sweep family, topo.Families(true)
 	Faults   FaultFamily
 
 	// Protocol selects the bridging protocol under test by registry name
@@ -73,9 +73,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.Protocol == "" {
 		c.Protocol = topo.ARPPath
-	}
-	if c.Topology == "" {
-		c.Topology = TopoErdosRenyi
 	}
 	if c.Faults == "" {
 		c.Faults = FaultsLinkFlaps
@@ -161,7 +158,7 @@ func Replay(cfg Config, ops []FaultOp) *Result { return run(cfg, ops) }
 func run(cfg Config, replayOps []FaultOp) *Result {
 	cfg = cfg.WithDefaults()
 	plan := rand.New(rand.NewSource(cfg.Seed))
-	built := buildTopology(cfg, plan)
+	built := buildFabric(cfg, plan)
 	ix := newNetIndex(built)
 	chk := NewChecker(built)
 

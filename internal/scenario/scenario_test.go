@@ -14,7 +14,7 @@ import (
 // mixed schedule and the fat tree are exercised separately (determinism
 // test, the sweep workload) to keep tier-1 wall-clock in check.
 var (
-	sweepTopos  = []TopologyFamily{TopoErdosRenyi, TopoRingOfRings, TopoRandomRegular, TopoGrid}
+	sweepTopos  = []string{"erdos-renyi", "ring-of-rings", "random-regular", "grid"}
 	sweepFaults = []FaultFamily{FaultsLinkFlaps, FaultsBridgeRestarts, FaultsUnidirLoss, FaultsQueuePressure, FaultsPartition, FaultsHostMobility}
 	sweepSeeds  = []int64{1, 2, 3, 4}
 )
@@ -96,7 +96,7 @@ func TestScenarioSweepProxy(t *testing.T) {
 // fabric re-locks every moved station from its gratuitous ARP alone.
 func TestHostMobilitySchedulesMove(t *testing.T) {
 	moves := 0
-	for _, tf := range []TopologyFamily{TopoErdosRenyi, TopoRingOfRings, TopoRandomRegular} {
+	for _, tf := range []string{"erdos-renyi", "ring-of-rings", "random-regular"} {
 		for _, seed := range sweepSeeds {
 			r := Run(Config{Seed: seed, Topology: tf, Faults: FaultsHostMobility})
 			if r.Failed() {
@@ -121,14 +121,14 @@ func TestHostMobilitySchedulesMove(t *testing.T) {
 // mixed faults where the fabric is meshy enough to take them.
 func TestScenarioShardedMatchesSingle(t *testing.T) {
 	cases := []Config{
-		{Seed: 5, Topology: TopoErdosRenyi, Faults: FaultsMixed},
-		{Seed: 6, Topology: TopoGrid, Faults: FaultsPartition},
-		{Seed: 7, Topology: TopoRingOfRings, Faults: FaultsLinkFlaps},
-		{Seed: 8, Topology: TopoFatTree, Faults: FaultsBridgeRestarts},
-		{Seed: 9, Topology: TopoRandomRegular, Faults: FaultsHostMobility},
-		{Seed: 10, Topology: TopoErdosRenyi, Faults: FaultsLinkFlaps, Proxy: true},
-		{Seed: 11, Topology: TopoErdosRenyi, Faults: FaultsMixed, Protocol: flowpath.ProtoFlowPath},
-		{Seed: 12, Topology: TopoRingOfRings, Faults: FaultsBridgeRestarts, Protocol: flowpath.ProtoTCPPath},
+		{Seed: 5, Topology: "erdos-renyi", Faults: FaultsMixed},
+		{Seed: 6, Topology: "grid", Faults: FaultsPartition},
+		{Seed: 7, Topology: "ring-of-rings", Faults: FaultsLinkFlaps},
+		{Seed: 8, Topology: "fattree", Faults: FaultsBridgeRestarts},
+		{Seed: 9, Topology: "random-regular", Faults: FaultsHostMobility},
+		{Seed: 10, Topology: "erdos-renyi", Faults: FaultsLinkFlaps, Proxy: true},
+		{Seed: 11, Topology: "erdos-renyi", Faults: FaultsMixed, Protocol: flowpath.ProtoFlowPath},
+		{Seed: 12, Topology: "ring-of-rings", Faults: FaultsBridgeRestarts, Protocol: flowpath.ProtoTCPPath},
 	}
 	for _, base := range cases {
 		base := base
@@ -160,11 +160,11 @@ func TestScenarioShardedMatchesSingle(t *testing.T) {
 // seed, same fingerprint, same event count, same violations.
 func TestScenarioDeterminism(t *testing.T) {
 	cfgs := []Config{
-		{Seed: 7, Topology: TopoErdosRenyi, Faults: FaultsMixed},
-		{Seed: 7, Topology: TopoRingOfRings, Faults: FaultsLinkFlaps},
-		{Seed: 7, Topology: TopoRandomRegular, Faults: FaultsBridgeRestarts},
-		{Seed: 7, Topology: TopoGrid, Faults: FaultsUnidirLoss},
-		{Seed: 7, Topology: TopoFatTree, Faults: FaultsMixed},
+		{Seed: 7, Topology: "erdos-renyi", Faults: FaultsMixed},
+		{Seed: 7, Topology: "ring-of-rings", Faults: FaultsLinkFlaps},
+		{Seed: 7, Topology: "random-regular", Faults: FaultsBridgeRestarts},
+		{Seed: 7, Topology: "grid", Faults: FaultsUnidirLoss},
+		{Seed: 7, Topology: "fattree", Faults: FaultsMixed},
 	}
 	for _, cfg := range cfgs {
 		t.Run(cfg.Name(), func(t *testing.T) {
@@ -191,7 +191,7 @@ func TestScenarioDeterminism(t *testing.T) {
 // (in-flight frames killed by epoch bumps) must still drain to zero.
 func TestScenarioFrameAccountingAcrossFailures(t *testing.T) {
 	for _, ff := range []FaultFamily{FaultsBridgeRestarts, FaultsLinkFlaps, FaultsMixed} {
-		r := Run(Config{Seed: 11, Topology: TopoErdosRenyi, Faults: ff})
+		r := Run(Config{Seed: 11, Topology: "erdos-renyi", Faults: ff})
 		if !r.Drained {
 			t.Fatalf("%s: did not drain", ff)
 		}
@@ -245,7 +245,7 @@ func TestShrinkOps(t *testing.T) {
 // TestShrinkEndToEnd exercises Shrink against real replays: a passing
 // scenario reports ok=false (nothing to shrink), deterministically.
 func TestShrinkEndToEnd(t *testing.T) {
-	cfg := Config{Seed: 3, Topology: TopoRingOfRings, Faults: FaultsLinkFlaps}
+	cfg := Config{Seed: 3, Topology: "ring-of-rings", Faults: FaultsLinkFlaps}
 	r := Run(cfg)
 	if r.Failed() {
 		t.Fatalf("expected passing scenario, got %v", r.Violations)
@@ -256,7 +256,7 @@ func TestShrinkEndToEnd(t *testing.T) {
 }
 
 func ExampleConfig_Name() {
-	fmt.Println(Config{Seed: 42, Topology: TopoErdosRenyi, Faults: FaultsMixed}.Name())
+	fmt.Println(Config{Seed: 42, Topology: "erdos-renyi", Faults: FaultsMixed}.Name())
 	// Output: erdos-renyi/mixed/seed=42
 }
 
@@ -268,7 +268,7 @@ func ExampleConfig_Name() {
 // separately by TestScenarioShardedMatchesSingle; barrier-forced mode
 // re-keys the ops, so its fingerprint is not comparable.)
 func TestShardLocalOpsReduceBarriers(t *testing.T) {
-	cfg := Config{Seed: 2, Topology: TopoErdosRenyi, Faults: FaultsMixed, Shards: 2, Big: true}
+	cfg := Config{Seed: 2, Topology: "erdos-renyi", Faults: FaultsMixed, Shards: 2, Big: true}
 	classified := Run(cfg)
 	if classified.Failed() {
 		t.Fatalf("classified run failed: %v", classified.Violations)

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -11,83 +10,21 @@ import (
 	"repro/internal/topo"
 )
 
-// TopologyFamily names a class of seeded random topologies the engine can
-// draw a concrete instance from.
-type TopologyFamily string
-
-// Topology families. Each instance's shape parameters are drawn from the
-// scenario's plan RNG, so one (family, seed) pair names exactly one graph.
-const (
-	// TopoErdosRenyi is a connected G(n,p) random graph, the shape of the
-	// All-Path scalability study's sweeps.
-	TopoErdosRenyi TopologyFamily = "erdos-renyi"
-	// TopoRingOfRings is a hierarchical ring of rings (metro topology).
-	TopoRingOfRings TopologyFamily = "ring-of-rings"
-	// TopoRandomRegular is an approximately 3-regular random graph.
-	TopoRandomRegular TopologyFamily = "random-regular"
-	// TopoGrid is a rows×cols mesh with corner hosts.
-	TopoGrid TopologyFamily = "grid"
-	// TopoFatTree is a k=4 fat tree, the data-center fabric of the
-	// paper's introduction.
-	TopoFatTree TopologyFamily = "fat-tree"
-)
-
-// TopologyFamilies lists every family, sweep order.
-func TopologyFamilies() []TopologyFamily {
-	return []TopologyFamily{TopoErdosRenyi, TopoRingOfRings, TopoRandomRegular, TopoGrid, TopoFatTree}
-}
-
-// buildTopology draws the family's shape parameters from plan and builds
-// the instance with the scenario seed (which also seeds the simulation
-// engine, so wiring, delays and race outcomes are all functions of the
-// seed alone). cfg.Shards > 1 partitions the instance onto the sharded
-// engine; cfg.Big selects the larger tier — both leave the plan stream of
-// the corresponding non-big draw untouched only for shards (a Big run is
-// a different scenario, a sharded run of the same scenario is the same
-// one). cfg.Proxy builds every bridge with the in-switch ARP proxy; the
-// host-mobility family pre-cables spare jacks (neither changes any other
-// scenario's build, so existing fingerprints are untouched).
-func buildTopology(cfg Config, plan *rand.Rand) *topo.Built {
-	f, seed, big := cfg.Topology, cfg.Seed, cfg.Big
-	opts := topo.DefaultOptions(cfg.Protocol, seed)
+// buildFabric draws the scenario's shape from plan at its tier and builds
+// it with the scenario seed, which also seeds the engine: wiring, delays
+// and race outcomes are functions of the seed alone. Proxy scenarios and
+// the host-mobility family's spare jacks change no other scenario's build.
+func buildFabric(cfg Config, plan *rand.Rand) *topo.Built {
+	opts := topo.DefaultOptions(cfg.Protocol, cfg.Seed)
 	opts.Shards = cfg.Shards
 	opts.SpareJacks = cfg.Faults == FaultsHostMobility
 	if cfg.Proxy {
 		// The proxy is an ARP-Path knob; Options.ARPPath enforces it.
 		opts.ARPPath().Proxy = true
 	}
-	if big {
-		switch f {
-		case TopoErdosRenyi:
-			n := 40 + plan.Intn(17)
-			p := 0.04 + 0.06*plan.Float64()
-			return topo.ErdosRenyi(opts, n, p)
-		case TopoRingOfRings:
-			return topo.RingOfRings(opts, 4+plan.Intn(2), 6+plan.Intn(3))
-		case TopoRandomRegular:
-			return topo.RandomRegular(opts, 40+2*plan.Intn(9), 3)
-		case TopoGrid:
-			return topo.Grid(opts, 6, 7+plan.Intn(3))
-		case TopoFatTree:
-			return topo.FatTree(opts, 6)
-		}
-	}
-	switch f {
-	case TopoErdosRenyi:
-		n := 8 + plan.Intn(6)
-		p := 0.1 + 0.2*plan.Float64()
-		return topo.ErdosRenyi(opts, n, p)
-	case TopoRingOfRings:
-		return topo.RingOfRings(opts, 2+plan.Intn(2), 3+plan.Intn(3))
-	case TopoRandomRegular:
-		return topo.RandomRegular(opts, 8+2*plan.Intn(3), 3)
-	case TopoGrid:
-		return topo.Grid(opts, 3, 3+plan.Intn(2))
-	case TopoFatTree:
-		return topo.FatTree(opts, 4)
-	default:
-		panic(fmt.Sprintf("scenario: unknown topology family %q", f))
-	}
+	// Draw panics on an unknown family, so Build has no error to return.
+	built, _ := topo.Build(opts, topo.Draw(cfg.Topology, plan, cfg.Big))
+	return built
 }
 
 // netIndex gives the engine stable integer handles into a built network:

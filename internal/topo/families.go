@@ -15,8 +15,8 @@ import (
 // RNG (the seed fully determines the wiring and the delays), and are
 // guaranteed connected so "eventual delivery" is a meaningful invariant.
 
-// familyDelay draws a per-link propagation delay in [1µs, 50µs), the same
-// spread Random uses, so race outcomes differ link to link.
+// familyDelay draws a per-link propagation delay in [1µs, 50µs) for the
+// seeded families and Random, so race outcomes differ link to link.
 func familyDelay(b *Builder) time.Duration {
 	return time.Duration(1+b.Rand().Intn(49)) * time.Microsecond
 }
@@ -50,12 +50,7 @@ func attachHosts(b *Builder, brs []Bridge, links map[string]*netsim.Link) map[st
 // sparse regimes are exactly where ARP-Path's repair gets interesting).
 // One host hangs off each bridge.
 func ErdosRenyi(opts Options, n int, p float64) *Built {
-	if n < 2 {
-		panic("topo: ErdosRenyi needs at least two bridges")
-	}
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("topo: ErdosRenyi probability %v out of [0,1]", p))
-	}
+	mustCheck(TopologySpec{Family: "erdos-renyi", N: n, P: p})
 	b := NewBuilder(opts)
 	rng := b.Rand()
 	brs := make([]Bridge, n)
@@ -90,9 +85,7 @@ func ErdosRenyi(opts Options, n int, p float64) *Built {
 // metro-style topology whose every frame has exactly two disjoint ways
 // around each level. Bridges are named R<i>S<j>; one host per bridge.
 func RingOfRings(opts Options, rings, size int) *Built {
-	if rings < 2 || size < 3 {
-		panic("topo: RingOfRings needs ≥ 2 rings of ≥ 3 bridges")
-	}
+	mustCheck(TopologySpec{Family: "ring-of-rings", Rings: rings, RingSize: size})
 	b := NewBuilder(opts)
 	brs := make([]Bridge, 0, rings*size)
 	gateways := make([]Bridge, rings)
@@ -125,12 +118,7 @@ func RingOfRings(opts Options, rings, size int) *Built {
 // them as hairpins, so the duplicates are a feature of the family, not a
 // defect. n must be even for the matchings to pair up; d ≥ 2.
 func RandomRegular(opts Options, n, d int) *Built {
-	if n < 4 || n%2 != 0 {
-		panic("topo: RandomRegular needs an even n ≥ 4")
-	}
-	if d < 2 || d >= n {
-		panic(fmt.Sprintf("topo: RandomRegular degree %d out of [2, n)", d))
-	}
+	mustCheck(TopologySpec{Family: "random-regular", N: n, Degree: d})
 	b := NewBuilder(opts)
 	rng := b.Rand()
 	brs := make([]Bridge, n)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -164,23 +165,36 @@ func TestBridgeAccessors(t *testing.T) {
 	n.Bridge("nope")
 }
 
+// TestBadParamsPanic: each builder panics on a size its family's row
+// refuses, with that row's error naming the key.
 func TestBadParamsPanic(t *testing.T) {
-	for name, f := range map[string]func(){
-		"line0":    func() { Line(DefaultOptions(ARPPath, 1), 0) },
-		"ring2":    func() { Ring(DefaultOptions(ARPPath, 1), 2) },
-		"grid1":    func() { Grid(DefaultOptions(ARPPath, 1), 1, 5) },
-		"fatodd":   func() { FatTree(DefaultOptions(ARPPath, 1), 3) },
-		"random1":  func() { Random(DefaultOptions(ARPPath, 1), 1, 0) },
-		"badproto": func() { NewBuilder(Options{Protocol: "nope"}).AddBridge("x") },
-		"badprof":  func() { Figure2(DefaultOptions(ARPPath, 1), "nope") },
+	for name, c := range map[string]struct {
+		f    func()
+		want string // the panic's error prefix; "" is any panic
+	}{
+		"line0":    {func() { Line(DefaultOptions(ARPPath, 1), 0) }, "spec: topology.n: line"},
+		"ring2":    {func() { Ring(DefaultOptions(ARPPath, 1), 2) }, "spec: topology.n: ring"},
+		"grid1":    {func() { Grid(DefaultOptions(ARPPath, 1), 1, 5) }, "spec: topology.rows/cols: grid"},
+		"fatodd":   {func() { FatTree(DefaultOptions(ARPPath, 1), 3) }, "spec: topology.n: fattree"},
+		"random1":  {func() { Random(DefaultOptions(ARPPath, 1), 1, 0) }, "spec: topology.n: random"},
+		"randneg":  {func() { Random(DefaultOptions(ARPPath, 1), 4, -1) }, "spec: topology.extra_edges: random"},
+		"erp":      {func() { ErdosRenyi(DefaultOptions(ARPPath, 1), 4, 1.5) }, "spec: topology.p: erdos-renyi"},
+		"rings1":   {func() { RingOfRings(DefaultOptions(ARPPath, 1), 1, 3) }, "spec: topology.rings: ring-of-rings"},
+		"regodd":   {func() { RandomRegular(DefaultOptions(ARPPath, 1), 7, 3) }, "spec: topology.n: random-regular"},
+		"badprof":  {func() { Figure2(DefaultOptions(ARPPath, 1), "nope") }, "spec: topology.profile: figure2"},
+		"badproto": {func() { NewBuilder(Options{Protocol: "nope"}).AddBridge("x") }, ""},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("%s did not panic", name)
 				}
+				if err, _ := r.(error); c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)) {
+					t.Fatalf("%s panicked with %v, want an error starting %q", name, r, c.want)
+				}
 			}()
-			f()
+			c.f()
 		}()
 	}
 }

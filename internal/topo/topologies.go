@@ -90,6 +90,14 @@ const (
 	ProfileAsymmetric Figure2Profile = "asymmetric"
 )
 
+// figure2Delays holds each profile's delays of the diagonal NF1—NF4 and of
+// the NF2 branch (NF1—NF2, NF2—NF4); every other link takes 5µs.
+var figure2Delays = map[Figure2Profile][2]time.Duration{
+	ProfileUniform:      {5 * time.Microsecond, 5 * time.Microsecond},
+	ProfileSlowDiagonal: {250 * time.Microsecond, 5 * time.Microsecond},
+	ProfileAsymmetric:   {100 * time.Microsecond, 50 * time.Microsecond},
+}
+
 // Figure2 builds the demo testbed of the paper's Figures 2 and 3: hosts A
 // and B behind NIC bridges, four NetFPGA bridges in a redundant mesh.
 //
@@ -98,33 +106,8 @@ const (
 //
 // Link delays come from the profile.
 func Figure2(opts Options, profile Figure2Profile) *Built {
-	d := func(fast, slow time.Duration) map[string]time.Duration {
-		return map[string]time.Duration{
-			"A-NIC1":   fast,
-			"NIC1-NF1": fast,
-			"NF1-NF2":  fast,
-			"NF1-NF3":  fast,
-			"NF1-NF4":  slow, // the diagonal shortcut
-			"NF2-NF4":  fast,
-			"NF3-NF4":  fast,
-			"NF4-NIC2": fast,
-			"NIC2-B":   fast,
-		}
-	}
-	var delays map[string]time.Duration
-	switch profile {
-	case ProfileUniform:
-		delays = d(5*time.Microsecond, 5*time.Microsecond)
-	case ProfileSlowDiagonal:
-		delays = d(5*time.Microsecond, 250*time.Microsecond)
-	case ProfileAsymmetric:
-		delays = d(5*time.Microsecond, 100*time.Microsecond)
-		delays["NF1-NF2"] = 50 * time.Microsecond
-		delays["NF2-NF4"] = 50 * time.Microsecond
-	default:
-		panic(fmt.Sprintf("topo: unknown Figure 2 profile %q", profile))
-	}
-
+	mustCheck(TopologySpec{Family: "figure2", Profile: string(profile)})
+	fast, diag, side := 5*time.Microsecond, figure2Delays[profile][0], figure2Delays[profile][1]
 	b := NewBuilder(opts)
 	a := host.New(b.Net(), "A", 1)
 	hb := host.New(b.Net(), "B", 2)
@@ -134,36 +117,31 @@ func Figure2(opts Options, profile Figure2Profile) *Built {
 	nf3 := b.AddBridge("NF3")
 	nf4 := b.AddBridge("NF4")
 	nic2 := b.AddBridge("NIC2")
-
-	ends := map[string][2]netsim.Node{
-		"A-NIC1":   {a, nic1},
-		"NIC1-NF1": {nic1, nf1},
-		"NF1-NF2":  {nf1, nf2},
-		"NF1-NF3":  {nf1, nf3},
-		"NF1-NF4":  {nf1, nf4},
-		"NF2-NF4":  {nf2, nf4},
-		"NF3-NF4":  {nf3, nf4},
-		"NF4-NIC2": {nf4, nic2},
-		"NIC2-B":   {nic2, hb},
+	links := make(map[string]*netsim.Link, 9)
+	// Cabled in this order: port indices matter for tie-breaks.
+	for _, c := range []struct {
+		name  string
+		x, y  netsim.Node
+		delay time.Duration
+	}{
+		{"A-NIC1", a, nic1, fast},
+		{"NIC1-NF1", nic1, nf1, fast},
+		{"NF1-NF2", nf1, nf2, side},
+		{"NF1-NF3", nf1, nf3, fast},
+		{"NF1-NF4", nf1, nf4, diag},
+		{"NF2-NF4", nf2, nf4, side},
+		{"NF3-NF4", nf3, nf4, fast},
+		{"NF4-NIC2", nf4, nic2, fast},
+		{"NIC2-B", nic2, hb, fast},
+	} {
+		links[c.name] = b.ConnectDelay(c.x, c.y, c.delay)
 	}
-	// Deterministic cabling order (port indices matter for tie-breaks).
-	order := []string{"A-NIC1", "NIC1-NF1", "NF1-NF2", "NF1-NF3", "NF1-NF4", "NF2-NF4", "NF3-NF4", "NF4-NIC2", "NIC2-B"}
-	links := make(map[string]*netsim.Link, len(order))
-	for _, name := range order {
-		links[name] = b.ConnectDelay(ends[name][0], ends[name][1], delays[name])
-	}
-	return &Built{
-		Net:   b.Build(),
-		Hosts: map[string]*host.Host{"A": a, "B": hb},
-		Links: links,
-	}
+	return &Built{Net: b.Build(), Hosts: map[string]*host.Host{"A": a, "B": hb}, Links: links}
 }
 
 // Line builds n bridges in a row with a host at each end.
 func Line(opts Options, n int) *Built {
-	if n < 1 {
-		panic("topo: Line needs at least one bridge")
-	}
+	mustCheck(TopologySpec{Family: "line", N: n})
 	b := NewBuilder(opts)
 	h1 := host.New(b.Net(), "H1", 1)
 	h2 := host.New(b.Net(), "H2", 2)
@@ -183,9 +161,7 @@ func Line(opts Options, n int) *Built {
 
 // Ring builds n bridges in a cycle, each with one attached host H<i>.
 func Ring(opts Options, n int) *Built {
-	if n < 3 {
-		panic("topo: Ring needs at least three bridges")
-	}
+	mustCheck(TopologySpec{Family: "ring", N: n})
 	b := NewBuilder(opts)
 	hosts := make(map[string]*host.Host, n)
 	links := make(map[string]*netsim.Link)
@@ -207,9 +183,7 @@ func Ring(opts Options, n int) *Built {
 
 // Grid builds a rows×cols bridge mesh with hosts on the four corners.
 func Grid(opts Options, rows, cols int) *Built {
-	if rows < 2 || cols < 2 {
-		panic("topo: Grid needs at least 2x2")
-	}
+	mustCheck(TopologySpec{Family: "grid", Rows: rows, Cols: cols})
 	b := NewBuilder(opts)
 	brs := make([][]Bridge, rows)
 	links := make(map[string]*netsim.Link)
@@ -246,9 +220,7 @@ func Grid(opts Options, rows, cols int) *Built {
 // aggregation switches, (k/2)² cores, and (k²·k/4) hosts, the data-center
 // fabric the paper's introduction motivates ([4]).
 func FatTree(opts Options, k int) *Built {
-	if k < 2 || k%2 != 0 {
-		panic("topo: FatTree needs an even k ≥ 2")
-	}
+	mustCheck(TopologySpec{Family: "fattree", N: k})
 	b := NewBuilder(opts)
 	half := k / 2
 	links := make(map[string]*netsim.Link)
@@ -291,9 +263,7 @@ func FatTree(opts Options, k int) *Built {
 // plus extra random edges) with one host per bridge. Delays are uniform in
 // [1µs, 50µs). The build's seed fully determines the topology.
 func Random(opts Options, n, extraEdges int) *Built {
-	if n < 2 {
-		panic("topo: Random needs at least two bridges")
-	}
+	mustCheck(TopologySpec{Family: "random", N: n, ExtraEdges: extraEdges})
 	b := NewBuilder(opts)
 	rng := b.Rand()
 	brs := make([]Bridge, n)
@@ -304,8 +274,7 @@ func Random(opts Options, n, extraEdges int) *Built {
 	edge := 0
 	add := func(x, y Bridge) {
 		edge++
-		delay := time.Duration(1+rng.Intn(49)) * time.Microsecond
-		links[fmt.Sprintf("L%d:%s-%s", edge, x.Name(), y.Name())] = b.ConnectDelay(x, y, delay)
+		links[fmt.Sprintf("L%d:%s-%s", edge, x.Name(), y.Name())] = b.ConnectDelay(x, y, familyDelay(b))
 	}
 	for i := 1; i < n; i++ {
 		add(brs[i], brs[rng.Intn(i)])

@@ -10,12 +10,9 @@
 // daemon. A Spec plus a seed is a complete, reproducible experiment:
 // same Spec, same trace fingerprint, at any shard count.
 //
-// A minimal run:
+// A minimal run, a ping on the default fabric (the paper's Figure 2):
 //
-//	spec := fabric.Spec{
-//		Topology: fabric.TopologySpec{Family: "figure2"},
-//		Workload: fabric.WorkloadSpec{Kind: "ping"},
-//	}
+//	spec := fabric.Spec{Workload: fabric.WorkloadSpec{Kind: "ping"}}
 //	res, err := fabric.Run(spec)
 //
 // Protocols register like database/sql drivers. The in-tree ones (arppath,
@@ -58,6 +55,9 @@ type (
 	Built = topo.Built
 	// Options is the compiled, imperative form of a Spec's build half.
 	Options = topo.Options
+	// TopologySpec names a topology family and its size keys; the family
+	// table in internal/topo defaults, checks and builds it.
+	TopologySpec = topo.TopologySpec
 	// Host is a simulated end station.
 	Host = host.Host
 	// PingResult is the outcome of one ICMP echo exchange (Host.Ping).

@@ -123,13 +123,13 @@ func TestRunnerSweep(t *testing.T) {
 func TestReproduceSpecIsTheFailingScenario(t *testing.T) {
 	for _, cfg := range []scenario.Config{
 		{
-			Seed: 9, Topology: scenario.TopoGrid, Faults: scenario.FaultsPartition,
+			Seed: 9, Topology: "grid", Faults: scenario.FaultsPartition,
 			Protocol: topo.ARPPath, Shards: 3, Big: true, Proxy: true,
 			FaultPhase: 250 * time.Millisecond, Quiesce: 900 * time.Millisecond,
 			VerifyPairs: 6, VerifyPings: 2,
 		},
 		{
-			Seed: 4, Topology: scenario.TopoFatTree, Faults: scenario.FaultsMixed,
+			Seed: 4, Topology: "fattree", Faults: scenario.FaultsMixed,
 			Protocol: flowpath.ProtoTCPPath, Shards: 1,
 			FaultPhase: 123 * time.Millisecond, Quiesce: time.Second,
 			VerifyPairs: 1, VerifyPings: 5,

@@ -170,11 +170,7 @@ type Server struct {
 // newServer builds the fabric and the serving state without starting the
 // loop; New starts the live loop, Replay drives the same state inline.
 func newServer(o Options) (*Server, error) {
-	spec := o.Spec
-	if spec.Topology.Family == "" {
-		spec.Topology.Family = "figure2"
-	}
-	spec, err := spec.WithDefaults()
+	spec, err := o.Spec.WithDefaults()
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"strconv"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/host/app"
@@ -33,8 +33,8 @@ type Spec struct {
 	// zero, so seed 0 itself is not addressable.
 	Seed int64 `json:"seed,omitempty"`
 	// Topology selects the fabric for the topology-driven workloads
-	// (ping, stream, allpairs). The experiment workloads build their own
-	// fabrics, as the paper's figures prescribe.
+	// (ping, stream, allpairs, matrix) and for fabricserve. The experiment
+	// workloads build their own fabrics, as the paper's figures prescribe.
 	Topology TopologySpec `json:"topology,omitzero"`
 	// Protocol selects the bridging protocol by registry name, with an
 	// optional per-protocol config extension.
@@ -55,40 +55,6 @@ type Spec struct {
 	// Verify holds the verification knobs: probe counts for the sweep's
 	// eventual-delivery invariant, and the trace fingerprint switch.
 	Verify VerifySpec `json:"verify,omitzero"`
-}
-
-// TopologySpec names a topology family and its size parameters. Unused
-// parameters are ignored by the family; grid reads Rows/Cols falling back
-// to N×N, random falls back to N extra edges.
-type TopologySpec struct {
-	// Family: figure1, figure2, line, ring, grid, fattree, random,
-	// erdos-renyi, ring-of-rings, random-regular.
-	Family string `json:"family,omitempty"`
-	// N is the generic size: bridges (line, ring, random, erdos-renyi,
-	// random-regular), fat-tree k, grid side.
-	N int `json:"n,omitempty"`
-	// Rows/Cols size a grid explicitly.
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-	// Rings/RingSize size a ring-of-rings.
-	Rings    int `json:"rings,omitempty"`
-	RingSize int `json:"ring_size,omitempty"`
-	// Degree is the random-regular trunk degree.
-	Degree int `json:"degree,omitempty"`
-	// ExtraEdges is the random family's loop budget (N when omitted).
-	ExtraEdges int `json:"extra_edges,omitempty"`
-	// P is the Erdős–Rényi edge probability.
-	P float64 `json:"p,omitempty"`
-	// Profile is the figure2 link-delay profile: uniform, slow-diagonal
-	// or asymmetric.
-	Profile string `json:"profile,omitempty"`
-	// SpareJacks pre-cables every host of the host-per-bridge families
-	// with a second, initially-down access link on another edge bridge —
-	// the wall jack host-mobility ops re-home stations to. Without it a
-	// fabric has no legal host-move targets (fabricserve rejects those
-	// ops); builds without mobility leave it off, and the flag changes
-	// nothing else about the fabric.
-	SpareJacks bool `json:"spare_jacks,omitempty"`
 }
 
 // ProtocolSpec selects a registered protocol and carries its config as a
@@ -306,19 +272,15 @@ func (s Spec) WithDefaults() (Spec, error) {
 	}
 
 	// Topology defaults, only where a family is in play.
-	if s.Topology.Family == "" && topologyKinds[s.Workload.Kind] {
-		s.Topology.Family = "figure2"
-	}
-	if s.Topology.Family != "" {
-		s.Topology = s.Topology.withDefaults()
-		if err := s.Topology.check(); err != nil {
+	if s.Topology.Family != "" || topologyKinds[s.Workload.Kind] {
+		if s.Topology, err = s.Topology.WithDefaults(); err != nil {
 			return Spec{}, err
 		}
 	}
 
 	s.Workload = s.Workload.withDefaults()
 	// scale and allpath build a degree-3 random-regular fabric of this size.
-	if k := s.Workload.Kind; (k == "scale" || k == "allpath") && !evenAtLeast(s.Workload.Bridges, 4) {
+	if k, b := s.Workload.Kind, s.Workload.Bridges; (k == "scale" || k == "allpath") && (b < 4 || b%2 != 0) {
 		return Spec{}, fmt.Errorf("spec: workload.bridges: %s needs an even count ≥ 4, got %d", k, s.Workload.Bridges)
 	}
 
@@ -343,149 +305,12 @@ func (s Spec) WithDefaults() (Spec, error) {
 	return s, nil
 }
 
-// topologyKinds are the workload kinds that build the Spec's topology.
-var topologyKinds = map[string]bool{"ping": true, "stream": true, "allpairs": true, "matrix": true}
+// topologyKinds are the workload kinds that build the Spec's topology;
+// no kind at all is fabricserve's, which serves it.
+var topologyKinds = map[string]bool{"": true, "ping": true, "stream": true, "allpairs": true, "matrix": true}
 
-func (t TopologySpec) withDefaults() TopologySpec {
-	switch t.Family {
-	case "figure2":
-		if t.Profile == "" {
-			t.Profile = string(topo.ProfileSlowDiagonal)
-		}
-	case "line", "ring", "fattree", "random", "erdos-renyi", "random-regular":
-		if t.N == 0 {
-			t.N = 4
-		}
-	case "grid":
-		if t.N == 0 && t.Rows == 0 {
-			t.N = 4
-		}
-	case "ring-of-rings":
-		if t.Rings == 0 {
-			t.Rings = 3
-		}
-		if t.RingSize == 0 {
-			t.RingSize = 4
-		}
-	}
-	switch t.Family {
-	case "random-regular":
-		if t.Degree == 0 {
-			t.Degree = 3
-		}
-	case "erdos-renyi":
-		if t.P == 0 {
-			t.P = 0.2
-		}
-	}
-	return t
-}
-
-func evenAtLeast(v, min int) bool { return v >= min && v%2 == 0 }
-
-// gridDims resolves a grid's side lengths: Rows falls back to N, Cols to
-// Rows.
-func (t TopologySpec) gridDims() (rows, cols int) {
-	rows, cols = t.Rows, t.Cols
-	if rows == 0 {
-		rows = t.N
-	}
-	if cols == 0 {
-		cols = rows
-	}
-	return rows, cols
-}
-
-// check rejects, for each family, every size its builder would panic on:
-// a spec file or a replay-log header is outside input. It runs on the
-// defaulted TopologySpec.
-func (t TopologySpec) check() error {
-	bad := func(field, rule string, got any) error {
-		return fmt.Errorf("spec: topology.%s: %s needs %s, got %v", field, t.Family, rule, got)
-	}
-	switch t.Family {
-	case "figure2":
-		switch topo.Figure2Profile(t.Profile) {
-		case topo.ProfileUniform, topo.ProfileSlowDiagonal, topo.ProfileAsymmetric:
-		default:
-			return bad("profile", "uniform, slow-diagonal or asymmetric", strconv.Quote(t.Profile))
-		}
-	case "line":
-		if t.N < 1 {
-			return bad("n", "at least 1 bridge", t.N)
-		}
-	case "ring":
-		if t.N < 3 {
-			return bad("n", "at least 3 bridges", t.N)
-		}
-	case "grid":
-		if rows, cols := t.gridDims(); rows < 2 || cols < 2 {
-			return bad("rows/cols", "at least 2x2 (rows defaults to n, cols to rows)", fmt.Sprintf("%dx%d", rows, cols))
-		}
-	case "fattree":
-		if !evenAtLeast(t.N, 2) {
-			return bad("n", "an even k ≥ 2", t.N)
-		}
-	case "random":
-		if t.N < 2 {
-			return bad("n", "at least 2 bridges", t.N)
-		}
-	case "erdos-renyi":
-		if t.N < 2 {
-			return bad("n", "at least 2 bridges", t.N)
-		}
-		if t.P < 0 || t.P > 1 {
-			return bad("p", "a probability in [0, 1]", t.P)
-		}
-	case "ring-of-rings":
-		if t.Rings < 2 {
-			return bad("rings", "at least 2 rings", t.Rings)
-		}
-		if t.RingSize < 3 {
-			return bad("ring_size", "at least 3 bridges per ring", t.RingSize)
-		}
-	case "random-regular":
-		if !evenAtLeast(t.N, 4) {
-			return bad("n", "an even n ≥ 4", t.N)
-		}
-		if t.Degree < 2 || t.Degree >= t.N {
-			return bad("degree", "a degree in [2, n)", t.Degree)
-		}
-	}
-	return nil
-}
-
-// BuildTopology builds the Spec's (defaulted) topology.
-func BuildTopology(opts Options, t TopologySpec) (*Built, error) {
-	switch t.Family {
-	case "figure1":
-		return topo.Figure1(opts), nil
-	case "figure2":
-		return topo.Figure2(opts, topo.Figure2Profile(t.Profile)), nil
-	case "line":
-		return topo.Line(opts, t.N), nil
-	case "ring":
-		return topo.Ring(opts, t.N), nil
-	case "grid":
-		rows, cols := t.gridDims()
-		return topo.Grid(opts, rows, cols), nil
-	case "fattree":
-		return topo.FatTree(opts, t.N), nil
-	case "random":
-		extra := t.ExtraEdges
-		if extra == 0 {
-			extra = t.N
-		}
-		return topo.Random(opts, t.N, extra), nil
-	case "erdos-renyi":
-		return topo.ErdosRenyi(opts, t.N, t.P), nil
-	case "ring-of-rings":
-		return topo.RingOfRings(opts, t.Rings, t.RingSize), nil
-	case "random-regular":
-		return topo.RandomRegular(opts, t.N, t.Degree), nil
-	}
-	return nil, fmt.Errorf("fabric: unknown topology family %q", t.Family)
-}
+// BuildTopology builds the Spec's (defaulted) topology with its family's builder.
+func BuildTopology(opts Options, t TopologySpec) (*Built, error) { return topo.Build(opts, t) }
 
 // withDefaults fills the workload's unset knobs from the defaults of the
 // experiment or application that runs it, so each value is stated once.
@@ -547,7 +372,7 @@ func (w WorkloadSpec) withDefaults() WorkloadSpec {
 
 func (sc ScenarioSpec) withDefaults() (ScenarioSpec, error) {
 	var err error
-	if sc.Topologies, err = families("topology", sc.Topologies, scenario.TopologyFamilies()); err != nil {
+	if sc.Topologies, err = families("topology", sc.Topologies, topo.Families(true)); err != nil {
 		return sc, err
 	}
 	if sc.Faults, err = families("fault", sc.Faults, scenario.FaultFamilies()); err != nil {
@@ -575,7 +400,7 @@ func families[F ~string](kind string, names []string, known []F) ([]string, erro
 	}
 	for _, n := range names {
 		if !slices.Contains(all, n) {
-			return nil, fmt.Errorf("spec: unknown %s family %q", kind, n)
+			return nil, fmt.Errorf("spec: unknown %s family %q (known: %s)", kind, n, strings.Join(all, ", "))
 		}
 	}
 	return names, nil

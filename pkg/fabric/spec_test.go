@@ -3,12 +3,14 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/topo"
 )
 
@@ -147,10 +149,11 @@ func TestSpecRejectsUnusableValues(t *testing.T) {
 }
 
 // TestSpecSizeRules holds WithDefaults to the topology builders' own
-// preconditions: for every family, each size a builder panics on is a
-// spec: error naming the field, the smallest size it accepts builds, and
-// an unknown family is BuildTopology's error. scale and allpath size their
-// own random-regular fabric from workload.bridges, under the same rule.
+// preconditions: for every family, each size a builder panics on and each
+// set key the family does not read is a spec: error naming the field, the
+// smallest size it accepts builds, and an unknown family is
+// BuildTopology's error. scale and allpath size their own random-regular
+// fabric from workload.bridges, under the same rule.
 func TestSpecSizeRules(t *testing.T) {
 	type bad struct {
 		t    TopologySpec
@@ -160,22 +163,30 @@ func TestSpecSizeRules(t *testing.T) {
 		good TopologySpec
 		bad  []bad
 	}{
-		"figure1": {},
-		"figure2": {TopologySpec{Profile: "uniform"}, []bad{{TopologySpec{Profile: "bogus"}, "topology.profile"}}},
-		"line":    {TopologySpec{N: 1}, []bad{{TopologySpec{N: -1}, "topology.n"}}},
-		"ring":    {TopologySpec{N: 3}, []bad{{TopologySpec{N: 2}, "topology.n"}, {TopologySpec{N: -3}, "topology.n"}}},
+		"figure1": {TopologySpec{}, []bad{{TopologySpec{N: 3}, "topology.n"}}},
+		"figure2": {TopologySpec{Profile: "uniform"}, []bad{
+			{TopologySpec{Profile: "bogus"}, "topology.profile"}, {TopologySpec{N: 2}, "topology.n"}}},
+		"line": {TopologySpec{N: 1}, []bad{
+			{TopologySpec{N: -1}, "topology.n"}, {TopologySpec{N: 3, Degree: -7, Rings: -1}, "topology.rings"}}},
+		"ring": {TopologySpec{N: 3}, []bad{
+			{TopologySpec{N: 2}, "topology.n"}, {TopologySpec{N: -3}, "topology.n"}, {TopologySpec{SpareJacks: true}, "topology.spare_jacks"}}},
 		"grid": {TopologySpec{Rows: 2}, []bad{
 			{TopologySpec{Rows: 1}, "topology.rows/cols"}, {TopologySpec{N: 3, Cols: 1}, "topology.rows/cols"},
-			{TopologySpec{N: -2}, "topology.rows/cols"}}},
-		"fattree": {TopologySpec{N: 2}, []bad{{TopologySpec{N: 3}, "topology.n"}, {TopologySpec{N: -2}, "topology.n"}}},
-		"random":  {TopologySpec{N: 2}, []bad{{TopologySpec{N: 1}, "topology.n"}}},
+			{TopologySpec{N: -2}, "topology.rows/cols"}, {TopologySpec{SpareJacks: true}, "topology.spare_jacks"}}},
+		"fattree": {TopologySpec{N: 2}, []bad{
+			{TopologySpec{N: 3}, "topology.n"}, {TopologySpec{N: -2}, "topology.n"}, {TopologySpec{SpareJacks: true}, "topology.spare_jacks"}}},
+		"random": {TopologySpec{N: 2}, []bad{
+			{TopologySpec{N: 1}, "topology.n"}, {TopologySpec{N: 4, ExtraEdges: -3}, "topology.extra_edges"},
+			{TopologySpec{SpareJacks: true}, "topology.spare_jacks"}}},
 		"erdos-renyi": {TopologySpec{N: 2, P: 1}, []bad{
-			{TopologySpec{N: 1}, "topology.n"}, {TopologySpec{P: 1.5}, "topology.p"}, {TopologySpec{P: -0.1}, "topology.p"}}},
+			{TopologySpec{N: 1}, "topology.n"}, {TopologySpec{P: 1.5}, "topology.p"}, {TopologySpec{P: -0.1}, "topology.p"},
+			{TopologySpec{Degree: 3}, "topology.degree"}}},
 		"ring-of-rings": {TopologySpec{Rings: 2, RingSize: 3}, []bad{
-			{TopologySpec{Rings: 1}, "topology.rings"}, {TopologySpec{RingSize: 2}, "topology.ring_size"}}},
+			{TopologySpec{Rings: 1}, "topology.rings"}, {TopologySpec{RingSize: 2}, "topology.ring_size"}, {TopologySpec{N: 4}, "topology.n"}}},
 		"random-regular": {TopologySpec{N: 4, Degree: 2}, []bad{
 			{TopologySpec{N: 7}, "topology.n"}, {TopologySpec{N: 2}, "topology.n"},
-			{TopologySpec{N: 4, Degree: 4}, "topology.degree"}, {TopologySpec{Degree: 1}, "topology.degree"}}},
+			{TopologySpec{N: 4, Degree: 4}, "topology.degree"}, {TopologySpec{Degree: 1}, "topology.degree"},
+			{TopologySpec{P: 0.5}, "topology.p"}}},
 	}
 	for _, family := range []string{"figure1", "figure2", "line", "ring", "grid", "fattree", "random",
 		"erdos-renyi", "ring-of-rings", "random-regular"} {
@@ -225,6 +236,32 @@ func TestSpecSizeRules(t *testing.T) {
 	}
 }
 
+// TestSweepDrawsAreSpecs ties the sweep to the Spec: every shape a sweep
+// family draws, at both tiers and seeds 1–32, is a defaulted, valid
+// TopologySpec with nothing left to fill, and BuildTopology on it builds
+// the fabric scenario.Run reports — so any scenario's fabric can be named
+// as a Spec.
+func TestSweepDrawsAreSpecs(t *testing.T) {
+	for _, family := range topo.Families(true) {
+		for _, big := range []bool{false, true} {
+			for seed := int64(1); seed <= 32; seed++ {
+				shape := topo.Draw(family, rand.New(rand.NewSource(seed)), big)
+				if d, err := shape.WithDefaults(); err != nil || d != shape {
+					t.Fatalf("%s big=%v seed=%d: drawn %+v, defaulted %+v, err %v", family, big, seed, shape, d, err)
+				}
+				built, err := BuildTopology(topo.DefaultOptions(topo.ARPPath, seed), shape)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := scenario.Run(scenario.Config{Seed: seed, Topology: family, Big: big})
+				if got, want := [3]int{len(built.Bridges), len(built.Hosts), len(built.Links)}, [3]int{r.Bridges, r.Hosts, r.Links}; got != want {
+					t.Errorf("%s big=%v seed=%d: BuildTopology(%+v) has bridges/hosts/links %v, the scenario %v", family, big, seed, shape, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSpecUnknownNamesRejected covers workload-kind, protocol,
 // topology-family and fault family validation.
 func TestSpecUnknownNamesRejected(t *testing.T) {
@@ -241,6 +278,15 @@ func TestSpecUnknownNamesRejected(t *testing.T) {
 	bad := Spec{Workload: WorkloadSpec{Kind: "sweep"}, Scenario: &ScenarioSpec{Topologies: []string{"torus"}}}
 	if _, err := bad.WithDefaults(); err == nil {
 		t.Error("unknown sweep topology family accepted")
+	}
+	// The retired sweep spelling of the fat tree is refused, and the error
+	// names the one spelling there is.
+	bad = Spec{Workload: WorkloadSpec{Kind: "sweep"}, Scenario: &ScenarioSpec{Topologies: []string{"fat-tree"}}}
+	if _, err := bad.WithDefaults(); err == nil || !strings.Contains(err.Error(), "fattree") {
+		t.Errorf("scenario.topologies [fat-tree]: err %v, want an error naming fattree", err)
+	}
+	if _, err := (Spec{Topology: TopologySpec{Family: "fat-tree"}}).WithDefaults(); err == nil || !strings.Contains(err.Error(), "fattree") {
+		t.Errorf("topology.family fat-tree: err %v, want an error naming fattree", err)
 	}
 	bad = Spec{Workload: WorkloadSpec{Kind: "sweep"}, Scenario: &ScenarioSpec{Faults: []string{"meteor-strike"}}}
 	if _, err := bad.WithDefaults(); err == nil {

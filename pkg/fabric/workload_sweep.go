@@ -125,7 +125,7 @@ func sweepConfigs(spec Spec) ([]scenario.Config, error) {
 			for s := 0; s < sc.Seeds; s++ {
 				cfgs = append(cfgs, scenario.Config{
 					Seed:        spec.Seed + int64(s),
-					Topology:    scenario.TopologyFamily(tf),
+					Topology:    tf,
 					Faults:      scenario.FaultFamily(ff),
 					Protocol:    proto,
 					Big:         sc.Big,
@@ -186,7 +186,7 @@ func reproduceSpec(cfg scenario.Config) ([]byte, error) {
 		Protocol: ProtocolSpec{Name: string(cfg.Protocol)},
 		Workload: WorkloadSpec{Kind: "sweep"},
 		Scenario: &ScenarioSpec{
-			Topologies: []string{string(cfg.Topology)},
+			Topologies: []string{cfg.Topology},
 			Faults:     []string{string(cfg.Faults)},
 			Seeds:      1,
 			Big:        cfg.Big,
