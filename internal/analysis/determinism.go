@@ -143,8 +143,8 @@ func checkGlobalRand(pass *Pass, call *ast.CallExpr) {
 		}
 		if !pass.Suppressed(call.Pos()) {
 			pass.Reportf(call.Pos(),
-				"%s.%s draws from the process-global random source: use a per-entity seeded *rand.Rand "+
-					"(rand.New(rand.NewSource(seed))) so draws are a function of one entity's history",
+				"%s.%s draws from the process-global random source: draw from the entity's sim.Stream "+
+					"(or a run's own rand.New(rand.NewSource(seed))) so draws are a function of one entity's history",
 				path, obj.Name())
 		}
 	}

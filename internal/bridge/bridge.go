@@ -9,7 +9,6 @@
 package bridge
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/layers"
@@ -56,7 +55,7 @@ type Chassis struct {
 	// it; the STP and learning baselines do not need it.
 	HelloEnabled bool
 
-	rng   *rand.Rand
+	rng   sim.Stream // PathCtl nonces
 	stats ChassisStats
 }
 
@@ -86,6 +85,7 @@ func (c *Chassis) Init(net *netsim.Network, name string, numID int, proto Protoc
 		name:  name,
 		numID: numID,
 		mac:   layers.BridgeMAC(numID),
+		rng:   sim.Bridges.Stream(net.Seed(), numID),
 	}
 	c.peers, c.ports = c.peerBuf[:0], c.portBuf[:0]
 }
@@ -119,16 +119,11 @@ func (c *Chassis) After(d time.Duration, fn func()) *sim.Timer {
 	return c.Sched().After(d, fn)
 }
 
-// Rand returns the bridge's own deterministic random source, seeded from
-// the network seed and the bridge id. Per-bridge streams (rather than the
-// engine's) keep draws a function of this bridge's history alone, which
-// the sharded engine's determinism depends on.
-func (c *Chassis) Rand() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.net.Seed() ^ (int64(c.numID)+1)*0x5851F42D4C957F2D))
-	}
-	return c.rng
-}
+// Stream returns the bridge's own random stream (PathCtl nonces). A
+// per-bridge stream, rather than the engine's, keeps draws a function of
+// this bridge's history alone, which the sharded engine's determinism
+// depends on.
+func (c *Chassis) Stream() *sim.Stream { return &c.rng }
 
 // Now returns the current virtual time as this bridge observes it: its
 // own shard's clock. (The network's control clock only advances at
@@ -161,9 +156,7 @@ func (c *Chassis) Start() {
 	c.Sched().At(c.net.Now(), func() {
 		c.proto.OnStart()
 		if c.HelloEnabled {
-			for _, p := range c.ports {
-				c.sendHello(p)
-			}
+			c.sendHellos(c.ports...)
 		}
 	})
 }
@@ -242,7 +235,7 @@ func (c *Chassis) PortStatusChanged(p *netsim.Port, up bool) {
 		// The neighbour may be replaced while the link is down; rediscover.
 		c.peers[p.Index()] = peer{}
 	} else if c.HelloEnabled {
-		c.sendHello(p)
+		c.sendHellos(p)
 	}
 	c.proto.OnPortStatus(p, up)
 }
@@ -262,10 +255,14 @@ func (c *Chassis) CtlFrame(ethDst, ethSrc layers.MAC, msg layers.PathCtl) []byte
 	return frame
 }
 
-// sendHello emits one HELLO on p.
-func (c *Chassis) sendHello(p *netsim.Port) {
-	c.stats.HellosSent++
-	p.Send(c.CtlFrame(layers.PathCtlMulticast, c.mac, layers.PathCtl{Type: layers.PathCtlHello}))
+// sendHellos emits one HELLO on each of ps, serialized once: the bytes do
+// not depend on the port, and Port.Send copies them.
+func (c *Chassis) sendHellos(ps ...*netsim.Port) {
+	hello := c.CtlFrame(layers.PathCtlMulticast, c.mac, layers.PathCtl{Type: layers.PathCtlHello})
+	for _, p := range ps {
+		c.stats.HellosSent++
+		p.Send(hello)
+	}
 }
 
 // FloodExcept sends f on every up port except in (which may be nil to

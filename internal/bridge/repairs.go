@@ -73,7 +73,7 @@ func (r *Repairs[K]) Park(key K, f *netsim.Frame) (nonce uint32, fresh bool) {
 // Proc. The wheel is created on first use: that Proc only resolves once the
 // builder has registered the bridge and partitioning bound it to a shard.
 func (r *Repairs[K]) open(key K) *parked {
-	p := &parked{nonce: r.c.Rand().Uint32()}
+	p := &parked{nonce: r.c.Stream().Rand().Uint32()}
 	r.pending[key] = p
 	if r.wheel == nil {
 		r.wheel = sim.NewWheelOn(r.c.Sched(), repairTick)

@@ -9,7 +9,6 @@ package host
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/layers"
@@ -44,7 +43,7 @@ type Host struct {
 	ports []*netsim.Port
 
 	proc  *sim.Proc
-	rng   *rand.Rand
+	rng   sim.Stream // TCP ISNs
 	arp   arpCache
 	icmp  *icmpEndpoint
 	udp   map[uint16]*UDPSocket
@@ -67,6 +66,7 @@ func New(net *netsim.Network, name string, n int) *Host {
 		name:  name,
 		mac:   layers.HostMAC(n),
 		ip:    layers.HostIP(n),
+		rng:   sim.Hosts.Stream(net.Seed(), n),
 		udp:   make(map[uint16]*UDPSocket),
 		txBuf: layers.NewSerializeBuffer(),
 	}
@@ -75,10 +75,6 @@ func New(net *netsim.Network, name string, n int) *Host {
 	h.tcp = newTCPHost(h)
 	net.AddNode(h)
 	h.proc = net.Proc(name)
-	// The host's own random stream (TCP ISNs): a function of the network
-	// seed and the host number, never of event interleaving, so draws are
-	// identical at any shard count.
-	h.rng = rand.New(rand.NewSource(net.Seed() ^ (int64(n)+1)*0x2545F4914F6CDD1D))
 	return h
 }
 
@@ -93,6 +89,9 @@ func (h *Host) IP() layers.Addr4 { return h.ip }
 
 // Net returns the owning network.
 func (h *Host) Net() *netsim.Network { return h.net }
+
+// Stream returns the host's random stream (TCP ISNs).
+func (h *Host) Stream() *sim.Stream { return &h.rng }
 
 // Stats returns a snapshot of the traffic counters.
 func (h *Host) Stats() Stats { return h.stats }

@@ -164,7 +164,7 @@ func TestMalformedFramesDontPanicHost(t *testing.T) {
 	h := New(net, "h", 1)
 	peer := New(net, "peer", 2)
 	net.Connect(h, peer, netsim.DefaultLinkConfig())
-	rng := net.Engine.Rand()
+	rng := net.Engine.Stream().Rand()
 	net.Engine.At(0, func() {
 		for i := 0; i < 50; i++ {
 			frame := make([]byte, 14+rng.Intn(100))

@@ -252,7 +252,7 @@ func (h *Host) DialConfig(dst layers.Addr4, port uint16, cfg TCPConfig, onConnec
 }
 
 func newConn(h *Host, cfg TCPConfig, key connKey) *Conn {
-	isn := uint32(h.rng.Int63()) // deterministic per seed
+	isn := uint32(h.rng.Rand().Int63()) // deterministic per seed
 	return &Conn{
 		h:        h,
 		cfg:      cfg,

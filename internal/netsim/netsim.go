@@ -12,7 +12,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"time"
@@ -256,7 +255,7 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) *Link {
 			n.AddNode(node)
 		}
 	}
-	l := &Link{net: n, cfg: cfg, up: true, idx: len(n.links)}
+	l := &Link{net: n, cfg: cfg, up: true}
 	for side, node := range [2]Node{a, b} {
 		// b's index is read after a's increment, so self-loops get
 		// distinct indices.
@@ -274,6 +273,11 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) *Link {
 		l.proc[side].Init(n.Engine, n.owners)
 		l.first[side] = flight{link: l, from: p}
 		l.dir[side].free = &l.first[side]
+		// A direction draws losses from its own stream, keyed by the
+		// link's creation order and the sending side: the k-th admitted
+		// frame sees the same draw however the fabric is sharded, which a
+		// shared engine RNG consumed in execution order would not survive.
+		l.loss[side] = sim.LinkDirs.Stream(n.seed, len(n.links)*2+side)
 	}
 	n.links = append(n.links, l)
 	a.AttachPort(&l.ports[0])
@@ -478,7 +482,6 @@ type linkDir struct {
 	queuedBytes int           // wire bytes accepted but not yet serialized
 	busyTotal   time.Duration // cumulative serialization time (utilization)
 	lossRate    float64       // probability a frame this direction is lost
-	rng         *rand.Rand    // per-direction loss draws, seeded from (net seed, link, side)
 	free        *flight       // recycled flights of this direction, threaded through next
 }
 
@@ -495,8 +498,8 @@ type Link struct {
 	epoch uint64 // bumped on every up/down transition; kills in-flight frames
 	shard [2]int // shard of each side's node (set by Partition)
 	ports [2]Port
-	first [2]flight // each direction's first flight, on its free list from cabling
-	idx   int       // creation order; seeds the per-direction loss RNGs
+	first [2]flight     // each direction's first flight, on its free list from cabling
+	loss  [2]sim.Stream // per-direction loss draws; only a lossy direction seeds its stream
 }
 
 // Config returns the link's configuration.
@@ -527,8 +530,8 @@ func (l *Link) BusyTime(p *Port) time.Duration {
 
 // SetLoss degrades the direction transmitting away from port from: each
 // admitted frame is independently lost with probability rate (drawn from
-// the deterministic engine RNG, so a seed fully determines which frames
-// die). rate 0 restores the direction; the opposite direction is
+// the direction's own stream, LossStream, so a seed fully determines which
+// frames die). rate 0 restores the direction; the opposite direction is
 // untouched, which is what models a unidirectionally failing cable — the
 // wARP-Path-style impairment a clean up/down flap cannot express. Must be
 // called from the simulation goroutine, like SetUp.
@@ -536,24 +539,15 @@ func (l *Link) SetLoss(from *Port, rate float64) {
 	if rate < 0 || rate > 1 {
 		panic(fmt.Sprintf("netsim: loss rate %v out of [0,1]", rate))
 	}
-	d := &l.dir[from.side]
-	d.lossRate = rate
-	if rate > 0 && d.rng == nil {
-		// A direction draws losses from its own stream, seeded by the
-		// network seed and the direction's identity. The k-th admitted
-		// frame on this direction sees the same draw however the fabric is
-		// sharded — a shared engine RNG consumed in execution order would
-		// not survive repartitioning.
-		// Domain-separated from the other per-entity streams (bridges use
-		// 0x5851F42D4C957F2D, hosts 0x2545F4914F6CDD1D): without a
-		// distinct multiplier a low-numbered bridge and a low-indexed link
-		// direction would draw byte-identical streams.
-		d.rng = rand.New(rand.NewSource(l.net.seed ^ (int64(l.idx*2+from.side)+1)*0x6A09E667F3BCC909))
-	}
+	l.dir[from.side].lossRate = rate
 }
 
 // Loss returns the loss rate in the direction transmitting away from from.
 func (l *Link) Loss(from *Port) float64 { return l.dir[from.side].lossRate }
+
+// LossStream returns the random stream of the direction transmitting away
+// from from.
+func (l *Link) LossStream(from *Port) *sim.Stream { return &l.loss[from.side] }
 
 // SetUp changes the link state, purging queued traffic on a down
 // transition and notifying both nodes. Must be called from the simulation
@@ -730,7 +724,7 @@ func (l *Link) admit(from *Port, frame []byte, id uint64) bool {
 		return false
 	}
 	d := &l.dir[from.side]
-	if d.lossRate > 0 && d.rng.Float64() < d.lossRate {
+	if d.lossRate > 0 && l.loss[from.side].Rand().Float64() < d.lossRate {
 		from.stats.DropsLoss++
 		if l.net.tracing() {
 			l.net.emit(e, TapEvent{At: now, Kind: TapDropLoss, From: from, To: from.Peer(), Frame: frame, FrameID: id})

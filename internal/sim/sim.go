@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"time"
 )
 
@@ -378,8 +377,7 @@ type Engine struct {
 
 	arena     []event
 	freeHead  int32 // arena free list head, -1 when empty
-	rng       *rand.Rand
-	seed      int64
+	rng       Stream
 	processed uint64
 	limit     uint64
 	id        int // shard index (0 when unsharded)
@@ -402,12 +400,12 @@ type Engine struct {
 	cur Key
 }
 
-// New returns an Engine whose random source is seeded with seed. Two engines
-// built with the same seed and fed the same schedule produce identical runs.
+// New returns an Engine whose random stream is seeded with seed (on its
+// first draw). Two engines built with the same seed and fed the same
+// schedule produce identical runs.
 func New(seed int64) *Engine {
 	e := &Engine{
-		rng:      rand.New(rand.NewSource(seed)),
-		seed:     seed,
+		rng:      Stream{seed: seed},
 		horizon:  farSpan,
 		limit:    DefaultEventLimit,
 		freeHead: -1,
@@ -432,10 +430,10 @@ func (e *Engine) SetID(id int) { e.id = id }
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Seed returns the seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
+func (e *Engine) Seed() int64 { return e.rng.seed }
 
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Stream returns the engine's deterministic random stream.
+func (e *Engine) Stream() *Stream { return &e.rng }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }

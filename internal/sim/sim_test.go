@@ -204,10 +204,10 @@ func TestDeterminismSameSeed(t *testing.T) {
 		var tick func()
 		n := 0
 		tick = func() {
-			out = append(out, int64(e.Now()), e.Rand().Int63n(1000))
+			out = append(out, int64(e.Now()), e.Stream().Rand().Int63n(1000))
 			n++
 			if n < 50 {
-				e.After(time.Duration(1+e.Rand().Intn(100))*time.Microsecond, tick)
+				e.After(time.Duration(1+e.Stream().Rand().Intn(100))*time.Microsecond, tick)
 			}
 		}
 		e.After(0, tick)

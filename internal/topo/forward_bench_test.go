@@ -138,3 +138,24 @@ func BenchmarkEndToEndPingEstablished(b *testing.B) {
 		n.RunFor(time.Millisecond)
 	}
 }
+
+// BenchmarkBuild measures cold start: building and warming a fabric,
+// with no traffic. Run with -benchmem; TestFabricBuildAllocations
+// gates the RandomRegular case's allocations and bytes.
+func BenchmarkBuild(b *testing.B) {
+	opts := topo.DefaultOptions(topo.ARPPath, 1)
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"RandomRegular256x3", func() { topo.RandomRegular(opts, 256, 3) }},
+		{"FatTree4", func() { topo.FatTree(opts, 4) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.build()
+			}
+		})
+	}
+}

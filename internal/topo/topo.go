@@ -256,7 +256,7 @@ func (b *Builder) Build() *Net {
 }
 
 // Rand returns the build's deterministic random source.
-func (b *Builder) Rand() *rand.Rand { return b.net.Engine.Rand() }
+func (b *Builder) Rand() *rand.Rand { return b.net.Engine.Stream().Rand() }
 
 // Net exposes the partially built network (for attaching hosts).
 func (b *Builder) Net() *netsim.Network { return b.net.Network }

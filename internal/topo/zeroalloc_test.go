@@ -8,6 +8,7 @@ package topo_test
 // on every CI run without -bench.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -203,17 +204,36 @@ func TestShardedSteadyStateCoordinationDoesNotAllocate(t *testing.T) {
 // §5, "What one hop touches"): a link is one allocation with its ports,
 // identities and first flights, a bridge one with its chassis and table,
 // node identities come from a slab. Building a 256-bridge degree-3 fabric
-// took 21 558 allocations before that layout and 13 626–13 832 with it
-// (the spread is the frame pool refilling after a GC), so a change that
-// splits a link or a bridge back into separate objects fails here.
+// took 21 558 allocations before that layout and 13 626–13 832 with it.
+// Seeding every random stream on its first draw and serializing each
+// bridge's start-up HELLO once (DESIGN.md §6) took it to 10 031–10 095
+// allocations and 2.11–2.22 MB here, and up to 10 234 and 2.47 MB in
+// BenchmarkBuild (the spread is the frame pool refilling after a GC). An
+// eager stream costs a 4.9 KB source per host or bridge, 1.25 MB for
+// either set, so one coming back fails the bytes ceiling; a change that
+// splits a link or a bridge back into separate objects fails the
+// allocation ceiling.
 func TestFabricBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race job")
 	}
-	const ceiling = 14000
+	const ceiling, bytesCeiling = 10400, 2_600_000
 	opts := topo.DefaultOptions(topo.ARPPath, 1)
-	if allocs := testing.AllocsPerRun(5, func() { topo.RandomRegular(opts, 256, 3) }); allocs > ceiling {
-		t.Fatalf("building RandomRegular(256, 3) allocates %.0f objects, want ≤ %d", allocs, ceiling)
+	build := func() { topo.RandomRegular(opts, 256, 3) }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	build() // warm-up: the frame pool and the runtime's own caches
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&m1)
+	if allocs := (m1.Mallocs - m0.Mallocs) / runs; allocs > ceiling {
+		t.Fatalf("building RandomRegular(256, 3) allocates %d objects, want ≤ %d", allocs, ceiling)
+	}
+	if bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs; bytes > bytesCeiling {
+		t.Fatalf("building RandomRegular(256, 3) allocates %d bytes, want ≤ %d", bytes, bytesCeiling)
 	}
 }
 
