@@ -57,6 +57,16 @@ type Chassis struct {
 
 	rng   sim.Stream // PathCtl nonces
 	stats ChassisStats
+	ctl   *ctlScratch // made by the first CtlFrame
+}
+
+// ctlScratch is what CtlFrame serializes through: the buffer and the two
+// layers it writes, so a control frame allocates nothing once the buffer
+// has grown to size.
+type ctlScratch struct {
+	buf layers.SerializeBuffer
+	eth layers.Ethernet
+	msg layers.PathCtl
 }
 
 // peer is one port's neighbour-discovery state: whether a HELLO was seen
@@ -242,17 +252,24 @@ func (c *Chassis) PortStatusChanged(p *netsim.Port, up bool) {
 
 // CtlFrame serializes one ARP-Path control frame from ethSrc to ethDst,
 // stamping this bridge's id into msg. Every PathCtl message a bridge
-// originates — HELLO, PathFail, PathRequest, PathReply — is built here.
+// originates — HELLO, PathFail, PathRequest, PathReply — is built here,
+// into one scratch buffer the chassis owns: the bytes are valid until the
+// next CtlFrame call, which is long enough for Port.Send and
+// FloodBytesExcept, the only consumers, as both copy them into a pooled
+// frame before returning.
 func (c *Chassis) CtlFrame(ethDst, ethSrc layers.MAC, msg layers.PathCtl) []byte {
-	msg.BridgeID = uint64(c.numID)
-	frame, err := layers.Serialize(
-		&layers.Ethernet{Dst: ethDst, Src: ethSrc, EtherType: layers.EtherTypePathCtl},
-		&msg,
-	)
-	if err != nil {
+	s := c.ctl
+	if s == nil {
+		s = new(ctlScratch)
+		c.ctl = s
+	}
+	s.eth = layers.Ethernet{Dst: ethDst, Src: ethSrc, EtherType: layers.EtherTypePathCtl}
+	s.msg = msg
+	s.msg.BridgeID = uint64(c.numID)
+	if err := layers.SerializeLayers(&s.buf, layers.FixAll, &s.eth, &s.msg); err != nil {
 		panic("bridge: serialize " + msg.Type.String() + ": " + err.Error())
 	}
-	return frame
+	return s.buf.Bytes()
 }
 
 // sendHellos emits one HELLO on each of ps, serialized once: the bytes do

@@ -1,11 +1,13 @@
 package host
 
 import (
+	"encoding/binary"
 	"errors"
 	"time"
 
 	"repro/internal/layers"
 	"repro/internal/sim"
+	"repro/internal/tables"
 )
 
 // ErrARPTimeout is reported to resolution callbacks when every ARP retry
@@ -34,11 +36,6 @@ func DefaultARPConfig() ARPConfig {
 	}
 }
 
-type arpEntry struct {
-	mac     layers.MAC
-	expires time.Duration
-}
-
 type arpPending struct {
 	callbacks []func(layers.MAC, error)
 	attempts  int
@@ -46,40 +43,143 @@ type arpPending struct {
 }
 
 // arpCache is the host's ARP cache and resolution engine, stored inside
-// its Host.
+// its Host. The bindings live in a probe array shaped like the path
+// tables' (internal/tables/index.go): a power-of-two slice of arpCell,
+// open-addressed with linear probing from tables.Mix64(ip) and held at
+// load ≤ 1/2, so an insert is one hash and, nearly always, one cache line.
+// The zero IP marks an empty cell — learn refuses it — and removal shifts
+// the rest of the run back over the hole, so expiry leaves no tombstone.
+// Nothing reads cell order.
+//
+// Every host hears every discovery flood and learns its sender, and on a
+// large fabric that line is a cache miss per host per flood. So learn only
+// appends to fresh, and fold inserts a full batch at once, its probes
+// independent and in flight together; every reader of the cells folds
+// first, so what is observed is exactly the cache with every learn applied
+// in order.
 type arpCache struct {
 	h       *Host
 	cfg     ARPConfig
-	entries map[layers.Addr4]arpEntry
-	pending map[layers.Addr4]*arpPending
+	cells   []arpCell // nil until the first fold
+	n       int
+	fresh   []arpCell                    // learns not yet folded, oldest first
+	pending map[layers.Addr4]*arpPending // nil until the first miss
 }
 
-// init builds the cache of host h in place.
-func (c *arpCache) init(h *Host, cfg ARPConfig) {
-	*c = arpCache{
-		h:       h,
-		cfg:     cfg,
-		entries: make(map[layers.Addr4]arpEntry),
-		pending: make(map[layers.Addr4]*arpPending),
+// arpCell is one slot of the probe array: a binding, or empty while ip is
+// zero.
+type arpCell struct {
+	ip      layers.Addr4
+	mac     layers.MAC
+	expires time.Duration
+}
+
+const (
+	// arpFirstCells is the first array's length: room for four bindings.
+	arpFirstCells = 8
+	// arpBatch is how many learns fold together.
+	arpBatch = 16
+)
+
+// arpHome returns ip's home cell in an array of mask+1 cells.
+func arpHome(ip layers.Addr4, mask uint64) uint64 {
+	return tables.Mix64(uint64(binary.BigEndian.Uint32(ip[:]))) & mask
+}
+
+// probe returns the cell holding ip or, on a miss, the empty cell that
+// ends ip's run — where a learn would place it — and -1 while the array is
+// still nil. The empty check comes first, so the zero IP is never found.
+func (c *arpCache) probe(ip layers.Addr4) (int, bool) {
+	cs := c.cells
+	mask := uint64(len(cs) - 1)
+	for i := arpHome(ip, mask); i < uint64(len(cs)); i = (i + 1) & mask {
+		switch cs[i].ip {
+		case layers.Addr4{}:
+			return int(i), false
+		case ip:
+			return int(i), true
+		}
+	}
+	return -1, false
+}
+
+// grow doubles the array (or allocates the first one) and rehashes the
+// bindings into it.
+func (c *arpCache) grow() {
+	old := c.cells
+	c.cells = make([]arpCell, max(2*len(old), arpFirstCells))
+	for _, e := range old {
+		if !e.ip.IsZero() {
+			i, _ := c.probe(e.ip)
+			c.cells[i] = e
+		}
 	}
 }
 
-// lookup returns a live cached binding.
+// remove empties cell hole and closes the gap by backward shift: each
+// later binding of the run moves into the hole unless its home lies
+// cyclically in (hole, cell] — moving that one would put it before its
+// home, where no probe would find it. The run ends at the first empty
+// cell, which load ≤ 1/2 guarantees exists.
+func (c *arpCache) remove(hole int) {
+	cs := c.cells
+	mask := uint64(len(cs) - 1)
+	h := uint64(hole)
+	for j := (h + 1) & mask; !cs[j].ip.IsZero(); j = (j + 1) & mask {
+		if home := arpHome(cs[j].ip, mask); (j-home)&mask >= (j-h)&mask {
+			cs[h] = cs[j]
+			h = j
+		}
+	}
+	cs[h] = arpCell{}
+	c.n--
+}
+
+// fold inserts the fresh learns into the probe array, in order.
+func (c *arpCache) fold() {
+	for _, e := range c.fresh {
+		i, ok := c.probe(e.ip)
+		if !ok {
+			if 2*(c.n+1) > len(c.cells) {
+				c.grow()
+				i, _ = c.probe(e.ip)
+			}
+			c.n++
+		}
+		c.cells[i] = e
+	}
+	c.fresh = c.fresh[:0]
+}
+
+// lookup returns a live cached binding, dropping an expired one.
 func (c *arpCache) lookup(ip layers.Addr4) (layers.MAC, bool) {
-	e, ok := c.entries[ip]
-	if !ok || e.expires <= c.h.now() {
-		delete(c.entries, ip)
+	if len(c.fresh) > 0 {
+		c.fold()
+	}
+	i, ok := c.probe(ip)
+	if !ok {
 		return layers.MAC{}, false
 	}
-	return e.mac, true
+	if e := &c.cells[i]; e.expires > c.h.now() {
+		return e.mac, true
+	}
+	c.remove(i)
+	return layers.MAC{}, false
 }
 
-// learn stores a binding and completes any pending resolutions for it.
+// learn records a binding, applied at the next fold, and completes any
+// pending resolutions for it.
 func (c *arpCache) learn(ip layers.Addr4, mac layers.MAC) {
 	if ip.IsZero() || mac.IsZero() || mac.IsMulticast() {
 		return
 	}
-	c.entries[ip] = arpEntry{mac: mac, expires: c.h.now() + c.cfg.CacheTimeout}
+	if c.fresh == nil {
+		c.fresh = make([]arpCell, 0, arpBatch)
+	}
+	c.fresh = append(c.fresh, arpCell{ip: ip, mac: mac, expires: c.h.now() + c.cfg.CacheTimeout})
+	if len(c.fresh) == arpBatch {
+		c.fold()
+	}
 	if p, ok := c.pending[ip]; ok {
 		delete(c.pending, ip)
 		p.timer.Stop()
@@ -106,7 +206,7 @@ func (c *arpCache) resolve(dst layers.Addr4, cb func(layers.MAC, error)) {
 		return
 	}
 	p := &arpPending{callbacks: []func(layers.MAC, error){cb}}
-	c.pending[dst] = p
+	put(&c.pending, dst, p)
 	c.transmitRequest(dst, p)
 }
 
@@ -200,8 +300,14 @@ func (v *ARPView) Lookup(ip layers.Addr4) (layers.MAC, bool) { return v.c.lookup
 
 // Flush drops the whole cache, forcing re-resolution (used by experiments
 // to trigger fresh discovery races).
-func (v *ARPView) Flush() { clear(v.c.entries) }
+func (v *ARPView) Flush() {
+	clear(v.c.cells)
+	v.c.n, v.c.fresh = 0, v.c.fresh[:0]
+}
 
 // Len returns the number of cached bindings (including unswept expired
 // ones).
-func (v *ARPView) Len() int { return len(v.c.entries) }
+func (v *ARPView) Len() int {
+	v.c.fold()
+	return v.c.n
+}

@@ -42,12 +42,14 @@ type Host struct {
 	ip    layers.Addr4
 	ports []*netsim.Port
 
+	// A host builds its state on first use: every map in it is nil until
+	// its first write (put) and txBuf is made by the first resolved send,
+	// so a host that only hears floods and answers ARP holds its bindings
+	// and nothing else.
 	proc  *sim.Proc
 	rng   sim.Stream // TCP ISNs
 	arp   arpCache
-	icmp  *icmpEndpoint
 	udp   map[uint16]*UDPSocket
-	tcp   *tcpHost
 	stats Stats
 
 	// Reusable transmit scratch for the cached-resolution fast path of
@@ -57,25 +59,34 @@ type Host struct {
 	txEth layers.Ethernet
 	txIP  layers.IPv4
 	txLs  [6]layers.SerializableLayer
+
+	icmp icmpEndpoint
+	tcp  tcpHost
 }
 
 // New creates host number n named name: MAC 02:00:00::n, IP 10.0.n.
 func New(net *netsim.Network, name string, n int) *Host {
 	h := &Host{
-		net:   net,
-		name:  name,
-		mac:   layers.HostMAC(n),
-		ip:    layers.HostIP(n),
-		rng:   sim.Hosts.Stream(net.Seed(), n),
-		udp:   make(map[uint16]*UDPSocket),
-		txBuf: layers.NewSerializeBuffer(),
+		net:  net,
+		name: name,
+		mac:  layers.HostMAC(n),
+		ip:   layers.HostIP(n),
+		rng:  sim.Hosts.Stream(net.Seed(), n),
 	}
-	h.arp.init(h, DefaultARPConfig())
-	h.icmp = newICMPEndpoint(h)
-	h.tcp = newTCPHost(h)
+	h.arp = arpCache{h: h, cfg: DefaultARPConfig()}
+	h.icmp = icmpEndpoint{h: h, ident: uint16(h.mac.Uint64() & 0xFFFF)}
+	h.tcp = tcpHost{h: h, nextPort: 49152}
 	net.AddNode(h)
 	h.proc = net.Proc(name)
 	return h
+}
+
+// put sets (*m)[k] = v, making the map on its first write.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 // Name implements netsim.Node.
@@ -247,6 +258,9 @@ func (h *Host) sendResolved(dst layers.Addr4, proto uint8, transport ...layers.S
 	h.txIP = layers.IPv4{TTL: 64, Protocol: proto, Src: h.ip, Dst: dst}
 	ls := append(h.txLs[:0], &h.txEth, &h.txIP)
 	ls = append(ls, transport...)
+	if h.txBuf == nil {
+		h.txBuf = layers.NewSerializeBuffer()
+	}
 	if err := layers.SerializeLayers(h.txBuf, layers.FixAll, ls...); err != nil {
 		panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/layers"
 	"repro/internal/netsim"
 )
@@ -371,5 +372,49 @@ func TestPortZeroAndEphemeralPorts(t *testing.T) {
 	}
 	if l := h1.Listen(0, func(*Conn) {}); l != nil {
 		t.Fatalf("Listen(0) with every ephemeral port listening returned port %d, want nil", l.Port())
+	}
+}
+
+// TestIdleHostBuildsNoState: a host that never binds, listens, dials or
+// pings builds none of its maps. Two such hosts here hear another's ARP
+// floods, answer its echo requests, and are sent a datagram to an unbound
+// port and a SYN nobody listens for; they hold their learned bindings and
+// nothing else.
+func TestIdleHostBuildsNoState(t *testing.T) {
+	net := netsim.NewNetwork(1)
+	h1, h2, h3 := New(net, "h1", 1), New(net, "h2", 2), New(net, "h3", 3)
+	b := core.New(net, "b", 1, core.DefaultConfig())
+	for _, h := range []*Host{h1, h2, h3} {
+		net.Connect(h, b, netsim.DefaultLinkConfig())
+	}
+	b.Start()
+	net.RunFor(time.Millisecond)
+	replies := 0
+	net.Engine.At(net.Now(), func() {
+		h1.Ping(h2.IP(), 8, time.Second, func(r PingResult) {
+			if r.Err == nil {
+				replies++
+			}
+		})
+		h1.Ping(h3.IP(), 8, time.Second, func(r PingResult) {
+			if r.Err == nil {
+				replies++
+			}
+		})
+		h1.UDP(0, nil).SendTo(h3.IP(), 7, []byte("x"))
+		h1.Dial(h3.IP(), 80, nil)
+	})
+	net.RunFor(100 * time.Millisecond)
+	if replies != 2 {
+		t.Fatalf("%d of 2 pings answered", replies)
+	}
+	for _, h := range []*Host{h2, h3} {
+		if h.udp != nil || h.arp.pending != nil || h.icmp.waiting != nil || h.tcp.listeners != nil || h.tcp.conns != nil {
+			t.Errorf("%s built state it never used: udp %v, pending %v, waiting %v, listeners %v, conns %v",
+				h.name, h.udp, h.arp.pending, h.icmp.waiting, h.tcp.listeners, h.tcp.conns)
+		}
+		if h.ARP().Len() == 0 {
+			t.Errorf("%s learned no binding from the floods it heard", h.name)
+		}
 	}
 }

@@ -24,7 +24,8 @@ type icmpEndpoint struct {
 	h       *Host
 	ident   uint16
 	nextSeq uint16
-	// outstanding echo requests by sequence number.
+	// outstanding echo requests by sequence number; nil until the first
+	// Ping.
 	waiting map[uint16]*pingWait
 }
 
@@ -34,25 +35,17 @@ type pingWait struct {
 	cb    func(PingResult)
 }
 
-func newICMPEndpoint(h *Host) *icmpEndpoint {
-	return &icmpEndpoint{
-		h:       h,
-		ident:   uint16(h.mac.Uint64() & 0xFFFF),
-		waiting: make(map[uint16]*pingWait),
-	}
-}
-
 // Ping sends one echo request of the given payload size to dst and calls
 // cb with the outcome. The callback runs on the simulation goroutine.
 func (h *Host) Ping(dst layers.Addr4, size int, timeout time.Duration, cb func(PingResult)) {
 	if size < 0 {
 		size = 0
 	}
-	e := h.icmp
+	e := &h.icmp
 	seq := e.nextSeq
 	e.nextSeq++
 	w := &pingWait{sent: h.now(), cb: cb}
-	e.waiting[seq] = w
+	put(&e.waiting, seq, w)
 	w.timer = h.After(timeout, func() {
 		delete(e.waiting, seq)
 		cb(PingResult{Seq: seq, Err: ErrPingTimeout, Sent: w.sent})

@@ -163,21 +163,13 @@ type Listener struct {
 	accept func(*Conn)
 }
 
-// tcpHost is the per-host transport demultiplexer.
+// tcpHost is the per-host transport demultiplexer. Its maps are nil until
+// the first Listen and the first connection.
 type tcpHost struct {
 	h         *Host
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
 	nextPort  uint16 // the next ephemeral port to try, for dials and Listen(0) alike
-}
-
-func newTCPHost(h *Host) *tcpHost {
-	return &tcpHost{
-		h:         h,
-		listeners: make(map[uint16]*Listener),
-		conns:     make(map[connKey]*Conn),
-		nextPort:  49152,
-	}
 }
 
 // ephemeral walks the host's one port counter through [49152, 65535] to
@@ -198,7 +190,7 @@ func (th *tcpHost) ephemeral(taken func(port uint16) bool) uint16 {
 // for any free ephemeral port (Port reads it back) and returns nil when
 // none is left; listening on a named port that is taken panics.
 func (h *Host) Listen(port uint16, accept func(*Conn)) *Listener {
-	th := h.tcp
+	th := &h.tcp
 	listening := func(p uint16) bool { return th.listeners[p] != nil }
 	if port == 0 {
 		if port = th.ephemeral(listening); port == 0 {
@@ -208,7 +200,7 @@ func (h *Host) Listen(port uint16, accept func(*Conn)) *Listener {
 		panic(fmt.Sprintf("host %s: TCP port %d already listening", h.name, port))
 	}
 	l := &Listener{h: h, port: port, accept: accept}
-	th.listeners[port] = l
+	put(&th.listeners, port, l)
 	return l
 }
 
@@ -219,7 +211,7 @@ func (l *Listener) Port() uint16 { return l.port }
 // live on. Closing twice is harmless, also once the port has been taken
 // by a later listener.
 func (l *Listener) Close() {
-	if th := l.h.tcp; th.listeners[l.port] == l {
+	if th := &l.h.tcp; th.listeners[l.port] == l {
 		delete(th.listeners, l.port)
 	}
 }
@@ -234,7 +226,7 @@ func (h *Host) Dial(dst layers.Addr4, port uint16, onConnect func(*Conn)) *Conn 
 // ephemeral local port no live connection to dst:port uses; it returns
 // nil when there is none.
 func (h *Host) DialConfig(dst layers.Addr4, port uint16, cfg TCPConfig, onConnect func(*Conn)) *Conn {
-	th := h.tcp
+	th := &h.tcp
 	lport := th.ephemeral(func(p uint16) bool {
 		return th.conns[connKey{rip: dst, rport: port, lport: p}] != nil
 	})
@@ -243,7 +235,7 @@ func (h *Host) DialConfig(dst layers.Addr4, port uint16, cfg TCPConfig, onConnec
 	}
 	c := newConn(h, cfg, connKey{rip: dst, rport: port, lport: lport})
 	c.onConnect = onConnect
-	th.conns[c.key] = c
+	put(&th.conns, c.key, c)
 	c.state = StateSynSent
 	c.sndNxt = c.sndUna + 1 // SYN consumes one sequence number
 	c.sendFlags(layers.TCPFlagSYN, c.sndUna, 0, nil)
@@ -478,7 +470,7 @@ func (t *tcpHost) handle(ip *layers.IPv4) {
 			return // silently ignore (no RST machinery needed)
 		}
 		c := newConn(t.h, DefaultTCPConfig(), key)
-		t.conns[key] = c
+		put(&t.conns, key, c)
 		c.state = StateSynReceived
 		c.rcvNxt = seg.Seq + 1
 		c.sndNxt = c.sndUna + 1

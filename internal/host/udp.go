@@ -43,7 +43,7 @@ func (h *Host) UDP(port uint16, onRx func(Datagram)) *UDPSocket {
 	if _, taken := h.udp[port]; taken {
 		panic(fmt.Sprintf("host %s: UDP port %d already bound", h.name, port))
 	}
-	h.udp[port] = s
+	put(&h.udp, port, s)
 	return s
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 	"unsafe"
 
-	hostpkg "repro/internal/host"
 	"repro/internal/layers"
 	"repro/internal/netsim"
 )
@@ -46,18 +45,28 @@ func matrix(t *testing.T,
 	}
 }
 
-// testPorts returns n distinct live ports (one hub host cabled to n
+// testPorts returns n distinct live ports (one hub node cabled to n
 // peers; the hub's end of each link is the port).
 func testPorts(n int) []*netsim.Port {
 	net := netsim.NewNetwork(1)
-	hub := hostpkg.New(net, "hub", 1)
+	hub := stubNode("hub")
+	net.AddNode(hub)
 	ports := make([]*netsim.Port, n)
 	for i := range ports {
-		peer := hostpkg.New(net, fmt.Sprintf("p%d", i+1), i+2)
+		peer := stubNode(fmt.Sprintf("p%d", i+1))
+		net.AddNode(peer)
 		ports[i] = net.Connect(hub, peer, netsim.DefaultLinkConfig()).A()
 	}
 	return ports
 }
+
+// stubNode is the least netsim.Node: testPorts needs only its ports.
+type stubNode string
+
+func (s stubNode) Name() string                          { return string(s) }
+func (stubNode) AttachPort(*netsim.Port)                 {}
+func (stubNode) HandleFrame(*netsim.Port, *netsim.Frame) {}
+func (stubNode) PortStatusChanged(*netsim.Port, bool)    {}
 
 // checkAccounting asserts the bookkeeping every operation must preserve:
 // resident ≤ stored records, one tracker node per record, and the probe

@@ -657,3 +657,51 @@ func FuzzServeRequest(f *testing.F) {
 		}
 	})
 }
+
+// TestServeRefusesMalformed pins the daemon's refusal of each malformed
+// request line to its exact text, so a changed message is a visible diff
+// here. Every row is refused before it touches the fabric, and the
+// session ends without a leaked frame.
+func TestServeRefusesMalformed(t *testing.T) {
+	variations := []struct {
+		name string
+		line string
+		want string
+	}{
+		{name: "Not JSON", line: `ping H1 H3`, want: "bad request: invalid character 'p' looking for beginning of value"},
+		{name: "Truncated object", line: `{"op":"ping"`, want: "bad request: unexpected EOF"},
+		{name: "Array instead of object", line: `[]`, want: "bad request: json: cannot unmarshal array into Go value of type serve.Request"},
+		{name: "Trailing second op", line: `{"op":"stats"} {"op":"stats"}`, want: "bad request: trailing data after the op object"},
+		{name: "Unknown field", line: `{"op":"stats","colour":"red"}`, want: `bad request: json: unknown field "colour"`},
+		{name: "Wrong field type", line: `{"op":"ping","src":1,"dst":"H3"}`, want: "bad request: json: cannot unmarshal number into Go struct field Request.src of type string"},
+		{name: "Empty op", line: `{}`, want: `unknown op ""`},
+		{name: "Unknown op", line: `{"op":"teleport"}`, want: `unknown op "teleport"`},
+		{name: "Unknown host", line: `{"op":"ping","src":"H9","dst":"H3"}`, want: `unknown host "H9"`},
+		{name: "Ping to itself", line: `{"op":"ping","src":"H1","dst":"H1"}`, want: `ping src and dst are both "H1"`},
+		{name: "Unparsable duration", line: `{"op":"ping","src":"H1","dst":"H3","interval":"soon"}`, want: `bad request: invalid duration "soon": time: invalid duration "soon"`},
+		{name: "Negative interval", line: `{"op":"ping","src":"H1","dst":"H3","interval":"-5ms"}`, want: "ping interval and timeout must be positive"},
+		{name: "Oversized ping", line: `{"op":"ping","src":"H1","dst":"H3","size":100000}`, want: "ping size 100000 outside [0,1400]"},
+		{name: "Too many pings", line: `{"op":"ping","src":"H1","dst":"H3","count":1001}`, want: "ping count 1001 outside [1,1000]"},
+		{name: "Negative stream", line: `{"op":"stream","src":"H2","dst":"H4","bytes":-1}`, want: "stream bytes -1 outside [1,64MiB]"},
+		{name: "Unknown link", line: `{"op":"link-down","link":"S1-S9"}`, want: `unknown link "S1-S9"`},
+		{name: "Loss rate above one", line: `{"op":"set-loss","link":"S1-S3","side":1,"rate":1.5}`, want: "loss rate 1.5 outside [0,1]"},
+		{name: "Loss on a third side", line: `{"op":"set-loss","link":"S1-S3","side":2,"rate":0.5}`, want: "loss side 2 must be 0 or 1"},
+		{name: "Unknown bridge", line: `{"op":"bridge-restart","bridge":"S9"}`, want: `unknown bridge "S9"`},
+		{name: "Unknown host to move", line: `{"op":"host-move","host":"H9","for":"10ms"}`, want: `unknown host "H9"`},
+	}
+	srv, err := New(Options{Spec: fuzzSpec})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, v := range variations {
+		t.Run(v.name, func(t *testing.T) {
+			if resp := srv.answer([]byte(v.line)); resp.OK || resp.Error != v.want {
+				t.Fatalf("%s answered %+v, want the refusal %q", v.line, resp, v.want)
+			}
+		})
+	}
+	srv.Shutdown()
+	if rep := srv.Wait(); rep == nil || rep.Ops != 0 || rep.LeakedFrames != 0 {
+		t.Fatalf("session ended with report %+v, want no op run and no leaked frame", rep)
+	}
+}
