@@ -1,7 +1,5 @@
-// Command arppath-sim runs any fabric.Spec: the simulator workloads
-// (ping, stream, allpairs, matrix), the paper's two demos (figure2-demo,
-// path-repair), the evaluation tables (properties … tables, all) and the
-// adversarial scenario sweep. The Spec chooses what runs; the flags only
+// Command arppath-sim runs any fabric.Spec, whatever its workload kind
+// (fabric.WorkloadSpec lists them). The Spec chooses what runs; the flags only
 // choose how the run is shown, so every flag sets a fabric.Runner field
 // or an artifact path and none of them changes a result. With no -spec it
 // runs a Figure 2 ping. examples/specs holds a fixture per workload.
@@ -49,6 +47,11 @@ func main() {
 			fail(err)
 		}
 	}
+	if *benchOut != "" {
+		if err := spec.CheckBenchJSON(); err != nil {
+			fail(fmt.Errorf("-bench-out %s: %w", *benchOut, err))
+		}
+	}
 	runner := fabric.Runner{
 		Spec: spec, CSV: *csv, Graphs: *graphs, Jobs: *jobs, Verbose: *verbose,
 		Profile: fabric.ProfileOptions{CPUPath: *cpuProfile, MemPath: *memProfile},
@@ -65,15 +68,10 @@ func main() {
 	case res.Failures > 0:
 		os.Exit(1)
 	}
-	if *benchOut == "" {
-		return
-	}
-	if res.BenchJSON == nil {
-		fail(fmt.Errorf("-bench-out %s: workload kind %s has no JSON artifact (only tables does)",
-			*benchOut, res.Spec.Workload.Kind))
-	}
-	if err := os.WriteFile(*benchOut, res.BenchJSON, 0o644); err != nil {
-		fail(err)
+	if *benchOut != "" {
+		if err := os.WriteFile(*benchOut, res.BenchJSON, 0o644); err != nil {
+			fail(err)
+		}
 	}
 }
 

@@ -152,13 +152,15 @@ func TestSpecSmoke(t *testing.T) {
 
 // TestExitStatus pins arppath-sim's exit-status table: 0 on success, 1
 // when the run finished but failed, 2 on a usage or spec error or any
-// other error.
+// other error. A silent case is refused before anything runs: it prints
+// nothing on stdout.
 func TestExitStatus(t *testing.T) {
 	cases := []struct {
-		name string
-		spec any // written to a temporary spec file; nil runs without -spec
-		args []string
-		want int
+		name   string
+		spec   any // written to a temporary spec file; nil runs without -spec
+		args   []string
+		want   int
+		silent bool
 	}{
 		{name: "bare-default", want: 0},
 		{name: "bad-spec", spec: map[string]any{
@@ -172,7 +174,12 @@ func TestExitStatus(t *testing.T) {
 		}, want: 1},
 		{name: "bench-out-without-artifact", spec: map[string]any{
 			"workload": map[string]any{"kind": "ping", "pings": 1},
-		}, args: []string{"-bench-out", "x.json"}, want: 2},
+		}, args: []string{"-bench-out", "x.json"}, want: 2, silent: true},
+		// T1 reads no link: the key is refused, not ignored.
+		{name: "misplaced-key", spec: map[string]any{
+			"link":     map[string]any{"rate_bps": 1},
+			"workload": map[string]any{"kind": "properties"},
+		}, want: 2, silent: true},
 		{name: "unexpected-argument", args: []string{"figure2"}, want: 2},
 	}
 	for _, c := range cases {
@@ -183,7 +190,7 @@ func TestExitStatus(t *testing.T) {
 			}
 			cmd := exec.Command(sim, append(args, c.args...)...)
 			cmd.Dir = t.TempDir()
-			err := cmd.Run()
+			stdout, err := cmd.Output()
 			got := 0
 			var exit *exec.ExitError
 			if errors.As(err, &exit) {
@@ -193,6 +200,9 @@ func TestExitStatus(t *testing.T) {
 			}
 			if got != c.want {
 				t.Fatalf("arppath-sim %v: exit status %d, want %d", cmd.Args[1:], got, c.want)
+			}
+			if c.silent && len(stdout) > 0 {
+				t.Fatalf("arppath-sim %v printed before it was refused:\n%s", cmd.Args[1:], stdout)
 			}
 		})
 	}

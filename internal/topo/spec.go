@@ -201,17 +201,41 @@ func (t TopologySpec) WithDefaults() (TopologySpec, error) {
 	if err != nil {
 		return t, err
 	}
-	v := reflect.ValueOf(t)
-	for i := 1; i < v.NumField(); i++ { // field 0 is the family
-		key, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
-		if !v.Field(i).IsZero() && !slices.Contains(f.keys, key) {
-			return t, fmt.Errorf("spec: topology.%s: %s does not read it", key, t.Family)
-		}
+	if err := CheckKeys(t, "spec: topology.", t.Family, []string{"family"}, f.keys); err != nil {
+		return t, err
 	}
 	if f.defaults != nil {
 		f.defaults(&t)
 	}
 	return t, f.check(t)
+}
+
+// CheckKeys is the one key check of every vocabulary (topology families,
+// workload kinds, daemon ops): it refuses the first set field of struct v
+// that no list in reads names, as "<prefix><key>: <who> does not read it".
+// A key is a field's json name, dotted below a struct not read whole.
+func CheckKeys(v any, prefix, who string, reads ...[]string) error {
+	if key := unread(reflect.ValueOf(v), "", reads); key != "" {
+		return fmt.Errorf("%s%s: %s does not read it", prefix, key, who)
+	}
+	return nil
+}
+
+func unread(v reflect.Value, prefix string, reads [][]string) string {
+	for i := range v.NumField() {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		key, f := prefix+name, v.Field(i)
+		switch {
+		case f.IsZero() || slices.ContainsFunc(reads, func(r []string) bool { return slices.Contains(r, key) }):
+		case f.Kind() == reflect.Struct:
+			if k := unread(f, key+".", reads); k != "" {
+				return k
+			}
+		default:
+			return key
+		}
+	}
+	return ""
 }
 
 // Build builds a defaulted TopologySpec with its family's builder.

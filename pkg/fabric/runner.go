@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -88,13 +87,13 @@ func (r *Runner) Run() (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
+	k, _ := lookupKind(spec.Workload.Kind) // WithDefaults refused an unknown kind
+	if k.run == nil {
+		return nil, fmt.Errorf("fabric: spec has no workload kind")
+	}
 	out := r.Out
 	if out == nil {
 		out = os.Stdout
-	}
-	jobs := r.Jobs
-	if jobs < 1 {
-		jobs = runtime.GOMAXPROCS(0)
 	}
 	res = &Result{Spec: spec}
 
@@ -108,7 +107,7 @@ func (r *Runner) Run() (res *Result, err error) {
 	// so warm-up traffic is covered too). The sweep computes per-scenario
 	// fingerprints itself; Run folds those instead.
 	var fps []*netsim.TapFingerprint
-	if spec.Verify.Fingerprint && spec.Workload.Kind != "sweep" {
+	if spec.Verify.Fingerprint && !k.scenarios {
 		prev := topo.OnBuilt
 		topo.OnBuilt = func(n *topo.Net) {
 			fp := netsim.NewTapFingerprint()
@@ -130,25 +129,7 @@ func (r *Runner) Run() (res *Result, err error) {
 		}()
 	}
 
-	switch spec.Workload.Kind {
-	case "ping", "stream", "allpairs":
-		err = r.runSim(spec, out, res)
-	case "matrix":
-		err = r.runMatrix(spec, out, res)
-	case "figure2-demo":
-		err = r.runFigure2Demo(spec, out, res)
-	case "path-repair":
-		err = r.runPathRepair(spec, out, res)
-	case "properties", "load", "proxy", "repair", "lockwindow", "tablesize", "scale", "allpath", "tables", "all":
-		err = r.runBench(spec, out, res)
-	case "sweep":
-		err = r.runSweep(spec, out, jobs, res)
-	case "":
-		return nil, fmt.Errorf("fabric: spec has no workload kind")
-	default:
-		return nil, fmt.Errorf("fabric: unknown workload kind %q", spec.Workload.Kind)
-	}
-	if err != nil {
+	if err = k.run(r, spec, out, res); err != nil {
 		return res, err
 	}
 

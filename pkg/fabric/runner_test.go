@@ -150,11 +150,7 @@ func TestReproduceSpecIsTheFailingScenario(t *testing.T) {
 		if spec, err = spec.WithDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		cfgs, err := sweepConfigs(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cfgs) != 1 || cfgs[0] != cfg {
+		if cfgs := sweepConfigs(spec); len(cfgs) != 1 || cfgs[0] != cfg {
 			t.Fatalf("%s expands to %+v, want exactly %+v", line, cfgs, cfg)
 		}
 	}

@@ -18,28 +18,38 @@ package serve
 // out byte-identical at any shard count.
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"repro/pkg/fabric"
 
 	"repro/internal/scenario"
+	"repro/internal/topo"
 )
 
-// Request is one client line. Op selects the action; the other fields are
-// its parameters (named entities, counts, durations). Unused fields must
-// be absent or zero.
+// Request is one client line: an op and its fields. Each op is one row
+// of the op table (wireOps) and reads its own fields; a set field the op
+// does not read is refused, as is an unknown op:
 //
-// Ops:
-//
-//	workload: ping, stream, burst, matrix
-//	fault:    link-down, link-up, flap, set-loss, clear-loss,
-//	          bridge-restart, host-move, host-return, partition, heal
-//	control:  info, stats, metrics, drain, shutdown
+//	ping                  src, dst, class (priority or background), count, size, interval, timeout
+//	stream                src, dst, bytes
+//	burst                 src, dst, count, interval, payload
+//	matrix                seed, flows, count, interval, payload
+//	link-down, link-up    link
+//	flap                  link, for
+//	set-loss              link, side, rate, for
+//	clear-loss            link, side
+//	bridge-restart        bridge
+//	host-move             host, for
+//	host-return           host
+//	partition             seed, for
+//	heal, drain           —
+//	info, stats, metrics, shutdown
+//	                      —: control ops, answered at a boundary and never logged
 type Request struct {
 	Op string `json:"op"`
 
-	// Workload parameters.
 	Src      string          `json:"src,omitempty"`
 	Dst      string          `json:"dst,omitempty"`
 	Class    string          `json:"class,omitempty"` // latency class: "priority" or "background"
@@ -50,15 +60,13 @@ type Request struct {
 	Bytes    int             `json:"bytes,omitempty"`
 	Payload  int             `json:"payload,omitempty"`
 	Flows    int             `json:"flows,omitempty"`
-
-	// Fault parameters.
-	Link   string          `json:"link,omitempty"`
-	Bridge string          `json:"bridge,omitempty"`
-	Host   string          `json:"host,omitempty"`
-	Side   int             `json:"side,omitempty"`
-	Rate   float64         `json:"rate,omitempty"`
-	For    fabric.Duration `json:"for,omitempty"` // self-heal horizon: flap/set-loss/host-move/partition
-	Seed   int64           `json:"seed,omitempty"`
+	Link     string          `json:"link,omitempty"`
+	Bridge   string          `json:"bridge,omitempty"`
+	Host     string          `json:"host,omitempty"`
+	Side     int             `json:"side,omitempty"`
+	Rate     float64         `json:"rate,omitempty"`
+	For      fabric.Duration `json:"for,omitempty"` // self-heal horizon: flap/set-loss/host-move/partition
+	Seed     int64           `json:"seed,omitempty"`
 }
 
 // Response is one daemon line. OK distinguishes accepted from rejected;
@@ -224,56 +232,153 @@ func checkSpan(what string, n int, step, tail time.Duration) error {
 	return nil
 }
 
-// hostPair refuses an op whose src or dst is missing or names no host.
-func (s *Server) hostPair(op, src, dst string) error {
-	if src == "" || dst == "" {
-		return fmt.Errorf("%s requires src and dst", op)
-	}
-	for _, h := range []string{src, dst} {
-		if _, ok := s.index.HostIndex(h); !ok {
-			return fmt.Errorf("unknown host %q", h)
+// wireOp is one row of the op table: everything the daemon knows about
+// one wire op. reads are the Request fields it reads besides op;
+// lookupOp refuses any other set field. A mutating op's compile
+// translates and defaults the request into the log entry applyEntry
+// checks and executes; a control op answers at the boundary instead.
+type wireOp struct {
+	name    string
+	reads   []string
+	compile func(s *Server, req Request) (*logEntry, error)
+	control func(s *Server, resp *Response)
+}
+
+// wireOps is the op table.
+var wireOps = []wireOp{
+	{name: "ping", reads: []string{"src", "dst", "class", "count", "size", "interval", "timeout"}, compile: compilePing},
+	{name: "stream", reads: []string{"src", "dst", "bytes"}, compile: compileStream},
+	{name: "burst", reads: []string{"src", "dst", "count", "interval", "payload"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			si, err := s.hostIx(req, req.Src, "src")
+			if err != nil {
+				return nil, err
+			}
+			di, err := s.hostIx(req, req.Dst, "dst")
+			return []scenario.FaultOp{burst(si, di, req)}, err
+		})},
+	// A seeded burst matrix: flows random host pairs, every burst with the
+	// request's sizing. The expansion is logged, so the matrix a replay
+	// drives is the one that ran, whatever this derivation does.
+	{name: "matrix", reads: []string{"seed", "flows", "count", "interval", "payload"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			hosts := s.index.Hosts()
+			if len(hosts) < 2 {
+				return nil, fmt.Errorf("matrix requires at least two hosts")
+			}
+			flows := cmp.Or(req.Flows, defaultMatrixFlows)
+			if flows < 1 || flows > 256 {
+				return nil, fmt.Errorf("matrix flows %d outside [1,256]", flows)
+			}
+			rng := newSeededRand(req.Seed)
+			var ops []scenario.FaultOp
+			for range flows {
+				src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts))
+				if dst == src {
+					dst = (dst + 1) % len(hosts)
+				}
+				ops = append(ops, burst(src, dst, req))
+			}
+			return ops, nil
+		})},
+	{name: "link-down", reads: []string{"link"}, compile: linkOp(scenario.OpLinkDown)},
+	{name: "link-up", reads: []string{"link"}, compile: linkOp(scenario.OpLinkUp)},
+	{name: "flap", reads: []string{"link", "for"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			li, err := s.link(req)
+			return []scenario.FaultOp{
+				{Kind: scenario.OpLinkDown, Link: li},
+				{At: cmp.Or(req.For.D(), defaultFlapFor), Kind: scenario.OpLinkUp, Link: li},
+			}, err
+		})},
+	{name: "set-loss", reads: []string{"link", "side", "rate", "for"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			li, err := s.link(req)
+			ops := []scenario.FaultOp{{Kind: scenario.OpSetLoss, Link: li, Side: req.Side, Rate: req.Rate}}
+			if d := req.For.D(); d > 0 {
+				ops = append(ops, scenario.FaultOp{At: d, Kind: scenario.OpClearLoss, Link: li, Side: req.Side})
+			}
+			return ops, err
+		})},
+	{name: "clear-loss", reads: []string{"link", "side"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			li, err := s.link(req)
+			return []scenario.FaultOp{{Kind: scenario.OpClearLoss, Link: li, Side: req.Side}}, err
+		})},
+	{name: "bridge-restart", reads: []string{"bridge"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			bi, err := resolve(req, "bridge", "a bridge name", req.Bridge, s.index.BridgeIndex)
+			return []scenario.FaultOp{{Kind: scenario.OpBridgeRestart, Bridge: bi}}, err
+		})},
+	{name: "host-move", reads: []string{"host", "for"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			hi, err := s.hostIx(req, req.Host, "a host name")
+			ops := []scenario.FaultOp{{Kind: scenario.OpHostMove, Host: hi}}
+			if d := req.For.D(); d > 0 {
+				ops = append(ops, scenario.FaultOp{At: d, Kind: scenario.OpHostReturn, Host: hi})
+			}
+			return ops, err
+		})},
+	{name: "host-return", reads: []string{"host"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			hi, err := s.hostIx(req, req.Host, "a host name")
+			return []scenario.FaultOp{{Kind: scenario.OpHostReturn, Host: hi}}, err
+		})},
+	{name: "partition", reads: []string{"seed", "for"},
+		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+			cut := s.index.PartitionCut(req.Seed)
+			if len(cut) == 0 {
+				return nil, fmt.Errorf("partition: the bridge graph yields no cut")
+			}
+			d := cmp.Or(req.For.D(), defaultPartitionFor)
+			var ops []scenario.FaultOp
+			for _, li := range cut {
+				ops = append(ops,
+					scenario.FaultOp{Kind: scenario.OpLinkDown, Link: li},
+					scenario.FaultOp{At: d, Kind: scenario.OpLinkUp, Link: li})
+			}
+			return ops, nil
+		})},
+	{name: "heal", compile: func(*Server, Request) (*logEntry, error) { return &logEntry{Heal: true}, nil }},
+	{name: "drain", compile: func(*Server, Request) (*logEntry, error) { return &logEntry{Drain: true}, nil }},
+	{name: "info", control: func(s *Server, resp *Response) { resp.Info = s.info() }},
+	{name: "stats", control: func(s *Server, resp *Response) { resp.Stats = s.stats() }},
+	{name: "metrics", control: func(s *Server, resp *Response) { resp.Metrics = s.renderMetrics() }},
+	{name: "shutdown", control: func(s *Server, resp *Response) { s.stopping, resp.Seq = true, s.seq }},
+}
+
+// lookupOp is the op table's row for the request, or the error refusing
+// it: an unknown op, or a set field the op does not read.
+func lookupOp(req Request) (*wireOp, error) {
+	for i := range wireOps {
+		if o := &wireOps[i]; o.name == req.Op {
+			return o, topo.CheckKeys(req, "", req.Op, opKey, o.reads)
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("unknown op %q", req.Op)
 }
 
-// compilePing translates and defaults a ping request.
-func (s *Server) compilePing(req Request) (*PingOp, error) {
-	if err := s.hostPair("ping", req.Src, req.Dst); err != nil {
-		return nil, err
-	}
-	p := &PingOp{
+var opKey = []string{"op"}
+
+// compilePing defaults a ping request; applyEntry checks it.
+func compilePing(_ *Server, req Request) (*logEntry, error) {
+	return &logEntry{Ping: &PingOp{
 		Src: req.Src, Dst: req.Dst,
-		Count: req.Count, Size: req.Size,
-		Interval: req.Interval, Timeout: req.Timeout,
-		Class: req.Class,
-	}
-	if p.Count == 0 {
-		p.Count = defaultPingCount
-	}
-	if p.Size == 0 {
-		p.Size = defaultPingSize
-	}
-	if p.Interval == 0 {
-		p.Interval = fabric.Duration(defaultPingInterval)
-	}
-	if p.Timeout == 0 {
-		p.Timeout = fabric.Duration(defaultPingTimeout)
-	}
-	if p.Class == "" {
-		p.Class = ClassBackground
-	}
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return p, nil
+		Count:    cmp.Or(req.Count, defaultPingCount),
+		Size:     cmp.Or(req.Size, defaultPingSize),
+		Interval: cmp.Or(req.Interval, fabric.Duration(defaultPingInterval)),
+		Timeout:  cmp.Or(req.Timeout, fabric.Duration(defaultPingTimeout)),
+		Class:    cmp.Or(req.Class, ClassBackground),
+	}}, nil
 }
 
-// check refuses a defaulted ping the wire would refuse. compilePing and
-// applyEntry both run it, so a hand-written op-log line gets the same
-// bounds as a request.
+// check refuses a defaulted ping the wire would refuse. applyEntry runs
+// it on the live and the replay path alike, so a hand-written op-log line
+// gets the same bounds as a request.
 func (p *PingOp) check() error {
 	switch {
+	case p.Src == "" || p.Dst == "":
+		return fmt.Errorf("ping requires src and dst")
 	case p.Src == p.Dst:
 		return fmt.Errorf("ping src and dst are both %q", p.Src)
 	case p.Count < 1 || p.Count > 1000:
@@ -282,29 +387,23 @@ func (p *PingOp) check() error {
 		return fmt.Errorf("ping size %d outside [0,1400]", p.Size)
 	case p.Interval.D() <= 0 || p.Timeout.D() <= 0:
 		return fmt.Errorf("ping interval and timeout must be positive")
+	case p.Class != ClassPriority && p.Class != ClassBackground:
+		return fmt.Errorf("ping class %q is neither %s nor %s", p.Class, ClassPriority, ClassBackground)
 	}
 	return checkSpan("ping", p.Count-1, p.Interval.D(), p.Timeout.D())
 }
 
-// compileStream translates and defaults a stream request.
-func (s *Server) compileStream(req Request) (*StreamOp, error) {
-	if err := s.hostPair("stream", req.Src, req.Dst); err != nil {
-		return nil, err
-	}
-	st := &StreamOp{Src: req.Src, Dst: req.Dst, Bytes: req.Bytes}
-	if st.Bytes == 0 {
-		st.Bytes = defaultStreamBytes
-	}
-	if err := st.check(); err != nil {
-		return nil, err
-	}
-	return st, nil
+// compileStream defaults a stream request; applyEntry checks it.
+func compileStream(_ *Server, req Request) (*logEntry, error) {
+	return &logEntry{Stream: &StreamOp{Src: req.Src, Dst: req.Dst, Bytes: cmp.Or(req.Bytes, defaultStreamBytes)}}, nil
 }
 
 // check refuses a defaulted stream the wire would refuse (see
 // PingOp.check).
 func (st *StreamOp) check() error {
 	switch {
+	case st.Src == "" || st.Dst == "":
+		return fmt.Errorf("stream requires src and dst")
 	case st.Src == st.Dst:
 		return fmt.Errorf("stream src and dst are both %q", st.Src)
 	case st.Bytes < 1 || st.Bytes > 64<<20:
@@ -313,166 +412,56 @@ func (st *StreamOp) check() error {
 	return nil
 }
 
-// compileFault translates a fault-family request into scenario ops. One
-// request may expand to several ops (a flap is down+up, a partition is a
-// whole cut); the expansion — not the request — is what the op-log
-// stores, so replay never re-derives a cut or a port assignment.
-func (s *Server) compileFault(req Request) ([]scenario.FaultOp, error) {
-	link := func() (int, error) {
-		if req.Link == "" {
-			return 0, fmt.Errorf("%s requires a link name", req.Op)
+// fault is a fault op's compile step: expand translates the request into
+// scenario ops, which applyEntry validates. One request may expand to
+// several ops (a flap is down+up, a partition is a whole cut); the
+// expansion — not the request — is what the op-log stores, so replay
+// never re-derives a cut or a port assignment.
+func fault(expand func(s *Server, req Request) ([]scenario.FaultOp, error)) func(*Server, Request) (*logEntry, error) {
+	return func(s *Server, req Request) (*logEntry, error) {
+		ops, err := expand(s, req)
+		if err != nil {
+			return nil, err
 		}
-		li, ok := s.index.LinkIndex(req.Link)
-		if !ok {
-			return 0, fmt.Errorf("unknown link %q", req.Link)
-		}
-		return li, nil
+		return &logEntry{Fault: ops}, nil
 	}
-	hostIx := func(name, what string) (int, error) {
-		if name == "" {
-			return 0, fmt.Errorf("%s requires %s", req.Op, what)
-		}
-		hi, ok := s.index.HostIndex(name)
-		if !ok {
-			return 0, fmt.Errorf("unknown host %q", name)
-		}
-		return hi, nil
-	}
-	burst := func(src, dst int, count int, interval, payload int) scenario.FaultOp {
-		if count == 0 {
-			count = defaultBurstCount
-		}
-		if interval == 0 {
-			interval = int(defaultBurstSpacing)
-		}
-		if payload == 0 {
-			payload = defaultBurstPayload
-		}
-		return scenario.FaultOp{
-			Kind: scenario.OpBurst, Src: src, Dst: dst, Port: burstPort,
-			Count: count, Interval: time.Duration(interval), Payload: payload,
-		}
-	}
+}
 
-	var ops []scenario.FaultOp
-	switch req.Op {
-	case "link-down", "link-up":
-		li, err := link()
-		if err != nil {
-			return nil, err
-		}
-		kind := scenario.OpLinkDown
-		if req.Op == "link-up" {
-			kind = scenario.OpLinkUp
-		}
-		ops = []scenario.FaultOp{{Kind: kind, Link: li}}
-	case "flap":
-		li, err := link()
-		if err != nil {
-			return nil, err
-		}
-		d := req.For.D()
-		if d == 0 {
-			d = defaultFlapFor
-		}
-		ops = []scenario.FaultOp{
-			{Kind: scenario.OpLinkDown, Link: li},
-			{At: d, Kind: scenario.OpLinkUp, Link: li},
-		}
-	case "set-loss":
-		li, err := link()
-		if err != nil {
-			return nil, err
-		}
-		ops = []scenario.FaultOp{{Kind: scenario.OpSetLoss, Link: li, Side: req.Side, Rate: req.Rate}}
-		if d := req.For.D(); d > 0 {
-			ops = append(ops, scenario.FaultOp{At: d, Kind: scenario.OpClearLoss, Link: li, Side: req.Side})
-		}
-	case "clear-loss":
-		li, err := link()
-		if err != nil {
-			return nil, err
-		}
-		ops = []scenario.FaultOp{{Kind: scenario.OpClearLoss, Link: li, Side: req.Side}}
-	case "bridge-restart":
-		if req.Bridge == "" {
-			return nil, fmt.Errorf("bridge-restart requires a bridge name")
-		}
-		bi, ok := s.index.BridgeIndex(req.Bridge)
-		if !ok {
-			return nil, fmt.Errorf("unknown bridge %q", req.Bridge)
-		}
-		ops = []scenario.FaultOp{{Kind: scenario.OpBridgeRestart, Bridge: bi}}
-	case "host-move":
-		hi, err := hostIx(req.Host, "a host name")
-		if err != nil {
-			return nil, err
-		}
-		ops = []scenario.FaultOp{{Kind: scenario.OpHostMove, Host: hi}}
-		if d := req.For.D(); d > 0 {
-			ops = append(ops, scenario.FaultOp{At: d, Kind: scenario.OpHostReturn, Host: hi})
-		}
-	case "host-return":
-		hi, err := hostIx(req.Host, "a host name")
-		if err != nil {
-			return nil, err
-		}
-		ops = []scenario.FaultOp{{Kind: scenario.OpHostReturn, Host: hi}}
-	case "partition":
-		cut := s.index.PartitionCut(req.Seed)
-		if len(cut) == 0 {
-			return nil, fmt.Errorf("partition: the bridge graph yields no cut")
-		}
-		d := req.For.D()
-		if d == 0 {
-			d = defaultPartitionFor
-		}
-		for _, li := range cut {
-			ops = append(ops,
-				scenario.FaultOp{Kind: scenario.OpLinkDown, Link: li},
-				scenario.FaultOp{At: d, Kind: scenario.OpLinkUp, Link: li})
-		}
-	case "burst":
-		si, err := hostIx(req.Src, "src")
-		if err != nil {
-			return nil, err
-		}
-		di, err := hostIx(req.Dst, "dst")
-		if err != nil {
-			return nil, err
-		}
-		ops = []scenario.FaultOp{burst(si, di, req.Count, int(req.Interval.D()), req.Payload)}
-	case "matrix":
-		// A seeded burst matrix: Flows random host pairs, every burst with
-		// the request's sizing. The expansion is logged, so the matrix a
-		// replay drives is the one that ran, whatever this derivation does.
-		hosts := s.index.Hosts()
-		if len(hosts) < 2 {
-			return nil, fmt.Errorf("matrix requires at least two hosts")
-		}
-		flows := req.Flows
-		if flows == 0 {
-			flows = defaultMatrixFlows
-		}
-		if flows < 1 || flows > 256 {
-			return nil, fmt.Errorf("matrix flows %d outside [1,256]", flows)
-		}
-		rng := newSeededRand(req.Seed)
-		for i := 0; i < flows; i++ {
-			src := rng.Intn(len(hosts))
-			dst := rng.Intn(len(hosts))
-			if dst == src {
-				dst = (dst + 1) % len(hosts)
-			}
-			ops = append(ops, burst(src, dst, req.Count, int(req.Interval.D()), req.Payload))
-		}
-	default:
-		return nil, fmt.Errorf("unknown op %q", req.Op)
+// linkOp is the compile step of an op that takes one link down or up.
+func linkOp(kind scenario.FaultKind) func(*Server, Request) (*logEntry, error) {
+	return fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
+		li, err := s.link(req)
+		return []scenario.FaultOp{{Kind: kind, Link: li}}, err
+	})
+}
+
+// resolve looks up the name a request gives for a noun (what names it
+// in the refusal of an absent name) with find.
+func resolve(req Request, noun, what, name string, find func(string) (int, bool)) (int, error) {
+	if name == "" {
+		return 0, fmt.Errorf("%s requires %s", req.Op, what)
 	}
-	for _, op := range ops {
-		if err := s.index.Validate(op); err != nil {
-			return nil, err
-		}
+	i, ok := find(name)
+	if !ok {
+		return 0, fmt.Errorf("unknown %s %q", noun, name)
 	}
-	return ops, nil
+	return i, nil
+}
+
+func (s *Server) link(req Request) (int, error) {
+	return resolve(req, "link", "a link name", req.Link, s.index.LinkIndex)
+}
+
+func (s *Server) hostIx(req Request, name, what string) (int, error) {
+	return resolve(req, "host", what, name, s.index.HostIndex)
+}
+
+// burst is one UDP burst src → dst with the request's sizing.
+func burst(src, dst int, req Request) scenario.FaultOp {
+	return scenario.FaultOp{
+		Kind: scenario.OpBurst, Src: src, Dst: dst, Port: burstPort,
+		Count:    cmp.Or(req.Count, defaultBurstCount),
+		Interval: cmp.Or(req.Interval.D(), defaultBurstSpacing),
+		Payload:  cmp.Or(req.Payload, defaultBurstPayload),
+	}
 }

@@ -59,8 +59,9 @@ const maxFlows = 512
 
 // Options configures a Server.
 type Options struct {
-	// Spec is the fabric to serve. An empty topology family defaults to
-	// figure2, mirroring the batch runner.
+	// Spec is the fabric to serve: it names no workload kind, and an
+	// empty topology family defaults to figure2, mirroring the batch
+	// runner.
 	Spec fabric.Spec
 	// Quantum is the op-application grid (DefaultQuantum when zero).
 	Quantum time.Duration
@@ -170,6 +171,9 @@ type Server struct {
 // newServer builds the fabric and the serving state without starting the
 // loop; New starts the live loop, Replay drives the same state inline.
 func newServer(o Options) (*Server, error) {
+	if k := o.Spec.Workload.Kind; k != "" {
+		return nil, fmt.Errorf("serve: the spec names workload kind %q; the daemon serves a fabric, and its clients' ops are the workload", k)
+	}
 	spec, err := o.Spec.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -448,27 +452,22 @@ func (s *Server) paceSleep() {
 	}
 }
 
-// handle answers one request at the current boundary. Read-only ops never
+// handle answers one request at the current boundary. Control ops never
 // touch the op-log; mutating ops are compiled, applied, logged, then
 // acknowledged with their sequence number and boundary.
 func (s *Server) handle(r *request) {
 	now := fabric.Duration(s.built.Now())
-	switch r.req.Op {
-	case "info":
-		r.resp <- Response{OK: true, At: now, Info: s.info()}
-		return
-	case "stats":
-		r.resp <- Response{OK: true, At: now, Stats: s.stats()}
-		return
-	case "metrics":
-		r.resp <- Response{OK: true, At: now, Metrics: s.renderMetrics()}
-		return
-	case "shutdown":
-		s.stopping = true
-		r.resp <- Response{OK: true, Seq: s.seq, At: now}
+	o, err := lookupOp(r.req)
+	if err == nil && o.control != nil {
+		resp := Response{OK: true, At: now}
+		o.control(s, &resp)
+		r.resp <- resp
 		return
 	}
-	entry, err := s.compile(r.req)
+	var entry *logEntry
+	if err == nil {
+		entry, err = o.compile(s, r.req)
+	}
 	if err == nil {
 		entry.At = now
 		err = s.applyEntry(entry)
@@ -482,38 +481,6 @@ func (s *Server) handle(r *request) {
 	s.opCounts[r.req.Op]++
 	s.logAppend(entry)
 	r.resp <- Response{OK: true, Seq: s.seq, At: fabric.Duration(s.built.Now())}
-}
-
-// compile translates a wire request into the log-entry form applyEntry
-// executes. Validation happens here and in applyEntry's resolution — all
-// of it before any fabric mutation, so a rejected op leaves no trace.
-func (s *Server) compile(req Request) (*logEntry, error) {
-	e := &logEntry{}
-	switch req.Op {
-	case "ping":
-		p, err := s.compilePing(req)
-		if err != nil {
-			return nil, err
-		}
-		e.Ping = p
-	case "stream":
-		st, err := s.compileStream(req)
-		if err != nil {
-			return nil, err
-		}
-		e.Stream = st
-	case "heal":
-		e.Heal = true
-	case "drain":
-		e.Drain = true
-	default:
-		ops, err := s.compileFault(req)
-		if err != nil {
-			return nil, err
-		}
-		e.Fault = ops
-	}
-	return e, nil
 }
 
 // applyEntry executes one op at the current boundary. It is the shared
@@ -572,17 +539,25 @@ func (s *Server) newFlow(label, class string) *flow {
 	return fl
 }
 
+// hosts resolves an op's src and dst host names.
+func (s *Server) hosts(src, dst string) (*host.Host, *host.Host, error) {
+	var hs [2]*host.Host
+	for i, name := range []string{src, dst} {
+		hi, ok := s.index.HostIndex(name)
+		if !ok {
+			return nil, nil, fmt.Errorf("unknown host %q", name)
+		}
+		hs[i] = s.index.Host(hi)
+	}
+	return hs[0], hs[1], nil
+}
+
 func (s *Server) applyPing(p *PingOp) error {
-	si, ok := s.index.HostIndex(p.Src)
-	if !ok {
-		return fmt.Errorf("unknown host %q", p.Src)
+	src, dst, err := s.hosts(p.Src, p.Dst)
+	if err != nil {
+		return err
 	}
-	di, ok := s.index.HostIndex(p.Dst)
-	if !ok {
-		return fmt.Errorf("unknown host %q", p.Dst)
-	}
-	src := s.index.Host(si)
-	ip := s.index.Host(di).IP()
+	ip := dst.IP()
 	fl := s.newFlow(p.Src+">"+p.Dst, p.Class)
 	count, size := p.Count, p.Size
 	interval, timeout := p.Interval.D(), p.Timeout.D()
@@ -603,16 +578,10 @@ func (s *Server) applyPing(p *PingOp) error {
 }
 
 func (s *Server) applyStream(st *StreamOp) error {
-	si, ok := s.index.HostIndex(st.Src)
-	if !ok {
-		return fmt.Errorf("unknown host %q", st.Src)
+	server, client, err := s.hosts(st.Src, st.Dst)
+	if err != nil {
+		return err
 	}
-	di, ok := s.index.HostIndex(st.Dst)
-	if !ok {
-		return fmt.Errorf("unknown host %q", st.Dst)
-	}
-	server := s.index.Host(si)
-	client := s.index.Host(di)
 	fl := s.newFlow(st.Src+">"+st.Dst, "stream")
 	cfg := app.DefaultStreamConfig()
 	cfg.Size = st.Bytes

@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -300,6 +303,15 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	} else if _, err := New(Options{Spec: spec}); err == nil || !strings.Contains(err.Error(), "hello") {
 		t.Fatalf("daemon booted on an unusable spec (err=%v)", err)
 	}
+	// The daemon serves a fabric: a spec naming a workload kind, in a
+	// header or at boot, would have its workload dropped, so it is refused.
+	withKind := `{"topology":{"family":"ring","n":3},"workload":{"kind":"ping"}}`
+	if _, err := Replay(strings.NewReader(`{"fabricserve":1,"spec":`+withKind+`,"quantum":"10ms"}`+"\n"), 0, io.Discard); err == nil || !strings.Contains(err.Error(), `workload kind "ping"`) {
+		t.Fatalf("header spec naming a workload kind accepted (err=%v)", err)
+	}
+	if _, err := New(Options{Spec: fabric.Spec{Workload: fabric.WorkloadSpec{Kind: "ping"}}}); err == nil || !strings.Contains(err.Error(), `workload kind "ping"`) {
+		t.Fatalf("daemon booted on a spec naming a workload kind (err=%v)", err)
+	}
 	backwards := header + "\n" +
 		`{"at":"20ms","seq":1,"heal":true}` + "\n" +
 		`{"at":"5ms","seq":2,"heal":true}` + "\n"
@@ -430,6 +442,7 @@ var outOfRangeEntries = []struct{ line, want string }{
 	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":1,"size":-1,"interval":"20ms","timeout":"1s","class":"background"}}`, "size -1 outside"},
 	{`{"at":"1s","seq":1,"ping":{"src":"H3","dst":"H3","count":1,"size":56,"interval":"20ms","timeout":"1s","class":"background"}}`, "both"},
 	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":1,"size":56,"interval":"0s","timeout":"1s","class":"background"}}`, "must be positive"},
+	{`{"at":"1s","seq":1,"ping":{"src":"H1","dst":"H4","count":1,"size":56,"interval":"20ms","timeout":"1s","class":"urgent"}}`, `class "urgent"`},
 }
 
 // TestReplayRefusesOutOfRangeEntries: a hand-written op-log line outside
@@ -688,6 +701,11 @@ func TestServeRefusesMalformed(t *testing.T) {
 		{name: "Loss on a third side", line: `{"op":"set-loss","link":"S1-S3","side":2,"rate":0.5}`, want: "loss side 2 must be 0 or 1"},
 		{name: "Unknown bridge", line: `{"op":"bridge-restart","bridge":"S9"}`, want: `unknown bridge "S9"`},
 		{name: "Unknown host to move", line: `{"op":"host-move","host":"H9","for":"10ms"}`, want: `unknown host "H9"`},
+		{name: "Unknown class", line: `{"op":"ping","src":"H1","dst":"H3","class":"urgent"}`, want: `ping class "urgent" is neither priority nor background`},
+		{name: "Field a workload op does not read", line: `{"op":"ping","src":"H1","dst":"H3","link":"S1-S3","bytes":9}`, want: "bytes: ping does not read it"},
+		{name: "Field a control op does not read", line: `{"op":"stats","count":5,"host":"H9"}`, want: "count: stats does not read it"},
+		{name: "Field a fault op does not read", line: `{"op":"heal","src":"H1"}`, want: "src: heal does not read it"},
+		{name: "Field shutdown does not read", line: `{"op":"shutdown","for":"1s"}`, want: "for: shutdown does not read it"},
 	}
 	srv, err := New(Options{Spec: fuzzSpec})
 	if err != nil {
@@ -703,5 +721,75 @@ func TestServeRefusesMalformed(t *testing.T) {
 	srv.Shutdown()
 	if rep := srv.Wait(); rep == nil || rep.Ops != 0 || rep.LeakedFrames != 0 {
 		t.Fatalf("session ended with report %+v, want no op run and no leaked frame", rep)
+	}
+}
+
+// requestFields sets each Request field but op to a value every op that
+// reads it accepts on fuzzSpec's fabric.
+var requestFields = map[string]func(*Request){
+	"src":      func(r *Request) { r.Src = "H1" },
+	"dst":      func(r *Request) { r.Dst = "H3" },
+	"class":    func(r *Request) { r.Class = ClassPriority },
+	"count":    func(r *Request) { r.Count = 2 },
+	"size":     func(r *Request) { r.Size = 8 },
+	"interval": func(r *Request) { r.Interval = fabric.Duration(time.Millisecond) },
+	"timeout":  func(r *Request) { r.Timeout = fabric.Duration(time.Second) },
+	"bytes":    func(r *Request) { r.Bytes = 1000 },
+	"payload":  func(r *Request) { r.Payload = 100 },
+	"flows":    func(r *Request) { r.Flows = 2 },
+	"link":     func(r *Request) { r.Link = "S1-S2" },
+	"bridge":   func(r *Request) { r.Bridge = "S1" },
+	"host":     func(r *Request) { r.Host = "H1" },
+	"side":     func(r *Request) { r.Side = 1 },
+	"rate":     func(r *Request) { r.Rate = 0.5 },
+	"for":      func(r *Request) { r.For = fabric.Duration(5 * time.Millisecond) },
+	"seed":     func(r *Request) { r.Seed = 3 },
+}
+
+// TestOpTableKeys holds the daemon to its op table: for every row, a
+// request that sets every field the op reads is accepted, and the same
+// request with any other field set is refused, naming the field and the
+// op, before it is applied or logged. requestFields covers every Request
+// field but op.
+func TestOpTableKeys(t *testing.T) {
+	typ := reflect.TypeOf(Request{})
+	for i := 1; i < typ.NumField(); i++ { // field 0 is the op
+		if key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); requestFields[key] == nil {
+			t.Errorf("Request field %s has no requestFields sample", key)
+		}
+	}
+	srv, err := New(Options{Spec: fuzzSpec})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	fields := slices.Sorted(maps.Keys(requestFields))
+	accepted := uint64(0)
+	for _, o := range wireOps {
+		full := Request{Op: o.name}
+		for _, key := range o.reads {
+			requestFields[key](&full)
+		}
+		for _, key := range fields {
+			if slices.Contains(o.reads, key) {
+				continue
+			}
+			req := full
+			requestFields[key](&req)
+			if resp := srv.do(req); resp.OK || resp.Error != key+": "+o.name+" does not read it" {
+				t.Errorf("%s with %s set answered %+v, want a refusal naming both", o.name, key, resp)
+			}
+		}
+		if o.name == "shutdown" {
+			continue // Shutdown below sends it
+		}
+		if resp := srv.do(full); !resp.OK {
+			t.Errorf("%s with every field it reads set answered %+v", o.name, resp)
+		} else if o.compile != nil {
+			accepted++
+		}
+	}
+	srv.Shutdown()
+	if rep := srv.Wait(); rep == nil || rep.Ops != accepted || rep.LeakedFrames != 0 {
+		t.Fatalf("session ended with report %+v, want %d ops and no leaked frame", rep, accepted)
 	}
 }

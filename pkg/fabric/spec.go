@@ -2,16 +2,13 @@ package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"slices"
-	"strings"
 
-	"repro/internal/experiments"
-	"repro/internal/host/app"
 	"repro/internal/netsim"
-	"repro/internal/scenario"
 	"repro/internal/topo"
 )
 
@@ -77,22 +74,25 @@ type LinkSpec struct {
 	QueueBytes int `json:"queue_bytes,omitempty"`
 }
 
-// WorkloadSpec selects what runs on the fabric. Kinds:
+// WorkloadSpec selects what runs: the "workload" object of a spec file.
+// Each kind is one row of the kind table (workload.go) and reads its own
+// Spec keys besides version, seed, shards and verify.fingerprint, which
+// every kind reads; WithDefaults refuses any other key that is set and
+// fills only the keys the kind reads:
 //
-//   - "ping", "stream", "allpairs" — the simulator workloads on the
-//     Spec's topology
-//   - "matrix" — a spec-level traffic matrix on the Spec's topology:
-//     seeded flow arrivals following the hotspot, permutation or
-//     weighted-pairs pattern, driven as TCP-lite transfers for any
-//     registered protocol
-//   - "figure2-demo" — the paper's Figure 2 ARP-Path vs STP latency demo
-//   - "path-repair" — Figure 3, streaming under successive link failures
-//   - "properties", "load", "proxy", "repair", "lockwindow",
-//     "tablesize", "scale", "allpath", "tables", "all" — the
-//     evaluation tables; "allpath" is the Flow-Path/TCP-Path
-//     comparative experiment over the same matrices, "tables" the
-//     eviction-pressure capacity sweep
-//   - "sweep" — the adversarial scenario sweep
+//	""            topology, protocol, link, warm_up (the fabric keys): no workload; fabricserve serves it
+//	ping          the fabric keys; pings, interval
+//	stream        the fabric keys; stream_size
+//	allpairs      the fabric keys
+//	matrix        the fabric keys; pattern (hotspot, permutation or pairs), flows, hotspots, skew, flow_bytes, arrival
+//	figure2-demo  pings, interval: Figure 2, ARP-Path vs STP latency
+//	path-repair   stream_size, failures, with_stp, fast_stp: Figure 3, streaming across link failures
+//	properties, load, proxy, repair, lockwindow, tablesize
+//	              —: the evaluation tables T1–T6; all runs the six
+//	scale         bridges (an even count ≥ 4): the sharded-engine scaling table
+//	allpath       bridges (an even count ≥ 4), flows: Flow-Path / TCP-Path over every matrix pattern
+//	tables        conversations: the eviction-pressure capacity sweep
+//	sweep         protocol, scenario, verify.pairs, verify.pings: the adversarial scenario sweep
 type WorkloadSpec struct {
 	Kind string `json:"kind,omitempty"`
 	// Pings/Interval drive ping-train workloads (ping, figure2-demo).
@@ -131,8 +131,8 @@ type WorkloadSpec struct {
 // test comes from Spec.Protocol — arppath (optionally with the proxy
 // enabled in its config extension), flowpath or tcppath; any other
 // config tuning is rejected, the sweep builds its fabrics with the
-// defaults — and the probe counts from Spec.Verify. Spec.Link and
-// Spec.WarmUp do not apply: each scenario draws its own links and
+// defaults — and the probe counts from Spec.Verify. The sweep reads no
+// Spec.Link or Spec.WarmUp: each scenario draws its own links and
 // warm-up from its seed.
 type ScenarioSpec struct {
 	// Topologies and Faults list family names, or ["all"] (the default;
@@ -205,11 +205,13 @@ func (s Spec) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// WithDefaults returns the Spec with every unset field filled explicitly,
-// validating as it goes: the protocol must be registered (its config
-// extension is decoded strictly, defaulted field-wise and re-encoded
-// canonically), the scenario families must exist, and the version must be
-// current. The result fully spells out the run a bare Spec implies.
+// WithDefaults returns the Spec with every key its workload kind reads
+// filled explicitly, or the spec: error refusing it: an unknown kind (the
+// error lists the known ones), a set key the kind does not read (naming
+// the key and the kind), a negative count or span, an unregistered
+// protocol (its config extension is decoded strictly, defaulted
+// field-wise and re-encoded canonically), or a value the kind's own check
+// refuses. The result fully spells out the run a bare Spec implies.
 func (s Spec) WithDefaults() (Spec, error) {
 	if s.Version == 0 {
 		s.Version = SpecVersion
@@ -222,6 +224,13 @@ func (s Spec) WithDefaults() (Spec, error) {
 	}
 	if s.Shards < 1 {
 		s.Shards = 1
+	}
+	k, err := lookupKind(s.Workload.Kind)
+	if err != nil {
+		return Spec{}, err
+	}
+	if err := topo.CheckKeys(s, "spec: ", fmt.Sprintf("workload kind %q", k.name), everyKind, k.keys); err != nil {
+		return Spec{}, err
 	}
 	// Sizes, counts and time spans are zero ("use the default") or
 	// positive; a negative one would reach a make() or a timer as a panic.
@@ -243,168 +252,44 @@ func (s Spec) WithDefaults() (Spec, error) {
 		}
 	}
 
-	// Protocol: resolve, decode the extension, default field-wise,
-	// re-encode canonically.
-	if s.Protocol.Name == "" {
-		s.Protocol.Name = string(topo.ARPPath)
+	reads := func(key string) bool { return slices.Contains(k.keys, key) }
+	if reads("protocol") { // resolve, decode, default field-wise, re-encode canonically
+		s.Protocol.Name = cmp.Or(s.Protocol.Name, string(topo.ARPPath))
+		def, cfg, err := topo.DecodeProtocol(topo.Protocol(s.Protocol.Name), s.Protocol.Config)
+		if err != nil {
+			return Spec{}, fmt.Errorf("spec: %w", err)
+		}
+		if s.Protocol.Config, err = def.Encode(cfg); err != nil {
+			return Spec{}, fmt.Errorf("spec: protocol %q config: %w", s.Protocol.Name, err)
+		}
+		if reads("warm_up") && s.WarmUp == 0 {
+			s.WarmUp = Duration(def.WarmUp(cfg))
+		}
 	}
-	def, cfg, err := topo.DecodeProtocol(topo.Protocol(s.Protocol.Name), s.Protocol.Config)
-	if err != nil {
-		return Spec{}, fmt.Errorf("spec: %w", err)
+	if reads("link") {
+		d := netsim.DefaultLinkConfig()
+		s.Link.RateBps = cmp.Or(s.Link.RateBps, d.Rate)
+		s.Link.Delay = cmp.Or(s.Link.Delay, Duration(d.Delay))
+		s.Link.QueueBytes = cmp.Or(s.Link.QueueBytes, d.Queue)
 	}
-	if s.Protocol.Config, err = def.Encode(cfg); err != nil {
-		return Spec{}, fmt.Errorf("spec: protocol %q config: %w", s.Protocol.Name, err)
-	}
-
-	// Link, warm-up.
-	d := netsim.DefaultLinkConfig()
-	if s.Link.RateBps == 0 {
-		s.Link.RateBps = d.Rate
-	}
-	if s.Link.Delay == 0 {
-		s.Link.Delay = Duration(d.Delay)
-	}
-	if s.Link.QueueBytes == 0 {
-		s.Link.QueueBytes = d.Queue
-	}
-	if s.WarmUp == 0 {
-		s.WarmUp = Duration(def.WarmUp(cfg))
-	}
-
-	// Topology defaults, only where a family is in play.
-	if s.Topology.Family != "" || topologyKinds[s.Workload.Kind] {
+	if reads("topology") {
 		if s.Topology, err = s.Topology.WithDefaults(); err != nil {
 			return Spec{}, err
 		}
 	}
-
-	s.Workload = s.Workload.withDefaults()
-	// scale and allpath build a degree-3 random-regular fabric of this size.
-	if k, b := s.Workload.Kind, s.Workload.Bridges; (k == "scale" || k == "allpath") && (b < 4 || b%2 != 0) {
-		return Spec{}, fmt.Errorf("spec: workload.bridges: %s needs an even count ≥ 4, got %d", k, s.Workload.Bridges)
+	if k.defaults != nil {
+		k.defaults(&s)
 	}
-
-	if s.Workload.Kind == "sweep" {
-		sc := ScenarioSpec{}
-		if s.Scenario != nil {
-			sc = *s.Scenario
-		}
-		sc, err := sc.withDefaults()
-		if err != nil {
+	if k.check != nil {
+		if err := k.check(s); err != nil {
 			return Spec{}, err
 		}
-		// The phase timing and probe counts default as a scenario does.
-		d := scenario.Config{
-			FaultPhase: sc.FaultPhase.D(), Quiesce: sc.Quiesce.D(),
-			VerifyPairs: s.Verify.Pairs, VerifyPings: s.Verify.Pings,
-		}.WithDefaults()
-		sc.FaultPhase, sc.Quiesce = Duration(d.FaultPhase), Duration(d.Quiesce)
-		s.Verify.Pairs, s.Verify.Pings = d.VerifyPairs, d.VerifyPings
-		s.Scenario = &sc
 	}
 	return s, nil
 }
 
-// topologyKinds are the workload kinds that build the Spec's topology;
-// no kind at all is fabricserve's, which serves it.
-var topologyKinds = map[string]bool{"": true, "ping": true, "stream": true, "allpairs": true, "matrix": true}
-
 // BuildTopology builds the Spec's (defaulted) topology with its family's builder.
 func BuildTopology(opts Options, t TopologySpec) (*Built, error) { return topo.Build(opts, t) }
-
-// withDefaults fills the workload's unset knobs from the defaults of the
-// experiment or application that runs it, so each value is stated once.
-func (w WorkloadSpec) withDefaults() WorkloadSpec {
-	switch w.Kind {
-	case "ping", "figure2-demo":
-		d := experiments.DefaultFigure2Config()
-		if w.Pings == 0 {
-			w.Pings = d.Pings
-		}
-		if w.Interval == 0 {
-			w.Interval = Duration(d.Interval)
-		}
-	case "stream":
-		if w.StreamSize == 0 {
-			w.StreamSize = app.DefaultStreamConfig().Size
-		}
-	case "path-repair":
-		d := experiments.DefaultFigure3Config()
-		if w.StreamSize == 0 {
-			w.StreamSize = d.StreamSize
-		}
-		if w.Failures == 0 {
-			w.Failures = len(d.FailureTimes)
-		}
-		if w.WithSTP == nil {
-			t := true
-			w.WithSTP = &t
-		}
-	case "scale":
-		if w.Bridges == 0 {
-			w.Bridges = experiments.DefaultScaleConfig(0, 1).Bridges
-		}
-	case "matrix":
-		m := experiments.MatrixConfig{
-			Pattern: experiments.MatrixPattern(w.Pattern), Hotspots: w.Hotspots,
-			Skew: w.Skew, Bytes: w.FlowBytes, Arrival: w.Arrival.D(),
-		}.WithDefaults()
-		w.Pattern, w.Hotspots, w.Skew = string(m.Pattern), m.Hotspots, m.Skew
-		w.FlowBytes, w.Arrival = m.Bytes, Duration(m.Arrival)
-	case "allpath":
-		// The comparative experiment sweeps every pattern itself; only
-		// the fabric and flow-count knobs apply.
-		if w.Bridges == 0 {
-			w.Bridges = 24
-		}
-		if w.Flows == 0 {
-			w.Flows = 24
-		}
-	case "tables":
-		// The eviction-pressure experiment sweeps capacities itself; the
-		// knob is how many distinct conversations churn the tables.
-		if w.Conversations == 0 {
-			w.Conversations = experiments.DefaultTablesConfig(0, 0).Conversations
-		}
-	}
-	return w
-}
-
-func (sc ScenarioSpec) withDefaults() (ScenarioSpec, error) {
-	var err error
-	if sc.Topologies, err = families("topology", sc.Topologies, topo.Families(true)); err != nil {
-		return sc, err
-	}
-	if sc.Faults, err = families("fault", sc.Faults, scenario.FaultFamilies()); err != nil {
-		return sc, err
-	}
-	if sc.Seeds == 0 {
-		sc.Seeds = 16
-	}
-	if sc.Shrink == nil {
-		t := true
-		sc.Shrink = &t
-	}
-	return sc, nil
-}
-
-// families expands an absent or ["all"] family list to every known
-// family, and otherwise rejects any name it does not know.
-func families[F ~string](kind string, names []string, known []F) ([]string, error) {
-	all := make([]string, len(known))
-	for i, f := range known {
-		all[i] = string(f)
-	}
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		return all, nil
-	}
-	for _, n := range names {
-		if !slices.Contains(all, n) {
-			return nil, fmt.Errorf("spec: unknown %s family %q (known: %s)", kind, n, strings.Join(all, ", "))
-		}
-	}
-	return names, nil
-}
 
 // Options compiles the Spec's build half into the imperative form the
 // topology builder consumes. The Spec must already be defaulted.

@@ -3,8 +3,12 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,9 +45,22 @@ func specSamples() []Spec {
 }
 
 // TestSpecRoundTripFixedPoint pins the codec contract: decode → defaults
-// → encode → decode → defaults → encode reproduces the same bytes.
+// → encode → decode → defaults → encode reproduces the same bytes, for
+// the samples and every examples/specs fixture.
 func TestSpecRoundTripFixedPoint(t *testing.T) {
-	for _, s := range specSamples() {
+	fixtures, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("no examples/specs fixtures: %v", err)
+	}
+	samples := specSamples()
+	for _, path := range fixtures {
+		s, err := LoadSpec(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, s)
+	}
+	for _, s := range samples {
 		d1, err := s.WithDefaults()
 		if err != nil {
 			t.Fatalf("%+v: defaults: %v", s, err)
@@ -266,11 +283,14 @@ func TestSweepDrawsAreSpecs(t *testing.T) {
 // topology-family and fault family validation.
 func TestSpecUnknownNamesRejected(t *testing.T) {
 	// forward is no workload: bench/perf's pump_forward is that pump's
-	// one timer.
-	var out bytes.Buffer
-	if _, err := (&Runner{Spec: Spec{Workload: WorkloadSpec{Kind: "forward"}}, Out: &out}).Run(); err == nil ||
-		!strings.Contains(err.Error(), "unknown workload kind") {
-		t.Errorf("forward workload: err %v, want an unknown workload kind", err)
+	// one timer. WithDefaults refuses it and lists the kinds there are.
+	if _, err := (Spec{Workload: WorkloadSpec{Kind: "forward"}}).WithDefaults(); err == nil ||
+		!strings.HasPrefix(err.Error(), `spec: unknown workload kind "forward" (known: ping, `) {
+		t.Errorf("forward workload: err %v, want an unknown workload kind listing the known ones", err)
+	}
+	if _, err := (Spec{Workload: WorkloadSpec{Kind: "matrix", Pattern: "nope"}}).WithDefaults(); err == nil ||
+		!strings.HasPrefix(err.Error(), "spec: workload.pattern") {
+		t.Errorf("matrix pattern nope: err %v, want a spec: error naming workload.pattern", err)
 	}
 	if _, err := (Spec{Protocol: ProtocolSpec{Name: "flow-path"}}).WithDefaults(); err == nil {
 		t.Error("unknown protocol accepted")
@@ -291,6 +311,82 @@ func TestSpecUnknownNamesRejected(t *testing.T) {
 	bad = Spec{Workload: WorkloadSpec{Kind: "sweep"}, Scenario: &ScenarioSpec{Faults: []string{"meteor-strike"}}}
 	if _, err := bad.WithDefaults(); err == nil {
 		t.Error("unknown fault family accepted")
+	}
+}
+
+// specKeys sets each Spec key a kind may read, besides everyKind's, to a
+// value every kind that reads it accepts.
+var specKeys = map[string]func(*Spec){
+	"topology":               func(s *Spec) { s.Topology = TopologySpec{Family: "ring", N: 4} },
+	"protocol":               func(s *Spec) { s.Protocol = ProtocolSpec{Name: "arppath"} },
+	"link":                   func(s *Spec) { s.Link = LinkSpec{RateBps: 1e8, Delay: Duration(time.Microsecond), QueueBytes: 1 << 16} },
+	"warm_up":                func(s *Spec) { s.WarmUp = Duration(time.Second) },
+	"scenario":               func(s *Spec) { s.Scenario = &ScenarioSpec{Seeds: 1} },
+	"verify.pairs":           func(s *Spec) { s.Verify.Pairs = 2 },
+	"verify.pings":           func(s *Spec) { s.Verify.Pings = 2 },
+	"workload.pings":         func(s *Spec) { s.Workload.Pings = 2 },
+	"workload.interval":      func(s *Spec) { s.Workload.Interval = Duration(time.Millisecond) },
+	"workload.stream_size":   func(s *Spec) { s.Workload.StreamSize = 1000 },
+	"workload.failures":      func(s *Spec) { s.Workload.Failures = 1 },
+	"workload.with_stp":      func(s *Spec) { s.Workload.WithSTP = new(bool) },
+	"workload.fast_stp":      func(s *Spec) { s.Workload.FastSTP = true },
+	"workload.bridges":       func(s *Spec) { s.Workload.Bridges = 8 },
+	"workload.pattern":       func(s *Spec) { s.Workload.Pattern = "pairs" },
+	"workload.flows":         func(s *Spec) { s.Workload.Flows = 3 },
+	"workload.hotspots":      func(s *Spec) { s.Workload.Hotspots = 1 },
+	"workload.skew":          func(s *Spec) { s.Workload.Skew = 2 },
+	"workload.flow_bytes":    func(s *Spec) { s.Workload.FlowBytes = 1000 },
+	"workload.arrival":       func(s *Spec) { s.Workload.Arrival = Duration(time.Millisecond) },
+	"workload.conversations": func(s *Spec) { s.Workload.Conversations = 10 },
+}
+
+// TestKindTableKeys holds WithDefaults to the kind table: for every row,
+// a Spec that sets every key the kind reads is accepted, and the same
+// Spec with any other key set is refused by an error naming the key and
+// the kind. specKeys covers every key of the Spec but everyKind's.
+func TestKindTableKeys(t *testing.T) {
+	spec := reflect.TypeOf(Spec{})
+	for i := range spec.NumField() {
+		f := spec.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		sub := []string{key}
+		if key == "workload" || key == "verify" {
+			sub = nil
+			for j := range f.Type.NumField() {
+				name, _, _ := strings.Cut(f.Type.Field(j).Tag.Get("json"), ",")
+				sub = append(sub, key+"."+name)
+			}
+		}
+		for _, k := range sub {
+			if _, ok := specKeys[k]; !ok && !slices.Contains(everyKind, k) {
+				t.Errorf("Spec key %s has no specKeys sample", k)
+			}
+		}
+	}
+	keys := slices.Sorted(maps.Keys(specKeys))
+	for _, k := range kinds {
+		full := Spec{Workload: WorkloadSpec{Kind: k.name}}
+		for _, key := range k.keys {
+			set, ok := specKeys[key]
+			if !ok {
+				t.Fatalf("kind %q reads %s, which has no specKeys sample", k.name, key)
+			}
+			set(&full)
+		}
+		if _, err := full.WithDefaults(); err != nil {
+			t.Errorf("kind %q with every key it reads set: %v", k.name, err)
+		}
+		for _, key := range keys {
+			if slices.Contains(k.keys, key) {
+				continue
+			}
+			s := full
+			specKeys[key](&s)
+			_, err := s.WithDefaults()
+			if err == nil || !strings.HasPrefix(err.Error(), "spec: "+key) || !strings.Contains(err.Error(), fmt.Sprintf("kind %q does not read it", k.name)) {
+				t.Errorf("kind %q with %s set: err %v, want a refusal naming both", k.name, key, err)
+			}
+		}
 	}
 }
 
@@ -380,11 +476,16 @@ func FuzzDecodeSpec(f *testing.F) {
 		if !bytes.Equal(e1, e2) {
 			t.Fatalf("not a fixed point:\n--- first\n%s\n--- second\n%s", e1, e2)
 		}
-		// What WithDefaults accepts must build: the options compile and
-		// one bridge of the protocol comes up on a link without a panic —
-		// and so does the spec's own topology, when it is small enough to
-		// build on every fuzz iteration (an unknown family is
-		// BuildTopology's error to return).
+		// What WithDefaults accepts must build: for a kind that runs on
+		// the Spec's fabric (the others leave topology, protocol and link
+		// unset and build their own), the options compile and one bridge
+		// of the protocol comes up on a link without a panic — and so does
+		// the spec's own topology, when it is small enough to build on
+		// every fuzz iteration (an unknown family is BuildTopology's error
+		// to return).
+		if d1.Topology.Family == "" {
+			return
+		}
 		opts, err := d1.Options()
 		if err != nil {
 			t.Fatalf("defaulted spec failed to compile: %v\n%s", err, e1)

@@ -19,18 +19,9 @@ func (r *Runner) runFigure2Demo(spec Spec, out io.Writer, res *Result) error {
 	cfg.Interval = spec.Workload.Interval.D()
 
 	rows := experiments.RunFigure2(cfg)
-	table := experiments.Figure2Table(rows)
-	speedups := experiments.Figure2Speedups(rows)
-	if r.CSV {
-		res.Tables = append(res.Tables, table, speedups)
-		fmt.Fprint(out, table.CSV())
-		fmt.Fprint(out, speedups.CSV())
-		return nil
-	}
-	res.Tables = append(res.Tables, table, speedups)
-	fmt.Fprintln(out, table)
-	fmt.Fprintln(out, speedups)
-	if r.Graphs {
+	r.emit(out, res, experiments.Figure2Table(rows))
+	r.emit(out, res, experiments.Figure2Speedups(rows))
+	if r.Graphs && !r.CSV {
 		for _, row := range rows {
 			fmt.Fprintln(out, row.Series.ASCII(72, 8))
 		}
@@ -56,15 +47,9 @@ func (r *Runner) runPathRepair(spec Spec, out io.Writer, res *Result) error {
 	if spec.Workload.WithSTP == nil || *spec.Workload.WithSTP {
 		results = append(results, experiments.RunFigure3(cfg, topo.STP))
 	}
-	table := experiments.Figure3Table(results)
-	res.Tables = append(res.Tables, table)
-	if r.CSV {
-		fmt.Fprint(out, table.CSV())
-		return nil
-	}
-	fmt.Fprintln(out, table)
+	r.emit(out, res, experiments.Figure3Table(results))
 	for _, fr := range results {
-		if fr.Report != nil && fr.Report.Goodput != nil {
+		if !r.CSV && fr.Report != nil && fr.Report.Goodput != nil {
 			fmt.Fprintln(out, fr.Report.Goodput.ASCII(72, 8))
 		}
 	}

@@ -23,13 +23,7 @@ func (r *Runner) runMatrix(spec Spec, out io.Writer, res *Result) error {
 	if err != nil {
 		return err
 	}
-	hosts := 0
-	for i := 1; ; i++ {
-		if _, ok := built.Hosts[fmt.Sprintf("H%d", i)]; !ok {
-			break
-		}
-		hosts++
-	}
+	hosts := len(numberedHosts(built))
 	if hosts < 2 {
 		fmt.Fprintln(out, "matrix needs H1..Hn hosts (use ring/grid/fattree/random families)")
 		return ErrIncomplete
@@ -43,15 +37,6 @@ func (r *Runner) runMatrix(spec Spec, out io.Writer, res *Result) error {
 		Skew:     w.Skew,
 		Bytes:    w.FlowBytes,
 		Arrival:  w.Arrival.D(),
-	}
-	known := false
-	for _, p := range experiments.MatrixPatterns() {
-		if mcfg.Pattern == p {
-			known = true
-		}
-	}
-	if !known {
-		return fmt.Errorf("fabric: unknown matrix pattern %q (have: %v)", w.Pattern, experiments.MatrixPatterns())
 	}
 	flows := experiments.BuildMatrix(mcfg, spec.Seed)
 	run := experiments.DriveMatrix(built, flows)

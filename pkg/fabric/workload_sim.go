@@ -11,41 +11,38 @@ import (
 	"repro/internal/trace"
 )
 
-// runSim drives the simulator workloads (ping, stream, allpairs) on the
+// simDrive is a simulator workload: it drives the built fabric, between
+// the endpoint pair a → b where it needs one.
+type simDrive func(r *Runner, built *Built, a, b *host.Host, w WorkloadSpec, out io.Writer, res *Result) error
+
+// sim is the run of a simulator workload (ping, stream, allpairs) on the
 // Spec's topology — the arppath-sim harness, spec-rooted.
-func (r *Runner) runSim(spec Spec, out io.Writer, res *Result) error {
-	opts, err := spec.Options()
-	if err != nil {
-		return err
+func sim(drive simDrive) func(*Runner, Spec, io.Writer, *Result) error {
+	return func(r *Runner, spec Spec, out io.Writer, res *Result) error {
+		opts, err := spec.Options()
+		if err != nil {
+			return err
+		}
+		built, err := BuildTopology(opts, spec.Topology)
+		if err != nil {
+			return err
+		}
+		if r.TraceTo != nil {
+			trace.Attach(built.Network, trace.WithWriter(r.TraceTo), trace.WithFilter(trace.DeliveriesOnly))
+		}
+		first, last, err := pickEndpoints(built, out)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "topology=%s bridges=%d hosts=%d links=%d protocol=%s seed=%d\n\n",
+			spec.Topology.Family, len(built.Bridges), len(built.Hosts), len(built.Links),
+			spec.Protocol.Name, spec.Seed)
+		return drive(r, built, first, last, spec.Workload, out, res)
 	}
-	built, err := BuildTopology(opts, spec.Topology)
-	if err != nil {
-		return err
-	}
-	if r.TraceTo != nil {
-		trace.Attach(built.Network, trace.WithWriter(r.TraceTo), trace.WithFilter(trace.DeliveriesOnly))
-	}
-
-	first, last, err := pickEndpoints(built, out)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "topology=%s bridges=%d hosts=%d links=%d protocol=%s seed=%d\n\n",
-		spec.Topology.Family, len(built.Bridges), len(built.Hosts), len(built.Links),
-		spec.Protocol.Name, spec.Seed)
-
-	switch spec.Workload.Kind {
-	case "ping":
-		return runPing(built, first, last, spec.Workload, out)
-	case "stream":
-		return runStream(built, first, last, spec.Workload, out)
-	case "allpairs":
-		return runAllPairs(built, out, r, res)
-	}
-	return fmt.Errorf("fabric: unknown simulator workload %q", spec.Workload.Kind)
 }
 
-// pickEndpoints returns a deterministic pair of distinct hosts.
+// pickEndpoints returns a deterministic pair of distinct hosts. Every
+// family numbers its hosts H1..Hn, so a fabric with two has H1 and H2.
 func pickEndpoints(b *Built, out io.Writer) (*host.Host, *host.Host, error) {
 	for _, pair := range [][2]string{{"A", "B"}, {"S", "D"}, {"H1", "H2"}} {
 		if h1, ok := b.Hosts[pair[0]]; ok {
@@ -54,26 +51,22 @@ func pickEndpoints(b *Built, out io.Writer) (*host.Host, *host.Host, error) {
 			}
 		}
 	}
-	// Fall back to the two highest-numbered H hosts.
-	var h1, h2 *host.Host
-	for i := len(b.Hosts); i >= 1; i-- {
-		if h, ok := b.Hosts[fmt.Sprintf("H%d", i)]; ok {
-			if h2 == nil {
-				h2 = h
-			} else {
-				h1 = h
-				break
-			}
-		}
-	}
-	if h1 == nil || h2 == nil {
-		fmt.Fprintln(out, "topology has no usable host pair")
-		return nil, nil, ErrIncomplete
-	}
-	return h1, h2, nil
+	fmt.Fprintln(out, "topology has no usable host pair")
+	return nil, nil, ErrIncomplete
 }
 
-func runPing(built *Built, a, b *host.Host, w WorkloadSpec, out io.Writer) error {
+// numberedHosts names the fabric's H1..Hn hosts, in order.
+func numberedHosts(b *Built) []string {
+	var names []string
+	for i := 1; i <= len(b.Hosts); i++ {
+		if name := fmt.Sprintf("H%d", i); b.Hosts[name] != nil {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+func runPing(_ *Runner, built *Built, a, b *host.Host, w WorkloadSpec, out io.Writer, _ *Result) error {
 	var rep *app.PingReport
 	built.Engine.At(built.Now(), func() {
 		app.RunPingSeries(a, b.IP(), w.Pings, w.Interval.D(), func(r *app.PingReport) { rep = r })
@@ -89,7 +82,7 @@ func runPing(built *Built, a, b *host.Host, w WorkloadSpec, out io.Writer) error
 	return nil
 }
 
-func runStream(built *Built, a, b *host.Host, w WorkloadSpec, out io.Writer) error {
+func runStream(_ *Runner, built *Built, a, b *host.Host, w WorkloadSpec, out io.Writer, _ *Result) error {
 	cfg := app.DefaultStreamConfig()
 	cfg.Size = w.StreamSize
 	var rep *app.StreamReport
@@ -109,15 +102,9 @@ func runStream(built *Built, a, b *host.Host, w WorkloadSpec, out io.Writer) err
 	return nil
 }
 
-func runAllPairs(built *Built, out io.Writer, r *Runner, res *Result) error {
+func runAllPairs(r *Runner, built *Built, _, _ *host.Host, _ WorkloadSpec, out io.Writer, res *Result) error {
 	table := metrics.NewTable("all-pairs steady-state RTT", "pair", "first", "steady", "lost")
-	names := make([]string, 0, len(built.Hosts))
-	for i := 1; i <= len(built.Hosts); i++ {
-		name := fmt.Sprintf("H%d", i)
-		if _, ok := built.Hosts[name]; ok {
-			names = append(names, name)
-		}
-	}
+	names := numberedHosts(built)
 	if len(names) < 2 {
 		fmt.Fprintln(out, "allpairs needs H1..Hn hosts (use ring/grid/fattree/random)")
 		return ErrIncomplete

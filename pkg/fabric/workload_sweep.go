@@ -2,9 +2,13 @@ package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/flowpath"
@@ -12,23 +16,93 @@ import (
 	"repro/internal/topo"
 )
 
-// sweepProtocols are the protocols whose invariants the scenario engine
-// can verify: ARP-Path and the All-Path variants.
-var sweepProtocols = map[topo.Protocol]bool{
-	topo.ARPPath:           true,
-	flowpath.ProtoFlowPath: true,
-	flowpath.ProtoTCPPath:  true,
+// sweepDefaults fills the sweep's scenario: every family for an absent or
+// ["all"] list, and the phase timing and probe counts a scenario defaults
+// to.
+func sweepDefaults(s *Spec) {
+	sc := *cmp.Or(s.Scenario, &ScenarioSpec{})
+	sc.Topologies = allFamilies(sc.Topologies, topo.Families(true))
+	sc.Faults = allFamilies(sc.Faults, scenario.FaultFamilies())
+	sc.Seeds, sc.Shrink = cmp.Or(sc.Seeds, 16), cmp.Or(sc.Shrink, yes())
+	d := scenario.Config{
+		FaultPhase: sc.FaultPhase.D(), Quiesce: sc.Quiesce.D(),
+		VerifyPairs: s.Verify.Pairs, VerifyPings: s.Verify.Pings,
+	}.WithDefaults()
+	sc.FaultPhase, sc.Quiesce = Duration(d.FaultPhase), Duration(d.Quiesce)
+	s.Verify.Pairs, s.Verify.Pings = d.VerifyPairs, d.VerifyPings
+	s.Scenario = &sc
+}
+
+// allFamilies expands an absent or ["all"] family list to every known family.
+func allFamilies[F ~string](names []string, known []F) []string {
+	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
+		names = nil
+		for _, f := range known {
+			names = append(names, string(f))
+		}
+	}
+	return names
+}
+
+// knownFamilies refuses a family name the list does not know.
+func knownFamilies[F ~string](kind string, names []string, known []F) error {
+	for _, n := range names {
+		if !slices.Contains(known, F(n)) {
+			return fmt.Errorf("spec: unknown %s family %q (known: %s)", kind, n, strings.Join(allFamilies(nil, known), ", "))
+		}
+	}
+	return nil
+}
+
+// sweepCheck refuses a sweep over unknown families, or over a protocol or
+// protocol config the sweep cannot run (ScenarioSpec): a config other than
+// the registered defaults, proxy excepted, is refused, not dropped.
+func sweepCheck(s Spec) error {
+	if err := cmp.Or(knownFamilies("topology", s.Scenario.Topologies, topo.Families(true)),
+		knownFamilies("fault", s.Scenario.Faults, scenario.FaultFamilies())); err != nil {
+		return err
+	}
+	proto := topo.Protocol(s.Protocol.Name)
+	if !slices.Contains([]topo.Protocol{topo.ARPPath, flowpath.ProtoFlowPath, flowpath.ProtoTCPPath}, proto) {
+		return fmt.Errorf("spec: protocol: the sweep verifies All-Path invariants; protocol %q is not sweepable", s.Protocol.Name)
+	}
+	var ref []byte
+	if sweepProxy(s) {
+		ref = []byte(`{"proxy":true}`)
+	}
+	def, cfg, err := topo.DecodeProtocol(proto, ref)
+	if err == nil {
+		ref, err = def.Encode(cfg)
+	}
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(ref, s.Protocol.Config) {
+		return fmt.Errorf("spec: protocol.config: the sweep builds its fabrics with the default %s config; only the proxy knob is honoured (got %s)",
+			s.Protocol.Name, s.Protocol.Config)
+	}
+	return nil
+}
+
+// sweepProxy reads the proxy knob of a defaulted sweep Spec's protocol.
+func sweepProxy(s Spec) bool {
+	var knobs struct {
+		Proxy bool `json:"proxy"`
+	}
+	_ = json.Unmarshal(s.Protocol.Config, &knobs) // cannot fail: WithDefaults encoded the config canonically
+	return knobs.Proxy
 }
 
 // runSweep is the scenario harness: seeded random topologies × seeded
 // fault schedules × protocol invariant checks, with shrink-on-failure.
 // Independent scenarios run concurrently on Jobs workers; each scenario's
 // seed, trace and fingerprint are identical at any Jobs value.
-func (r *Runner) runSweep(spec Spec, out io.Writer, jobs int, res *Result) error {
-	cfgs, err := sweepConfigs(spec)
-	if err != nil {
-		return err
+func (r *Runner) runSweep(spec Spec, out io.Writer, res *Result) error {
+	jobs := r.Jobs
+	if jobs < 1 {
+		jobs = runtime.GOMAXPROCS(0)
 	}
+	cfgs := sweepConfigs(spec)
 
 	// Worker pool: scenarios are independent simulations, so the sweep
 	// parallelizes trivially; results are reported in sweep order.
@@ -85,40 +159,8 @@ func (r *Runner) runSweep(spec Spec, out io.Writer, jobs int, res *Result) error
 
 // sweepConfigs expands a defaulted sweep Spec into its scenarios, in
 // sweep order: every (topology, faults) pairing at each seed.
-func sweepConfigs(spec Spec) ([]scenario.Config, error) {
-	proto := topo.Protocol(spec.Protocol.Name)
-	if !sweepProtocols[proto] {
-		return nil, fmt.Errorf("fabric: the sweep verifies All-Path invariants; protocol %q is not sweepable", spec.Protocol.Name)
-	}
-	// The one protocol knob the sweep honours is the proxy: a proxy-enabled
-	// Spec arms proxy mode (and the proxy-consistency invariant)
-	// fleet-wide. Any other tuning in the extension is rejected rather
-	// than silently dropped — each scenario builds its fabric with the
-	// defaults — so the (already canonical) extension must equal the
-	// canonical encoding of the registered defaults, proxy excepted.
-	var knobs struct {
-		Proxy bool `json:"proxy"`
-	}
-	if err := json.Unmarshal(spec.Protocol.Config, &knobs); err != nil {
-		return nil, err
-	}
-	var ref []byte
-	if knobs.Proxy {
-		ref = []byte(`{"proxy":true}`)
-	}
-	def, cfg, err := topo.DecodeProtocol(proto, ref)
-	if err != nil {
-		return nil, err
-	}
-	if ref, err = def.Encode(cfg); err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(ref, spec.Protocol.Config) {
-		return nil, fmt.Errorf("fabric: the sweep builds its fabrics with the default %s config; only the proxy knob is honoured (got %s)",
-			spec.Protocol.Name, spec.Protocol.Config)
-	}
-
-	sc := spec.Scenario
+func sweepConfigs(spec Spec) []scenario.Config {
+	sc, proxy := spec.Scenario, sweepProxy(spec)
 	var cfgs []scenario.Config
 	for _, tf := range sc.Topologies {
 		for _, ff := range sc.Faults {
@@ -127,9 +169,9 @@ func sweepConfigs(spec Spec) ([]scenario.Config, error) {
 					Seed:        spec.Seed + int64(s),
 					Topology:    tf,
 					Faults:      scenario.FaultFamily(ff),
-					Protocol:    proto,
+					Protocol:    topo.Protocol(spec.Protocol.Name),
 					Big:         sc.Big,
-					Proxy:       knobs.Proxy,
+					Proxy:       proxy,
 					Shards:      spec.Shards,
 					FaultPhase:  sc.FaultPhase.D(),
 					Quiesce:     sc.Quiesce.D(),
@@ -139,8 +181,7 @@ func sweepConfigs(spec Spec) ([]scenario.Config, error) {
 			}
 		}
 	}
-
-	return cfgs, nil
+	return cfgs
 }
 
 func reportFailure(out io.Writer, r *scenario.Result) {
