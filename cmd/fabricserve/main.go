@@ -21,6 +21,9 @@
 // drives seeded churn (priority pings under background load and a fault
 // storm) against a live daemon, then drains it and asserts the
 // priority-class p99 SLO; the exit status is the verdict.
+//
+// Exit status: 2 on a usage error or a spec the daemon refuses
+// (serve.CheckSpec); 1 on any other error or a failed soak; 0 otherwise.
 package main
 
 import (
@@ -70,33 +73,33 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	fail := func(err error) {
+	exit := func(code int, err error) {
 		fmt.Fprintf(os.Stderr, "fabricserve: %v\n", err)
-		os.Exit(1)
+		os.Exit(code)
 	}
 
 	switch {
 	case *soak:
 		network, addr, err := splitAddr(*connect)
 		if err != nil {
-			fail(fmt.Errorf("-connect: %w", err))
+			exit(2, fmt.Errorf("-connect: %w", err))
 		}
 		if _, err := serve.Soak(serve.SoakConfig{
 			Network: network, Addr: addr,
 			Seed: *seed, Duration: *duration, SLO: *slo,
 			DialTimeout: *dialTimeout, Out: os.Stdout,
 		}); err != nil {
-			fail(err)
+			exit(1, err)
 		}
 
 	case *replay != "":
 		f, err := os.Open(*replay)
 		if err != nil {
-			fail(err)
+			exit(1, err)
 		}
 		defer f.Close()
 		if _, err := serve.Replay(f, *shards, os.Stdout); err != nil {
-			fail(err)
+			exit(1, err)
 		}
 
 	default:
@@ -105,40 +108,39 @@ func main() {
 			var err error
 			spec, err = fabric.LoadSpec(*specPath)
 			if err != nil {
-				fail(err)
+				exit(2, err)
 			}
 		}
 		if *shards > 0 {
 			spec.Shards = *shards
 		}
-		// A value the spec rules reject is a usage error, not a failed run.
-		if _, err := spec.WithDefaults(); err != nil {
-			fmt.Fprintf(os.Stderr, "fabricserve: %v\n", err)
-			os.Exit(2)
+		// A spec the daemon refuses is a usage error, not a failed run.
+		if _, err := serve.CheckSpec(spec); err != nil {
+			exit(2, err)
 		}
 		opts := serve.Options{Spec: spec, Quantum: *quantum, Pace: *pace, Out: os.Stdout}
 		if *opLog != "" {
 			f, err := os.Create(*opLog)
 			if err != nil {
-				fail(err)
+				exit(1, err)
 			}
 			defer f.Close()
 			opts.OpLog = f
 		}
 		network, addr, err := splitAddr(*listen)
 		if err != nil {
-			fail(fmt.Errorf("-listen: %w", err))
+			exit(2, fmt.Errorf("-listen: %w", err))
 		}
 		if network == "unix" {
 			os.Remove(addr)
 		}
 		srv, err := serve.New(opts)
 		if err != nil {
-			fail(err)
+			exit(1, err)
 		}
 		ln, err := net.Listen(network, addr)
 		if err != nil {
-			fail(err)
+			exit(1, err)
 		}
 		if network == "unix" {
 			defer os.Remove(addr)
@@ -160,7 +162,7 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "fabricserve: serving on %s:%s\n", network, addr)
 		if err := srv.Serve(ln); err != nil {
-			fail(err)
+			exit(1, err)
 		}
 		srv.Wait()
 	}

@@ -64,7 +64,8 @@ type MatrixConfig struct {
 	Arrival time.Duration
 }
 
-// WithDefaults fills unset fields.
+// WithDefaults fills unset fields, Hotspots and Skew only for the
+// pattern that reads them.
 func (c MatrixConfig) WithDefaults() MatrixConfig {
 	if c.Pattern == "" {
 		c.Pattern = MatrixHotspot
@@ -72,10 +73,10 @@ func (c MatrixConfig) WithDefaults() MatrixConfig {
 	if c.Flows == 0 {
 		c.Flows = c.Hosts
 	}
-	if c.Hotspots == 0 {
+	if c.Hotspots == 0 && c.Pattern == MatrixHotspot {
 		c.Hotspots = 2
 	}
-	if c.Skew == 0 {
+	if c.Skew == 0 && c.Pattern == MatrixPairs {
 		c.Skew = 1.5
 	}
 	if c.Bytes == 0 {

@@ -667,17 +667,3 @@ func (c *Conn) maybeFinish() {
 		delete(c.h.tcp.conns, c.key)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

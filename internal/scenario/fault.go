@@ -45,147 +45,189 @@ const (
 	FaultsHostMobility FaultFamily = "host-mobility"
 )
 
-// FaultFamilies lists every schedule family, sweep order.
-func FaultFamilies() []FaultFamily {
-	return []FaultFamily{FaultsLinkFlaps, FaultsBridgeRestarts, FaultsUnidirLoss, FaultsQueuePressure, FaultsPartition, FaultsMixed, FaultsHostMobility}
+// faultFamily is one row of the family table: a schedule family and the
+// fault steps one schedule of it draws. spares builds its fabrics with
+// spare jacks (topo.Options.SpareJacks).
+type faultFamily struct {
+	name   FaultFamily
+	draw   func(s *schedule)
+	spares bool
 }
 
-// FaultKind, FaultOp and their strict JSON codec live in ops.go: the op
-// vocabulary is exported (shared with the serving daemon), the schedule
-// generation below is the batch engine's own.
+// faultFamilies is the family table, in sweep order.
+var faultFamilies = []faultFamily{
+	{name: FaultsLinkFlaps, draw: func(s *schedule) { s.repeat(2, 3, s.flap) }},
+	{name: FaultsBridgeRestarts, draw: func(s *schedule) { s.repeat(1, 2, s.restart) }},
+	{name: FaultsUnidirLoss, draw: func(s *schedule) { s.repeat(1, 2, s.loss) }},
+	{name: FaultsQueuePressure, draw: func(s *schedule) { s.repeat(2, 2, s.burst) }},
+	{name: FaultsPartition, draw: func(s *schedule) { s.partition() }},
+	{name: FaultsMixed, draw: func(s *schedule) { s.flap(); s.restart(); s.loss(); s.burst() }},
+	{name: FaultsHostMobility, draw: func(s *schedule) { s.repeat(1, 2, s.move) }, spares: true},
+}
 
-// Describe renders an op against a concrete instance (names, not indices).
-func (ix *netIndex) describe(op FaultOp) string {
+// FaultFamilies lists every schedule family, sweep order.
+func FaultFamilies() []FaultFamily {
+	names := make([]FaultFamily, len(faultFamilies))
+	for i, f := range faultFamilies {
+		names[i] = f.name
+	}
+	return names
+}
+
+// family is the family table's row for name. An unknown name panics: the
+// Spec path refuses it before a scenario runs.
+func family(name FaultFamily) *faultFamily {
+	for i := range faultFamilies {
+		if faultFamilies[i].name == name {
+			return &faultFamilies[i]
+		}
+	}
+	panic(fmt.Sprintf("scenario: unknown fault family %q", name))
+}
+
+// schedule draws one fault schedule: all randomness comes from plan, and
+// times land inside [0, phase) with repairs-in-flight room at the end left
+// to the quiescence period.
+type schedule struct {
+	plan  *rand.Rand
+	ix    *Index
+	phase time.Duration
+	port  *uint16 // the last burst port handed out
+	ops   []FaultOp
+}
+
+// generateOps draws one schedule of the given family.
+func generateOps(name FaultFamily, plan *rand.Rand, ix *Index, phase time.Duration, burstPort *uint16) []FaultOp {
+	s := &schedule{plan: plan, ix: ix, phase: phase, port: burstPort}
+	family(name).draw(s)
+	sort.SliceStable(s.ops, func(i, j int) bool { return s.ops[i].At < s.ops[j].At })
+	return s.ops
+}
+
+// repeat takes step least+plan.Intn(spread) times.
+func (s *schedule) repeat(least, spread int, step func()) {
+	for i, n := 0, least+s.plan.Intn(spread); i < n; i++ {
+		step()
+	}
+}
+
+// at draws a time inside the first frac of the phase.
+func (s *schedule) at(frac float64) time.Duration {
+	return time.Duration(s.plan.Float64() * frac * float64(s.phase))
+}
+
+// upTo draws a span in [0, d).
+func (s *schedule) upTo(d time.Duration) time.Duration { return time.Duration(s.plan.Intn(int(d))) }
+
+// pair appends a fault at start and its repair dur later.
+func (s *schedule) pair(start, dur time.Duration, fault, repair FaultOp) {
+	fault.At, repair.At = start, start+dur
+	s.ops = append(s.ops, fault, repair)
+}
+
+// flap cuts a trunk and restores it after a pause.
+func (s *schedule) flap() {
+	if len(s.ix.Trunks) > 0 {
+		link := s.ix.Trunks[s.plan.Intn(len(s.ix.Trunks))]
+		s.pair(s.at(0.6), 20*time.Millisecond+s.upTo(100*time.Millisecond),
+			FaultOp{Kind: OpLinkDown, Link: link}, FaultOp{Kind: OpLinkUp, Link: link})
+	}
+}
+
+// restart power-cycles a bridge.
+func (s *schedule) restart() {
+	s.ops = append(s.ops, FaultOp{At: s.at(0.8), Kind: OpBridgeRestart, Bridge: s.plan.Intn(len(s.ix.Bridges))})
+}
+
+// loss degrades one direction of a trunk for a while.
+func (s *schedule) loss() {
+	if len(s.ix.Trunks) > 0 {
+		link := s.ix.Trunks[s.plan.Intn(len(s.ix.Trunks))]
+		side := s.plan.Intn(2)
+		s.pair(s.at(0.5), 50*time.Millisecond+s.upTo(150*time.Millisecond),
+			FaultOp{Kind: OpSetLoss, Link: link, Side: side, Rate: 0.2 + 0.5*s.plan.Float64()},
+			FaultOp{Kind: OpClearLoss, Link: link, Side: side})
+	}
+}
+
+// burst fires a line-rate UDP burst on a port of its own.
+func (s *schedule) burst() {
+	hosts := len(s.ix.Hosts)
+	src, dst := s.plan.Intn(hosts), s.plan.Intn(hosts)
+	if dst == src {
+		dst = (dst + 1) % hosts
+	}
+	*s.port++
+	s.ops = append(s.ops, FaultOp{
+		At: s.at(0.5), Kind: OpBurst, Src: src, Dst: dst, Port: *s.port,
+		Count:    1000 + s.plan.Intn(1500),
+		Interval: time.Duration(6+s.plan.Intn(8)) * time.Microsecond,
+		Payload:  1000 + s.plan.Intn(400),
+	})
+}
+
+// partition takes down a seeded bisection's crossing trunks together and
+// heals them together.
+func (s *schedule) partition() {
+	if cut := s.ix.PartitionCut(s.plan); len(cut) > 0 {
+		start, dur := s.at(0.3), 80*time.Millisecond+s.upTo(120*time.Millisecond)
+		for _, li := range cut {
+			s.pair(start, dur, FaultOp{Kind: OpLinkDown, Link: li}, FaultOp{Kind: OpLinkUp, Link: li})
+		}
+	}
+}
+
+// move re-homes a mobile station to its spare jack and back. Move and
+// return (plus the 5 ms link-up announcement) stay inside the fault
+// phase, so generated schedules always restore cabling before heal.
+func (s *schedule) move() {
+	if len(s.ix.Mobile) > 0 {
+		h := s.ix.Mobile[s.plan.Intn(len(s.ix.Mobile))]
+		s.pair(s.at(0.4), 60*time.Millisecond+s.upTo(120*time.Millisecond),
+			FaultOp{Kind: OpHostMove, Host: h}, FaultOp{Kind: OpHostReturn, Host: h})
+	}
+}
+
+// Describe renders an op against the concrete instance (names, not
+// indices).
+func (ix *Index) Describe(op FaultOp) string {
 	s := op.String()
-	switch op.Kind {
-	case OpLinkDown, OpLinkUp, OpSetLoss, OpClearLoss:
-		if op.Link >= 0 && op.Link < len(ix.linkNames) {
-			s += " (" + ix.linkNames[op.Link] + ")"
-		}
-	case OpBridgeRestart:
-		if op.Bridge >= 0 && op.Bridge < len(ix.built.Bridges) {
-			s += " (" + ix.built.Bridges[op.Bridge].Name() + ")"
-		}
-	case OpBurst:
-		if op.Src < len(ix.hostNames) && op.Dst < len(ix.hostNames) {
-			s += " (" + ix.hostNames[op.Src] + " -> " + ix.hostNames[op.Dst] + ")"
-		}
-	case OpHostMove, OpHostReturn:
-		if op.Host >= 0 && op.Host < len(ix.hostNames) {
-			s += " (" + ix.hostNames[op.Host] + ")"
+	if k := op.Kind.row(); k != nil {
+		if names := k.names(ix, op); names != "" {
+			s += " (" + names + ")"
 		}
 	}
 	return s
 }
 
-// generateOps draws one schedule of the given family. All randomness comes
-// from plan; times land inside [0, phase) with repairs-in-flight room at
-// the end left to the quiescence period.
-func generateOps(family FaultFamily, plan *rand.Rand, ix *netIndex, phase time.Duration, burstPort *uint16) []FaultOp {
-	var ops []FaultOp
-	at := func(frac float64) time.Duration {
-		return time.Duration(plan.Float64() * frac * float64(phase))
+// Validate bounds-checks an op against the instance without applying it:
+// indices must name real entities, loss sides/rates and burst parameters
+// must be well-formed, and moves must target mobile hosts. Apply assumes
+// validated ops; a daemon validates at the trust boundary instead of
+// panicking mid-simulation.
+func (ix *Index) Validate(op FaultOp) error {
+	if op.At < 0 {
+		return fmt.Errorf("op time %v is negative", op.At)
 	}
-	flap := func() {
-		if len(ix.trunks) == 0 {
-			return
-		}
-		link := ix.trunks[plan.Intn(len(ix.trunks))]
-		start := at(0.6)
-		dur := 20*time.Millisecond + time.Duration(plan.Intn(int(100*time.Millisecond)))
-		ops = append(ops,
-			FaultOp{At: start, Kind: OpLinkDown, Link: link},
-			FaultOp{At: start + dur, Kind: OpLinkUp, Link: link})
+	k := op.Kind.row()
+	if k == nil {
+		return fmt.Errorf("unknown fault kind %d", op.Kind)
 	}
-	restart := func() {
-		ops = append(ops, FaultOp{At: at(0.8), Kind: OpBridgeRestart, Bridge: plan.Intn(len(ix.built.Bridges))})
+	return k.check(ix, op)
+}
+
+// Apply schedules every op at base+op.At, keyed by the entity it acts on:
+// an op whose touched nodes share a shard runs inside that shard's
+// lookahead windows, and only one that spans shards pauses the fabric as
+// a coordinator barrier. It returns the burst datagrams offered and the
+// burst sinks this call bound. Apply is legal from driver context only —
+// between runs, exactly like the batch engine's fault phase.
+func (ix *Index) Apply(ops []FaultOp, base time.Duration) (offered int, sinks []*app.Sink) {
+	var res applied
+	for _, op := range ops {
+		op.Kind.row().apply(ix, op, base+op.At, &res)
 	}
-	loss := func() {
-		if len(ix.trunks) == 0 {
-			return
-		}
-		link := ix.trunks[plan.Intn(len(ix.trunks))]
-		side := plan.Intn(2)
-		start := at(0.5)
-		dur := 50*time.Millisecond + time.Duration(plan.Intn(int(150*time.Millisecond)))
-		ops = append(ops,
-			FaultOp{At: start, Kind: OpSetLoss, Link: link, Side: side, Rate: 0.2 + 0.5*plan.Float64()},
-			FaultOp{At: start + dur, Kind: OpClearLoss, Link: link, Side: side})
-	}
-	burst := func() {
-		src := plan.Intn(len(ix.hostNames))
-		dst := plan.Intn(len(ix.hostNames))
-		if dst == src {
-			dst = (dst + 1) % len(ix.hostNames)
-		}
-		*burstPort++
-		ops = append(ops, FaultOp{
-			At: at(0.5), Kind: OpBurst, Src: src, Dst: dst, Port: *burstPort,
-			Count:    1000 + plan.Intn(1500),
-			Interval: time.Duration(6+plan.Intn(8)) * time.Microsecond,
-			Payload:  1000 + plan.Intn(400),
-		})
-	}
-	part := func() {
-		cut := ix.partitionCut(plan)
-		if len(cut) == 0 {
-			return
-		}
-		start := at(0.3)
-		dur := 80*time.Millisecond + time.Duration(plan.Intn(int(120*time.Millisecond)))
-		for _, li := range cut {
-			ops = append(ops,
-				FaultOp{At: start, Kind: OpLinkDown, Link: li},
-				FaultOp{At: start + dur, Kind: OpLinkUp, Link: li})
-		}
-	}
-	move := func() {
-		if len(ix.mobile) == 0 {
-			return
-		}
-		h := ix.mobile[plan.Intn(len(ix.mobile))]
-		// Bound move+return (plus the 5 ms link-up announcement) inside
-		// the fault phase so generated schedules always restore cabling
-		// before heal.
-		start := at(0.4)
-		dur := 60*time.Millisecond + time.Duration(plan.Intn(int(120*time.Millisecond)))
-		ops = append(ops,
-			FaultOp{At: start, Kind: OpHostMove, Host: h},
-			FaultOp{At: start + dur, Kind: OpHostReturn, Host: h})
-	}
-	switch family {
-	case FaultsLinkFlaps:
-		for i, n := 0, 2+plan.Intn(3); i < n; i++ {
-			flap()
-		}
-	case FaultsBridgeRestarts:
-		for i, n := 0, 1+plan.Intn(2); i < n; i++ {
-			restart()
-		}
-	case FaultsUnidirLoss:
-		for i, n := 0, 1+plan.Intn(2); i < n; i++ {
-			loss()
-		}
-	case FaultsQueuePressure:
-		for i, n := 0, 2+plan.Intn(2); i < n; i++ {
-			burst()
-		}
-	case FaultsPartition:
-		part()
-	case FaultsHostMobility:
-		for i, n := 0, 1+plan.Intn(2); i < n; i++ {
-			move()
-		}
-	case FaultsMixed:
-		flap()
-		restart()
-		loss()
-		burst()
-	default:
-		panic(fmt.Sprintf("scenario: unknown fault family %q", family))
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
-	return ops
+	return res.offered, res.sinks
 }
 
 // forceBarrierOps is a test knob: when set, every fault op schedules on
@@ -198,7 +240,7 @@ var forceBarrierOps bool
 // scheduleOp routes one fault action: keyed by owner's identity, executed
 // shard-locally when everything it touches lives in owner's shard, as a
 // coordinator barrier otherwise (netsim.ScheduleScoped).
-func (ix *netIndex) scheduleOp(at time.Duration, owner netsim.Node, touch []netsim.Node, fn func()) {
+func (ix *Index) scheduleOp(at time.Duration, owner netsim.Node, touch []netsim.Node, fn func()) {
 	if forceBarrierOps {
 		ix.built.Engine.At(at, fn)
 		return
@@ -211,71 +253,9 @@ func linkEnds(l *netsim.Link) (netsim.Node, netsim.Node) {
 	return l.A().Node(), l.B().Node()
 }
 
-// applyOps schedules every op at base+op.At. Each op is keyed by the
-// entity it acts on and classified by the set of nodes whose state it
-// touches: a flap of an intra-shard link, a loss knob, a burst, a restart
-// whose neighbours are co-sharded all run inside their shard's lookahead
-// windows; only ops that genuinely span shards pause the fabric as
-// coordinator barriers. Burst sinks are bound up front (port bindings are
-// not time-dependent), one per destination (host, port) however many
-// bursts name it; the returned sinks are the ones this call bound, and
-// report burst delivery for the result's traffic accounting. A burst's
-// source socket is unbound (source port 0), so bursts never collide.
-func applyOps(ix *netIndex, ops []FaultOp, base time.Duration) (offered int, sinks []*app.Sink) {
-	for _, op := range ops {
-		op := op
-		switch op.Kind {
-		case OpLinkDown, OpLinkUp:
-			// SetUp purges both directions and notifies both end nodes.
-			l := ix.link(op.Link)
-			a, b := linkEnds(l)
-			up := op.Kind == OpLinkUp
-			ix.scheduleOp(base+op.At, a, []netsim.Node{a, b}, func() { l.SetUp(up) })
-		case OpBridgeRestart:
-			// Restart wipes the bridge and bounces every attached link,
-			// which notifies each peer node.
-			br := ix.bridge(op.Bridge)
-			touch := []netsim.Node{br}
-			for _, p := range br.Ports() {
-				touch = append(touch, p.Peer().Node())
-			}
-			ix.scheduleOp(base+op.At, br, touch, func() { ix.bridge(op.Bridge).(restartable).Restart() })
-		case OpSetLoss, OpClearLoss:
-			// A direction's loss state is owned by the transmitting side.
-			l := ix.link(op.Link)
-			from := l.Ports()[op.Side]
-			rate := op.Rate
-			if op.Kind == OpClearLoss {
-				rate = 0
-			}
-			ix.scheduleOp(base+op.At, from.Node(), []netsim.Node{from.Node()}, func() {
-				l.SetLoss(from, rate)
-			})
-		case OpBurst:
-			offered += op.Count
-			if at := [2]int{op.Dst, int(op.Port)}; !ix.sinks[at] {
-				ix.sinks[at] = true
-				sinks = append(sinks, app.NewSink(ix.host(op.Dst), op.Port))
-			}
-			src := ix.host(op.Src)
-			ix.scheduleOp(base+op.At, src, []netsim.Node{src}, func() {
-				app.StartFlow(src, app.FlowConfig{
-					DstIP: ix.host(op.Dst).IP(), DstPort: op.Port,
-					PayloadSize: op.Payload, Interval: op.Interval, Count: op.Count,
-				}, nil)
-			})
-		case OpHostMove, OpHostReturn:
-			h := ix.host(op.Host)
-			toSpare := op.Kind == OpHostMove
-			ix.scheduleOp(base+op.At, h, ix.rehomeTouch(op.Host), func() { ix.rehome(op.Host, toSpare) })
-		}
-	}
-	return offered, sinks
-}
-
 // rehomeTouch is the node set a host move touches: the station plus the
 // edge bridges at both wall jacks (both links flip state).
-func (ix *netIndex) rehomeTouch(host int) []netsim.Node {
+func (ix *Index) rehomeTouch(host int) []netsim.Node {
 	h := ix.host(host)
 	touch := []netsim.Node{h}
 	for _, li := range []int{ix.homeJack[host], ix.spareJack[host]} {
@@ -289,7 +269,7 @@ func (ix *netIndex) rehomeTouch(host int) []netsim.Node {
 // the gratuitous ARP a real OS sends shortly after link-up. Without that
 // announcement the fabric would keep the old position and (correctly,
 // §2.1.1) discard the station's frames — see core's mobility tests.
-func (ix *netIndex) rehome(host int, toSpare bool) {
+func (ix *Index) rehome(host int, toSpare bool) {
 	home, spare := ix.link(ix.homeJack[host]), ix.link(ix.spareJack[host])
 	from, to := home, spare
 	if !toSpare {
@@ -315,23 +295,19 @@ func (ix *netIndex) rehome(host int, toSpare bool) {
 // state (core.Bridge implements it).
 type restartable interface{ Restart() }
 
-// heal returns every link to service: all links up, all loss cleared —
+// Heal returns every link to service: all links up, all loss cleared —
 // except spare jacks, whose healthy state is down (a station's home jack
 // is the live one). A station stranded on its spare by a shrunk or
 // replayed schedule is re-homed and re-announced, exactly what replugging
 // the original cable does.
-func heal(ix *netIndex) {
-	for i, name := range ix.linkNames {
+func (ix *Index) Heal() {
+	for i, name := range ix.Links {
 		l := ix.built.Links[name]
 		l.SetLoss(l.A(), 0)
 		l.SetLoss(l.B(), 0)
-		if ix.isSpare[i] {
+		if h, spare := ix.spareOwner[i]; spare {
 			if l.Up() {
-				if h, ok := ix.spareOwner[i]; ok {
-					ix.rehome(h, false)
-				} else {
-					l.SetUp(false)
-				}
+				ix.rehome(h, false)
 			}
 			continue
 		}

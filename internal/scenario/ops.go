@@ -1,27 +1,29 @@
 package scenario
 
-// The fault-op vocabulary and its codec. Ops are the engine's unit of
-// replay: pure data (indices into a scenario's sorted name lists plus
-// parameters) that can be re-applied to a rebuilt instance, shrunk to a
-// minimal failing subset, or — via the exported Index — streamed against
-// a live fabric by a driver that never saw the generating seed. The batch
-// sweep (Run/Replay/Shrink) and the serving daemon (pkg/fabric/serve)
-// share this one vocabulary: an op means exactly the same state change in
-// both, and the JSON codec below is the wire/op-log form both agree on.
+// The fault-op vocabulary: one row of the kind table (faultKinds) per
+// kind names, encodes, checks, describes and applies it. The batch sweep
+// (Run/Replay/Shrink) and the serving daemon (pkg/fabric/serve) share it:
+// an op means exactly the same state change in both, and the JSON codec
+// below is the wire/op-log form both agree on.
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
-	"repro/internal/host"
 	"repro/internal/host/app"
+	"repro/internal/netsim"
 	"repro/internal/topo"
 )
 
-// FaultKind discriminates the ops a schedule is made of.
+// FaultKind discriminates the ops a schedule is made of: it indexes the
+// kind table.
 type FaultKind uint8
 
 // Fault op kinds.
@@ -34,57 +36,24 @@ const (
 	OpBurst
 	OpHostMove   // station re-homes to its spare jack and announces
 	OpHostReturn // station re-homes back to its original jack and announces
-
-	numFaultKinds // count sentinel, keep last
 )
 
-// faultKindNames is the codec's stable wire vocabulary, indexed by kind.
-var faultKindNames = [numFaultKinds]string{
-	OpLinkDown:      "link-down",
-	OpLinkUp:        "link-up",
-	OpBridgeRestart: "bridge-restart",
-	OpSetLoss:       "set-loss",
-	OpClearLoss:     "clear-loss",
-	OpBurst:         "burst",
-	OpHostMove:      "host-move",
-	OpHostReturn:    "host-return",
-}
-
-// MarshalText renders the kind's wire name ("link-down", "burst", …).
-func (k FaultKind) MarshalText() ([]byte, error) {
-	if k >= numFaultKinds {
-		return nil, fmt.Errorf("scenario: unknown fault kind %d", k)
-	}
-	return []byte(faultKindNames[k]), nil
-}
-
-// UnmarshalText parses a wire name strictly: unknown names are errors.
-func (k *FaultKind) UnmarshalText(b []byte) error {
-	for i, name := range faultKindNames {
-		if name == string(b) {
-			*k = FaultKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("scenario: unknown fault kind %q", b)
-}
-
-// FaultOp is one replayable fault action. Ops are pure data — indices into
-// the scenario's sorted name lists plus parameters — so a failing
-// schedule can be re-applied to a rebuilt instance, and shrunk to a
-// minimal failing subset by replaying subsets (see Shrink). At is relative
-// to the start of the fault phase.
+// FaultOp is one replayable fault action: pure data — indices into an
+// Index's name lists plus parameters — so a schedule can be re-applied to
+// a rebuilt instance, shrunk to a minimal failing subset (see Shrink), or
+// streamed at a live fabric. At is relative to the start of the fault
+// phase.
 type FaultOp struct {
 	At   time.Duration
 	Kind FaultKind
 
-	Link int     // linkNames index (OpLinkDown/OpLinkUp/OpSetLoss/OpClearLoss)
+	Link int     // Index.Links index (OpLinkDown/OpLinkUp/OpSetLoss/OpClearLoss)
 	Side int     // transmitting side for loss ops: 0 = A, 1 = B
 	Rate float64 // loss probability (OpSetLoss)
 
-	Bridge int // Bridges index (OpBridgeRestart)
+	Bridge int // Index.Bridges index (OpBridgeRestart)
 
-	Host int // hostNames index (OpHostMove/OpHostReturn)
+	Host int // Index.Hosts index (OpHostMove/OpHostReturn)
 
 	Src, Dst int           // host indices (OpBurst)
 	Port     uint16        // UDP port the burst runs on (unique per op)
@@ -93,192 +62,323 @@ type FaultOp struct {
 	Payload  int           // datagram payload bytes
 }
 
+// faultKind is one row of the kind table: everything the tree knows about
+// one fault op kind. name is its wire name; reads are the wire fields it
+// reads besides at and kind, in wire order (opFields'), which the codec
+// writes and requires, refusing any other. text renders the op after its
+// time (String), names the entities it acts on ("" when an index is out
+// of range; Describe), check refuses what apply cannot run (Validate),
+// and apply schedules the op at its absolute time (Apply).
+type faultKind struct {
+	name  string
+	reads []string
+	text  func(op FaultOp) string
+	names func(ix *Index, op FaultOp) string
+	check func(ix *Index, op FaultOp) error
+	apply func(ix *Index, op FaultOp, at time.Duration, res *applied)
+}
+
+// applied is what one Apply call reports: burst datagrams offered and the
+// burst sinks it bound.
+type applied struct {
+	offered int
+	sinks   []*app.Sink
+}
+
+// faultKinds is the kind table.
+var faultKinds = [...]faultKind{
+	OpLinkDown: linkKind("link-down", false),
+	OpLinkUp:   linkKind("link-up", true),
+	OpBridgeRestart: {name: "bridge-restart", reads: []string{"bridge"},
+		text:  func(op FaultOp) string { return fmt.Sprintf("bridge %d restart", op.Bridge) },
+		names: func(ix *Index, op FaultOp) string { return nameAt(ix.Bridges, op.Bridge) },
+		check: func(ix *Index, op FaultOp) error {
+			if err := inRange("bridge", op.Bridge, len(ix.Bridges)); err != nil {
+				return err
+			}
+			// apply restarts through a bare type assertion; catch a
+			// non-restartable protocol here instead of panicking mid-run.
+			_, ok := ix.bridge(op.Bridge).(restartable)
+			return refuse(!ok, "bridge %d (%T) does not support restart", op.Bridge, ix.bridge(op.Bridge))
+		},
+		// Restart wipes the bridge and bounces every attached link, which
+		// notifies each peer node.
+		apply: func(ix *Index, op FaultOp, at time.Duration, _ *applied) {
+			br := ix.bridge(op.Bridge)
+			touch := []netsim.Node{br}
+			for _, p := range br.Ports() {
+				touch = append(touch, p.Peer().Node())
+			}
+			ix.scheduleOp(at, br, touch, func() { ix.bridge(op.Bridge).(restartable).Restart() })
+		}},
+	OpSetLoss:   lossKind("set-loss", true),
+	OpClearLoss: lossKind("clear-loss", false),
+	OpBurst: {name: "burst", reads: []string{"src", "dst", "port", "count", "interval", "payload"},
+		text: func(op FaultOp) string {
+			return fmt.Sprintf("burst host %d -> host %d (%d x %dB @ %v)", op.Src, op.Dst, op.Count, op.Payload, op.Interval)
+		},
+		names: func(ix *Index, op FaultOp) string { return nameAt(ix.Hosts, op.Src, op.Dst) },
+		check: func(ix *Index, op FaultOp) error {
+			return cmp.Or(inRange("src host", op.Src, len(ix.Hosts)), inRange("dst host", op.Dst, len(ix.Hosts)),
+				refuse(op.Src == op.Dst, "burst src and dst are both host %d", op.Src),
+				refuse(op.Count <= 0, "burst count %d must be positive", op.Count),
+				refuse(op.Interval <= 0, "burst interval %v must be positive", op.Interval),
+				refuse(op.Payload <= 0 || op.Payload > 1472, "burst payload %d outside (0,1472]", op.Payload))
+		},
+		// Sinks are bound up front (port bindings are not time-dependent),
+		// one per destination (host, port) however many bursts name it. A
+		// burst's source socket is unbound (source port 0), so bursts
+		// never collide.
+		apply: func(ix *Index, op FaultOp, at time.Duration, res *applied) {
+			res.offered += op.Count
+			if dst := [2]int{op.Dst, int(op.Port)}; !ix.sinks[dst] {
+				ix.sinks[dst] = true
+				res.sinks = append(res.sinks, app.NewSink(ix.host(op.Dst), op.Port))
+			}
+			src := ix.host(op.Src)
+			ix.scheduleOp(at, src, []netsim.Node{src}, func() {
+				app.StartFlow(src, app.FlowConfig{
+					DstIP: ix.host(op.Dst).IP(), DstPort: op.Port,
+					PayloadSize: op.Payload, Interval: op.Interval, Count: op.Count,
+				}, nil)
+			})
+		}},
+	OpHostMove:   hostKind("host-move", true),
+	OpHostReturn: hostKind("host-return", false),
+}
+
+// linkKind is the row of the link-down (up false) or link-up kind.
+func linkKind(name string, up bool) faultKind {
+	return faultKind{name: name, reads: []string{"link"},
+		text:  func(op FaultOp) string { return fmt.Sprintf("link %d %s", op.Link, strings.TrimPrefix(name, "link-")) },
+		names: func(ix *Index, op FaultOp) string { return nameAt(ix.Links, op.Link) },
+		check: func(ix *Index, op FaultOp) error { return inRange("link", op.Link, len(ix.Links)) },
+		// SetUp purges both directions and notifies both end nodes.
+		apply: func(ix *Index, op FaultOp, at time.Duration, _ *applied) {
+			l := ix.link(op.Link)
+			a, b := linkEnds(l)
+			ix.scheduleOp(at, a, []netsim.Node{a, b}, func() { l.SetUp(up) })
+		}}
+}
+
+// lossKind is the row of the set-loss (set true) or clear-loss kind: one
+// direction of a link, named by its transmitting side.
+func lossKind(name string, set bool) faultKind {
+	k := faultKind{name: name, reads: []string{"link", "side"},
+		text:  func(op FaultOp) string { return fmt.Sprintf("link %d side %d loss clear", op.Link, op.Side) },
+		names: func(ix *Index, op FaultOp) string { return nameAt(ix.Links, op.Link) },
+		check: func(ix *Index, op FaultOp) error {
+			return cmp.Or(inRange("link", op.Link, len(ix.Links)),
+				refuse(op.Side != 0 && op.Side != 1, "loss side %d must be 0 or 1", op.Side),
+				refuse(set && (op.Rate < 0 || op.Rate > 1), "loss rate %v outside [0,1]", op.Rate))
+		},
+		// A direction's loss state is owned by the transmitting side.
+		apply: func(ix *Index, op FaultOp, at time.Duration, _ *applied) {
+			l := ix.link(op.Link)
+			from := l.Ports()[op.Side]
+			rate := op.Rate
+			if !set {
+				rate = 0
+			}
+			ix.scheduleOp(at, from.Node(), []netsim.Node{from.Node()}, func() { l.SetLoss(from, rate) })
+		}}
+	if set {
+		k.reads = append(k.reads, "rate")
+		k.text = func(op FaultOp) string { return fmt.Sprintf("link %d side %d loss %.2f", op.Link, op.Side, op.Rate) }
+	}
+	return k
+}
+
+// hostKind is the row of the host-move (toSpare true) or host-return kind.
+func hostKind(name string, toSpare bool) faultKind {
+	move := "returns to home jack"
+	if toSpare {
+		move = "moves to spare jack"
+	}
+	return faultKind{name: name, reads: []string{"host"},
+		text:  func(op FaultOp) string { return fmt.Sprintf("host %d %s", op.Host, move) },
+		names: func(ix *Index, op FaultOp) string { return nameAt(ix.Hosts, op.Host) },
+		check: func(ix *Index, op FaultOp) error {
+			_, mobile := ix.spareJack[op.Host]
+			return cmp.Or(inRange("host", op.Host, len(ix.Hosts)),
+				refuse(!mobile, "host %d (%s) has no spare jack", op.Host, nameAt(ix.Hosts, op.Host)))
+		},
+		apply: func(ix *Index, op FaultOp, at time.Duration, _ *applied) {
+			ix.scheduleOp(at, ix.host(op.Host), ix.rehomeTouch(op.Host), func() { ix.rehome(op.Host, toSpare) })
+		}}
+}
+
+// refuse is the error format and args say when bad holds, else nil: a
+// check is the cmp.Or of its refusals, so the first that holds is its
+// error.
+func refuse(bad bool, format string, args ...any) error {
+	if bad {
+		return fmt.Errorf(format, args...)
+	}
+	return nil
+}
+
+// inRange refuses index i of a what outside [0,n).
+func inRange(what string, i, n int) error {
+	return refuse(i < 0 || i >= n, "%s index %d out of range [0,%d)", what, i, n)
+}
+
+// nameAt joins names[i] for each i with " -> ", or is "" when an i is
+// outside the list.
+func nameAt(names []string, idx ...int) string {
+	var at []string
+	for _, i := range idx {
+		if i < 0 || i >= len(names) {
+			return ""
+		}
+		at = append(at, names[i])
+	}
+	return strings.Join(at, " -> ")
+}
+
+// row is the kind's row in the kind table, or nil for a kind outside it.
+func (k FaultKind) row() *faultKind {
+	if int(k) < len(faultKinds) {
+		return &faultKinds[k]
+	}
+	return nil
+}
+
+// MarshalText renders the kind's wire name ("link-down", "burst", …).
+func (k FaultKind) MarshalText() ([]byte, error) {
+	if r := k.row(); r != nil {
+		return []byte(r.name), nil
+	}
+	return nil, fmt.Errorf("scenario: unknown fault kind %d", k)
+}
+
+// UnmarshalText parses a wire name strictly: unknown names are errors.
+func (k *FaultKind) UnmarshalText(b []byte) error {
+	for i := range faultKinds {
+		if faultKinds[i].name == string(b) {
+			*k = FaultKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("scenario: unknown fault kind %q", b)
+}
+
 // String renders the op for failure reports.
 func (op FaultOp) String() string {
-	switch op.Kind {
-	case OpLinkDown:
-		return fmt.Sprintf("t=%v link %d down", op.At, op.Link)
-	case OpLinkUp:
-		return fmt.Sprintf("t=%v link %d up", op.At, op.Link)
-	case OpBridgeRestart:
-		return fmt.Sprintf("t=%v bridge %d restart", op.At, op.Bridge)
-	case OpSetLoss:
-		return fmt.Sprintf("t=%v link %d side %d loss %.2f", op.At, op.Link, op.Side, op.Rate)
-	case OpClearLoss:
-		return fmt.Sprintf("t=%v link %d side %d loss clear", op.At, op.Link, op.Side)
-	case OpBurst:
-		return fmt.Sprintf("t=%v burst host %d -> host %d (%d x %dB @ %v)", op.At, op.Src, op.Dst, op.Count, op.Payload, op.Interval)
-	case OpHostMove:
-		return fmt.Sprintf("t=%v host %d moves to spare jack", op.At, op.Host)
-	case OpHostReturn:
-		return fmt.Sprintf("t=%v host %d returns to home jack", op.At, op.Host)
-	default:
-		return fmt.Sprintf("t=%v op(?)", op.At)
+	if k := op.Kind.row(); k != nil {
+		return fmt.Sprintf("t=%v %s", op.At, k.text(op))
 	}
+	return fmt.Sprintf("t=%v op(?)", op.At)
 }
 
-// faultOpWire is the strict JSON shape of one op: every field is optional
-// on the wire, and marshal/unmarshal enforce that exactly the fields the
-// kind reads are present — a schedule that names a rate on a link-down op
-// is rejected, not silently half-applied. Durations use the human-readable
+// opFields are the wire fields of an op, in wire order, each with the one
+// accessor to the FaultOp field it carries: at and kind, which every op
+// has, then every field some kind reads. Durations use the human-readable
 // "150ms" form shared with pkg/fabric specs.
-type faultOpWire struct {
-	At   topo.Duration `json:"at"`
-	Kind FaultKind     `json:"kind"`
-
-	Link *int     `json:"link,omitempty"`
-	Side *int     `json:"side,omitempty"`
-	Rate *float64 `json:"rate,omitempty"`
-
-	Bridge *int `json:"bridge,omitempty"`
-
-	Host *int `json:"host,omitempty"`
-
-	Src      *int           `json:"src,omitempty"`
-	Dst      *int           `json:"dst,omitempty"`
-	Port     *uint16        `json:"port,omitempty"`
-	Count    *int           `json:"count,omitempty"`
-	Interval *topo.Duration `json:"interval,omitempty"`
-	Payload  *int           `json:"payload,omitempty"`
+var opFields = [...]opField{
+	{"at", func(op *FaultOp) any { return (*topo.Duration)(&op.At) }},
+	{"kind", func(op *FaultOp) any { return &op.Kind }},
+	{"link", func(op *FaultOp) any { return &op.Link }},
+	{"side", func(op *FaultOp) any { return &op.Side }},
+	{"rate", func(op *FaultOp) any { return &op.Rate }},
+	{"bridge", func(op *FaultOp) any { return &op.Bridge }},
+	{"host", func(op *FaultOp) any { return &op.Host }},
+	{"src", func(op *FaultOp) any { return &op.Src }},
+	{"dst", func(op *FaultOp) any { return &op.Dst }},
+	{"port", func(op *FaultOp) any { return &op.Port }},
+	{"count", func(op *FaultOp) any { return &op.Count }},
+	{"interval", func(op *FaultOp) any { return (*topo.Duration)(&op.Interval) }},
+	{"payload", func(op *FaultOp) any { return &op.Payload }},
 }
 
-// fieldsOf reports which wire fields the kind reads, in wire order.
-func fieldsOf(k FaultKind) []string {
-	switch k {
-	case OpLinkDown, OpLinkUp:
-		return []string{"link"}
-	case OpBridgeRestart:
-		return []string{"bridge"}
-	case OpSetLoss:
-		return []string{"link", "side", "rate"}
-	case OpClearLoss:
-		return []string{"link", "side"}
-	case OpBurst:
-		return []string{"src", "dst", "port", "count", "interval", "payload"}
-	case OpHostMove, OpHostReturn:
-		return []string{"host"}
-	default:
-		return nil
-	}
+type opField struct {
+	name string
+	of   func(*FaultOp) any
+}
+
+// carries reports whether an op of kind k has wire field name.
+func (k *faultKind) carries(name string) bool {
+	return name == "at" || name == "kind" || slices.Contains(k.reads, name)
 }
 
 // MarshalJSON emits the op in wire form: at, kind, and exactly the fields
 // the kind reads.
 func (op FaultOp) MarshalJSON() ([]byte, error) {
-	if op.Kind >= numFaultKinds {
+	k := op.Kind.row()
+	if k == nil {
 		return nil, fmt.Errorf("scenario: unknown fault kind %d", op.Kind)
 	}
-	w := faultOpWire{At: topo.Duration(op.At), Kind: op.Kind}
-	for _, f := range fieldsOf(op.Kind) {
-		switch f {
-		case "link":
-			v := op.Link
-			w.Link = &v
-		case "side":
-			v := op.Side
-			w.Side = &v
-		case "rate":
-			v := op.Rate
-			w.Rate = &v
-		case "bridge":
-			v := op.Bridge
-			w.Bridge = &v
-		case "host":
-			v := op.Host
-			w.Host = &v
-		case "src":
-			v := op.Src
-			w.Src = &v
-		case "dst":
-			v := op.Dst
-			w.Dst = &v
-		case "port":
-			v := op.Port
-			w.Port = &v
-		case "count":
-			v := op.Count
-			w.Count = &v
-		case "interval":
-			v := topo.Duration(op.Interval)
-			w.Interval = &v
-		case "payload":
-			v := op.Payload
-			w.Payload = &v
+	var b []byte
+	for _, f := range opFields {
+		if !k.carries(f.name) {
+			continue
 		}
+		v, err := json.Marshal(f.of(&op))
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(strconv.AppendQuote(append(b, ','), f.name), ':'), v...)
 	}
-	return json.Marshal(w)
+	b[0] = '{' // every op carries at and kind, so the first comma is there
+	return append(b, '}'), nil
 }
 
-// UnmarshalJSON decodes the wire form strictly: unknown JSON fields are
-// rejected by the decoder, and fields that are present but not read by the
-// kind (or read but absent) are errors.
+// UnmarshalJSON decodes the wire form strictly: keys match exactly, an
+// unknown key is refused, kind is required, and a field the kind does not
+// read (or a field it reads that is absent) is an error. A null field is
+// an absent one.
 func (op *FaultOp) UnmarshalJSON(data []byte) error {
-	var w faultOpWire
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
+	if err := op.decode(data); err != nil {
 		return fmt.Errorf("scenario op: %w", err)
 	}
-	want := fieldsOf(w.Kind)
-	wanted := func(name string) bool {
-		for _, f := range want {
-			if f == name {
-				return true
+	return nil
+}
+
+func (op *FaultOp) decode(data []byte) error {
+	*op = FaultOp{}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if t, _ := dec.Token(); t != json.Delim('{') {
+		return errors.New("a fault op is a JSON object")
+	}
+	var present [len(opFields)]bool
+	for dec.More() {
+		key, _ := dec.Token() // data is one well-formed value
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			return err
+		}
+		i := fieldIndex(key)
+		if i < 0 {
+			return fmt.Errorf("json: unknown field %q", key)
+		}
+		if err := json.Unmarshal(raw, opFields[i].of(op)); err != nil {
+			if te := (*json.UnmarshalTypeError)(nil); errors.As(err, &te) {
+				te.Struct, te.Field = "FaultOp", opFields[i].name
 			}
+			return err
 		}
-		return false
+		present[i] = string(raw) != "null"
 	}
-	present := map[string]bool{
-		"link": w.Link != nil, "side": w.Side != nil, "rate": w.Rate != nil,
-		"bridge": w.Bridge != nil, "host": w.Host != nil,
-		"src": w.Src != nil, "dst": w.Dst != nil, "port": w.Port != nil,
-		"count": w.Count != nil, "interval": w.Interval != nil, "payload": w.Payload != nil,
+	if !present[fieldIndex("kind")] {
+		return errors.New(`an op requires field "kind"`)
 	}
-	for name, ok := range present {
-		if ok && !wanted(name) {
-			return fmt.Errorf("scenario op: field %q is not read by kind %q", name, faultKindNames[w.Kind])
-		}
-	}
-	for _, name := range want {
-		if !present[name] {
-			return fmt.Errorf("scenario op: kind %q requires field %q", faultKindNames[w.Kind], name)
+	k := op.Kind.row() // UnmarshalText refused a name outside the table
+	for i, f := range opFields {
+		if present[i] && !k.carries(f.name) {
+			return fmt.Errorf("field %q is not read by kind %q", f.name, k.name)
 		}
 	}
-	*op = FaultOp{At: w.At.D(), Kind: w.Kind}
-	if w.Link != nil {
-		op.Link = *w.Link
-	}
-	if w.Side != nil {
-		op.Side = *w.Side
-	}
-	if w.Rate != nil {
-		op.Rate = *w.Rate
-	}
-	if w.Bridge != nil {
-		op.Bridge = *w.Bridge
-	}
-	if w.Host != nil {
-		op.Host = *w.Host
-	}
-	if w.Src != nil {
-		op.Src = *w.Src
-	}
-	if w.Dst != nil {
-		op.Dst = *w.Dst
-	}
-	if w.Port != nil {
-		op.Port = *w.Port
-	}
-	if w.Count != nil {
-		op.Count = *w.Count
-	}
-	if w.Interval != nil {
-		op.Interval = w.Interval.D()
-	}
-	if w.Payload != nil {
-		op.Payload = *w.Payload
+	for _, name := range k.reads {
+		if !present[fieldIndex(name)] {
+			return fmt.Errorf("kind %q requires field %q", k.name, name)
+		}
 	}
 	return nil
+}
+
+// fieldIndex is the opFields index of the wire field key, or -1.
+func fieldIndex(key any) int {
+	return slices.IndexFunc(opFields[:], func(f opField) bool { return f.name == key })
 }
 
 // EncodeOps renders a schedule as a compact JSON array, one canonical
@@ -302,175 +402,4 @@ func DecodeOps(data []byte) ([]FaultOp, error) {
 		return nil, fmt.Errorf("scenario ops: trailing data after JSON document")
 	}
 	return ops, nil
-}
-
-// Index is the exported face of a built network's stable integer handles:
-// the sorted name lists fault ops index into. The scenario engine resolves
-// a generated schedule through the same structure internally; external
-// drivers (the serving daemon) use Index to translate entity names into
-// replayable ops and to apply them with the identical shard-routing and
-// rehoming machinery the batch sweep uses.
-type Index struct {
-	ix *netIndex
-}
-
-// NewIndex builds the handle table for a built topology. The lists are
-// sorted name order, so two builds of the same spec index identically.
-func NewIndex(built *topo.Built) *Index {
-	return &Index{ix: newNetIndex(built)}
-}
-
-// Links returns the sorted link names (index i names link i).
-func (x *Index) Links() []string { return append([]string(nil), x.ix.linkNames...) }
-
-// Hosts returns the sorted host names (index i names host i).
-func (x *Index) Hosts() []string { return append([]string(nil), x.ix.hostNames...) }
-
-// Bridges returns bridge names in build order (index i names bridge i).
-func (x *Index) Bridges() []string {
-	names := make([]string, len(x.ix.built.Bridges))
-	for i, b := range x.ix.built.Bridges {
-		names[i] = b.Name()
-	}
-	return names
-}
-
-// Trunks returns the link indices of bridge–bridge links.
-func (x *Index) Trunks() []int { return append([]int(nil), x.ix.trunks...) }
-
-// MobileHosts returns the host indices with a pre-cabled spare jack —
-// the only legal targets of OpHostMove/OpHostReturn.
-func (x *Index) MobileHosts() []int { return append([]int(nil), x.ix.mobile...) }
-
-// LinkIndex resolves a link name to its op index.
-func (x *Index) LinkIndex(name string) (int, bool) { return findName(x.ix.linkNames, name) }
-
-// HostIndex resolves a host name to its op index.
-func (x *Index) HostIndex(name string) (int, bool) { return findName(x.ix.hostNames, name) }
-
-// BridgeIndex resolves a bridge name to its op index.
-func (x *Index) BridgeIndex(name string) (int, bool) {
-	for i, b := range x.ix.built.Bridges {
-		if b.Name() == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-func findName(names []string, name string) (int, bool) {
-	for i, n := range names {
-		if n == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// Host returns host i's handle (for drivers that attach workloads to the
-// same endpoints ops reference).
-func (x *Index) Host(i int) *host.Host { return x.ix.host(i) }
-
-// Describe renders an op against the concrete instance (names, not
-// indices).
-func (x *Index) Describe(op FaultOp) string { return x.ix.describe(op) }
-
-// Validate bounds-checks an op against the instance without applying it:
-// indices must name real entities, loss sides/rates and burst parameters
-// must be well-formed, and moves must target mobile hosts. Apply assumes
-// validated ops; a daemon validates at the trust boundary instead of
-// panicking mid-simulation.
-func (x *Index) Validate(op FaultOp) error {
-	ix := x.ix
-	checkLink := func() error {
-		if op.Link < 0 || op.Link >= len(ix.linkNames) {
-			return fmt.Errorf("link index %d out of range [0,%d)", op.Link, len(ix.linkNames))
-		}
-		return nil
-	}
-	checkHost := func(i int, what string) error {
-		if i < 0 || i >= len(ix.hostNames) {
-			return fmt.Errorf("%s index %d out of range [0,%d)", what, i, len(ix.hostNames))
-		}
-		return nil
-	}
-	if op.At < 0 {
-		return fmt.Errorf("op time %v is negative", op.At)
-	}
-	switch op.Kind {
-	case OpLinkDown, OpLinkUp:
-		return checkLink()
-	case OpBridgeRestart:
-		if op.Bridge < 0 || op.Bridge >= len(ix.built.Bridges) {
-			return fmt.Errorf("bridge index %d out of range [0,%d)", op.Bridge, len(ix.built.Bridges))
-		}
-		// Apply restarts through a bare type assertion; catch a
-		// non-restartable protocol here instead of panicking mid-run.
-		if _, ok := ix.built.Bridges[op.Bridge].(restartable); !ok {
-			return fmt.Errorf("bridge %d (%T) does not support restart", op.Bridge, ix.built.Bridges[op.Bridge])
-		}
-		return nil
-	case OpSetLoss, OpClearLoss:
-		if err := checkLink(); err != nil {
-			return err
-		}
-		if op.Side != 0 && op.Side != 1 {
-			return fmt.Errorf("loss side %d must be 0 or 1", op.Side)
-		}
-		if op.Kind == OpSetLoss && (op.Rate < 0 || op.Rate > 1) {
-			return fmt.Errorf("loss rate %v outside [0,1]", op.Rate)
-		}
-		return nil
-	case OpBurst:
-		if err := checkHost(op.Src, "src host"); err != nil {
-			return err
-		}
-		if err := checkHost(op.Dst, "dst host"); err != nil {
-			return err
-		}
-		if op.Src == op.Dst {
-			return fmt.Errorf("burst src and dst are both host %d", op.Src)
-		}
-		if op.Count <= 0 {
-			return fmt.Errorf("burst count %d must be positive", op.Count)
-		}
-		if op.Interval <= 0 {
-			return fmt.Errorf("burst interval %v must be positive", op.Interval)
-		}
-		if op.Payload <= 0 || op.Payload > 1472 {
-			return fmt.Errorf("burst payload %d outside (0,1472]", op.Payload)
-		}
-		return nil
-	case OpHostMove, OpHostReturn:
-		if err := checkHost(op.Host, "host"); err != nil {
-			return err
-		}
-		if _, ok := ix.spareJack[op.Host]; !ok {
-			return fmt.Errorf("host %d (%s) has no spare jack", op.Host, ix.hostNames[op.Host])
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown fault kind %d", op.Kind)
-	}
-}
-
-// Apply schedules every op at base+op.At with the engine's shard-aware
-// routing (shard-local where possible, coordinator barrier where an op
-// genuinely spans shards). Burst sinks are bound immediately, one per
-// destination (host, port); the returned sinks are the ones this call
-// bound. Apply is legal from driver context only — between runs, exactly
-// like the batch engine's fault phase.
-func (x *Index) Apply(ops []FaultOp, base time.Duration) (offered int, sinks []*app.Sink) {
-	return applyOps(x.ix, ops, base)
-}
-
-// Heal returns every link to service: all links up, loss cleared, and any
-// station stranded on its spare jack re-homed and re-announced.
-func (x *Index) Heal() { heal(x.ix) }
-
-// PartitionCut draws a seeded bisection of the bridge graph and returns
-// the crossing trunk links as op indices — plain link ops, so a partition
-// streamed at a daemon replays and heals like any other schedule.
-func (x *Index) PartitionCut(seed int64) []int {
-	return x.ix.partitionCut(rand.New(rand.NewSource(seed)))
 }

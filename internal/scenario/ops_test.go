@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -55,7 +58,7 @@ func TestOpCodecGeneratedSchedules(t *testing.T) {
 		cfg := Config{Seed: 5, Topology: "erdos-renyi", Faults: fam}.WithDefaults()
 		plan := rand.New(rand.NewSource(cfg.Seed))
 		built := buildFabric(cfg, plan)
-		ix := newNetIndex(built)
+		ix := NewIndex(built)
 		burstPort := uint16(7000)
 		ops := generateOps(fam, plan, ix, cfg.FaultPhase, &burstPort)
 		data, err := EncodeOps(ops)
@@ -79,19 +82,103 @@ func TestOpCodecGeneratedSchedules(t *testing.T) {
 }
 
 // TestOpCodecStrict rejects unknown fields, fields foreign to the kind,
-// missing required fields, and unknown kinds.
+// missing required fields, unknown kinds, an op without a kind and a key
+// that matches a field only when case is ignored, each with its own text.
 func TestOpCodecStrict(t *testing.T) {
-	cases := []struct{ name, doc string }{
-		{"unknown field", `[{"at":"1ms","kind":"link-down","link":0,"bogus":1}]`},
-		{"foreign field", `[{"at":"1ms","kind":"link-down","link":0,"rate":0.5}]`},
-		{"missing field", `[{"at":"1ms","kind":"set-loss","link":0,"side":1}]`},
-		{"unknown kind", `[{"at":"1ms","kind":"melt-down","link":0}]`},
-		{"trailing data", `[] []`},
+	cases := []struct{ name, doc, want string }{
+		{"unknown field", `[{"at":"1ms","kind":"link-down","link":0,"bogus":1}]`, `scenario op: json: unknown field "bogus"`},
+		{"foreign field", `[{"at":"1ms","kind":"link-down","link":0,"rate":0.5}]`, `scenario op: field "rate" is not read by kind "link-down"`},
+		{"missing field", `[{"at":"1ms","kind":"set-loss","link":0,"side":1}]`, `scenario op: kind "set-loss" requires field "rate"`},
+		{"unknown kind", `[{"at":"1ms","kind":"melt-down","link":0}]`, `scenario op: scenario: unknown fault kind "melt-down"`},
+		{"trailing data", `[] []`, "scenario ops: trailing data after JSON document"},
+		{"no kind", `[{"at":"1ms","link":3}]`, `scenario op: an op requires field "kind"`},
+		{"null kind", `[{"at":"1ms","kind":null,"link":3}]`, `scenario op: an op requires field "kind"`},
+		{"key in another case", `[{"at":"1ms","kind":"link-down","LINK":2}]`, `scenario op: json: unknown field "LINK"`},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeOps([]byte(tc.doc)); err == nil {
-			t.Errorf("%s: decoded without error: %s", tc.name, tc.doc)
+		if _, err := DecodeOps([]byte(tc.doc)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: %s decoded with err %v, want %q", tc.name, tc.doc, err, tc.want)
 		}
+	}
+}
+
+// opSamples is one wire value of each field some kind reads.
+var opSamples = map[string]string{
+	"link": "3", "side": "1", "rate": "0.35", "bridge": "1", "host": "2",
+	"src": "2", "dst": "4", "port": "7001", "count": "1200", "interval": `"8µs"`, "payload": "1100",
+}
+
+// TestFaultKindTable holds the codec to the kind table: for every row, an
+// op with every field it reads decodes and re-encodes to the same bytes;
+// the same op with any other field is refused naming the field and the
+// kind, and without any field it reads is refused naming both. The
+// canonical lines of sampleOps are pinned byte for byte: they are the
+// op-log's form.
+func TestFaultKindTable(t *testing.T) {
+	for _, f := range opFields[2:] {
+		if _, ok := opSamples[f.name]; !ok {
+			t.Fatalf("wire field %s has no opSamples value", f.name)
+		}
+	}
+	for i := range faultKinds {
+		k := &faultKinds[i]
+		var order []int
+		for _, name := range k.reads {
+			order = append(order, fieldIndex(name))
+		}
+		if !slices.IsSorted(order) || slices.Contains(order, -1) {
+			t.Errorf("kind %q reads %v, not wire fields in wire order", k.name, k.reads)
+		}
+		field := func(name string) string { return fmt.Sprintf(`,%q:%s`, name, opSamples[name]) }
+		doc := func(skip, extra string) string {
+			d := fmt.Sprintf(`{"at":"1ms","kind":%q`, k.name)
+			for _, name := range k.reads {
+				if name != skip {
+					d += field(name)
+				}
+			}
+			if extra != "" {
+				d += field(extra)
+			}
+			return d + "}"
+		}
+		full := doc("", "")
+		var op FaultOp
+		if err := json.Unmarshal([]byte(full), &op); err != nil || op.Kind != FaultKind(i) {
+			t.Errorf("%s: kind %d, err %v", full, op.Kind, err)
+			continue
+		}
+		if got, err := json.Marshal(op); err != nil || string(got) != full {
+			t.Errorf("%s re-encodes to %s, %v", full, got, err)
+		}
+		for _, f := range opFields[2:] {
+			if slices.Contains(k.reads, f.name) {
+				continue
+			}
+			want := fmt.Sprintf("scenario op: field %q is not read by kind %q", f.name, k.name)
+			if err := json.Unmarshal([]byte(doc("", f.name)), &op); err == nil || err.Error() != want {
+				t.Errorf("kind %q with %s set: err %v, want %q", k.name, f.name, err, want)
+			}
+		}
+		for _, name := range k.reads {
+			want := fmt.Sprintf("scenario op: kind %q requires field %q", k.name, name)
+			if err := json.Unmarshal([]byte(doc(name, "")), &op); err == nil || err.Error() != want {
+				t.Errorf("kind %q without %s: err %v, want %q", k.name, name, err, want)
+			}
+		}
+	}
+	want := []string{
+		`{"at":"10ms","kind":"link-down","link":3}`,
+		`{"at":"60ms","kind":"link-up","link":3}`,
+		`{"at":"15ms","kind":"bridge-restart","bridge":1}`,
+		`{"at":"20ms","kind":"set-loss","link":0,"side":1,"rate":0.35}`,
+		`{"at":"90ms","kind":"clear-loss","link":0,"side":1}`,
+		`{"at":"5ms","kind":"burst","src":2,"dst":4,"port":7001,"count":1200,"interval":"8µs","payload":1100}`,
+		`{"at":"30ms","kind":"host-move","host":2}`,
+		`{"at":"120ms","kind":"host-return","host":2}`,
+	}
+	if got, err := EncodeOps(sampleOps()); err != nil || string(got) != "["+strings.Join(want, ",")+"]" {
+		t.Errorf("sampleOps encode to %s, %v; want %v", got, err, want)
 	}
 }
 
@@ -118,36 +205,29 @@ func TestFaultKindText(t *testing.T) {
 }
 
 // TestIndexResolvesAndValidates exercises the exported Index against a
-// built instance: name lookups invert the name lists, Describe matches the
-// internal renderer, and Validate accepts a generated schedule while
-// rejecting out-of-range and malformed ops.
+// built instance: the name lists are sorted (bridges in build order),
+// Describe names the entities an op acts on, and Validate accepts a
+// generated schedule while rejecting out-of-range and malformed ops.
 func TestIndexResolvesAndValidates(t *testing.T) {
 	cfg := Config{Seed: 3, Topology: "erdos-renyi", Faults: FaultsMixed}.WithDefaults()
 	plan := rand.New(rand.NewSource(cfg.Seed))
 	built := buildFabric(cfg, plan)
 	x := NewIndex(built)
 
-	for i, name := range x.Links() {
-		if j, ok := x.LinkIndex(name); !ok || j != i {
-			t.Fatalf("LinkIndex(%q) = %d,%v; want %d,true", name, j, ok, i)
+	if !slices.IsSorted(x.Links) || !slices.IsSorted(x.Hosts) || len(x.Links) != len(built.Links) || len(x.Hosts) != len(built.Hosts) {
+		t.Fatalf("name lists not the sorted names: links %v, hosts %v", x.Links, x.Hosts)
+	}
+	for i, b := range built.Bridges {
+		if x.Bridges[i] != b.Name() {
+			t.Fatalf("Bridges[%d] = %q, want %q", i, x.Bridges[i], b.Name())
 		}
 	}
-	for i, name := range x.Hosts() {
-		if j, ok := x.HostIndex(name); !ok || j != i {
-			t.Fatalf("HostIndex(%q) = %d,%v; want %d,true", name, j, ok, i)
-		}
-	}
-	for i, name := range x.Bridges() {
-		if j, ok := x.BridgeIndex(name); !ok || j != i {
-			t.Fatalf("BridgeIndex(%q) = %d,%v; want %d,true", name, j, ok, i)
-		}
-	}
-	if _, ok := x.LinkIndex("no-such-link"); ok {
-		t.Fatal("LinkIndex resolved a nonexistent name")
+	if got, want := x.Describe(FaultOp{At: time.Millisecond, Kind: OpLinkDown, Link: 1}), "t=1ms link 1 down ("+x.Links[1]+")"; got != want {
+		t.Fatalf("Describe = %q, want %q", got, want)
 	}
 
 	burstPort := uint16(7000)
-	ops := generateOps(FaultsMixed, plan, x.ix, cfg.FaultPhase, &burstPort)
+	ops := generateOps(FaultsMixed, plan, x, cfg.FaultPhase, &burstPort)
 	for _, op := range ops {
 		if err := x.Validate(op); err != nil {
 			t.Fatalf("generated op %s rejected: %v", x.Describe(op), err)
@@ -155,7 +235,7 @@ func TestIndexResolvesAndValidates(t *testing.T) {
 	}
 
 	bad := []FaultOp{
-		{Kind: OpLinkDown, Link: len(x.Links())},
+		{Kind: OpLinkDown, Link: len(x.Links)},
 		{Kind: OpBridgeRestart, Bridge: -1},
 		{Kind: OpSetLoss, Link: 0, Side: 2, Rate: 0.5},
 		{Kind: OpSetLoss, Link: 0, Side: 0, Rate: 1.5},
@@ -171,9 +251,9 @@ func TestIndexResolvesAndValidates(t *testing.T) {
 	}
 
 	// PartitionCut is seeded and must return trunk indices crossing a cut.
-	cut := x.PartitionCut(42)
+	cut := x.PartitionCut(rand.New(rand.NewSource(42)))
 	trunks := map[int]bool{}
-	for _, li := range x.Trunks() {
+	for _, li := range x.Trunks {
 		trunks[li] = true
 	}
 	for _, li := range cut {
@@ -181,7 +261,7 @@ func TestIndexResolvesAndValidates(t *testing.T) {
 			t.Fatalf("partition cut link %d is not a trunk", li)
 		}
 	}
-	if again := x.PartitionCut(42); !reflect.DeepEqual(again, cut) {
+	if again := x.PartitionCut(rand.New(rand.NewSource(42))); !reflect.DeepEqual(again, cut) {
 		t.Fatalf("PartitionCut not deterministic: %v then %v", cut, again)
 	}
 }

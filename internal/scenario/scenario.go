@@ -159,7 +159,7 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 	cfg = cfg.WithDefaults()
 	plan := rand.New(rand.NewSource(cfg.Seed))
 	built := buildFabric(cfg, plan)
-	ix := newNetIndex(built)
+	ix := NewIndex(built)
 	chk := NewChecker(built)
 
 	// The plan RNG stream must be identical between Run and Replay so the
@@ -180,11 +180,11 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 		Links:   len(built.Links),
 	}
 	for _, op := range ops {
-		res.OpsApplied = append(res.OpsApplied, ix.describe(op))
+		res.OpsApplied = append(res.OpsApplied, ix.Describe(op))
 	}
 
 	base := built.Now()
-	burstOffered, burstSinks := applyOps(ix, ops, base)
+	burstOffered, burstSinks := ix.Apply(ops, base)
 	bgOffered, bgSinks := startBackground(plan, ix, cfg.FaultPhase)
 	pairs := choosePairs(plan, ix, cfg.VerifyPairs)
 
@@ -193,7 +193,7 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 
 	// Phase 2: heal everything, then quiesce. Guard windows close and
 	// in-flight repairs resolve before verification starts.
-	heal(ix)
+	ix.Heal()
 	built.RunFor(cfg.Quiesce)
 	chk.MarkStable(built.Now())
 
@@ -238,7 +238,7 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 			if completed[i] && !checked[i] {
 				checked[i] = true
 				if answered[i] == cfg.VerifyPings {
-					chk.CheckPathSymmetry(ix.hostNames[pr[0]], ix.hostNames[pr[1]])
+					chk.CheckPathSymmetry(ix.Hosts[pr[0]], ix.Hosts[pr[1]])
 				}
 			}
 		}
@@ -310,15 +310,15 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 		chk.CheckTables()
 		chk.CheckProxyCaches()
 		for i, pr := range pairs {
-			pairName := ix.hostNames[pr[0]] + "<->" + ix.hostNames[pr[1]]
+			pairName := ix.Hosts[pr[0]] + "<->" + ix.Hosts[pr[1]]
 			chk.CheckDelivery(pairName, cfg.VerifyPings, answered[i])
 		}
 		for i, pr := range warmPairs {
-			pairName := ix.hostNames[pr[0]] + "<->" + ix.hostNames[pr[1]]
+			pairName := ix.Hosts[pr[0]] + "<->" + ix.Hosts[pr[1]]
 			chk.CheckWarmDelivery(pairName, cfg.VerifyPings, warmAnswered[i], warmLastOK[i])
 		}
 		if tcpProbe {
-			pairName := ix.hostNames[pairs[0][0]] + "<->" + ix.hostNames[pairs[0][1]]
+			pairName := ix.Hosts[pairs[0][0]] + "<->" + ix.Hosts[pairs[0][1]]
 			chk.CheckTCPDelivery(pairName, tcpRep != nil && tcpRep.Complete)
 		}
 	}
@@ -367,16 +367,16 @@ func runSliced(built *topo.Built, window time.Duration, between func()) {
 // the fault phase, so faults always hit a network carrying traffic.
 // Losses here are legal (the network is being actively broken); the
 // counts feed the result's traffic accounting only.
-func startBackground(plan *rand.Rand, ix *netIndex, phase time.Duration) (offered int, sinks []*app.Sink) {
+func startBackground(plan *rand.Rand, ix *Index, phase time.Duration) (offered int, sinks []*app.Sink) {
 	flows := 2 + plan.Intn(2)
 	const interval = time.Millisecond
 	count := int(phase / (2 * interval))
 	port := uint16(6000)
 	for i := 0; i < flows; i++ {
-		src := plan.Intn(len(ix.hostNames))
-		dst := plan.Intn(len(ix.hostNames))
+		src := plan.Intn(len(ix.Hosts))
+		dst := plan.Intn(len(ix.Hosts))
 		if dst == src {
-			dst = (dst + 1) % len(ix.hostNames)
+			dst = (dst + 1) % len(ix.Hosts)
 		}
 		port++
 		sinks = append(sinks, app.NewSink(ix.host(dst), port))
@@ -410,8 +410,8 @@ func disjointPairs(pairs [][2]int) [][2]int {
 }
 
 // choosePairs draws n distinct host pairs for verification.
-func choosePairs(plan *rand.Rand, ix *netIndex, n int) [][2]int {
-	hosts := len(ix.hostNames)
+func choosePairs(plan *rand.Rand, ix *Index, n int) [][2]int {
+	hosts := len(ix.Hosts)
 	if n > hosts*(hosts-1)/2 {
 		n = hosts * (hosts - 1) / 2
 	}

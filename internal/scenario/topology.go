@@ -1,8 +1,9 @@
 package scenario
 
 import (
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/host"
@@ -17,7 +18,7 @@ import (
 func buildFabric(cfg Config, plan *rand.Rand) *topo.Built {
 	opts := topo.DefaultOptions(cfg.Protocol, cfg.Seed)
 	opts.Shards = cfg.Shards
-	opts.SpareJacks = cfg.Faults == FaultsHostMobility
+	opts.SpareJacks = family(cfg.Faults).spares
 	if cfg.Proxy {
 		// The proxy is an ARP-Path knob; Options.ARPPath enforces it.
 		opts.ARPPath().Proxy = true
@@ -27,56 +28,56 @@ func buildFabric(cfg Config, plan *rand.Rand) *topo.Built {
 	return built
 }
 
-// netIndex gives the engine stable integer handles into a built network:
-// fault ops reference links, bridges and hosts by index into these sorted
-// name lists, which is what makes an op list replayable (and shrinkable)
-// against a rebuilt instance of the same scenario.
-type netIndex struct {
-	built     *topo.Built
-	linkNames []string
-	hostNames []string
-	trunks    []int // indices into linkNames of bridge–bridge links
+// Index gives stable integer handles into a built network: fault ops name
+// links, bridges and hosts by index into its name lists, which makes an
+// op list replayable against a rebuilt instance of the same spec. The
+// batch sweep and the serving daemon check, describe and apply ops
+// through it. The exported lists are read-only.
+type Index struct {
+	built *topo.Built
+	// Links and Hosts are the sorted link and host names, Bridges the
+	// bridge names in build order: index i names entity i, so two builds
+	// of the same spec index identically.
+	Links, Hosts, Bridges []string
+	// Trunks are the Links indices of bridge–bridge links.
+	Trunks []int
+	// Mobile are the Hosts indices with a pre-cabled spare jack, sorted:
+	// the only legal targets of OpHostMove and OpHostReturn.
+	Mobile []int
 
 	// Host-mobility bookkeeping (SpareJacks builds). A "spare:H<i>-..."
-	// link is host i's other wall jack; isSpare marks those links so trunk
-	// selection and heal treat them specially, and mobile lists the hosts
-	// a move op may pick.
-	isSpare    []bool      // parallel to linkNames
-	spareOwner map[int]int // linkNames index -> hostNames index
-	homeJack   map[int]int // hostNames index -> linkNames index
-	spareJack  map[int]int // hostNames index -> linkNames index
-	mobile     []int       // hostNames indices with a spare jack, sorted
+	// link is host i's other wall jack; spareOwner marks those links so
+	// heal treats them specially.
+	spareOwner map[int]int // Links index -> Hosts index
+	homeJack   map[int]int // Hosts index -> Links index
+	spareJack  map[int]int // Hosts index -> Links index
 
 	// sinks marks the (host index, port) pairs a burst receiver is bound
 	// on: bursts naming the same destination socket share its sink.
 	sinks map[[2]int]bool
 }
 
-func newNetIndex(built *topo.Built) *netIndex {
-	ix := &netIndex{
+// NewIndex builds the handle table for a built topology.
+func NewIndex(built *topo.Built) *Index {
+	ix := &Index{
 		built:      built,
 		spareOwner: make(map[int]int),
 		homeJack:   make(map[int]int),
 		spareJack:  make(map[int]int),
 		sinks:      make(map[[2]int]bool),
 	}
-	for name := range built.Links {
-		ix.linkNames = append(ix.linkNames, name)
+	ix.Links, ix.Hosts = slices.Sorted(maps.Keys(built.Links)), slices.Sorted(maps.Keys(built.Hosts))
+	for _, b := range built.Bridges {
+		ix.Bridges = append(ix.Bridges, b.Name())
 	}
-	sort.Strings(ix.linkNames)
-	for name := range built.Hosts {
-		ix.hostNames = append(ix.hostNames, name)
-	}
-	sort.Strings(ix.hostNames)
-	hostIdx := make(map[string]int, len(ix.hostNames))
-	for i, name := range ix.hostNames {
+	hostIdx := make(map[string]int, len(ix.Hosts))
+	for i, name := range ix.Hosts {
 		hostIdx[name] = i
 	}
-	ix.isSpare = make([]bool, len(ix.linkNames))
-	for i, name := range ix.linkNames {
+	for i, name := range ix.Links {
 		l := built.Links[name]
 		if built.IsTrunk(l) {
-			ix.trunks = append(ix.trunks, i)
+			ix.Trunks = append(ix.Trunks, i)
 			continue
 		}
 		// Access links: tie each one to its host's index. Spare jacks are
@@ -90,7 +91,6 @@ func newNetIndex(built *topo.Built) *netIndex {
 			continue
 		}
 		if strings.HasPrefix(name, "spare:") {
-			ix.isSpare[i] = true
 			ix.spareOwner[i] = h
 			ix.spareJack[h] = i
 		} else {
@@ -99,37 +99,37 @@ func newNetIndex(built *topo.Built) *netIndex {
 	}
 	for h := range ix.spareJack {
 		if _, ok := ix.homeJack[h]; ok {
-			ix.mobile = append(ix.mobile, h)
+			ix.Mobile = append(ix.Mobile, h)
 		}
 	}
-	sort.Ints(ix.mobile)
+	slices.Sort(ix.Mobile)
 	return ix
 }
 
-func (ix *netIndex) link(i int) *netsim.Link  { return ix.built.Links[ix.linkNames[i]] }
-func (ix *netIndex) host(i int) *host.Host    { return ix.built.Hosts[ix.hostNames[i]] }
-func (ix *netIndex) bridge(i int) topo.Bridge { return ix.built.Bridges[i] }
+func (ix *Index) link(i int) *netsim.Link  { return ix.built.Links[ix.Links[i]] }
+func (ix *Index) host(i int) *host.Host    { return ix.built.Hosts[ix.Hosts[i]] }
+func (ix *Index) bridge(i int) topo.Bridge { return ix.built.Bridges[i] }
 
-// partitionCut draws a seeded bisection of the bridge graph: BFS from a
+// PartitionCut draws a seeded bisection of the bridge graph: BFS from a
 // plan-chosen bridge claims half the bridges, and the cut is every trunk
 // link with exactly one end inside the claimed set. The result is a list
-// of linkNames indices — plain link ops, so partition schedules replay
-// and shrink like any others.
-func (ix *netIndex) partitionCut(plan *rand.Rand) []int {
+// of Links indices — plain link ops, so partition schedules (generated,
+// or streamed at a daemon) replay, shrink and heal like any others.
+func (ix *Index) PartitionCut(plan *rand.Rand) []int {
 	nb := len(ix.built.Bridges)
 	if nb < 2 {
 		return nil
 	}
 	idx := make(map[string]int, nb)
-	for i, b := range ix.built.Bridges {
-		idx[b.Name()] = i
+	for i, name := range ix.Bridges {
+		idx[name] = i
 	}
 	adj := make([][]int, nb)
 	ends := func(li int) (int, int) {
 		l := ix.link(li)
 		return idx[l.A().Node().Name()], idx[l.B().Node().Name()]
 	}
-	for _, li := range ix.trunks {
+	for _, li := range ix.Trunks {
 		a, b := ends(li)
 		if a != b {
 			adj[a] = append(adj[a], b)
@@ -158,7 +158,7 @@ func (ix *netIndex) partitionCut(plan *rand.Rand) []int {
 		}
 	}
 	var cut []int
-	for _, li := range ix.trunks {
+	for _, li := range ix.Trunks {
 		a, b := ends(li)
 		if in[a] != in[b] {
 			cut = append(cut, li)

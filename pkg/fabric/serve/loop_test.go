@@ -81,8 +81,7 @@ func TestServeBurstStreamLifecycle(t *testing.T) {
 			len(srv.sinks), len(srv.pending), len(srv.flows))
 	}
 	for name, wantUDP := range map[string]int{"A": 0, "B": 1} { // B keeps its burst sink
-		i, _ := srv.index.HostIndex(name)
-		h := srv.index.Host(i)
+		h := srv.built.Hosts[name]
 		if got := boundPorts(func(p uint16) { h.UDP(p, nil).Close() }); got != wantUDP {
 			t.Errorf("host %s: %d UDP ports still bound, want %d", name, got, wantUDP)
 		}
@@ -191,8 +190,7 @@ func TestServeReplayAcrossOriginationDrops(t *testing.T) {
 	if live.LeakedFrames != 0 || live.StreamsDone != 2 || live.StreamsOK != 1 {
 		t.Fatalf("live: leaked=%d streams done=%d complete=%d, want 0, 2 and 1", live.LeakedFrames, live.StreamsDone, live.StreamsOK)
 	}
-	i, _ := srv.index.HostIndex("B")
-	b := srv.index.Host(i)
+	b := srv.built.Hosts["B"]
 	if got := boundPorts(func(p uint16) { b.Listen(p, func(*host.Conn) {}).Close() }); got != 0 {
 		t.Errorf("host B: %d TCP ports still listening, want 0", got)
 	}

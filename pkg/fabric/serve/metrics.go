@@ -17,18 +17,17 @@ import (
 )
 
 func (s *Server) info() *Info {
-	hosts := s.index.Hosts()
 	mobile := make([]string, 0, 4)
-	for _, i := range s.index.MobileHosts() {
-		mobile = append(mobile, hosts[i])
+	for _, i := range s.index.Mobile {
+		mobile = append(mobile, s.index.Hosts[i])
 	}
 	return &Info{
 		Protocol: s.spec.Protocol.Name,
 		Shards:   s.spec.Shards,
 		Quantum:  fabric.Duration(s.quantum),
-		Hosts:    hosts,
-		Links:    s.index.Links(),
-		Bridges:  s.index.Bridges(),
+		Hosts:    s.index.Hosts,
+		Links:    s.index.Links,
+		Bridges:  s.index.Bridges,
 		Mobile:   mobile,
 	}
 }

@@ -20,6 +20,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/pkg/fabric"
@@ -262,7 +263,7 @@ var wireOps = []wireOp{
 	// drives is the one that ran, whatever this derivation does.
 	{name: "matrix", reads: []string{"seed", "flows", "count", "interval", "payload"},
 		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
-			hosts := s.index.Hosts()
+			hosts := s.index.Hosts
 			if len(hosts) < 2 {
 				return nil, fmt.Errorf("matrix requires at least two hosts")
 			}
@@ -307,7 +308,7 @@ var wireOps = []wireOp{
 		})},
 	{name: "bridge-restart", reads: []string{"bridge"},
 		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
-			bi, err := resolve(req, "bridge", "a bridge name", req.Bridge, s.index.BridgeIndex)
+			bi, err := resolve(req, "bridge", "a bridge name", req.Bridge, s.index.Bridges)
 			return []scenario.FaultOp{{Kind: scenario.OpBridgeRestart, Bridge: bi}}, err
 		})},
 	{name: "host-move", reads: []string{"host", "for"},
@@ -326,7 +327,7 @@ var wireOps = []wireOp{
 		})},
 	{name: "partition", reads: []string{"seed", "for"},
 		compile: fault(func(s *Server, req Request) ([]scenario.FaultOp, error) {
-			cut := s.index.PartitionCut(req.Seed)
+			cut := s.index.PartitionCut(newSeededRand(req.Seed))
 			if len(cut) == 0 {
 				return nil, fmt.Errorf("partition: the bridge graph yields no cut")
 			}
@@ -436,24 +437,24 @@ func linkOp(kind scenario.FaultKind) func(*Server, Request) (*logEntry, error) {
 }
 
 // resolve looks up the name a request gives for a noun (what names it
-// in the refusal of an absent name) with find.
-func resolve(req Request, noun, what, name string, find func(string) (int, bool)) (int, error) {
+// in the refusal of an absent name) in names.
+func resolve(req Request, noun, what, name string, names []string) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("%s requires %s", req.Op, what)
 	}
-	i, ok := find(name)
-	if !ok {
+	i := slices.Index(names, name)
+	if i < 0 {
 		return 0, fmt.Errorf("unknown %s %q", noun, name)
 	}
 	return i, nil
 }
 
 func (s *Server) link(req Request) (int, error) {
-	return resolve(req, "link", "a link name", req.Link, s.index.LinkIndex)
+	return resolve(req, "link", "a link name", req.Link, s.index.Links)
 }
 
 func (s *Server) hostIx(req Request, name, what string) (int, error) {
-	return resolve(req, "host", what, name, s.index.HostIndex)
+	return resolve(req, "host", what, name, s.index.Hosts)
 }
 
 // burst is one UDP burst src → dst with the request's sizing.

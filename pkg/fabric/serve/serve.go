@@ -168,13 +168,21 @@ type Server struct {
 	report *Report
 }
 
+// CheckSpec returns the defaulted spec a session serves, or the error
+// refusing it: a spec that names a workload kind (the daemon serves a
+// fabric, and its clients' ops are the workload) or one WithDefaults
+// refuses. New and Replay refuse a spec with it.
+func CheckSpec(s fabric.Spec) (fabric.Spec, error) {
+	if k := s.Workload.Kind; k != "" {
+		return fabric.Spec{}, fmt.Errorf("serve: the spec names workload kind %q; the daemon serves a fabric, and its clients' ops are the workload", k)
+	}
+	return s.WithDefaults()
+}
+
 // newServer builds the fabric and the serving state without starting the
 // loop; New starts the live loop, Replay drives the same state inline.
 func newServer(o Options) (*Server, error) {
-	if k := o.Spec.Workload.Kind; k != "" {
-		return nil, fmt.Errorf("serve: the spec names workload kind %q; the daemon serves a fabric, and its clients' ops are the workload", k)
-	}
-	spec, err := o.Spec.WithDefaults()
+	spec, err := CheckSpec(o.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -543,11 +551,11 @@ func (s *Server) newFlow(label, class string) *flow {
 func (s *Server) hosts(src, dst string) (*host.Host, *host.Host, error) {
 	var hs [2]*host.Host
 	for i, name := range []string{src, dst} {
-		hi, ok := s.index.HostIndex(name)
+		h, ok := s.built.Hosts[name]
 		if !ok {
 			return nil, nil, fmt.Errorf("unknown host %q", name)
 		}
-		hs[i] = s.index.Host(hi)
+		hs[i] = h
 	}
 	return hs[0], hs[1], nil
 }

@@ -291,6 +291,10 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	if _, err := Replay(strings.NewReader(header+"\n"+`{"at":"5ms","seq":1,"zap":true}`+"\n"), 0, io.Discard); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("unknown entry field accepted (err=%v)", err)
 	}
+	// A fault op without a kind is refused, not read as a link-down.
+	if _, err := Replay(strings.NewReader(header+"\n"+`{"at":"5ms","seq":1,"fault":[{"at":"0s","link":0}]}`+"\n"), 0, io.Discard); err == nil || !strings.Contains(err.Error(), `line 2: scenario op: an op requires field "kind"`) {
+		t.Fatalf("fault op without a kind accepted (err=%v)", err)
+	}
 	// A header whose spec carries a value no bridge can run with is an
 	// error too — it used to panic in a timer two frames below Replay —
 	// and the daemon refuses the same spec at boot.

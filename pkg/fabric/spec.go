@@ -84,7 +84,7 @@ type LinkSpec struct {
 //	ping          the fabric keys; pings, interval
 //	stream        the fabric keys; stream_size
 //	allpairs      the fabric keys
-//	matrix        the fabric keys; pattern (hotspot, permutation or pairs), flows, hotspots, skew, flow_bytes, arrival
+//	matrix        the fabric keys; pattern, flow_bytes, arrival, and the pattern's own: hotspot flows, hotspots; pairs flows, skew; permutation none
 //	figure2-demo  pings, interval: Figure 2, ARP-Path vs STP latency
 //	path-repair   stream_size, failures, with_stp, fast_stp: Figure 3, streaming across link failures
 //	properties, load, proxy, repair, lockwindow, tablesize

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -343,7 +344,10 @@ var specKeys = map[string]func(*Spec){
 // TestKindTableKeys holds WithDefaults to the kind table: for every row,
 // a Spec that sets every key the kind reads is accepted, and the same
 // Spec with any other key set is refused by an error naming the key and
-// the kind. specKeys covers every key of the Spec but everyKind's.
+// the kind. A matrix Spec is tried once per pattern, with the keys that
+// pattern reads; a matrix key another pattern reads is refused naming the
+// key and the pattern. specKeys covers every key of the Spec but
+// everyKind's.
 func TestKindTableKeys(t *testing.T) {
 	spec := reflect.TypeOf(Spec{})
 	for i := range spec.NumField() {
@@ -365,26 +369,46 @@ func TestKindTableKeys(t *testing.T) {
 	}
 	keys := slices.Sorted(maps.Keys(specKeys))
 	for _, k := range kinds {
-		full := Spec{Workload: WorkloadSpec{Kind: k.name}}
-		for _, key := range k.keys {
-			set, ok := specKeys[key]
-			if !ok {
-				t.Fatalf("kind %q reads %s, which has no specKeys sample", k.name, key)
-			}
-			set(&full)
+		patterns := []string{""}
+		if k.name == "matrix" {
+			patterns = slices.Sorted(maps.Keys(patternKeys))
 		}
-		if _, err := full.WithDefaults(); err != nil {
-			t.Errorf("kind %q with every key it reads set: %v", k.name, err)
-		}
-		for _, key := range keys {
-			if slices.Contains(k.keys, key) {
-				continue
+		for _, p := range patterns {
+			reads, who := k.keys, fmt.Sprintf("kind %q", k.name)
+			if p != "" {
+				reads = onFabric()
+				for _, key := range slices.Concat(everyPattern, patternKeys[p]) {
+					if key != "kind" {
+						reads = append(reads, "workload."+key)
+					}
+				}
 			}
-			s := full
-			specKeys[key](&s)
-			_, err := s.WithDefaults()
-			if err == nil || !strings.HasPrefix(err.Error(), "spec: "+key) || !strings.Contains(err.Error(), fmt.Sprintf("kind %q does not read it", k.name)) {
-				t.Errorf("kind %q with %s set: err %v, want a refusal naming both", k.name, key, err)
+			full := Spec{Workload: WorkloadSpec{Kind: k.name}}
+			for _, key := range reads {
+				set, ok := specKeys[key]
+				if !ok {
+					t.Fatalf("kind %q reads %s, which has no specKeys sample", k.name, key)
+				}
+				set(&full)
+			}
+			full.Workload.Pattern = cmp.Or(p, full.Workload.Pattern)
+			if _, err := full.WithDefaults(); err != nil {
+				t.Errorf("kind %q pattern %q with every key it reads set: %v", k.name, p, err)
+			}
+			for _, key := range keys {
+				if slices.Contains(reads, key) {
+					continue
+				}
+				s := full
+				specKeys[key](&s)
+				want := who
+				if slices.Contains(k.keys, key) {
+					want = fmt.Sprintf("matrix pattern %q", p)
+				}
+				_, err := s.WithDefaults()
+				if err == nil || !strings.HasPrefix(err.Error(), "spec: "+key) || !strings.Contains(err.Error(), want+" does not read it") {
+					t.Errorf("kind %q pattern %q with %s set: err %v, want a refusal naming %s and %s", k.name, p, key, err, key, want)
+				}
 			}
 		}
 	}

@@ -4,12 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/host/app"
 	"repro/internal/metrics"
+	"repro/internal/topo"
 )
 
 // kind is one row of the kind table: everything the tree knows about one
@@ -51,10 +51,12 @@ var kinds = []kind{
 			w.FlowBytes, w.Arrival = m.Bytes, Duration(m.Arrival)
 		},
 		check: func(s Spec) error {
-			if !slices.Contains(experiments.MatrixPatterns(), experiments.MatrixPattern(s.Workload.Pattern)) {
-				return fmt.Errorf("spec: workload.pattern: matrix needs one of %v, got %q", experiments.MatrixPatterns(), s.Workload.Pattern)
+			p := s.Workload.Pattern
+			reads, ok := patternKeys[p]
+			if !ok {
+				return fmt.Errorf("spec: workload.pattern: matrix needs one of %v, got %q", experiments.MatrixPatterns(), p)
 			}
-			return nil
+			return topo.CheckKeys(s.Workload, "spec: workload.", fmt.Sprintf("matrix pattern %q", p), everyPattern, reads)
 		},
 		run: (*Runner).runMatrix},
 	{name: "figure2-demo", keys: []string{"workload.pings", "workload.interval"}, defaults: pingTrain,
@@ -92,6 +94,17 @@ var kinds = []kind{
 	{name: "sweep", keys: []string{"protocol", "scenario", "verify.pairs", "verify.pings"},
 		defaults: sweepDefaults, check: sweepCheck, run: (*Runner).runSweep, scenarios: true},
 }
+
+// patternKeys are the workload keys each matrix pattern reads besides
+// everyPattern's: a permutation has one flow per host and no weights.
+var patternKeys = map[string][]string{
+	string(experiments.MatrixHotspot):     {"flows", "hotspots"},
+	string(experiments.MatrixPermutation): nil,
+	string(experiments.MatrixPairs):       {"flows", "skew"},
+}
+
+// everyPattern are the workload keys every matrix pattern reads.
+var everyPattern = []string{"kind", "pattern", "flow_bytes", "arrival"}
 
 // onFabric are the keys of a kind that runs on the Spec's fabric.
 func onFabric(keys ...string) []string {
