@@ -6,7 +6,7 @@ import (
 )
 
 func TestT5LockWindowSweep(t *testing.T) {
-	rows := RunT5LockWindow(1, []time.Duration{
+	rows := RunT5LockWindow(paper(1), []time.Duration{
 		time.Millisecond,       // far below the 8ms flood traversal
 		20 * time.Millisecond,  // above traversal, below reply RTT margin
 		200 * time.Millisecond, // the default
@@ -35,7 +35,7 @@ func TestT5LockWindowSweep(t *testing.T) {
 }
 
 func TestT6TableSizeScaling(t *testing.T) {
-	rows := RunT6TableSize(1, []int{8, 16})
+	rows := RunT6TableSize(paper(1), []int{8, 16})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

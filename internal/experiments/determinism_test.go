@@ -19,8 +19,8 @@ func TestFigure2Deterministic(t *testing.T) {
 	cfg := DefaultFigure2Config()
 	cfg.Pings = 5
 	cfg.Profiles = []topo.Figure2Profile{topo.ProfileSlowDiagonal}
-	a := RunFigure2(cfg)
-	b := RunFigure2(cfg)
+	a := RunFigure2(paper(1), cfg)
+	b := RunFigure2(paper(1), cfg)
 	if len(a) != len(b) {
 		t.Fatal("row counts differ")
 	}
@@ -40,8 +40,8 @@ func TestFigure2Deterministic(t *testing.T) {
 func TestFigure3Deterministic(t *testing.T) {
 	cfg := DefaultFigure3Config()
 	cfg.StreamSize = 4 << 20
-	a := RunFigure3(cfg, topo.ARPPath)
-	b := RunFigure3(cfg, topo.ARPPath)
+	a := RunFigure3(paper(1), cfg)
+	b := RunFigure3(paper(1), cfg)
 	if len(a.Failures) != len(b.Failures) {
 		t.Fatal("failure counts differ")
 	}
@@ -59,8 +59,8 @@ func TestFigure3Deterministic(t *testing.T) {
 }
 
 func TestT2Deterministic(t *testing.T) {
-	a := RunT2Load(7, topo.ARPPath)
-	b := RunT2Load(7, topo.ARPPath)
+	a := RunT2Load(paper(7), topo.ARPPath)
+	b := RunT2Load(paper(7), topo.ARPPath)
 	if a.UsedLinks != b.UsedLinks || a.Jain != b.Jain ||
 		a.Delivered != b.Delivered || a.MaxBusy != b.MaxBusy {
 		t.Fatalf("T2 diverged: %+v vs %+v", a, b)
@@ -91,21 +91,19 @@ var matrixCells = []cell{
 // fingerprint/events line each, build order, warm-up included.
 type observation struct{ rendered, traces string }
 
-// row is one workload of the matrix. It builds its fabrics at the package
-// shard count and returns everything it renders.
+// row is one workload of the matrix. It builds its fabrics at the shard
+// count of o, the build half of its Spec, and returns everything it
+// renders.
 type row struct {
 	name   string
-	render func(*testing.T) string
+	render func(t *testing.T, o topo.Options) string
 }
 
 // The second result is the coordinator's three deterministic counts per
 // fabric. They depend on the shard count, so they are no part of the
 // observation; cells that differ only in GOMAXPROCS must agree on them,
 // and the scale rows must match scaleCoordPins.
-func observe(t *testing.T, c cell, render func(*testing.T) string) (o observation, coord string) {
-	prevShards := Shards
-	Shards = c.shards
-	defer func() { Shards = prevShards }()
+func observe(t *testing.T, c cell, render func(*testing.T, topo.Options) string) (o observation, coord string) {
 	if c.procs > 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 	}
@@ -120,7 +118,9 @@ func observe(t *testing.T, c cell, render func(*testing.T) string) (o observatio
 	}
 	defer func() { topo.OnBuilt = prevHook }()
 
-	o.rendered = render(t)
+	opts := paper(1)
+	opts.Shards = c.shards
+	o.rendered = render(t, opts)
 	for i, fp := range fps {
 		o.traces += fmt.Sprintf("fabric %d: %#016x/%d events\n", i, fp.Sum(), fp.Events())
 		cs := nets[i].CoordStats()
@@ -129,21 +129,27 @@ func observe(t *testing.T, c cell, render func(*testing.T) string) (o observatio
 	return o, coord
 }
 
+// at is o at seed.
+func at(o topo.Options, seed int64) topo.Options {
+	o.Seed = seed
+	return o
+}
+
 // smallScale keeps the scale rows fast: a 32-bridge fabric with a short
 // traffic window; observe fingerprints its trace like every row's.
 // Synchronized CBR flows are the worst case for same-timestamp key
 // windows, hence the seed sweep.
-func smallScale(seed int64) func(*testing.T) string {
-	return func(t *testing.T) string {
-		cfg := DefaultScaleConfig(seed, Shards)
+func smallScale(seed int64) func(*testing.T, topo.Options) string {
+	return func(t *testing.T, o topo.Options) string {
+		cfg := DefaultScaleConfig()
 		cfg.Bridges = 32
 		cfg.Flows = 16
 		cfg.Window = 30 * time.Millisecond
-		r := RunScale(cfg)
+		r := RunScale(at(o, seed), cfg)
 		if r.Delivered == 0 {
 			t.Fatalf("degenerate run: %+v", r)
 		}
-		r.Config.Shards = 0 // the one table column that names the cell
+		r.Shards = 0 // the one table column that names the cell
 		return ScaleTable([]*ScaleResult{r}).String()
 	}
 }
@@ -170,14 +176,14 @@ var scaleCoordPins = map[string]map[int]string{
 // count exactly their pins.
 func TestDeterminismMatrix(t *testing.T) {
 	rows := []row{
-		{"figure1", func(*testing.T) string { return RunFigure1(9).Table().String() }},
-		{"t1-properties", func(*testing.T) string { return T1Table(RunT1Properties(9, 3)).String() }},
-		{"t5-lock-window", func(*testing.T) string {
-			return T5Table(RunT5LockWindow(9, []time.Duration{time.Millisecond, 20 * time.Millisecond})).String()
+		{"figure1", func(_ *testing.T, o topo.Options) string { return RunFigure1(at(o, 9)).Table().String() }},
+		{"t1-properties", func(_ *testing.T, o topo.Options) string { return T1Table(RunT1Properties(at(o, 9), 3)).String() }},
+		{"t5-lock-window", func(_ *testing.T, o topo.Options) string {
+			return T5Table(RunT5LockWindow(at(o, 9), []time.Duration{time.Millisecond, 20 * time.Millisecond})).String()
 		}},
 		// Eviction decisions, re-discovery storms and flood counts included.
-		{"tables", func(t *testing.T) string {
-			rs := RunTables(smallTables(13))
+		{"tables", func(t *testing.T, o topo.Options) string {
+			rs := RunTablesSharded(smallTables(13), o.Shards)
 			js, err := TablesJSON(rs)
 			if err != nil {
 				t.Fatal(err)

@@ -1,29 +1,36 @@
 // Package experiments contains one runner per figure and table of the
 // paper's evaluation (see DESIGN.md §4 for the index). The cmd/ tools
-// (through pkg/fabric) and this package's benchmarks all call into it, so
-// a result is computed exactly one way everywhere.
+// (through pkg/fabric) and bench/perf all call into it, so a result is
+// computed exactly one way everywhere. A runner takes the build half of
+// its row's Spec as topo.Options (seed, shard count, and for a
+// one-protocol row its protocol and tweaks) and builds every fabric with
+// topo.Build from a family's TopologySpec; the tables sweep's pressure
+// fabric is the one exception (tablesFabric says why).
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/layers"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 )
 
-// Shards is the shard count applied to every experiment topology
-// (a Spec's "shards"): >1 runs each simulation on the partitioned
-// engine. Every figure and table is bit-identical for any value
-// — that equivalence is enforced by TestDeterminismMatrix.
-var Shards = 1
+// defaults is o for protocol p with p's registered defaults: what a Spec
+// naming only o's seed, o's shard count and p compiles to. A row that
+// compares protocols builds each of them from it.
+func defaults(o topo.Options, p topo.Protocol) topo.Options {
+	d := topo.DefaultOptions(p, o.Seed)
+	d.Shards = o.Shards
+	return d
+}
 
-// expOptions is topo.DefaultOptions plus the package shard setting; every
-// experiment builds its topology through it.
-func expOptions(p topo.Protocol, seed int64) topo.Options {
-	o := topo.DefaultOptions(p, seed)
-	o.Shards = Shards
-	return o
+// build is topo.Build for a row's fixed family: a family the table lacks
+// is a programming error here, as a size its builder refuses already is.
+func build(o topo.Options, t topo.TopologySpec) *topo.Built {
+	b, err := topo.Build(o, t)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // OnNetworkDone is a test hook: when set, every runner invokes it with
@@ -102,6 +109,3 @@ func countBroadcastDeliveries(net *netsim.Network) *uint64 {
 	})
 	return &n
 }
-
-// within reports whether d lands inside [lo, hi].
-func within(d, lo, hi time.Duration) bool { return d >= lo && d <= hi }

@@ -10,12 +10,17 @@ import (
 	"repro/internal/topo"
 )
 
+// paper is the build half of a paper row's Spec at seed, on one engine.
+func paper(seed int64) topo.Options {
+	return defaults(topo.Options{Seed: seed, Shards: 1}, topo.ARPPath)
+}
+
 // TestFigure1LocksAndPath pins Figure 1 byte for byte: every bridge's
 // lock on S, S's ARP round trip and the confirmed S→D path. After an
 // intentional behaviour change, regenerate testdata/figure1.golden from
 // the "got" block of the failure.
 func TestFigure1LocksAndPath(t *testing.T) {
-	res := RunFigure1(1)
+	res := RunFigure1(paper(1))
 	got := fmt.Sprintf("%sdiscovery %v\npath %s\n", res.Table(), res.DiscoveryTime, strings.Join(res.Path, "→"))
 	want, err := os.ReadFile("testdata/figure1.golden")
 	if err != nil {
@@ -29,7 +34,7 @@ func TestFigure1LocksAndPath(t *testing.T) {
 func TestFigure2ShapeHolds(t *testing.T) {
 	cfg := DefaultFigure2Config()
 	cfg.Pings = 10
-	rows := RunFigure2(cfg)
+	rows := RunFigure2(paper(1), cfg)
 	if len(rows) != 6 { // 3 profiles × 2 protocols
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -99,7 +104,7 @@ func TestFigure2FirstPingIncludesDiscovery(t *testing.T) {
 	cfg := DefaultFigure2Config()
 	cfg.Pings = 5
 	cfg.Profiles = []topo.Figure2Profile{topo.ProfileUniform}
-	rows := RunFigure2(cfg)
+	rows := RunFigure2(paper(1), cfg)
 	for _, r := range rows {
 		if r.FirstRTT <= r.RTTs.Mean() {
 			t.Fatalf("%s first RTT %v not above steady-state %v (no ARP cost?)",
@@ -111,7 +116,7 @@ func TestFigure2FirstPingIncludesDiscovery(t *testing.T) {
 func TestFigure3ARPPathRepairsFast(t *testing.T) {
 	cfg := DefaultFigure3Config()
 	cfg.StreamSize = 8 << 20
-	res := RunFigure3(cfg, topo.ARPPath)
+	res := RunFigure3(paper(1), cfg)
 	if res.Report == nil || !res.Report.Complete {
 		t.Fatal("stream did not complete under ARP-Path")
 	}
@@ -133,9 +138,9 @@ func TestFigure3ARPPathRepairsFast(t *testing.T) {
 func TestFigure3STPContrastSlower(t *testing.T) {
 	cfg := DefaultFigure3Config()
 	cfg.StreamSize = 8 << 20
-	cfg.FailureTimes = []time.Duration{50 * time.Millisecond}
-	ap := RunFigure3(cfg, topo.ARPPath)
-	st := RunFigure3(cfg, topo.STP)
+	cfg.Failures = 1
+	ap := RunFigure3(paper(1), cfg)
+	st := RunFigure3(defaults(paper(1), topo.STP), cfg)
 	if len(st.Failures) == 0 {
 		t.Fatal("STP run injected no failure")
 	}
@@ -159,7 +164,7 @@ func TestFigure3STPContrastSlower(t *testing.T) {
 }
 
 func TestT1PropertiesHold(t *testing.T) {
-	rows := RunT1Properties(1, 4)
+	rows := RunT1Properties(paper(1), 4)
 	if len(rows) != 4 {
 		t.Fatalf("trials = %d", len(rows))
 	}
@@ -187,8 +192,8 @@ func TestT1PropertiesHold(t *testing.T) {
 }
 
 func TestT2LoadDistribution(t *testing.T) {
-	ap := RunT2Load(1, topo.ARPPath)
-	st := RunT2Load(1, topo.STP)
+	ap := RunT2Load(paper(1), topo.ARPPath)
+	st := RunT2Load(paper(1), topo.STP)
 	// ARP-Path's spreading must deliver the large majority; STP funnels
 	// four flows per pod through one aggregation uplink and tail-drops —
 	// that concentration is exactly the §2.2 claim.
@@ -214,7 +219,7 @@ func TestT2LoadDistribution(t *testing.T) {
 }
 
 func TestT3ProxySuppression(t *testing.T) {
-	rows := RunT3Proxy(1, []int{4, 8})
+	rows := RunT3Proxy(paper(1), []int{4, 8})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -245,7 +250,7 @@ func TestT3ProxySuppression(t *testing.T) {
 }
 
 func TestT4RepairAblation(t *testing.T) {
-	rows := RunT4Repair(1)
+	rows := RunT4Repair(paper(1))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -258,29 +263,24 @@ func TestT4RepairAblation(t *testing.T) {
 	slow := byName["stp (default timers)"]
 	fast := byName["stp (fast timers)"]
 
-	if !on.Completed {
+	completed := func(r T4Row) bool { return r.Report != nil && r.Report.Complete }
+	if !completed(on) {
 		t.Fatal("repair-on stream failed")
 	}
-	if off.Completed {
+	if completed(off) {
 		t.Fatal("repair-off stream completed — blackhole did not blackhole")
 	}
-	if !slow.Completed || !fast.Completed {
+	if !completed(slow) || !completed(fast) {
 		t.Fatal("STP streams should complete eventually")
 	}
 	// Ordering: arp-path ≪ stp-fast < stp-default.
-	if on.RepairTime >= fast.RepairTime {
-		t.Fatalf("arp-path repair %v not faster than fast STP %v", on.RepairTime, fast.RepairTime)
+	if on.RepairTime() >= fast.RepairTime() {
+		t.Fatalf("arp-path repair %v not faster than fast STP %v", on.RepairTime(), fast.RepairTime())
 	}
-	if fast.RepairTime >= slow.RepairTime {
-		t.Fatalf("fast STP %v not faster than default STP %v", fast.RepairTime, slow.RepairTime)
+	if fast.RepairTime() >= slow.RepairTime() {
+		t.Fatalf("fast STP %v not faster than default STP %v", fast.RepairTime(), slow.RepairTime())
 	}
 	if T4Table(rows).Rows() != 4 {
 		t.Fatal("table rendering")
-	}
-}
-
-func TestWithinHelper(t *testing.T) {
-	if !within(5, 1, 10) || within(0, 1, 10) || within(11, 1, 10) {
-		t.Fatal("within() broken")
 	}
 }

@@ -27,9 +27,10 @@ type Figure1Result struct {
 	DiscoveryTime time.Duration
 }
 
-// RunFigure1 executes the discovery walkthrough on the Figure 1 topology.
-func RunFigure1(seed int64) *Figure1Result {
-	n := topo.Figure1(expOptions(topo.ARPPath, seed))
+// RunFigure1 executes the discovery walkthrough on the Figure 1 topology,
+// built with o (an arppath build).
+func RunFigure1(o topo.Options) *Figure1Result {
+	n := build(o, topo.TopologySpec{Family: "figure1"})
 	defer finishNet(n)
 	s, d := n.Host("S"), n.Host("D")
 

@@ -30,7 +30,6 @@ type Figure2Row struct {
 
 // Figure2Config tunes the experiment.
 type Figure2Config struct {
-	Seed     int64
 	Pings    int
 	Interval time.Duration
 	Profiles []topo.Figure2Profile
@@ -39,7 +38,6 @@ type Figure2Config struct {
 // DefaultFigure2Config mirrors the demo: a short ping train per scenario.
 func DefaultFigure2Config() Figure2Config {
 	return Figure2Config{
-		Seed:     1,
 		Pings:    20,
 		Interval: 100 * time.Millisecond,
 		Profiles: []topo.Figure2Profile{topo.ProfileUniform, topo.ProfileSlowDiagonal, topo.ProfileAsymmetric},
@@ -47,19 +45,20 @@ func DefaultFigure2Config() Figure2Config {
 }
 
 // RunFigure2 runs the ARP-Path vs STP latency comparison for every
-// profile and both protocols.
-func RunFigure2(cfg Figure2Config) []Figure2Row {
+// profile and both protocols, at o's seed and shard count.
+func RunFigure2(o topo.Options, cfg Figure2Config) []Figure2Row {
 	var rows []Figure2Row
 	for _, profile := range cfg.Profiles {
 		for _, proto := range []topo.Protocol{topo.ARPPath, topo.STP} {
-			rows = append(rows, runFigure2Cell(cfg, profile, proto))
+			rows = append(rows, runFigure2Cell(defaults(o, proto), cfg, profile))
 		}
 	}
 	return rows
 }
 
-func runFigure2Cell(cfg Figure2Config, profile topo.Figure2Profile, proto topo.Protocol) Figure2Row {
-	n := topo.Figure2(expOptions(proto, cfg.Seed), profile)
+func runFigure2Cell(o topo.Options, cfg Figure2Config, profile topo.Figure2Profile) Figure2Row {
+	proto := o.Protocol
+	n := build(o, topo.TopologySpec{Family: "figure2", Profile: string(profile)})
 	defer finishNet(n)
 	a, b := n.Host("A"), n.Host("B")
 	row := Figure2Row{

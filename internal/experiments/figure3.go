@@ -37,43 +37,29 @@ type Figure3Result struct {
 
 // Figure3Config tunes the experiment.
 type Figure3Config struct {
-	Seed int64
 	// StreamSize is the video size in bytes.
 	StreamSize int
-	// FailureTimes are when to cut the link currently carrying the
-	// stream, measured from stream start.
-	FailureTimes []time.Duration
+	// Failures is how many times to cut the link currently carrying the
+	// stream: cut i lands 50 + 100·i ms after the stream starts.
+	Failures int
 	// Budget bounds the run (STP needs tens of seconds to reconverge).
 	Budget time.Duration
-	// STPTimers selects the baseline's timer profile.
-	STPTimers stp.Timers
 }
 
 // DefaultFigure3Config mirrors the demo: a clip long enough to survive
 // two failures, cut while streaming.
 func DefaultFigure3Config() Figure3Config {
-	return Figure3Config{
-		Seed:         1,
-		StreamSize:   32 << 20,
-		FailureTimes: []time.Duration{50 * time.Millisecond, 150 * time.Millisecond},
-		Budget:       5 * time.Minute,
-		STPTimers:    stp.DefaultTimers(),
-	}
+	return Figure3Config{StreamSize: 32 << 20, Failures: 2, Budget: 5 * time.Minute}
 }
 
-// RunFigure3 runs the streaming-under-failures demo for one protocol.
-func RunFigure3(cfg Figure3Config, proto topo.Protocol) *Figure3Result {
-	opts := expOptions(proto, cfg.Seed)
-	if proto == topo.STP {
-		// The warm-up stays the default-timer budget on purpose: the demo
-		// pulls cables against a fabric that converged on standard timing.
-		*opts.STP() = cfg.STPTimers
-	}
-	n := topo.Figure2(opts, topo.ProfileUniform)
+// RunFigure3 runs the streaming-under-failures demo on the uniform Figure 2
+// testbed built with o: its protocol, timers and warm-up are the run's.
+func RunFigure3(o topo.Options, cfg Figure3Config) *Figure3Result {
+	n := build(o, topo.TopologySpec{Family: "figure2", Profile: string(topo.ProfileUniform)})
 	defer finishNet(n)
 	a, b := n.Host("A"), n.Host("B")
 
-	res := &Figure3Result{Protocol: proto}
+	res := &Figure3Result{Protocol: n.Opts.Protocol}
 	scfg := app.DefaultStreamConfig()
 	scfg.Size = cfg.StreamSize
 
@@ -93,9 +79,8 @@ func RunFigure3(cfg Figure3Config, proto topo.Protocol) *Figure3Result {
 	// Schedule the successive failures: each cuts whatever link NF4 is
 	// currently using toward A — i.e. the link the stream is riding,
 	// exactly like pulling cables in the live demo.
-	for _, ft := range cfg.FailureTimes {
-		at := start + ft
-		n.Engine.At(at, func() {
+	for i := range cfg.Failures {
+		n.Engine.At(start+time.Duration(50+100*i)*time.Millisecond, func() {
 			l := activeUplink(n, a.MAC())
 			if l == nil || !l.Up() {
 				return // stream already moved or fabric exhausted
@@ -245,20 +230,22 @@ func Figure3Table(results []*Figure3Result) *metrics.Table {
 			}
 			repairs += fmt.Sprintf("%s:%v", f.Link, f.RepairTime.Round(time.Microsecond))
 		}
-		completed := "no"
-		var tt any = "-"
-		if r.Report != nil && r.Report.Complete {
-			completed = "yes"
-			tt = r.TransferTime.Round(time.Millisecond)
-		}
-		received := 0
-		var stall time.Duration
-		if r.Report != nil {
-			received = r.Report.Received
-			stall = r.Report.TotalStall
-		}
+		completed, tt, stall, received := r.outcome()
 		t.AddRow(string(r.Protocol), completed, tt, len(r.Failures), repairs,
 			stall.Round(time.Millisecond), received)
 	}
 	return t
+}
+
+// outcome is the run's completed and transfer-time cells (a transfer time
+// only when complete), its total stall and the bytes the client received.
+func (r *Figure3Result) outcome() (completed string, transfer any, stall time.Duration, received int) {
+	completed, transfer = "no", "-"
+	if r.Report != nil {
+		stall, received = r.Report.TotalStall, r.Report.Received
+		if r.Report.Complete {
+			completed, transfer = "yes", r.TransferTime.Round(time.Millisecond)
+		}
+	}
+	return completed, transfer, stall, received
 }

@@ -406,10 +406,9 @@ var _ netsim.Node = (*muxStation)(nil)
 // tablesFabric builds the fixed pressure fabric: 8 bridges in a ring
 // with 4 chords (degree 3), one mux station per bridge. The wiring is
 // deterministic by construction; only the protocol and its table bound
-// vary across the sweep.
-func tablesFabric(proto topo.Protocol, seed int64, pcfg any, revisit time.Duration) (*topo.Built, []*muxStation) {
-	o := expOptions(proto, seed)
-	o.ProtocolConfig = pcfg
+// vary across the sweep. It is no Spec's fabric: a ring with chords is no
+// family, and no family attaches the synthetic multiplexing stations.
+func tablesFabric(o topo.Options, revisit time.Duration) (*topo.Built, []*muxStation) {
 	b := topo.NewBuilder(o)
 	brs := make([]topo.Bridge, tablesStations)
 	for i := range brs {
@@ -502,15 +501,21 @@ type TablesResult struct {
 	Run      *TablesRun
 }
 
-// RunTables drives the full sweep: every All-Path variant through every
-// capacity point, identical workload everywhere.
-func RunTables(cfg TablesConfig) []*TablesResult {
+// RunTables drives the full sweep on one engine: every All-Path variant
+// through every capacity point, identical workload everywhere.
+func RunTables(cfg TablesConfig) []*TablesResult { return RunTablesSharded(cfg, 1) }
+
+// RunTablesSharded is RunTables with every cell's fabric split across
+// shards engine shards; every result is the same at any count.
+func RunTablesSharded(cfg TablesConfig, shards int) []*TablesResult {
 	cfg = cfg.WithDefaults()
 	schedule := tablesSchedule(cfg)
 	var results []*TablesResult
-	for _, proto := range AllPathProtocols() {
+	for _, proto := range []topo.Protocol{topo.ARPPath, flowpath.ProtoFlowPath, flowpath.ProtoTCPPath} {
 		for _, pt := range tablesPoints(cfg.Conversations) {
-			built, stations := tablesFabric(proto, cfg.Seed, tablesProtocolConfig(proto, pt), cfg.Revisit)
+			o := defaults(topo.Options{Seed: cfg.Seed, Shards: shards}, proto)
+			o.ProtocolConfig = tablesProtocolConfig(proto, pt)
+			built, stations := tablesFabric(o, cfg.Revisit)
 			run := driveTables(built, stations, schedule, cfg)
 			finishNet(built)
 			results = append(results, &TablesResult{

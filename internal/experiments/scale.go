@@ -23,29 +23,25 @@ import (
 
 // ScaleConfig parameterizes one scaling run.
 type ScaleConfig struct {
-	Seed    int64
-	Bridges int // random-regular fabric size (even, one host per bridge)
-	Degree  int // trunk degree
-	Shards  int
+	Bridges int           // random-regular fabric size (even, one host per bridge)
+	Degree  int           // trunk degree
 	Flows   int           // concurrent UDP conversations
 	Window  time.Duration // traffic phase length (virtual time)
 }
 
 // DefaultScaleConfig is the scale workload's default: a 256-bridge
 // fabric, 64 conversations, 200ms of virtual traffic.
-func DefaultScaleConfig(seed int64, shards int) ScaleConfig {
-	return ScaleConfig{
-		Seed: seed, Bridges: 256, Degree: 3, Shards: shards,
-		Flows: 64, Window: 200 * time.Millisecond,
-	}
+func DefaultScaleConfig() ScaleConfig {
+	return ScaleConfig{Bridges: 256, Degree: 3, Flows: 64, Window: 200 * time.Millisecond}
 }
 
 // ScaleResult reports one scaling run. Everything but the coordinator's
 // fields (Lookahead, Windows, Barriers, Exchanged) is a deterministic
-// function of (Seed, Bridges, Degree, Flows, Window) — independent of
-// Shards and GOMAXPROCS.
+// function of the seed and the Config — independent of Shards and
+// GOMAXPROCS.
 type ScaleResult struct {
 	Config                ScaleConfig
+	Shards                int // the build's shard count
 	Bridges, Hosts, Links int
 	Lookahead             time.Duration // coordinator window (0 unsharded)
 	Offered, Delivered    int           // UDP datagrams
@@ -57,16 +53,14 @@ type ScaleResult struct {
 	Exchanged uint64 // cross-shard arrivals moved between engines
 }
 
-// RunScale executes one scaling run.
-func RunScale(cfg ScaleConfig) *ScaleResult {
-	opts := topo.DefaultOptions(topo.ARPPath, cfg.Seed)
-	opts.Shards = cfg.Shards
-	built := topo.RandomRegular(opts, cfg.Bridges, cfg.Degree)
+// RunScale executes one scaling run on a fabric built with o.
+func RunScale(o topo.Options, cfg ScaleConfig) *ScaleResult {
+	built := build(o, topo.TopologySpec{Family: "random-regular", N: cfg.Bridges, Degree: cfg.Degree})
 	defer finishNet(built)
 
 	// Draw the conversation pairs from a plan RNG, independent of the
 	// build stream, so the traffic matrix is a function of the seed alone.
-	plan := rand.New(rand.NewSource(cfg.Seed * 7919))
+	plan := rand.New(rand.NewSource(o.Seed * 7919))
 	type flow struct{ src, dst int }
 	flows := make([]flow, 0, cfg.Flows)
 	for len(flows) < cfg.Flows {
@@ -114,6 +108,7 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 
 	res := &ScaleResult{
 		Config:    cfg,
+		Shards:    o.Shards,
 		Bridges:   len(built.Bridges),
 		Hosts:     len(built.Hosts),
 		Links:     len(built.Links),
@@ -137,7 +132,7 @@ func ScaleTable(rs []*ScaleResult) *metrics.Table {
 	t := metrics.NewTable("Scaling fabric (random-regular, one host per bridge) — deterministic outputs",
 		"bridges", "links", "shards", "flows", "offered", "delivered", "events")
 	for _, r := range rs {
-		t.AddRow(r.Bridges, r.Links, r.Config.Shards, r.Config.Flows, r.Offered, r.Delivered, r.Events)
+		t.AddRow(r.Bridges, r.Links, r.Shards, r.Config.Flows, r.Offered, r.Delivered, r.Events)
 	}
 	return t
 }
@@ -149,7 +144,7 @@ func ScaleCoordTable(rs []*ScaleResult) *metrics.Table {
 	t := metrics.NewTable("Scaling fabric — shard coordinator over the traffic phase",
 		"bridges", "shards", "lookahead", "windows", "barriers", "exchanged")
 	for _, r := range rs {
-		t.AddRow(r.Bridges, r.Config.Shards, r.Lookahead, r.Windows, r.Barriers, r.Exchanged)
+		t.AddRow(r.Bridges, r.Shards, r.Lookahead, r.Windows, r.Barriers, r.Exchanged)
 	}
 	return t
 }

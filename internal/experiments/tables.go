@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-
 	"time"
 
 	"repro/internal/core"
@@ -29,15 +28,18 @@ type T1Row struct {
 	STPBlocked   int    // same topology under STP, for contrast
 }
 
-// RunT1Properties measures flood containment on seeded random topologies.
-func RunT1Properties(seed int64, trials int) []T1Row {
+// RunT1Properties measures flood containment on seeded random topologies:
+// trial i runs at seed o.Seed+i.
+func RunT1Properties(o topo.Options, trials int) []T1Row {
 	var rows []T1Row
 	for trial := 0; trial < trials; trial++ {
-		n := 4 + int(seed+int64(trial))%5
-		extra := 2 + trial%3
+		o := o
+		o.Seed += int64(trial)
+		n := 4 + int(o.Seed)%5
+		shape := topo.TopologySpec{Family: "random", N: n, ExtraEdges: 2 + trial%3}
 		row := T1Row{Trial: trial}
 
-		built := topo.Random(expOptions(topo.ARPPath, seed+int64(trial)), n, extra)
+		built := build(defaults(o, topo.ARPPath), shape)
 		row.Bridges = len(built.Bridges)
 		trunkLinks := 0
 		for _, l := range built.Network.Links() {
@@ -71,7 +73,7 @@ func RunT1Properties(seed int64, trials int) []T1Row {
 		finishNet(built)
 
 		// Same wiring under STP: count blocked ports after convergence.
-		stpBuilt := topo.Random(expOptions(topo.STP, seed+int64(trial)), n, extra)
+		stpBuilt := build(defaults(o, topo.STP), shape)
 		for _, br := range stpBuilt.Bridges {
 			sb := br.(*stp.Bridge)
 			for _, p := range sb.Ports() {
@@ -121,9 +123,10 @@ type T2Result struct {
 	Sent      int
 }
 
-// RunT2Load runs 8 cross-pod UDP flows on a k=4 fat tree.
-func RunT2Load(seed int64, proto topo.Protocol) *T2Result {
-	built := topo.FatTree(expOptions(proto, seed), 4)
+// RunT2Load runs 8 cross-pod UDP flows on a k=4 fat tree bridged by proto,
+// at o's seed and shard count.
+func RunT2Load(o topo.Options, proto topo.Protocol) *T2Result {
+	built := build(defaults(o, proto), topo.TopologySpec{Family: "fattree", N: 4})
 	defer finishNet(built)
 	res := &T2Result{Protocol: proto}
 
@@ -239,21 +242,21 @@ type T3Row struct {
 
 // RunT3Proxy measures ARP broadcast volume with and without the in-switch
 // proxy on rings of increasing size, with every host periodically
-// re-resolving one server.
-func RunT3Proxy(seed int64, sizes []int) []T3Row {
+// re-resolving one server, at o's seed and shard count.
+func RunT3Proxy(o topo.Options, sizes []int) []T3Row {
 	var rows []T3Row
 	for _, n := range sizes {
 		for _, proxy := range []bool{false, true} {
-			rows = append(rows, runT3Cell(seed, n, proxy))
+			rows = append(rows, runT3Cell(o, n, proxy))
 		}
 	}
 	return rows
 }
 
-func runT3Cell(seed int64, n int, proxy bool) T3Row {
-	opts := expOptions(topo.ARPPath, seed)
+func runT3Cell(o topo.Options, n int, proxy bool) T3Row {
+	opts := defaults(o, topo.ARPPath)
 	opts.ARPPath().Proxy = proxy
-	built := topo.Ring(opts, n)
+	built := build(opts, topo.TopologySpec{Family: "ring", N: n})
 	defer finishNet(built)
 	row := T3Row{Hosts: n, Proxy: proxy}
 
@@ -308,19 +311,25 @@ func T3Table(rows []T3Row) *metrics.Table {
 
 // --- T4: §2.1.4 repair ablation ----------------------------------------
 
-// T4Row is one variant's recovery from a single mid-stream failure.
+// T4Row is one variant's recovery from a single mid-stream failure: a
+// Figure 3 run with one cut.
 type T4Row struct {
-	Variant    string
-	Completed  bool
-	RepairTime time.Duration // first stall after the failure
-	TotalStall time.Duration
-	Transfer   time.Duration
+	Variant string
+	*Figure3Result
+}
+
+// RepairTime is the interruption after the cut (zero if none landed).
+func (r T4Row) RepairTime() time.Duration {
+	if len(r.Failures) == 0 {
+		return 0
+	}
+	return r.Failures[0].RepairTime
 }
 
 // RunT4Repair compares recovery mechanisms after one failure on the demo
-// fabric: ARP-Path repair, ARP-Path with repair disabled (blackhole),
-// and STP with default and fast timers.
-func RunT4Repair(seed int64) []T4Row {
+// fabric, at o's seed and shard count: ARP-Path repair, ARP-Path with
+// repair disabled (blackhole), and STP with default and fast timers.
+func RunT4Repair(o topo.Options) []T4Row {
 	variants := []struct {
 		name  string
 		proto topo.Protocol
@@ -331,58 +340,17 @@ func RunT4Repair(seed int64) []T4Row {
 		{"stp (default timers)", topo.STP, nil},
 		{"stp (fast timers)", topo.STP, func(o *topo.Options) { *o.STP() = stp.FastTimers() }},
 	}
+	cfg := Figure3Config{StreamSize: 16 << 20, Failures: 1, Budget: 3 * time.Minute}
 	var rows []T4Row
 	for _, v := range variants {
-		opts := expOptions(v.proto, seed)
+		opts := defaults(o, v.proto)
 		if v.mod != nil {
 			v.mod(&opts)
 			opts.WarmUp = 0 // recomputed by the builder from the modified config
 		}
-		rows = append(rows, runT4Cell(opts, v.name))
+		rows = append(rows, T4Row{v.name, RunFigure3(opts, cfg)})
 	}
 	return rows
-}
-
-func runT4Cell(opts topo.Options, name string) T4Row {
-	built := topo.Figure2(opts, topo.ProfileUniform)
-	defer finishNet(built)
-	a, b := built.Host("A"), built.Host("B")
-	row := T4Row{Variant: name}
-
-	scfg := app.DefaultStreamConfig()
-	scfg.Size = 16 << 20
-	meter := attachStreamMeter(built, b)
-	var finished *app.StreamReport
-	var streamer *app.Streamer
-	start := built.Now()
-	built.Engine.At(start, func() {
-		streamer = app.StartStream(a, b, scfg, func(r *app.StreamReport) { finished = r })
-	})
-	failAt := start + 50*time.Millisecond
-	built.Engine.At(failAt, func() {
-		if l := activeUplink(built, a.MAC()); l != nil && l.Up() {
-			meter.onFail(built.Now())
-			l.SetUp(false)
-		}
-	})
-	built.RunFor(3 * time.Minute)
-	if finished == nil && streamer != nil {
-		finished = streamer.Report()
-	}
-	if finished == nil {
-		return row
-	}
-	row.Completed = finished.Complete
-	row.TotalStall = finished.TotalStall
-	end := built.Now()
-	if finished.Complete {
-		row.Transfer = finished.Finished - finished.Connected
-		end = finished.Finished
-	}
-	if repairs := meter.repairTimes(end); len(repairs) > 0 {
-		row.RepairTime = repairs[0]
-	}
-	return row
 }
 
 // T4Table renders the ablation.
@@ -390,14 +358,155 @@ func T4Table(rows []T4Row) *metrics.Table {
 	t := metrics.NewTable("T4 — recovery after one mid-stream link failure (16 MiB stream)",
 		"variant", "completed", "repair time", "total stall", "transfer time")
 	for _, r := range rows {
-		completed := "no"
-		var tt any = "-"
-		if r.Completed {
-			completed = "yes"
-			tt = r.Transfer.Round(time.Millisecond)
+		completed, tt, stall, _ := r.outcome()
+		t.AddRow(r.Variant, completed, r.RepairTime().Round(time.Microsecond), stall.Round(time.Millisecond), tt)
+	}
+	return t
+}
+
+// --- T5: lock-window ablation ------------------------------------------
+
+// T5Row measures discovery health for one lock-timeout setting.
+type T5Row struct {
+	LockTimeout time.Duration
+	// FloodTime is the worst-case flood traversal of the fabric (the
+	// quantity the lock window must exceed; DESIGN.md §5).
+	FloodTime time.Duration
+	Sent      int
+	Lost      int
+	// Repairs counts PathRequests triggered because entries expired under
+	// the returning replies.
+	Repairs uint64
+	// SrcPortDrops counts unicasts discarded for violating expired or
+	// flapped bindings.
+	SrcPortDrops uint64
+}
+
+// RunT5LockWindow sweeps the ARP-Path lock timeout on a high-delay ring
+// (8 bridges, 1 ms links → flood traversal ≈ 8 ms round the long arc).
+// Windows shorter than the traversal let the race guard lapse while
+// copies are still in flight and let entries expire under the returning
+// replies; the row captures the resulting repair storms and losses. It
+// runs at o's seed and shard count.
+func RunT5LockWindow(o topo.Options, windows []time.Duration) []T5Row {
+	const ringSize = 8
+	const linkDelay = time.Millisecond
+	floodTime := time.Duration(ringSize) * linkDelay // long-arc bound
+	var rows []T5Row
+	for _, w := range windows {
+		opts := defaults(o, topo.ARPPath)
+		opts.ARPPath().LockTimeout = topo.Duration(w)
+		opts.Link = opts.Link.WithDelay(linkDelay)
+		built := build(opts, topo.TopologySpec{Family: "ring", N: ringSize})
+		row := T5Row{LockTimeout: w, FloodTime: floodTime}
+
+		// Hosts on opposite sides of the ring ping each other repeatedly,
+		// flushing ARP caches so every round re-runs the discovery race.
+		a := built.Host("H1")
+		b := built.Host(fmt.Sprintf("H%d", ringSize/2+1))
+		const rounds = 10
+		at := built.Now()
+		for i := 0; i < rounds; i++ {
+			built.Engine.At(at, func() {
+				a.ARP().Flush()
+				b.ARP().Flush()
+				a.Ping(b.IP(), 0, 500*time.Millisecond, func(r host.PingResult) {
+					row.Sent++
+					if r.Err != nil {
+						row.Lost++
+					}
+				})
+			})
+			at += 600 * time.Millisecond
 		}
-		t.AddRow(r.Variant, completed, r.RepairTime.Round(time.Microsecond),
-			r.TotalStall.Round(time.Millisecond), tt)
+		built.RunFor(at - built.Now() + 2*time.Second)
+
+		for _, br := range built.Bridges {
+			s := br.(*core.Bridge).Stats()
+			row.Repairs += s.PathRequestsSent
+			row.SrcPortDrops += s.SrcPortDrop
+		}
+		finishNet(built)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// T5Table renders the lock-window sweep.
+func T5Table(rows []T5Row) *metrics.Table {
+	t := metrics.NewTable("T5 — lock-window ablation on an 8-bridge / 1 ms-link ring (flood traversal ≈ 8 ms)",
+		"lock timeout", "sent", "lost", "path requests", "src-port drops")
+	for _, r := range rows {
+		t.AddRow(r.LockTimeout, r.Sent, r.Lost, r.Repairs, r.SrcPortDrops)
+	}
+	return t
+}
+
+// --- T6: forwarding-state scalability -----------------------------------
+
+// T6Row compares per-bridge forwarding-table sizes for one fabric size.
+type T6Row struct {
+	Hosts int
+	// ARPPathMax/Mean are live locking-table entries per bridge after the
+	// lock windows expire — proportional to the paths crossing a bridge.
+	ARPPathMax  int
+	ARPPathMean float64
+	// STPMax/Mean are live FIB entries per bridge — learning switches
+	// remember every address whose flood they saw.
+	STPMax  int
+	STPMean float64
+}
+
+// RunT6TableSize runs star traffic (every host talks to host 1) on rings
+// of growing size and snapshots forwarding state per bridge, at o's seed
+// and shard count.
+func RunT6TableSize(o topo.Options, sizes []int) []T6Row {
+	var rows []T6Row
+	for _, n := range sizes {
+		row := T6Row{Hosts: n}
+		row.ARPPathMax, row.ARPPathMean = t6Measure(defaults(o, topo.ARPPath), n)
+		row.STPMax, row.STPMean = t6Measure(defaults(o, topo.STP), n)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+func t6Measure(o topo.Options, n int) (maxLen int, meanLen float64) {
+	built := build(o, topo.TopologySpec{Family: "ring", N: n})
+	defer finishNet(built)
+	server := built.Host("H1")
+	at := built.Now()
+	for i := 2; i <= n; i++ {
+		h := built.Host(fmt.Sprintf("H%d", i))
+		built.Engine.At(at, func() {
+			h.Ping(server.IP(), 0, 2*time.Second, func(host.PingResult) {})
+		})
+		at += 2 * time.Millisecond
+	}
+	// Let the exchanges finish and the ARP-Path lock windows lapse, so
+	// only confirmed state remains.
+	built.RunFor(at - built.Now() + time.Second)
+
+	total := 0
+	for _, br := range built.Bridges {
+		t := br.PathTables()[0]
+		t.FlushExpired(built.Now())
+		live := t.Len()
+		total += live
+		if live > maxLen {
+			maxLen = live
+		}
+	}
+	return maxLen, float64(total) / float64(len(built.Bridges))
+}
+
+// T6Table renders the state-size comparison.
+func T6Table(rows []T6Row) *metrics.Table {
+	t := metrics.NewTable("T6 — forwarding state per bridge, star traffic on a ring (after lock expiry)",
+		"hosts", "arp-path max", "arp-path mean", "stp max", "stp mean")
+	for _, r := range rows {
+		t.AddRow(r.Hosts, r.ARPPathMax, fmt.Sprintf("%.1f", r.ARPPathMean),
+			r.STPMax, fmt.Sprintf("%.1f", r.STPMean))
 	}
 	return t
 }

@@ -44,24 +44,22 @@ func TestExperimentsDrainToZeroFrameRefs(t *testing.T) {
 	}
 	defer func() { experiments.OnNetworkDone = nil }()
 
-	t.Run("figure1", func(t *testing.T) { experiments.RunFigure1(1) })
+	o := topo.DefaultOptions(topo.ARPPath, 1)
+	t.Run("figure1", func(t *testing.T) { experiments.RunFigure1(o) })
 	t.Run("figure2", func(t *testing.T) {
 		cfg := experiments.DefaultFigure2Config()
 		cfg.Pings = 3 // smoke depth: the full run is the experiments suite's job
-		experiments.RunFigure2(cfg)
+		experiments.RunFigure2(o, cfg)
 	})
-	t.Run("figure3", func(t *testing.T) {
-		cfg := experiments.DefaultFigure3Config()
-		experiments.RunFigure3(cfg, topo.ARPPath)
-	})
-	t.Run("t1-properties", func(t *testing.T) { experiments.RunT1Properties(1, 3) })
-	t.Run("t2-load", func(t *testing.T) { experiments.RunT2Load(1, topo.ARPPath) })
-	t.Run("t3-proxy", func(t *testing.T) { experiments.RunT3Proxy(1, []int{6}) })
-	t.Run("t4-repair", func(t *testing.T) { experiments.RunT4Repair(1) })
+	t.Run("figure3", func(t *testing.T) { experiments.RunFigure3(o, experiments.DefaultFigure3Config()) })
+	t.Run("t1-properties", func(t *testing.T) { experiments.RunT1Properties(o, 3) })
+	t.Run("t2-load", func(t *testing.T) { experiments.RunT2Load(o, topo.ARPPath) })
+	t.Run("t3-proxy", func(t *testing.T) { experiments.RunT3Proxy(o, []int{6}) })
+	t.Run("t4-repair", func(t *testing.T) { experiments.RunT4Repair(o) })
 	t.Run("t5-lock-window", func(t *testing.T) {
-		experiments.RunT5LockWindow(1, []time.Duration{5 * time.Millisecond, 200 * time.Millisecond})
+		experiments.RunT5LockWindow(o, []time.Duration{5 * time.Millisecond, 200 * time.Millisecond})
 	})
-	t.Run("t6-table-size", func(t *testing.T) { experiments.RunT6TableSize(1, []int{8}) })
+	t.Run("t6-table-size", func(t *testing.T) { experiments.RunT6TableSize(o, []int{8}) })
 
 	if nets == 0 {
 		t.Fatal("no networks reported through OnNetworkDone")

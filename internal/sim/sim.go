@@ -16,11 +16,13 @@
 // Ties at equal virtual times break by (owner id, per-owner sequence), and
 // both components are functions of that one entity's own deterministic
 // history — never of how events from unrelated entities interleave. Two
-// events that tie across owners touch disjoint state, so their relative
-// order is fixed arbitrarily (by owner id) but consistently. The result is
-// an execution order that does not depend on how the fabric is partitioned
-// into shards, which is the determinism bedrock the shard coordinator in
-// internal/netsim builds on.
+// events that tie across owners may touch the same state: two link
+// directions that deliver into one bridge in the same nanosecond both
+// write its lock table, and that tie is the discovery race itself. Owner
+// id, that is wiring order, settles it — arbitrarily but consistently. The
+// result is an execution order that does not depend on how the fabric is
+// partitioned into shards, which is the determinism bedrock the shard
+// coordinator in internal/netsim builds on.
 //
 // Representation (DESIGN.md §4, §11): events live in a generation-guarded
 // arena and the pending queue is a binary heap of pointer-free 32-byte
@@ -80,10 +82,9 @@ const (
 // and short against the protocol timers (ms to s) or they all sit in the
 // near heap again. Between those it is a plateau, not a tuning knob.
 // Measured on bench/perf against the parent, seed 1, median of three 10 s
-// runs (EXPERIMENTS.md "Parked timers leave the hot heap"): 1<<14 costs
-// pump_forward and steady_unicast 12 % each; 1<<16, 1<<18 and 1<<20 are
-// all within 1 % on pump and +2…+4 % on steady, and read +44 %, +45 % and
-// +35 % on discovery_churn.
+// runs (CHANGES.md, PR 19): 1<<14 costs pump_forward and steady_unicast
+// 12 % each; 1<<16, 1<<18 and 1<<20 are all within 1 % on pump and
+// +2…+4 % on steady, and read +44 %, +45 % and +35 % on discovery_churn.
 const farSpan = 1 << 18
 
 // Timer is a handle to a scheduled event. The zero value is not a valid

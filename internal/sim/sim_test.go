@@ -363,7 +363,7 @@ func (nopRunner) RunEvent(int32) {}
 // do not arrive in key order and go through the heap rather than the
 // batch spill. With one heap the cost per event grows with the log of
 // everything pending; with the far tier the three must read the same
-// (EXPERIMENTS.md "Parked timers leave the hot heap" has both).
+// (CHANGES.md, PR 19, has both).
 func BenchmarkEngineParkedTimers(b *testing.B) {
 	const depth = 64
 	for _, parked := range []int{0, 1024, 16384} {

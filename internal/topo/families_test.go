@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -122,5 +125,23 @@ func TestFamiliesDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seeds 5 and 6 produced identical wiring (suspicious)")
+	}
+}
+
+// TestDrawRefusesNonSweepFamilies: Draw refuses, by a panic naming the
+// family, both a name the table lacks and a family with no sweep draw.
+func TestDrawRefusesNonSweepFamilies(t *testing.T) {
+	for _, c := range []struct{ family, want string }{
+		{"torus", `spec: unknown topology family "torus" (known: `},
+		{"ring", `spec: topology family "ring" has no sweep draw (sweep families: ` + strings.Join(Families(true), ", ") + ")"},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); !strings.HasPrefix(got, c.want) {
+					t.Errorf("Draw(%q): recovered %q, want %q", c.family, got, c.want)
+				}
+			}()
+			Draw(c.family, rand.New(rand.NewSource(1)), false)
+		}()
 	}
 }

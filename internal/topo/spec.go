@@ -238,19 +238,26 @@ func unread(v reflect.Value, prefix string, reads [][]string) string {
 	return ""
 }
 
-// Build builds a defaulted TopologySpec with its family's builder.
+// Build builds a defaulted TopologySpec with its family's builder and
+// records it as the fabric's Topology.
 func Build(opts Options, t TopologySpec) (*Built, error) {
 	f, err := lookup(t.Family)
 	if err != nil {
 		return nil, err
 	}
-	return f.build(opts, t), nil
+	b := f.build(opts, t)
+	b.Topology = t
+	return b, nil
 }
 
 // Draw draws a shape of a sweep family from a scenario's plan RNG, at the
-// big tier or the small one: one (family, seed, tier) names one shape.
+// big tier or the small one: one (family, seed, tier) names one shape. A
+// family without a draw is refused as an unknown one is, by a panic.
 func Draw(name string, plan *rand.Rand, big bool) TopologySpec {
 	f, err := lookup(name)
+	if err == nil && f.draw == nil {
+		err = fmt.Errorf("spec: topology family %q has no sweep draw (sweep families: %s)", name, strings.Join(Families(true), ", "))
+	}
 	if err != nil {
 		panic(err)
 	}

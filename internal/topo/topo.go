@@ -137,9 +137,12 @@ type Bridge interface {
 // bridges.
 type Net struct {
 	*netsim.Network
-	Opts    Options
-	Bridges []Bridge
-	byName  map[string]Bridge
+	Opts Options
+	// Topology is the family and size the fabric was built from (Build
+	// sets it; zero for a fabric a Builder assembled by hand).
+	Topology TopologySpec
+	Bridges  []Bridge
+	byName   map[string]Bridge
 }
 
 // Bridge returns the named bridge, panicking if absent (topologies are

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/topo"
@@ -77,11 +76,11 @@ func Run(spec Spec) (*Result, error) {
 
 // Run compiles the Spec and executes its workload.
 //
-// Concurrency: one Runner at a time per process. The run wires two pieces
-// of driver state — the experiments shard count and the topology OnBuilt
-// hook — that are package-level by design (the experiment runners build
-// their own fabrics); concurrent Runs would race on them. Sweep workloads
-// parallelize internally (Jobs) without touching either.
+// Concurrency: one Runner at a time per process. A fingerprinted run
+// wires one piece of package-level driver state, the topology OnBuilt
+// hook, because the experiment runners build their own fabrics;
+// concurrent Runs would race on it. Sweep workloads parallelize
+// internally (Jobs) without touching it.
 func (r *Runner) Run() (res *Result, err error) {
 	spec, err := r.Spec.WithDefaults()
 	if err != nil {
@@ -96,10 +95,6 @@ func (r *Runner) Run() (res *Result, err error) {
 		out = os.Stdout
 	}
 	res = &Result{Spec: spec}
-
-	prevShards := experiments.Shards
-	experiments.Shards = spec.Shards
-	defer func() { experiments.Shards = prevShards }()
 
 	// Trace fingerprints: every fabric built anywhere in the run — the
 	// topology-driven workloads' own, and the ones the experiment runners

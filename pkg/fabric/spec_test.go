@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/topo"
 )
@@ -280,6 +282,89 @@ func TestSweepDrawsAreSpecs(t *testing.T) {
 	}
 }
 
+// TestPaperRowsAreSpecs ties the paper's rows to the Spec as
+// TestSweepDrawsAreSpecs ties the sweep: every fabric that the all,
+// figure2-demo, path-repair, allpath and scale kinds and Figure 1 build is
+// named by a one-line Spec (logged: seed, shards, topology, protocol with
+// its config, link, warm_up), and DecodeSpec → WithDefaults → Options on
+// that line returns exactly the Options and TopologySpec it was built
+// from. The tables sweep's pressure fabric is the one exception, and the
+// test holds it to that: a ring with chords and synthetic multiplexing
+// stations is no family, so its fabrics carry no TopologySpec.
+func TestPaperRowsAreSpecs(t *testing.T) {
+	var nets []*topo.Net
+	prev := topo.OnBuilt
+	topo.OnBuilt = func(n *topo.Net) { nets = append(nets, n) }
+	defer func() { topo.OnBuilt = prev }()
+
+	run := func(w WorkloadSpec) func() {
+		return func() {
+			r := Runner{Spec: Spec{Shards: 2, Workload: w}, Out: io.Discard}
+			if _, err := r.Run(); err != nil {
+				t.Fatalf("%s: %v", w.Kind, err)
+			}
+		}
+	}
+	figure1 := topo.DefaultOptions(topo.ARPPath, 1)
+	figure1.Shards = 2
+	for _, row := range []struct {
+		name string
+		run  func()
+	}{
+		{"all", run(WorkloadSpec{Kind: "all"})},
+		{"figure2-demo", run(WorkloadSpec{Kind: "figure2-demo", Pings: 2})},
+		{"path-repair", run(WorkloadSpec{Kind: "path-repair", StreamSize: 4 << 20, FastSTP: true})},
+		{"allpath", run(WorkloadSpec{Kind: "allpath", Bridges: 8, Flows: 4})},
+		{"scale", run(WorkloadSpec{Kind: "scale", Bridges: 16})},
+		{"figure1", func() { experiments.RunFigure1(figure1) }},
+		{"tables (the exception)", run(WorkloadSpec{Kind: "tables", Conversations: 64})},
+	} {
+		nets = nil
+		row.run()
+		if len(nets) == 0 {
+			t.Fatalf("%s built no fabric", row.name)
+		}
+		for i, n := range nets {
+			if row.name == "tables (the exception)" {
+				if n.Topology != (TopologySpec{}) {
+					t.Errorf("tables fabric %d has topology %+v; the pressure fabric is no family", i, n.Topology)
+				}
+				continue
+			}
+			def, _ := topo.LookupProtocol(n.Opts.Protocol)
+			cfg, err := def.Encode(n.Opts.ProtocolConfig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, err := json.Marshal(Spec{
+				Seed: n.Opts.Seed, Shards: n.Opts.Shards, Topology: n.Topology,
+				Protocol: ProtocolSpec{Name: string(n.Opts.Protocol), Config: cfg},
+				Link:     LinkSpec{RateBps: n.Opts.Link.Rate, Delay: Duration(n.Opts.Link.Delay), QueueBytes: n.Opts.Link.Queue},
+				WarmUp:   Duration(n.Opts.WarmUp),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s fabric %d: %s", row.name, i, line)
+			spec, err := DecodeSpec(line)
+			if err == nil {
+				spec, err = spec.WithDefaults()
+			}
+			var opts Options
+			if err == nil {
+				opts, err = spec.Options()
+			}
+			if err != nil {
+				t.Fatalf("%s fabric %d: %s: %v", row.name, i, line, err)
+			}
+			if !reflect.DeepEqual(opts, n.Opts) || spec.Topology != n.Topology {
+				t.Errorf("%s fabric %d: %s compiles to %+v on %+v, the fabric was built from %+v on %+v",
+					row.name, i, line, opts, spec.Topology, n.Opts, n.Topology)
+			}
+		}
+	}
+}
+
 // TestSpecUnknownNamesRejected covers workload-kind, protocol,
 // topology-family and fault family validation.
 func TestSpecUnknownNamesRejected(t *testing.T) {
@@ -369,15 +454,15 @@ func TestKindTableKeys(t *testing.T) {
 	}
 	keys := slices.Sorted(maps.Keys(specKeys))
 	for _, k := range kinds {
-		patterns := []string{""}
+		rows := []pattern{{}}
 		if k.name == "matrix" {
-			patterns = slices.Sorted(maps.Keys(patternKeys))
+			rows = patterns
 		}
-		for _, p := range patterns {
-			reads, who := k.keys, fmt.Sprintf("kind %q", k.name)
+		for _, row := range rows {
+			p, reads, who := row.name, k.keys, fmt.Sprintf("kind %q", k.name)
 			if p != "" {
 				reads = onFabric()
-				for _, key := range slices.Concat(everyPattern, patternKeys[p]) {
+				for _, key := range slices.Concat(everyPattern, row.keys) {
 					if key != "kind" {
 						reads = append(reads, "workload."+key)
 					}

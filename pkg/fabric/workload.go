@@ -32,79 +32,56 @@ type kind struct {
 // everyKind are the keys every kind reads.
 var everyKind = []string{"version", "seed", "shards", "workload.kind", "verify.fingerprint"}
 
-// kinds is the kind table.
-var kinds = []kind{
-	{name: "", keys: onFabric()},
-	{name: "ping", keys: onFabric("workload.pings", "workload.interval"), defaults: pingTrain, run: sim(runPing)},
-	{name: "stream", keys: onFabric("workload.stream_size"), run: sim(runStream),
-		defaults: func(s *Spec) { s.Workload.StreamSize = cmp.Or(s.Workload.StreamSize, app.DefaultStreamConfig().Size) }},
-	{name: "allpairs", keys: onFabric(), run: sim(runAllPairs)},
-	{name: "matrix", keys: onFabric("workload.pattern", "workload.flows", "workload.hotspots", "workload.skew",
-		"workload.flow_bytes", "workload.arrival"),
-		defaults: func(s *Spec) {
-			w := &s.Workload
-			m := experiments.MatrixConfig{
-				Pattern: experiments.MatrixPattern(w.Pattern), Hotspots: w.Hotspots,
-				Skew: w.Skew, Bytes: w.FlowBytes, Arrival: w.Arrival.D(),
-			}.WithDefaults()
-			w.Pattern, w.Hotspots, w.Skew = string(m.Pattern), m.Hotspots, m.Skew
-			w.FlowBytes, w.Arrival = m.Bytes, Duration(m.Arrival)
-		},
-		check: func(s Spec) error {
-			p := s.Workload.Pattern
-			reads, ok := patternKeys[p]
-			if !ok {
-				return fmt.Errorf("spec: workload.pattern: matrix needs one of %v, got %q", experiments.MatrixPatterns(), p)
-			}
-			return topo.CheckKeys(s.Workload, "spec: workload.", fmt.Sprintf("matrix pattern %q", p), everyPattern, reads)
-		},
-		run: (*Runner).runMatrix},
-	{name: "figure2-demo", keys: []string{"workload.pings", "workload.interval"}, defaults: pingTrain,
-		run: (*Runner).runFigure2Demo},
-	{name: "path-repair", keys: []string{"workload.stream_size", "workload.failures", "workload.with_stp", "workload.fast_stp"},
-		defaults: func(s *Spec) {
-			d, w := experiments.DefaultFigure3Config(), &s.Workload
-			w.StreamSize = cmp.Or(w.StreamSize, d.StreamSize)
-			w.Failures, w.WithSTP = cmp.Or(w.Failures, len(d.FailureTimes)), cmp.Or(w.WithSTP, yes())
-		},
-		run: (*Runner).runPathRepair},
-	{name: "properties", run: emits(t1Properties)},
-	{name: "load", run: emits(t2Load)},
-	{name: "proxy", run: emits(t3Proxy)},
-	{name: "repair", run: emits(t4Repair)},
-	{name: "lockwindow", run: emits(t5LockWindow)},
-	{name: "tablesize", run: emits(t6TableSize)},
-	{name: "all", run: emits(t1Properties, t2Load, t3Proxy, t4Repair, t5LockWindow, t6TableSize)},
-	{name: "scale", keys: []string{"workload.bridges"}, check: evenBridges, run: (*Runner).runScale,
-		defaults: func(s *Spec) {
-			s.Workload.Bridges = cmp.Or(s.Workload.Bridges, experiments.DefaultScaleConfig(0, 1).Bridges)
-		}},
-	// The comparative experiment sweeps every pattern itself; only the
-	// fabric and flow-count knobs apply.
-	{name: "allpath", keys: []string{"workload.bridges", "workload.flows"}, check: evenBridges, run: (*Runner).runAllPath,
-		defaults: func(s *Spec) {
-			s.Workload.Bridges, s.Workload.Flows = cmp.Or(s.Workload.Bridges, 24), cmp.Or(s.Workload.Flows, 24)
-		}},
-	// The eviction-pressure experiment sweeps capacities itself; the
-	// knob is how many distinct conversations churn the tables.
-	{name: "tables", keys: []string{"workload.conversations"}, run: (*Runner).runTables, benchJSON: true,
-		defaults: func(s *Spec) {
-			s.Workload.Conversations = cmp.Or(s.Workload.Conversations, experiments.DefaultTablesConfig(0, 0).Conversations)
-		}},
-	{name: "sweep", keys: []string{"protocol", "scenario", "verify.pairs", "verify.pings"},
-		defaults: sweepDefaults, check: sweepCheck, run: (*Runner).runSweep, scenarios: true},
-}
+// kinds is the kind table. init fills it, because the allpath run
+// defaults its matrix Specs through it.
+var kinds []kind
 
-// patternKeys are the workload keys each matrix pattern reads besides
-// everyPattern's: a permutation has one flow per host and no weights.
-var patternKeys = map[string][]string{
-	string(experiments.MatrixHotspot):     {"flows", "hotspots"},
-	string(experiments.MatrixPermutation): nil,
-	string(experiments.MatrixPairs):       {"flows", "skew"},
+func init() {
+	kinds = []kind{
+		{name: "", keys: onFabric()},
+		{name: "ping", keys: onFabric("workload.pings", "workload.interval"), defaults: pingTrain, run: sim(runPing)},
+		{name: "stream", keys: onFabric("workload.stream_size"), run: sim(runStream),
+			defaults: func(s *Spec) { s.Workload.StreamSize = cmp.Or(s.Workload.StreamSize, app.DefaultStreamConfig().Size) }},
+		{name: "allpairs", keys: onFabric(), run: sim(runAllPairs)},
+		{name: "matrix", keys: onFabric("workload.pattern", "workload.flows", "workload.hotspots", "workload.skew",
+			"workload.flow_bytes", "workload.arrival"),
+			defaults: matrixDefaults, check: matrixCheck, run: (*Runner).runMatrix},
+		{name: "figure2-demo", keys: []string{"workload.pings", "workload.interval"}, defaults: pingTrain,
+			run: (*Runner).runFigure2Demo},
+		{name: "path-repair", keys: []string{"workload.stream_size", "workload.failures", "workload.with_stp", "workload.fast_stp"},
+			defaults: func(s *Spec) {
+				d, w := experiments.DefaultFigure3Config(), &s.Workload
+				w.StreamSize = cmp.Or(w.StreamSize, d.StreamSize)
+				w.Failures, w.WithSTP = cmp.Or(w.Failures, d.Failures), cmp.Or(w.WithSTP, yes())
+			},
+			run: (*Runner).runPathRepair},
+		{name: "properties", run: emits(t1Properties)},
+		{name: "load", run: emits(t2Load)},
+		{name: "proxy", run: emits(t3Proxy)},
+		{name: "repair", run: emits(t4Repair)},
+		{name: "lockwindow", run: emits(t5LockWindow)},
+		{name: "tablesize", run: emits(t6TableSize)},
+		{name: "all", run: emits(t1Properties, t2Load, t3Proxy, t4Repair, t5LockWindow, t6TableSize)},
+		{name: "scale", keys: []string{"workload.bridges"}, check: evenBridges, run: (*Runner).runScale,
+			defaults: func(s *Spec) {
+				s.Workload.Bridges = cmp.Or(s.Workload.Bridges, experiments.DefaultScaleConfig().Bridges)
+			}},
+		// Nine matrix runs, every pattern over every All-Path protocol; only
+		// the fabric size and the flow count apply.
+		{name: "allpath", keys: []string{"workload.bridges", "workload.flows"}, check: evenBridges, run: (*Runner).runAllPath,
+			defaults: func(s *Spec) {
+				s.Workload.Bridges, s.Workload.Flows = cmp.Or(s.Workload.Bridges, 24), cmp.Or(s.Workload.Flows, 24)
+			}},
+		// The eviction-pressure experiment sweeps capacities itself; the
+		// knob is how many distinct conversations churn the tables.
+		{name: "tables", keys: []string{"workload.conversations"}, run: (*Runner).runTables, benchJSON: true,
+			defaults: func(s *Spec) {
+				s.Workload.Conversations = cmp.Or(s.Workload.Conversations, experiments.DefaultTablesConfig(0, 0).Conversations)
+			}},
+		{name: "sweep", keys: []string{"protocol", "scenario", "verify.pairs", "verify.pings"},
+			defaults: sweepDefaults, check: sweepCheck, run: (*Runner).runSweep, scenarios: true},
+	}
 }
-
-// everyPattern are the workload keys every matrix pattern reads.
-var everyPattern = []string{"kind", "pattern", "flow_bytes", "arrival"}
 
 // onFabric are the keys of a kind that runs on the Spec's fabric.
 func onFabric(keys ...string) []string {
@@ -159,11 +136,11 @@ func (s Spec) CheckBenchJSON() error {
 }
 
 // emits is the run of a kind that renders one table per function, in
-// order, each from the Spec's seed.
-func emits(tables ...func(seed int64) *metrics.Table) func(*Runner, Spec, io.Writer, *Result) error {
+// order, each at the Spec's seed and shard count.
+func emits(tables ...func(o topo.Options) *metrics.Table) func(*Runner, Spec, io.Writer, *Result) error {
 	return func(r *Runner, spec Spec, out io.Writer, res *Result) error {
 		for _, t := range tables {
-			r.emit(out, res, t(spec.Seed))
+			r.emit(out, res, t(spec.paperOptions(topo.ARPPath)))
 		}
 		return nil
 	}
