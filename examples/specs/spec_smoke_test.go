@@ -101,6 +101,8 @@ func TestSpecSmoke(t *testing.T) {
 		{spec: "tables"},
 		{spec: "scenario", args: []string{"-j", "2"}},
 		{spec: "arppath-sim"},
+		// Figure 1: the lock table, discovery time and confirmed path.
+		{spec: "figure1"},
 		// The Figure 1 walkthrough examples/quickstart drives through the
 		// SDK, as a spec.
 		{spec: "quickstart"},
@@ -180,6 +182,11 @@ func TestExitStatus(t *testing.T) {
 			"link":     map[string]any{"rate_bps": 1},
 			"workload": map[string]any{"kind": "properties"},
 		}, want: 2, silent: true},
+		// A negative seed draws T1's trial sizes like any other.
+		{name: "negative-seed", spec: map[string]any{
+			"seed":     -3,
+			"workload": map[string]any{"kind": "properties"},
+		}, want: 0},
 		{name: "unexpected-argument", args: []string{"figure2"}, want: 2},
 	}
 	for _, c := range cases {

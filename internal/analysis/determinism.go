@@ -59,12 +59,13 @@ var wallClockFuncs = map[string]bool{
 // base name: the event engine, the network simulator, every protocol
 // implementation and the path table under them (its victim order decides
 // which flow re-floods), topology/partitioning, the scenario engine,
-// hosts, the chassis, the experiment runners and the live serving loop.
+// hosts, the chassis, the experiment runners, the SDK's workload runs and
+// the live serving loop.
 var tracePkgBases = map[string]bool{
 	"sim": true, "netsim": true, "core": true, "flowpath": true,
 	"learning": true, "tables": true,
 	"topo": true, "scenario": true, "host": true, "bridge": true,
-	"experiments": true, "serve": true,
+	"experiments": true, "fabric": true, "serve": true,
 }
 
 // orderSinkNames are method/function names through which an iteration

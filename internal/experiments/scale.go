@@ -55,8 +55,10 @@ type ScaleResult struct {
 
 // RunScale executes one scaling run on a fabric built with o.
 func RunScale(o topo.Options, cfg ScaleConfig) *ScaleResult {
-	built := build(o, topo.TopologySpec{Family: "random-regular", N: cfg.Bridges, Degree: cfg.Degree})
-	defer finishNet(built)
+	built, err := topo.Build(o, topo.TopologySpec{Family: "random-regular", N: cfg.Bridges, Degree: cfg.Degree})
+	if err != nil {
+		panic(err) // the scale kind refuses a size the family does
+	}
 
 	// Draw the conversation pairs from a plan RNG, independent of the
 	// build stream, so the traffic matrix is a function of the seed alone.

@@ -5,6 +5,11 @@
 // bridging protocols pluggable, and a Runner that owns the build →
 // warm-up → workload → collect lifecycle every harness shares.
 //
+// Every workload is one row of the kind table (workload.go), the paper's
+// evidence included: Figures 1–3 (workload_figures.go) and the tables
+// T1–T6 (workload_tables.go) are runs of this package configured by
+// their Spec alone, so `arppath-sim -spec` reruns each of them.
+//
 // The cmds (arppath-sim, fabricserve) are thin shells over this package:
 // each loads a Spec (-spec file.json) and hands it to a Runner or the
 // daemon. A Spec plus a seed is a complete, reproducible experiment:

@@ -85,6 +85,7 @@ type LinkSpec struct {
 //	stream        the fabric keys; stream_size
 //	allpairs      the fabric keys
 //	matrix        the fabric keys; pattern, flow_bytes, arrival, and the pattern's own: hotspot flows, hotspots; pairs flows, skew; permutation none
+//	figure1       —: Figure 1, the discovery race's locks and path
 //	figure2-demo  pings, interval: Figure 2, ARP-Path vs STP latency
 //	path-repair   stream_size, failures, with_stp, fast_stp: Figure 3, streaming across link failures
 //	properties, load, proxy, repair, lockwindow, tablesize

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/topo"
 )
@@ -284,7 +283,7 @@ func TestSweepDrawsAreSpecs(t *testing.T) {
 
 // TestPaperRowsAreSpecs ties the paper's rows to the Spec as
 // TestSweepDrawsAreSpecs ties the sweep: every fabric that the all,
-// figure2-demo, path-repair, allpath and scale kinds and Figure 1 build is
+// figure1, figure2-demo, path-repair, allpath and scale kinds build is
 // named by a one-line Spec (logged: seed, shards, topology, protocol with
 // its config, link, warm_up), and DecodeSpec → WithDefaults → Options on
 // that line returns exactly the Options and TopologySpec it was built
@@ -305,8 +304,6 @@ func TestPaperRowsAreSpecs(t *testing.T) {
 			}
 		}
 	}
-	figure1 := topo.DefaultOptions(topo.ARPPath, 1)
-	figure1.Shards = 2
 	for _, row := range []struct {
 		name string
 		run  func()
@@ -316,7 +313,7 @@ func TestPaperRowsAreSpecs(t *testing.T) {
 		{"path-repair", run(WorkloadSpec{Kind: "path-repair", StreamSize: 4 << 20, FastSTP: true})},
 		{"allpath", run(WorkloadSpec{Kind: "allpath", Bridges: 8, Flows: 4})},
 		{"scale", run(WorkloadSpec{Kind: "scale", Bridges: 16})},
-		{"figure1", func() { experiments.RunFigure1(figure1) }},
+		{"figure1", run(WorkloadSpec{Kind: "figure1"})},
 		{"tables (the exception)", run(WorkloadSpec{Kind: "tables", Conversations: 64})},
 	} {
 		nets = nil

@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/host/app"
-	"repro/internal/metrics"
-	"repro/internal/topo"
 )
 
 // kind is one row of the kind table: everything the tree knows about one
@@ -46,22 +45,23 @@ func init() {
 		{name: "matrix", keys: onFabric("workload.pattern", "workload.flows", "workload.hotspots", "workload.skew",
 			"workload.flow_bytes", "workload.arrival"),
 			defaults: matrixDefaults, check: matrixCheck, run: (*Runner).runMatrix},
+		{name: "figure1", run: (*Runner).runFigure1},
 		{name: "figure2-demo", keys: []string{"workload.pings", "workload.interval"}, defaults: pingTrain,
 			run: (*Runner).runFigure2Demo},
+		// Figure 3's demo: a clip long enough to survive two cuts.
 		{name: "path-repair", keys: []string{"workload.stream_size", "workload.failures", "workload.with_stp", "workload.fast_stp"},
 			defaults: func(s *Spec) {
-				d, w := experiments.DefaultFigure3Config(), &s.Workload
-				w.StreamSize = cmp.Or(w.StreamSize, d.StreamSize)
-				w.Failures, w.WithSTP = cmp.Or(w.Failures, d.Failures), cmp.Or(w.WithSTP, yes())
+				w := &s.Workload
+				w.StreamSize, w.Failures, w.WithSTP = cmp.Or(w.StreamSize, 32<<20), cmp.Or(w.Failures, 2), cmp.Or(w.WithSTP, yes())
 			},
 			run: (*Runner).runPathRepair},
-		{name: "properties", run: emits(t1Properties)},
-		{name: "load", run: emits(t2Load)},
-		{name: "proxy", run: emits(t3Proxy)},
-		{name: "repair", run: emits(t4Repair)},
-		{name: "lockwindow", run: emits(t5LockWindow)},
-		{name: "tablesize", run: emits(t6TableSize)},
-		{name: "all", run: emits(t1Properties, t2Load, t3Proxy, t4Repair, t5LockWindow, t6TableSize)},
+		{name: "properties", run: emits(t1)},
+		{name: "load", run: emits(t2)},
+		{name: "proxy", run: emits(t3)},
+		{name: "repair", run: emits(t4)},
+		{name: "lockwindow", run: emits(t5)},
+		{name: "tablesize", run: emits(t6)},
+		{name: "all", run: emits(t1, t2, t3, t4, t5, t6)},
 		{name: "scale", keys: []string{"workload.bridges"}, check: evenBridges, run: (*Runner).runScale,
 			defaults: func(s *Spec) {
 				s.Workload.Bridges = cmp.Or(s.Workload.Bridges, experiments.DefaultScaleConfig().Bridges)
@@ -88,11 +88,10 @@ func onFabric(keys ...string) []string {
 	return append([]string{"topology", "protocol", "link", "warm_up"}, keys...)
 }
 
-// pingTrain defaults a ping train's count and spacing as Figure 2 does.
+// pingTrain defaults a ping train as the Figure 2 demo ran it.
 func pingTrain(s *Spec) {
-	d := experiments.DefaultFigure2Config()
-	s.Workload.Pings = cmp.Or(s.Workload.Pings, d.Pings)
-	s.Workload.Interval = cmp.Or(s.Workload.Interval, Duration(d.Interval))
+	s.Workload.Pings = cmp.Or(s.Workload.Pings, 20)
+	s.Workload.Interval = cmp.Or(s.Workload.Interval, Duration(100*time.Millisecond))
 }
 
 // yes is a set boolean knob that defaults to true.
@@ -133,15 +132,4 @@ func (s Spec) CheckBenchJSON() error {
 		return fmt.Errorf("workload kind %s has no JSON artifact (only tables does)", d.Workload.Kind)
 	}
 	return nil
-}
-
-// emits is the run of a kind that renders one table per function, in
-// order, each at the Spec's seed and shard count.
-func emits(tables ...func(o topo.Options) *metrics.Table) func(*Runner, Spec, io.Writer, *Result) error {
-	return func(r *Runner, spec Spec, out io.Writer, res *Result) error {
-		for _, t := range tables {
-			r.emit(out, res, t(spec.paperOptions(topo.ARPPath)))
-		}
-		return nil
-	}
 }

@@ -111,6 +111,7 @@ func (r *Runner) runSweep(spec Spec, out io.Writer, res *Result) error {
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
+		//fabriclint:nondeterministic each scenario is its own simulation on one worker; results are reported in sweep order
 		go func() {
 			defer wg.Done()
 			for i := range work {
