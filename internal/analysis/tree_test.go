@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,10 +55,20 @@ func moduleRoot(t *testing.T) string {
 // section number wraps onto the next comment line.
 var designCite = regexp.MustCompile(`DESIGN\.md\s*(?://\s*)?§(\d+)`)
 
+// testName matches a test, fuzz target or benchmark named in DESIGN.md; a
+// trailing * makes it a prefix.
+var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
+
+// testFunc matches a test, fuzz target or benchmark declared in Go.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+
 // TestDesignCitationsResolve holds the code's pointers into DESIGN.md to
-// the document: every "DESIGN.md §N" in a Go file of the tree names an
-// existing "## N." heading, so renumbering or deleting a section fails
-// here instead of leaving comments that point nowhere.
+// the document, and the document's test names to the code: every
+// "DESIGN.md §N" in a Go file of the tree names an existing "## N."
+// heading, and every Test…, Fuzz… or Benchmark… name in DESIGN.md (a
+// trailing * a prefix) is declared in some _test.go file, so renumbering
+// a section or renaming a test fails here instead of leaving a pointer
+// that points nowhere.
 func TestDesignCitationsResolve(t *testing.T) {
 	root := moduleRoot(t)
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
@@ -73,6 +84,7 @@ func TestDesignCitationsResolve(t *testing.T) {
 		}
 	}
 	cited := map[string]bool{}
+	var declared []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -86,6 +98,11 @@ func TestDesignCitationsResolve(t *testing.T) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				declared = append(declared, m[1])
+			}
 		}
 		for _, m := range designCite.FindAllStringSubmatch(string(src), -1) {
 			cited[m[1]] = true
@@ -102,5 +119,14 @@ func TestDesignCitationsResolve(t *testing.T) {
 	if len(cited) == 0 {
 		t.Fatal("no DESIGN.md citation found: the pattern no longer matches the tree")
 	}
-	t.Logf("%d cited sections resolve", len(cited))
+	names := testName.FindAllString(string(design), -1)
+	for _, name := range names {
+		prefix, isPrefix := strings.CutSuffix(name, "*")
+		if !slices.ContainsFunc(declared, func(d string) bool {
+			return d == name || isPrefix && strings.HasPrefix(d, prefix)
+		}) {
+			t.Errorf("DESIGN.md names %s, which no _test.go declares", name)
+		}
+	}
+	t.Logf("%d cited sections, %d test names checked", len(cited), len(names))
 }

@@ -60,7 +60,7 @@ func TestOpCodecGeneratedSchedules(t *testing.T) {
 		built := buildFabric(cfg, plan)
 		ix := NewIndex(built)
 		burstPort := uint16(7000)
-		ops := generateOps(fam, plan, ix, cfg.FaultPhase, &burstPort)
+		ops := generateOps(fam, plan, ix, faultPhase, &burstPort)
 		data, err := EncodeOps(ops)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", fam, err)
@@ -227,7 +227,7 @@ func TestIndexResolvesAndValidates(t *testing.T) {
 	}
 
 	burstPort := uint16(7000)
-	ops := generateOps(FaultsMixed, plan, x, cfg.FaultPhase, &burstPort)
+	ops := generateOps(FaultsMixed, plan, x, faultPhase, &burstPort)
 	for _, op := range ops {
 		if err := x.Validate(op); err != nil {
 			t.Fatalf("generated op %s rejected: %v", x.Describe(op), err)

@@ -57,17 +57,21 @@ type Config struct {
 	// fabric's true IP→MAC ownership. A proxy run of a seed is a
 	// different scenario from the plain run.
 	Proxy bool
-
-	// FaultPhase is how long faults and background traffic run.
-	FaultPhase time.Duration
-	// Quiesce is the settle time between healing and verification; it
-	// must exceed the repair timeout so no repair spans the boundary.
-	Quiesce time.Duration
-	// VerifyPairs is how many host pairs probe after quiescence.
-	VerifyPairs int
-	// VerifyPings is how many probes each pair sends.
-	VerifyPings int
 }
+
+// A scenario's phase timing and probe counts are the same for every
+// scenario.
+const (
+	// faultPhase is how long faults and background traffic run.
+	faultPhase = 400 * time.Millisecond
+	// quiesce is the settle time between healing and verification; it
+	// must exceed the repair timeout so no repair spans the boundary.
+	quiesce = 700 * time.Millisecond
+	// verifyPairs is how many host pairs probe after quiescence.
+	verifyPairs = 4
+	// verifyPings is how many probes each pair sends.
+	verifyPings = 3
+)
 
 // WithDefaults fills unset fields.
 func (c Config) WithDefaults() Config {
@@ -76,18 +80,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Faults == "" {
 		c.Faults = FaultsLinkFlaps
-	}
-	if c.FaultPhase == 0 {
-		c.FaultPhase = 400 * time.Millisecond
-	}
-	if c.Quiesce == 0 {
-		c.Quiesce = 700 * time.Millisecond
-	}
-	if c.VerifyPairs == 0 {
-		c.VerifyPairs = 4
-	}
-	if c.VerifyPings == 0 {
-		c.VerifyPings = 3
 	}
 	return c
 }
@@ -167,7 +159,7 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 	// schedule varies: always draw the generated schedule, then discard it
 	// when an explicit one was provided.
 	burstPort := uint16(7000)
-	ops := generateOps(cfg.Faults, plan, ix, cfg.FaultPhase, &burstPort)
+	ops := generateOps(cfg.Faults, plan, ix, faultPhase, &burstPort)
 	if replayOps != nil {
 		ops = replayOps
 	}
@@ -185,16 +177,16 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 
 	base := built.Now()
 	burstOffered, burstSinks := ix.Apply(ops, base)
-	bgOffered, bgSinks := startBackground(plan, ix, cfg.FaultPhase)
-	pairs := choosePairs(plan, ix, cfg.VerifyPairs)
+	bgOffered, bgSinks := startBackground(plan, ix, faultPhase)
+	pairs := choosePairs(plan, ix, verifyPairs)
 
 	// Phase 1: faults + background traffic.
-	built.RunFor(cfg.FaultPhase)
+	built.RunFor(faultPhase)
 
 	// Phase 2: heal everything, then quiesce. Guard windows close and
 	// in-flight repairs resolve before verification starts.
 	ix.Heal()
-	built.RunFor(cfg.Quiesce)
+	built.RunFor(quiesce)
 	chk.MarkStable(built.Now())
 
 	// Phase 3: verification probes — fresh unicast exchanges between the
@@ -213,7 +205,7 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 		i, pr := i, pr
 		a, b := ix.host(pr[0]), ix.host(pr[1])
 		built.Engine.At(built.Now()+time.Duration(i)*5*time.Millisecond, func() {
-			a.PingSeries(b.IP(), cfg.VerifyPings, 56, 20*time.Millisecond, time.Second, func(rs []host.PingResult) {
+			a.PingSeries(b.IP(), verifyPings, 56, 20*time.Millisecond, time.Second, func(rs []host.PingResult) {
 				for _, r := range rs {
 					if r.Err == nil {
 						answered[i]++
@@ -223,9 +215,9 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 			})
 		})
 	}
-	res.ProbesSent = len(pairs) * cfg.VerifyPings
+	res.ProbesSent = len(pairs) * verifyPings
 	verifyWindow := time.Duration(len(pairs))*5*time.Millisecond +
-		time.Duration(cfg.VerifyPings)*20*time.Millisecond + 2*time.Second
+		time.Duration(verifyPings)*20*time.Millisecond + 2*time.Second
 	// Step through the window in slices and walk the tables of freshly
 	// completed pairs between slices, while their locked-state entries are
 	// still alive (a post-drain walk would see legal dead ends). The walk
@@ -237,7 +229,7 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 		for i, pr := range pairs {
 			if completed[i] && !checked[i] {
 				checked[i] = true
-				if answered[i] == cfg.VerifyPings {
+				if answered[i] == verifyPings {
 					chk.CheckPathSymmetry(ix.Hosts[pr[0]], ix.Hosts[pr[1]])
 				}
 			}
@@ -269,7 +261,7 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 		i, pr := i, pr
 		a, b := ix.host(pr[0]), ix.host(pr[1])
 		built.Engine.At(built.Now()+time.Duration(i)*5*time.Millisecond, func() {
-			a.PingSeries(b.IP(), cfg.VerifyPings, 56, warmSpacing, time.Second, func(rs []host.PingResult) {
+			a.PingSeries(b.IP(), verifyPings, 56, warmSpacing, time.Second, func(rs []host.PingResult) {
 				for _, r := range rs {
 					if r.Err == nil {
 						warmAnswered[i]++
@@ -279,9 +271,9 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 			})
 		})
 	}
-	res.WarmProbesSent = len(warmPairs) * cfg.VerifyPings
+	res.WarmProbesSent = len(warmPairs) * verifyPings
 	warmWindow := time.Duration(len(pairs))*5*time.Millisecond +
-		time.Duration(cfg.VerifyPings)*warmSpacing + 2*time.Second
+		time.Duration(verifyPings)*warmSpacing + 2*time.Second
 	built.RunFor(warmWindow)
 
 	// Phase 3c (tcppath only): a post-quiescence TCP transfer must
@@ -311,11 +303,11 @@ func run(cfg Config, replayOps []FaultOp) *Result {
 		chk.CheckProxyCaches()
 		for i, pr := range pairs {
 			pairName := ix.Hosts[pr[0]] + "<->" + ix.Hosts[pr[1]]
-			chk.CheckDelivery(pairName, cfg.VerifyPings, answered[i])
+			chk.CheckDelivery(pairName, verifyPings, answered[i])
 		}
 		for i, pr := range warmPairs {
 			pairName := ix.Hosts[pr[0]] + "<->" + ix.Hosts[pr[1]]
-			chk.CheckWarmDelivery(pairName, cfg.VerifyPings, warmAnswered[i], warmLastOK[i])
+			chk.CheckWarmDelivery(pairName, verifyPings, warmAnswered[i], warmLastOK[i])
 		}
 		if tcpProbe {
 			pairName := ix.Hosts[pairs[0][0]] + "<->" + ix.Hosts[pairs[0][1]]

@@ -298,6 +298,17 @@ func TestT5LockWindowSweep(t *testing.T) {
 		t.Fatalf("short window showed no degradation: short=%d+%d default=%d+%d",
 			short.repairs, short.srcPortDrops, deflt.repairs, deflt.srcPortDrops)
 	}
+	// The storm column: at 1 ms a lapsed lock leaves a broadcast circling
+	// the ring after the last ping; at 20 ms and 200 ms nothing floods.
+	if short.storm == 0 {
+		t.Fatal("1ms window: no broadcast delivered after the last ping, want the storm")
+	}
+	for _, r := range rows[2:] {
+		if r.storm != 0 {
+			t.Fatalf("%v window: %d broadcasts delivered after the last ping, want 0", r.lockTimeout, r.storm)
+		}
+	}
+	t.Logf("broadcasts after the last ping: 1ms %d, 5ms %d", short.storm, rows[1].storm)
 }
 
 func TestT6TableSizeScaling(t *testing.T) {

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/flowpath"
+	"repro/internal/host"
 	"repro/internal/learning"
+	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/topo"
 )
@@ -50,6 +52,55 @@ func TestRunnerFingerprintShardInvariant(t *testing.T) {
 	if sharded.Fingerprint != res1.Fingerprint || sharded.TraceEvents != res1.TraceEvents {
 		t.Fatalf("shards=3 diverged: %#x/%d vs %#x/%d",
 			sharded.Fingerprint, sharded.TraceEvents, res1.Fingerprint, res1.TraceEvents)
+	}
+}
+
+// TestTraceWritesOneLinePerDelivery: the -trace tap writes one line for
+// each frame delivery, and the Runner wires it to TraceTo.
+func TestTraceWritesOneLinePerDelivery(t *testing.T) {
+	spec, err := Spec{Topology: TopologySpec{Family: "line", N: 3}}.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := BuildTopology(opts, spec.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace strings.Builder
+	deliveries := 0
+	built.Tap(traceDeliveries(&trace))
+	built.Tap(func(ev netsim.TapEvent) {
+		if ev.Kind == netsim.TapDeliver {
+			deliveries++
+		}
+	})
+	a, b, err := pickEndpoints(built, &trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Engine.At(built.Now(), func() {
+		a.PingSeries(b.IP(), 2, 56, time.Millisecond, time.Second, func([]host.PingResult) {})
+	})
+	built.RunFor(time.Second)
+	lines := strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n")
+	if deliveries == 0 || len(lines) != deliveries {
+		t.Fatalf("%d trace lines for %d deliveries:\n%s", len(lines), deliveries, trace.String())
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, " deliver ") {
+			t.Fatalf("trace line is not a delivery: %q", l)
+		}
+	}
+
+	spec.Workload = WorkloadSpec{Kind: "ping", Pings: 2, Interval: Duration(time.Millisecond)}
+	trace.Reset()
+	runToBuffer(t, Runner{Spec: spec, TraceTo: &trace})
+	if !strings.Contains(trace.String(), " deliver ") || !strings.Contains(trace.String(), "echo-request") {
+		t.Fatalf("Runner.TraceTo shows no ping:\n%s", trace.String())
 	}
 }
 
@@ -118,21 +169,17 @@ func TestRunnerSweep(t *testing.T) {
 
 // TestReproduceSpecIsTheFailingScenario: the shrink report's reproduce
 // line, decoded and expanded the way runSweep expands a Spec, is exactly
-// the one scenario that failed — protocol, proxy, tier, shards, phase
-// timing and probe counts included.
+// the one scenario that failed — protocol, proxy, tier and shards
+// included.
 func TestReproduceSpecIsTheFailingScenario(t *testing.T) {
 	for _, cfg := range []scenario.Config{
 		{
 			Seed: 9, Topology: "grid", Faults: scenario.FaultsPartition,
 			Protocol: topo.ARPPath, Shards: 3, Big: true, Proxy: true,
-			FaultPhase: 250 * time.Millisecond, Quiesce: 900 * time.Millisecond,
-			VerifyPairs: 6, VerifyPings: 2,
 		},
 		{
 			Seed: 4, Topology: "fattree", Faults: scenario.FaultsMixed,
 			Protocol: flowpath.ProtoTCPPath, Shards: 1,
-			FaultPhase: 123 * time.Millisecond, Quiesce: time.Second,
-			VerifyPairs: 1, VerifyPings: 5,
 		},
 	} {
 		line, err := reproduceSpec(cfg)

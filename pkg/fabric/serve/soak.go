@@ -21,6 +21,11 @@ import (
 	"repro/pkg/fabric"
 )
 
+// soakMinRounds floors the churn: an unpaced daemon free-runs virtual
+// time between ops, so the duration alone could be met in a handful of
+// rounds.
+const soakMinRounds = 12
+
 // SoakConfig drives Soak.
 type SoakConfig struct {
 	// Network and Addr name the daemon endpoint ("unix", "/path") or
@@ -31,10 +36,6 @@ type SoakConfig struct {
 	Seed int64
 	// Duration is how much virtual time the soak spans.
 	Duration time.Duration
-	// MinRounds floors the churn: an unpaced daemon free-runs virtual
-	// time between ops, so the duration alone could be met in a handful
-	// of rounds (default 12).
-	MinRounds int
 	// SLO is the priority-class p99 ceiling asserted at the end.
 	SLO time.Duration
 	// DialTimeout bounds the initial connect retry loop.
@@ -129,9 +130,6 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.SLO <= 0 {
 		cfg.SLO = 20 * time.Millisecond
 	}
-	if cfg.MinRounds <= 0 {
-		cfg.MinRounds = 12
-	}
 	c, err := dialRetry(cfg.Network, cfg.Addr, cfg.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -174,7 +172,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		return nil
 	}
 
-	for at < end || res.Rounds < cfg.MinRounds {
+	for at < end || res.Rounds < soakMinRounds {
 		res.Rounds++
 		// The SLO subject: a short priority train between a random pair.
 		src, dst := pick2()

@@ -93,7 +93,7 @@ type LinkSpec struct {
 //	scale         bridges (an even count ≥ 4): the sharded-engine scaling table
 //	allpath       bridges (an even count ≥ 4), flows: Flow-Path / TCP-Path over every matrix pattern
 //	tables        conversations: the eviction-pressure capacity sweep
-//	sweep         protocol, scenario, verify.pairs, verify.pings: the adversarial scenario sweep
+//	sweep         protocol, scenario: the adversarial scenario sweep
 type WorkloadSpec struct {
 	Kind string `json:"kind,omitempty"`
 	// Pings/Interval drive ping-train workloads (ping, figure2-demo).
@@ -132,9 +132,9 @@ type WorkloadSpec struct {
 // test comes from Spec.Protocol — arppath (optionally with the proxy
 // enabled in its config extension), flowpath or tcppath; any other
 // config tuning is rejected, the sweep builds its fabrics with the
-// defaults — and the probe counts from Spec.Verify. The sweep reads no
-// Spec.Link or Spec.WarmUp: each scenario draws its own links and
-// warm-up from its seed.
+// defaults. The sweep reads no Spec.Link or Spec.WarmUp: each scenario
+// draws its own links and warm-up from its seed, and every scenario
+// shares one phase timing and probe count (internal/scenario).
 type ScenarioSpec struct {
 	// Topologies and Faults list family names, or ["all"] (the default;
 	// WithDefaults expands it).
@@ -145,11 +145,6 @@ type ScenarioSpec struct {
 	Seeds int `json:"seeds,omitempty"`
 	// Big selects the larger topology tier.
 	Big bool `json:"big,omitempty"`
-	// Shrink minimizes failing fault schedules (default true).
-	Shrink *bool `json:"shrink,omitempty"`
-	// FaultPhase/Quiesce override the scenario phase timing.
-	FaultPhase Duration `json:"fault_phase,omitempty"`
-	Quiesce    Duration `json:"quiesce,omitempty"`
 }
 
 // VerifySpec holds the verification knobs.
@@ -158,9 +153,6 @@ type VerifySpec struct {
 	// into a digest and emits it after the workload: same Spec ⇒ same
 	// fingerprint, at any shard count and on any machine.
 	Fingerprint bool `json:"fingerprint,omitempty"`
-	// Pairs/Pings size the sweep's post-quiescence delivery probes.
-	Pairs int `json:"pairs,omitempty"`
-	Pings int `json:"pings,omitempty"`
 }
 
 // DecodeSpec parses a Spec strictly: unknown fields anywhere in the

@@ -100,6 +100,11 @@ func TestSpecStrictDecoding(t *testing.T) {
 		{"future-version", `{"version": 99}`},
 		{"removed-procs", `{"workload": {"kind": "scale"}, "procs": [1, 2]}`},
 		{"removed-frames", `{"workload": {"kind": "scale", "frames": 50000}}`},
+		{"removed-shrink", `{"workload": {"kind": "sweep"}, "scenario": {"shrink": false}}`},
+		{"removed-fault-phase", `{"workload": {"kind": "sweep"}, "scenario": {"fault_phase": "250ms"}}`},
+		{"removed-quiesce", `{"workload": {"kind": "sweep"}, "scenario": {"quiesce": "900ms"}}`},
+		{"removed-verify-pairs", `{"workload": {"kind": "sweep"}, "verify": {"pairs": 6}}`},
+		{"removed-verify-pings", `{"workload": {"kind": "sweep"}, "verify": {"pings": 2}}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeSpec([]byte(c.doc)); err == nil {
@@ -405,8 +410,6 @@ var specKeys = map[string]func(*Spec){
 	"link":                   func(s *Spec) { s.Link = LinkSpec{RateBps: 1e8, Delay: Duration(time.Microsecond), QueueBytes: 1 << 16} },
 	"warm_up":                func(s *Spec) { s.WarmUp = Duration(time.Second) },
 	"scenario":               func(s *Spec) { s.Scenario = &ScenarioSpec{Seeds: 1} },
-	"verify.pairs":           func(s *Spec) { s.Verify.Pairs = 2 },
-	"verify.pings":           func(s *Spec) { s.Verify.Pings = 2 },
 	"workload.pings":         func(s *Spec) { s.Workload.Pings = 2 },
 	"workload.interval":      func(s *Spec) { s.Workload.Interval = Duration(time.Millisecond) },
 	"workload.stream_size":   func(s *Spec) { s.Workload.StreamSize = 1000 },

@@ -78,7 +78,7 @@ func init() {
 			defaults: func(s *Spec) {
 				s.Workload.Conversations = cmp.Or(s.Workload.Conversations, experiments.DefaultTablesConfig(0, 0).Conversations)
 			}},
-		{name: "sweep", keys: []string{"protocol", "scenario", "verify.pairs", "verify.pings"},
+		{name: "sweep", keys: []string{"protocol", "scenario"},
 			defaults: sweepDefaults, check: sweepCheck, run: (*Runner).runSweep, scenarios: true},
 	}
 }

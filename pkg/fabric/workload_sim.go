@@ -7,8 +7,9 @@ import (
 
 	"repro/internal/host"
 	"repro/internal/host/app"
+	"repro/internal/layers"
 	"repro/internal/metrics"
-	"repro/internal/trace"
+	"repro/internal/netsim"
 )
 
 // simDrive is a simulator workload: it drives the built fabric, between
@@ -28,7 +29,7 @@ func sim(drive simDrive) func(*Runner, Spec, io.Writer, *Result) error {
 			return err
 		}
 		if r.TraceTo != nil {
-			trace.Attach(built.Network, trace.WithWriter(r.TraceTo), trace.WithFilter(trace.DeliveriesOnly))
+			built.Tap(traceDeliveries(r.TraceTo))
 		}
 		first, last, err := pickEndpoints(built, out)
 		if err != nil {
@@ -38,6 +39,17 @@ func sim(drive simDrive) func(*Runner, Spec, io.Writer, *Result) error {
 			spec.Topology.Family, len(built.Bridges), len(built.Hosts), len(built.Links),
 			spec.Protocol.Name, spec.Seed)
 		return drive(r, built, first, last, spec.Workload, out, res)
+	}
+}
+
+// traceDeliveries is the -trace tap: one tcpdump-style line per frame
+// delivery, written as it happens.
+func traceDeliveries(w io.Writer) netsim.TapFunc {
+	return func(ev netsim.TapEvent) {
+		if ev.Kind == netsim.TapDeliver {
+			fmt.Fprintf(w, "%12v %-10s %s > %s  %s (%dB)\n",
+				ev.At, ev.Kind, ev.From, ev.To, layers.Summarize(ev.Frame), len(ev.Frame))
+		}
 	}
 }
 

@@ -17,19 +17,12 @@ import (
 )
 
 // sweepDefaults fills the sweep's scenario: every family for an absent or
-// ["all"] list, and the phase timing and probe counts a scenario defaults
-// to.
+// ["all"] list, and 16 seeds.
 func sweepDefaults(s *Spec) {
 	sc := *cmp.Or(s.Scenario, &ScenarioSpec{})
 	sc.Topologies = allFamilies(sc.Topologies, topo.Families(true))
 	sc.Faults = allFamilies(sc.Faults, scenario.FaultFamilies())
-	sc.Seeds, sc.Shrink = cmp.Or(sc.Seeds, 16), cmp.Or(sc.Shrink, yes())
-	d := scenario.Config{
-		FaultPhase: sc.FaultPhase.D(), Quiesce: sc.Quiesce.D(),
-		VerifyPairs: s.Verify.Pairs, VerifyPings: s.Verify.Pings,
-	}.WithDefaults()
-	sc.FaultPhase, sc.Quiesce = Duration(d.FaultPhase), Duration(d.Quiesce)
-	s.Verify.Pairs, s.Verify.Pings = d.VerifyPairs, d.VerifyPings
+	sc.Seeds = cmp.Or(sc.Seeds, 16)
 	s.Scenario = &sc
 }
 
@@ -94,7 +87,8 @@ func sweepProxy(s Spec) bool {
 }
 
 // runSweep is the scenario harness: seeded random topologies × seeded
-// fault schedules × protocol invariant checks, with shrink-on-failure.
+// fault schedules × protocol invariant checks; a failing scenario's
+// fault schedule is always shrunk.
 // Independent scenarios run concurrently on Jobs workers; each scenario's
 // seed, trace and fingerprint are identical at any Jobs value.
 func (r *Runner) runSweep(spec Spec, out io.Writer, res *Result) error {
@@ -139,10 +133,8 @@ func (r *Runner) runSweep(spec Spec, out io.Writer, res *Result) error {
 		}
 		failed++
 		reportFailure(out, sr)
-		if *spec.Scenario.Shrink {
-			if err := doShrink(out, cfgs[i], sr); err != nil {
-				return err
-			}
+		if err := doShrink(out, cfgs[i], sr); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintf(out, "\n%d scenarios, %d failed (j=%d, big=%v, shards=%d)\n", len(cfgs), failed, jobs, spec.Scenario.Big, spec.Shards)
@@ -167,17 +159,13 @@ func sweepConfigs(spec Spec) []scenario.Config {
 		for _, ff := range sc.Faults {
 			for s := 0; s < sc.Seeds; s++ {
 				cfgs = append(cfgs, scenario.Config{
-					Seed:        spec.Seed + int64(s),
-					Topology:    tf,
-					Faults:      scenario.FaultFamily(ff),
-					Protocol:    topo.Protocol(spec.Protocol.Name),
-					Big:         sc.Big,
-					Proxy:       proxy,
-					Shards:      spec.Shards,
-					FaultPhase:  sc.FaultPhase.D(),
-					Quiesce:     sc.Quiesce.D(),
-					VerifyPairs: spec.Verify.Pairs,
-					VerifyPings: spec.Verify.Pings,
+					Seed:     spec.Seed + int64(s),
+					Topology: tf,
+					Faults:   scenario.FaultFamily(ff),
+					Protocol: topo.Protocol(spec.Protocol.Name),
+					Big:      sc.Big,
+					Proxy:    proxy,
+					Shards:   spec.Shards,
 				})
 			}
 		}
@@ -209,8 +197,8 @@ func doShrink(out io.Writer, cfg scenario.Config, r *scenario.Result) error {
 		fmt.Fprintf(out, "    %s\n", op)
 	}
 	// The reproduce line is the one-scenario Spec itself: the protocol,
-	// proxy, tier, phase timing, probe counts and shard count all make a
-	// scenario, and a Spec carries every one of them.
+	// proxy, tier and shard count all make a scenario, and a Spec carries
+	// every one of them.
 	line, err := reproduceSpec(cfg)
 	if err != nil {
 		return err
@@ -232,10 +220,7 @@ func reproduceSpec(cfg scenario.Config) ([]byte, error) {
 			Faults:     []string{string(cfg.Faults)},
 			Seeds:      1,
 			Big:        cfg.Big,
-			FaultPhase: Duration(cfg.FaultPhase),
-			Quiesce:    Duration(cfg.Quiesce),
 		},
-		Verify: VerifySpec{Pairs: cfg.VerifyPairs, Pings: cfg.VerifyPings},
 	}
 	if cfg.Proxy {
 		s.Protocol.Config = json.RawMessage(`{"proxy":true}`)

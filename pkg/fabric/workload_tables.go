@@ -15,9 +15,9 @@ import (
 	"repro/internal/topo"
 )
 
-// The evaluation tables derived from the paper's §2.2 claims (DESIGN.md
-// T1–T6), one kind each and all six under "all". A table's run measures
-// its rows at the Spec's seed and shard count; its render lays them out.
+// The evaluation tables T1–T6, derived from the paper's §2.2 claims, one
+// kind each and all six under "all". A table's run measures its rows at
+// the Spec's seed and shard count; its render lays them out.
 
 // paperTable is a T-kind's run: its rows, rendered.
 type paperTable func(spec Spec) (*metrics.Table, error)
@@ -442,12 +442,16 @@ type t5Row struct {
 	// srcPortDrops counts unicasts discarded for violating expired or
 	// flapped bindings.
 	srcPortDrops uint64
+	// storm counts broadcast ARP/PathRequest deliveries in the 2 s after
+	// the last ping: a lock that lapses inside the flood traversal leaves
+	// a broadcast circling the ring, and only then is it nonzero.
+	storm uint64
 }
 
 // t5LockWindow sweeps the ARP-Path lock timeout below, near and above the
 // flood traversal of a high-delay ring (8 bridges, 1 ms links → ≈ 8 ms
-// round the long arc, the quantity the lock window must exceed; DESIGN.md
-// §5). Windows shorter than the traversal let the race guard lapse while
+// round the long arc, the quantity the lock window must exceed).
+// Windows shorter than the traversal let the race guard lapse while
 // copies are still in flight and let entries expire under the returning
 // replies; the row captures the resulting repair storms and losses.
 func t5LockWindow(spec Spec) ([]t5Row, error) {
@@ -481,7 +485,10 @@ func t5LockWindow(spec Spec) ([]t5Row, error) {
 			})
 			at += 600 * time.Millisecond
 		}
-		built.RunFor(at - built.Now() + 2*time.Second)
+		built.RunFor(at - built.Now())
+		storm := countBroadcastDeliveries(built.Network)
+		built.RunFor(2 * time.Second)
+		row.storm = *storm
 
 		for _, br := range built.Bridges {
 			s := br.(*core.Bridge).Stats()
@@ -495,9 +502,9 @@ func t5LockWindow(spec Spec) ([]t5Row, error) {
 
 func t5Table(rows []t5Row) *metrics.Table {
 	t := metrics.NewTable("T5 — lock-window ablation on an 8-bridge / 1 ms-link ring (flood traversal ≈ 8 ms)",
-		"lock timeout", "sent", "lost", "path requests", "src-port drops")
+		"lock timeout", "sent", "lost", "path requests", "src-port drops", "broadcasts after")
 	for _, r := range rows {
-		t.AddRow(r.lockTimeout, r.sent, r.lost, r.repairs, r.srcPortDrops)
+		t.AddRow(r.lockTimeout, r.sent, r.lost, r.repairs, r.srcPortDrops, r.storm)
 	}
 	return t
 }
