@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	arppath-sim [-spec FILE] [-csv] [-graphs] [-trace] [-j N] [-v]
+//	arppath-sim [-spec FILE] [-csv] [-trace] [-j N] [-v]
 //	            [-bench-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Exit status: 0 on success; 1 when the run finished but failed (a
@@ -25,8 +25,7 @@ import (
 
 func main() {
 	specPath := flag.String("spec", "", "run the spec file (default: a Figure 2 ping)")
-	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-	graphs := flag.Bool("graphs", true, "render the figure2-demo per-scenario latency graphs")
+	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text, without the ASCII graphs")
 	traceFlag := flag.Bool("trace", false, "stream a tcpdump-style view of every frame delivery to stderr")
 	jobs := flag.Int("j", 0, "sweep scenarios to run concurrently (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print every sweep scenario, not just failures")
@@ -53,7 +52,7 @@ func main() {
 		}
 	}
 	runner := fabric.Runner{
-		Spec: spec, CSV: *csv, Graphs: *graphs, Jobs: *jobs, Verbose: *verbose,
+		Spec: spec, CSV: *csv, Jobs: *jobs, Verbose: *verbose,
 		Profile: fabric.ProfileOptions{CPUPath: *cpuProfile, MemPath: *memProfile},
 	}
 	if *traceFlag {

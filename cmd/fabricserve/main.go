@@ -2,13 +2,12 @@
 // against it (DESIGN.md §13). Three modes:
 //
 //	fabricserve -spec FILE [-shards K] [-listen unix:PATH|tcp:ADDR]
-//	            [-oplog FILE] [-quantum D] [-pace R] [-metrics ADDR]
+//	            [-oplog FILE] [-metrics ADDR]
 //
 // boots the daemon: clients connect to -listen and drive workload and
 // fault ops as newline-delimited JSON; every accepted op lands on a
-// quantized virtual-time boundary and appends to -oplog. -metrics serves
-// the live text exposition over HTTP. -pace 1.0 runs virtual time no
-// faster than wall time; the default runs flat out.
+// boundary of the 10 ms virtual-time grid and appends to -oplog. Virtual
+// time runs flat out. -metrics serves the live text exposition over HTTP.
 //
 //	fabricserve -replay FILE [-shards K]
 //
@@ -57,8 +56,6 @@ func main() {
 	shards := flag.Int("shards", 0, "override the spec's (or the op-log header's) shard count")
 	listen := flag.String("listen", "unix:fabricserve.sock", "op endpoint: unix:PATH or tcp:HOST:PORT")
 	opLog := flag.String("oplog", "", "append the session op-log to this file")
-	quantum := flag.Duration("quantum", 0, "virtual-time op grid (default 10ms)")
-	pace := flag.Float64("pace", 0, "max virtual seconds per wall second (0 = flat out)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics over HTTP on this address")
 	replay := flag.String("replay", "", "replay this session op-log instead of serving")
 	soak := flag.Bool("soak", false, "run the soak client instead of serving")
@@ -118,7 +115,7 @@ func main() {
 		if _, err := serve.CheckSpec(spec); err != nil {
 			exit(2, err)
 		}
-		opts := serve.Options{Spec: spec, Quantum: *quantum, Pace: *pace, Out: os.Stdout}
+		opts := serve.Options{Spec: spec, Out: os.Stdout}
 		if *opLog != "" {
 			f, err := os.Create(*opLog)
 			if err != nil {

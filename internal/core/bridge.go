@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"time"
 
@@ -10,28 +11,36 @@ import (
 	"repro/internal/tables"
 )
 
-// Config tunes an ARP-Path bridge. The zero value is not valid; use
-// DefaultConfig. The struct is also the protocol's spec-file form: the
-// json tags are the wire names (topo.Register decodes into it directly).
+// The fixed timing and sizing of every bridge of the ARP-Path family, as
+// the NetFPGA design fixes them when it is built. Flow-Path and TCP-Path
+// run on the same values, so the All-Path variants compare like for like.
+const (
+	// DefaultLockTimeout is the race window a Config leaves unset.
+	DefaultLockTimeout = 200 * time.Millisecond
+	// LearnedTimeout is the lifetime of confirmed path entries; traffic
+	// refreshes it.
+	LearnedTimeout = 120 * time.Second
+	// RepairTimeout bounds how long frames buffer while a PathRequest is
+	// outstanding before they are dropped.
+	RepairTimeout = 500 * time.Millisecond
+	// RepairBuffer is the maximum number of frames buffered per unknown
+	// destination during repair.
+	RepairBuffer = 64
+	// ProxyTimeout is the proxy cache lifetime for snooped IP→MAC
+	// bindings.
+	ProxyTimeout = 60 * time.Second
+)
+
+// Config tunes an ARP-Path bridge: the knobs the evaluation varies. The
+// struct is also the protocol's spec-file form: the json tags are the
+// wire names (topo.Register decodes into it directly).
 type Config struct {
 	// LockTimeout is the race window: how long a locked entry filters
 	// duplicate flood copies and may carry the returning reply. It must
 	// exceed the network's flood traversal time.
 	LockTimeout layers.Duration `json:"lock_timeout,omitempty"`
-	// LearnedTimeout is the lifetime of confirmed path entries; traffic
-	// refreshes it.
-	LearnedTimeout layers.Duration `json:"learned_timeout,omitempty"`
-	// RepairTimeout bounds how long frames buffer while a PathRequest is
-	// outstanding before they are dropped.
-	RepairTimeout layers.Duration `json:"repair_timeout,omitempty"`
-	// RepairBuffer is the maximum number of frames buffered per unknown
-	// destination during repair.
-	RepairBuffer int `json:"repair_buffer,omitempty"`
 	// Proxy enables the in-switch ARP Proxy (§2.2, EtherProxy [5]).
 	Proxy bool `json:"proxy,omitempty"`
-	// ProxyTimeout is the proxy cache lifetime for snooped IP→MAC
-	// bindings.
-	ProxyTimeout layers.Duration `json:"proxy_timeout,omitempty"`
 	// DisableRepair turns §2.1.4 off entirely: unicast table misses are
 	// silently dropped. Exists only for the repair ablation (T4), which
 	// shows the dataplane blackholes without it.
@@ -46,37 +55,13 @@ type Config struct {
 
 // DefaultConfig returns the defaults used throughout the experiments.
 func DefaultConfig() Config {
-	return Config{
-		LockTimeout:    layers.Duration(200 * time.Millisecond),
-		LearnedTimeout: layers.Duration(120 * time.Second),
-		RepairTimeout:  layers.Duration(500 * time.Millisecond),
-		RepairBuffer:   64,
-		Proxy:          false,
-		ProxyTimeout:   layers.Duration(60 * time.Second),
-	}
+	return Config{LockTimeout: layers.Duration(DefaultLockTimeout)}
 }
 
-// WithDefaults fills every unset (zero) field with its default, field by
-// field: a caller who tunes only LockTimeout keeps that value and inherits
-// the rest. Proxy and DisableRepair are booleans whose zero value is the
-// default, so they always pass through unchanged.
+// WithDefaults fills an unset LockTimeout; the booleans' zero value is
+// their default and the table bound's is unbounded.
 func (c Config) WithDefaults() Config {
-	d := DefaultConfig()
-	if c.LockTimeout == 0 {
-		c.LockTimeout = d.LockTimeout
-	}
-	if c.LearnedTimeout == 0 {
-		c.LearnedTimeout = d.LearnedTimeout
-	}
-	if c.RepairTimeout == 0 {
-		c.RepairTimeout = d.RepairTimeout
-	}
-	if c.RepairBuffer == 0 {
-		c.RepairBuffer = d.RepairBuffer
-	}
-	if c.ProxyTimeout == 0 {
-		c.ProxyTimeout = d.ProxyTimeout
-	}
+	c.LockTimeout = cmp.Or(c.LockTimeout, layers.Duration(DefaultLockTimeout))
 	return c
 }
 
@@ -85,17 +70,8 @@ func (c Config) WithDefaults() Config {
 // spec file is an error; the constructor runs it too, where a failure is
 // programmer misuse and panics.
 func (c Config) Check() error {
-	switch {
-	case c.LockTimeout <= 0:
+	if c.LockTimeout <= 0 {
 		return errors.New("lock_timeout must be positive")
-	case c.LearnedTimeout <= 0:
-		return errors.New("learned_timeout must be positive")
-	case c.RepairTimeout <= 0:
-		return errors.New("repair_timeout must be positive")
-	case c.RepairBuffer <= 0:
-		return errors.New("repair_buffer must be positive")
-	case c.ProxyTimeout < 0:
-		return errors.New("proxy_timeout must not be negative")
 	}
 	_, err := tables.ParseConfig(c.TableCapacity, c.TablePolicy)
 	return err
@@ -134,10 +110,10 @@ func NewWithProtocol(net *netsim.Network, name string, numID int, cfg Config, pr
 	if proto == nil {
 		proto = b
 	}
-	b.Discovery.Init(net, name, numID, proto, cfg.LockTimeout.D(), cfg.LearnedTimeout.D(), bound)
-	b.repairs = bridge.NewRepairs[uint64](&b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.stats.RepairDropped)
+	b.Discovery.Init(net, name, numID, proto, cfg.LockTimeout.D(), LearnedTimeout, bound)
+	b.repairs = bridge.NewRepairs[uint64](&b.Chassis, RepairTimeout, RepairBuffer, &b.stats.RepairDropped)
 	if cfg.Proxy {
-		b.proxy = newProxyCache(cfg.ProxyTimeout.D())
+		b.proxy = newProxyCache(ProxyTimeout)
 	}
 	return b
 }
@@ -151,9 +127,6 @@ func (b *Bridge) Table() *LockTable { return &b.hosts }
 // bound applies to (variants put their pair or connection table there).
 func (b *Bridge) PathTables() []tables.View { return []tables.View{&b.hosts} }
 
-// Config returns the bridge configuration.
-func (b *Bridge) Config() Config { return b.cfg }
-
 // Restart models a bridge power-cycle with total table loss: every
 // outstanding repair is abandoned (buffered frames released — the
 // refcounts must balance even across a crash), the proxy cache is emptied,
@@ -161,7 +134,7 @@ func (b *Bridge) Config() Config { return b.cfg }
 func (b *Bridge) Restart() {
 	b.repairs.Abandon()
 	if b.proxy != nil {
-		b.proxy = newProxyCache(b.cfg.ProxyTimeout.D())
+		b.proxy = newProxyCache(ProxyTimeout)
 	}
 	b.PowerCycle()
 }

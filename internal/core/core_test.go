@@ -429,14 +429,14 @@ func TestRepairTimeoutDropsBufferedFrames(t *testing.T) {
 	}
 }
 
+// TestRepairBufferOverflow sends RepairBuffer+3 frames toward a
+// destination nobody can find, well inside RepairTimeout: the buffer keeps
+// RepairBuffer of them and drops the three it has no room for.
 func TestRepairBufferOverflow(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RepairBuffer = 2
-	cfg.RepairTimeout = layers.Duration(10 * time.Second)
 	net := netsim.NewNetwork(1)
 	s := newHost("S", 1)
-	a := New(net, "A", 1, cfg)
-	b2 := New(net, "B", 2, cfg)
+	a := New(net, "A", 1, DefaultConfig())
+	b2 := New(net, "B", 2, DefaultConfig())
 	net.Connect(s, a, link(5*time.Microsecond))
 	net.Connect(a, b2, link(5*time.Microsecond))
 	a.Start()
@@ -445,13 +445,16 @@ func TestRepairBufferOverflow(t *testing.T) {
 	net.Engine.At(net.Now(), func() { s.sendARPRequest(layers.HostIP(9)) })
 	net.RunFor(10 * time.Millisecond)
 	net.Engine.At(net.Now(), func() {
-		for i := 0; i < 5; i++ {
+		for i := range RepairBuffer + 3 {
 			s.sendData(layers.HostMAC(9), byte(i))
 		}
 	})
-	net.RunFor(100 * time.Millisecond)
+	net.RunFor(RepairTimeout / 5)
 	if a.Stats().RepairDropped != 3 {
-		t.Fatalf("RepairDropped = %d, want 3 (buffer cap 2)", a.Stats().RepairDropped)
+		t.Fatalf("RepairDropped = %d, want 3 (buffer cap %d)", a.Stats().RepairDropped, RepairBuffer)
+	}
+	if a.PendingRepairs() != 1 {
+		t.Fatalf("PendingRepairs = %d, want the one repair still waiting", a.PendingRepairs())
 	}
 }
 
@@ -747,10 +750,10 @@ func TestEntryStateString(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	net := netsim.NewNetwork(1)
 	bad := []Config{
-		{LockTimeout: 0, LearnedTimeout: 1, RepairTimeout: 1, RepairBuffer: 1},
-		{LockTimeout: 1, LearnedTimeout: 0, RepairTimeout: 1, RepairBuffer: 1},
-		{LockTimeout: 1, LearnedTimeout: 1, RepairTimeout: 0, RepairBuffer: 1},
-		{LockTimeout: 1, LearnedTimeout: 1, RepairTimeout: 1, RepairBuffer: 0},
+		{LockTimeout: 0},
+		{LockTimeout: -1},
+		{LockTimeout: 1, TableCapacity: 4},
+		{LockTimeout: 1, TablePolicy: "fifo"},
 	}
 	for i, cfg := range bad {
 		func() {

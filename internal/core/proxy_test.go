@@ -46,7 +46,6 @@ func TestProxyCacheSweepsExpired(t *testing.T) {
 func TestProxyCacheBoundedAcrossTimeouts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Proxy = true
-	cfg.ProxyTimeout = layers.Duration(50 * time.Millisecond)
 	net := netsim.NewNetwork(1)
 	a := New(net, "A", 1, cfg)
 
@@ -75,7 +74,7 @@ func TestProxyCacheBoundedAcrossTimeouts(t *testing.T) {
 	// requests keep learn() firing, which must sweep the stale bindings.
 	for i := 0; i < 20; i++ {
 		net.Engine.At(net.Now(), func() { chatty.sendARPRequest(others[0].ip) })
-		net.RunFor(20 * time.Millisecond)
+		net.RunFor(ProxyTimeout * 2 / 5)
 	}
 
 	// Resident set: the chatty host, its target, and nothing stale.

@@ -241,13 +241,11 @@ func TestRepairWhenBothDirectionsBreak(t *testing.T) {
 // transparency) and recovery falls to the requester's real ARP, exactly
 // as the paper's §2.1.4 "emulates an ARP exchange" implies.
 func TestRepairNeedsLiveDestinationEntry(t *testing.T) {
-	cfgB := DefaultConfig()
-	cfgB.LearnedTimeout = layers.Duration(50 * time.Millisecond) // expire aggressively
 	net := netsim.NewNetwork(1)
 	h1 := hostpkg.New(net, "h1", 1)
 	h2 := hostpkg.New(net, "h2", 2)
-	b1 := New(net, "b1", 1, cfgB)
-	b2 := New(net, "b2", 2, cfgB)
+	b1 := New(net, "b1", 1, DefaultConfig())
+	b2 := New(net, "b2", 2, DefaultConfig())
 	cfg := netsim.DefaultLinkConfig()
 	net.Connect(h1, b1, cfg)
 	net.Connect(b1, b2, cfg)
@@ -259,26 +257,31 @@ func TestRepairNeedsLiveDestinationEntry(t *testing.T) {
 	net.Engine.At(net.Now(), func() {
 		h1.Ping(h2.IP(), 0, time.Second, func(hostpkg.PingResult) {})
 	})
-	net.RunFor(time.Second) // everything expired now (50ms learned life)
+	net.RunFor(LearnedTimeout + time.Second) // every learned entry has expired
 
-	// h1's ARP cache still holds h2 (60s), so it sends data straight into
-	// a fabric that has forgotten both hosts. The PathRequest is flooded
-	// but nobody can answer for the silent h2: the ping fails.
-	var rtt time.Duration
-	net.Engine.At(net.Now(), func() {
-		h1.Ping(h2.IP(), 0, time.Second, func(r hostpkg.PingResult) { rtt = r.RTT })
-	})
-	net.RunFor(3 * time.Second)
-	if rtt > 0 {
-		t.Fatal("repair succeeded without any live destination entry — who answered?")
+	// h1 sends as if its ARP cache still held h2: a frame straight into a
+	// fabric that has forgotten both hosts. The PathRequest is flooded
+	// but nobody can answer for the silent h2, so the buffered frame is
+	// dropped when the repair times out.
+	frame, err := layers.Serialize(
+		&layers.Ethernet{Dst: h2.MAC(), Src: h1.MAC(), EtherType: layers.EtherTypeIPv4},
+		layers.Payload([]byte{1}),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
+	net.Engine.At(net.Now(), func() { h1.Port().Send(frame) })
+	net.RunFor(3 * time.Second)
 	if b1.Stats().PathRequestsSent == 0 && b2.Stats().PathRequestsSent == 0 {
 		t.Fatal("no PathRequest was flooded")
 	}
-	// A real ARP from h1 (cache expiry is its natural trigger) reaches h2
-	// itself, which answers — full recovery.
+	if b1.Stats().RepairDropped != 1 {
+		t.Fatalf("RepairDropped = %d, want the one frame — who answered?", b1.Stats().RepairDropped)
+	}
+	// A real ARP from h1 (its cache expired too) reaches h2 itself, which
+	// answers — full recovery.
+	var rtt time.Duration
 	net.Engine.At(net.Now(), func() {
-		h1.ARP().Flush()
 		h1.Ping(h2.IP(), 0, time.Second, func(r hostpkg.PingResult) { rtt = r.RTT })
 	})
 	net.RunFor(3 * time.Second)

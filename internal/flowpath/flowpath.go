@@ -1,7 +1,6 @@
 package flowpath
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/bridge"
@@ -11,24 +10,11 @@ import (
 	"repro/internal/tables"
 )
 
-// Config tunes a Flow-Path bridge. The zero value is not valid; use
-// DefaultConfig (the builder defaults field-wise via WithDefaults). The
-// struct is also the spec-file form: the json tags are the wire names.
+// Config bounds a Flow-Path bridge's pair table; its timing is ARP-Path's
+// (the core constants), so the variants compare like for like. The zero
+// value is the unbounded baseline. The struct is also the spec-file form:
+// the json tags are the wire names.
 type Config struct {
-	// LockTimeout is the discovery race window, shared by the transient
-	// per-host locks and the pair entries' guards.
-	LockTimeout layers.Duration `json:"lock_timeout,omitempty"`
-	// PairTimeout is the lifetime of confirmed pair entries; traffic
-	// refreshes it.
-	PairTimeout layers.Duration `json:"pair_timeout,omitempty"`
-	// HostTimeout is the lifetime of the durable host entries an edge
-	// bridge keeps for its own attached stations (the study's edge host
-	// table); transit bridges hold hosts only for the race window.
-	HostTimeout layers.Duration `json:"host_timeout,omitempty"`
-	// RepairTimeout bounds how long frames buffer per missing pair.
-	RepairTimeout layers.Duration `json:"repair_timeout,omitempty"`
-	// RepairBuffer caps buffered frames per missing pair.
-	RepairBuffer int `json:"repair_buffer,omitempty"`
 	// PairCapacity bounds the pair table (0 = unbounded); the durable
 	// edge host table is naturally bounded by the attached stations and
 	// stays unbounded. See DESIGN.md §12.
@@ -38,54 +24,9 @@ type Config struct {
 	PairPolicy string `json:"pair_policy,omitempty"`
 }
 
-// DefaultConfig matches ARP-Path's timing so the variants compare like
-// for like.
-func DefaultConfig() Config {
-	return Config{
-		LockTimeout:   layers.Duration(200 * time.Millisecond),
-		PairTimeout:   layers.Duration(120 * time.Second),
-		HostTimeout:   layers.Duration(120 * time.Second),
-		RepairTimeout: layers.Duration(500 * time.Millisecond),
-		RepairBuffer:  64,
-	}
-}
-
-// WithDefaults fills unset (zero) fields field-wise.
-func (c Config) WithDefaults() Config {
-	d := DefaultConfig()
-	if c.LockTimeout == 0 {
-		c.LockTimeout = d.LockTimeout
-	}
-	if c.PairTimeout == 0 {
-		c.PairTimeout = d.PairTimeout
-	}
-	if c.HostTimeout == 0 {
-		c.HostTimeout = d.HostTimeout
-	}
-	if c.RepairTimeout == 0 {
-		c.RepairTimeout = d.RepairTimeout
-	}
-	if c.RepairBuffer == 0 {
-		c.RepairBuffer = d.RepairBuffer
-	}
-	return c
-}
-
-// Check reports the first value a bridge cannot run with, by its spec key
-// (the registry's check on decoded specs; New panics on the same error).
+// Check reports a bound a bridge cannot run with, by its spec key (the
+// registry's check on decoded specs; New panics on the same error).
 func (c Config) Check() error {
-	switch {
-	case c.LockTimeout <= 0:
-		return errors.New("lock_timeout must be positive")
-	case c.PairTimeout <= 0:
-		return errors.New("pair_timeout must be positive")
-	case c.HostTimeout <= 0:
-		return errors.New("host_timeout must be positive")
-	case c.RepairTimeout <= 0:
-		return errors.New("repair_timeout must be positive")
-	case c.RepairBuffer <= 0:
-		return errors.New("repair_buffer must be positive")
-	}
 	_, err := tables.ParseConfig(c.PairCapacity, c.PairPolicy)
 	return err
 }
@@ -103,7 +44,6 @@ func (c Config) Check() error {
 type Bridge struct {
 	// Hosts() is per-host: durable at edges, race-window elsewhere.
 	core.Discovery
-	cfg     Config
 	pairs   *PairTable // per directed pair: the forwarding state proper
 	repairs *bridge.Repairs[PairKey]
 }
@@ -115,21 +55,17 @@ func New(net *netsim.Network, name string, numID int, cfg Config) *Bridge {
 	}
 	bound, _ := tables.ParseConfig(cfg.PairCapacity, cfg.PairPolicy) // Check vetted it
 	b := &Bridge{
-		cfg: cfg,
 		// Pair keys are packed MACs in both halves: the junk-key guard
 		// applies (multicast or zero halves never pin a slot).
-		pairs: NewBoundedPairTable(cfg.LockTimeout.D(), cfg.PairTimeout.D(), bound, true),
+		pairs: NewBoundedPairTable(core.DefaultLockTimeout, core.LearnedTimeout, bound, true),
 	}
-	b.Discovery.Init(net, name, numID, b, cfg.LockTimeout.D(), cfg.HostTimeout.D(), tables.Config{})
-	b.repairs = bridge.NewRepairs[PairKey](&b.Chassis, cfg.RepairTimeout.D(), cfg.RepairBuffer, &b.Count().RepairDropped)
+	b.Discovery.Init(net, name, numID, b, core.DefaultLockTimeout, core.LearnedTimeout, tables.Config{})
+	b.repairs = bridge.NewRepairs[PairKey](&b.Chassis, core.RepairTimeout, core.RepairBuffer, &b.Count().RepairDropped)
 	return b
 }
 
 // pairOf builds the directed pair key for frames src→dst.
 func pairOf(src, dst uint64) PairKey { return PairKey{Hi: src, Lo: dst} }
-
-// Config returns the bridge configuration.
-func (b *Bridge) Config() Config { return b.cfg }
 
 // Pairs exposes the pair table (experiments, checker).
 func (b *Bridge) Pairs() *PairTable { return b.pairs }

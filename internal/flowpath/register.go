@@ -17,17 +17,15 @@ const (
 
 func init() {
 	topo.Register(ProtoFlowPath, topo.Proto[Config]{
-		Defaults: Config.WithDefaults,
-		Check:    Config.Check,
-		WarmUp:   func(Config) time.Duration { return 10 * time.Millisecond },
+		Check:  Config.Check,
+		WarmUp: func(Config) time.Duration { return 10 * time.Millisecond },
 		New: func(net *netsim.Network, name string, numID int, cfg Config) topo.Bridge {
 			return New(net, name, numID, cfg)
 		},
 	})
 	topo.Register(ProtoTCPPath, topo.Proto[TCPConfig]{
-		Defaults: TCPConfig.WithDefaults,
-		Check:    TCPConfig.Check,
-		WarmUp:   func(TCPConfig) time.Duration { return 10 * time.Millisecond },
+		Check:  TCPConfig.Check,
+		WarmUp: func(TCPConfig) time.Duration { return 10 * time.Millisecond },
 		New: func(net *netsim.Network, name string, numID int, cfg TCPConfig) topo.Bridge {
 			return NewTCPPath(net, name, numID, cfg)
 		},

@@ -2,7 +2,6 @@ package flowpath
 
 import (
 	"encoding/binary"
-	"errors"
 	"time"
 
 	"repro/internal/bridge"
@@ -12,20 +11,11 @@ import (
 	"repro/internal/tables"
 )
 
-// TCPConfig tunes a TCP-Path bridge: the embedded ARP-Path config for the
-// fallback dataplane plus the per-connection knobs. The struct is also
-// the spec-file form: the json tags are the wire names.
+// TCPConfig bounds a TCP-Path bridge's connection table; its timing is
+// ARP-Path's (the core constants), and the fallback dataplane is a
+// default ARP-Path bridge. The struct is also the spec-file form: the json
+// tags are the wire names.
 type TCPConfig struct {
-	// ARPPath configures the fallback dataplane (everything non-TCP, and
-	// TCP segments whose connection has no entry and is not opening). It
-	// is not part of the spec surface: the variant's own knobs are what a
-	// spec can meaningfully sweep, the fallback keeps its defaults.
-	ARPPath core.Config `json:"-"`
-	// ConnLockTimeout is the SYN flood's race window.
-	ConnLockTimeout layers.Duration `json:"conn_lock_timeout,omitempty"`
-	// ConnTimeout is the lifetime of confirmed connection entries;
-	// segments refresh it.
-	ConnTimeout layers.Duration `json:"conn_timeout,omitempty"`
 	// ConnCapacity bounds the connection table (0 = unbounded). Per-
 	// connection keys are where state grows fastest in the All-Path
 	// family, so this is the bound that bites first. See DESIGN.md §12.
@@ -35,42 +25,12 @@ type TCPConfig struct {
 	ConnPolicy string `json:"conn_policy,omitempty"`
 }
 
-// DefaultTCPConfig matches ARP-Path's timing.
-func DefaultTCPConfig() TCPConfig {
-	return TCPConfig{
-		ARPPath:         core.DefaultConfig(),
-		ConnLockTimeout: layers.Duration(200 * time.Millisecond),
-		ConnTimeout:     layers.Duration(120 * time.Second),
-	}
-}
-
-// WithDefaults fills unset fields field-wise.
-func (c TCPConfig) WithDefaults() TCPConfig {
-	c.ARPPath = c.ARPPath.WithDefaults()
-	d := DefaultTCPConfig()
-	if c.ConnLockTimeout == 0 {
-		c.ConnLockTimeout = d.ConnLockTimeout
-	}
-	if c.ConnTimeout == 0 {
-		c.ConnTimeout = d.ConnTimeout
-	}
-	return c
-}
-
-// Check reports the first value a bridge cannot run with, by its spec key
-// (the registry's check on decoded specs; NewTCPPath panics on the same
+// Check reports a bound a bridge cannot run with, by its spec key (the
+// registry's check on decoded specs; NewTCPPath panics on the same
 // error).
 func (c TCPConfig) Check() error {
-	switch {
-	case c.ConnLockTimeout <= 0:
-		return errors.New("conn_lock_timeout must be positive")
-	case c.ConnTimeout <= 0:
-		return errors.New("conn_timeout must be positive")
-	}
-	if _, err := tables.ParseConfig(c.ConnCapacity, c.ConnPolicy); err != nil {
-		return err
-	}
-	return c.ARPPath.Check()
+	_, err := tables.ParseConfig(c.ConnCapacity, c.ConnPolicy)
+	return err
 }
 
 // TCPPath is a TCP-Path bridge: per-TCP-connection paths keyed by the
@@ -83,7 +43,6 @@ func (c TCPConfig) Check() error {
 // embedded, unmodified ARP-Path dataplane.
 type TCPPath struct {
 	*core.Bridge
-	cfg   TCPConfig
 	conns *PairTable
 }
 
@@ -94,14 +53,13 @@ func NewTCPPath(net *netsim.Network, name string, numID int, cfg TCPConfig) *TCP
 	}
 	bound, _ := tables.ParseConfig(cfg.ConnCapacity, cfg.ConnPolicy) // Check vetted it
 	t := &TCPPath{
-		cfg: cfg,
 		// Connection keys pack IPs and TCP ports, not MACs: no junk-key
 		// guard (a zero half is a legal tuple encoding).
-		conns: NewBoundedPairTable(cfg.ConnLockTimeout.D(), cfg.ConnTimeout.D(), bound, false),
+		conns: NewBoundedPairTable(core.DefaultLockTimeout, core.LearnedTimeout, bound, false),
 	}
 	// The chassis dispatches to t; t consumes TCP segments and delegates
 	// the rest to the embedded ARP-Path protocol.
-	t.Bridge = core.NewWithProtocol(net, name, numID, cfg.ARPPath, t)
+	t.Bridge = core.NewWithProtocol(net, name, numID, core.DefaultConfig(), t)
 	return t
 }
 

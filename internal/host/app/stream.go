@@ -7,6 +7,14 @@ import (
 	"repro/internal/metrics"
 )
 
+// The client's playback accounting: goodput is sampled in bucket-wide
+// bins, and a gap between deliveries longer than stallThreshold counts as
+// a playback stall (the visible glitch in the demo's video).
+const (
+	bucket         = 50 * time.Millisecond
+	stallThreshold = 100 * time.Millisecond
+)
+
 // StreamConfig describes the Figure 3 video stream.
 type StreamConfig struct {
 	// Port is the server's listening port (the demo's HTTP server); 0
@@ -14,22 +22,10 @@ type StreamConfig struct {
 	Port uint16
 	// Size is the total video size in bytes.
 	Size int
-	// Bucket is the goodput-timeline bucket width.
-	Bucket time.Duration
-	// StallThreshold: a gap between deliveries longer than this counts as
-	// a playback stall (the visible glitch in the demo's video).
-	StallThreshold time.Duration
 }
 
 // DefaultStreamConfig matches the demo scale: an 8 MiB clip over HTTP.
-func DefaultStreamConfig() StreamConfig {
-	return StreamConfig{
-		Port:           80,
-		Size:           8 << 20,
-		Bucket:         50 * time.Millisecond,
-		StallThreshold: 100 * time.Millisecond,
-	}
-}
+func DefaultStreamConfig() StreamConfig { return StreamConfig{Port: 80, Size: 8 << 20} }
 
 // Stall is one playback interruption observed by the client.
 type Stall struct {
@@ -78,7 +74,7 @@ type Streamer struct {
 // see Release. The returned Streamer exposes the live report for
 // mid-stream probes.
 func StartStream(server, client *host.Host, cfg StreamConfig, onDone func(*StreamReport)) *Streamer {
-	if cfg.Size <= 0 || cfg.Bucket <= 0 || cfg.StallThreshold <= 0 {
+	if cfg.Size <= 0 {
 		panic("app: invalid stream config")
 	}
 	now := client.Now()
@@ -133,23 +129,23 @@ func (s *Streamer) Release() {
 
 func (s *Streamer) onData(p []byte) {
 	now := s.client.Now()
-	if gap := now - s.lastByteAt; gap > s.cfg.StallThreshold {
+	if gap := now - s.lastByteAt; gap > stallThreshold {
 		s.report.Stalls = append(s.report.Stalls, Stall{Start: s.lastByteAt, Duration: gap})
 		s.report.TotalStall += gap
 	}
 	s.lastByteAt = now
 	s.report.Received += len(p)
 	// Goodput bucketing.
-	for now-s.bucketStart >= s.cfg.Bucket {
+	for now-s.bucketStart >= bucket {
 		s.flushBucket()
 	}
 	s.bucketBits += float64(len(p) * 8)
 }
 
 func (s *Streamer) flushBucket() {
-	mbps := s.bucketBits / s.cfg.Bucket.Seconds() / 1e6
+	mbps := s.bucketBits / bucket.Seconds() / 1e6
 	s.report.Goodput.Add(s.bucketStart, mbps)
-	s.bucketStart += s.cfg.Bucket
+	s.bucketStart += bucket
 	s.bucketBits = 0
 }
 

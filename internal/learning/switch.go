@@ -1,50 +1,10 @@
 package learning
 
 import (
-	"errors"
-
 	"repro/internal/bridge"
-	"repro/internal/layers"
 	"repro/internal/netsim"
 	"repro/internal/tables"
 )
-
-// Config tunes a learning switch. It exists mostly so the protocol
-// registry can carry learning-switch settings the same way it carries
-// ARP-Path and STP ones. The struct is also the spec-file form: the json
-// tags are the wire names.
-type Config struct {
-	// Aging is the filtering-database aging time.
-	Aging layers.Duration `json:"aging,omitempty"`
-	// TableCapacity bounds the filtering database (0 = unbounded). A
-	// bound requires TablePolicy. See DESIGN.md §12.
-	TableCapacity int `json:"table_capacity,omitempty"`
-	// TablePolicy selects the eviction policy for a bounded table:
-	// "lru" or "clock" ("" / "timeout" is the unbounded baseline).
-	TablePolicy string `json:"table_policy,omitempty"`
-}
-
-// DefaultConfig returns the standard aging time.
-func DefaultConfig() Config { return Config{Aging: layers.Duration(DefaultAging)} }
-
-// WithDefaults fills unset (zero) fields field-wise.
-func (c Config) WithDefaults() Config {
-	if c.Aging == 0 {
-		c.Aging = layers.Duration(DefaultAging)
-	}
-	return c
-}
-
-// Check reports the first value a switch cannot run with, by its spec key
-// (the registry's check on decoded specs; NewWithConfig panics on the
-// same error).
-func (c Config) Check() error {
-	if c.Aging <= 0 {
-		return errors.New("aging must be positive")
-	}
-	_, err := tables.ParseConfig(c.TableCapacity, c.TablePolicy)
-	return err
-}
 
 // Stats counts forwarding decisions of a learning switch.
 type Stats struct {
@@ -64,21 +24,12 @@ type Switch struct {
 	stats Stats
 }
 
-// New creates a learning switch named name with the default aging time.
+// New creates a learning switch named name with the default aging time
+// and an unbounded filtering database.
 func New(net *netsim.Network, name string, numID int) *Switch {
-	return NewWithConfig(net, name, numID, DefaultConfig())
-}
-
-// NewWithConfig creates a learning switch with an explicit configuration.
-func NewWithConfig(net *netsim.Network, name string, numID int, cfg Config) *Switch {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Check(); err != nil {
-		panic("learning: " + err.Error())
-	}
-	bound, _ := tables.ParseConfig(cfg.TableCapacity, cfg.TablePolicy) // Check vetted it
 	s := &Switch{}
 	s.Init(net, name, numID, s)
-	s.fib = NewBoundedTable(cfg.Aging.D(), bound)
+	s.fib = NewTable(DefaultAging)
 	return s
 }
 

@@ -7,6 +7,7 @@ package netsim_test
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,8 +47,12 @@ var drained = []struct {
 }
 
 // floodTraversal is the flood traversal of T5's ring (8 bridges, 1 ms
-// links), the lock window below which its fabric never falls silent.
+// links), the lock window below which its fabric may never fall silent.
 const floodTraversal = 8 * time.Millisecond
+
+// stormed names the one fabric of the gate whose links are cut: T5's
+// 1 ms lock window, where a broadcast circles the ring for ever.
+const stormed = "t5-lock-window"
 
 // TestExperimentsDrainToZeroFrameRefs runs every workload kind, collects
 // each fabric it builds through topo.OnBuilt, drains them all to full
@@ -88,6 +93,7 @@ func TestExperimentsDrainToZeroFrameRefs(t *testing.T) {
 			if len(nets) == 0 {
 				t.Fatal("built no fabric")
 			}
+			var cut []time.Duration // lock windows of the fabrics whose links were cut
 			for i, n := range nets {
 				if n.Opts.Protocol == topo.STP {
 					// STP re-arms its hello timers forever, so its fabrics
@@ -103,14 +109,17 @@ func TestExperimentsDrainToZeroFrameRefs(t *testing.T) {
 					// event runs (flights, repair timers, retries) and then
 					// nothing may hold a frame; a forwarding loop trips Run's
 					// event limit. The one known exception is an ARP-Path lock
-					// window below the ring's flood traversal (T5's short
-					// rows), which leaves a broadcast circling for ever:
-					// cutting every link drops what is in flight, and then
-					// the fabric falls silent.
+					// window below the ring's flood traversal, which may leave
+					// a broadcast circling for ever: such a fabric runs a
+					// minute, and only if it is still busy does cutting every
+					// link drop what is in flight so it falls silent.
 					if cfg, ok := n.Opts.ProtocolConfig.(*core.Config); ok && cfg.LockTimeout < topo.Duration(floodTraversal) {
 						n.RunFor(time.Minute)
-						for _, l := range n.Network.Links() {
-							l.SetUp(false)
+						if !n.Quiescent() {
+							cut = append(cut, cfg.LockTimeout.D())
+							for _, l := range n.Network.Links() {
+								l.SetUp(false)
+							}
 						}
 					}
 					n.Run()
@@ -119,6 +128,13 @@ func TestExperimentsDrainToZeroFrameRefs(t *testing.T) {
 					t.Errorf("fabric %d (%s, %d bridges): %d frame(s) still referenced after drain",
 						i, n.Opts.Protocol, len(n.Bridges), live)
 				}
+			}
+			want := []time.Duration(nil)
+			if d.name == stormed {
+				want = []time.Duration{time.Millisecond}
+			}
+			if !slices.Equal(cut, want) {
+				t.Errorf("links cut on fabrics with lock windows %v, want %v: only T5's 1 ms row storms", cut, want)
 			}
 			if live := netsim.LiveFrames(); live != base {
 				t.Errorf("%d frame(s) still referenced after draining %d fabrics", live-base, len(nets))

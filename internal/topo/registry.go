@@ -28,7 +28,8 @@ type Duration = layers.Duration
 // cmds consult the registry instead of switching on known names, so
 // out-of-tree variants plug in without touching this package.
 type Proto[C any] struct {
-	// Defaults fills unset (zero) fields of cfg field-wise.
+	// Defaults fills unset (zero) fields of cfg field-wise. Optional: a
+	// config whose zero values are its defaults has none.
 	Defaults func(cfg C) C
 	// Check rejects a defaulted cfg a bridge cannot run with, naming the
 	// field by its spec key. Optional. It is what keeps a bad spec file an
@@ -87,7 +88,9 @@ func (r registered[C]) Resolve(cfg any) (any, error) {
 	if cfg != nil {
 		c = *r.config(cfg)
 	}
-	c = r.Defaults(c)
+	if r.Defaults != nil {
+		c = r.Defaults(c)
+	}
 	if r.Check != nil {
 		if err := r.Check(c); err != nil {
 			return nil, err
@@ -123,8 +126,8 @@ func Register[C any](name Protocol, p Proto[C]) {
 	if name == "" {
 		panic("topo: Register with empty name")
 	}
-	if p.Defaults == nil || p.WarmUp == nil || p.New == nil {
-		panic(fmt.Sprintf("topo: protocol %q registered without Defaults/WarmUp/New", name))
+	if p.WarmUp == nil || p.New == nil {
+		panic(fmt.Sprintf("topo: protocol %q registered without WarmUp/New", name))
 	}
 	if _, dup := protocolRegistry[name]; dup {
 		panic(fmt.Sprintf("topo: protocol %q registered twice", name))
@@ -189,12 +192,11 @@ func init() {
 			return stp.New(net, name, numID, 0x8000, t)
 		},
 	})
-	Register(Learning, Proto[learning.Config]{
-		Defaults: learning.Config.WithDefaults,
-		Check:    learning.Config.Check,
-		WarmUp:   func(learning.Config) time.Duration { return 10 * time.Millisecond },
-		New: func(net *netsim.Network, name string, numID int, cfg learning.Config) Bridge {
-			return learning.NewWithConfig(net, name, numID, cfg)
+	// The learning switch has no keys: its config is the empty object.
+	Register(Learning, Proto[struct{}]{
+		WarmUp: func(struct{}) time.Duration { return 10 * time.Millisecond },
+		New: func(net *netsim.Network, name string, numID int, _ struct{}) Bridge {
+			return learning.New(net, name, numID)
 		},
 	})
 }

@@ -16,11 +16,21 @@ import (
 // keys, key order and duration spelling are the spec wire format, and
 // every committed spec, op-log header and golden depends on them.
 var wireDefaults = map[topo.Protocol]string{
-	"arppath":  `{"lock_timeout":"200ms","learned_timeout":"2m0s","repair_timeout":"500ms","repair_buffer":64,"proxy_timeout":"1m0s"}`,
-	"flowpath": `{"lock_timeout":"200ms","pair_timeout":"2m0s","host_timeout":"2m0s","repair_timeout":"500ms","repair_buffer":64}`,
-	"learning": `{"aging":"5m0s"}`,
+	"arppath":  `{"lock_timeout":"200ms"}`,
+	"flowpath": `{}`,
+	"learning": `{}`,
 	"stp":      `{"hello":"2s","max_age":"20s","forward_delay":"15s","msg_age_increment":"1s","aging":"5m0s"}`,
-	"tcppath":  `{"conn_lock_timeout":"200ms","conn_timeout":"2m0s"}`,
+	"tcppath":  `{}`,
+}
+
+// removedKeys are the keys each protocol's extension once carried and no
+// longer does: their values are the core constants now, so a spec or an
+// op-log header that still names one is refused as an unknown key.
+var removedKeys = map[topo.Protocol][]string{
+	"arppath":  {"learned_timeout", "repair_timeout", "repair_buffer", "proxy_timeout"},
+	"flowpath": {"lock_timeout", "pair_timeout", "host_timeout", "repair_timeout", "repair_buffer"},
+	"learning": {"aging", "table_capacity", "table_policy"},
+	"tcppath":  {"conn_lock_timeout", "conn_timeout"},
 }
 
 // canonical is decode → defaults → check → encode, the registry's whole
@@ -48,10 +58,6 @@ func TestRegistryContract(t *testing.T) {
 	rejected := map[topo.Protocol]map[string]string{
 		"arppath": {
 			`{"lock_timeout":"-1s"}`:     "lock_timeout",
-			`{"learned_timeout":-5}`:     "learned_timeout",
-			`{"repair_timeout":"-1ms"}`:  "repair_timeout",
-			`{"repair_buffer":-3}`:       "repair_buffer",
-			`{"proxy_timeout":"-1s"}`:    "proxy_timeout",
 			`{"table_capacity":-1}`:      "capacity",
 			`{"table_capacity":8}`:       "policy",
 			`{"table_policy":"fifo"}`:    "fifo",
@@ -64,25 +70,25 @@ func TestRegistryContract(t *testing.T) {
 			`{"msg_age_increment":"-1s"}`: "msg_age_increment",
 			`{"aging":"-1s"}`:             "aging",
 		},
-		"learning": {
-			`{"aging":"-1s"}`:       "aging",
-			`{"table_capacity":-1}`: "capacity",
-		},
 		"flowpath": {
-			`{"lock_timeout":"-1s"}`:   "lock_timeout",
-			`{"pair_timeout":"-1s"}`:   "pair_timeout",
-			`{"host_timeout":"-1s"}`:   "host_timeout",
-			`{"repair_timeout":"-1s"}`: "repair_timeout",
-			`{"repair_buffer":-1}`:     "repair_buffer",
-			`{"pair_capacity":4}`:      "policy",
+			`{"pair_capacity":-1}`:   "capacity",
+			`{"pair_capacity":4}`:    "policy",
+			`{"pair_policy":"fifo"}`: "fifo",
 		},
 		"tcppath": {
-			`{"conn_lock_timeout":"-1s"}`: "conn_lock_timeout",
-			`{"conn_timeout":"-1s"}`:      "conn_timeout",
-			`{"conn_capacity":-1}`:        "capacity",
-			// The fallback ARP-Path config is not part of the extension.
-			`{"ARPPath":{}}`: "ARPPath",
+			`{"conn_capacity":-1}`:   "capacity",
+			`{"conn_capacity":4}`:    "policy",
+			`{"conn_policy":"fifo"}`: "fifo",
 		},
+	}
+	for p, keys := range removedKeys {
+		if rejected[p] == nil {
+			rejected[p] = map[string]string{}
+		}
+		for _, key := range keys {
+			rejected[p][`{"`+key+`":"-1s"}`] = `unknown field "` + key + `"`
+			rejected[p][`{"`+key+`":1}`] = `unknown field "` + key + `"`
+		}
 	}
 	if got := len(topo.Protocols()); got != len(wireDefaults) {
 		t.Fatalf("%d protocols registered, wire pins for %d: pin the new one", got, len(wireDefaults))
@@ -119,8 +125,8 @@ func TestRegistryContract(t *testing.T) {
 	}
 
 	// A tuned extension survives the round trip, and re-encodes to itself.
-	tuned := `{"lock_timeout":"50ms","learned_timeout":"2m0s","repair_timeout":"500ms","repair_buffer":7,"proxy":true,"proxy_timeout":"1m0s","table_capacity":16,"table_policy":"lru"}`
-	once, err := canonical(topo.ARPPath, `{"table_policy":"lru","proxy":true,"lock_timeout":50000000,"repair_buffer":7,"table_capacity":16}`)
+	tuned := `{"lock_timeout":"50ms","proxy":true,"disable_repair":true,"table_capacity":16,"table_policy":"lru"}`
+	once, err := canonical(topo.ARPPath, `{"table_policy":"lru","proxy":true,"lock_timeout":50000000,"disable_repair":true,"table_capacity":16}`)
 	if err != nil || once != tuned {
 		t.Fatalf("tuned extension: got %s, %v\nwant %s", once, err, tuned)
 	}

@@ -16,10 +16,10 @@ import (
 func TestPartialConfigKeepsSetFields(t *testing.T) {
 	opts := Options{Protocol: ARPPath, Seed: 1}
 	opts.ARPPath().Proxy = true                      // set a knob...
-	opts.ARPPath().RepairBuffer = 7                  // ...and another
+	opts.ARPPath().DisableRepair = true              // ...and another
 	b := NewBuilder(opts)                            // LockTimeout left zero
 	got := *b.net.Opts.ProtocolConfig.(*core.Config) // post-defaulting view
-	if !got.Proxy || got.RepairBuffer != 7 {
+	if !got.Proxy || !got.DisableRepair {
 		t.Fatalf("set fields were clobbered by defaulting: %+v", got)
 	}
 	if got.LockTimeout != core.DefaultConfig().LockTimeout {

@@ -41,10 +41,10 @@ type Options struct {
 	Protocol Protocol
 	// ProtocolConfig is the per-protocol configuration: a pointer to the
 	// protocol's config type (*core.Config for arppath, *stp.Timers for
-	// stp, *learning.Config for learning, or whatever a registered variant
-	// declares). nil selects the registered defaults; unset (zero) fields
-	// of a partially filled config are defaulted field-wise by the builder
-	// — setting only LockTimeout no longer discards the rest.
+	// stp, *struct{} for learning, which has no keys, or whatever a
+	// registered variant declares). nil selects the registered defaults;
+	// unset (zero) fields of a partially filled config are defaulted
+	// field-wise by the builder.
 	ProtocolConfig any
 	// Seed feeds the simulation engine.
 	Seed int64

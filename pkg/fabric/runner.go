@@ -28,11 +28,9 @@ type Runner struct {
 	// Out is the report stream (default os.Stdout): tables, sweep
 	// verdicts, fingerprints.
 	Out io.Writer
-	// CSV renders tables as CSV instead of aligned text.
+	// CSV renders tables as CSV instead of aligned text and leaves out the
+	// ASCII graphs, which every graphing kind, figure2-demo too, prints.
 	CSV bool
-	// Graphs renders the per-scenario ASCII latency graphs of the
-	// figure2-demo workload.
-	Graphs bool
 	// TraceTo, when set, streams a tcpdump-style view of every delivery
 	// of the topology-driven workloads (arppath-sim -trace).
 	TraceTo io.Writer

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/flowpath"
-	"repro/internal/host"
 	"repro/internal/learning"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
@@ -55,37 +54,26 @@ func TestRunnerFingerprintShardInvariant(t *testing.T) {
 	}
 }
 
-// TestTraceWritesOneLinePerDelivery: the -trace tap writes one line for
-// each frame delivery, and the Runner wires it to TraceTo.
+// TestTraceWritesOneLinePerDelivery: Runner.TraceTo gets one line for
+// each frame delivery the fabric makes, counted from topo.OnBuilt, so the
+// warm-up's deliveries are in the trace too.
 func TestTraceWritesOneLinePerDelivery(t *testing.T) {
-	spec, err := Spec{Topology: TopologySpec{Family: "line", N: 3}}.WithDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := BuildTopology(opts, spec.Topology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace strings.Builder
 	deliveries := 0
-	built.Tap(traceDeliveries(&trace))
-	built.Tap(func(ev netsim.TapEvent) {
-		if ev.Kind == netsim.TapDeliver {
-			deliveries++
-		}
-	})
-	a, b, err := pickEndpoints(built, &trace)
-	if err != nil {
-		t.Fatal(err)
+	prev := topo.OnBuilt
+	topo.OnBuilt = func(n *topo.Net) {
+		n.Tap(func(ev netsim.TapEvent) {
+			if ev.Kind == netsim.TapDeliver {
+				deliveries++
+			}
+		})
 	}
-	built.Engine.At(built.Now(), func() {
-		a.PingSeries(b.IP(), 2, 56, time.Millisecond, time.Second, func([]host.PingResult) {})
-	})
-	built.RunFor(time.Second)
+	defer func() { topo.OnBuilt = prev }()
+
+	var trace strings.Builder
+	runToBuffer(t, Runner{TraceTo: &trace, Spec: Spec{
+		Topology: TopologySpec{Family: "line", N: 3},
+		Workload: WorkloadSpec{Kind: "ping", Pings: 2, Interval: Duration(time.Millisecond)},
+	}})
 	lines := strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n")
 	if deliveries == 0 || len(lines) != deliveries {
 		t.Fatalf("%d trace lines for %d deliveries:\n%s", len(lines), deliveries, trace.String())
@@ -95,12 +83,8 @@ func TestTraceWritesOneLinePerDelivery(t *testing.T) {
 			t.Fatalf("trace line is not a delivery: %q", l)
 		}
 	}
-
-	spec.Workload = WorkloadSpec{Kind: "ping", Pings: 2, Interval: Duration(time.Millisecond)}
-	trace.Reset()
-	runToBuffer(t, Runner{Spec: spec, TraceTo: &trace})
-	if !strings.Contains(trace.String(), " deliver ") || !strings.Contains(trace.String(), "echo-request") {
-		t.Fatalf("Runner.TraceTo shows no ping:\n%s", trace.String())
+	if !strings.Contains(lines[0], "HELLO") || !strings.Contains(trace.String(), "echo-request") {
+		t.Fatalf("trace does not run from the warm-up's HELLOs to the pings:\n%s", trace.String())
 	}
 }
 
@@ -218,8 +202,8 @@ func TestOutOfTreeProtocolPluggable(t *testing.T) {
 			return c
 		},
 		WarmUp: func(variantConfig) time.Duration { return 10 * time.Millisecond },
-		New: func(net *Network, name string, numID int, c variantConfig) Bridge {
-			return learning.NewWithConfig(net, name, numID, learning.Config{Aging: c.Aging})
+		New: func(net *Network, name string, numID int, _ variantConfig) Bridge {
+			return learning.New(net, name, numID)
 		},
 	})
 

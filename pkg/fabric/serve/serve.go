@@ -70,10 +70,6 @@ type Options struct {
 	OpLog io.Writer
 	// Out receives the human-readable session report at shutdown.
 	Out io.Writer
-	// Pace slows the serving loop to at most Pace seconds of virtual
-	// time per wall second (0 = run flat out). A live daemon typically
-	// wants 1.0 so latency classes mean what a client expects.
-	Pace float64
 }
 
 // Report is the machine-checkable outcome of a session, live or replayed.
@@ -128,7 +124,6 @@ type request struct {
 type Server struct {
 	spec    fabric.Spec
 	quantum time.Duration
-	pace    float64
 	out     io.Writer
 
 	built *fabric.Built
@@ -163,7 +158,6 @@ type Server struct {
 	stopping bool
 
 	wallStart time.Time
-	virtStart time.Duration
 
 	report *Report
 }
@@ -200,7 +194,6 @@ func newServer(o Options) (*Server, error) {
 	s := &Server{
 		spec:      spec,
 		quantum:   quantum,
-		pace:      o.Pace,
 		out:       o.Out,
 		fp:        netsim.NewTapFingerprint(),
 		opCounts:  map[string]uint64{},
@@ -231,7 +224,6 @@ func newServer(o Options) (*Server, error) {
 	}
 	s.built = built
 	s.index = scenario.NewIndex(built)
-	s.virtStart = built.Now()
 	if o.OpLog != nil {
 		s.opLog = bufio.NewWriter(o.OpLog)
 		hdr, err := json.Marshal(logHeader{Fabricserve: 1, Spec: spec, Quantum: fabric.Duration(quantum)})
@@ -412,7 +404,6 @@ func (s *Server) loop() {
 func (s *Server) advance() {
 	if !s.built.Quiescent() {
 		s.built.RunFor(s.quantum)
-		s.paceSleep()
 	}
 	s.boundary()
 }
@@ -443,20 +434,6 @@ func (s *Server) gather() []*request {
 			}
 			reqs = append(reqs, <-s.reqCh)
 		}
-	}
-}
-
-func (s *Server) paceSleep() {
-	if s.pace <= 0 {
-		return
-	}
-	virt := s.built.Now() - s.virtStart
-	target := time.Duration(float64(virt) / s.pace)
-	if ahead := target - time.Since(s.wallStart); ahead > 0 {
-		if ahead > 100*time.Millisecond {
-			ahead = 100 * time.Millisecond
-		}
-		time.Sleep(ahead)
 	}
 }
 

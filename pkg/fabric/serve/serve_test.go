@@ -228,15 +228,45 @@ func TestServeWireStrict(t *testing.T) {
 // are counted by the stats op and swept and reported at session end —
 // not skipped because the daemon only knew the All-Path bridge types.
 func TestServeCountsLearningTables(t *testing.T) {
+	stats, rep := pingAndStats(t, fabric.ProtocolSpec{Name: "learning"})
+	// Three switches each learn both hosts of the ping.
+	if stats.TableEntries != 6 {
+		t.Fatalf("stats on a learning fabric: entries=%d, want 6", stats.TableEntries)
+	}
+	if rep.TableEntries != stats.TableEntries || rep.TableEvictions != stats.TableEvictions {
+		t.Fatalf("session report: entries=%d evictions=%d, want the live %d and %d",
+			rep.TableEntries, rep.TableEvictions, stats.TableEntries, stats.TableEvictions)
+	}
+}
+
+// TestServeCountsTableEvictions: a bounded table's evictions are summed
+// from every bridge by the stats op and carried into the session report.
+func TestServeCountsTableEvictions(t *testing.T) {
+	stats, rep := pingAndStats(t, fabric.ProtocolSpec{
+		Name: "arppath",
+		// One slot per bridge, and a lock window shorter than the reply's
+		// round trip, so the request's entry is no longer guarded when
+		// learning the reply's source evicts it.
+		Config: json.RawMessage(`{"lock_timeout":"1µs","table_capacity":1,"table_policy":"lru"}`),
+	})
+	if stats.TableEntries == 0 || stats.TableEvictions == 0 {
+		t.Fatalf("stats on a bounded fabric: entries=%d evictions=%d, want both non-zero",
+			stats.TableEntries, stats.TableEvictions)
+	}
+	if rep.TableEntries == 0 || rep.TableEvictions != stats.TableEvictions {
+		t.Fatalf("session report: entries=%d evictions=%d, want live entries and %d evictions",
+			rep.TableEntries, rep.TableEvictions, stats.TableEvictions)
+	}
+}
+
+// pingAndStats boots a daemon on a 3-bridge line running proto, pings
+// end to end, drains, and returns the live stats and the session report.
+func pingAndStats(t *testing.T, proto fabric.ProtocolSpec) (*Stats, *Report) {
+	t.Helper()
 	srv, err := New(Options{Spec: fabric.Spec{
 		Seed:     5,
 		Topology: fabric.TopologySpec{Family: "line", N: 3},
-		Protocol: fabric.ProtocolSpec{
-			Name: "learning",
-			// One slot per switch: learning the reply's source evicts
-			// the request's.
-			Config: json.RawMessage(`{"table_capacity":1,"table_policy":"lru"}`),
-		},
+		Protocol: proto,
 	}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -263,18 +293,10 @@ func TestServeCountsLearningTables(t *testing.T) {
 	if !stats.OK || stats.Stats == nil {
 		t.Fatalf("stats failed: %+v", stats)
 	}
-	if stats.Stats.TableEntries == 0 || stats.Stats.TableEvictions == 0 {
-		t.Fatalf("stats on a bounded learning fabric: entries=%d evictions=%d, want both non-zero",
-			stats.Stats.TableEntries, stats.Stats.TableEvictions)
-	}
 	if !c.raw(`{"op":"shutdown"}`).OK {
 		t.Fatal("shutdown rejected")
 	}
-	rep := srv.Wait()
-	if rep.TableEntries == 0 || rep.TableEvictions != stats.Stats.TableEvictions {
-		t.Fatalf("session report: entries=%d evictions=%d, want live entries and %d evictions",
-			rep.TableEntries, rep.TableEvictions, stats.Stats.TableEvictions)
-	}
+	return stats.Stats, srv.Wait()
 }
 
 // TestReplayRejectsGarbage pins op-log strictness: empty logs, bad

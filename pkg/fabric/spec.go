@@ -84,10 +84,10 @@ type LinkSpec struct {
 //	ping          the fabric keys; pings, interval
 //	stream        the fabric keys; stream_size
 //	allpairs      the fabric keys
-//	matrix        the fabric keys; pattern, flow_bytes, arrival, and the pattern's own: hotspot flows, hotspots; pairs flows, skew; permutation none
+//	matrix        the fabric keys; pattern, and flows for the hotspot and pairs patterns
 //	figure1       —: Figure 1, the discovery race's locks and path
 //	figure2-demo  pings, interval: Figure 2, ARP-Path vs STP latency
-//	path-repair   stream_size, failures, with_stp, fast_stp: Figure 3, streaming across link failures
+//	path-repair   stream_size, failures: Figure 3, streaming across link failures, ARP-Path beside STP
 //	properties, load, proxy, repair, lockwindow, tablesize
 //	              —: the evaluation tables T1–T6; all runs the six
 //	scale         bridges (an even count ≥ 4): the sharded-engine scaling table
@@ -103,10 +103,6 @@ type WorkloadSpec struct {
 	StreamSize int `json:"stream_size,omitempty"`
 	// Failures is how many successive link failures path-repair injects.
 	Failures int `json:"failures,omitempty"`
-	// WithSTP adds the STP baseline run to path-repair (default true).
-	WithSTP *bool `json:"with_stp,omitempty"`
-	// FastSTP gives the baseline the fastest legal STP timers.
-	FastSTP bool `json:"fast_stp,omitempty"`
 	// Bridges sizes the scale and allpath experiments' fabrics.
 	Bridges int `json:"bridges,omitempty"`
 
@@ -115,14 +111,6 @@ type WorkloadSpec struct {
 	Pattern string `json:"pattern,omitempty"`
 	// Flows is the matrix flow count (0 = one per host).
 	Flows int `json:"flows,omitempty"`
-	// Hotspots is the hotspot pattern's hot-destination count.
-	Hotspots int `json:"hotspots,omitempty"`
-	// Skew is the pairs pattern's Zipf exponent.
-	Skew float64 `json:"skew,omitempty"`
-	// FlowBytes is the per-flow transfer size.
-	FlowBytes int `json:"flow_bytes,omitempty"`
-	// Arrival is the mean spacing of the seeded flow arrival schedule.
-	Arrival Duration `json:"arrival,omitempty"`
 	// Conversations is the tables experiment's distinct host-conversation
 	// count (synthetic edge-host multiplexing; 0 = 100k).
 	Conversations int `json:"conversations,omitempty"`
@@ -237,8 +225,7 @@ func (s Spec) WithDefaults() (Spec, error) {
 		{"workload.pings", int64(w.Pings)}, {"workload.interval", int64(w.Interval)},
 		{"workload.stream_size", int64(w.StreamSize)}, {"workload.failures", int64(w.Failures)},
 		{"workload.bridges", int64(w.Bridges)}, {"workload.flows", int64(w.Flows)},
-		{"workload.hotspots", int64(w.Hotspots)}, {"workload.flow_bytes", int64(w.FlowBytes)},
-		{"workload.arrival", int64(w.Arrival)}, {"workload.conversations", int64(w.Conversations)},
+		{"workload.conversations", int64(w.Conversations)},
 	} {
 		if f.v < 0 {
 			return Spec{}, fmt.Errorf("spec: %s must not be negative", f.key)

@@ -105,10 +105,45 @@ func TestSpecStrictDecoding(t *testing.T) {
 		{"removed-quiesce", `{"workload": {"kind": "sweep"}, "scenario": {"quiesce": "900ms"}}`},
 		{"removed-verify-pairs", `{"workload": {"kind": "sweep"}, "verify": {"pairs": 6}}`},
 		{"removed-verify-pings", `{"workload": {"kind": "sweep"}, "verify": {"pings": 2}}`},
+		{"removed-with-stp", `{"workload": {"kind": "path-repair", "with_stp": true}}`},
+		{"removed-fast-stp", `{"workload": {"kind": "path-repair", "fast_stp": true}}`},
+		{"removed-hotspots", `{"workload": {"kind": "matrix", "hotspots": 2}}`},
+		{"removed-skew", `{"workload": {"kind": "matrix", "pattern": "pairs", "skew": 1.5}}`},
+		{"removed-flow-bytes", `{"workload": {"kind": "matrix", "flow_bytes": 262144}}`},
+		{"removed-arrival", `{"workload": {"kind": "matrix", "arrival": "1ms"}}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeSpec([]byte(c.doc)); err == nil {
 			t.Errorf("%s: decoded without error: %s", c.name, c.doc)
+		}
+	}
+
+	// The protocol keys whose values became constants: the registry's
+	// strict decode refuses each, even at its old default, so an old spec,
+	// reproduce line or op-log header that carries one fails loudly.
+	for _, c := range []struct{ name, proto, key, value string }{
+		{"removed-learned-timeout", "arppath", "learned_timeout", `"2m0s"`},
+		{"removed-repair-timeout", "arppath", "repair_timeout", `"500ms"`},
+		{"removed-repair-buffer", "arppath", "repair_buffer", `64`},
+		{"removed-proxy-timeout", "arppath", "proxy_timeout", `"1m0s"`},
+		{"removed-flowpath-lock-timeout", "flowpath", "lock_timeout", `"200ms"`},
+		{"removed-pair-timeout", "flowpath", "pair_timeout", `"2m0s"`},
+		{"removed-host-timeout", "flowpath", "host_timeout", `"2m0s"`},
+		{"removed-flowpath-repair-timeout", "flowpath", "repair_timeout", `"500ms"`},
+		{"removed-flowpath-repair-buffer", "flowpath", "repair_buffer", `64`},
+		{"removed-conn-lock-timeout", "tcppath", "conn_lock_timeout", `"200ms"`},
+		{"removed-conn-timeout", "tcppath", "conn_timeout", `"2m0s"`},
+		{"removed-aging", "learning", "aging", `"5m0s"`},
+		{"removed-learning-table-capacity", "learning", "table_capacity", `16`},
+		{"removed-learning-table-policy", "learning", "table_policy", `"lru"`},
+	} {
+		doc := fmt.Sprintf(`{"protocol": {"name": %q, "config": {%q: %s}}}`, c.proto, c.key, c.value)
+		s, err := DecodeSpec([]byte(doc))
+		if err != nil {
+			t.Fatalf("%s: outer decode failed: %v", c.name, err)
+		}
+		if _, err := s.WithDefaults(); err == nil || !strings.Contains(err.Error(), `unknown field "`+c.key+`"`) {
+			t.Errorf("%s: %s: err %v, want the key refused as unknown", c.name, doc, err)
 		}
 	}
 
@@ -146,7 +181,7 @@ func TestSpecTypesFullyTagged(t *testing.T) {
 func TestSpecRejectsUnusableValues(t *testing.T) {
 	cases := []struct{ doc, want string }{
 		{`{"protocol":{"name":"arppath","config":{"lock_timeout":"-1s"}}}`, "lock_timeout"},
-		{`{"protocol":{"name":"arppath","config":{"repair_buffer":-3}}}`, "repair_buffer"},
+		{`{"protocol":{"name":"arppath","config":{"table_capacity":-3}}}`, "capacity"},
 		{`{"protocol":{"name":"stp","config":{"hello":"-1s"}}}`, "hello"},
 		{`{"link":{"rate_bps":-5}}`, "link.rate_bps"},
 		{`{"link":{"queue_bytes":-5}}`, "link.queue_bytes"},
@@ -315,7 +350,7 @@ func TestPaperRowsAreSpecs(t *testing.T) {
 	}{
 		{"all", run(WorkloadSpec{Kind: "all"})},
 		{"figure2-demo", run(WorkloadSpec{Kind: "figure2-demo", Pings: 2})},
-		{"path-repair", run(WorkloadSpec{Kind: "path-repair", StreamSize: 4 << 20, FastSTP: true})},
+		{"path-repair", run(WorkloadSpec{Kind: "path-repair", StreamSize: 4 << 20})},
 		{"allpath", run(WorkloadSpec{Kind: "allpath", Bridges: 8, Flows: 4})},
 		{"scale", run(WorkloadSpec{Kind: "scale", Bridges: 16})},
 		{"figure1", run(WorkloadSpec{Kind: "figure1"})},
@@ -414,15 +449,9 @@ var specKeys = map[string]func(*Spec){
 	"workload.interval":      func(s *Spec) { s.Workload.Interval = Duration(time.Millisecond) },
 	"workload.stream_size":   func(s *Spec) { s.Workload.StreamSize = 1000 },
 	"workload.failures":      func(s *Spec) { s.Workload.Failures = 1 },
-	"workload.with_stp":      func(s *Spec) { s.Workload.WithSTP = new(bool) },
-	"workload.fast_stp":      func(s *Spec) { s.Workload.FastSTP = true },
 	"workload.bridges":       func(s *Spec) { s.Workload.Bridges = 8 },
 	"workload.pattern":       func(s *Spec) { s.Workload.Pattern = "pairs" },
 	"workload.flows":         func(s *Spec) { s.Workload.Flows = 3 },
-	"workload.hotspots":      func(s *Spec) { s.Workload.Hotspots = 1 },
-	"workload.skew":          func(s *Spec) { s.Workload.Skew = 2 },
-	"workload.flow_bytes":    func(s *Spec) { s.Workload.FlowBytes = 1000 },
-	"workload.arrival":       func(s *Spec) { s.Workload.Arrival = Duration(time.Millisecond) },
 	"workload.conversations": func(s *Spec) { s.Workload.Conversations = 10 },
 }
 

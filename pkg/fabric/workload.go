@@ -42,17 +42,17 @@ func init() {
 		{name: "stream", keys: onFabric("workload.stream_size"), run: sim(runStream),
 			defaults: func(s *Spec) { s.Workload.StreamSize = cmp.Or(s.Workload.StreamSize, app.DefaultStreamConfig().Size) }},
 		{name: "allpairs", keys: onFabric(), run: sim(runAllPairs)},
-		{name: "matrix", keys: onFabric("workload.pattern", "workload.flows", "workload.hotspots", "workload.skew",
-			"workload.flow_bytes", "workload.arrival"),
-			defaults: matrixDefaults, check: matrixCheck, run: (*Runner).runMatrix},
+		{name: "matrix", keys: onFabric("workload.pattern", "workload.flows"),
+			defaults: func(s *Spec) { s.Workload.Pattern = cmp.Or(s.Workload.Pattern, patterns[0].name) },
+			check:    matrixCheck, run: (*Runner).runMatrix},
 		{name: "figure1", run: (*Runner).runFigure1},
 		{name: "figure2-demo", keys: []string{"workload.pings", "workload.interval"}, defaults: pingTrain,
 			run: (*Runner).runFigure2Demo},
 		// Figure 3's demo: a clip long enough to survive two cuts.
-		{name: "path-repair", keys: []string{"workload.stream_size", "workload.failures", "workload.with_stp", "workload.fast_stp"},
+		{name: "path-repair", keys: []string{"workload.stream_size", "workload.failures"},
 			defaults: func(s *Spec) {
 				w := &s.Workload
-				w.StreamSize, w.Failures, w.WithSTP = cmp.Or(w.StreamSize, 32<<20), cmp.Or(w.Failures, 2), cmp.Or(w.WithSTP, yes())
+				w.StreamSize, w.Failures = cmp.Or(w.StreamSize, 32<<20), cmp.Or(w.Failures, 2)
 			},
 			run: (*Runner).runPathRepair},
 		{name: "properties", run: emits(t1)},
@@ -93,9 +93,6 @@ func pingTrain(s *Spec) {
 	s.Workload.Pings = cmp.Or(s.Workload.Pings, 20)
 	s.Workload.Interval = cmp.Or(s.Workload.Interval, Duration(100*time.Millisecond))
 }
-
-// yes is a set boolean knob that defaults to true.
-func yes() *bool { t := true; return &t }
 
 // evenBridges is the size rule of the degree-3 random-regular fabric the
 // scale and allpath experiments build.

@@ -211,7 +211,7 @@ func figure2Cell(o topo.Options, w WorkloadSpec, profile topo.Figure2Profile) (f
 }
 
 // runFigure2Demo renders Figure 2 as the demo showed it on its UI: the
-// latency table, the per-profile ratio and, with Graphs, each cell's
+// latency table, the per-profile ratio and, unless CSV, each cell's
 // latency over time.
 func (r *Runner) runFigure2Demo(spec Spec, out io.Writer, res *Result) error {
 	rows, err := figure2(spec)
@@ -251,7 +251,7 @@ func (r *Runner) runFigure2Demo(spec Spec, out io.Writer, res *Result) error {
 		t.AddRow(string(row.profile), ap.Round(time.Microsecond), st.Round(time.Microsecond), ratio)
 	}
 	r.emit(out, res, t)
-	if r.Graphs && !r.CSV {
+	if !r.CSV {
 		for _, row := range rows {
 			fmt.Fprintln(out, row.series.ASCII(72, 8))
 		}
@@ -447,20 +447,10 @@ func linkName(n *topo.Built, l *netsim.Link) string {
 }
 
 // runPathRepair renders Figure 3: the streaming demo under successive
-// link failures (5 min budget), optionally beside the STP baseline, and
-// each run's goodput graph.
+// link failures (5 min budget), beside the STP baseline, and each run's
+// goodput graph.
 func (r *Runner) runPathRepair(spec Spec, out io.Writer, res *Result) error {
-	opts := []topo.Options{spec.paperOptions(topo.ARPPath)}
-	if *spec.Workload.WithSTP {
-		st := spec.paperOptions(topo.STP)
-		if spec.Workload.FastSTP {
-			// The warm-up stays the default timers' budget on purpose: the
-			// demo pulls cables against a fabric that converged on
-			// standard timing.
-			*st.STP() = stp.FastTimers()
-		}
-		opts = append(opts, st)
-	}
+	opts := []topo.Options{spec.paperOptions(topo.ARPPath), spec.paperOptions(topo.STP)}
 	t := metrics.NewTable("Figure 3 — video streaming A→B under successive link failures",
 		"protocol", "completed", "transfer time", "failures", "repair times", "total stall", "bytes")
 	var reports []*app.StreamReport

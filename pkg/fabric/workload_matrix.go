@@ -25,28 +25,36 @@ import (
 // (per-host vs per-pair vs per-connection state), path diversity and
 // delivered throughput, with only the protocol differing between them.
 
+// The matrix's fixed shape: every flow moves flowBytes, the seeded
+// arrival schedule spaces starts arrival apart on average, the hotspot
+// pattern aims at hotspots destinations, and the pairs pattern weights
+// host rank r by 1/r^skew.
+const (
+	flowBytes = 256 << 10
+	arrival   = time.Millisecond
+	hotspots  = 2
+	skew      = 1.5
+)
+
 // pattern is one row of the matrix pattern table: keys are the workload
-// keys the pattern reads besides everyPattern's, defaults (may be nil)
-// fills them, and draw draws n flows' host pairs over hosts hosts from
-// the matrix's plan RNG.
+// keys the pattern reads besides everyPattern's, and draw draws n flows'
+// host pairs over hosts hosts from the matrix's plan RNG.
 type pattern struct {
-	name     string
-	keys     []string
-	defaults func(*WorkloadSpec)
-	draw     func(plan *rand.Rand, w WorkloadSpec, hosts, n int) []matrixFlow
+	name string
+	keys []string
+	draw func(plan *rand.Rand, hosts, n int) []matrixFlow
 }
 
 // everyPattern are the workload keys every matrix pattern reads.
-var everyPattern = []string{"kind", "pattern", "flow_bytes", "arrival"}
+var everyPattern = []string{"kind", "pattern"}
 
 // patterns is the pattern table, in the allpath table's order.
 var patterns = []pattern{
 	// Flows concentrate on a few hot destinations: the incast-flavoured
 	// worst case for per-host tables.
-	{name: "hotspot", keys: []string{"flows", "hotspots"},
-		defaults: func(w *WorkloadSpec) { w.Hotspots = cmp.Or(w.Hotspots, 2) },
-		draw: func(plan *rand.Rand, w WorkloadSpec, hosts, n int) (flows []matrixFlow) {
-			hot := plan.Perm(hosts)[:min(w.Hotspots, hosts/2+1)]
+	{name: "hotspot", keys: []string{"flows"},
+		draw: func(plan *rand.Rand, hosts, n int) (flows []matrixFlow) {
+			hot := plan.Perm(hosts)[:min(hotspots, hosts/2+1)]
 			for range n {
 				dst := hot[plan.Intn(len(hot))]
 				src := plan.Intn(hosts)
@@ -60,7 +68,7 @@ var patterns = []pattern{
 	// Every host sends to exactly one partner and hears from exactly one:
 	// the classic bisection-stress matrix, one flow per host.
 	{name: "permutation",
-		draw: func(plan *rand.Rand, _ WorkloadSpec, hosts, _ int) (flows []matrixFlow) {
+		draw: func(plan *rand.Rand, hosts, _ int) (flows []matrixFlow) {
 			perm := plan.Perm(hosts)
 			// Repair fixed points by swapping with the next slot: a swap
 			// keeps the map a bijection, where redirecting the self-map
@@ -80,14 +88,13 @@ var patterns = []pattern{
 		}},
 	// Weighted random pairs, Zipf-like (rank weight ∝ 1/r^skew) over a
 	// seeded host ordering: heavy talkers over a long tail.
-	{name: "pairs", keys: []string{"flows", "skew"},
-		defaults: func(w *WorkloadSpec) { w.Skew = cmp.Or(w.Skew, 1.5) },
-		draw: func(plan *rand.Rand, w WorkloadSpec, hosts, n int) (flows []matrixFlow) {
+	{name: "pairs", keys: []string{"flows"},
+		draw: func(plan *rand.Rand, hosts, n int) (flows []matrixFlow) {
 			order := plan.Perm(hosts)
 			weights := make([]float64, hosts)
 			total := 0.0
 			for r := range weights {
-				weights[r] = 1 / math.Pow(float64(r+1), w.Skew)
+				weights[r] = 1 / math.Pow(float64(r+1), skew)
 				total += weights[r]
 			}
 			draw := func() int {
@@ -119,18 +126,6 @@ func lookupPattern(name string) *pattern {
 	return nil
 }
 
-// matrixDefaults fills the matrix kind's keys: the pattern (hotspot), the
-// flow size and arrival spacing, then the pattern's own.
-func matrixDefaults(s *Spec) {
-	w := &s.Workload
-	w.Pattern = cmp.Or(w.Pattern, patterns[0].name)
-	w.FlowBytes = cmp.Or(w.FlowBytes, 256<<10)
-	w.Arrival = cmp.Or(w.Arrival, Duration(time.Millisecond))
-	if p := lookupPattern(w.Pattern); p != nil && p.defaults != nil {
-		p.defaults(w)
-	}
-}
-
 // matrixCheck refuses an unknown pattern and a key its pattern does not read.
 func matrixCheck(s Spec) error {
 	p := lookupPattern(s.Workload.Pattern)
@@ -144,12 +139,11 @@ func matrixCheck(s Spec) error {
 	return topo.CheckKeys(s.Workload, "spec: workload.", fmt.Sprintf("matrix pattern %q", p.name), everyPattern, p.keys)
 }
 
-// matrixFlow is one flow of a compiled matrix: host indices, a start
-// offset from the matrix's seeded arrival schedule, and a size.
+// matrixFlow is one flow of a compiled matrix: host indices and a start
+// offset from the matrix's seeded arrival schedule.
 type matrixFlow struct {
 	Src, Dst int
 	Start    time.Duration
-	Bytes    int
 }
 
 // buildMatrix compiles a defaulted matrix workload over hosts hosts from
@@ -157,12 +151,11 @@ type matrixFlow struct {
 // one (workload, seed) drives the identical flows over every fabric.
 func buildMatrix(w WorkloadSpec, hosts int, seed int64) []matrixFlow {
 	plan := rand.New(rand.NewSource(seed*0x9E3779B9 + 7))
-	flows := lookupPattern(w.Pattern).draw(plan, w, hosts, cmp.Or(w.Flows, hosts))
+	flows := lookupPattern(w.Pattern).draw(plan, hosts, cmp.Or(w.Flows, hosts))
 	at := time.Duration(0)
 	for i := range flows {
-		at += time.Duration(plan.ExpFloat64() * float64(w.Arrival.D()))
+		at += time.Duration(plan.ExpFloat64() * float64(arrival))
 		flows[i].Start = at
-		flows[i].Bytes = w.FlowBytes
 	}
 	return flows
 }
@@ -209,12 +202,7 @@ func driveMatrix(built *Built, flows []matrixFlow) *matrixRun {
 	for i, fl := range flows {
 		srv := built.Host(hostOf(fl.Src))
 		cli := built.Host(hostOf(fl.Dst))
-		cfg := app.StreamConfig{
-			Port:           uint16(20000 + i),
-			Size:           fl.Bytes,
-			Bucket:         50 * time.Millisecond,
-			StallThreshold: 100 * time.Millisecond,
-		}
+		cfg := app.StreamConfig{Port: uint16(20000 + i), Size: flowBytes}
 		built.Engine.At(base+fl.Start, func() {
 			app.StartStream(srv, cli, cfg, func(r *app.StreamReport) { reports[i] = r })
 		})
