@@ -174,6 +174,14 @@ func TestExitStatus(t *testing.T) {
 			"topology": map[string]any{"family": "figure2"},
 			"workload": map[string]any{"kind": "matrix"},
 		}, want: 1},
+		// At seed 5 one flow's final handshake ACK is lost; its dialer
+		// re-ACKs the re-sent SYN|ACK, so all 16 transfers complete.
+		{name: "lost-handshake-ack", spec: map[string]any{
+			"seed":     5,
+			"topology": map[string]any{"family": "random-regular", "n": 16, "degree": 3},
+			"protocol": map[string]any{"name": "arppath"},
+			"workload": map[string]any{"kind": "matrix", "pattern": "permutation"},
+		}, want: 0},
 		{name: "bench-out-without-artifact", spec: map[string]any{
 			"workload": map[string]any{"kind": "ping", "pings": 1},
 		}, args: []string{"-bench-out", "x.json"}, want: 2, silent: true},

@@ -17,12 +17,3 @@ func finishNet(n *topo.Built) {
 		OnNetworkDone(n)
 	}
 }
-
-// defaults is o for protocol p with p's registered defaults: what a Spec
-// naming only o's seed, shard count and p compiles to (pkg/fabric's
-// Spec.paperOptions, which this package cannot import).
-func defaults(o topo.Options, p topo.Protocol) topo.Options {
-	d := topo.DefaultOptions(p, o.Seed)
-	d.Shards = o.Shards
-	return d
-}

@@ -503,17 +503,19 @@ type TablesResult struct {
 
 // RunTables drives the full sweep on one engine: every All-Path variant
 // through every capacity point, identical workload everywhere.
-func RunTables(cfg TablesConfig) []*TablesResult { return RunTablesSharded(cfg, 1) }
+func RunTables(cfg TablesConfig) []*TablesResult { return RunTablesSharded(cfg, topo.Options{}) }
 
 // RunTablesSharded is RunTables with every cell's fabric split across
-// shards engine shards; every result is the same at any count.
-func RunTablesSharded(cfg TablesConfig, shards int) []*TablesResult {
+// base's shard count and watched by base's observers; every result is
+// the same at any count.
+func RunTablesSharded(cfg TablesConfig, base topo.Options) []*TablesResult {
 	cfg = cfg.WithDefaults()
 	schedule := tablesSchedule(cfg)
 	var results []*TablesResult
 	for _, proto := range []topo.Protocol{topo.ARPPath, flowpath.ProtoFlowPath, flowpath.ProtoTCPPath} {
 		for _, pt := range tablesPoints(cfg.Conversations) {
-			o := defaults(topo.Options{Seed: cfg.Seed, Shards: shards}, proto)
+			o := topo.DefaultOptions(proto, cfg.Seed) // what Spec.paperOptions compiles to
+			o.Shards, o.Observers = base.Shards, base.Observers
 			o.ProtocolConfig = tablesProtocolConfig(proto, pt)
 			built, stations := tablesFabric(o, cfg.Revisit)
 			run := driveTables(built, stations, schedule, cfg)

@@ -354,6 +354,56 @@ func TestTCPSurvivesOutage(t *testing.T) {
 	}
 }
 
+// TestTCPLostHandshakeACKIsReAcked drops exactly the dialer's final
+// handshake ACK, with a loss window on h1's uplink opened as the SYN|ACK
+// reaches h1 and closed a microsecond later. The listener serves the
+// data, so only that ACK moves it out of SYN-RECEIVED: the dialer,
+// already established, must answer the re-sent SYN|ACK with an empty ACK
+// (RFC 9293 §3.10.7.4), and the stream must complete.
+func TestTCPLostHandshakeACKIsReAcked(t *testing.T) {
+	net, h1, h2 := pair(8)
+	up := h1.Port().Link()
+	lost := 0
+	net.Tap(func(ev netsim.TapEvent) {
+		var seg layers.TCPLite
+		_, ok := decodeTransport(ev.Frame, layers.IPProtoTCPLite, &seg)
+		switch {
+		case ev.Kind == netsim.TapDropLoss:
+			if !ok || seg.Flags != layers.TCPFlagACK || len(seg.Payload()) != 0 {
+				t.Errorf("the loss window dropped more than the handshake ACK: %s", layers.Summarize(ev.Frame))
+			}
+			lost++
+		case ev.Kind == netsim.TapDeliver && ev.To == h1.Port() && ok &&
+			seg.HasFlag(layers.TCPFlagSYN|layers.TCPFlagACK) && lost == 0:
+			up.SetLoss(h1.Port(), 1)
+			net.Engine.At(ev.At+time.Microsecond, func() { up.SetLoss(h1.Port(), 0) })
+		}
+	})
+	payload := make([]byte, 100_000)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	h2.Listen(80, func(c *Conn) {
+		c.Write(payload)
+		c.Close()
+	})
+	var rx bytes.Buffer
+	closed := false
+	net.Engine.At(net.Now(), func() {
+		h1.Dial(h2.IP(), 80, func(c *Conn) {
+			c.OnData = func(p []byte) { rx.Write(p) }
+			c.OnClose = func() { closed = true }
+		})
+	})
+	net.RunFor(10 * time.Second)
+	if lost != 1 {
+		t.Fatalf("the loss window dropped %d frames, want the one handshake ACK", lost)
+	}
+	if !closed || !bytes.Equal(rx.Bytes(), payload) {
+		t.Fatalf("stream stalled after its handshake ACK was lost: %d/%d bytes, closed=%v", rx.Len(), len(payload), closed)
+	}
+}
+
 func TestTCPAbortsWhenPartitioned(t *testing.T) {
 	net, h1, h2 := pair(6)
 	aborted := false

@@ -545,12 +545,10 @@ func (c *Conn) handleSegment(seg *layers.TCPLite) {
 	// In-order payload delivery (go-back-N: anything else is dropped and
 	// re-acked so the sender retransmits from the gap).
 	payload := seg.Payload()
-	advanced := false
 	if len(payload) > 0 {
 		if seg.Seq == c.rcvNxt {
 			c.rcvNxt += uint32(len(payload))
 			c.stats.BytesReceived += uint64(len(payload))
-			advanced = true
 			if c.OnData != nil {
 				c.OnData(payload)
 			}
@@ -558,6 +556,10 @@ func (c *Conn) handleSegment(seg *layers.TCPLite) {
 			c.stats.OutOfOrderDrops++
 		}
 		// Acknowledge cumulatively either way.
+		c.sendFlags(layers.TCPFlagACK, c.sndNxt, c.rcvNxt, nil)
+	} else if seg.HasFlag(layers.TCPFlagSYN) || int32(seg.Seq-c.rcvNxt) < 0 {
+		// A re-sent SYN|ACK or an old segment elicits an empty ACK (RFC
+		// 9293 §3.10.7.4): the peer may have lost our last one.
 		c.sendFlags(layers.TCPFlagACK, c.sndNxt, c.rcvNxt, nil)
 	}
 
@@ -575,7 +577,6 @@ func (c *Conn) handleSegment(seg *layers.TCPLite) {
 		c.maybeFinish()
 		return
 	}
-	_ = advanced
 	c.maybeFinish()
 }
 

@@ -59,9 +59,8 @@ const stormed = "t5-lock-window"
 // quiescence once the run is done, and asserts the pooled-frame
 // population returns to the baseline: any residue is a Retain without a
 // matching Release somewhere on the dataplane (netsim ownership contract,
-// DESIGN.md §3). The Specs run without verify.fingerprint, whose tap
-// would take OnBuilt's place, and the sweep on one worker, because
-// OnBuilt is driver state.
+// DESIGN.md §3). The sweep runs on one worker, because the hook
+// appends from whichever goroutine builds.
 func TestExperimentsDrainToZeroFrameRefs(t *testing.T) {
 	// WithDefaults lists the kind table when it refuses an unknown kind.
 	_, err := fabric.Spec{Workload: fabric.WorkloadSpec{Kind: "?"}}.WithDefaults()

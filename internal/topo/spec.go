@@ -213,7 +213,8 @@ func (t TopologySpec) WithDefaults() (TopologySpec, error) {
 // CheckKeys is the one key check of every vocabulary (topology families,
 // workload kinds, daemon ops): it refuses the first set field of struct v
 // that no list in reads names, as "<prefix><key>: <who> does not read it".
-// A key is a field's json name, dotted below a struct not read whole.
+// A key is an exported field's json name, dotted below a struct not read
+// whole.
 func CheckKeys(v any, prefix, who string, reads ...[]string) error {
 	if key := unread(reflect.ValueOf(v), "", reads); key != "" {
 		return fmt.Errorf("%s%s: %s does not read it", prefix, key, who)
@@ -223,10 +224,11 @@ func CheckKeys(v any, prefix, who string, reads ...[]string) error {
 
 func unread(v reflect.Value, prefix string, reads [][]string) string {
 	for i := range v.NumField() {
-		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		sf := v.Type().Field(i)
+		name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
 		key, f := prefix+name, v.Field(i)
 		switch {
-		case f.IsZero() || slices.ContainsFunc(reads, func(r []string) bool { return slices.Contains(r, key) }):
+		case !sf.IsExported() || f.IsZero() || slices.ContainsFunc(reads, func(r []string) bool { return slices.Contains(r, key) }):
 		case f.Kind() == reflect.Struct:
 			if k := unread(f, key+".", reads); k != "" {
 				return k

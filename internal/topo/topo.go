@@ -66,6 +66,11 @@ type Options struct {
 	// down access link to the next bridge — the "other wall jack" the
 	// scenario engine's host-mobility schedules move stations to.
 	SpareJacks bool
+	// Observers watch the fabric: Build calls each, in order, after
+	// partitioning and before any bridge starts, so a tap attached there
+	// sees the whole trace, warm-up HELLOs included. They must not change
+	// a result.
+	Observers []func(*Net)
 }
 
 // DefaultOptions returns a gigabit build of the given protocol with its
@@ -161,13 +166,9 @@ func (n *Net) ARPPathBridge(name string) *core.Bridge { return n.Bridge(name).(*
 // STPBridge returns the named bridge as an STP bridge.
 func (n *Net) STPBridge(name string) *stp.Bridge { return n.Bridge(name).(*stp.Bridge) }
 
-// OnBuilt, when non-nil, is invoked by Build for every network right
-// after partitioning and before any bridge starts — early enough to
-// attach taps that must observe the complete trace (warm-up HELLOs
-// included). The fabric Runner uses it to collect trace fingerprints
-// across harnesses whose runners build their own fabrics. It is driver
-// state: set it only from single-threaded driver code, never while
-// builds may be running concurrently.
+// OnBuilt, when non-nil, is called by Build after Options.Observers. It
+// is process-global state kept for bench/perf, which sets it;
+// everything else passes Options.Observers.
 var OnBuilt func(*Net)
 
 // Builder incrementally assembles a network.
@@ -247,6 +248,9 @@ func (b *Builder) Build() *Net {
 			}
 		}
 		b.net.Network.Partition(eff, func(nd netsim.Node) int { return assign[nd.Name()] })
+	}
+	for _, observe := range b.net.Opts.Observers {
+		observe(b.net)
 	}
 	if OnBuilt != nil {
 		OnBuilt(b.net)

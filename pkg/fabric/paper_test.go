@@ -466,7 +466,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		{"t5-lock-window", kindRow("lockwindow")},
 		// Eviction decisions, re-discovery storms and flood counts included.
 		{"tables", func(t *testing.T, o topo.Options) string {
-			rs := experiments.RunTablesSharded(experiments.DefaultTablesConfig(13, 400), o.Shards)
+			rs := experiments.RunTablesSharded(experiments.DefaultTablesConfig(13, 400), o)
 			js, err := experiments.TablesJSON(rs)
 			if err != nil {
 				t.Fatal(err)

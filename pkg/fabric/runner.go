@@ -32,7 +32,8 @@ type Runner struct {
 	// ASCII graphs, which every graphing kind, figure2-demo too, prints.
 	CSV bool
 	// TraceTo, when set, streams a tcpdump-style view of every delivery
-	// of the topology-driven workloads (arppath-sim -trace).
+	// in every fabric the run builds (not the sweep), warm-up included
+	// (arppath-sim -trace).
 	TraceTo io.Writer
 	// Jobs is the sweep's worker-pool size (default GOMAXPROCS). A
 	// sweep's every per-scenario result is identical at any value.
@@ -73,12 +74,6 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // Run compiles the Spec and executes its workload.
-//
-// Concurrency: one Runner at a time per process. A fingerprinted run
-// wires one piece of package-level driver state, the topology OnBuilt
-// hook, because the experiment runners build their own fabrics;
-// concurrent Runs would race on it. Sweep workloads parallelize
-// internally (Jobs) without touching it.
 func (r *Runner) Run() (res *Result, err error) {
 	spec, err := r.Spec.WithDefaults()
 	if err != nil {
@@ -94,20 +89,23 @@ func (r *Runner) Run() (res *Result, err error) {
 	}
 	res = &Result{Spec: spec}
 
-	// Trace fingerprints: every fabric built anywhere in the run — the
-	// topology-driven workloads' own, and the ones the experiment runners
-	// build internally — gets a tap the moment it exists (before Start,
-	// so warm-up traffic is covered too). The sweep computes per-scenario
-	// fingerprints itself; Run folds those instead.
+	// The observers tap every fabric the run builds the moment it exists
+	// (before Start, so warm-up traffic is covered too). The sweep's
+	// scenarios are built on its workers and fingerprinted there; Run
+	// folds those instead, and the sweep refuses TraceTo.
 	var fps []*netsim.TapFingerprint
 	if spec.Verify.Fingerprint && !k.scenarios {
-		prev := topo.OnBuilt
-		topo.OnBuilt = func(n *topo.Net) {
+		spec.observers = append(spec.observers, func(n *topo.Net) {
 			fp := netsim.NewTapFingerprint()
 			n.Tap(fp.Observe)
 			fps = append(fps, fp)
+		})
+	}
+	if r.TraceTo != nil {
+		if k.scenarios {
+			return nil, fmt.Errorf("fabric: workload kind %s cannot be traced: its scenarios are built on parallel workers", k.name)
 		}
-		defer func() { topo.OnBuilt = prev }()
+		spec.observers = append(spec.observers, func(n *topo.Net) { n.Tap(traceDeliveries(r.TraceTo)) })
 	}
 
 	if r.Profile.enabled() {

@@ -3,8 +3,10 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,8 +57,10 @@ func TestRunnerFingerprintShardInvariant(t *testing.T) {
 }
 
 // TestTraceWritesOneLinePerDelivery: Runner.TraceTo gets one line for
-// each frame delivery the fabric makes, counted from topo.OnBuilt, so the
-// warm-up's deliveries are in the trace too.
+// each frame delivery of every fabric the run builds, counted from
+// topo.OnBuilt, so the warm-up's HELLOs are in the trace too — on the
+// fabric kinds and the paper rows alike. The sweep, whose scenarios are
+// built on parallel workers, refuses TraceTo by name.
 func TestTraceWritesOneLinePerDelivery(t *testing.T) {
 	deliveries := 0
 	prev := topo.OnBuilt
@@ -69,22 +73,93 @@ func TestTraceWritesOneLinePerDelivery(t *testing.T) {
 	}
 	defer func() { topo.OnBuilt = prev }()
 
-	var trace strings.Builder
-	runToBuffer(t, Runner{TraceTo: &trace, Spec: Spec{
-		Topology: TopologySpec{Family: "line", N: 3},
-		Workload: WorkloadSpec{Kind: "ping", Pings: 2, Interval: Duration(time.Millisecond)},
-	}})
-	lines := strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n")
-	if deliveries == 0 || len(lines) != deliveries {
-		t.Fatalf("%d trace lines for %d deliveries:\n%s", len(lines), deliveries, trace.String())
+	for _, c := range []struct {
+		spec Spec
+		also string // a line the trace must hold past the warm-up
+	}{
+		{Spec{Topology: TopologySpec{Family: "line", N: 3},
+			Workload: WorkloadSpec{Kind: "ping", Pings: 2, Interval: Duration(time.Millisecond)}}, "echo-request"},
+		{Spec{Topology: TopologySpec{Family: "ring", N: 4}, Workload: WorkloadSpec{Kind: "matrix"}}, "tcpl"},
+		{Spec{Workload: WorkloadSpec{Kind: "figure1"}}, "ARP"},
+		{Spec{Workload: WorkloadSpec{Kind: "properties"}}, "ARP"},
+	} {
+		t.Run(c.spec.Workload.Kind, func(t *testing.T) {
+			deliveries = 0
+			var trace strings.Builder
+			runToBuffer(t, Runner{TraceTo: &trace, Spec: c.spec})
+			lines := strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n")
+			if deliveries == 0 || len(lines) != deliveries {
+				t.Fatalf("%d trace lines for %d deliveries", len(lines), deliveries)
+			}
+			for _, l := range lines {
+				if !strings.Contains(l, " deliver ") {
+					t.Fatalf("trace line is not a delivery: %q", l)
+				}
+			}
+			if !strings.Contains(lines[0], "HELLO") || !strings.Contains(trace.String(), c.also) {
+				t.Fatalf("trace does not run from the warm-up's HELLOs to %q; first line %q", c.also, lines[0])
+			}
+		})
 	}
-	for _, l := range lines {
-		if !strings.Contains(l, " deliver ") {
-			t.Fatalf("trace line is not a delivery: %q", l)
+	t.Run("sweep", func(t *testing.T) {
+		var trace strings.Builder
+		r := Runner{TraceTo: &trace, Out: io.Discard, Spec: Spec{Workload: WorkloadSpec{Kind: "sweep"}}}
+		if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "sweep") || trace.Len() > 0 {
+			t.Fatalf("a traced sweep: err %v and %d trace bytes, want a refusal naming the kind", err, trace.Len())
 		}
+	})
+}
+
+// TestFingerprintKeepsOnBuilt: a fingerprinted run taps its fabrics
+// through their build's observers, so a topo.OnBuilt hook still sees
+// every fabric the run builds — figure1's one.
+func TestFingerprintKeepsOnBuilt(t *testing.T) {
+	built := 0
+	prev := topo.OnBuilt
+	topo.OnBuilt = func(*topo.Net) { built++ }
+	defer func() { topo.OnBuilt = prev }()
+	res, _ := runToBuffer(t, Runner{Spec: Spec{Workload: WorkloadSpec{Kind: "figure1"}, Verify: VerifySpec{Fingerprint: true}}})
+	if built != 1 || res.Fabrics != 1 {
+		t.Fatalf("OnBuilt saw %d fabrics and the fingerprint folded %d; want figure1's one", built, res.Fabrics)
 	}
-	if !strings.Contains(lines[0], "HELLO") || !strings.Contains(trace.String(), "echo-request") {
-		t.Fatalf("trace does not run from the warm-up's HELLOs to the pings:\n%s", trace.String())
+}
+
+// TestConcurrentRunnersKeepTheirFingerprints: observers are build
+// options, not process state, so Runners may run at once. Two fixtures,
+// each run twice, all four concurrently, each fold exactly their serial
+// fingerprint (go test -race holds them to sharing nothing).
+func TestConcurrentRunnersKeepTheirFingerprints(t *testing.T) {
+	specs := map[string]Spec{}
+	serial := map[string]*Result{}
+	for _, name := range []string{"figure1", "tcppath"} {
+		spec, err := LoadSpec("../../examples/specs/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[name] = spec
+		serial[name], _ = runToBuffer(t, Runner{Spec: spec})
+	}
+	names := []string{"figure1", "tcppath", "figure1", "tcppath"}
+	var wg sync.WaitGroup
+	got := make([]*Result, len(names))
+	errs := make([]error, len(names))
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = (&Runner{Spec: specs[name], Out: io.Discard}).Run()
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		if errs[i] != nil {
+			t.Fatalf("%s run %d: %v", name, i, errs[i])
+		}
+		res, want := got[i], serial[name]
+		if res.Fingerprint != want.Fingerprint || res.Fabrics != want.Fabrics || res.TraceEvents != want.TraceEvents {
+			t.Errorf("%s run %d: %#x over %d fabrics/%d events, serially %#x over %d/%d", name, i,
+				res.Fingerprint, res.Fabrics, res.TraceEvents, want.Fingerprint, want.Fabrics, want.TraceEvents)
+		}
 	}
 }
 

@@ -19,8 +19,7 @@
 // Completion callbacks (ping trains, streams) fire inside shard windows,
 // where shards run ahead of one another, so they write only their own
 // flow's state; the serving loop folds finished flows into the histograms
-// at boundaries. Like the Runner, at most one Server may be live per
-// process (it hooks topo.OnBuilt to attach its trace tap).
+// at boundaries.
 package serve
 
 import (
@@ -207,8 +206,7 @@ func newServer(o Options) (*Server, error) {
 	}
 	// Attach the trace tap before any bridge starts, so the fingerprint
 	// covers the warm-up exactly as the batch Runner's does.
-	prev := topo.OnBuilt
-	topo.OnBuilt = func(n *topo.Net) {
+	opts.Observers = append(opts.Observers, func(n *topo.Net) {
 		n.Tap(func(ev netsim.TapEvent) {
 			s.fp.Observe(ev)
 			if ev.Kind == netsim.TapDeliver {
@@ -216,9 +214,8 @@ func newServer(o Options) (*Server, error) {
 				s.deliveredBytes += uint64(len(ev.Frame))
 			}
 		})
-	}
+	})
 	built, err := fabric.BuildTopology(opts, spec.Topology)
-	topo.OnBuilt = prev
 	if err != nil {
 		return nil, err
 	}

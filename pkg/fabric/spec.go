@@ -52,6 +52,11 @@ type Spec struct {
 	// Verify holds the verification knobs: probe counts for the sweep's
 	// eventual-delivery invariant, and the trace fingerprint switch.
 	Verify VerifySpec `json:"verify,omitzero"`
+
+	// observers are the Runner's watchers (fingerprint, -trace), copied
+	// into the Options of every fabric the run builds. No key: they only
+	// watch, so they are never encoded.
+	observers []func(*topo.Net)
 }
 
 // ProtocolSpec selects a registered protocol and carries its config as a
@@ -290,5 +295,6 @@ func (s Spec) Options() (topo.Options, error) {
 		WarmUp:     s.WarmUp.D(),
 		Shards:     s.Shards,
 		SpareJacks: s.Topology.SpareJacks,
+		Observers:  s.observers,
 	}, nil
 }

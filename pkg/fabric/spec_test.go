@@ -461,11 +461,14 @@ var specKeys = map[string]func(*Spec){
 // the kind. A matrix Spec is tried once per pattern, with the keys that
 // pattern reads; a matrix key another pattern reads is refused naming the
 // key and the pattern. specKeys covers every key of the Spec but
-// everyKind's.
+// everyKind's; an unexported field is no key.
 func TestKindTableKeys(t *testing.T) {
 	spec := reflect.TypeOf(Spec{})
 	for i := range spec.NumField() {
 		f := spec.Field(i)
+		if !f.IsExported() {
+			continue
+		}
 		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 		sub := []string{key}
 		if key == "workload" || key == "verify" {

@@ -12,10 +12,11 @@ import (
 // capacity sweep, and the build half every paper row compiles.
 
 // paperOptions compiles the build half of a paper row's Spec: protocol p
-// with its registered defaults at the Spec's seed and shard count.
+// with its registered defaults at the Spec's seed, shard count and
+// observers.
 func (s Spec) paperOptions(p topo.Protocol) topo.Options {
 	o := topo.DefaultOptions(p, s.Seed)
-	o.Shards = s.Shards
+	o.Shards, o.Observers = s.Shards, s.observers
 	return o
 }
 
@@ -39,7 +40,7 @@ func (r *Runner) runScale(spec Spec, out io.Writer, res *Result) error {
 }
 
 func (r *Runner) runTables(spec Spec, out io.Writer, res *Result) error {
-	rs := experiments.RunTablesSharded(experiments.DefaultTablesConfig(spec.Seed, spec.Workload.Conversations), spec.Shards)
+	rs := experiments.RunTablesSharded(experiments.DefaultTablesConfig(spec.Seed, spec.Workload.Conversations), spec.paperOptions(topo.ARPPath))
 	bench, err := experiments.TablesJSON(rs)
 	if err != nil {
 		return err

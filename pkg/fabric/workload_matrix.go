@@ -324,7 +324,7 @@ func (r *Runner) runAllPath(spec Spec, out io.Writer, res *Result) error {
 		for _, proto := range allPathProtocols {
 			s, err := Spec{Seed: spec.Seed, Shards: spec.Shards, Workload: w,
 				Topology: TopologySpec{Family: "random-regular", N: spec.Workload.Bridges, Degree: 3},
-				Protocol: ProtocolSpec{Name: string(proto)}}.WithDefaults()
+				Protocol: ProtocolSpec{Name: string(proto)}, observers: spec.observers}.WithDefaults()
 			if err != nil {
 				return err
 			}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/layers"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/topo"
 )
 
 // simDrive is a simulator workload: it drives the built fabric, between
@@ -24,16 +23,6 @@ func sim(drive simDrive) func(*Runner, Spec, io.Writer, *Result) error {
 		opts, err := spec.Options()
 		if err != nil {
 			return err
-		}
-		if r.TraceTo != nil { // tap before the warm-up, so it shows too
-			prev := topo.OnBuilt
-			topo.OnBuilt = func(n *topo.Net) {
-				if prev != nil {
-					prev(n)
-				}
-				n.Tap(traceDeliveries(r.TraceTo))
-			}
-			defer func() { topo.OnBuilt = prev }()
 		}
 		built, err := BuildTopology(opts, spec.Topology)
 		if err != nil {
