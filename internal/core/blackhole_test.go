@@ -5,6 +5,8 @@ import (
 	"time"
 
 	hostpkg "repro/internal/host"
+	"repro/internal/host/app"
+	"repro/internal/layers"
 	"repro/internal/netsim"
 )
 
@@ -126,5 +128,89 @@ func TestStaleARPSrcPortBlackholeRepairs(t *testing.T) {
 	}
 	if live := net.LiveFrames(); live != 0 {
 		t.Fatalf("%d frames still live after drain", live)
+	}
+}
+
+// TestRediscoveryStallsLiveFlow pins ROADMAP item 17(b) as it stands: a
+// source's next discovery stalls its own live flow for a lock window.
+//
+//	A—SA—S1—SB—B      SA—S1: 100 Mb/s, the stream's bottleneck
+//	   SA—S2—S1       S2—C
+//
+// A streams 4 MiB to B along A—SA—S1—SB. 20 ms in, A resolves C. Its
+// broadcast queues behind stream data on SA→S1, so the copy through S2
+// reaches S1 first and, A's race window being long over, re-locks A onto
+// S1's S2 port. C answers through S2—SA, so S1 never sees the lock
+// confirmed, and A's data, still arriving on the SA port, is dropped as a
+// guarded source-port violation until the lock lapses. The control run
+// without the resolve streams with no drops.
+//
+// This records present behaviour. Item 17(b)'s fix inverts the first
+// three assertions: the gap stays under a lock window, S1 drops nothing
+// or repairs what it drops.
+func TestRediscoveryStallsLiveFlow(t *testing.T) {
+	run := func(resolve bool) (gap, gapAt, finished time.Duration, st Stats) {
+		net := netsim.NewNetwork(1)
+		cfg := netsim.DefaultLinkConfig()
+		sa := New(net, "SA", 1, DefaultConfig())
+		s1 := New(net, "S1", 2, DefaultConfig())
+		s2 := New(net, "S2", 3, DefaultConfig())
+		sb := New(net, "SB", 4, DefaultConfig())
+		a := hostpkg.New(net, "A", 1)
+		b := hostpkg.New(net, "B", 2)
+		c := hostpkg.New(net, "C", 3)
+		net.Connect(a, sa, cfg.WithDelay(time.Microsecond))
+		net.Connect(sa, s1, netsim.LinkConfig{Rate: 100_000_000, Delay: time.Microsecond, Queue: cfg.Queue})
+		net.Connect(sa, s2, cfg)
+		net.Connect(s2, s1, cfg)
+		net.Connect(s1, sb, cfg)
+		net.Connect(sb, b, cfg.WithDelay(time.Microsecond))
+		net.Connect(c, s2, cfg.WithDelay(time.Microsecond))
+		for _, br := range []*Bridge{sa, s1, s2, sb} {
+			br.Start()
+		}
+		net.RunFor(time.Millisecond)
+
+		start := net.Now()
+		last := start
+		net.Tap(func(ev netsim.TapEvent) {
+			var eth layers.Ethernet
+			var ip layers.IPv4
+			var seg layers.TCPLite
+			if ev.Kind != netsim.TapDeliver || ev.To.Node() != b || eth.DecodeFromBytes(ev.Frame) != nil ||
+				ip.DecodeFromBytes(eth.Payload()) != nil || ip.Protocol != layers.IPProtoTCPLite ||
+				seg.DecodeFromBytes(ip.Payload()) != nil || len(seg.Payload()) == 0 {
+				return
+			}
+			if ev.At-last > gap {
+				gap, gapAt = ev.At-last, last-start
+			}
+			last = ev.At
+		})
+		var rep *app.StreamReport
+		net.Engine.At(start, func() {
+			app.StartStream(a, b, app.StreamConfig{Port: 80, Size: 4 << 20}, func(r *app.StreamReport) { rep = r })
+		})
+		if resolve {
+			net.Engine.At(start+20*time.Millisecond, func() { a.Resolve(c.IP(), func(layers.MAC, error) {}) })
+		}
+		net.RunFor(10 * time.Second)
+		if rep == nil || !rep.Complete {
+			t.Fatalf("resolve=%v: the stream did not complete", resolve)
+		}
+		return gap, gapAt, rep.Finished - start, s1.Stats()
+	}
+
+	gap, gapAt, finished, st := run(true)
+	t.Logf("with the resolve: longest gap %v from %v into the stream; S1 SrcPortDrop %d, SrcViolRepairs %d; finished at %v",
+		gap, gapAt, st.SrcPortDrop, st.SrcViolRepairs, finished)
+	if gap <= DefaultLockTimeout || st.SrcPortDrop == 0 || st.SrcViolRepairs != 0 {
+		t.Errorf("the re-discovery stall moved: gap %v (lock window %v), SrcPortDrop %d, SrcViolRepairs %d",
+			gap, DefaultLockTimeout, st.SrcPortDrop, st.SrcViolRepairs)
+	}
+	gap, _, finished, st = run(false)
+	t.Logf("without it: longest gap %v; S1 SrcPortDrop %d; finished at %v", gap, st.SrcPortDrop, finished)
+	if st.SrcPortDrop != 0 {
+		t.Errorf("the control run dropped %d frames at S1", st.SrcPortDrop)
 	}
 }

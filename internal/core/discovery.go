@@ -14,7 +14,6 @@ import (
 // on the other variants' bridges.
 type Stats struct {
 	// Discovery.
-	BroadcastLocked   uint64 // new locks created by broadcast first copies
 	BroadcastRelayed  uint64 // broadcast frames flooded onward
 	BroadcastRaceDrop uint64 // duplicate copies discarded (slower paths)
 	PathsConfirmed    uint64 // locked→learned upgrades (Flow-Path: pairs written) by replies
@@ -119,10 +118,7 @@ func (d *Discovery) Flooded(in *netsim.Port, v *layers.FrameView, now time.Durat
 		d.stats.BroadcastRaceDrop++
 		return false
 	}
-	switch d.hosts.Race(v.SrcKey, in, now, v.OpensPath()) {
-	case tables.RaceWon:
-		d.stats.BroadcastLocked++
-	case tables.RaceLost:
+	if d.hosts.Race(v.SrcKey, in, now, v.OpensPath()) == tables.RaceLost {
 		d.stats.BroadcastRaceDrop++
 		return false
 	}

@@ -46,6 +46,14 @@ const tablesStations = 8
 const (
 	tablesFirstDataSeq = 100 // the segment that completes a conversation
 	tablesRevisitSeq   = 200 // the delayed re-discovery probe
+
+	// tablesArrival is the mean inter-arrival spacing of conversation
+	// starts (exponential, drawn from the plan stream).
+	tablesArrival = 100 * time.Microsecond
+	// tablesRevisit is the delay before each conversation's re-discovery
+	// probe: long enough for eviction pressure to have recycled the path,
+	// far shorter than any timeout.
+	tablesRevisit = time.Second
 )
 
 // TablesConfig parameterizes the eviction-pressure experiment.
@@ -54,13 +62,6 @@ type TablesConfig struct {
 	// Conversations is the number of distinct host conversations (each
 	// contributes two synthetic hosts and one TCP connection).
 	Conversations int
-	// Arrival is the mean inter-arrival spacing of conversation starts
-	// (exponential, drawn from the plan stream).
-	Arrival time.Duration
-	// Revisit is the delay before each conversation's re-discovery
-	// probe: long enough for eviction pressure to have recycled the
-	// path, far shorter than any timeout.
-	Revisit time.Duration
 }
 
 // DefaultTablesConfig is the tables workload's default.
@@ -72,12 +73,6 @@ func DefaultTablesConfig(seed int64, conversations int) TablesConfig {
 func (c TablesConfig) WithDefaults() TablesConfig {
 	if c.Conversations == 0 {
 		c.Conversations = 100_000
-	}
-	if c.Arrival == 0 {
-		c.Arrival = 100 * time.Microsecond
-	}
-	if c.Revisit == 0 {
-		c.Revisit = time.Second
 	}
 	return c
 }
@@ -192,7 +187,7 @@ func tablesSchedule(cfg TablesConfig) [][]tablesStart {
 	perStation := make([][]tablesStart, tablesStations)
 	at := time.Duration(0)
 	for c := 0; c < cfg.Conversations; c++ {
-		at += time.Duration(plan.ExpFloat64() * float64(cfg.Arrival))
+		at += time.Duration(plan.ExpFloat64() * float64(tablesArrival))
 		s := tablesSrcStation(c)
 		perStation[s] = append(perStation[s], tablesStart{conv: c, start: at})
 	}
@@ -208,11 +203,10 @@ func tablesSchedule(cfg TablesConfig) [][]tablesStart {
 // conversations cost the station nothing — all growth lands in the
 // bridge tables under test.
 type muxStation struct {
-	name    string
-	id      int
-	proc    *sim.Proc
-	port    *netsim.Port
-	revisit time.Duration
+	name string
+	id   int
+	proc *sim.Proc
+	port *netsim.Port
 
 	starts []tablesStart
 	next   int
@@ -226,12 +220,11 @@ type muxStation struct {
 }
 
 // newMuxStation creates station i on net (cable it afterwards).
-func newMuxStation(net *netsim.Network, i int, revisit time.Duration) *muxStation {
+func newMuxStation(net *netsim.Network, i int) *muxStation {
 	m := &muxStation{
-		name:    fmt.Sprintf("M%d", i+1),
-		id:      i,
-		revisit: revisit,
-		txBuf:   layers.NewSerializeBuffer(),
+		name:  fmt.Sprintf("M%d", i+1),
+		id:    i,
+		txBuf: layers.NewSerializeBuffer(),
 	}
 	net.AddNode(m)
 	m.proc = net.Proc(m.name)
@@ -380,7 +373,7 @@ func (m *muxStation) handleTCP(ip *layers.IPv4, t *layers.TCPLite) {
 			return
 		}
 		m.sendSeg(did, did^1, tablesFirstDataSeq, 0, layers.TCPFlagACK)
-		m.proc.Schedule(m.proc.Now()+m.revisit, func() {
+		m.proc.Schedule(m.proc.Now()+tablesRevisit, func() {
 			m.sendSeg(did, did^1, tablesRevisitSeq, 0, layers.TCPFlagACK)
 		})
 	case t.Seq == tablesFirstDataSeq: // the completing segment
@@ -408,7 +401,7 @@ var _ netsim.Node = (*muxStation)(nil)
 // deterministic by construction; only the protocol and its table bound
 // vary across the sweep. It is no Spec's fabric: a ring with chords is no
 // family, and no family attaches the synthetic multiplexing stations.
-func tablesFabric(o topo.Options, revisit time.Duration) (*topo.Built, []*muxStation) {
+func tablesFabric(o topo.Options) (*topo.Built, []*muxStation) {
 	b := topo.NewBuilder(o)
 	brs := make([]topo.Bridge, tablesStations)
 	for i := range brs {
@@ -422,7 +415,7 @@ func tablesFabric(o topo.Options, revisit time.Duration) (*topo.Built, []*muxSta
 	}
 	stations := make([]*muxStation, tablesStations)
 	for i := range stations {
-		stations[i] = newMuxStation(b.Net(), i, revisit)
+		stations[i] = newMuxStation(b.Net(), i)
 		b.Connect(stations[i], brs[i])
 	}
 	return &topo.Built{Net: b.Build()}, stations
@@ -459,7 +452,7 @@ func driveTables(built *topo.Built, stations []*muxStation, schedule [][]tablesS
 			span = sts[n-1].start
 		}
 	}
-	built.RunFor(span + cfg.Revisit + time.Second)
+	built.RunFor(span + tablesRevisit + time.Second)
 	built.Run()
 
 	for _, m := range stations {
@@ -517,7 +510,7 @@ func RunTablesSharded(cfg TablesConfig, base topo.Options) []*TablesResult {
 			o := topo.DefaultOptions(proto, cfg.Seed) // what Spec.paperOptions compiles to
 			o.Shards, o.Observers = base.Shards, base.Observers
 			o.ProtocolConfig = tablesProtocolConfig(proto, pt)
-			built, stations := tablesFabric(o, cfg.Revisit)
+			built, stations := tablesFabric(o)
 			run := driveTables(built, stations, schedule, cfg)
 			finishNet(built)
 			results = append(results, &TablesResult{

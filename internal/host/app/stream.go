@@ -56,7 +56,6 @@ type Streamer struct {
 	report *StreamReport
 	onDone func(*StreamReport)
 
-	server   *host.Host
 	client   *host.Host
 	listener *host.Listener
 
@@ -81,7 +80,6 @@ func StartStream(server, client *host.Host, cfg StreamConfig, onDone func(*Strea
 	s := &Streamer{
 		cfg:    cfg,
 		onDone: onDone,
-		server: server,
 		client: client,
 		report: &StreamReport{
 			Started: now,

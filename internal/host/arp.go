@@ -14,27 +14,17 @@ import (
 // went unanswered.
 var ErrARPTimeout = errors.New("host: ARP resolution timed out")
 
-// ARPConfig tunes the resolver.
-type ARPConfig struct {
-	// CacheTimeout is the lifetime of a learned binding.
-	CacheTimeout time.Duration
-	// RetryInterval separates retransmitted requests.
-	RetryInterval time.Duration
-	// Retries is the number of requests sent before giving up.
-	Retries int
-	// PendingLimit bounds callbacks queued per unresolved address.
-	PendingLimit int
-}
-
-// DefaultARPConfig mirrors a typical OS resolver.
-func DefaultARPConfig() ARPConfig {
-	return ARPConfig{
-		CacheTimeout:  60 * time.Second,
-		RetryInterval: time.Second,
-		Retries:       3,
-		PendingLimit:  128,
-	}
-}
+// The resolver's settings mirror a typical OS resolver.
+const (
+	// arpCacheTimeout is the lifetime of a learned binding.
+	arpCacheTimeout = 60 * time.Second
+	// arpRetryInterval separates retransmitted requests.
+	arpRetryInterval = time.Second
+	// arpRetries is the number of requests sent before giving up.
+	arpRetries = 3
+	// arpPendingLimit bounds callbacks queued per unresolved address.
+	arpPendingLimit = 128
+)
 
 type arpPending struct {
 	callbacks []func(layers.MAC, error)
@@ -59,7 +49,6 @@ type arpPending struct {
 // in order.
 type arpCache struct {
 	h       *Host
-	cfg     ARPConfig
 	cells   []arpCell // nil until the first fold
 	n       int
 	fresh   []arpCell                    // learns not yet folded, oldest first
@@ -176,14 +165,13 @@ func (c *arpCache) learn(ip layers.Addr4, mac layers.MAC) {
 	if c.fresh == nil {
 		c.fresh = make([]arpCell, 0, arpBatch)
 	}
-	c.fresh = append(c.fresh, arpCell{ip: ip, mac: mac, expires: c.h.now() + c.cfg.CacheTimeout})
+	c.fresh = append(c.fresh, arpCell{ip: ip, mac: mac, expires: c.h.now() + arpCacheTimeout})
 	if len(c.fresh) == arpBatch {
 		c.fold()
 	}
 	if p, ok := c.pending[ip]; ok {
 		delete(c.pending, ip)
 		p.timer.Stop()
-		c.h.stats.ARPResolves++
 		for _, cb := range p.callbacks {
 			cb(mac, nil)
 		}
@@ -198,7 +186,7 @@ func (c *arpCache) resolve(dst layers.Addr4, cb func(layers.MAC, error)) {
 		return
 	}
 	if p, ok := c.pending[dst]; ok {
-		if len(p.callbacks) >= c.cfg.PendingLimit {
+		if len(p.callbacks) >= arpPendingLimit {
 			c.h.stats.DroppedPendingARP++
 			return
 		}
@@ -226,8 +214,8 @@ func (c *arpCache) transmitRequest(dst layers.Addr4, p *arpPending) {
 	}
 	c.h.stats.ARPRequestsTx++
 	c.h.send(frame)
-	p.timer = c.h.After(c.cfg.RetryInterval, func() {
-		if p.attempts < c.cfg.Retries {
+	p.timer = c.h.After(arpRetryInterval, func() {
+		if p.attempts < arpRetries {
 			c.transmitRequest(dst, p)
 			return
 		}
@@ -259,7 +247,6 @@ func (c *arpCache) handleARP(arp *layers.ARP) {
 	if err != nil {
 		panic("host: serialize ARP reply: " + err.Error())
 	}
-	c.h.stats.ARPRepliesTx++
 	c.h.send(reply)
 }
 

@@ -3,7 +3,6 @@ package host
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/layers"
 	"repro/internal/netsim"
@@ -74,20 +73,19 @@ const (
 	opLookup  = 10
 	opLookup2 = 11
 	opLen     = 12
-	opTick    = 13 // advance the clock 1 ms
-	opWait    = 14 // advance it 3 ms
+	opTick    = 13 // advance the clock a quarter of the cache timeout
+	opWait    = 14 // advance it three quarters
 	opFlush   = 15
 )
 
 // driveARP runs ops against one host's cache and a plain map side by side.
-// Bindings live 4 ms, so lookups meet expired entries and delete them from
-// every position of a run; a lookup, Len or Flush folds what was learned
+// A binding lives four ticks, so lookups meet expired entries and delete
+// them from every position of a run; a lookup, Len or Flush folds what was learned
 // since, and sixteen learns in a row fold on their own.
 func driveARP(t testing.TB, pool *[16]layers.Addr4, ops []byte) {
 	net := netsim.NewNetwork(1)
 	h := New(net, "h", 1)
 	c, v := &h.arp, h.ARP()
-	c.cfg.CacheTimeout = 4 * time.Millisecond
 	model := map[layers.Addr4]arpCell{}
 	for step, b := range ops {
 		ip := pool[b>>4]
@@ -96,7 +94,7 @@ func driveARP(t testing.TB, pool *[16]layers.Addr4, ops []byte) {
 			mac := layers.HostMAC(step + 1)
 			c.learn(ip, mac)
 			if !ip.IsZero() {
-				model[ip] = arpCell{ip: ip, mac: mac, expires: h.now() + c.cfg.CacheTimeout}
+				model[ip] = arpCell{ip: ip, mac: mac, expires: h.now() + arpCacheTimeout}
 			}
 		case verb <= opLookup2:
 			got, ok := v.Lookup(ip)
@@ -113,9 +111,9 @@ func driveARP(t testing.TB, pool *[16]layers.Addr4, ops []byte) {
 				t.Fatalf("step %d: Len() = %d, the model holds %d", step, v.Len(), len(model))
 			}
 		case verb == opTick:
-			net.RunFor(time.Millisecond)
+			net.RunFor(arpCacheTimeout / 4)
 		case verb == opWait:
-			net.RunFor(3 * time.Millisecond)
+			net.RunFor(3 * arpCacheTimeout / 4)
 		case verb == opFlush:
 			v.Flush()
 			clear(model)

@@ -18,14 +18,11 @@ import (
 
 // Stats counts host-level traffic.
 type Stats struct {
-	FramesRx, FramesTx   uint64
+	FramesRx             uint64
 	ARPRequestsTx        uint64
-	ARPRepliesTx         uint64
-	ARPResolves          uint64 // successful resolutions
 	ARPFailures          uint64 // resolutions that timed out
 	EchoRequestsRx       uint64
 	EchoRepliesTx        uint64
-	IPRx, IPTx           uint64
 	DroppedUnknownProto  uint64
 	DroppedPendingARP    uint64 // packets dropped from a full pending queue
 	DroppedForeignFrames uint64 // frames not addressed to this host
@@ -73,7 +70,7 @@ func New(net *netsim.Network, name string, n int) *Host {
 		ip:   layers.HostIP(n),
 		rng:  sim.Hosts.Stream(net.Seed(), n),
 	}
-	h.arp = arpCache{h: h, cfg: DefaultARPConfig()}
+	h.arp = arpCache{h: h}
 	h.icmp = icmpEndpoint{h: h, ident: uint16(h.mac.Uint64() & 0xFFFF)}
 	h.tcp = tcpHost{h: h, nextPort: 49152}
 	net.AddNode(h)
@@ -153,7 +150,6 @@ func (h *Host) PortStatusChanged(_ *netsim.Port, _ bool) {}
 
 // send transmits a fully framed packet on the active port.
 func (h *Host) send(frame []byte) {
-	h.stats.FramesTx++
 	h.Port().Send(frame)
 }
 
@@ -191,7 +187,6 @@ func (h *Host) handleIPv4(packet []byte) {
 	if ip.Dst != h.ip && !ip.Dst.IsBroadcast() {
 		return
 	}
-	h.stats.IPRx++
 	switch ip.Protocol {
 	case layers.IPProtoICMP:
 		h.icmp.handle(&ip)
@@ -240,7 +235,6 @@ func (h *Host) sendIP(dst layers.Addr4, proto uint8, transport ...layers.Seriali
 		if err != nil {
 			panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
 		}
-		h.stats.IPTx++
 		h.send(frame)
 	})
 }
@@ -264,7 +258,6 @@ func (h *Host) sendResolved(dst layers.Addr4, proto uint8, transport ...layers.S
 	if err := layers.SerializeLayers(h.txBuf, layers.FixAll, ls...); err != nil {
 		panic(fmt.Sprintf("host %s: serialize: %v", h.name, err))
 	}
-	h.stats.IPTx++
 	h.send(h.txBuf.Bytes())
 	return true
 }

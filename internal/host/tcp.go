@@ -16,41 +16,29 @@ import (
 // does not exercise (SACK, urgent data, window scaling, TIME_WAIT). See
 // DESIGN.md's substitution table.
 
-// TCPConfig tunes the transport.
-type TCPConfig struct {
-	// MSS is the maximum segment payload size.
-	MSS int
-	// Window is the advertised receive window in bytes (fixed; the
+// The transport's settings suit the simulated gigabit fabric: RTTs are
+// tens of microseconds, but repair outages last milliseconds, so the RTO
+// floor stays low enough to probe during recovery without melting the
+// fabric.
+const (
+	// mss is the maximum segment payload size.
+	mss = 1400
+	// rcvWindow is the advertised receive window in bytes (fixed; the
 	// receiver consumes immediately so it never shrinks).
-	Window int
-	// MinRTO and MaxRTO clamp the adaptive retransmission timeout.
-	MinRTO, MaxRTO time.Duration
-	// InitialRTO is used before any RTT sample exists.
-	InitialRTO time.Duration
-	// MaxRetries aborts the connection after this many consecutive
+	rcvWindow = 256 << 10
+	// minRTO and maxRTO clamp the adaptive retransmission timeout.
+	minRTO, maxRTO = 10 * time.Millisecond, 2 * time.Second
+	// initialRTO is used before any RTT sample exists.
+	initialRTO = 50 * time.Millisecond
+	// maxRetries aborts the connection after this many consecutive
 	// unanswered retransmissions of the same data.
-	MaxRetries int
-	// IdleTimeout aborts an established connection that has received no
+	maxRetries = 30
+	// idleTimeout aborts an established connection that has received no
 	// segments at all for this long — the stand-in for TCP keepalive, so
 	// a pure receiver notices a dead peer (a partitioned video client,
 	// say) instead of waiting forever.
-	IdleTimeout time.Duration
-}
-
-// DefaultTCPConfig suits the simulated gigabit fabric: RTTs are tens of
-// microseconds, but repair outages last milliseconds, so the RTO floor
-// stays low enough to probe during recovery without melting the fabric.
-func DefaultTCPConfig() TCPConfig {
-	return TCPConfig{
-		MSS:         1400,
-		Window:      256 << 10,
-		MinRTO:      10 * time.Millisecond,
-		MaxRTO:      2 * time.Second,
-		InitialRTO:  50 * time.Millisecond,
-		MaxRetries:  30,
-		IdleTimeout: 2 * time.Minute,
-	}
-}
+	idleTimeout = 2 * time.Minute
+)
 
 // ConnState is a TCP-lite connection state.
 type ConnState uint8
@@ -85,17 +73,11 @@ func (s ConnState) String() string {
 	}
 }
 
-// ConnStats counts per-connection transport events.
+// ConnStats counts the bytes one connection carried.
 type ConnStats struct {
-	BytesSent       uint64 // application bytes accepted for sending
-	BytesAcked      uint64
-	BytesReceived   uint64 // in-order application bytes delivered
-	SegmentsSent    uint64
-	SegmentsRcvd    uint64
-	Retransmissions uint64
-	FastRetransmits uint64
-	Timeouts        uint64
-	OutOfOrderDrops uint64 // go-back-N discards
+	BytesSent     uint64 // application bytes accepted for sending
+	BytesAcked    uint64
+	BytesReceived uint64 // in-order application bytes delivered
 }
 
 type connKey struct {
@@ -108,7 +90,6 @@ type connKey struct {
 // simulation goroutine.
 type Conn struct {
 	h   *Host
-	cfg TCPConfig
 	key connKey
 
 	state ConnState
@@ -216,16 +197,10 @@ func (l *Listener) Close() {
 	}
 }
 
-// Dial opens a connection to dst:port with the default configuration;
-// onConnect fires when the handshake completes.
+// Dial opens a connection to dst:port from an ephemeral local port no live
+// connection to dst:port uses; onConnect fires when the handshake
+// completes. It returns nil when no port is free.
 func (h *Host) Dial(dst layers.Addr4, port uint16, onConnect func(*Conn)) *Conn {
-	return h.DialConfig(dst, port, DefaultTCPConfig(), onConnect)
-}
-
-// DialConfig opens a connection with an explicit configuration, from an
-// ephemeral local port no live connection to dst:port uses; it returns
-// nil when there is none.
-func (h *Host) DialConfig(dst layers.Addr4, port uint16, cfg TCPConfig, onConnect func(*Conn)) *Conn {
 	th := &h.tcp
 	lport := th.ephemeral(func(p uint16) bool {
 		return th.conns[connKey{rip: dst, rport: port, lport: p}] != nil
@@ -233,7 +208,7 @@ func (h *Host) DialConfig(dst layers.Addr4, port uint16, cfg TCPConfig, onConnec
 	if lport == 0 {
 		return nil
 	}
-	c := newConn(h, cfg, connKey{rip: dst, rport: port, lport: lport})
+	c := newConn(h, connKey{rip: dst, rport: port, lport: lport})
 	c.onConnect = onConnect
 	put(&th.conns, c.key, c)
 	c.state = StateSynSent
@@ -243,19 +218,18 @@ func (h *Host) DialConfig(dst layers.Addr4, port uint16, cfg TCPConfig, onConnec
 	return c
 }
 
-func newConn(h *Host, cfg TCPConfig, key connKey) *Conn {
+func newConn(h *Host, key connKey) *Conn {
 	isn := uint32(h.rng.Rand().Int63()) // deterministic per seed
 	return &Conn{
 		h:        h,
-		cfg:      cfg,
 		key:      key,
 		sndUna:   isn,
 		sndNxt:   isn,
 		recover:  isn,
-		peerWnd:  cfg.Window,
-		cwnd:     2 * cfg.MSS,
-		ssthresh: cfg.Window,
-		rto:      cfg.InitialRTO,
+		peerWnd:  rcvWindow,
+		cwnd:     2 * mss,
+		ssthresh: rcvWindow,
+		rto:      initialRTO,
 	}
 }
 
@@ -332,8 +306,8 @@ func (c *Conn) pump() {
 			break
 		}
 		n := unsent
-		if n > c.cfg.MSS {
-			n = c.cfg.MSS
+		if n > mss {
+			n = mss
 		}
 		if n > avail {
 			n = avail
@@ -372,12 +346,11 @@ func inFlightData(inFlight int, c *Conn) int {
 
 // sendFlags emits one segment.
 func (c *Conn) sendFlags(flags uint8, seq, ack uint32, payload []byte) {
-	c.stats.SegmentsSent++
 	ls := []layers.SerializableLayer{
 		&layers.TCPLite{
 			SrcPort: c.key.lport, DstPort: c.key.rport,
 			Seq: seq, Ack: ack, Flags: flags,
-			Window: uint16(min(c.cfg.Window, 0xFFFF)),
+			Window: uint16(min(rcvWindow, 0xFFFF)),
 			SrcIP:  c.h.ip, DstIP: c.key.rip,
 		},
 	}
@@ -402,19 +375,18 @@ func (c *Conn) armRTX() {
 // onRTO fires when the oldest outstanding data went unacknowledged.
 func (c *Conn) onRTO() {
 	c.retries++
-	if c.retries > c.cfg.MaxRetries {
+	if c.retries > maxRetries {
 		c.abort()
 		return
 	}
-	c.stats.Timeouts++
 	// Reno: multiplicative backoff, collapse to one segment.
-	c.ssthresh = max(c.flightSize()/2, 2*c.cfg.MSS)
-	c.cwnd = c.cfg.MSS
+	c.ssthresh = max(c.flightSize()/2, 2*mss)
+	c.cwnd = mss
 	c.dupAcks = 0
 	c.recover = c.sndNxt
 	c.rto *= 2
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 	c.rttValid = false // Karn: no samples across retransmission
 	c.retransmit()
@@ -434,14 +406,13 @@ func (c *Conn) retransmit() {
 	case StateClosed:
 		return
 	}
-	c.stats.Retransmissions++
 	if c.state == StateFinWait && c.sndUna == c.finSeq {
 		c.sendFlags(layers.TCPFlagFIN|layers.TCPFlagACK, c.finSeq, c.rcvNxt, nil)
 		return
 	}
 	n := len(c.sndBuf)
-	if n > c.cfg.MSS {
-		n = c.cfg.MSS
+	if n > mss {
+		n = mss
 	}
 	if n == 0 {
 		return
@@ -469,7 +440,7 @@ func (t *tcpHost) handle(ip *layers.IPv4) {
 		if !ok {
 			return // silently ignore (no RST machinery needed)
 		}
-		c := newConn(t.h, DefaultTCPConfig(), key)
+		c := newConn(t.h, key)
 		put(&t.conns, key, c)
 		c.state = StateSynReceived
 		c.rcvNxt = seg.Seq + 1
@@ -482,18 +453,14 @@ func (t *tcpHost) handle(ip *layers.IPv4) {
 
 // armIdle (re)starts the keepalive-substitute idle timer.
 func (c *Conn) armIdle() {
-	if c.cfg.IdleTimeout <= 0 {
-		return
-	}
 	if c.idleTimer != nil {
 		c.idleTimer.Stop()
 	}
-	c.idleTimer = c.h.After(c.cfg.IdleTimeout, c.abort)
+	c.idleTimer = c.h.After(idleTimeout, c.abort)
 }
 
 // handleSegment is the connection state machine.
 func (c *Conn) handleSegment(seg *layers.TCPLite) {
-	c.stats.SegmentsRcvd++
 	if c.state != StateClosed {
 		c.armIdle()
 	}
@@ -552,8 +519,6 @@ func (c *Conn) handleSegment(seg *layers.TCPLite) {
 			if c.OnData != nil {
 				c.OnData(payload)
 			}
-		} else {
-			c.stats.OutOfOrderDrops++
 		}
 		// Acknowledge cumulatively either way.
 		c.sendFlags(layers.TCPFlagACK, c.sndNxt, c.rcvNxt, nil)
@@ -606,9 +571,9 @@ func (c *Conn) processAck(seg *layers.TCPLite) {
 		}
 		// Reno growth.
 		if c.cwnd < c.ssthresh {
-			c.cwnd += c.cfg.MSS // slow start
+			c.cwnd += mss // slow start
 		} else {
-			c.cwnd += max(c.cfg.MSS*c.cfg.MSS/c.cwnd, 1) // AIMD
+			c.cwnd += max(mss*mss/c.cwnd, 1) // AIMD
 		}
 		// NewReno partial ACK: while recovering from a burst loss, the
 		// cumulative ACK exposes the next hole at sndUna — refill it now
@@ -622,8 +587,7 @@ func (c *Conn) processAck(seg *layers.TCPLite) {
 		// Duplicate ACK.
 		c.dupAcks++
 		if c.dupAcks == 3 {
-			c.stats.FastRetransmits++
-			c.ssthresh = max(c.flightSize()/2, 2*c.cfg.MSS)
+			c.ssthresh = max(c.flightSize()/2, 2*mss)
 			c.cwnd = c.ssthresh
 			c.recover = c.sndNxt
 			c.retransmit()
@@ -646,11 +610,11 @@ func (c *Conn) updateRTT(sample time.Duration) {
 		c.srtt = (7*c.srtt + sample) / 8
 	}
 	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.MinRTO {
-		c.rto = c.cfg.MinRTO
+	if c.rto < minRTO {
+		c.rto = minRTO
 	}
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 }
 

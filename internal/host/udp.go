@@ -22,9 +22,7 @@ type UDPSocket struct {
 	port   uint16
 	onRx   func(Datagram)
 	borrow bool
-	rx     uint64
 	tx     uint64
-	drops  uint64
 	// Scratch layers of the resolved send path (SendTo).
 	txUDP  layers.UDP
 	txData layers.Payload
@@ -63,9 +61,6 @@ func (s *UDPSocket) Borrow() *UDPSocket {
 // Port returns the bound local port.
 func (s *UDPSocket) Port() uint16 { return s.port }
 
-// Received returns the number of datagrams delivered to onRx.
-func (s *UDPSocket) Received() uint64 { return s.rx }
-
 // Sent returns the number of datagrams transmitted.
 func (s *UDPSocket) Sent() uint64 { return s.tx }
 
@@ -99,7 +94,6 @@ func (h *Host) handleUDP(ip *layers.IPv4) {
 		h.stats.DroppedUnknownProto++
 		return
 	}
-	s.rx++
 	if s.onRx != nil {
 		// The frame buffer is pooled and recycled after delivery, but
 		// sockets routinely retain datagrams past the callback (tests,

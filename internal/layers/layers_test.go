@@ -42,8 +42,8 @@ func TestGroupBit(t *testing.T) {
 			if byOctet := c.mac[0]&1 == 1; byOctet != c.multicast {
 				t.Fatalf("case is wrong: %v has mac[0]&1 = %v", c.mac, byOctet)
 			}
-			if c.mac.IsMulticast() != c.multicast || c.mac.IsUnicast() == c.multicast {
-				t.Fatalf("%v: IsMulticast %v, IsUnicast %v", c.mac, c.mac.IsMulticast(), c.mac.IsUnicast())
+			if c.mac.IsMulticast() != c.multicast {
+				t.Fatalf("%v: IsMulticast %v", c.mac, c.mac.IsMulticast())
 			}
 			if KeyIsMulticast(c.mac.Uint64()) != c.multicast {
 				t.Fatalf("KeyIsMulticast(%#x) = %v", c.mac.Uint64(), !c.multicast)
@@ -53,13 +53,13 @@ func TestGroupBit(t *testing.T) {
 }
 
 func TestMACClassification(t *testing.T) {
-	if !BroadcastMAC.IsBroadcast() || !BroadcastMAC.IsMulticast() || BroadcastMAC.IsUnicast() {
+	if !BroadcastMAC.IsBroadcast() || !BroadcastMAC.IsMulticast() {
 		t.Fatal("broadcast misclassified")
 	}
 	if !PathCtlMulticast.IsMulticast() || PathCtlMulticast.IsBroadcast() {
 		t.Fatal("PathCtlMulticast misclassified")
 	}
-	if !HostMAC(1).IsUnicast() || HostMAC(1).IsMulticast() {
+	if HostMAC(1).IsMulticast() {
 		t.Fatal("host MAC misclassified")
 	}
 	if !ZeroMAC.IsZero() || HostMAC(0).IsZero() {

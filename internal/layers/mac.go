@@ -36,9 +36,6 @@ func (m MAC) IsBroadcast() bool { return m == BroadcastMAC }
 // Broadcast is a multicast address.
 func (m MAC) IsMulticast() bool { return m[0]&0x01 != 0 }
 
-// IsUnicast reports whether m addresses a single station.
-func (m MAC) IsUnicast() bool { return !m.IsMulticast() }
-
 // IsZero reports whether m is the unset address.
 func (m MAC) IsZero() bool { return m == ZeroMAC }
 

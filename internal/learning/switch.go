@@ -10,7 +10,6 @@ import (
 type Stats struct {
 	Forwarded      uint64 // unicast hits sent out one port
 	FloodedUnknown uint64 // unknown unicast floods
-	FloodedGroup   uint64 // broadcast/multicast floods
 	Filtered       uint64 // frames whose FIB entry pointed at the ingress port
 }
 
@@ -58,7 +57,6 @@ func (s *Switch) OnFrame(in *netsim.Port, f *netsim.Frame) {
 	v := f.View()
 	s.fib.LearnKey(v.SrcKey, in, now)
 	if v.IsMulticast() {
-		s.stats.FloodedGroup++
 		s.FloodExcept(in, f)
 		return
 	}

@@ -330,16 +330,6 @@ func (n *Network) Quiescent() bool {
 	return true
 }
 
-// ScheduleLinkDown fails l at time t.
-func (n *Network) ScheduleLinkDown(t time.Duration, l *Link) {
-	n.Engine.At(t, func() { l.SetUp(false) })
-}
-
-// ScheduleLinkUp restores l at time t.
-func (n *Network) ScheduleLinkUp(t time.Duration, l *Link) {
-	n.Engine.At(t, func() { l.SetUp(true) })
-}
-
 // ScheduleScoped schedules fn at absolute virtual time t under owner's
 // scheduling identity, for an action that touches only the state of the
 // nodes in touch (owner included). The event's ordering key is a function

@@ -279,8 +279,8 @@ func TestScheduleLinkDownUp(t *testing.T) {
 	net := NewNetwork(1)
 	a, b := newTestNode("a"), newTestNode("b")
 	l := net.Connect(a, b, gigabit(0))
-	net.ScheduleLinkDown(time.Millisecond, l)
-	net.ScheduleLinkUp(2*time.Millisecond, l)
+	net.Engine.At(time.Millisecond, func() { l.SetUp(false) })
+	net.Engine.At(2*time.Millisecond, func() { l.SetUp(true) })
 	net.Engine.At(3*time.Millisecond, func() { l.A().Send([]byte{7}) })
 	net.Run()
 	if len(b.frames) != 1 {

@@ -14,11 +14,11 @@ import (
 )
 
 // coreTabler is the checker's view of any bridge that forwards on an
-// ARP-Path locking table — core.Bridge itself and variants that embed it
-// (flowpath.TCPPath). Walks never assert the concrete type, so a
-// registered variant gets the table checks for free. A variant that only
-// races floods on a per-source table (flowpath.Bridge: core.Discovery's
-// Hosts()) must have neither method.
+// ARP-Path locking table: core.Bridge and variants that embed it
+// (flowpath.TCPPath). checkMACTables walks through it, so a registered
+// variant gets that check for free; the pair and connection walks assert
+// *flowpath.Bridge and *flowpath.TCPPath. flowpath.Bridge only races floods
+// on a per-source table (core.Discovery's Hosts()) and must have neither.
 type coreTabler interface {
 	Table() *core.LockTable
 	EntryFor(layers.MAC) (core.Entry, bool)

@@ -380,26 +380,3 @@ func (op *FaultOp) decode(data []byte) error {
 func fieldIndex(key any) int {
 	return slices.IndexFunc(opFields[:], func(f opField) bool { return f.name == key })
 }
-
-// EncodeOps renders a schedule as a compact JSON array, one canonical
-// wire-form op per element. DecodeOps(EncodeOps(ops)) == ops.
-func EncodeOps(ops []FaultOp) ([]byte, error) {
-	if ops == nil {
-		ops = []FaultOp{}
-	}
-	return json.Marshal(ops)
-}
-
-// DecodeOps parses a schedule strictly (see FaultOp.UnmarshalJSON).
-func DecodeOps(data []byte) ([]FaultOp, error) {
-	var ops []FaultOp
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ops); err != nil {
-		return nil, err
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("scenario ops: trailing data after JSON document")
-	}
-	return ops, nil
-}

@@ -160,7 +160,6 @@ func (s PortState) String() string {
 type Stats struct {
 	ConfigTx, ConfigRx uint64
 	TCNTx, TCNRx       uint64
-	TopologyChanges    uint64
 	Forwarded          uint64
 	Flooded            uint64
 	Filtered           uint64
@@ -270,17 +269,6 @@ func (b *Bridge) Role(p *netsim.Port) PortRole { return b.ports[p].role }
 
 // State returns the 802.1D state of p.
 func (b *Bridge) State(p *netsim.Port) PortState { return b.ports[p].state }
-
-// ForwardingPorts returns the ports currently in the forwarding state.
-func (b *Bridge) ForwardingPorts() []*netsim.Port {
-	var out []*netsim.Port
-	for _, sp := range b.plist {
-		if sp.state == StateForwarding {
-			out = append(out, sp.np)
-		}
-	}
-	return out
-}
 
 // costFor maps a link rate to the 802.1D-1998 recommended path cost.
 func costFor(rate int64) uint32 {
@@ -604,7 +592,6 @@ func (b *Bridge) enterState(sp *port, st PortState) {
 			b.enterState(sp, StateForwarding)
 		})
 	case StateForwarding:
-		b.stats.TopologyChanges++
 		b.topologyChange()
 	}
 }

@@ -113,7 +113,7 @@ func TestFastAgingDuringTopologyChange(t *testing.T) {
 // learned now is still found one tick before now+aging and gone at it.
 func fibAgesAfter(b *Bridge, now, aging time.Duration) bool {
 	probe := layers.HostMAC(0xfffe)
-	b.fib.Learn(probe, b.ForwardingPorts()[0], now)
+	b.fib.Learn(probe, b.Ports()[0], now)
 	_, before := b.fib.Lookup(probe, now+aging-1)
 	_, at := b.fib.Lookup(probe, now+aging)
 	b.fib.Delete(probe.Uint64())

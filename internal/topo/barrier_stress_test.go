@@ -64,10 +64,11 @@ func runBarrierStress(t *testing.T, shards int) (uint64, uint64, int) {
 	// millisecond boundaries; the second burst re-races every path after
 	// repair has rerouted around the dead trunks.
 	base := built.Now()
-	built.Network.ScheduleLinkDown(base+2*time.Millisecond+100*time.Nanosecond, built.Link("S1-S2"))
-	built.Network.ScheduleLinkDown(base+3*time.Millisecond+700*time.Nanosecond, built.Link("S5-S6"))
-	built.Network.ScheduleLinkUp(base+9*time.Millisecond+300*time.Nanosecond, built.Link("S1-S2"))
-	built.Network.ScheduleLinkUp(base+11*time.Millisecond+900*time.Nanosecond, built.Link("S5-S6"))
+	s12, s56 := built.Link("S1-S2"), built.Link("S5-S6")
+	built.Engine.At(base+2*time.Millisecond+100*time.Nanosecond, func() { s12.SetUp(false) })
+	built.Engine.At(base+3*time.Millisecond+700*time.Nanosecond, func() { s56.SetUp(false) })
+	built.Engine.At(base+9*time.Millisecond+300*time.Nanosecond, func() { s12.SetUp(true) })
+	built.Engine.At(base+11*time.Millisecond+900*time.Nanosecond, func() { s56.SetUp(true) })
 
 	start()
 	// Drive the virtual clock in sub-millisecond slices: every RunFor

@@ -71,10 +71,11 @@ func runSliceFixture(t *testing.T, shards int, drive func(b *Built, base time.Du
 		})
 	}
 	// One flap exactly on slice boundaries, one straddling them off-grid.
-	built.Network.ScheduleLinkDown(base+2*time.Millisecond, built.Link("S2-S3"))
-	built.Network.ScheduleLinkUp(base+4*time.Millisecond, built.Link("S2-S3"))
-	built.Network.ScheduleLinkDown(base+3*time.Millisecond+701*time.Nanosecond, built.Link("S5-S6"))
-	built.Network.ScheduleLinkUp(base+6*time.Millisecond+299*time.Nanosecond, built.Link("S5-S6"))
+	s23, s56 := built.Link("S2-S3"), built.Link("S5-S6")
+	built.Engine.At(base+2*time.Millisecond, func() { s23.SetUp(false) })
+	built.Engine.At(base+4*time.Millisecond, func() { s23.SetUp(true) })
+	built.Engine.At(base+3*time.Millisecond+701*time.Nanosecond, func() { s56.SetUp(false) })
+	built.Engine.At(base+6*time.Millisecond+299*time.Nanosecond, func() { s56.SetUp(true) })
 
 	drive(built, base)
 	built.Run() // drain timeouts and stragglers past the paced horizon

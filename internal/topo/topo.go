@@ -163,9 +163,6 @@ func (n *Net) Bridge(name string) Bridge {
 // ARPPathBridge returns the named bridge as an ARP-Path bridge.
 func (n *Net) ARPPathBridge(name string) *core.Bridge { return n.Bridge(name).(*core.Bridge) }
 
-// STPBridge returns the named bridge as an STP bridge.
-func (n *Net) STPBridge(name string) *stp.Bridge { return n.Bridge(name).(*stp.Bridge) }
-
 // OnBuilt, when non-nil, is called by Build after Options.Observers. It
 // is process-global state kept for bench/perf, which sets it;
 // everything else passes Options.Observers.

@@ -49,7 +49,7 @@ func TestFigure2STPUsesDiagonal(t *testing.T) {
 	// diagonal — regardless of its delay. This is the premise of the
 	// Figure 2 comparison.
 	n := Figure2(DefaultOptions(STP, 1), ProfileSlowDiagonal)
-	nf4 := n.STPBridge("NF4")
+	nf4 := n.Bridge("NF4").(*stp.Bridge)
 	diag := n.Link("NF1-NF4")
 	var rootPort int
 	for _, p := range nf4.Ports() {

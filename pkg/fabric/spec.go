@@ -47,10 +47,9 @@ type Spec struct {
 	// Workload selects what runs on the fabric.
 	Workload WorkloadSpec `json:"workload,omitzero"`
 	// Scenario parameterizes the adversarial sweep (kind "sweep"): the
-	// fault-schedule families, seeds per pairing and phase timing.
+	// topology and fault-schedule families, seeds per pairing and tier.
 	Scenario *ScenarioSpec `json:"scenario,omitempty"`
-	// Verify holds the verification knobs: probe counts for the sweep's
-	// eventual-delivery invariant, and the trace fingerprint switch.
+	// Verify holds the trace fingerprint switch.
 	Verify VerifySpec `json:"verify,omitzero"`
 
 	// observers are the Runner's watchers (fingerprint, -trace), copied

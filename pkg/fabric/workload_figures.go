@@ -262,7 +262,6 @@ func (r *Runner) runFigure2Demo(spec Spec, out io.Writer, res *Result) error {
 // failureEvent is one injected link failure and the recovery the stream
 // observed for it.
 type failureEvent struct {
-	at   time.Duration
 	link string
 	// repair is the playback interruption attributed to this failure
 	// (zero if the stream never noticed).
@@ -318,7 +317,7 @@ func figure3(o topo.Options, w WorkloadSpec, budget time.Duration) (*figure3Resu
 			if l == nil || !l.Up() {
 				return // stream already moved or fabric exhausted
 			}
-			res.failures = append(res.failures, failureEvent{at: n.Now(), link: linkName(n, l)})
+			res.failures = append(res.failures, failureEvent{link: linkName(n, l)})
 			meter.failAts = append(meter.failAts, n.Now())
 			l.SetUp(false)
 		})
